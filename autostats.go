@@ -64,7 +64,7 @@ import (
 //     and policy state); concurrent callers queue. TuneWorkload still fans
 //     out INSIDE the run via TuneOptions.Parallelism.
 //   - Configuration methods (SetPlanCacheCapacity, EnableFeedback,
-//     EnableResilience, SetAgingWindow, SetBuildParallelism,
+//     EnableResilience, SetAgingWindow, SetBuildMemoryBudget,
 //     EnableIncrementalMaintenance, …) follow the usual configure-then-serve
 //     server pattern: call them before the System is shared across
 //     goroutines, not while requests are in flight.
@@ -379,19 +379,6 @@ func (s *System) SetAgingWindow(ticks int64) {
 // EnableIncrementalMaintenance is called with 0.
 const DefaultMaxFoldFraction = stats.DefaultMaxFoldFraction
 
-// SetBuildParallelism splits every subsequent statistic build into up to k
-// concurrently summarized scan partitions whose partial histograms are merged
-// into the final statistic. The merged result is bitwise-identical to a
-// single-pass build at any k; values below 1 mean single-pass.
-func (s *System) SetBuildParallelism(k int) {
-	s.mgr.SetBuildParallelism(k)
-}
-
-// BuildParallelism returns the active build partition count (minimum 1).
-func (s *System) BuildParallelism() int {
-	return s.mgr.BuildParallelism()
-}
-
 // EnableIncrementalMaintenance switches statistics refreshes to incremental
 // (folding) maintenance: every table keeps a bounded delta log, and a refresh
 // folds the logged row modifications into the existing histogram instead of
@@ -411,34 +398,14 @@ func (s *System) DisableIncrementalMaintenance() error {
 	return s.mgr.SetIncrementalMaintenance(stats.FoldConfig{})
 }
 
-// EnableStreamingBuilds routes subsequent full statistic builds through the
-// streaming scan seam: the table is read in blocks of blockSize rows under a
-// snapshot guard, summarized into partials of at most partitionRows rows,
-// and merged — bitwise-identical to the one-shot build, with peak build
-// memory bounded by the partition and memBudgetBytes instead of the table
-// size. Partials exceeding the budget spill to temp files and are reloaded
-// only for the final merge. Zero values pick defaults (blockSize
-// storage.DefaultBlockSize, partitionRows stats.DefaultStreamPartitionRows,
-// budget unbounded). Sampled builds (when sampling is configured) keep the
-// materialized path. Configuration method: call before sharing the System.
-func (s *System) EnableStreamingBuilds(blockSize, partitionRows int, memBudgetBytes int64) error {
-	return s.mgr.SetStreamingBuild(stats.StreamConfig{
-		Enabled:        true,
-		BlockSize:      blockSize,
-		PartitionRows:  partitionRows,
-		MemBudgetBytes: memBudgetBytes,
-	})
-}
-
-// DisableStreamingBuilds reverts statistic builds to the one-shot
-// materialized scan.
-func (s *System) DisableStreamingBuilds() error {
-	return s.mgr.SetStreamingBuild(stats.StreamConfig{})
-}
-
-// StreamingBuilds reports whether streaming builds are enabled.
-func (s *System) StreamingBuilds() bool {
-	return s.mgr.StreamingBuild().Enabled
+// SetBuildMemoryBudget bounds the estimated memory a statistic build
+// retains (the partition being summarized plus completed partials): past
+// the budget, partitions are cut early and completed partials spill to temp
+// files, reloaded only for the final merge — the statistic is
+// bitwise-identical at any budget. 0 means unbounded (never spill).
+// Configuration method: call before sharing the System.
+func (s *System) SetBuildMemoryBudget(bytes int64) error {
+	return s.mgr.SetStreamingBuild(stats.StreamConfig{MemBudgetBytes: bytes})
 }
 
 // CreateIndexedColumnStats builds single-column statistics on every indexed

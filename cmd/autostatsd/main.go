@@ -45,8 +45,7 @@ var (
 	planCache    = flag.Int("plan-cache", 0, "per-tenant plan cache capacity (0 = default)")
 	feedbackOn   = flag.Bool("feedback", true, "enable the execution-feedback loop per tenant")
 	resilienceOn = flag.Bool("resilience", true, "enable the resilience layer per tenant")
-	buildMem     = flag.Int64("build-mem-budget", 0, "per-tenant streaming-build memory budget in bytes (0 disables streaming builds)")
-	blockSize    = flag.Int("block-size", 0, "rows per scan block for streaming builds (0 = default; needs -build-mem-budget)")
+	buildMem     = flag.Int64("build-mem-budget", 0, "per-tenant statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	metricsAddr  = flag.String("metrics-addr", "", "optional HTTP address serving the metrics registry (text, or ?format=json) plus /healthz and /readyz probes")
 	drainTO      = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
 	readTO       = flag.Duration("read-timeout", 0, "per-connection read/idle deadline; silent and half-open connections are evicted after this long (0 = server default 2m, <0 disables)")
@@ -94,8 +93,8 @@ func run() error {
 		if *resilienceOn {
 			sys.EnableResilience(autostats.ResilienceOptions{Seed: *dbSeed})
 		}
-		if *buildMem > 0 {
-			if err := sys.EnableStreamingBuilds(*blockSize, 0, *buildMem); err != nil {
+		if *buildMem != 0 {
+			if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {
 				return nil, fmt.Errorf("tenant %s: %w", name, err)
 			}
 		}

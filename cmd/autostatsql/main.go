@@ -47,11 +47,9 @@ func main() {
 		seed     = flag.Int64("seed", 42, "generator seed")
 		retries  = flag.Int("retries", -1, "enable the resilience layer, retrying each failed statistic build this many times (-1 = resilience off)")
 		buildTO  = flag.Duration("build-timeout", 0, "per-statistic build attempt timeout (needs -retries >= 0; 0 = unbounded)")
-		buildPar = flag.Int("build-parallelism", 1, "scan partitions per statistic build; partial histograms are merged into a result identical to a single-pass build (<=1 = single-pass)")
 		incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
 		foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
-		buildMem = flag.Int64("build-mem-budget", 0, "streaming-build memory budget in bytes: scan in blocks and spill finished partials past the budget (0 disables streaming builds)")
-		blockSz  = flag.Int("block-size", 0, "rows per scan block for streaming builds (0 = default; needs -build-mem-budget)")
+		buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -87,10 +85,6 @@ func main() {
 		})
 		fmt.Printf("resilience ON: %d retries per build, build timeout %v\n", *retries, *buildTO)
 	}
-	if *buildPar > 1 {
-		sys.SetBuildParallelism(*buildPar)
-		fmt.Printf("partition-parallel builds ON: %d partitions per scan\n", *buildPar)
-	}
 	if *incr {
 		if err := sys.EnableIncrementalMaintenance(*foldFrac); err != nil {
 			fmt.Fprintln(os.Stderr, "autostatsql:", err)
@@ -99,12 +93,12 @@ func main() {
 		fmt.Printf("incremental maintenance ON: refreshes fold row deltas (max fold fraction %v)\n",
 			orDefaultFrac(*foldFrac))
 	}
-	if *buildMem > 0 {
-		if err := sys.EnableStreamingBuilds(*blockSz, 0, *buildMem); err != nil {
+	if *buildMem != 0 {
+		if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {
 			fmt.Fprintln(os.Stderr, "autostatsql:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("streaming builds ON: %d-byte memory budget\n", *buildMem)
+		fmt.Printf("statistic builds spill past a %d-byte memory budget\n", *buildMem)
 	}
 	fmt.Printf("autostatsql — %s at scale %.2f. Type .help for commands.\n", *dbName, *scale)
 	if err := runREPL(ctx, sys, os.Stdin, os.Stdout); err != nil {

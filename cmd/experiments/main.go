@@ -40,9 +40,7 @@ func main() {
 		feedback   = flag.Bool("feedback", false, "also run the execution-feedback experiment (in addition to -exp)")
 		benchOut   = flag.String("benchjson", "", "write the PR-3 benchmark bundle as JSON to this path (e.g. BENCH_PR3.json)")
 		bench6Out  = flag.String("benchjson6", "", "write the PR-6 plan-cache bundle as JSON to this path (e.g. BENCH_PR6.json); fails if the repeated-template hit rate is 0")
-		bench7Out  = flag.String("benchjson7", "", "write the PR-7 parallel-build bundle as JSON to this path (e.g. BENCH_PR7.json); fails if the 4-partition build speedup is <= 1x or any merged statistic differs from the single-pass build")
 		bench8Out  = flag.String("benchjson8", "", "write the PR-8 stats-as-a-service bundle as JSON to this path (e.g. BENCH_PR8.json); fails on any swarm protocol error, a missing overload fast-fail, or a dropped request during drain")
-		bench9Out  = flag.String("benchjson9", "", "write the PR-9 streaming-build bundle as JSON to this path (e.g. BENCH_PR9.json); fails if peak build memory is not flat across a 10x table growth, the spill path never ran, or any streamed histogram differs from its single-pass reference")
 		bench10Out = flag.String("benchjson10", "", "write the PR-10 network-robustness bundle as JSON to this path (e.g. BENCH_PR10.json); runs the full swarm through the 10ms/1% chaos proxy and fails on any hang, leaked goroutine, or dropped request during drain")
 		swarmN     = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -benchjson8 / -swarm-addr")
 		swarmTen   = flag.Int("swarm-tenants", 8, "tenants for -benchjson8 / -swarm-addr")
@@ -140,27 +138,11 @@ func main() {
 		}
 	}
 
-	if *bench7Out != "" && runErr == nil {
-		if err := writeBench7JSON(*bench7Out, *scale); err != nil {
-			runErr = fmt.Errorf("benchjson7: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *bench7Out)
-		}
-	}
-
 	if *bench8Out != "" && runErr == nil {
 		if err := writeBench8JSON(*bench8Out, *scale, *swarmN, *swarmTen); err != nil {
 			runErr = fmt.Errorf("benchjson8: %w", err)
 		} else {
 			fmt.Printf("benchmark bundle written to %s\n", *bench8Out)
-		}
-	}
-
-	if *bench9Out != "" && runErr == nil {
-		if err := writeBench9JSON(*bench9Out, *scale); err != nil {
-			runErr = fmt.Errorf("benchjson9: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *bench9Out)
 		}
 	}
 
@@ -404,52 +386,6 @@ func writeBenchJSON(path, wl string, scale float64, seed int64, parallelism int)
 	return err
 }
 
-// writeBench6JSON runs the PR-6 plan-cache bundle and applies the smoke
-// gate: a zero hit rate on the repeated-template workload means statement
-// parameterization has regressed to the raw-SQL keying this bundle exists to
-// guard against, so the run fails rather than silently publishing it.
-// writeBench7JSON runs the PR-7 partition-parallel build bundle and applies
-// its smoke gate: the highest-parallelism arm must actually be faster than
-// the serial build (speedup > 1x), every partition-merged statistic must be
-// bit-identical to its single-pass reference (mismatches == 0), and the fold
-// demonstration must refresh without a table rescan.
-func writeBench7JSON(path string, scale float64) error {
-	s, err := bench.RunPR7(scale)
-	if err != nil {
-		return err
-	}
-	for _, arm := range s.Build.Arms {
-		fmt.Printf("build parallelism %d: total %v, critical path %v, speedup %.2fx, %d statistics, %d mismatches\n",
-			arm.Parallelism, arm.Wall.Round(time.Millisecond), arm.CriticalPathWall.Round(time.Millisecond),
-			arm.SpeedupX, s.Build.Statistics, arm.MergeMismatches)
-	}
-	fmt.Printf("manager parity at parallelism %d: %d statistics, %d parallel builds, %d partials merged, %d mismatches\n",
-		s.Build.Parity.Parallelism, s.Build.Parity.Statistics, s.Build.Parity.ParallelBuilds,
-		s.Build.Parity.PartialsMerged, s.Build.Parity.Mismatches)
-	fmt.Printf("fold: %d deltas on %s, full_scans %d -> %d, %d folds, cost %.0f vs rebuild %.0f units\n",
-		s.Fold.DeltaRows, s.Fold.Table, s.Fold.FullScansBefore, s.Fold.FullScansAfter,
-		s.Fold.FoldsApplied, s.Fold.FoldCostUnits, s.Fold.RebuildCostUnits)
-	if s.MergeMismatches > 0 {
-		return fmt.Errorf("smoke gate: %d partition-merged statistics differ from the single-pass build", s.MergeMismatches)
-	}
-	if s.SpeedupX <= 1.0 {
-		return fmt.Errorf("smoke gate: parallel build speedup %.2fx is not a speedup", s.SpeedupX)
-	}
-	if !s.Fold.NoRescan {
-		return fmt.Errorf("smoke gate: fold-eligible refresh rescanned the table (full_scans %d -> %d)",
-			s.Fold.FullScansBefore, s.Fold.FullScansAfter)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 func writeBench8JSON(path string, scale float64, sessions, tenants int) error {
 	s, err := bench.RunPR8(scale, sessions, tenants)
 	if err != nil {
@@ -506,49 +442,6 @@ func writeBench10JSON(path string, scale float64, sessions, tenants int) error {
 	return err
 }
 
-// writeBench9JSON runs the PR-9 streaming-build bundle and applies its smoke
-// gates: peak build memory must stay flat (ratio <= bench.MaxFlatPeakRatio)
-// while the table grows 10x, the large arm must actually have exercised the
-// spill path, and every streamed histogram — both arms and the full
-// block-size × spill sweep — must be bitwise-identical to its single-pass
-// reference.
-func writeBench9JSON(path string, scale float64) error {
-	s, err := bench.RunPR9(scale)
-	if err != nil {
-		return err
-	}
-	for _, arm := range []struct {
-		name string
-		a    bench.StreamArm
-	}{{"small", s.Small}, {"large", s.Large}} {
-		fmt.Printf("streaming build %-5s: %8d rows, %6d blocks, %4d spills (%d bytes), peak %7d bytes, %v, mismatch=%v\n",
-			arm.name, arm.a.Rows, arm.a.Blocks, arm.a.Spills, arm.a.SpillBytes,
-			arm.a.PeakBytes, arm.a.Wall.Round(time.Millisecond), arm.a.Mismatch)
-	}
-	fmt.Printf("peak ratio across %dx growth: %.2f (gate <= %.2f) | sweep: %d builds, %d mismatches\n",
-		s.LargeFactor, s.PeakRatio, bench.MaxFlatPeakRatio, s.Sweep.Builds, s.Sweep.Mismatches)
-	if s.Small.Mismatch || s.Large.Mismatch || s.Sweep.Mismatches > 0 {
-		return fmt.Errorf("smoke gate: streamed histograms differ from single-pass builds (small=%v large=%v sweep=%d)",
-			s.Small.Mismatch, s.Large.Mismatch, s.Sweep.Mismatches)
-	}
-	if s.PeakRatio <= 0 || s.PeakRatio > bench.MaxFlatPeakRatio {
-		return fmt.Errorf("smoke gate: peak build memory ratio %.2f over %dx growth exceeds %.2f — not flat",
-			s.PeakRatio, s.LargeFactor, bench.MaxFlatPeakRatio)
-	}
-	if s.Large.Spills == 0 {
-		return fmt.Errorf("smoke gate: large arm never spilled — the budget path went unexercised")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // runExternalSwarm points the client swarm at a daemon started elsewhere.
 func runExternalSwarm(ctx context.Context, addr string, sessions, tenants int) error {
 	res, err := bench.Swarm(ctx, addr, bench.SwarmConfig{
@@ -572,6 +465,10 @@ func runExternalSwarm(ctx context.Context, addr string, sessions, tenants int) e
 	return nil
 }
 
+// writeBench6JSON runs the PR-6 plan-cache bundle and applies the smoke
+// gate: a zero hit rate on the repeated-template workload means statement
+// parameterization has regressed to the raw-SQL keying this bundle exists to
+// guard against, so the run fails rather than silently publishing it.
 func writeBench6JSON(path, wl string, scale float64, seed int64, parallelism int) error {
 	s, err := bench.RunPR6(wl, scale, seed, parallelism)
 	if err != nil {

@@ -65,11 +65,9 @@ var (
 	timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
 	retries  = flag.Int("retries", -1, "enable the resilience layer, retrying each failed statistic build this many times (-1 = resilience off)")
 	buildTO  = flag.Duration("build-timeout", 0, "per-statistic build attempt timeout (needs -retries >= 0; 0 = unbounded)")
-	buildPar = flag.Int("build-parallelism", 1, "scan partitions per statistic build; partial histograms are merged into a result identical to a single-pass build (<=1 = single-pass)")
 	incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
 	foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
-	buildMem = flag.Int64("build-mem-budget", 0, "streaming-build memory budget in bytes: scan in blocks and spill finished partials past the budget (0 disables streaming builds)")
-	blockSz  = flag.Int("block-size", 0, "rows per scan block for streaming builds (0 = default; needs -build-mem-budget)")
+	buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 )
 
 func main() {
@@ -151,10 +149,6 @@ func run(ctx context.Context) error {
 		}
 		fmt.Printf("loaded %d statistics from %s\n", len(mgr.All()), *loadFrom)
 	}
-	if *buildPar > 1 {
-		mgr.SetBuildParallelism(*buildPar)
-		fmt.Printf("partition-parallel builds: %d partitions per scan\n", *buildPar)
-	}
 	if *incr {
 		if err := mgr.SetIncrementalMaintenance(stats.FoldConfig{
 			Enabled:         true,
@@ -164,15 +158,11 @@ func run(ctx context.Context) error {
 		}
 		fmt.Printf("incremental maintenance: refreshes fold row deltas (max fold fraction %v)\n", *foldFrac)
 	}
-	if *buildMem > 0 {
-		if err := mgr.SetStreamingBuild(stats.StreamConfig{
-			Enabled:        true,
-			BlockSize:      *blockSz,
-			MemBudgetBytes: *buildMem,
-		}); err != nil {
+	if *buildMem != 0 {
+		if err := mgr.SetStreamingBuild(stats.StreamConfig{MemBudgetBytes: *buildMem}); err != nil {
 			return err
 		}
-		fmt.Printf("streaming builds: %d-byte memory budget\n", *buildMem)
+		fmt.Printf("statistic builds spill past a %d-byte memory budget\n", *buildMem)
 	}
 	sess := optimizer.NewSession(mgr)
 	cache := optimizer.NewPlanCache(*cacheCap)

@@ -115,8 +115,8 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildMulti / BenchmarkBuildMultiParallel4 cover the build hot
-// path for the -benchmem allocation regression in CI.
+// BenchmarkBuildMulti / BenchmarkMergePartials4 cover the reference build
+// and the partial-merge build for the -benchmem allocation regression in CI.
 func BenchmarkBuildMulti(b *testing.B) {
 	tuples := randTuples(rand.New(rand.NewSource(1)), 5000, 1)
 	b.ReportAllocs()
@@ -128,13 +128,22 @@ func BenchmarkBuildMulti(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildMultiParallel4(b *testing.B) {
+func BenchmarkMergePartials4(b *testing.B) {
 	tuples := randTuples(rand.New(rand.NewSource(1)), 5000, 1)
-	parts := SplitTuples(tuples, 4)
+	chunks := SplitTuples(tuples, 4)
+	cols := []string{"a"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildMultiParallel(MaxDiff, []string{"a"}, parts, 0); err != nil {
+		parts := make([]*Partial, len(chunks))
+		for j, chunk := range chunks {
+			p, err := BuildPartial(cols, chunk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			parts[j] = p
+		}
+		if _, err := MergePartials(MaxDiff, cols, parts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

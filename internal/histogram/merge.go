@@ -2,26 +2,24 @@ package histogram
 
 import (
 	"fmt"
-	"sync"
 
 	"autostats/internal/catalog"
 )
 
-// Partition-parallel, mergeable statistics construction. A table scan is
-// split into contiguous partitions, each partition is summarized into a
-// Partial — an exact, sorted (value, frequency) list for the leading column
-// plus per-prefix distinct sets — concurrently, and MergePartials combines
-// the partials and buckets the merged frequency list once. Because the
-// bucket boundaries are chosen over the complete merged frequency list (not
-// over pre-bucketed partial histograms), the merged result is
-// bitwise-identical to a single-pass Build/BuildMulti over the concatenated
-// rows, regardless of partition count or order. That exactness is what the
-// merged-vs-rebuilt differential oracle in internal/oracle asserts.
+// Mergeable statistics construction. A table scan is cut into contiguous
+// partitions, each partition is summarized into a Partial — an exact, sorted
+// (value, frequency) list for the leading column plus per-prefix distinct
+// sets — and MergePartials combines the partials and buckets the merged
+// frequency list once. Because the bucket boundaries are chosen over the
+// complete merged frequency list (not over pre-bucketed partial histograms),
+// the merged result is bitwise-identical to a single-pass Build/BuildMulti
+// over the concatenated rows, regardless of partition count or order. That
+// exactness is what the differential oracles in internal/oracle assert.
 
 // Partial is the mergeable per-partition summary of a multi-column
 // statistic's input: exact leading-column frequencies plus the distinct
 // prefix combinations of every non-leading prefix. Build one per partition
-// with BuildPartial and combine with MergePartials.
+// with a PartialBuilder (or BuildPartial) and combine with MergePartials.
 type Partial struct {
 	cols  int
 	rows  int64
@@ -36,34 +34,19 @@ type Partial struct {
 // Rows returns the number of tuples summarized by the partial.
 func (p *Partial) Rows() int64 { return p.rows }
 
-// BuildPartial summarizes one partition of column tuples. Each tuple must
-// have len(columns) datums, ordered to match columns.
+// BuildPartial summarizes one partition of column tuples held in memory: a
+// PartialBuilder fed the whole partition as one block. Each tuple must have
+// len(columns) datums, ordered to match columns.
 func BuildPartial(columns []string, tuples [][]catalog.Datum) (*Partial, error) {
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("histogram: partial statistic needs at least one column")
+	b, err := NewPartialBuilder(columns)
+	if err != nil {
+		return nil, err
 	}
-	for _, t := range tuples {
-		if len(t) != len(columns) {
-			return nil, fmt.Errorf("histogram: tuple arity %d does not match %d columns", len(t), len(columns))
-		}
+	b.leading = make([]catalog.Datum, 0, len(tuples))
+	if err := b.AddBlock(tuples); err != nil {
+		return nil, err
 	}
-	leading := make([]catalog.Datum, len(tuples))
-	for i, t := range tuples {
-		leading[i] = t[0]
-	}
-	p := &Partial{cols: len(columns), rows: int64(len(tuples))}
-	p.freqs, p.nulls = collectFreqs(leading)
-	if len(columns) > 1 {
-		p.prefixes = make([]map[string]struct{}, len(columns)-1)
-		for k := 2; k <= len(columns); k++ {
-			seen := make(map[string]struct{}, len(tuples))
-			for _, t := range tuples {
-				seen[encodePrefix(t[:k])] = struct{}{}
-			}
-			p.prefixes[k-2] = seen
-		}
-	}
-	return p, nil
+	return b.Finish(), nil
 }
 
 // MergePartials combines per-partition summaries into the final multi-column
@@ -202,35 +185,4 @@ func SplitTuples(tuples [][]catalog.Datum, k int) [][][]catalog.Datum {
 		out = append(out, tuples[start:end])
 	}
 	return out
-}
-
-// BuildMultiParallel builds a multi-column statistic from contiguous tuple
-// partitions, summarizing each partition concurrently and merging the
-// partials. The result is identical to BuildMulti over the concatenated
-// partitions; one partition runs inline with no goroutine overhead.
-func BuildMultiParallel(kind Kind, columns []string, partitions [][][]catalog.Datum, maxBuckets int) (*MultiColumn, error) {
-	if len(partitions) <= 1 {
-		var tuples [][]catalog.Datum
-		if len(partitions) == 1 {
-			tuples = partitions[0]
-		}
-		return BuildMulti(kind, columns, tuples, maxBuckets)
-	}
-	parts := make([]*Partial, len(partitions))
-	errs := make([]error, len(partitions))
-	var wg sync.WaitGroup
-	for i, tuples := range partitions {
-		wg.Add(1)
-		go func(i int, tuples [][]catalog.Datum) {
-			defer wg.Done()
-			parts[i], errs[i] = BuildPartial(columns, tuples)
-		}(i, tuples)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergePartials(kind, columns, parts, maxBuckets)
 }

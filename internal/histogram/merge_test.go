@@ -33,10 +33,10 @@ func randTuples(rng *rand.Rand, n, width int) [][]catalog.Datum {
 	return out
 }
 
-// TestBuildMultiParallelMatchesSinglePass: the merged build must be
+// TestMergePartialsMatchesBuildMulti: MergePartials over SplitTuples must be
 // bitwise-identical to BuildMulti for every kind, width, size and partition
 // count — the exactness claim the differential oracle leans on.
-func TestBuildMultiParallelMatchesSinglePass(t *testing.T) {
+func TestMergePartialsMatchesBuildMulti(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range []Kind{EquiDepth, MaxDiff} {
 		for _, width := range []int{1, 2, 3} {
@@ -49,7 +49,15 @@ func TestBuildMultiParallelMatchesSinglePass(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, parts := range []int{1, 2, 4, 7} {
-						got, err := BuildMultiParallel(kind, cols, SplitTuples(tuples, parts), buckets)
+						var partials []*Partial
+						for _, chunk := range SplitTuples(tuples, parts) {
+							p, err := BuildPartial(cols, chunk)
+							if err != nil {
+								t.Fatal(err)
+							}
+							partials = append(partials, p)
+						}
+						got, err := MergePartials(kind, cols, partials, buckets)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -6,14 +6,14 @@ import (
 	"autostats/internal/catalog"
 )
 
-// Streaming (block-at-a-time) partial construction. A PartialBuilder
-// accumulates one partition's worth of tuples block by block and finalizes
-// into exactly the Partial that BuildPartial would produce over the
-// concatenated blocks — so a streaming build that feeds its partials to
-// MergePartials stays bitwise-identical to a single-pass BuildMulti, which
-// is what the streaming differential oracle asserts. Memory held by a
-// builder is O(rows added since the last Finish), i.e. one partition, plus
-// the distinct-prefix sets; the caller bounds the partition size.
+// Block-at-a-time partial construction. A PartialBuilder accumulates one
+// partition's worth of tuples block by block and finalizes into a Partial
+// that depends only on the multiset of tuples added, not on how they were
+// blocked — so a build that feeds its partials to MergePartials stays
+// bitwise-identical to a single-pass BuildMulti, which is what the streaming
+// differential oracle asserts. Memory held by a builder is O(rows added
+// since the last Finish), i.e. one partition, plus the distinct-prefix sets;
+// the caller bounds the partition size.
 
 // datumBytes is the rough in-memory footprint of one catalog.Datum: the
 // struct itself (type tag, int64, float64, string header, null flag) plus
@@ -31,10 +31,10 @@ type PartialBuilder struct {
 	cols int
 	rows int64
 	// leading buffers the partition's leading-column values for the Finish
-	// sort — the O(partition) memory the streaming design bounds.
+	// sort — the O(partition) memory the streaming design bounds. The
+	// backing array is kept across Finish calls.
 	leading []catalog.Datum
-	// prefixes[k-2] collects the distinct k-column prefix encodings, exactly
-	// as BuildPartial does.
+	// prefixes[k-2] collects the distinct k-column prefix encodings.
 	prefixes []map[string]struct{}
 	// bytes is the running memory estimate of everything the builder
 	// retains (leading values + prefix keys).
@@ -92,16 +92,19 @@ func (b *PartialBuilder) Rows() int64 { return b.rows }
 // scale as Partial.MemBytes.
 func (b *PartialBuilder) MemBytes() int64 { return b.bytes }
 
-// Finish collapses the accumulated partition into a Partial — identical to
-// BuildPartial over the same tuples — and resets the builder for the next
-// partition. Finishing an empty builder yields a valid zero-row Partial.
+// Finish collapses the accumulated partition into a Partial and resets the
+// builder for the next partition. Finishing an empty builder yields a valid
+// zero-row Partial.
 func (b *PartialBuilder) Finish() *Partial {
 	p := &Partial{cols: b.cols, rows: b.rows}
 	p.freqs, p.nulls = collectFreqs(b.leading)
 	if b.cols > 1 {
 		p.prefixes = b.prefixes
 	}
-	b.leading = nil
+	// collectFreqs copies every datum it keeps, so the buffer is free for
+	// the next partition. Regrowing it by append doubling after every cut
+	// would cost a fifth of a tuning round's allocation volume.
+	b.leading = b.leading[:0]
 	b.rows = 0
 	b.bytes = 0
 	if b.cols > 1 {

@@ -68,9 +68,11 @@ func feedBlocks(t *testing.T, b *PartialBuilder, tuples [][]catalog.Datum, block
 	}
 }
 
-// TestPartialBuilderMatchesBuildPartial: Finish() must be bitwise-identical
-// to the one-shot BuildPartial over the concatenated blocks, at every block
-// size, for single- and multi-column statistics.
+// TestPartialBuilderMatchesBuildPartial: Finish() must not depend on how the
+// partition was blocked — every block size (through a recycled block buffer)
+// yields the partial of the one-block BuildPartial, which in turn merges to
+// exactly BuildMulti — for single- and multi-column statistics, and again
+// after the builder (and its reused buffer) has been through a Finish.
 func TestPartialBuilderMatchesBuildPartial(t *testing.T) {
 	tuples := streamTuples(233, 1)
 	for _, cols := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}} {
@@ -81,6 +83,13 @@ func TestPartialBuilderMatchesBuildPartial(t *testing.T) {
 		want, err := BuildPartial(cols, proj)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ref, err := BuildMulti(MaxDiff, cols, proj, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mc, err := MergePartials(MaxDiff, cols, []*Partial{want}, 0); err != nil || !reflect.DeepEqual(mc, ref) {
+			t.Errorf("cols=%d: one-partial merge differs from BuildMulti (err=%v)", len(cols), err)
 		}
 		for _, bs := range []int{1, 3, 17, 64, 500} {
 			b, err := NewPartialBuilder(cols)
@@ -282,7 +291,7 @@ func TestPartialCodecCorrupt(t *testing.T) {
 }
 
 // BenchmarkStreamingPartialBuild measures per-build allocations of the
-// streaming partition path; the statsbuild-bench CI job runs it with
+// streaming partition path; the statsbuild CI job runs it with
 // -benchmem to watch for O(table) regressions in the builder itself.
 func BenchmarkStreamingPartialBuild(b *testing.B) {
 	tuples := streamTuples(8192, 7)

@@ -6,26 +6,53 @@ import (
 	"testing"
 
 	"autostats/internal/catalog"
+	"autostats/internal/histogram"
 	"autostats/internal/sqlparser"
 	"autostats/internal/stats"
 )
 
-// TestPartitionMergeDifferential is the merge oracle: statistics built
-// partition-parallel must be EXACTLY the statistics a single-pass build
-// produces — same buckets, same boundaries, same densities — and every
-// estimate derived from them must survive the bucket-boundary differential
-// sweep across all comparison operators, at every partition count.
+// singlePassReference is Harness.singlePassReference failing the test on
+// error — a statistic from another Manager would come out of the same
+// pipeline as the one under test and prove nothing.
+func singlePassReference(t *testing.T, h *Harness, table string, cols []string) (*histogram.MultiColumn, int64) {
+	t.Helper()
+	_, mc, seq, err := h.singlePassReference(table, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mc, seq
+}
+
+// cutInto configures h.Mgr to cut table's scan into about parts partitions
+// (one-row blocks, so the cuts land where asked).
+func cutInto(t *testing.T, h *Harness, table string, parts int) {
+	t.Helper()
+	td, err := h.DB.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Mgr.SetStreamingBuild(stats.StreamConfig{
+		BlockSize:     1,
+		PartitionRows: (td.RowCount() + parts - 1) / parts,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionMergeDifferential is the merge oracle: statistics the manager
+// builds from merged partials must be EXACTLY the statistics a single-pass
+// BuildMulti produces — same buckets, same boundaries, same densities, same
+// watermark — and every estimate derived from them must survive the
+// bucket-boundary differential sweep across all comparison operators, at
+// every partition count.
 func TestPartitionMergeDifferential(t *testing.T) {
 	ref, err := New(Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStat, err := ref.Mgr.Create("orders", []string{"o_orderdate"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refStat.Data.Leading.Buckets) < 2 {
-		t.Fatalf("reference histogram too small: %d buckets", len(refStat.Data.Leading.Buckets))
+	refData, refSeq := singlePassReference(t, ref, "orders", []string{"o_orderdate"})
+	if len(refData.Leading.Buckets) < 2 {
+		t.Fatalf("reference histogram too small: %d buckets", len(refData.Leading.Buckets))
 	}
 
 	ops := []string{">", ">=", "<", "<=", "="}
@@ -35,13 +62,19 @@ func TestPartitionMergeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.Mgr.SetBuildParallelism(par)
+			cutInto(t, h, "orders", par)
 			st, err := h.Mgr.Create("orders", []string{"o_orderdate"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(st.Data, refStat.Data) {
+			if !reflect.DeepEqual(st.Data, refData) {
 				t.Fatalf("merged statistic differs from single-pass build at %d partitions", par)
+			}
+			if st.DeltaSeq != refSeq {
+				t.Fatalf("merged statistic carries DeltaSeq %d, single-pass gather saw %d", st.DeltaSeq, refSeq)
+			}
+			if got := h.Reg.Snapshot().Counters["stats.build.partials_merged"]; par > 1 && got < 2 {
+				t.Fatalf("asked for %d partitions, merged %d partials", par, got)
 			}
 			// Boundary sweep: probe each bucket edge ±1 with every operator
 			// and check the chosen plan's execution against the reference
@@ -75,17 +108,20 @@ func TestPartitionMergeDifferential(t *testing.T) {
 }
 
 // TestPartitionCountDeterminism: rebuilding the same statistic at different
-// parallelism — including refreshes — must never change it, with sampling
-// off (exact merge) and on (the seeded sample is drawn before partitioning,
-// so it is identical at any parallelism).
+// partition cuts — including refreshes — must never change it. With
+// sampling off every cut must equal the single-pass BuildMulti reference;
+// with sampling on the seeded draw depends only on the live row count, so
+// every cut must equal the first (internal/stats TestBuildIdentity ties the
+// sampled statistic itself to BuildMulti over the drawn rows).
 func TestPartitionCountDeterminism(t *testing.T) {
+	cols := []string{"l_quantity", "l_partkey"}
 	for _, sampled := range []bool{false, true} {
 		name := "exact"
 		if sampled {
 			name = "sampled"
 		}
 		t.Run(name, func(t *testing.T) {
-			var want *stats.Statistic
+			var want *histogram.MultiColumn
 			for _, par := range []int{1, 2, 4, 7} {
 				h, err := New(Options{Seed: 17})
 				if err != nil {
@@ -95,9 +131,11 @@ func TestPartitionCountDeterminism(t *testing.T) {
 					if err := h.Mgr.SetSampling(stats.SampleConfig{Fraction: 0.4, MinRows: 50, Seed: 3}); err != nil {
 						t.Fatal(err)
 					}
+				} else if want == nil {
+					want, _ = singlePassReference(t, h, "lineitem", cols)
 				}
-				h.Mgr.SetBuildParallelism(par)
-				st, err := h.Mgr.Create("lineitem", []string{"l_quantity", "l_partkey"})
+				cutInto(t, h, "lineitem", par)
+				st, err := h.Mgr.Create("lineitem", cols)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,11 +146,11 @@ func TestPartitionCountDeterminism(t *testing.T) {
 				}
 				st = h.Mgr.Get(st.ID)
 				if want == nil {
-					want = st
+					want = st.Data
 					continue
 				}
-				if !reflect.DeepEqual(st.Data, want.Data) {
-					t.Errorf("parallelism %d produced a different statistic than parallelism 1", par)
+				if !reflect.DeepEqual(st.Data, want) {
+					t.Errorf("%d partitions produced a different statistic than the reference", par)
 				}
 			}
 		})

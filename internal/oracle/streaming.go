@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"reflect"
 
+	"autostats/internal/catalog"
 	"autostats/internal/histogram"
 	"autostats/internal/stats"
 )
 
-// Streaming differential oracle. The tentpole invariant of the streaming
-// build path is bitwise identity: a statistic built block-at-a-time — at any
-// block size, any partition cut, spilling or not, merging partials in any
-// order — must be EXACTLY the statistic the materialized single-pass build
-// produces. This sweep checks the invariant at two levels: end to end
-// through stats.Manager (block sizes × forced/disabled spilling, including
-// the temp-file codec on the spill path), and at the histogram layer
-// (random partition cuts, shuffled merge orders, and an explicit
+// Streaming differential oracle. The invariant of the statistics manager's
+// one build path is bitwise identity: a statistic built block-at-a-time — at
+// any block size, any partition cut, spilling or not, merging partials in
+// any order — must be EXACTLY the statistic the single-pass reference
+// (histogram.BuildMulti over one MultiColumnValuesSeq gather, called
+// directly — never through the manager, which would compare the pipeline
+// with itself) produces. This sweep checks the invariant at two levels: end
+// to end through stats.Manager (block sizes × forced/disabled spilling,
+// including the temp-file codec on the spill path), and at the histogram
+// layer (random partition cuts, shuffled merge orders, and an explicit
 // encode/decode roundtrip of every partial).
 
 // streamSweepBlockSizes are the block sizes the manager-level sweep covers:
@@ -38,7 +41,7 @@ var streamSweepTargets = []struct {
 
 // StreamReport summarizes one streaming-sweep run.
 type StreamReport struct {
-	// Builds counts streaming manager builds compared against references.
+	// Builds counts manager builds compared against references.
 	Builds int
 	// MergeOrders counts shuffled histogram-level merge orders checked.
 	MergeOrders int
@@ -48,6 +51,23 @@ type StreamReport struct {
 	Findings []Finding
 }
 
+// singlePassReference is the independent reference the build oracles compare
+// against: histogram.BuildMulti (the harness's MaxDiff, default buckets) over
+// one MultiColumnValuesSeq gather, called directly. It returns the gathered
+// tuples, the statistic data and the delta-log watermark of the gather.
+func (h *Harness) singlePassReference(table string, cols []string) ([][]catalog.Datum, *histogram.MultiColumn, int64, error) {
+	td, err := h.DB.Table(table)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	tuples, seq, err := td.MultiColumnValuesSeq(cols)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	mc, err := histogram.BuildMulti(histogram.MaxDiff, cols, tuples, 0)
+	return tuples, mc, seq, err
+}
+
 // RunStreamingSweep executes the streaming differential sweep on the
 // harness's database. The harness's own manager is untouched: every
 // configuration gets a fresh manager over the shared (read-only for this
@@ -55,9 +75,7 @@ type StreamReport struct {
 func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 	rep := &StreamReport{}
 	for _, tgt := range streamSweepTargets {
-		ref := stats.NewManager(h.DB, histogram.MaxDiff, 0)
-		ref.SetObsRegistry(h.Reg)
-		refStat, err := ref.Create(tgt.table, tgt.cols)
+		tuples, refData, refSeq, err := h.singlePassReference(tgt.table, tgt.cols)
 		if err != nil {
 			return nil, fmt.Errorf("reference build %s%v: %w", tgt.table, tgt.cols, err)
 		}
@@ -68,7 +86,6 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 				m := stats.NewManager(h.DB, histogram.MaxDiff, 0)
 				m.SetObsRegistry(h.Reg)
 				if err := m.SetStreamingBuild(stats.StreamConfig{
-					Enabled:        true,
 					BlockSize:      bs,
 					PartitionRows:  64,
 					MemBudgetBytes: budget,
@@ -81,7 +98,7 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 						tgt.table, tgt.cols, bs, budget, err)
 				}
 				rep.Builds++
-				if !reflect.DeepEqual(st.Data, refStat.Data) {
+				if !reflect.DeepEqual(st.Data, refData) {
 					rep.Findings = append(rep.Findings, Finding{
 						Oracle: "streaming",
 						Seed:   h.Opts.Seed,
@@ -89,12 +106,12 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 							tgt.table, tgt.cols, bs, budget),
 					})
 				}
-				if st.DeltaSeq != refStat.DeltaSeq {
+				if st.DeltaSeq != refSeq {
 					rep.Findings = append(rep.Findings, Finding{
 						Oracle: "streaming",
 						Seed:   h.Opts.Seed,
 						Detail: fmt.Sprintf("%s%v: streamed DeltaSeq=%d, single-pass=%d",
-							tgt.table, tgt.cols, st.DeltaSeq, refStat.DeltaSeq),
+							tgt.table, tgt.cols, st.DeltaSeq, refSeq),
 					})
 				}
 			}
@@ -102,14 +119,6 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 
 		// Histogram level: random partition cuts, codec roundtrip of every
 		// partial, merge in shuffled order — still bitwise-identical.
-		td, err := h.DB.Table(tgt.table)
-		if err != nil {
-			return nil, err
-		}
-		tuples, _, err := td.MultiColumnValuesSeq(tgt.cols)
-		if err != nil {
-			return nil, err
-		}
 		for round := 0; round < 4; round++ {
 			var parts []*histogram.Partial
 			b, err := histogram.NewPartialBuilder(tgt.cols)
@@ -159,7 +168,7 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 				return nil, err
 			}
 			rep.MergeOrders++
-			if !reflect.DeepEqual(mc, refStat.Data) {
+			if !reflect.DeepEqual(mc, refData) {
 				rep.Findings = append(rep.Findings, Finding{
 					Oracle: "streaming",
 					Seed:   h.Opts.Seed,

@@ -462,16 +462,29 @@ func TestServerSlowClientEvicted(t *testing.T) {
 	// responses overflow the socket buffers, the write deadline fires, and
 	// the connection is killed.
 	for i := 0; i < 256; i++ {
-		c.write(&protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
-			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"})
+		// The eviction can land before the whole pipeline is written; a
+		// failed write is then the reset this test is waiting for.
+		if err := protocol.WriteFrame(c.nc, &protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
+			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"}, 0); err != nil {
+			break
+		}
 	}
 	if v := waitCounter(t, s, "server.conn.slow_evicted", 1); v < 1 {
 		t.Fatalf("server.conn.slow_evicted = %d, want >= 1", v)
 	}
-	// The pool is free again: a well-behaved connection still round-trips.
+	// The pool frees up once the evicted connection's queued scans have
+	// drained; until then a newcomer is told to back off. After that a
+	// well-behaved connection round-trips.
 	c2 := dialServer(t, s)
 	c2.hello("polite")
-	if resp := c2.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != protocol.CodeOK {
+	var resp *protocol.Response
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp = c2.rt(&protocol.Request{ID: 2, Op: protocol.OpStats})
+		if resp.Code != protocol.CodeOverloaded || time.Now().After(deadline) {
+			break
+		}
+	}
+	if resp.Code != protocol.CodeOK {
 		t.Fatalf("server unhealthy after slow-client eviction: %+v", resp)
 	}
 }

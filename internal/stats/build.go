@@ -3,20 +3,19 @@ package stats
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"autostats/internal/catalog"
 	"autostats/internal/histogram"
 )
 
-// Statistic construction and incremental maintenance. Builds are
-// partition-parallel: the table scan is split into contiguous partitions,
-// each partition is summarized into a mergeable partial concurrently, and
-// the partials are merged into the final histogram — bitwise-identical to a
-// single-pass build (see internal/histogram's merge machinery). Refreshes
-// can avoid the scan entirely by folding logged row deltas into the
-// existing histogram, falling back to a full rebuild once the folded
+// Statistic construction and incremental maintenance. There is one full
+// build — build, below: a snapshot-guarded block scan, an optional sample
+// filter, mergeable partials cut every PartitionRows rows (spilled past the
+// memory budget) and one exact merge — bitwise-identical to the single-pass
+// histogram.BuildMulti reference the tests and oracles compare it against.
+// Refreshes can avoid the scan entirely by folding logged row deltas into
+// the existing histogram, falling back to a full rebuild once the folded
 // fraction crosses FoldConfig.MaxFoldFraction.
 
 // DefaultMaxFoldFraction bounds the fold error when FoldConfig does not:
@@ -38,30 +37,6 @@ type FoldConfig struct {
 	// means storage.DefaultDeltaLogCap. A log overflow invalidates
 	// outstanding watermarks, forcing the next refresh to rebuild.
 	DeltaLogCap int
-}
-
-// SetBuildParallelism sets the partition count for histogram builds:
-// subsequent Create/Refresh calls split the table scan into up to k
-// partitions, summarize them concurrently, and merge the partials. Values
-// below 1 mean single-pass. The merged result is identical to a
-// single-pass build regardless of k.
-func (m *Manager) SetBuildParallelism(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	m.parallelism = k
-}
-
-// BuildParallelism returns the active build partition count (minimum 1).
-func (m *Manager) BuildParallelism() int {
-	m.cfgMu.RLock()
-	defer m.cfgMu.RUnlock()
-	if m.parallelism < 1 {
-		return 1
-	}
-	return m.parallelism
 }
 
 // SetIncrementalMaintenance configures folding refreshes and switches the
@@ -96,88 +71,180 @@ func (m *Manager) IncrementalMaintenance() FoldConfig {
 	return m.fold
 }
 
-// build constructs a fresh Statistic from current data with a full
-// (partition-parallel) table scan. It bumps the logical clock but charges
-// no accounting; EnsureCtx and refreshShardLocked charge the build- and
-// update-side counters respectively. Cancellation is checked between the
-// build steps (value extraction, sampling, histogram construction), so a
-// deadline aborts the build at the next step boundary with no state
-// published. Callers must hold the owning shard's write lock.
-func (m *Manager) build(ctx context.Context, table string, cols []string, met managerMetrics) (*Statistic, error) {
+// build constructs a fresh Statistic from current data — the only code that
+// turns table rows into a statistic. The table is scanned block by block
+// under the iterator's snapshot guard, each block (filtered to the seeded
+// sample when sampling is on) is folded into a histogram.PartialBuilder, a
+// partition is cut at PartitionRows rows or early when the memory budget
+// fills, cut partials past the budget spill to temp files, and everything is
+// merged once at the end. It bumps the logical clock but charges no
+// accounting; EnsureCtx and refreshShardLocked charge the build- and
+// update-side counters respectively. Cancellation and the failpoint are
+// checked between blocks; on every exit path the iterator is closed and
+// spill files are removed, so an aborted build publishes nothing and leaks
+// neither a snapshot guard nor a temp file. Callers must hold the owning
+// shard's write lock.
+//
+// While the iterator is open the table's read lock is held by this
+// goroutine: nothing in the scan loop (including the "block" failpoint,
+// which fault tests use to cancel mid-stream) may call back into the table
+// or the manager. The iterator is closed before the merge pass, keeping the
+// writer-blocking window proportional to the scan alone. Its delta-log
+// watermark is exactly the table state the histogram summarizes, so a later
+// folding refresh replays precisely the modifications the build did not see.
+func (m *Manager) build(ctx context.Context, table string, cols []string, met managerMetrics) (_ *Statistic, err error) {
 	id := MakeID(table, cols)
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("stats: building %s: %w", id, err)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
+		return nil, err
 	}
 	td, err := m.db.Table(table)
 	if err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
+		return nil, err
 	}
-	if scfg, ok := m.streamingActive(); ok {
-		// Streaming path: scan in blocks under the iterator's snapshot guard
-		// with memory bounded by one partition plus the block buffer,
-		// spilling partials past the budget. Bitwise-identical to the
-		// materialized path below.
-		return m.buildStream(ctx, td, table, cols, scfg, met)
-	}
-	par := m.BuildParallelism()
-	// One read-locked pass gathers the tuples and the delta-log watermark
-	// atomically: the returned DeltaSeq is exactly the table state the
-	// histogram summarizes, so a later folding refresh replays precisely
-	// the modifications the build did not see.
-	parts, seq, err := td.MultiColumnValuesPartitioned(cols, par)
-	if err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
-	}
+	m.cfgMu.RLock()
+	cfg, sampling, fp := m.stream, m.sampling, m.failpoint
+	m.cfgMu.RUnlock()
+
 	start := time.Now()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	builder, err := histogram.NewPartialBuilder(cols)
+	if err != nil {
+		return nil, err
 	}
-	processed := total
-	if cfg := m.Sampling(); cfg.Fraction > 0 && cfg.Fraction < 1 {
-		// Sample over the full row set, then re-partition the sample: the
-		// seeded sample is identical at any parallelism, so sampled builds
-		// stay deterministic in the partition count too.
-		flat := parts[0]
-		if len(parts) > 1 {
-			flat = make([][]catalog.Datum, 0, total)
-			for _, p := range parts {
-				flat = append(flat, p...)
+	ss := &spillSet{dir: cfg.SpillDir}
+	defer ss.cleanup()
+	it, err := td.OpenBlockIter(cols, cfg.BlockSize)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	seq, live := it.Seq(), it.LiveRows()
+	// Each statistic draws its own sample over the snapshot's live rows;
+	// nil keeps every row.
+	keep := sampleOrdinals(sampling, id, live)
+
+	var (
+		slots      []partialSlot
+		inMemBytes int64 // estimated bytes of retained (non-spilled) partials
+		peakBytes  int64 // high-water mark of builder + retained partials
+		blocks     int64
+		spills     int64
+		spillBytes int64
+		ordinal    int // live rows scanned so far
+		kept       int // rows that passed the sample filter
+	)
+	cut := func() error {
+		p := builder.Finish()
+		if cfg.MemBudgetBytes > 0 && inMemBytes+p.MemBytes() > cfg.MemBudgetBytes {
+			path, n, err := ss.write(ctx, fp, id, p)
+			if err != nil {
+				return err
+			}
+			spills++
+			spillBytes += n
+			slots = append(slots, partialSlot{path: path})
+			return nil
+		}
+		inMemBytes += p.MemBytes()
+		slots = append(slots, partialSlot{p: p})
+		return nil
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		block, ok := it.Next()
+		if !ok {
+			break
+		}
+		blocks++
+		if fp != nil {
+			if err := fp(ctx, "block", id); err != nil {
+				return nil, err
 			}
 		}
-		sampled := sampleTuples(cfg, id, flat)
-		processed = len(sampled)
-		parts = histogram.SplitTuples(sampled, par)
+		if keep != nil {
+			// Compact the sampled rows to the front of the block; the
+			// iterator rebuilds the slice on its next call.
+			sel := block[:0]
+			for _, t := range block {
+				if keep[ordinal] {
+					sel = append(sel, t)
+				}
+				ordinal++
+			}
+			block = sel
+		}
+		kept += len(block)
+		if err := builder.AddBlock(block); err != nil {
+			return nil, err
+		}
+		if cur := inMemBytes + builder.MemBytes(); cur > peakBytes {
+			peakBytes = cur
+		}
+		// Cut the partition at the row cap, or early when the budget fills —
+		// partition boundaries are arbitrary, the merge is exact at any cut.
+		if builder.Rows() >= int64(cfg.PartitionRows) ||
+			(cfg.MemBudgetBytes > 0 && inMemBytes+builder.MemBytes() >= cfg.MemBudgetBytes) {
+			if err := cut(); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
+	if builder.Rows() > 0 || len(slots) == 0 {
+		if err := cut(); err != nil {
+			return nil, err
+		}
 	}
-	mc, err := histogram.BuildMultiParallel(m.kind, cols, parts, m.maxBuckets)
+	// Release the snapshot guard before the merge pass: spilled partials are
+	// reloaded and merged without blocking writers.
+	it.Close()
+
+	parts := make([]*histogram.Partial, len(slots))
+	for i, slot := range slots {
+		if slot.p != nil {
+			parts[i] = slot.p
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if parts[i], err = ss.read(ctx, fp, id, slot.path); err != nil {
+			return nil, err
+		}
+	}
+	mc, err := histogram.MergePartials(m.kind, cols, parts, m.maxBuckets)
 	if err != nil {
-		return nil, fmt.Errorf("stats: building %s: %w", id, err)
+		return nil, err
 	}
-	if processed < total {
-		scaleSampled(mc, processed, total)
+	if kept < live {
+		scaleSampled(mc, kept, live)
 	}
 	elapsed := time.Since(start)
-	// Creation cost reflects the rows actually processed — sampling is
-	// exactly how real systems cheapen construction.
-	cost := histogram.BuildCostUnits(int64(processed), len(cols))
+
 	met.fullScans.Inc()
+	met.buildBlocks.Add(blocks)
+	if spills > 0 {
+		met.buildSpills.Add(spills)
+		met.spillBytes.Add(spillBytes)
+	}
 	if len(parts) > 1 {
-		met.parallelBuilds.Inc()
 		met.partialsMerged.Add(int64(len(parts)))
 	}
+	met.buildMemPeak.Set(peakBytes)
 	now := m.clock.Add(1)
 	return &Statistic{
-		ID:        id,
-		Table:     strings.ToLower(table),
-		Columns:   lowerAll(cols),
-		Data:      mc,
-		BuildCost: cost,
+		ID:      id,
+		Table:   id.Table(),
+		Columns: lowerAll(cols),
+		Data:    mc,
+		// Creation cost reflects the rows actually processed — sampling is
+		// exactly how real systems cheapen construction.
+		BuildCost: histogram.BuildCostUnits(int64(kept), len(cols)),
 		BuildTime: elapsed,
 		CreatedAt: now,
 		UpdatedAt: now,

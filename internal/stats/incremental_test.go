@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"reflect"
 	"testing"
 
 	"autostats/internal/catalog"
@@ -10,62 +9,26 @@ import (
 	"autostats/internal/storage"
 )
 
-// TestParallelBuildMatchesSerial: the partition-parallel build path must
-// produce exactly the statistic a single-pass build produces, at every
-// parallelism, with and without sampling.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	for _, sampled := range []bool{false, true} {
-		base := NewManager(testDB(t), histogram.EquiDepth, 8)
-		if sampled {
-			if err := base.SetSampling(SampleConfig{Fraction: 0.5, MinRows: 10, Seed: 7}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref, err := base.Create("t", []string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 4, 7} {
-			m := NewManager(testDB(t), histogram.EquiDepth, 8)
-			if sampled {
-				if err := m.SetSampling(SampleConfig{Fraction: 0.5, MinRows: 10, Seed: 7}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.SetBuildParallelism(par)
-			if got := m.BuildParallelism(); got != par {
-				t.Fatalf("BuildParallelism = %d, want %d", got, par)
-			}
-			st, err := m.Create("t", []string{"a", "b"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(st.Data, ref.Data) {
-				t.Errorf("sampled=%v par=%d: parallel build differs from serial:\n got %+v\nwant %+v",
-					sampled, par, st.Data, ref.Data)
-			}
-			if st.BuildCost != ref.BuildCost {
-				t.Errorf("sampled=%v par=%d: cost %v != serial %v", sampled, par, st.BuildCost, ref.BuildCost)
-			}
-		}
-	}
-}
-
-// TestParallelBuildMetrics: parallel builds are visible in the registry.
-func TestParallelBuildMetrics(t *testing.T) {
+// TestBuildMetrics: a build that cuts several partitions is visible in the
+// registry — one full scan, every cut partial merged, the blocks counted.
+func TestBuildMetrics(t *testing.T) {
 	m := NewManager(testDB(t), histogram.EquiDepth, 0)
 	reg := obs.New()
 	m.SetObsRegistry(reg)
-	m.SetBuildParallelism(4)
+	// 100 rows in blocks of 10, cut every 25 rows: the cut is checked after
+	// each block, so partitions close at 30, 60, 90 and the 10-row tail.
+	if err := m.SetStreamingBuild(StreamConfig{BlockSize: 10, PartitionRows: 25}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Create("t", []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["stats.build.parallel_builds"]; got != 1 {
-		t.Errorf("parallel_builds = %d, want 1", got)
-	}
 	if got := snap.Counters["stats.build.partials_merged"]; got != 4 {
 		t.Errorf("partials_merged = %d, want 4", got)
+	}
+	if got := snap.Counters["stats.build.blocks"]; got != 10 {
+		t.Errorf("blocks = %d, want 10", got)
 	}
 	if got := snap.Counters["stats.build.full_scans"]; got != 1 {
 		t.Errorf("full_scans = %d, want 1", got)

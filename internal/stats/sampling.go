@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"autostats/internal/catalog"
 	"autostats/internal/histogram"
 )
 
@@ -51,35 +50,39 @@ func (m *Manager) Sampling() SampleConfig {
 	return m.sampling
 }
 
-// sampleTuples draws the per-statistic sample. The RNG seed mixes the
-// manager seed with the statistic ID so every statistic has an independent
-// sample (§2's correlation concern) that is stable across refreshes of the
-// same statistic — and, because the sample is drawn over the full gathered
-// row set before any partitioning, identical at any build parallelism.
-func sampleTuples(cfg SampleConfig, id ID, tuples [][]catalog.Datum) [][]catalog.Datum {
+// sampleOrdinals draws the per-statistic sample over the n live rows of one
+// scan and returns it as a membership set indexed by live ordinal (the
+// position of a row among the scan's live rows); nil means keep every row —
+// sampling is off, or the table is at or below the sample-size floor. The
+// RNG seed mixes the manager seed with the statistic ID so every statistic
+// has an independent sample (§2's correlation concern) that is stable across
+// refreshes of the same statistic. The draw depends only on n, never on how
+// the scan is blocked or cut, so sampled builds are as deterministic as
+// exact ones.
+func sampleOrdinals(cfg SampleConfig, id ID, n int) []bool {
 	if cfg.Fraction <= 0 || cfg.Fraction >= 1 {
-		return tuples
+		return nil
 	}
-	want := int(float64(len(tuples)) * cfg.Fraction)
+	want := int(float64(n) * cfg.Fraction)
 	if want < cfg.MinRows {
 		want = cfg.MinRows
 	}
-	if want >= len(tuples) {
-		return tuples
+	if want >= n {
+		return nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(id))))
-	// Partial Fisher-Yates over a copy of the index space.
-	idx := make([]int, len(tuples))
+	// Partial Fisher-Yates over the ordinal space.
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	out := make([][]catalog.Datum, want)
+	keep := make([]bool, n)
 	for i := 0; i < want; i++ {
-		j := i + rng.Intn(len(idx)-i)
+		j := i + rng.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = tuples[idx[i]]
+		keep[idx[i]] = true
 	}
-	return out
+	return keep
 }
 
 func hashID(id ID) uint64 {

@@ -149,13 +149,10 @@ type Manager struct {
 	// failpoint, when non-nil, can veto mutating operations (see
 	// SetFailpoint).
 	failpoint Failpoint
-	// parallelism is the partition count for histogram builds (see
-	// SetBuildParallelism); <= 1 builds single-pass.
-	parallelism int
 	// fold configures incremental (folding) maintenance (see
 	// SetIncrementalMaintenance).
 	fold FoldConfig
-	// stream configures streaming (block-at-a-time) construction (see
+	// stream holds the block-pipeline parameters of full builds (see
 	// SetStreamingBuild).
 	stream StreamConfig
 	// met caches the manager's observability handles; see managerMetrics.
@@ -195,12 +192,11 @@ type managerMetrics struct {
 	shardCount    *obs.Gauge
 	buildLatency  *obs.Timing
 
-	// Build-path instrumentation: fullScans counts statistic (re)builds
-	// that scanned the table (the fold path's absence is the evidence that
-	// incremental maintenance worked); parallelBuilds/partialsMerged count
-	// partition-parallel builds and the partials they merged.
+	// Build-path instrumentation: fullScans counts statistic (re)builds —
+	// every one scans the table, so its standing still is the evidence that
+	// incremental maintenance worked; partialsMerged counts the partials
+	// merged by builds that cut more than one partition.
 	fullScans      *obs.Counter
-	parallelBuilds *obs.Counter
 	partialsMerged *obs.Counter
 	// Fold-path instrumentation: folds counts refreshes served by folding
 	// row deltas, foldRebuilds counts fold attempts that fell back to a
@@ -208,17 +204,15 @@ type managerMetrics struct {
 	folds        *obs.Counter
 	foldRebuilds *obs.Counter
 	foldedRows   *obs.Counter
-	// Streaming-path instrumentation: streamedBuilds counts builds that
-	// scanned via the block iterator, buildBlocks the blocks they consumed,
+	// Scan instrumentation: buildBlocks counts the blocks builds consumed,
 	// buildSpills/spillBytes the partials (and bytes) that overflowed the
 	// build-memory budget to temp files. buildMemPeak is the estimated peak
-	// build memory (builder + retained partials) of the most recent
-	// streaming build — the gauge the flat-memory benchmark gates on.
-	streamedBuilds *obs.Counter
-	buildBlocks    *obs.Counter
-	buildSpills    *obs.Counter
-	spillBytes     *obs.Counter
-	buildMemPeak   *obs.Gauge
+	// build memory (builder + retained partials) of the most recent build —
+	// the gauge the flat-memory regression test gates on.
+	buildBlocks  *obs.Counter
+	buildSpills  *obs.Counter
+	spillBytes   *obs.Counter
+	buildMemPeak *obs.Gauge
 }
 
 func newManagerMetrics(reg *obs.Registry) managerMetrics {
@@ -237,12 +231,10 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 		shardCount:     reg.Gauge("stats.shards"),
 		buildLatency:   reg.Timing("stats.build.latency"),
 		fullScans:      reg.Counter("stats.build.full_scans"),
-		parallelBuilds: reg.Counter("stats.build.parallel_builds"),
 		partialsMerged: reg.Counter("stats.build.partials_merged"),
 		folds:          reg.Counter("stats.fold.applied"),
 		foldRebuilds:   reg.Counter("stats.fold.rebuilds"),
 		foldedRows:     reg.Counter("stats.fold.rows"),
-		streamedBuilds: reg.Counter("stats.build.streamed"),
 		buildBlocks:    reg.Counter("stats.build.blocks"),
 		buildSpills:    reg.Counter("stats.build.spills"),
 		spillBytes:     reg.Counter("stats.build.spill_bytes"),
@@ -257,6 +249,7 @@ func NewManager(db *storage.Database, kind histogram.Kind, maxBuckets int) *Mana
 		db:         db,
 		kind:       kind,
 		maxBuckets: maxBuckets,
+		stream:     StreamConfig{PartitionRows: defaultPartitionRows},
 		met:        newManagerMetrics(obs.Default),
 	}
 	for i := range m.shards {

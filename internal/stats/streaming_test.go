@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"sync"
@@ -66,44 +67,180 @@ func spillFiles(t *testing.T, dir string) int {
 	return len(ents)
 }
 
-// TestStreamingBuildIdentity: a streaming build must be bitwise-identical to
-// the materialized single-pass build at every block size, partition cut, and
-// spill pattern — the tentpole invariant.
-func TestStreamingBuildIdentity(t *testing.T) {
-	db := streamDB(t, 500)
-	cols := []string{"a", "b", "c"}
-	ref := NewManager(db, histogram.MaxDiff, 0)
-	want, err := ref.Create("s", cols)
+// drawParentSample reproduces, independently of sampleOrdinals, the draw the
+// materialized build made before the paths were collapsed: a partial
+// Fisher–Yates over the gathered tuples, emitted in draw order. It pins the
+// sampled statistic of a given (Seed, ID) bitwise across that change.
+func drawParentSample(cfg SampleConfig, id ID, tuples [][]catalog.Datum) [][]catalog.Datum {
+	if cfg.Fraction <= 0 || cfg.Fraction >= 1 {
+		return tuples
+	}
+	want := int(float64(len(tuples)) * cfg.Fraction)
+	if want < cfg.MinRows {
+		want = cfg.MinRows
+	}
+	if want >= len(tuples) {
+		return tuples
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(id))))
+	idx := make([]int, len(tuples))
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([][]catalog.Datum, want)
+	for i := range out {
+		j := i + rng.Intn(len(idx)-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out[i] = tuples[idx[i]]
+	}
+	return out
+}
+
+// referenceStat is what every build is compared against: histogram.BuildMulti
+// over the one-shot MultiColumnValuesSeq gather — restricted to the drawn
+// sample and scaled when cfg samples — called directly, never through the
+// manager. It returns the data, the watermark and the creation cost the
+// manager's statistic must carry.
+func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buckets int, table string, cols []string, cfg SampleConfig) (*histogram.MultiColumn, int64, float64) {
+	t.Helper()
+	tuples, seq, err := mustTable(t, db, table).MultiColumnValuesSeq(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bs := range []int{1, 7, 64, 4096} {
-		for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
-			m := NewManager(db, histogram.MaxDiff, 0)
-			m.SetObsRegistry(obs.New())
-			if err := m.SetStreamingBuild(StreamConfig{
-				Enabled:        true,
-				BlockSize:      bs,
-				PartitionRows:  37,
-				MemBudgetBytes: budget,
-				SpillDir:       t.TempDir(),
-			}); err != nil {
-				t.Fatal(err)
+	drawn := drawParentSample(cfg, MakeID(table, cols), tuples)
+	mc, err := histogram.BuildMulti(kind, cols, drawn, buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drawn) < len(tuples) {
+		scaleSampled(mc, len(drawn), len(tuples))
+	}
+	return mc, seq, histogram.BuildCostUnits(int64(len(drawn)), len(cols))
+}
+
+// TestBuildIdentity is the tentpole invariant as one table: at every block
+// size, partition cut and spill pattern, sampled or not, for single-column,
+// multi-column and NULL-bearing statistics, Manager.Create produces exactly
+// the BuildMulti reference, with the same watermark and creation cost.
+func TestBuildIdentity(t *testing.T) {
+	db := streamDB(t, 500)
+	td := mustTable(t, db, "s")
+	td.EnableDeltaLog(0)
+	for i := 0; i < 3; i++ { // a non-zero watermark to carry
+		if err := td.Insert(storage.Row{catalog.NewInt(99), catalog.NewString("g9"), catalog.NewInt(9)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	targets := []struct {
+		name    string
+		cols    []string
+		kind    histogram.Kind
+		buckets int
+	}{
+		{"single", []string{"c"}, histogram.EquiDepth, 8},
+		{"multi", []string{"b", "c"}, histogram.MaxDiff, 0},
+		{"nulls", []string{"a", "b", "c"}, histogram.MaxDiff, 0},
+	}
+	spillDir := t.TempDir()
+	for _, tgt := range targets {
+		for _, frac := range []float64{0, 0.4} {
+			sampling := SampleConfig{Fraction: frac, MinRows: 10, Seed: 3}
+			want, wantSeq, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols, sampling)
+			if frac > 0 && want.Rows != int64(td.RowCount()) {
+				t.Fatalf("%s: sampled reference not scaled to the table: %d rows", tgt.name, want.Rows)
 			}
-			got, err := m.Create("s", cols)
-			if err != nil {
-				t.Fatalf("block=%d budget=%d: %v", bs, budget, err)
-			}
-			if !reflect.DeepEqual(got.Data, want.Data) {
-				t.Errorf("block=%d budget=%d: streamed histogram differs from single-pass", bs, budget)
-			}
-			if got.DeltaSeq != want.DeltaSeq {
-				t.Errorf("block=%d budget=%d: DeltaSeq=%d want %d", bs, budget, got.DeltaSeq, want.DeltaSeq)
-			}
-			if got.BuildCost != want.BuildCost {
-				t.Errorf("block=%d budget=%d: BuildCost=%v want %v", bs, budget, got.BuildCost, want.BuildCost)
+			for _, bs := range []int{1, 7, 64, 4096} {
+				for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
+					for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
+						name := fmt.Sprintf("%s sample=%v block=%d cut=%d budget=%d", tgt.name, frac, bs, partRows, budget)
+						m := NewManager(db, tgt.kind, tgt.buckets)
+						reg := obs.New()
+						m.SetObsRegistry(reg)
+						if err := m.SetSampling(sampling); err != nil {
+							t.Fatal(err)
+						}
+						if err := m.SetStreamingBuild(StreamConfig{
+							BlockSize:      bs,
+							PartitionRows:  partRows,
+							MemBudgetBytes: budget,
+							SpillDir:       spillDir,
+						}); err != nil {
+							t.Fatal(err)
+						}
+						got, err := m.Create("s", tgt.cols)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got.Data, want) {
+							t.Errorf("%s: statistic differs from the BuildMulti reference", name)
+						}
+						if got.DeltaSeq != wantSeq {
+							t.Errorf("%s: DeltaSeq=%d want %d", name, got.DeltaSeq, wantSeq)
+						}
+						if got.BuildCost != wantCost {
+							t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
+						}
+						if spilled := reg.Counter("stats.build.spills").Value() > 0; spilled != (budget > 0) {
+							t.Errorf("%s: spilled=%v", name, spilled)
+						}
+					}
+				}
 			}
 		}
+	}
+	if n := spillFiles(t, spillDir); n != 0 {
+		t.Errorf("%d spill files left behind", n)
+	}
+	if n := td.OpenSnapshots(); n != 0 {
+		t.Errorf("OpenSnapshots=%d after the sweep", n)
+	}
+}
+
+// TestSampledBuildHonoursBudget: the memory budget applies to sampled builds
+// too (before the paths were collapsed, configuring sampling silently
+// bypassed it): the build spills, cleans up, and still produces exactly the
+// unbudgeted sampled statistic and the scaled BuildMulti over the drawn rows.
+func TestSampledBuildHonoursBudget(t *testing.T) {
+	db := streamDB(t, 400)
+	cols := []string{"a", "b"}
+	sampling := SampleConfig{Fraction: 0.4, MinRows: 10, Seed: 5}
+	build := func(budget int64, dir string) (*Statistic, *obs.Registry) {
+		m := NewManager(db, histogram.MaxDiff, 0)
+		reg := obs.New()
+		m.SetObsRegistry(reg)
+		if err := m.SetSampling(sampling); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetStreamingBuild(StreamConfig{PartitionRows: 40, MemBudgetBytes: budget, SpillDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Create("s", cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, reg
+	}
+	dir := t.TempDir()
+	got, reg := build(1, dir)
+	if n := reg.Counter("stats.build.spills").Value(); n == 0 {
+		t.Error("sampled build ignored the memory budget: no spills")
+	}
+	if n := spillFiles(t, dir); n != 0 {
+		t.Errorf("%d spill files left behind", n)
+	}
+	unbudgeted, reg0 := build(0, dir)
+	if n := reg0.Counter("stats.build.spills").Value(); n != 0 {
+		t.Errorf("budget 0 spilled %d partials", n)
+	}
+	if !reflect.DeepEqual(got.Data, unbudgeted.Data) {
+		t.Error("budgeted sampled build differs from the unbudgeted one")
+	}
+	want, _, wantCost := referenceStat(t, db, histogram.MaxDiff, 0, "s", cols, sampling)
+	if !reflect.DeepEqual(got.Data, want) {
+		t.Error("budgeted sampled build differs from the scaled BuildMulti over the drawn rows")
+	}
+	if got.BuildCost != wantCost {
+		t.Errorf("BuildCost=%v want %v (sampled rows only)", got.BuildCost, wantCost)
 	}
 }
 
@@ -116,7 +253,6 @@ func TestStreamingSpillMetricsAndCleanup(t *testing.T) {
 	reg := obs.New()
 	m.SetObsRegistry(reg)
 	if err := m.SetStreamingBuild(StreamConfig{
-		Enabled:        true,
 		BlockSize:      16,
 		PartitionRows:  50,
 		MemBudgetBytes: 1,
@@ -127,8 +263,8 @@ func TestStreamingSpillMetricsAndCleanup(t *testing.T) {
 	if _, err := m.Create("s", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("stats.build.streamed").Value(); n != 1 {
-		t.Errorf("streamed=%d want 1", n)
+	if n := reg.Counter("stats.build.full_scans").Value(); n != 1 {
+		t.Errorf("full_scans=%d want 1", n)
 	}
 	if n := reg.Counter("stats.build.blocks").Value(); n == 0 {
 		t.Error("no blocks counted")
@@ -150,14 +286,13 @@ func TestStreamingSpillMetricsAndCleanup(t *testing.T) {
 	}
 }
 
-// streamFaultFixture returns a manager with streaming + forced spilling into
-// dir, ready for fault injection.
+// streamFaultFixture returns a manager with small cuts and forced spilling
+// into dir, ready for fault injection.
 func streamFaultFixture(t *testing.T, db *storage.Database, dir string) *Manager {
 	t.Helper()
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
 	if err := m.SetStreamingBuild(StreamConfig{
-		Enabled:        true,
 		BlockSize:      8,
 		PartitionRows:  40,
 		MemBudgetBytes: 1,
@@ -219,12 +354,8 @@ func TestStreamingSpillFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("retry after fault: %v", err)
 			}
-			ref := NewManager(db, histogram.MaxDiff, 0)
-			want, err := ref.Create("s", []string{"a", "b"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Data, want.Data) {
+			want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"}, SampleConfig{})
+			if !reflect.DeepEqual(got.Data, want) {
 				t.Error("post-fault retry differs from reference build")
 			}
 		})
@@ -285,7 +416,7 @@ func TestStreamingCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestStreamingConcurrentBuildsAndFolds: streaming rebuilds, folding
+// TestStreamingConcurrentBuildsAndFolds: full rebuilds, folding
 // refreshes and DML hammer one shard concurrently; run under -race this
 // proves block scans and FoldMulti never interleave on shared state. The
 // final refreshed statistic must equal a fresh reference build.
@@ -294,7 +425,6 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
 	if err := m.SetStreamingBuild(StreamConfig{
-		Enabled:        true,
 		BlockSize:      16,
 		PartitionRows:  64,
 		MemBudgetBytes: 4 << 10,
@@ -347,24 +477,20 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 		t.Fatalf("OpenSnapshots=%d after concurrent phase", n)
 	}
 	// One more refresh so the statistic reflects the final table state, then
-	// compare against a fresh single-pass reference.
+	// compare against the single-pass reference.
 	if err := m.Refresh(id); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Get(id)
-	ref := NewManager(db, histogram.MaxDiff, 0)
-	want, err := ref.Create("s", []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a"}, SampleConfig{})
 	if got.FoldedRows == 0 {
-		// The last refresh rebuilt (streamed): must match exactly.
-		if !reflect.DeepEqual(got.Data, want.Data) {
-			t.Error("final streamed rebuild differs from reference")
+		// The last refresh rebuilt: must match exactly.
+		if !reflect.DeepEqual(got.Data, want) {
+			t.Error("final rebuild differs from reference")
 		}
-	} else if got.Data.Rows != want.Data.Rows {
+	} else if got.Data.Rows != want.Rows {
 		// The last refresh folded: row counts still reconcile exactly.
-		t.Errorf("folded rows=%d, reference rows=%d", got.Data.Rows, want.Data.Rows)
+		t.Errorf("folded rows=%d, reference rows=%d", got.Data.Rows, want.Rows)
 	}
 }
 
@@ -379,7 +505,6 @@ func TestStreamingPeakMemoryFlat(t *testing.T) {
 		reg := obs.New()
 		m.SetObsRegistry(reg)
 		if err := m.SetStreamingBuild(StreamConfig{
-			Enabled:        true,
 			BlockSize:      64,
 			PartitionRows:  256,
 			MemBudgetBytes: 64 << 10,
@@ -404,9 +529,44 @@ func TestStreamingPeakMemoryFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamingManagerBuild is the end-to-end streaming build the
-// statsbuild-bench CI job watches with -benchmem: per-build allocations must
-// track the block/partition bounds, not the table size.
+// TestBuildAllocsBounded pins the PartialBuilder's buffer reuse: a
+// single-column build allocates per partition cut and per merge level, never
+// per row. Measured over these 60 k rows: 230 mallocs; 352 when the builder
+// regrows its buffer after every cut; one per row (120 052 for 120 k rows)
+// with the one-shot gather this pipeline replaced.
+func TestBuildAllocsBounded(t *testing.T) {
+	schema := catalog.NewSchema()
+	if err := schema.AddTable(catalog.NewTable("big", catalog.Column{Name: "a", Type: catalog.Int})); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.NewDatabase("db", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]storage.Row, 60_000)
+	for i := range rows {
+		rows[i] = storage.Row{catalog.NewInt(int64(i * 7919 % 5003))}
+	}
+	if err := mustTable(t, db, "big").BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(db, histogram.MaxDiff, 0)
+	m.SetObsRegistry(obs.New())
+	id := MakeID("big", []string{"a"})
+	allocs := testing.AllocsPerRun(5, func() {
+		m.Drop(id)
+		if _, err := m.Create("big", []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 300 {
+		t.Fatalf("Create over %d rows allocates %.0f objects; want < 300 (per cut with the buffer reused, not per row)", len(rows), allocs)
+	}
+}
+
+// BenchmarkStreamingManagerBuild is the end-to-end budgeted build the
+// statsbuild CI job watches with -benchmem: per-build allocations must track
+// the block/partition bounds, not the table size.
 func BenchmarkStreamingManagerBuild(b *testing.B) {
 	schema := catalog.NewSchema()
 	if err := schema.AddTable(catalog.NewTable("s",
@@ -434,7 +594,6 @@ func BenchmarkStreamingManagerBuild(b *testing.B) {
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
 	if err := m.SetStreamingBuild(StreamConfig{
-		Enabled:        true,
 		BlockSize:      512,
 		PartitionRows:  4096,
 		MemBudgetBytes: 256 << 10,

@@ -132,48 +132,6 @@ func TestDeltaLogBulkLoadInvalidates(t *testing.T) {
 	}
 }
 
-// TestMultiColumnValuesPartitioned: the partitions cover every live tuple
-// exactly once, in row order, and the sequence matches the snapshot.
-func TestMultiColumnValuesPartitioned(t *testing.T) {
-	td := NewTableData(empSchema())
-	td.EnableDeltaLog(0)
-	for i := 0; i < 10; i++ {
-		if err := td.Insert(row(int64(i), float64(i), "r")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	td.Delete([]int{3, 7})
-	for _, parts := range []int{1, 3, 4, 100} {
-		chunks, seq, err := td.MultiColumnValuesPartitioned([]string{"id", "salary"}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != td.DeltaSeq() {
-			t.Fatalf("parts=%d: seq %d != DeltaSeq %d", parts, seq, td.DeltaSeq())
-		}
-		var ids []int64
-		for _, c := range chunks {
-			for _, tp := range c {
-				if len(tp) != 2 {
-					t.Fatalf("tuple arity %d", len(tp))
-				}
-				ids = append(ids, tp[0].I)
-			}
-		}
-		if len(ids) != 8 {
-			t.Fatalf("parts=%d: %d tuples, want 8", parts, len(ids))
-		}
-		for i := 1; i < len(ids); i++ {
-			if ids[i] <= ids[i-1] {
-				t.Fatalf("parts=%d: partition concatenation not in row order: %v", parts, ids)
-			}
-		}
-	}
-	if _, _, err := td.MultiColumnValuesPartitioned([]string{"nope"}, 2); err == nil {
-		t.Fatal("expected unknown-column error")
-	}
-}
-
 // TestMultiColumnValuesSeqMatchesLegacy: the seq variant returns the same
 // tuples as MultiColumnValues.
 func TestMultiColumnValuesSeqMatchesLegacy(t *testing.T) {

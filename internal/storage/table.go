@@ -371,27 +371,6 @@ func (t *TableData) MultiColumnValuesSeq(cols []string) ([][]catalog.Datum, int6
 	return t.gatherLocked(ords), t.deltaBase + int64(len(t.deltas)), nil
 }
 
-// MultiColumnValuesPartitioned returns the live tuples of the named columns
-// split into at most parts contiguous partitions of near-equal size, plus the
-// delta-log sequence, all gathered under a single lock acquisition: the
-// partitions cover exactly one consistent version of the table, so partial
-// histograms built from them merge into a statistic no concurrent DML can
-// tear. The partitions are subslices of one backing slice.
-func (t *TableData) MultiColumnValuesPartitioned(cols []string, parts int) ([][][]catalog.Datum, int64, error) {
-	ords := make([]int, len(cols))
-	for i, c := range cols {
-		ci := t.Schema.ColumnIndex(c)
-		if ci < 0 {
-			return nil, 0, fmt.Errorf("storage: table %s has no column %s", t.Schema.Name, c)
-		}
-		ords[i] = ci
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	flat := t.gatherLocked(ords)
-	return splitTuples(flat, parts), t.deltaBase + int64(len(t.deltas)), nil
-}
-
 // gatherLocked projects the live rows onto the given column ordinals.
 // Callers must hold mu.
 func (t *TableData) gatherLocked(ords []int) [][]catalog.Datum {
@@ -405,26 +384,6 @@ func (t *TableData) gatherLocked(ords []int) [][]catalog.Datum {
 			tuple[i] = r[o]
 		}
 		out = append(out, tuple)
-	}
-	return out
-}
-
-// splitTuples cuts tuples into at most k contiguous subslices.
-func splitTuples(tuples [][]catalog.Datum, k int) [][][]catalog.Datum {
-	if k > len(tuples) {
-		k = len(tuples)
-	}
-	if k <= 1 {
-		return [][][]catalog.Datum{tuples}
-	}
-	out := make([][][]catalog.Datum, 0, k)
-	chunk := (len(tuples) + k - 1) / k
-	for start := 0; start < len(tuples); start += chunk {
-		end := start + chunk
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		out = append(out, tuples[start:end])
 	}
 	return out
 }
