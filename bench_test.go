@@ -158,24 +158,6 @@ func BenchmarkAblationNextStat(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimize measures raw optimization throughput on a 5-way join.
-func BenchmarkOptimize(b *testing.B) {
-	sys, err := autostats.GenerateTPCD(autostats.TPCDOptions{Scale: 0.5, Skew: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.CreateIndexedColumnStats(); err != nil {
-		b.Fatal(err)
-	}
-	sql := "SELECT * FROM customer, orders, lineitem, supplier, nation WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_suppkey = s_suppkey AND s_nationkey = n_nationkey AND c_acctbal > 0"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Explain(sql); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWorkloadTuning compares serial and parallel MNSA workload tuning
 // wall-clock on identical fresh systems (tentpole: the parallel driver
 // should beat serial on multi-core machines while producing the same

@@ -203,18 +203,20 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 	reg := sess.Obs()
 	met := newMNSAMetrics(reg)
 	met.runs.Inc()
-	sp := reg.StartSpan("mnsa.run", map[string]any{"sql": q.SQL()})
+	sp := reg.StartSpan("mnsa.run", func() map[string]any { return map[string]any{"sql": q.SQL()} })
 	res := &Result{TerminatedBy: TermNoCandidates}
 	defer func() {
 		if res.Degraded() {
 			met.degradedRuns.Inc()
 		}
-		sp.End(map[string]any{
-			"created":         len(res.Created),
-			"drop_listed":     len(res.DropListed),
-			"optimizer_calls": res.OptimizerCalls,
-			"terminated_by":   string(res.TerminatedBy),
-			"build_failures":  len(res.BuildFailures),
+		sp.End(func() map[string]any {
+			return map[string]any{
+				"created":         len(res.Created),
+				"drop_listed":     len(res.DropListed),
+				"optimizer_calls": res.OptimizerCalls,
+				"terminated_by":   string(res.TerminatedBy),
+				"build_failures":  len(res.BuildFailures),
+			}
 		})
 	}()
 

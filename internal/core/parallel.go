@@ -61,7 +61,9 @@ func RunMNSAWorkloadParallelCtx(ctx context.Context, sess *optimizer.Session, qu
 	busy := reg.Timing("tune.worker.busy")
 	workerQueries := reg.Counter("tune.worker.queries")
 	reg.Gauge("tune.workers").Set(int64(parallelism))
-	sp := reg.StartSpan("tune.parallel", map[string]any{"queries": len(queries), "workers": parallelism})
+	sp := reg.StartSpan("tune.parallel", func() map[string]any {
+		return map[string]any{"queries": len(queries), "workers": parallelism}
+	})
 
 	results := make([]*Result, len(queries))
 	errs := make([]error, len(queries))
@@ -98,14 +100,14 @@ dispatch:
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
-		sp.End(map[string]any{"error": err.Error()})
+		sp.End(func() map[string]any { return map[string]any{"error": err.Error()} })
 		return nil, err
 	}
 	// Report the first failure by input position so reruns see a stable
 	// error regardless of goroutine scheduling.
 	for i, err := range errs {
 		if err != nil {
-			sp.End(map[string]any{"error": err.Error()})
+			sp.End(func() map[string]any { return map[string]any{"error": err.Error()} })
 			return nil, fmt.Errorf("core: query %d: %w", i, err)
 		}
 	}
@@ -129,10 +131,12 @@ dispatch:
 		}
 	}
 	reg.Timing("tune.merge.latency").Observe(time.Since(mergeStart))
-	sp.End(map[string]any{
-		"created":         len(wr.Created),
-		"drop_listed":     len(wr.DropListed),
-		"optimizer_calls": wr.OptimizerCalls,
+	sp.End(func() map[string]any {
+		return map[string]any{
+			"created":         len(wr.Created),
+			"drop_listed":     len(wr.DropListed),
+			"optimizer_calls": wr.OptimizerCalls,
+		}
 	})
 	return wr, nil
 }

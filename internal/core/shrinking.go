@@ -54,12 +54,16 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 	reg := sess.Obs()
 	probes := reg.Counter("shrink.probes")
 	equivChecks := reg.Counter("shrink.equiv_checks")
-	sp := reg.StartSpan("shrink.run", map[string]any{"stats": len(sorted), "queries": len(queries)})
+	sp := reg.StartSpan("shrink.run", func() map[string]any {
+		return map[string]any{"stats": len(sorted), "queries": len(queries)}
+	})
 	defer func() {
-		sp.End(map[string]any{
-			"kept":            len(res.Kept),
-			"removed":         len(res.Removed),
-			"optimizer_calls": res.OptimizerCalls,
+		sp.End(func() map[string]any {
+			return map[string]any{
+				"kept":            len(res.Kept),
+				"removed":         len(res.Removed),
+				"optimizer_calls": res.OptimizerCalls,
+			}
 		})
 	}()
 	reg.Counter("shrink.runs").Inc()

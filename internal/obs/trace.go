@@ -66,8 +66,10 @@ func (r *Registry) ClearTracers() {
 }
 
 // Span is an in-flight traced operation. A nil *Span (returned when no tracer
-// is registered) is valid and End on it is a no-op, so instrumentation sites
-// pay one atomic load when tracing is off.
+// is registered) is valid and End on it is a no-op. StartSpan and End take
+// their attributes as a function (nil for none) that is called only when a
+// tracer will receive them, so instrumentation sites pay one atomic load and
+// build nothing when tracing is off.
 type Span struct {
 	r     *Registry
 	id    uint64
@@ -77,13 +79,16 @@ type Span struct {
 
 // StartSpan begins a span and emits SpanStart to every tracer. When no tracer
 // is registered it returns nil, which End handles.
-func (r *Registry) StartSpan(name string, attrs map[string]any) *Span {
+func (r *Registry) StartSpan(name string, attrs func() map[string]any) *Span {
 	trs := r.tracers.Load()
 	if trs == nil || len(*trs) == 0 {
 		return nil
 	}
 	sp := &Span{r: r, id: r.spanSeq.Add(1), name: name, start: time.Now()}
-	ev := Event{Kind: SpanStart, SpanID: sp.id, Name: name, Time: sp.start, Attrs: attrs}
+	ev := Event{Kind: SpanStart, SpanID: sp.id, Name: name, Time: sp.start}
+	if attrs != nil {
+		ev.Attrs = attrs()
+	}
 	for _, t := range *trs {
 		t.Emit(ev)
 	}
@@ -92,7 +97,7 @@ func (r *Registry) StartSpan(name string, attrs map[string]any) *Span {
 
 // End finishes the span and emits SpanEnd with the elapsed duration. Safe on
 // a nil span.
-func (sp *Span) End(attrs map[string]any) {
+func (sp *Span) End(attrs func() map[string]any) {
 	if sp == nil {
 		return
 	}
@@ -101,7 +106,10 @@ func (sp *Span) End(attrs map[string]any) {
 		return
 	}
 	now := time.Now()
-	ev := Event{Kind: SpanEnd, SpanID: sp.id, Name: sp.name, Time: now, Duration: now.Sub(sp.start), Attrs: attrs}
+	ev := Event{Kind: SpanEnd, SpanID: sp.id, Name: sp.name, Time: now, Duration: now.Sub(sp.start)}
+	if attrs != nil {
+		ev.Attrs = attrs()
+	}
 	for _, t := range *trs {
 		t.Emit(ev)
 	}

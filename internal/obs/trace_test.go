@@ -31,7 +31,7 @@ func TestTracerOrdering(t *testing.T) {
 	r.AddTracer(recordTracer{name: "first", mu: &mu, log: &log})
 	r.AddTracer(recordTracer{name: "second", mu: &mu, log: &log})
 
-	sp := r.StartSpan("op", map[string]any{"k": 1})
+	sp := r.StartSpan("op", func() map[string]any { return map[string]any{"k": 1} })
 	if sp == nil {
 		t.Fatal("StartSpan returned nil with tracers registered")
 	}
@@ -59,6 +59,22 @@ func TestNoTracerIsFree(t *testing.T) {
 	sp.End(nil) // must not panic
 }
 
+// TestNoTracerBuildsNoAttributes: with no tracer registered a span site
+// neither calls its attribute functions nor allocates, whatever they would
+// have rendered.
+func TestNoTracerBuildsNoAttributes(t *testing.T) {
+	r := New()
+	built := 0
+	sql := strings.Repeat("x", 100)
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := r.StartSpan("op", func() map[string]any { built++; return map[string]any{"sql": sql + ";"} })
+		sp.End(func() map[string]any { built++; return map[string]any{"created": built} })
+	})
+	if built != 0 || allocs != 0 {
+		t.Errorf("no-tracer span built attributes %d times, %.0f allocs/run; want 0, 0", built, allocs)
+	}
+}
+
 // TestJSONLTracer: events serialize one JSON object per line with matching
 // span IDs and a duration on the end event.
 func TestJSONLTracer(t *testing.T) {
@@ -67,9 +83,9 @@ func TestJSONLTracer(t *testing.T) {
 	tr := NewJSONLTracer(&sb)
 	r.AddTracer(tr)
 
-	sp := r.StartSpan("tune", map[string]any{"queries": 3})
+	sp := r.StartSpan("tune", func() map[string]any { return map[string]any{"queries": 3} })
 	time.Sleep(time.Millisecond)
-	sp.End(map[string]any{"created": 2})
+	sp.End(func() map[string]any { return map[string]any{"created": 2} })
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +129,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp := r.StartSpan("op", map[string]any{"w": w})
+				sp := r.StartSpan("op", func() map[string]any { return map[string]any{"w": w} })
 				sp.End(nil)
 			}
 		}(w)

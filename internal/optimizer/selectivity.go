@@ -34,17 +34,15 @@ func newEstimator(sess *Session, q *query.Select) *estimator {
 	}
 }
 
-// visibleStatsFor returns the non-ignored statistics whose leading column is
-// table.column, most precise (fewest columns) first.
-func (e *estimator) visibleStatsFor(table, column string) []*stats.Statistic {
-	all := e.sess.prov.StatsForColumn(table, column)
-	out := all[:0:0]
-	for _, s := range all {
+// visibleStatFor returns the most precise (fewest columns) non-ignored
+// statistic whose leading column is table.column, or nil.
+func (e *estimator) visibleStatFor(table, column string) *stats.Statistic {
+	for _, s := range e.sess.prov.StatsForColumn(table, column) {
 		if !e.sess.ignored[s.ID] {
-			out = append(out, s)
+			return s
 		}
 	}
-	return out
+	return nil
 }
 
 // visibleStatByID returns the statistic if it exists and is not ignored.
@@ -83,9 +81,7 @@ func histogramOpSel(h *histogram.Histogram, op query.CmpOp, v catalog.Datum) flo
 // is recorded as missing and the override (if any) or the magic number is
 // used.
 func (e *estimator) filterSel(f query.Filter) float64 {
-	cands := e.visibleStatsFor(f.Col.Table, f.Col.Column)
-	if len(cands) > 0 {
-		st := cands[0]
+	if st := e.visibleStatFor(f.Col.Table, f.Col.Column); st != nil {
 		e.used[st.ID] = true
 		return clampSel(histogramOpSel(st.Data.Leading, f.Op, f.Val))
 	}
@@ -125,22 +121,32 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 	}
 	// Equality filters eligible for multi-column coverage: no override on
 	// their variable (overrides must win to keep MNSA's P_low/P_high exact).
-	eqCols := make(map[string]query.Filter)
-	for _, f := range filters {
-		if f.Op != query.Eq {
-			continue
-		}
-		if _, ov := e.sess.overrides[f.VarID]; ov {
-			// Only pre-empts coverage when the variable would use the
-			// override, i.e. when it has no single-column coverage either;
-			// keeping it out of prefix coverage is the conservative choice.
-			continue
-		}
-		eqCols[strings.ToLower(f.Col.Column)] = f
+	// Only when the variable would use the override does this pre-empt
+	// coverage, i.e. when it has no single-column coverage either; keeping it
+	// out of prefix coverage is the conservative choice.
+	eligible := func(f query.Filter) bool {
+		_, ov := e.sess.overrides[f.VarID]
+		return f.Op == query.Eq && !ov
 	}
-	var bestStat *stats.Statistic
-	bestLen := 1 // require >= 2 covered columns to engage a prefix density
-	if len(eqCols) >= 2 {
+	nEq := 0
+	for _, f := range filters {
+		if eligible(f) {
+			nEq++
+		}
+	}
+	// A prefix density engages on >= 2 covered columns, so with fewer
+	// eligible filters every filter multiplies independently below.
+	var covered map[int]bool
+	sel := 1.0
+	if nEq >= 2 {
+		eqCols := make(map[string]query.Filter, nEq)
+		for _, f := range filters {
+			if eligible(f) {
+				eqCols[strings.ToLower(f.Col.Column)] = f
+			}
+		}
+		var bestStat *stats.Statistic
+		bestLen := 1
 		for _, st := range e.sess.prov.StatsOnTable(table) {
 			if e.sess.ignored[st.ID] || len(st.Columns) < 2 {
 				continue
@@ -156,14 +162,13 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 				bestLen, bestStat = k, st
 			}
 		}
-	}
-	covered := make(map[int]bool)
-	sel := 1.0
-	if bestStat != nil {
-		e.used[bestStat.ID] = true
-		sel *= clampSel(bestStat.Data.PrefixDensity(bestLen))
-		for _, c := range bestStat.Columns[:bestLen] {
-			covered[eqCols[c].VarID] = true
+		if bestStat != nil {
+			e.used[bestStat.ID] = true
+			sel *= clampSel(bestStat.Data.PrefixDensity(bestLen))
+			covered = make(map[int]bool, bestLen)
+			for _, c := range bestStat.Columns[:bestLen] {
+				covered[eqCols[c].VarID] = true
+			}
 		}
 	}
 	for _, f := range filters {
@@ -178,11 +183,10 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 // distinctOf returns the distinct-value count of a column from any visible
 // statistic with that leading column.
 func (e *estimator) distinctOf(c query.ColumnRef) (float64, bool) {
-	cands := e.visibleStatsFor(c.Table, c.Column)
-	if len(cands) == 0 {
+	st := e.visibleStatFor(c.Table, c.Column)
+	if st == nil {
 		return 0, false
 	}
-	st := cands[0]
 	e.used[st.ID] = true
 	d := st.Data.Leading.Distinct
 	if d < 1 {
@@ -206,12 +210,12 @@ func (e *estimator) joinSel(j query.JoinPred) float64 {
 }
 
 func (e *estimator) joinSelUncached(j query.JoinPred) float64 {
-	lc := e.visibleStatsFor(j.Left.Table, j.Left.Column)
-	rc := e.visibleStatsFor(j.Right.Table, j.Right.Column)
-	if len(lc) > 0 && len(rc) > 0 {
-		e.used[lc[0].ID] = true
-		e.used[rc[0].ID] = true
-		return clampSel(histogram.JoinSelectivity(lc[0].Data.Leading, rc[0].Data.Leading))
+	ls := e.visibleStatFor(j.Left.Table, j.Left.Column)
+	rs := e.visibleStatFor(j.Right.Table, j.Right.Column)
+	if ls != nil && rs != nil {
+		e.used[ls.ID] = true
+		e.used[rs.ID] = true
+		return clampSel(histogram.JoinSelectivity(ls.Data.Leading, rs.Data.Leading))
 	}
 	e.missing[j.VarID] = true
 	if ov, ok := e.sess.overrides[j.VarID]; ok {

@@ -282,15 +282,17 @@ func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (M
 	}
 	reg.FloatCounter("stats.maintenance.update_cost_units").Add(rep.UpdateCostUnits)
 	reg.Timing("stats.maintenance.latency").Observe(time.Since(start))
-	sp.End(map[string]any{
-		"tables_refreshed":   rep.TablesRefreshed,
-		"stats_refreshed":    rep.StatsRefreshed,
-		"stats_dropped":      rep.StatsDropped,
-		"feedback_refreshes": rep.StatsFeedbackRefreshed,
-		"drops_confirmed":    rep.StatsDropConfirmed,
-		"refresh_failures":   len(rep.RefreshFailures),
-		"tables_skipped":     rep.TablesSkipped,
-		"update_cost":        rep.UpdateCostUnits,
+	sp.End(func() map[string]any {
+		return map[string]any{
+			"tables_refreshed":   rep.TablesRefreshed,
+			"stats_refreshed":    rep.StatsRefreshed,
+			"stats_dropped":      rep.StatsDropped,
+			"feedback_refreshes": rep.StatsFeedbackRefreshed,
+			"drops_confirmed":    rep.StatsDropConfirmed,
+			"refresh_failures":   len(rep.RefreshFailures),
+			"tables_skipped":     rep.TablesSkipped,
+			"update_cost":        rep.UpdateCostUnits,
+		}
 	})
 	return rep, nil
 }

@@ -24,8 +24,10 @@
 package stats
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -695,7 +697,7 @@ func (m *Manager) StatsOnTable(table string) []*Statistic {
 		}
 	}
 	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Statistic) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -714,11 +716,11 @@ func (m *Manager) StatsForColumn(table, column string) []*Statistic {
 		}
 	}
 	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Columns) != len(out[j].Columns) {
-			return len(out[i].Columns) < len(out[j].Columns)
+	slices.SortFunc(out, func(a, b *Statistic) int {
+		if c := cmp.Compare(len(a.Columns), len(b.Columns)); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

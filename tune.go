@@ -157,15 +157,17 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 	s.sess.ClearDegraded()
 	cfg := s.config(opts)
 	rep := &TuneReport{}
-	sp := s.sess.Obs().StartSpan("tune.workload", map[string]any{
-		"queries": len(queries), "shrink": opts.Shrink, "parallelism": opts.Parallelism,
+	sp := s.sess.Obs().StartSpan("tune.workload", func() map[string]any {
+		return map[string]any{"queries": len(queries), "shrink": opts.Shrink, "parallelism": opts.Parallelism}
 	})
 	defer func() {
-		sp.End(map[string]any{
-			"created":         len(rep.Created),
-			"drop_listed":     len(rep.DropListed),
-			"optimizer_calls": rep.OptimizerCalls,
-			"build_failures":  len(rep.BuildFailures),
+		sp.End(func() map[string]any {
+			return map[string]any{
+				"created":         len(rep.Created),
+				"drop_listed":     len(rep.DropListed),
+				"optimizer_calls": rep.OptimizerCalls,
+				"build_failures":  len(rep.BuildFailures),
+			}
 		})
 	}()
 	record := func(wr *core.WorkloadResult) {
