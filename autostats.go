@@ -61,8 +61,9 @@ import (
 //     plan cache and internally locked storage layer.
 //   - TuneQuery, TuneWorkload, ProcessStatement and RunMaintenance are
 //     serialized on an internal mutex (they mutate the shared tuning session
-//     and policy state); concurrent callers queue. TuneWorkload still fans
-//     out INSIDE the run via TuneOptions.Parallelism.
+//     and policy state); concurrent callers queue. Each runs on the calling
+//     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
+//     and Explain keep being served against it.
 //   - Configuration methods (SetPlanCacheCapacity, EnableFeedback,
 //     EnableResilience, SetAgingWindow, SetBuildMemoryBudget,
 //     EnableIncrementalMaintenance, …) follow the usual configure-then-serve

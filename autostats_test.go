@@ -112,6 +112,54 @@ func TestTuneWorkloadWithShrink(t *testing.T) {
 	}
 }
 
+// TestTuneWorkloadDropAndShrinkReportUnion: with Drop and Shrink both set the
+// report must name every statistic the run put on the drop-list — MNSA/D's
+// entries stay drop-listed even when Shrinking Set keeps them as essential —
+// each exactly once.
+func TestTuneWorkloadDropAndShrinkReportUnion(t *testing.T) {
+	sys, err := GenerateTPCD(TPCDOptions{Scale: 0.5, Skew: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls, err := sys.GenerateWorkload(WorkloadOptions{Count: 100, Complex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.TuneWorkload(sqls, TuneOptions{Drop: true, Shrink: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inDropList := map[string]bool{}
+	for _, si := range sys.Statistics() {
+		if si.InDropList {
+			inDropList[si.ID] = true
+		}
+	}
+	if len(rep.DropListed) != len(inDropList) {
+		t.Errorf("report lists %d drop-listed, %d statistics carry InDropList", len(rep.DropListed), len(inDropList))
+	}
+	reported := map[string]bool{}
+	for _, id := range rep.DropListed {
+		if reported[id] {
+			t.Errorf("%s reported twice", id)
+		}
+		reported[id] = true
+		if !inDropList[id] {
+			t.Errorf("%s reported drop-listed but is not on the drop-list", id)
+		}
+	}
+	// The case at stake: something MNSA/D drop-listed survived shrinking.
+	kept := 0
+	for _, id := range rep.Essential {
+		if inDropList[id] {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Error("workload no longer exercises a drop-listed statistic kept as essential")
+	}
+}
+
 func TestCreateDropStatistic(t *testing.T) {
 	sys := testSystem(t)
 	if err := sys.CreateStatistic("orders", "o_totalprice"); err != nil {

@@ -158,32 +158,25 @@ func BenchmarkAblationNextStat(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadTuning compares serial and parallel MNSA workload tuning
-// wall-clock on identical fresh systems (tentpole: the parallel driver
-// should beat serial on multi-core machines while producing the same
-// statistics set — the set check lives in internal/core's tests).
+// BenchmarkWorkloadTuning measures MNSA workload tuning wall-clock on a fresh
+// system per iteration.
 func BenchmarkWorkloadTuning(b *testing.B) {
-	for _, p := range []int{1, 4} {
-		name := map[int]string{1: "serial", 4: "parallel4"}[p]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sys, err := autostats.GenerateTPCD(autostats.TPCDOptions{Scale: benchScale, Skew: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sqls, err := sys.GenerateWorkload(autostats.WorkloadOptions{Count: 40})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				rep, err := sys.TuneWorkload(sqls, autostats.TuneOptions{Parallelism: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(len(rep.Created)), "stats-created")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := autostats.GenerateTPCD(autostats.TPCDOptions{Scale: benchScale, Skew: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sqls, err := sys.GenerateWorkload(autostats.WorkloadOptions{Count: 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rep, err := sys.TuneWorkload(sqls, autostats.TuneOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(rep.Created)), "stats-created")
 	}
 }
 
@@ -255,21 +248,6 @@ func BenchmarkMNSAQuery(b *testing.B) {
 		if _, err := sys.TuneQuery("SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45 AND o_totalprice > 400000", autostats.TuneOptions{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationShrinkFast compares Figure 2's Shrinking Set against the
-// §5.2 seeded variant (optimizer calls and survivor counts).
-func BenchmarkAblationShrinkFast(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		slowKept, slowCalls, fastKept, fastCalls, err := bench.AblationShrinkFast("TPCD_2", "U0-C-60", benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(slowKept), "slow-kept")
-		b.ReportMetric(float64(slowCalls), "slow-calls")
-		b.ReportMetric(float64(fastKept), "fast-kept")
-		b.ReportMetric(float64(fastCalls), "fast-calls")
 	}
 }
 

@@ -170,14 +170,27 @@ func TestClientOverloadedError(t *testing.T) {
 	close(release)
 	wg.Wait()
 	close(results)
-	var overloaded int
+	var overloaded, served int
 	for err := range results {
-		if errors.Is(err, protocol.ErrOverloaded) {
+		switch {
+		case errors.Is(err, protocol.ErrOverloaded):
 			overloaded++
+		case err != nil && strings.Contains(err.Error(), "wedged"):
+			// The factory's own error: a served response, not a rejection.
+			served++
+		default:
+			// A transport failure or another code would mean rejections do
+			// not all surface as ErrOverloaded.
+			t.Errorf("call resolved with %v, want ErrOverloaded or the factory error", err)
 		}
 	}
 	if overloaded == 0 {
 		t.Fatal("no call surfaced protocol.ErrOverloaded")
+	}
+	// The wedged call and the queued one are served once the wedge opens:
+	// rejecting the burst leaked neither slot.
+	if served != 2 {
+		t.Errorf("%d calls served after the wedge opened, want 2", served)
 	}
 }
 

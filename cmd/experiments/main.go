@@ -7,13 +7,13 @@
 //	experiments -exp all
 //	experiments -exp fig4 -workload U0-C-100 -scale 0.5 -seed 1
 //
-// Experiments: intro, fig3, fig4, fig4sc, table1, parallel, feedback,
-// ablation-t, ablation-eps, ablation-next, all.
+// Experiments: intro, fig3, fig4, fig4sc, table1, feedback, ablation-t,
+// ablation-eps, ablation-next, ablation-cov, ablation-hist, ablation-sample,
+// all.
 //
-// -feedback runs the execution-feedback experiment in addition to whatever
-// -exp selects; -benchjson writes the PR-3 machine-readable benchmark bundle
-// (serial vs parallel tuning, plan-cache hit rate, feedback demo + capture
-// overhead) to the given path, e.g. BENCH_PR3.json.
+// -swarm-addr drives a client swarm against an already-running autostatsd
+// instead of running experiments. Timings and regressions are measured by
+// perfbench/, not here.
 package main
 
 import (
@@ -35,25 +35,19 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|parallel|feedback|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|ablation-sample|all")
-		parallel   = flag.Int("parallel", 0, "worker count for the parallel experiment (0 = GOMAXPROCS)")
-		feedback   = flag.Bool("feedback", false, "also run the execution-feedback experiment (in addition to -exp)")
-		benchOut   = flag.String("benchjson", "", "write the PR-3 benchmark bundle as JSON to this path (e.g. BENCH_PR3.json)")
-		bench6Out  = flag.String("benchjson6", "", "write the PR-6 plan-cache bundle as JSON to this path (e.g. BENCH_PR6.json); fails if the repeated-template hit rate is 0")
-		bench8Out  = flag.String("benchjson8", "", "write the PR-8 stats-as-a-service bundle as JSON to this path (e.g. BENCH_PR8.json); fails on any swarm protocol error, a missing overload fast-fail, or a dropped request during drain")
-		bench10Out = flag.String("benchjson10", "", "write the PR-10 network-robustness bundle as JSON to this path (e.g. BENCH_PR10.json); runs the full swarm through the 10ms/1% chaos proxy and fails on any hang, leaked goroutine, or dropped request during drain")
-		swarmN     = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -benchjson8 / -swarm-addr")
-		swarmTen   = flag.Int("swarm-tenants", 8, "tenants for -benchjson8 / -swarm-addr")
-		swarmAddr  = flag.String("swarm-addr", "", "run the client swarm against an EXTERNAL autostatsd at this address (instead of an in-process server) and exit")
-		scale      = flag.Float64("scale", 0.5, "database scale factor (1.0 ≈ 8.7k rows)")
-		seed       = flag.Int64("seed", 1, "workload generator seed")
-		wl         = flag.String("workload", "", "workload name (default depends on experiment, e.g. U25-C-100 for table1)")
-		dbs        = flag.String("dbs", strings.Join(datagen.DatabaseNames(), ","), "comma-separated database list")
-		introDB    = flag.String("intro-db", "TPCD_2", "database for the intro experiment")
-		introScl   = flag.Float64("intro-scale", 1.0, "scale for the intro experiment")
-		metrics    = flag.Bool("metrics", false, "dump the observability counters after the experiments")
-		traceTo    = flag.String("trace", "", "write a JSONL span trace of the experiments to this file")
-		timeout    = flag.Duration("timeout", 0, "abort the experiments after this long (0 = no deadline)")
+		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|feedback|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|ablation-sample|all")
+		swarmN    = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -swarm-addr")
+		swarmTen  = flag.Int("swarm-tenants", 8, "tenants for -swarm-addr")
+		swarmAddr = flag.String("swarm-addr", "", "run the client swarm against an already-running autostatsd at this address and exit")
+		scale     = flag.Float64("scale", 0.5, "database scale factor (1.0 ≈ 8.7k rows)")
+		seed      = flag.Int64("seed", 1, "workload generator seed")
+		wl        = flag.String("workload", "", "workload name (default depends on experiment, e.g. U25-C-100 for table1)")
+		dbs       = flag.String("dbs", strings.Join(datagen.DatabaseNames(), ","), "comma-separated database list")
+		introDB   = flag.String("intro-db", "TPCD_2", "database for the intro experiment")
+		introScl  = flag.Float64("intro-scale", 1.0, "scale for the intro experiment")
+		metrics   = flag.Bool("metrics", false, "dump the observability counters after the experiments")
+		traceTo   = flag.String("trace", "", "write a JSONL span trace of the experiments to this file")
+		timeout   = flag.Duration("timeout", 0, "abort the experiments after this long (0 = no deadline)")
 	)
 	flag.Parse()
 
@@ -93,8 +87,7 @@ func main() {
 	// -metrics dump and -trace file are still written before exiting non-zero.
 	var runErr error
 	run := func(name string, fn func() error) {
-		forced := name == "feedback" && *feedback
-		if *exp != "all" && *exp != name && !forced {
+		if *exp != "all" && *exp != name {
 			return
 		}
 		if runErr != nil {
@@ -114,7 +107,6 @@ func main() {
 	run("fig4", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, false) })
 	run("fig4sc", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, true) })
 	run("table1", func() error { return runTable1(dbList, orDefault(*wl, "U25-C-100"), *scale, *seed) })
-	run("parallel", func() error { return runParallel(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, *parallel) })
 	run("ablation-t", func() error { return runAblationT(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("ablation-eps", func() error { return runAblationEps(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("ablation-next", func() error { return runAblationNext(orDefault(*wl, "U0-C-60"), *scale, *seed) })
@@ -122,37 +114,6 @@ func main() {
 	run("ablation-hist", func() error { return runAblationHist(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("ablation-sample", func() error { return runAblationSample(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("feedback", func() error { return runFeedback(*scale) })
-
-	if *benchOut != "" && runErr == nil {
-		if err := writeBenchJSON(*benchOut, orDefault(*wl, "U0-C-100"), *scale, *seed, *parallel); err != nil {
-			runErr = fmt.Errorf("benchjson: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *benchOut)
-		}
-	}
-	if *bench6Out != "" && runErr == nil {
-		if err := writeBench6JSON(*bench6Out, orDefault(*wl, "U0-C-100"), *scale, *seed, *parallel); err != nil {
-			runErr = fmt.Errorf("benchjson6: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *bench6Out)
-		}
-	}
-
-	if *bench8Out != "" && runErr == nil {
-		if err := writeBench8JSON(*bench8Out, *scale, *swarmN, *swarmTen); err != nil {
-			runErr = fmt.Errorf("benchjson8: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *bench8Out)
-		}
-	}
-
-	if *bench10Out != "" && runErr == nil {
-		if err := writeBench10JSON(*bench10Out, *scale, *swarmN, *swarmTen); err != nil {
-			runErr = fmt.Errorf("benchjson10: %w", err)
-		} else {
-			fmt.Printf("benchmark bundle written to %s\n", *bench10Out)
-		}
-	}
 
 	if *metrics {
 		fmt.Printf("\nmetrics:\n")
@@ -261,24 +222,6 @@ func runTable1(dbs []string, wl string, scale float64, seed int64) error {
 	return nil
 }
 
-func runParallel(dbs []string, wl string, scale float64, seed int64, parallelism int) error {
-	header(fmt.Sprintf("Parallel tuning — serial vs %s-worker MNSA workload driver — workload %s, scale %.2f",
-		map[bool]string{true: "GOMAXPROCS", false: fmt.Sprint(parallelism)}[parallelism <= 0], wl, scale))
-	fmt.Printf("%-10s %4s %8s %12s %12s %9s %7s %6s %9s %7s %12s\n",
-		"db", "p", "queries", "serial wall", "par wall", "speedup", "ser#", "par#", "overlap%", "util%", "cache h/m")
-	for _, db := range dbs {
-		row, err := bench.Parallel(db, wl, scale, seed, parallelism)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-10s %4d %8d %12v %12v %8.2fx %7d %6d %8.1f%% %6.1f%% %6d/%d\n",
-			row.DB, row.Parallelism, row.Queries, row.SerialWall.Round(time.Millisecond),
-			row.ParWall.Round(time.Millisecond), row.SpeedupX, row.SerialStats, row.ParStats,
-			row.OverlapPct, row.WorkerUtilPct, row.CacheHits, row.CacheMiss)
-	}
-	return nil
-}
-
 func printAblation(rows []*bench.AblationRow) {
 	fmt.Printf("%-26s %7s %14s %9s %14s %10s\n", "config", "stats#", "create units", "optcalls", "exec cost", "exec+%")
 	for _, r := range rows {
@@ -370,78 +313,6 @@ func runFeedback(scale float64) error {
 	return nil
 }
 
-func writeBenchJSON(path, wl string, scale float64, seed int64, parallelism int) error {
-	s, err := bench.RunPR3(wl, scale, seed, parallelism, 0)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeBench8JSON(path string, scale float64, sessions, tenants int) error {
-	s, err := bench.RunPR8(scale, sessions, tenants)
-	if err != nil {
-		return err
-	}
-	sw := s.Swarm
-	fmt.Printf("swarm: %d sessions x %d tenants, %d requests in %v (%.0f req/s), p50 %v p99 %v, %d failures\n",
-		sw.Sessions, sw.Tenants, sw.Requests, sw.Wall.Round(time.Millisecond),
-		sw.Throughput, sw.P50.Round(time.Microsecond), sw.P99.Round(time.Microsecond), sw.Failures)
-	fmt.Printf("plan cache (all tenants): %d hits / %d misses (%.0f%% hit rate) across %d shards\n",
-		s.PlanCache.Hits, s.PlanCache.Misses, 100*s.PlanCache.HitRate, s.PlanCache.Shards)
-	fmt.Printf("overload probe: burst %d -> %d rejected overloaded, %d wedged served later\n",
-		s.Overload.Burst, s.Overload.Rejected, s.Overload.WedgedResolved)
-	fmt.Printf("drain probe: %d in flight -> admitted %d completed %d dropped %d (forced=%v)\n",
-		s.Drain.InFlight, s.Drain.Admitted, s.Drain.Completed, s.Drain.Dropped, s.Drain.Forced)
-	// RunPR8 itself enforces the gates (zero swarm failures, ErrOverloaded
-	// fast-fails, zero dropped on drain); reaching here means they passed.
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeBench10JSON runs the PR-10 network-robustness bundle: the full swarm
-// through the 10ms/1% fault proxy with quotas, deadlines, and slow-client
-// defense live. RunPR10 enforces the gates (zero hangs, zero leaked
-// goroutines, clean drain, survivable fault rates); reaching the write means
-// they passed.
-func writeBench10JSON(path string, scale float64, sessions, tenants int) error {
-	s, err := bench.RunPR10(scale, sessions, tenants)
-	if err != nil {
-		return err
-	}
-	ch := s.Chaos
-	fmt.Printf("chaos swarm: %d sessions x %d tenants, %d requests (%d ok) in %v (%.0f ok/s), p50 %v p99 %v\n",
-		ch.Sessions, ch.Tenants, ch.Requests, ch.OK, ch.Wall.Round(time.Millisecond),
-		ch.Throughput, ch.P50.Round(time.Microsecond), ch.P99.Round(time.Microsecond))
-	fmt.Printf("rejection mix: %v | proxy: %d resets %d torn %d corrupt | drain: adm %d cmp %d drop %d\n",
-		ch.RejectionMix, ch.Proxy.Resets, ch.Proxy.Torn, ch.Proxy.Corrupted,
-		ch.Drain.Admitted, ch.Drain.Completed, ch.Drain.Dropped)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // runExternalSwarm points the client swarm at a daemon started elsewhere.
 func runExternalSwarm(ctx context.Context, addr string, sessions, tenants int) error {
 	res, err := bench.Swarm(ctx, addr, bench.SwarmConfig{
@@ -463,31 +334,4 @@ func runExternalSwarm(ctx context.Context, addr string, sessions, tenants int) e
 		return fmt.Errorf("throughput gate: %f req/s", res.Throughput)
 	}
 	return nil
-}
-
-// writeBench6JSON runs the PR-6 plan-cache bundle and applies the smoke
-// gate: a zero hit rate on the repeated-template workload means statement
-// parameterization has regressed to the raw-SQL keying this bundle exists to
-// guard against, so the run fails rather than silently publishing it.
-func writeBench6JSON(path, wl string, scale float64, seed int64, parallelism int) error {
-	s, err := bench.RunPR6(wl, scale, seed, parallelism)
-	if err != nil {
-		return err
-	}
-	rt := s.RepeatedTemplate
-	fmt.Printf("repeated-template: %d templates x %d instances, hit rate %.3f, speedup %.2fx, p99 %v -> %v (%d shards)\n",
-		rt.Templates, rt.InstancesPerTemplate, rt.HitRate, rt.SpeedupX,
-		rt.UncachedP99, rt.CachedP99, rt.Shards)
-	if s.PlanCacheHitRate == 0 {
-		return fmt.Errorf("smoke gate: repeated-template plan-cache hit rate is 0 (hits=%d misses=%d)", rt.Hits, rt.Misses)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -54,7 +54,6 @@ var (
 	tPct     = flag.Float64("t", 20, "t-optimizer-cost equivalence threshold (percent)")
 	eps      = flag.Float64("eps", 0.0005, "epsilon for the sensitivity extremes")
 	single   = flag.Bool("single-column", false, "consider only single-column candidate statistics")
-	parallel = flag.Int("parallel", 1, "worker sessions for mnsa/mnsad/offline tuning (<=1 = serial)")
 	cacheCap = flag.Int("plan-cache", 1024, "plan cache capacity (0 disables)")
 	useFB    = flag.Bool("feedback", false, "capture actual cardinalities during workload execution, apply learned selectivity corrections, and run a feedback-aware maintenance pass")
 	verbose  = flag.Bool("verbose", false, "per-query detail")
@@ -219,7 +218,7 @@ func run(ctx context.Context) error {
 					i+1, len(r.Created), len(r.DropListed), r.OptimizerCalls, r.TerminatedBy, degr)
 			}
 		} else {
-			wr, err := core.RunMNSAWorkloadParallelCtx(ctx, sess, queries, cfg, *parallel)
+			wr, err := core.RunMNSAWorkloadCtx(ctx, sess, queries, cfg)
 			if err != nil {
 				return err
 			}
@@ -228,7 +227,7 @@ func run(ctx context.Context) error {
 			reportDegraded(wr.BuildFailures, guard)
 		}
 	case "offline":
-		rep, err := core.OfflineTuneParallelCtx(ctx, sess, queries, cfg, nil, *parallel)
+		rep, err := core.OfflineTuneCtx(ctx, sess, queries, cfg, nil)
 		if err != nil {
 			return err
 		}

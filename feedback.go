@@ -38,8 +38,8 @@ type FeedbackOptions struct {
 // that stayed accurate. Calling it again replaces the ledger and forgets all
 // accumulated evidence.
 //
-// Enable feedback before TuneWorkload spawns parallel workers; the ledger
-// itself is safe for concurrent use.
+// Like every configuration method, call it before the System is shared
+// across goroutines; the ledger itself is safe for concurrent use.
 func (s *System) EnableFeedback(opts FeedbackOptions) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

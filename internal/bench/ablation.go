@@ -162,44 +162,6 @@ func labelFloat(prefix string, v float64, suffix string) string {
 	return prefix + strconv.FormatFloat(v, 'g', -1, 64) + suffix
 }
 
-// AblationShrinkFast compares the Figure 2 Shrinking Set algorithm against
-// the §5.2 seeded variant (ShrinkingSetFast) on one workload: survivors and
-// optimizer-call counts.
-func AblationShrinkFast(dbName, wlName string, scale float64, seed int64) (slowKept, slowCalls, fastKept, fastCalls int, err error) {
-	run := func(fast bool) (int, int, error) {
-		env, err := NewEnv(dbName, scale)
-		if err != nil {
-			return 0, 0, err
-		}
-		w, err := env.Workload(wlName, seed)
-		if err != nil {
-			return 0, 0, err
-		}
-		queries := w.Queries()
-		for _, c := range core.WorkloadCandidates(queries, core.CandidateStats) {
-			if _, err := env.Mgr.Create(c.Table, c.Columns); err != nil {
-				return 0, 0, err
-			}
-		}
-		var sr *core.ShrinkResult
-		if fast {
-			sr, err = core.ShrinkingSetFast(env.Sess, queries, nil, core.ExecutionTree{})
-		} else {
-			sr, err = core.ShrinkingSet(env.Sess, queries, nil, core.ExecutionTree{})
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		return len(sr.Kept), sr.OptimizerCalls, nil
-	}
-	slowKept, slowCalls, err = run(false)
-	if err != nil {
-		return
-	}
-	fastKept, fastCalls, err = run(true)
-	return
-}
-
 // AblationCostWeighted sweeps the §6 cost-coverage knob: MNSA restricted to
 // the most expensive queries covering X% of estimated workload cost.
 func AblationCostWeighted(dbName, wlName string, scale float64, seed int64, coverages []float64) ([]*AblationRow, error) {

@@ -141,13 +141,4 @@ func TestAblationShapes(t *testing.T) {
 		t.Fatalf("histogram-kind ablation rows: %d", len(rows))
 	}
 	t.Logf("maxdiff exec=%v equidepth exec=%v", rows[0].ExecCost, rows[1].ExecCost)
-
-	slowKept, slowCalls, fastKept, fastCalls, err := AblationShrinkFast("TPCD_2", wl, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slowKept == 0 || fastKept == 0 {
-		t.Errorf("shrink ablation degenerate: slow=%d fast=%d", slowKept, fastKept)
-	}
-	t.Logf("shrink slow: kept=%d calls=%d; fast: kept=%d calls=%d", slowKept, slowCalls, fastKept, fastCalls)
 }

@@ -39,6 +39,24 @@ func mustParse(t testing.TB, db *storage.Database, sql string) *querySelect {
 	return q
 }
 
+var tuningWorkloadSQL = []string{
+	"SELECT * FROM lineitem WHERE l_quantity > 45",
+	"SELECT * FROM orders WHERE o_totalprice < 1000",
+	"SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_discount > 0.05",
+	"SELECT * FROM customer WHERE c_acctbal > 9000",
+	"SELECT * FROM lineitem, partsupp WHERE l_partkey = ps_partkey AND l_quantity < 5",
+	"SELECT * FROM orders, customer WHERE o_custkey = c_custkey AND o_totalprice > 50000",
+}
+
+func tuningWorkload(t testing.TB, db *storage.Database) []*querySelect {
+	t.Helper()
+	qs := make([]*querySelect, 0, len(tuningWorkloadSQL))
+	for _, sql := range tuningWorkloadSQL {
+		qs = append(qs, mustParse(t, db, sql))
+	}
+	return qs
+}
+
 // TestExample3 reproduces Example 3 of §7.1 on an equivalent query shape:
 // two join predicates between two tables plus three selection predicates on
 // one of them. Candidates must include the per-table join multi-column
@@ -264,6 +282,124 @@ func TestShrinkingSetCallBound(t *testing.T) {
 	}
 	if max := n*2 + 2; sr.OptimizerCalls > max {
 		t.Errorf("optimizer calls %d exceed worst case bound %d", sr.OptimizerCalls, max)
+	}
+}
+
+// TestParallelWorkloadInvariants: what the workload driver's aggregate must
+// satisfy whatever the per-query runs did — one result per query, no
+// duplicate creations, every reported creation present in the manager and
+// drawn from the workload's candidate space, and an optimizer call total
+// equal to the per-query sum.
+func TestParallelWorkloadInvariants(t *testing.T) {
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	cfg := DefaultConfig()
+	cfg.Drop = true
+
+	queries := tuningWorkload(t, db)
+	candidates := map[stats.ID]bool{}
+	for _, c := range WorkloadCandidates(queries, cfg.CandidateFn) {
+		candidates[c.ID()] = true
+	}
+
+	wr, err := RunMNSAWorkload(sess, queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wr.PerQuery) != len(queries) {
+		t.Fatalf("PerQuery has %d entries, want %d", len(wr.PerQuery), len(queries))
+	}
+	dup := map[stats.ID]bool{}
+	for _, id := range wr.Created {
+		if dup[id] {
+			t.Errorf("statistic %s reported created twice", id)
+		}
+		dup[id] = true
+		if !candidates[id] {
+			t.Errorf("created statistic %s is outside the candidate space", id)
+		}
+		if !sess.Manager().Has(id) {
+			t.Errorf("created statistic %s missing from the manager", id)
+		}
+	}
+	if len(wr.Created) == 0 {
+		t.Error("expected the run to create statistics")
+	}
+	calls := 0
+	for _, r := range wr.PerQuery {
+		if r == nil {
+			t.Fatal("nil per-query result")
+		}
+		calls += r.OptimizerCalls
+	}
+	if calls != wr.OptimizerCalls {
+		t.Errorf("OptimizerCalls %d != per-query sum %d", wr.OptimizerCalls, calls)
+	}
+}
+
+// TestParallelDropListDelta: drop-list entries that predate the run must not
+// be reported as drop-listed by it.
+func TestParallelDropListDelta(t *testing.T) {
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	mgr := sess.Manager()
+	pre, err := mgr.Create("supplier", []string{"s_acctbal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.AddToDropList(pre.ID)
+
+	cfg := DefaultConfig()
+	cfg.Drop = true
+	wr, err := RunMNSAWorkload(sess, tuningWorkload(t, db), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range wr.DropListed {
+		if id == pre.ID {
+			t.Errorf("pre-existing drop-list entry %s reported as new", id)
+		}
+	}
+}
+
+// TestAgingSkipAvoidsWastedReoptimize: when aging suppresses every candidate,
+// MNSA must terminate after the initial plan and one extremes test (3 calls)
+// instead of burning a re-optimization per suppressed unit.
+func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	mgr := sess.Manager()
+	mgr.AgingWindow = 1000
+
+	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
+	cfg := DefaultConfig()
+	res, err := RunMNSA(sess, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range res.Created {
+		mgr.Drop(id)
+	}
+
+	cfg.UseAging = true
+	cfg.AgingCostThreshold = 1e18
+	res2, err := RunMNSA(sess, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.Created) != 0 || len(res2.AgeSkipped) == 0 {
+		t.Fatalf("setup: aging should suppress all creation: %+v", res2)
+	}
+	if res2.TerminatedBy != TermNoCandidates {
+		t.Errorf("terminated by %s, want %s", res2.TerminatedBy, TermNoCandidates)
+	}
+	// 1 initial optimization + 2 extreme plans; no re-optimizations for
+	// units that built nothing.
+	if res2.OptimizerCalls != 3 {
+		t.Errorf("OptimizerCalls = %d, want 3 (no wasted re-optimizations)", res2.OptimizerCalls)
+	}
+	if res2.Iterations != 1 {
+		t.Errorf("Iterations = %d, want 1 (extremes tested once)", res2.Iterations)
 	}
 }
 

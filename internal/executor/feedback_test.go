@@ -318,8 +318,8 @@ func benchPlan() *optimizer.Node {
 }
 
 // BenchmarkFeedbackCapture compares executor throughput with feedback
-// disabled and enabled; the delta is the capture overhead reported in
-// BENCH_PR3.json (acceptance: disabled adds no allocations, enabled < 5%).
+// disabled and enabled; the delta is the capture overhead (acceptance:
+// disabled adds no allocations, enabled < 5%).
 func BenchmarkFeedbackCapture(b *testing.B) {
 	e := newEnv(b, 0, 0.2)
 	plan := &optimizer.Plan{Root: benchPlan()}

@@ -5,9 +5,9 @@
 // The paper's whole argument is quantitative — how many statistics MNSA
 // avoids building, how much optimization and update cost the drop-list saves
 // — so every subsystem (optimizer, statistics manager, MNSA, Shrinking Set,
-// maintenance, the parallel tuner) emits its counts and timings here instead
-// of ad-hoc prints. The experiment tables of EXPERIMENTS.md can be re-derived
-// from a registry snapshot.
+// maintenance) emits its counts and timings here instead of ad-hoc prints.
+// The experiment tables of EXPERIMENTS.md can be re-derived from a registry
+// snapshot.
 //
 // Concurrency model: counters, float counters and gauges are single atomic
 // words — increments from any number of goroutines are safe and never block.

@@ -101,7 +101,8 @@ type ChaosReport struct {
 //   - the server leaks no goroutines (and, on Linux, no file descriptors)
 //     once connections are gone;
 //   - plan caches stay tenant-local: no tenant's cache holds more entries
-//     than the distinct statements that tenant ever issued.
+//     than the distinct statements that tenant ever issued;
+//   - at least one request succeeds.
 //
 // Faults are injected at the byte level between client and server, so torn
 // frames, corrupt length prefixes, and mid-request resets all occur
@@ -287,6 +288,16 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 	rep.TypedErrs = typed.Load()
 	rep.Transport = transport.Load()
 	rep.Hangs = hangs.Load()
+	// The fault rates are meant to be survivable: a sweep in which nothing
+	// succeeded exercised the failure paths only and proves none of the above
+	// about a working exchange.
+	if rep.OK == 0 {
+		addFinding(Finding{
+			Oracle: "chaos-no-survivor",
+			Seed:   opts.Seed,
+			Detail: fmt.Sprintf("none of %d requests succeeded (%d typed, %d transport)", rep.Requests, rep.TypedErrs, rep.Transport),
+		})
+	}
 	logf("chaos: %d requests: %d ok, %d typed, %d transport, %d hangs; proxy %+v; findings %d",
 		rep.Requests, rep.OK, rep.TypedErrs, rep.Transport, rep.Hangs, rep.Proxy, len(rep.Findings))
 	return rep, nil

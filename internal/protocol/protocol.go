@@ -116,7 +116,6 @@ type TuneParams struct {
 	SingleColumnOnly bool    `json:"single_column_only,omitempty"`
 	Drop             bool    `json:"drop,omitempty"`
 	Shrink           bool    `json:"shrink,omitempty"`
-	Parallelism      int     `json:"parallelism,omitempty"`
 }
 
 // Response is one server→client message. Exactly one of the payload fields

@@ -15,7 +15,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Op:     OpTune,
 		Tenant: "acme",
 		SQLs:   []string{"SELECT * FROM lineitem WHERE l_quantity > 45"},
-		Tune:   &TuneParams{ThresholdPct: 10, Shrink: true, Parallelism: 2},
+		Tune:   &TuneParams{ThresholdPct: 10, Shrink: true},
 	}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, in, 0); err != nil {
@@ -31,7 +31,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if len(out.SQLs) != 1 || out.SQLs[0] != in.SQLs[0] {
 		t.Fatalf("SQLs lost: %+v", out.SQLs)
 	}
-	if out.Tune == nil || out.Tune.ThresholdPct != 10 || !out.Tune.Shrink || out.Tune.Parallelism != 2 {
+	if out.Tune == nil || *out.Tune != *in.Tune {
 		t.Fatalf("tune params lost: %+v", out.Tune)
 	}
 }

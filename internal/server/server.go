@@ -505,7 +505,6 @@ func (s *Server) execute(t task) *protocol.Response {
 			opts.SingleColumnOnly = p.SingleColumnOnly
 			opts.Drop = p.Drop
 			opts.Shrink = p.Shrink
-			opts.Parallelism = p.Parallelism
 		}
 		rep, err := sys.TuneWorkloadCtx(ctx, sqls, opts)
 		if err != nil {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -177,6 +178,29 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 	if st := s.PlanCacheStats(); st.Capacity == 0 {
 		t.Fatalf("aggregated plan-cache stats empty: %+v", st)
+	}
+}
+
+// TestServerTuneIgnoresRetiredParallelism: clients built against the protocol
+// when TuneParams still had a parallelism field keep sending it under the
+// same protocol version; such a frame must decode and tune like any other,
+// the field ignored.
+func TestServerTuneIgnoresRetiredParallelism(t *testing.T) {
+	s := startServer(t, server.Config{})
+	c := dialServer(t, s)
+	c.hello("alpha")
+	frame := json.RawMessage(`{"id":2,"op":"tune",` +
+		`"sql":"SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45",` +
+		`"tuneopts":{"shrink":true,"parallelism":4}}`)
+	if err := protocol.WriteFrame(c.nc, frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	resp := c.read()
+	if resp.ID != 2 || resp.Code != protocol.CodeOK || resp.Tune == nil {
+		t.Fatalf("tune with retired field: %+v", resp)
+	}
+	if len(resp.Tune.Created) == 0 || len(resp.Tune.Essential) == 0 {
+		t.Fatalf("tune built nothing or skipped the requested shrink: %+v", resp.Tune)
 	}
 }
 

@@ -34,13 +34,6 @@ type TuneOptions struct {
 	SmallTableRows int
 	// UseAging dampens re-creation of recently dropped statistics (§6).
 	UseAging bool
-	// Parallelism fans the per-query MNSA runs of TuneWorkload out to this
-	// many worker sessions over the shared statistics manager and plan
-	// cache. Values <= 1 run the exact serial algorithm. With higher values
-	// the created set is schedule-dependent (as it already is on serial
-	// query order): typically heavily overlapping a serial run's, always
-	// drawn from the same candidate space.
-	Parallelism int
 }
 
 func (o TuneOptions) config() core.Config {
@@ -158,7 +151,7 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 	cfg := s.config(opts)
 	rep := &TuneReport{}
 	sp := s.sess.Obs().StartSpan("tune.workload", func() map[string]any {
-		return map[string]any{"queries": len(queries), "shrink": opts.Shrink, "parallelism": opts.Parallelism}
+		return map[string]any{"queries": len(queries), "shrink": opts.Shrink}
 	})
 	defer func() {
 		sp.End(func() map[string]any {
@@ -180,16 +173,27 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 		}
 	}
 	if opts.Shrink {
-		tr, err := core.OfflineTuneParallelCtx(ctx, s.sess, queries, cfg, nil, opts.Parallelism)
+		tr, err := core.OfflineTuneCtx(ctx, s.sess, queries, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
 		record(tr.MNSA)
-		rep.DropListed = idsToStrings(tr.DropListed)
+		// MNSA/D's drop-list entries stay on the drop-list whatever Shrinking
+		// Set decides about them, so the report is the union: MNSA/D's first,
+		// then what shrinking added.
+		byMNSA := make(map[stats.ID]bool, len(tr.MNSA.DropListed))
+		for _, id := range tr.MNSA.DropListed {
+			byMNSA[id] = true
+		}
+		for _, id := range tr.DropListed {
+			if !byMNSA[id] {
+				rep.DropListed = append(rep.DropListed, string(id))
+			}
+		}
 		rep.Essential = idsToStrings(tr.Shrink.Kept)
 		rep.OptimizerCalls = tr.MNSA.OptimizerCalls + tr.Shrink.OptimizerCalls
 	} else {
-		wr, err := core.RunMNSAWorkloadParallelCtx(ctx, s.sess, queries, cfg, opts.Parallelism)
+		wr, err := core.RunMNSAWorkloadCtx(ctx, s.sess, queries, cfg)
 		if err != nil {
 			return nil, err
 		}
