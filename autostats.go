@@ -77,7 +77,6 @@ type System struct {
 	auto  *core.AutoManager
 	cache *optimizer.PlanCache
 	fb    *feedback.Ledger
-	maint stats.MaintenancePolicy
 	// guard is the resilience stack installed by EnableResilience (nil when
 	// disabled); see resilience.go.
 	guard *resilience.Guard
@@ -141,7 +140,6 @@ func newSystem(db *storage.Database, kind histogram.Kind, buckets int) *System {
 		db: db, mgr: mgr, sess: sess, ex: ex,
 		auto:     core.NewAutoManager(sess, ex),
 		cache:    cache,
-		maint:    stats.DefaultMaintenancePolicy(),
 		sessions: newSessionPool(sess.Clone()),
 	}
 }
@@ -206,28 +204,7 @@ type QueryResult struct {
 // cache and concurrency-safe statistics manager; DML serializes inside the
 // storage layer's per-table locks.
 func (s *System) Exec(sql string) (*QueryResult, error) {
-	stmt, err := sqlparser.Parse(s.db.Schema, sql)
-	if err != nil {
-		return nil, err
-	}
-	sess := s.sessions.get()
-	defer s.sessions.put(sess)
-	if q, ok := stmt.(*query.Select); ok {
-		plan, err := sess.Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.ex.Run(plan)
-		if err != nil {
-			return nil, err
-		}
-		return renderResult(res, plan), nil
-	}
-	res, err := s.ex.RunStatement(sess, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{ExecCost: res.Cost, Affected: res.Affected}, nil
+	return s.ExecCtx(context.Background(), sql)
 }
 
 // ExecCtx is Exec honoring ctx at phase boundaries: a canceled or expired
@@ -258,7 +235,10 @@ func (s *System) ExecCtx(ctx context.Context, sql string) (*QueryResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		return renderResult(res, plan), nil
+		out := renderResult(res)
+		out.EstimatedCost = plan.Cost()
+		out.Plan = plan.Format()
+		return out, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -267,47 +247,38 @@ func (s *System) ExecCtx(ctx context.Context, sql string) (*QueryResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{ExecCost: res.Cost, Affected: res.Affected}, nil
+	return renderResult(res), nil
 }
 
-func renderResult(res *executor.Result, plan *optimizer.Plan) *QueryResult {
-	cols := make([]string, len(res.Cols))
+// renderResult copies an executor result into the facade's shape: cost,
+// affected count and — for a SELECT, the only statement with output columns —
+// the columns in position order and every value rendered as a SQL literal.
+func renderResult(res *executor.Result) *QueryResult {
+	out := &QueryResult{ExecCost: res.Cost, Affected: res.Affected}
+	if res.Cols == nil {
+		return out
+	}
+	out.Columns = make([]string, len(res.Cols))
 	for name, pos := range res.Cols {
-		if pos >= 0 && pos < len(cols) {
-			cols[pos] = name
+		if pos >= 0 && pos < len(out.Columns) {
+			out.Columns[pos] = name
 		}
 	}
-	rows := make([][]string, len(res.Rows))
+	out.Rows = make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
-		out := make([]string, len(r))
+		row := make([]string, len(r))
 		for j, d := range r {
-			out[j] = d.String()
+			row[j] = d.String()
 		}
-		rows[i] = out
+		out.Rows[i] = row
 	}
-	return &QueryResult{
-		Columns:       cols,
-		Rows:          rows,
-		ExecCost:      res.Cost,
-		EstimatedCost: plan.Cost(),
-		Plan:          plan.Format(),
-	}
+	return out
 }
 
 // Explain returns the chosen plan for a SELECT without executing it. Safe
 // for concurrent use (see Exec).
 func (s *System) Explain(sql string) (string, error) {
-	q, err := sqlparser.ParseSelect(s.db.Schema, sql)
-	if err != nil {
-		return "", err
-	}
-	sess := s.sessions.get()
-	defer s.sessions.put(sess)
-	plan, err := sess.Optimize(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Format(), nil
+	return s.ExplainCtx(context.Background(), sql)
 }
 
 // ExplainCtx is Explain honoring ctx at phase boundaries (see ExecCtx).
@@ -391,12 +362,6 @@ func (s *System) EnableIncrementalMaintenance(maxFoldFraction float64) error {
 		Enabled:         true,
 		MaxFoldFraction: maxFoldFraction,
 	})
-}
-
-// DisableIncrementalMaintenance turns folding refreshes off and drops the
-// per-table delta logs; every refresh is a full rebuild again.
-func (s *System) DisableIncrementalMaintenance() error {
-	return s.mgr.SetIncrementalMaintenance(stats.FoldConfig{})
 }
 
 // SetBuildMemoryBudget bounds the estimated memory a statistic build

@@ -252,8 +252,8 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("maintenance cost per refresh cycle: %.0f units\n", mgr.MaintenanceCostUnits())
 	if cs := cache.Stats(); cs.Hits+cs.Misses > 0 {
-		fmt.Printf("plan cache: %d hits / %d misses (%.0f%% hit rate), %d evictions, %d cached across %d shards\n",
-			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Evictions, cs.Size, cs.Shards)
+		fmt.Printf("plan cache: %d hits / %d misses (%.0f%% hit rate), %d evictions, %d cached\n",
+			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Evictions, cs.Size)
 	}
 
 	// Execute the workload under the recommendation and report cost.

@@ -68,7 +68,6 @@ func (s *System) EnableFeedback(opts FeedbackOptions) {
 		p.QErrorThreshold = opts.QErrorThreshold
 	}
 	p.FeedbackMinObservations = minObs
-	s.maint = p
 	s.auto.Policy = p
 }
 
@@ -83,8 +82,7 @@ func (s *System) DisableFeedback() {
 	s.ex.SetFeedback(nil)
 	s.sess.SetCorrections(nil)
 	s.mgr.SetFeedbackProvider(nil)
-	s.maint = stats.DefaultMaintenancePolicy()
-	s.auto.Policy = s.maint
+	s.auto.Policy = stats.DefaultMaintenancePolicy()
 }
 
 // FeedbackEnabled reports whether the feedback loop is active.
@@ -106,13 +104,4 @@ func (s *System) FeedbackEntries() []feedback.EntrySnapshot {
 		return nil
 	}
 	return s.fb.Entries()
-}
-
-// RunMaintenanceReport applies the system's current maintenance policy once
-// (the feedback-enabled policy after EnableFeedback) and returns the full
-// report, including feedback-triggered refreshes and confirmed drops.
-func (s *System) RunMaintenanceReport() (stats.MaintenanceReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr.RunMaintenance(s.maint)
 }

@@ -1,10 +1,13 @@
 package autostats
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestFeedbackFacade drives the whole loop through the public API: enable
 // feedback, shift skew under the counter threshold, observe the q-error,
-// and watch RunMaintenanceReport fire the feedback refresh.
+// and watch RunMaintenanceCtx fire the feedback refresh.
 func TestFeedbackFacade(t *testing.T) {
 	sys, err := GenerateTPCD(TPCDOptions{Skew: 2, Scale: 0.5})
 	if err != nil {
@@ -41,7 +44,7 @@ func TestFeedbackFacade(t *testing.T) {
 		t.Fatalf("worst entry = %+v, want lineitem with q-error above threshold", e)
 	}
 
-	rep, err := sys.RunMaintenanceReport()
+	rep, err := sys.RunMaintenanceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

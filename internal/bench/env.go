@@ -91,20 +91,6 @@ func (e *Env) ExecuteQueries(w *workload.Workload) (float64, error) {
 	return total, nil
 }
 
-// ExecuteAll runs every statement (queries and DML) and returns the total
-// execution cost.
-func (e *Env) ExecuteAll(w *workload.Workload) (float64, error) {
-	total := 0.0
-	for _, stmt := range w.Statements {
-		res, err := e.Ex.RunStatement(e.Sess, stmt)
-		if err != nil {
-			return 0, err
-		}
-		total += res.Cost
-	}
-	return total, nil
-}
-
 // PctReduction returns (base−new)/base in percent (0 when base is 0).
 func PctReduction(base, new float64) float64 {
 	if base <= 0 {

@@ -142,3 +142,44 @@ func TestAblationShapes(t *testing.T) {
 	}
 	t.Logf("maxdiff exec=%v equidepth exec=%v", rows[0].ExecCost, rows[1].ExecCost)
 }
+
+// TestCostWeightedTuning: the §6 coverage knob must tune fewer queries and
+// create at most as many statistics as the full run, full coverage must tune
+// every query, and a coverage outside (0,1] is an error.
+func TestCostWeightedTuning(t *testing.T) {
+	run := func(coverage float64) (*core.WorkloadResult, int, int, error) {
+		env, err := NewEnv("TPCD_2", 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := env.Workload("U0-C-30", 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, tuned, err := runMNSACostWeighted(env.Sess, w.Queries(), core.DefaultConfig(), coverage)
+		return wr, tuned, len(w.Queries()), err
+	}
+	wrFull, tunedFull, n, err := run(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tunedFull != n {
+		t.Errorf("coverage 1.0 should tune all %d queries, tuned %d", n, tunedFull)
+	}
+	wrHalf, tunedHalf, _, err := run(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tunedHalf >= tunedFull {
+		t.Errorf("coverage 0.5 should tune fewer queries: %d vs %d", tunedHalf, tunedFull)
+	}
+	if len(wrHalf.Created) > len(wrFull.Created) {
+		t.Errorf("coverage 0.5 created more statistics (%d) than full (%d)", len(wrHalf.Created), len(wrFull.Created))
+	}
+	if _, _, _, err := run(0); err == nil {
+		t.Error("coverage 0 should error")
+	}
+	if _, _, _, err := run(1.5); err == nil {
+		t.Error("coverage > 1 should error")
+	}
+}

@@ -285,12 +285,12 @@ func TestShrinkingSetCallBound(t *testing.T) {
 	}
 }
 
-// TestParallelWorkloadInvariants: what the workload driver's aggregate must
+// TestWorkloadInvariants: what the workload driver's aggregate must
 // satisfy whatever the per-query runs did — one result per query, no
 // duplicate creations, every reported creation present in the manager and
 // drawn from the workload's candidate space, and an optimizer call total
 // equal to the per-query sum.
-func TestParallelWorkloadInvariants(t *testing.T) {
+func TestWorkloadInvariants(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	cfg := DefaultConfig()
@@ -337,9 +337,9 @@ func TestParallelWorkloadInvariants(t *testing.T) {
 	}
 }
 
-// TestParallelDropListDelta: drop-list entries that predate the run must not
+// TestWorkloadDropListDelta: drop-list entries that predate the run must not
 // be reported as drop-listed by it.
-func TestParallelDropListDelta(t *testing.T) {
+func TestWorkloadDropListDelta(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	mgr := sess.Manager()

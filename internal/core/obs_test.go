@@ -107,10 +107,10 @@ func (c *countingTracer) Emit(ev obs.Event) {
 	}
 }
 
-// TestParallelTuningWithTracing runs the workload driver with a tracer
+// TestWorkloadTuningWithTracing runs the workload driver with a tracer
 // attached: mnsa.run opens and closes once per query and every span that
 // starts also ends.
-func TestParallelTuningWithTracing(t *testing.T) {
+func TestWorkloadTuningWithTracing(t *testing.T) {
 	db := testDB(t, 2)
 	sess, reg := obsSession(t, db)
 	tr := newCountingTracer()

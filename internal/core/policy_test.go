@@ -279,42 +279,3 @@ func TestExhaustiveIsSupersetOfCandidates(t *testing.T) {
 		}
 	}
 }
-
-// TestCostWeightedTuning: the §6 coverage knob must tune fewer queries and
-// create at most as many statistics as the full run, and full coverage must
-// match RunMNSAWorkload.
-func TestCostWeightedTuning(t *testing.T) {
-	db := testDB(t, 2)
-	sess := newSession(t, db)
-	w, err := workload.Generate(db, workload.Config{Count: 30, Complexity: workload.Complex, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := w.Queries()
-	wrFull, tunedFull, err := RunMNSACostWeighted(sess, queries, DefaultConfig(), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tunedFull != len(queries) {
-		t.Errorf("coverage 1.0 should tune all %d queries, tuned %d", len(queries), tunedFull)
-	}
-
-	db2 := testDB(t, 2)
-	sess2 := newSession(t, db2)
-	wrHalf, tunedHalf, err := RunMNSACostWeighted(sess2, queries, DefaultConfig(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tunedHalf >= tunedFull {
-		t.Errorf("coverage 0.5 should tune fewer queries: %d vs %d", tunedHalf, tunedFull)
-	}
-	if len(wrHalf.Created) > len(wrFull.Created) {
-		t.Errorf("coverage 0.5 created more statistics (%d) than full (%d)", len(wrHalf.Created), len(wrFull.Created))
-	}
-	if _, _, err := RunMNSACostWeighted(sess2, queries, DefaultConfig(), 0); err == nil {
-		t.Error("coverage 0 should error")
-	}
-	if _, _, err := RunMNSACostWeighted(sess2, queries, DefaultConfig(), 1.5); err == nil {
-		t.Error("coverage > 1 should error")
-	}
-}

@@ -18,11 +18,11 @@ func blockUntilCanceled(ctx context.Context, _ string, _ stats.ID) error {
 	return ctx.Err()
 }
 
-// TestParallelCancellationPromptAndClean: canceling a mid-flight workload run
+// TestWorkloadCancellationPromptAndClean: canceling a mid-flight workload run
 // must return promptly with the context's error, leave the manager's
 // accounting and epoch untouched by the aborted build, and leave no goroutine
 // behind.
-func TestParallelCancellationPromptAndClean(t *testing.T) {
+func TestWorkloadCancellationPromptAndClean(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	mgr := sess.Manager()
@@ -68,9 +68,9 @@ func TestParallelCancellationPromptAndClean(t *testing.T) {
 	}
 }
 
-// TestParallelPreCanceled: a context canceled before the call must fail fast
+// TestWorkloadPreCanceled: a context canceled before the call must fail fast
 // without doing any work.
-func TestParallelPreCanceled(t *testing.T) {
+func TestWorkloadPreCanceled(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	ctx, cancel := context.WithCancel(context.Background())

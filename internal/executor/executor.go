@@ -51,9 +51,6 @@ func New(db *storage.Database) *Executor { return &Executor{db: db} }
 // before sharing the executor across goroutines.
 func (ex *Executor) SetFeedback(l *feedback.Ledger) { ex.fb = l }
 
-// FeedbackLedger returns the attached ledger, or nil.
-func (ex *Executor) FeedbackLedger() *feedback.Ledger { return ex.fb }
-
 // Run executes a query plan.
 func (ex *Executor) Run(p *optimizer.Plan) (*Result, error) {
 	var col *feedback.Collector

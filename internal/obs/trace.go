@@ -60,11 +60,6 @@ func (r *Registry) AddTracer(t Tracer) {
 	r.tracers.Store(&next)
 }
 
-// ClearTracers removes every registered tracer.
-func (r *Registry) ClearTracers() {
-	r.tracers.Store(nil)
-}
-
 // Span is an in-flight traced operation. A nil *Span (returned when no tracer
 // is registered) is valid and End on it is a no-op. StartSpan and End take
 // their attributes as a function (nil for none) that is called only when a

@@ -21,23 +21,17 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds the 16-table join limit", len(q.Tables))
 	}
 
-	// Degraded mode bypasses the cache in both directions: a degraded plan
-	// must never be served after statistics recover, and a healthy cached
-	// plan under the same key would mask that this statement's statistics
-	// were unavailable. Re-optimizing each time makes recovery automatic —
-	// the first Optimize after the session's degraded reasons clear produces
-	// (and caches) a healthy plan again.
-	degraded := len(s.degraded) > 0
-
-	// What-if probes — optimizations under an ignored-statistics subset
-	// (MNSA's shrinking-set search) — bypass the cache in both directions
-	// too: their plans reflect a hypothetical statistics configuration no
-	// production statement will ever run under, so inserting them would
-	// pollute the cache with entries that can never be hits, and a tuning
-	// sweep would evict the workload's real plans. They are counted as
-	// bypasses, not misses: the hit rate should measure the production
-	// workload, not the tuner's probes.
-	whatIf := len(s.ignored) > 0
+	// What-if state bypasses the cache in both directions. An ignore buffer
+	// (Shrinking Set, MNSA/D's rescue probes) or selectivity overrides
+	// (MNSA's ε / 1−ε pair) describe a statistics configuration no served
+	// statement runs under: such a plan can never be a hit for the workload,
+	// inserting it would evict plans that can, and counting it as a miss
+	// would make the hit rate measure the tuner instead of the traffic.
+	// Degraded reasons are the same case — the plan stands in for statistics
+	// that could not be built, must not be served once they recover, and a
+	// healthy entry under the same key must not mask it; re-optimizing each
+	// time makes recovery automatic.
+	bypass := len(s.ignored) > 0 || len(s.overrides) > 0 || len(s.degraded) > 0
 
 	// The cache key is parameterized: the statement template plus the
 	// selectivity bucket of each lifted constant (see paramkey.go).
@@ -48,7 +42,7 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	// below) is abandoned rather than risk caching under a torn key.
 	var key planKey
 	cacheable := false
-	if s.cache != nil && !degraded && !whatIf && len(q.Filters) <= maxCachedParams {
+	if s.cache != nil && !bypass && len(q.Filters) <= maxCachedParams {
 		e0 := s.prov.Epoch()
 		tmpl, buckets := s.planParams(q)
 		key = s.cacheKey(tmpl, buckets)
@@ -69,19 +63,12 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	}
 	s.met.optimizations.Inc()
 	s.met.optimizeLatency.Observe(time.Since(start))
-	if degraded {
+	if len(s.degraded) > 0 {
 		p.Degraded = s.DegradedReasons()
 		s.met.degradedPlans.Inc()
-		if s.cache != nil {
-			s.met.cacheBypasses.Inc()
-		}
-		return p, nil
 	}
-	if whatIf {
-		if s.cache != nil {
-			s.met.cacheBypasses.Inc()
-		}
-		return p, nil
+	if bypass && s.cache != nil {
+		s.met.cacheBypasses.Inc()
 	}
 	// Publish only if no statistics, data, or correction mutation raced with
 	// this optimization; a plan built from a torn read must not be cached.

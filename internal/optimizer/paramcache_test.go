@@ -1,13 +1,13 @@
 package optimizer
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
 	"autostats/internal/catalog"
 	"autostats/internal/query"
 	"autostats/internal/sqlparser"
-	"autostats/internal/stats"
 )
 
 // TestPlanCacheParameterizedHit: the tentpole behavior. Statements that share
@@ -179,19 +179,11 @@ func TestPlanCacheFilterCountBypass(t *testing.T) {
 	}
 }
 
-// TestCacheKeyNoAlloc: assembling the cache key from the precomputed
-// template, buckets and knob strings performs zero allocations, even with a
-// populated ignore buffer and override set (satellite: the old key re-sorted
-// and re-joined both maps on every lookup).
+// TestCacheKeyNoAlloc: assembling the cache key from the precomputed template
+// and buckets performs zero allocations — every other field is an atomic read
+// or a plain copy.
 func TestCacheKeyNoAlloc(t *testing.T) {
 	sess, _ := cachedSession(t, 8)
-	if err := sess.IgnoreStatisticsSubset("", []stats.ID{
-		stats.MakeID("orders", []string{"o_orderdate"}),
-		stats.MakeID("orders", []string{"o_totalprice"}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sess.SetSelectivityOverrides(map[int]float64{0: 0.25, 3: 0.001})
 	q := dateQuery(10400)
 	tmpl, buckets := sess.planParams(q)
 	if n := testing.AllocsPerRun(200, func() {
@@ -202,102 +194,144 @@ func TestCacheKeyNoAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheKey(b *testing.B) {
-	sess, _ := cachedSession(b, 8)
-	sess.SetSelectivityOverrides(map[int]float64{0: 0.25, 3: 0.001})
-	q := dateQuery(10400)
-	tmpl, buckets := sess.planParams(q)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := sess.cacheKey(tmpl, buckets)
-		_ = key
-	}
-}
-
-// TestPlanCacheShardedAggregation: a capacity large enough to shard still
-// reports exact totals through Stats/Len/Keys, and Clear empties every shard.
-func TestPlanCacheShardedAggregation(t *testing.T) {
-	sess, c := cachedSession(t, 64)
-	if got := c.Stats().Shards; got != defaultPlanCacheShards {
-		t.Fatalf("shards = %d, want %d", got, defaultPlanCacheShards)
-	}
-	// Constants are lifted out of the key, so distinct entries need distinct
-	// statement shapes: vary the operator, the filtered column and the
-	// projection to spread 16 templates over the shards.
+// distinctTemplates returns sixteen single-filter statements on orders with
+// pairwise different templates: constants are lifted out of the key, so
+// distinct entries need distinct shapes — the operator, the filtered column
+// and the projection vary.
+func distinctTemplates() []*query.Select {
 	ops := []query.CmpOp{query.Gt, query.Ge, query.Lt, query.Le}
-	const n = 16
-	for i := 0; i < n; i++ {
+	out := make([]*query.Select, 16)
+	for i := range out {
 		var f query.Filter
 		if i%2 == 0 {
 			f = query.Filter{Col: col("orders", "o_totalprice"), Op: ops[i/2%4], Val: catalog.NewFloat(1000)}
 		} else {
 			f = query.Filter{Col: col("orders", "o_custkey"), Op: ops[i/2%4], Val: catalog.NewInt(50)}
 		}
-		q := mkSelect([]string{"orders"}, []query.Filter{f}, nil, nil)
+		out[i] = mkSelect([]string{"orders"}, []query.Filter{f}, nil, nil)
 		if i >= 8 {
-			q.Projection = []query.ColumnRef{col("orders", "o_custkey")}
-		}
-		if _, err := sess.Optimize(q); err != nil {
-			t.Fatal(err)
+			out[i].Projection = []query.ColumnRef{col("orders", "o_custkey")}
 		}
 	}
-	st := c.Stats()
-	if st.Size != c.Len() {
-		t.Errorf("Stats().Size=%d disagrees with Len()=%d", st.Size, c.Len())
-	}
-	if keys := c.Keys(); len(keys) != st.Size {
-		t.Errorf("Keys() length %d, want %d", len(keys), st.Size)
-	}
-	c.Clear()
-	if c.Len() != 0 || len(c.Keys()) != 0 {
-		t.Error("Clear must empty every shard")
-	}
-	if got := c.Stats(); got.Hits != st.Hits || got.Misses != st.Misses {
-		t.Error("Clear must preserve counters")
-	}
+	return out
 }
 
-// TestPlanCacheShardedChurn: concurrent cached optimization across clones
-// while another goroutine drains Stats/Keys/Len. Bar: -race clean, and every
-// Keys snapshot internally consistent (entry count never exceeds capacity).
-func TestPlanCacheShardedChurn(t *testing.T) {
-	proto, c := cachedSession(t, 64)
-	queries := make([]*query.Select, 8)
-	for i := range queries {
-		queries[i] = mkSelect([]string{"orders"},
-			[]query.Filter{{Col: col("orders", "o_totalprice"), Op: query.Gt, Val: catalog.NewFloat(float64(50 * i))}},
-			nil, nil)
-		if i%2 == 0 {
-			queries[i].Projection = []query.ColumnRef{col("orders", "o_custkey")}
-		}
-	}
+// TestPlanCacheConcurrentExactCounts is the -race test of the single lock:
+// eight cloned sessions optimize sixteen templates through a capacity-8 cache
+// (so lookups, inserts and evictions all interleave) while each also drains
+// Stats / Keys / Len. Every snapshot must respect the capacity, and at the
+// end the counters must be exact: one lookup per Optimize, one eviction per
+// insert beyond capacity, Stats / Len / Keys in agreement, and Clear dropping
+// the entries but not the counters.
+func TestPlanCacheConcurrentExactCounts(t *testing.T) {
+	const (
+		workers  = 8
+		perW     = 120
+		capacity = 8
+	)
+	proto, c := cachedSession(t, capacity)
+	queries := distinctTemplates()
+	const evictionMetric = "optimizer.plancache.evictions"
+	evictionsBefore := proto.Obs().Snapshot().Counters[evictionMetric]
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			sess := proto.Clone()
-			for i := 0; i < 60; i++ {
-				if _, err := sess.Optimize(queries[(w+i)%len(queries)]); err != nil {
+			for i := 0; i < perW; i++ {
+				if _, err := sess.Optimize(queries[(w*3+i)%len(queries)]); err != nil {
 					t.Errorf("optimize: %v", err)
+					return
+				}
+				if i%8 != 0 {
+					continue
+				}
+				if st := c.Stats(); st.Size > st.Capacity || st.Capacity != capacity {
+					t.Errorf("snapshot over capacity: %+v", st)
+					return
+				}
+				if n := len(c.Keys()); n > capacity {
+					t.Errorf("Keys snapshot has %d entries, capacity %d", n, capacity)
+					return
+				}
+				if n := c.Len(); n > capacity {
+					t.Errorf("Len = %d, capacity %d", n, capacity)
 					return
 				}
 			}
 		}(w)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			if got := len(c.Keys()); got > 64 {
-				t.Errorf("Keys snapshot has %d entries, capacity 64", got)
-				return
-			}
-			_ = c.Stats()
-			_ = c.Len()
-		}
-	}()
 	wg.Wait()
-	<-done
+
+	st := c.Stats()
+	if st.Hits+st.Misses != workers*perW {
+		t.Errorf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, workers*perW)
+	}
+	if st.Size != capacity || st.Size != c.Len() || len(c.Keys()) != st.Size {
+		t.Errorf("Size=%d Len=%d len(Keys)=%d, want all %d", st.Size, c.Len(), len(c.Keys()), capacity)
+	}
+	// Two sessions can miss on one key and both publish; the second put
+	// replaces in place, so inserts <= misses and every insert past the
+	// capacity evicted exactly one entry.
+	if st.Evictions == 0 || st.Evictions > st.Misses-capacity {
+		t.Errorf("evictions = %d with %d misses at capacity %d", st.Evictions, st.Misses, capacity)
+	}
+	if got := proto.Obs().Snapshot().Counters[evictionMetric] - evictionsBefore; uint64(got) != st.Evictions {
+		t.Errorf("session metric saw %d evictions, cache %d", got, st.Evictions)
+	}
+	c.Clear()
+	if c.Len() != 0 || len(c.Keys()) != 0 {
+		t.Error("Clear must drop every entry")
+	}
+	if got := c.Stats(); got.Hits != st.Hits || got.Misses != st.Misses || got.Evictions != st.Evictions {
+		t.Error("Clear must preserve counters")
+	}
+}
+
+// TestPlanCacheExactLRUAtDefaultCapacity: one recency list means the victim
+// is the globally least recently used entry at every size, the facade's
+// default 1 024 included (eight hashed shards evicted per shard, so which
+// entry went depended on where its template hashed).
+func TestPlanCacheExactLRUAtDefaultCapacity(t *testing.T) {
+	const capacity = 1024
+	sess, c := cachedSession(t, capacity)
+	q := dateQuery(10400)
+	p, err := sess.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Clear()
+	key := func(i int) planKey { return planKey{template: "t" + strconv.Itoa(i)} }
+	for i := 0; i < capacity; i++ {
+		if c.put(key(i), p) {
+			t.Fatalf("insert %d evicted below capacity", i)
+		}
+	}
+	// Touch the even entries in order: recency is now odds ascending (oldest
+	// first), then evens ascending.
+	var victims []int
+	for i := 1; i < capacity; i += 2 {
+		victims = append(victims, i)
+	}
+	for i := 0; i < capacity; i += 2 {
+		if _, ok := c.get(key(i), q); !ok {
+			t.Fatalf("entry %d missing before any eviction", i)
+		}
+		victims = append(victims, i)
+	}
+	for n, victim := range victims {
+		if _, ok := c.entries[key(victim)]; !ok {
+			t.Fatalf("entry %d evicted early (before insert %d)", victim, n)
+		}
+		if !c.put(key(capacity+n), p) {
+			t.Fatalf("insert %d at capacity evicted nothing", n)
+		}
+		if _, ok := c.entries[key(victim)]; ok {
+			t.Fatalf("insert %d did not evict the least recently used entry %d", n, victim)
+		}
+	}
+	if st := c.Stats(); st.Size != capacity || st.Evictions != capacity {
+		t.Errorf("after replacing every entry: %+v", st)
+	}
 }

@@ -28,17 +28,15 @@ import (
 // buckets only need to quantize the raw histogram estimate.
 
 // filterBucket quantizes the selectivity estimate for one filter constant.
-// The probe mirrors filterSel's statistics path: the first visible (non-
-// ignored) statistic whose leading column matches estimates the predicate
-// through its histogram. With no visible statistic the estimate falls back
-// to an override or magic number, neither of which depends on the constant,
-// so all such constants share the bucketMissing sentinel.
+// The probe mirrors filterSel's statistics path: the first statistic whose
+// leading column matches estimates the predicate through its histogram (the
+// cache is only consulted with an empty ignore buffer, so every statistic is
+// visible). With no statistic the estimate falls back to a magic number,
+// which does not depend on the constant, so all such constants share the
+// bucketMissing sentinel.
 func (s *Session) filterBucket(f query.Filter) int8 {
-	for _, st := range s.prov.StatsForColumn(f.Col.Table, f.Col.Column) {
-		if s.ignored[st.ID] {
-			continue
-		}
-		return quantizeSel(clampSel(histogramOpSel(st.Data.Leading, f.Op, f.Val)))
+	if sts := s.prov.StatsForColumn(f.Col.Table, f.Col.Column); len(sts) > 0 {
+		return quantizeSel(clampSel(histogramOpSel(sts[0].Data.Leading, f.Op, f.Val)))
 	}
 	return bucketMissing
 }
@@ -61,8 +59,9 @@ func quantizeSel(sel float64) int8 {
 
 // planParams returns the statement template and the bucket vector for q.
 // The template render is memoized per query pointer: sessions are single-
-// goroutine, and both the MNSA probe loop (same query, varying overrides)
-// and plain re-execution optimize the same *Select repeatedly.
+// goroutine, and both the MNSA loop (one default-magic re-optimization per
+// statistic built) and plain re-execution optimize the same *Select
+// repeatedly.
 func (s *Session) planParams(q *query.Select) (string, [maxCachedParams]int8) {
 	if s.tmplQ != q {
 		s.tmplStr = q.Template()

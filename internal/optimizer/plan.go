@@ -176,9 +176,6 @@ type Plan struct {
 	Degraded []string
 }
 
-// IsDegraded reports whether the plan was produced in degraded mode.
-func (p *Plan) IsDegraded() bool { return len(p.Degraded) > 0 }
-
 // Cost returns the estimated cost of the whole plan.
 func (p *Plan) Cost() float64 { return p.Root.Cost }
 

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"container/list"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,10 +15,10 @@ import (
 // keeps planKey comparable and the lookup path allocation-free.
 const maxCachedParams = 16
 
-// bucketMissing marks a lifted constant whose predicate has no visible
-// statistic: its selectivity comes from an override or magic number, neither
-// of which depends on the constant's value, so every such constant shares one
-// bucket (the override string and magic numbers are separate key fields).
+// bucketMissing marks a lifted constant whose predicate has no statistic: its
+// selectivity is a magic number, which does not depend on the constant's
+// value, so every such constant shares one bucket (the magic numbers are a
+// separate key field).
 const bucketMissing = int8(127)
 
 // planKey identifies a cached plan. Two optimizations may share a plan only
@@ -27,9 +26,11 @@ const bucketMissing = int8(127)
 // the statement template (the canonical SQL print with comparison constants
 // replaced by '?'), the per-constant selectivity buckets, the statistics
 // epoch (bumped by every create/drop/refresh/drop-list change), the storage
-// data version (bumped by every DML row change), the magic numbers, the
+// data version (bumped by every DML row change), the magic numbers, and the
 // feedback-correction version (bumped when a learned correction materially
-// changes), and the session's ignore buffer and selectivity overrides.
+// changes). A session's what-if state — ignore buffer, selectivity overrides,
+// degraded reasons — is deliberately not in the key: Session.Optimize never
+// looks up or publishes while any of it is set.
 //
 // The bucket vector is what makes constant lifting safe: a constant whose
 // estimated selectivity lands in a different power-of-two regime gets a
@@ -43,19 +44,15 @@ type planKey struct {
 	dataVersion int64
 	fbver       uint64
 	magic       MagicNumbers
-	ignored     string // sorted statistic IDs, comma-joined
-	overrides   string // sorted "var=sel" pairs, comma-joined
 }
 
-// PlanCacheStats is a point-in-time snapshot of cache effectiveness counters
-// aggregated across all shards.
+// PlanCacheStats is a point-in-time snapshot of cache effectiveness counters.
 type PlanCacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 	Size      int
 	Capacity  int
-	Shards    int
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -67,33 +64,22 @@ func (s PlanCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// defaultPlanCacheShards is the shard count for caches large enough to split.
-// Eight single-mutex LRUs keep lock hold times short at parallelism >= 4
-// without fragmenting small caches; capacities below the shard count use one
-// shard so tiny (test-sized) caches keep exact global LRU semantics.
-const defaultPlanCacheShards = 8
-
-// PlanCache is a concurrency-safe, sharded LRU cache of optimized plans. It
-// is shared by all sessions cloned from one System: the key embeds every
-// per-session knob (magic numbers, ignore buffer, overrides), so sessions
-// with different settings never collide, while workers running the same
-// workload share hits. Keys hash to shards by statement template; each shard
-// has its own lock and LRU list, so concurrent lookups of different
-// templates never contend.
+// PlanCache is a concurrency-safe LRU cache of optimized plans: one mutex over
+// one map and one recency list, so capacity and eviction order are exact at
+// every size. It is shared by all sessions cloned from one System: the key
+// embeds the magic numbers, so sessions with different settings never
+// collide, while workers running the same workload share hits. The lock
+// covers a map lookup and a list splice — rebinding a hit to new constants
+// happens outside it — and 8 goroutines hammering 30 cached statements on two
+// CPUs measured no faster through 8 hashed shards than through this one lock.
 //
 // Plans are treated as immutable once published; callers must not mutate a
 // Plan returned from the cache. A hit whose constants differ from the entry's
 // returns a rebound copy (see rebindPlan), never the entry itself with stale
 // literals.
 type PlanCache struct {
-	capacity int // total, summed over shards
-	perShard int
-	shards   []planShard
-}
+	capacity int
 
-// planShard is one independently locked LRU. Counters live under the same
-// mutex as the list so per-shard snapshots are internally consistent.
-type planShard struct {
 	mu        sync.Mutex
 	order     *list.List                // front = most recently used
 	entries   map[planKey]*list.Element // element value is *cacheEntry
@@ -117,56 +103,11 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	n := defaultPlanCacheShards
-	if capacity < n {
-		n = 1
-	}
-	c := &PlanCache{
+	return &PlanCache{
 		capacity: capacity,
-		perShard: (capacity + n - 1) / n,
-		shards:   make([]planShard, n),
+		order:    list.New(),
+		entries:  make(map[planKey]*list.Element, capacity),
 	}
-	for i := range c.shards {
-		c.shards[i].order = list.New()
-		c.shards[i].entries = make(map[planKey]*list.Element, c.perShard)
-	}
-	return c
-}
-
-// shard maps a key to its shard (FNV-1a over the state-independent key
-// fields, inlined so the lookup path does not allocate). The hash covers the
-// template, buckets, knob strings and magic numbers but deliberately skips
-// epoch/dataVersion/fbver: those change on every invalidation, and keeping
-// them out means one logical statement stays on one shard across refreshes
-// (its stale predecessors age out of that same shard's LRU).
-func (c *PlanCache) shard(key planKey) *planShard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	h := uint64(14695981039346656037)
-	step := func(b byte) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for i := 0; i < len(key.template); i++ {
-		step(key.template[i])
-	}
-	for _, b := range key.buckets {
-		step(byte(b))
-	}
-	for i := 0; i < len(key.ignored); i++ {
-		step(key.ignored[i])
-	}
-	for i := 0; i < len(key.overrides); i++ {
-		step(key.overrides[i])
-	}
-	for _, f := range [...]float64{key.magic.Eq, key.magic.Range, key.magic.Ne, key.magic.Join, key.magic.GroupFrac} {
-		bits := math.Float64bits(f)
-		for s := 0; s < 64; s += 8 {
-			step(byte(bits >> s))
-		}
-	}
-	return &c.shards[h%uint64(len(c.shards))]
 }
 
 // get returns the plan cached under key, if present, and marks it recently
@@ -177,19 +118,18 @@ func (c *PlanCache) get(key planKey, q *query.Select) (*Plan, bool) {
 	if c == nil {
 		return nil, false
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
+	c.mu.Lock()
+	el, ok := c.entries[key]
 	if !ok {
-		sh.misses++
-		sh.mu.Unlock()
+		c.misses++
+		c.mu.Unlock()
 		return nil, false
 	}
-	sh.hits++
-	sh.order.MoveToFront(el)
+	c.hits++
+	c.order.MoveToFront(el)
 	p := el.Value.(*cacheEntry).plan
-	sh.mu.Unlock()
-	// Rebinding happens outside the shard lock: entries are immutable once
+	c.mu.Unlock()
+	// Rebinding happens outside the lock: entries are immutable once
 	// published, so only the (cheap) hit bookkeeping needs the mutex.
 	if sameConstants(p.Query, q) {
 		return p, true
@@ -197,54 +137,48 @@ func (c *PlanCache) get(key planKey, q *query.Select) (*Plan, bool) {
 	return rebindPlan(p, q), true
 }
 
-// put stores a plan under key, evicting the shard's least recently used
-// entry when the shard is full. Reports whether an entry was evicted, so
-// callers can mirror the eviction to their own metrics.
+// put stores a plan under key, evicting the least recently used entry when
+// the cache is full. Reports whether an entry was evicted, so callers can
+// mirror the eviction to their own metrics.
 func (c *PlanCache) put(key planKey, p *Plan) bool {
 	if c == nil {
 		return false
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).plan = p
-		sh.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return false
 	}
 	evicted := false
-	if sh.order.Len() >= c.perShard {
-		oldest := sh.order.Back()
-		if oldest != nil {
-			sh.order.Remove(oldest)
-			delete(sh.entries, oldest.Value.(*cacheEntry).key)
-			sh.evictions++
-			evicted = true
-		}
+	if c.order.Len() >= c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions++
+		evicted = true
 	}
-	sh.entries[key] = sh.order.PushFront(&cacheEntry{key: key, plan: p})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, plan: p})
 	return evicted
 }
 
-// Stats returns a snapshot of the cache counters summed across shards. Each
-// shard is snapshotted under its own lock, so the total is a sum of
-// internally consistent per-shard views (lookups racing the aggregation may
-// land in either side of the sum, never in both). Safe on a nil cache.
+// Stats returns a snapshot of the cache counters, taken under the lock and so
+// consistent with one another: Hits + Misses is exactly the number of lookups
+// that completed before it. Safe on a nil cache.
 func (c *PlanCache) Stats() PlanCacheStats {
 	if c == nil {
 		return PlanCacheStats{}
 	}
-	st := PlanCacheStats{Capacity: c.capacity, Shards: len(c.shards)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Size += sh.order.Len()
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PlanCacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Size:      c.order.Len(),
+		Capacity:  c.capacity,
 	}
-	return st
 }
 
 // Len returns the number of cached plans. Safe on a nil cache.
@@ -252,14 +186,9 @@ func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // CachedPlanKey describes one cache entry for inspection: the key fields
@@ -275,42 +204,35 @@ type CachedPlanKey struct {
 	Epoch           uint64
 	DataVersion     int64
 	FeedbackVersion uint64
-	Ignored         string
-	Overrides       string
 	Signature       string
 	Cost            float64
 }
 
-// Keys returns a snapshot of every cached entry, MRU-first within each
-// shard. Each shard is snapshotted atomically under its lock; entries are
-// immutable once published, so any entry that appears is exactly what some
-// lookup could have been served. It is an introspection hook for correctness
-// harnesses ("no cached plan may carry the current epoch yet a stale
-// signature"); production code has no reason to call it. Safe on a nil cache.
+// Keys returns a snapshot of every cached entry, most recently used first,
+// taken atomically under the lock; entries are immutable once published, so
+// any entry that appears is exactly what some lookup could have been served.
+// It is an introspection hook for correctness harnesses ("no cached plan may
+// carry the current epoch yet a stale signature"); production code has no
+// reason to call it. Safe on a nil cache.
 func (c *PlanCache) Keys() []CachedPlanKey {
 	if c == nil {
 		return nil
 	}
-	var out []CachedPlanKey
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, CachedPlanKey{
-				SQL:             e.plan.Query.SQL(),
-				Template:        e.key.template,
-				Buckets:         formatBuckets(e.key.buckets, len(e.plan.Query.Filters)),
-				Epoch:           e.key.epoch,
-				DataVersion:     e.key.dataVersion,
-				FeedbackVersion: e.key.fbver,
-				Ignored:         e.key.ignored,
-				Overrides:       e.key.overrides,
-				Signature:       e.plan.Signature(),
-				Cost:            e.plan.Cost(),
-			})
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]CachedPlanKey, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		out = append(out, CachedPlanKey{
+			SQL:             e.plan.Query.SQL(),
+			Template:        e.key.template,
+			Buckets:         formatBuckets(e.key.buckets, len(e.plan.Query.Filters)),
+			Epoch:           e.key.epoch,
+			DataVersion:     e.key.dataVersion,
+			FeedbackVersion: e.key.fbver,
+			Signature:       e.plan.Signature(),
+			Cost:            e.plan.Cost(),
+		})
 	}
 	return out
 }
@@ -339,20 +261,15 @@ func (c *PlanCache) Clear() {
 	if c == nil {
 		return
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.order.Init()
-		sh.entries = make(map[planKey]*list.Element, c.perShard)
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	c.entries = make(map[planKey]*list.Element, c.capacity)
 }
 
 // cacheKey assembles the planKey for the session's current state from the
-// precomputed template and bucket vector. Every field is either an atomic
-// provider read or a string precomputed when the session mutated (ignored,
-// overrides) — the function performs no allocation, sorting or joining; see
-// BenchmarkCacheKey.
+// precomputed template and bucket vector. Every other field is an atomic
+// provider read or a plain copy, so the function does not allocate.
 func (s *Session) cacheKey(template string, buckets [maxCachedParams]int8) planKey {
 	return planKey{
 		template:    template,
@@ -361,7 +278,5 @@ func (s *Session) cacheKey(template string, buckets [maxCachedParams]int8) planK
 		dataVersion: s.prov.Database().DataVersion(),
 		fbver:       s.corrVersion(),
 		magic:       s.Magic,
-		ignored:     s.ignoredKey,
-		overrides:   s.overridesKey,
 	}
 }

@@ -99,11 +99,17 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 	}
 	q := dateQuery(10400)
 	p1, _ := sess.Optimize(q)
-	// A non-empty ignore buffer marks the session as running what-if probes:
-	// those optimizations bypass the cache entirely — no lookup, no insert —
-	// so hypothetical-configuration plans can never pollute the production
-	// cache (they surface as bypasses, not misses).
+	// What-if state — selectivity overrides, an ignore buffer, or both —
+	// marks the session as running tuner probes: those optimizations bypass
+	// the cache entirely, no lookup and no insert, so hypothetical-
+	// configuration plans can never pollute the production cache (they
+	// surface as bypasses, not misses).
 	bypassBefore := sess.Obs().Snapshot().Counters["degraded.plancache_bypasses"]
+	sess.SetSelectivityOverrides(map[int]float64{q.Filters[0].VarID: 0.0005})
+	if p, _ := sess.Optimize(q); p == p1 {
+		t.Error("a pinned-selectivity probe must not be served from the cache")
+	}
+	sess.ClearOverrides()
 	if err := sess.IgnoreStatisticsSubset("", []stats.ID{id.ID}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +118,19 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 		t.Error("ignoring the statistic must not serve the cached production plan")
 	}
 	// Overrides bite under the ignored statistic and must change the probe's
-	// plan content, even though neither probe touches the cache.
+	// plan content, even though no probe touches the cache.
 	sess.SetSelectivityOverrides(map[int]float64{q.Filters[0].VarID: 0.0005})
 	p3, _ := sess.Optimize(q)
 	if p3.Signature() == p2.Signature() {
 		t.Error("selectivity override should change the what-if plan")
 	}
 	st := c.Stats()
-	if st.Size != 1 || st.Misses != 1 {
+	if st.Size != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("what-if probes must not touch the cache: %+v", st)
 	}
 	bypasses := sess.Obs().Snapshot().Counters["degraded.plancache_bypasses"] - bypassBefore
-	if bypasses != 2 {
-		t.Errorf("plancache_bypasses = %d, want 2 (one per ignored-set probe)", bypasses)
+	if bypasses != 3 {
+		t.Errorf("plancache_bypasses = %d, want 3 (one per probe)", bypasses)
 	}
 	sess.ClearOverrides()
 	sess.ClearIgnored()
@@ -149,8 +155,7 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	// Distinct templates: with parameterized keys, dateQuery variants that
 	// differ only in their constant share one entry, so eviction needs
-	// statements whose shapes differ. Capacity 2 uses a single shard, making
-	// the LRU order exact and global.
+	// statements whose shapes differ.
 	sess, c := cachedSession(t, 2)
 	q1 := dateQuery(10000)
 	q2 := mkSelect([]string{"orders"},

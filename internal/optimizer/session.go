@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"autostats/internal/obs"
 	"autostats/internal/query"
@@ -31,23 +30,20 @@ type Session struct {
 	prov  stats.Provider
 	Magic MagicNumbers
 
+	// ignored and overrides are the what-if buffers. While either is
+	// non-empty Optimize bypasses the plan cache in both directions, which is
+	// why neither is part of the cache key.
 	ignored   map[stats.ID]bool
 	overrides map[int]float64
-	// ignoredKey / overridesKey are the canonical string renderings of the
-	// two buffers above, recomputed when the buffers mutate so the plan-cache
-	// key assembly on the per-statement lookup path never sorts, joins or
-	// allocates (see Session.cacheKey and BenchmarkCacheKey).
-	ignoredKey   string
-	overridesKey string
 	// tmplQ / tmplStr memoize the last statement template render: sessions
-	// are single-goroutine and the MNSA probe loop re-optimizes the same
-	// *Select many times with varying overrides.
+	// are single-goroutine and the MNSA loop re-optimizes the same *Select
+	// under default magic numbers once per statistic it builds.
 	tmplQ   *query.Select
 	tmplStr string
 	// degraded collects the reasons statistics could not be provided for
 	// the statement being processed (set by the resilience-aware MNSA
 	// driver, cleared per statement). While non-empty, Optimize tags plans
-	// Degraded and bypasses the plan cache in both directions.
+	// Degraded and bypasses the plan cache like any other what-if state.
 	degraded map[string]bool
 	cache    *PlanCache
 	corr     CorrectionSource
@@ -111,15 +107,13 @@ func (s *Session) SetStatsProvider(p stats.Provider) {
 	s.prov = p
 }
 
-// StatsProvider returns the view the session's reads currently go through.
-func (s *Session) StatsProvider() stats.Provider { return s.prov }
-
 // Obs returns the registry the session's optimizer metrics go to (the
 // manager's registry at session creation time).
 func (s *Session) Obs() *obs.Registry { return s.met.reg }
 
 // SetPlanCache attaches a plan cache (nil detaches). Shared caches are safe:
-// the cache key embeds every session-specific optimizer input.
+// the cache key embeds the magic numbers, and a session holding what-if state
+// (ignore buffer, overrides, degraded reasons) does not touch the cache.
 func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
 
 // PlanCache returns the attached plan cache, or nil.
@@ -156,14 +150,12 @@ func (s *Session) IgnoreStatisticsSubset(dbID string, ids []stats.ID) error {
 	for _, id := range ids {
 		s.ignored[id] = true
 	}
-	s.ignoredKey = renderIgnoredKey(s.ignored)
 	return nil
 }
 
 // ClearIgnored empties the ignore buffer.
 func (s *Session) ClearIgnored() {
 	s.ignored = make(map[stats.ID]bool)
-	s.ignoredKey = ""
 }
 
 // Ignored reports whether the statistic is currently ignored.
@@ -179,45 +171,11 @@ func (s *Session) SetSelectivityOverrides(ov map[int]float64) {
 	for k, v := range ov {
 		s.overrides[k] = v
 	}
-	s.overridesKey = renderOverridesKey(s.overrides)
 }
 
 // ClearOverrides removes all selectivity overrides.
 func (s *Session) ClearOverrides() {
 	s.overrides = make(map[int]float64)
-	s.overridesKey = ""
-}
-
-// renderIgnoredKey canonicalizes the ignore buffer for the plan-cache key:
-// sorted statistic IDs, comma-joined. Computed on mutation, not lookup.
-func renderIgnoredKey(ignored map[stats.ID]bool) string {
-	if len(ignored) == 0 {
-		return ""
-	}
-	ids := make([]string, 0, len(ignored))
-	for id := range ignored {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ",")
-}
-
-// renderOverridesKey canonicalizes the override buffer for the plan-cache
-// key: sorted "var=sel" pairs, comma-joined. Computed on mutation, not lookup.
-func renderOverridesKey(overrides map[int]float64) string {
-	if len(overrides) == 0 {
-		return ""
-	}
-	vars := make([]int, 0, len(overrides))
-	for v := range overrides {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = fmt.Sprintf("%d=%g", v, overrides[v])
-	}
-	return strings.Join(parts, ",")
 }
 
 // MarkDegraded records one reason the current statement is planned in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"autostats/internal/stats"
 	"autostats/internal/storage"
@@ -55,13 +54,6 @@ func (p *FaultyProvider) FreezeEpoch() uint64 {
 	defer p.mu.Unlock()
 	p.frozen, p.frozenEpoch = true, e
 	return e
-}
-
-// Thaw restores honest epoch reporting.
-func (p *FaultyProvider) Thaw() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.frozen = false
 }
 
 // TearAfter arms a one-shot callback fired in the middle of the n-th
@@ -169,34 +161,5 @@ func FlakyFailpoint(mgr *stats.Manager, n int) (fired func() int) {
 		mu.Lock()
 		defer mu.Unlock()
 		return count
-	}
-}
-
-// SlowFailpoint installs a latency-injecting failpoint: every build/refresh
-// stalls for d before proceeding, honoring the operation's context — a
-// deadline shorter than d aborts the build with the context's error and no
-// state mutated. It models a hung or overloaded build path, the scenario
-// per-build timeouts and degraded-mode planning exist for. Returns a
-// function reporting how many delays were cut short by cancellation.
-func SlowFailpoint(mgr *stats.Manager, d time.Duration) (timedOut func() int) {
-	var mu sync.Mutex
-	cut := 0
-	mgr.SetFailpoint(func(ctx context.Context, _ string, _ stats.ID) error {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return nil
-		case <-ctx.Done():
-			mu.Lock()
-			cut++
-			mu.Unlock()
-			return ctx.Err()
-		}
-	})
-	return func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return cut
 	}
 }

@@ -301,7 +301,7 @@ func assertNoPoisonedEntries(t *testing.T, h *Harness, cache *optimizer.PlanCach
 	dv := h.DB.DataVersion()
 	fresh := optimizer.NewSession(h.Mgr)
 	for _, k := range cache.Keys() {
-		if k.Epoch != epoch || k.DataVersion != dv || k.Ignored != "" || k.Overrides != "" {
+		if k.Epoch != epoch || k.DataVersion != dv {
 			continue
 		}
 		q, err := sqlparser.ParseSelect(h.DB.Schema, k.SQL)

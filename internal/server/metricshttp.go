@@ -85,9 +85,3 @@ func ServeOps(addr string, reg *obs.Registry, ready func() bool) (string, func()
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Close, nil
 }
-
-// ServeMetrics is ServeOps without a readiness gate (/readyz always 200) —
-// kept for callers that only want the registry.
-func ServeMetrics(addr string, reg *obs.Registry) (string, func() error, error) {
-	return ServeOps(addr, reg, nil)
-}

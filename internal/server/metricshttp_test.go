@@ -79,7 +79,7 @@ func TestMetricsHandlerMethodNotAllowed(t *testing.T) {
 }
 
 func TestServeMetricsEndToEnd(t *testing.T) {
-	addr, stop, err := ServeMetrics("127.0.0.1:0", metricsRegistry())
+	addr, stop, err := ServeOps("127.0.0.1:0", metricsRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

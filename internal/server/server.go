@@ -321,7 +321,6 @@ func (s *Server) PlanCacheStats() optimizer.PlanCacheStats {
 		agg.Evictions += st.Evictions
 		agg.Size += st.Size
 		agg.Capacity += st.Capacity
-		agg.Shards += st.Shards
 	})
 	return agg
 }

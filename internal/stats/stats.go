@@ -323,9 +323,6 @@ func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
 // policy drivers) and returns the new time.
 func (m *Manager) Tick() int64 { return m.clock.Add(1) }
 
-// Clock returns the current logical time.
-func (m *Manager) Clock() int64 { return m.clock.Load() }
-
 // Get returns the statistic with the given ID, or nil.
 func (m *Manager) Get(id ID) *Statistic {
 	sh := m.shardFor(id.Table())

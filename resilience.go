@@ -67,15 +67,6 @@ func (s *System) EnableResilience(opts ResilienceOptions) {
 	s.auto.Guard = g
 }
 
-// DisableResilience detaches the resilience layer; statistics failures abort
-// operations again, as before EnableResilience.
-func (s *System) DisableResilience() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.guard = nil
-	s.auto.Guard = nil
-}
-
 // ResilienceEnabled reports whether the resilience layer is active.
 func (s *System) ResilienceEnabled() bool { return s.guard != nil }
 
@@ -88,15 +79,17 @@ func (s *System) BreakerStates() []resilience.TableState {
 	return s.guard.Breakers().States()
 }
 
-// RunMaintenanceCtx applies the current maintenance policy once, honoring
-// cancellation between tables and statistics. With resilience enabled the
-// pass skips open-breaker tables and tolerates per-table failures (recorded
-// in the report) instead of aborting.
+// RunMaintenanceCtx applies the current maintenance policy once (the
+// feedback-enabled one after EnableFeedback), honoring cancellation between
+// tables and statistics, and returns the full report, feedback-triggered
+// refreshes and confirmed drops included. With resilience enabled the pass
+// skips open-breaker tables and tolerates per-table failures (recorded in the
+// report) instead of aborting.
 func (s *System) RunMaintenanceCtx(ctx context.Context) (stats.MaintenanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.guard != nil {
-		return s.guard.MaintainCtx(ctx, s.maint)
+		return s.guard.MaintainCtx(ctx, s.auto.Policy)
 	}
-	return s.mgr.RunMaintenanceCtx(ctx, s.maint)
+	return s.mgr.RunMaintenanceCtx(ctx, s.auto.Policy)
 }

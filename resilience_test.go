@@ -164,3 +164,69 @@ func TestTuneDegradedReport(t *testing.T) {
 		t.Errorf("canceled tune: err = %v, want context.Canceled", err)
 	}
 }
+
+// TestMaintenanceSkipsOpenBreakerTables: with resilience on and a table's
+// breaker open, every maintenance entry point — RunMaintenanceCtx,
+// RunMaintenance, and the on-the-fly policy's periodic pass — goes through the
+// Guard: the table is reported skipped, its failing build path is not
+// touched again, and no error comes back. (RunMaintenanceReport, a fourth
+// entry point, called the manager directly and aborted here; it is gone.)
+func TestMaintenanceSkipsOpenBreakerTables(t *testing.T) {
+	sys := testSystem(t)
+	if err := sys.CreateStatistic("lineitem", "l_quantity"); err != nil {
+		t.Fatal(err)
+	}
+	sys.EnableResilience(ResilienceOptions{
+		Retries:          -1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	// Push lineitem's row-modification counter past the refresh threshold.
+	if res, err := sys.Exec("UPDATE lineitem SET l_quantity = 7 WHERE l_quantity > 0"); err != nil || res.Affected == 0 {
+		t.Fatalf("update: affected=%v err=%v", res, err)
+	}
+	attempts := 0
+	sys.mgr.SetFailpoint(func(context.Context, string, stats.ID) error {
+		attempts++
+		return errors.New("stats store down")
+	})
+	ctx := context.Background()
+
+	// The first pass meets the failure, tolerates it and trips the breaker.
+	rep, err := sys.RunMaintenanceCtx(ctx)
+	if err != nil {
+		t.Fatalf("pass over a failing table must not abort: %v", err)
+	}
+	if len(rep.RefreshFailures) != 1 || attempts == 0 {
+		t.Fatalf("first pass: %d refresh failures, %d build attempts; want the lineitem refresh to fail once", len(rep.RefreshFailures), attempts)
+	}
+	if st := sys.BreakerStates(); len(st) != 1 || st[0].Table != "lineitem" || st[0].State != resilience.Open {
+		t.Fatalf("lineitem's breaker should be open: %+v", st)
+	}
+	tripped := attempts
+	rejects := sys.Obs().Counter("resilience.breaker.rejects")
+	rejectsBefore := rejects.Value()
+
+	rep, err = sys.RunMaintenanceCtx(ctx)
+	if err != nil || rep.TablesSkipped != 1 || len(rep.RefreshFailures) != 0 {
+		t.Errorf("RunMaintenanceCtx with the breaker open: skipped=%d failures=%d err=%v, want 1 skipped and no error",
+			rep.TablesSkipped, len(rep.RefreshFailures), err)
+	}
+	if refreshed, dropped, err := sys.RunMaintenance(); err != nil || refreshed != 0 || dropped != 0 {
+		t.Errorf("RunMaintenance with the breaker open: refreshed=%d dropped=%d err=%v", refreshed, dropped, err)
+	}
+	sys.auto.MaintenanceEvery = 1
+	runs := sys.auto.MaintenanceRuns
+	if _, err := sys.ProcessStatementCtx(ctx, "DELETE FROM region WHERE r_regionkey < 0"); err != nil {
+		t.Errorf("on-the-fly statement whose maintenance pass meets an open breaker: %v", err)
+	}
+	if sys.auto.MaintenanceRuns != runs+1 {
+		t.Error("the on-the-fly policy ran no maintenance pass")
+	}
+	if attempts != tripped {
+		t.Errorf("open-breaker table was hammered: %d build attempts after the trip", attempts-tripped)
+	}
+	if got := rejects.Value() - rejectsBefore; got != 3 {
+		t.Errorf("resilience.breaker.rejects grew by %d, want one per pass (3)", got)
+	}
+}

@@ -248,27 +248,8 @@ func (s *System) ProcessStatementCtx(ctx context.Context, sql string) (*QueryRes
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryResult{
-		ExecCost: res.Cost,
-		Affected: res.Affected,
-		Degraded: s.sess.DegradedReasons(),
-	}
-	if res.Rows != nil {
-		cols := make([]string, len(res.Cols))
-		for name, pos := range res.Cols {
-			if pos >= 0 && pos < len(cols) {
-				cols[pos] = name
-			}
-		}
-		out.Columns = cols
-		for _, r := range res.Rows {
-			row := make([]string, len(r))
-			for j, d := range r {
-				row[j] = d.String()
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
+	out := renderResult(res)
+	out.Degraded = s.sess.DegradedReasons()
 	return out, nil
 }
 
