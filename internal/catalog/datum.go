@@ -7,6 +7,7 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -72,7 +73,8 @@ func NewNull(t Type) Datum { return Datum{T: t, Null: true} }
 
 // TryCompare orders d relative to other: -1 if d < other, 0 if equal, +1 if
 // d > other. NULL sorts before every non-NULL value; Int and Float compare
-// numerically across types. Any other type mix returns an error — reachable
+// numerically across types, every NaN equal to every other and below every
+// number. Any other type mix returns an error — reachable
 // from parsed SQL that compares a column to a literal of an incompatible
 // type, so it must surface as a query error, not a crash.
 func (d Datum) TryCompare(other Datum) (int, error) {
@@ -136,16 +138,10 @@ func cmpInt64(a, b int64) int {
 	}
 }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+// cmpFloat keeps Compare a total order in the presence of NaN: a NaN equals
+// every NaN and sorts before every number (-0 and +0 stay equal). Answering
+// 0 for NaN against anything would make a sort comparator inconsistent.
+func cmpFloat(a, b float64) int { return cmp.Compare(a, b) }
 
 func (d Datum) asFloat() float64 {
 	if d.T == Float {

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -85,6 +86,17 @@ func TestDatumCompareTotalOrder(t *testing.T) {
 	}
 	if s.Equal(i) || i.Equal(s) {
 		t.Error("incompatible types must not be Equal")
+	}
+	// NaN has one place in the order: equal to every NaN, below every
+	// number of either numeric type; the two zeros stay equal.
+	nan, negZero := NewFloat(math.NaN()), NewFloat(math.Copysign(0, -1))
+	for _, d := range []Datum{NewFloat(math.Inf(-1)), NewFloat(0), NewInt(-7)} {
+		if nan.Compare(d) != -1 || d.Compare(nan) != 1 {
+			t.Errorf("NaN vs %s: %d / %d, want -1 / 1", d, nan.Compare(d), d.Compare(nan))
+		}
+	}
+	if nan.Compare(nan) != 0 || negZero.Compare(NewFloat(0)) != 0 || NewInt(0).Compare(negZero) != 0 {
+		t.Error("NaN must equal NaN and -0 must equal +0")
 	}
 }
 

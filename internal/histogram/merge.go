@@ -42,7 +42,6 @@ func BuildPartial(columns []string, tuples [][]catalog.Datum) (*Partial, error) 
 	if err != nil {
 		return nil, err
 	}
-	b.leading = make([]catalog.Datum, 0, len(tuples))
 	if err := b.AddBlock(tuples); err != nil {
 		return nil, err
 	}

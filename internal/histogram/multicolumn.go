@@ -3,6 +3,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"autostats/internal/catalog"
@@ -68,22 +69,32 @@ func BuildMulti(kind Kind, columns []string, tuples [][]catalog.Datum, maxBucket
 
 // encodePrefix renders a datum tuple as a collision-safe map key.
 func encodePrefix(t []catalog.Datum) string {
-	var b strings.Builder
-	for _, d := range t {
-		if d.Null {
-			b.WriteString("\x00N")
-		} else {
-			switch d.T {
-			case catalog.String:
-				fmt.Fprintf(&b, "\x00s%d:%s", len(d.S), d.S)
-			case catalog.Float:
-				fmt.Fprintf(&b, "\x00f%x", math.Float64bits(d.F))
-			default:
-				fmt.Fprintf(&b, "\x00i%d", d.I)
-			}
-		}
+	var key []byte
+	for i := range t {
+		key = appendPrefixDatum(key, &t[i])
 	}
-	return b.String()
+	return string(key)
+}
+
+// appendPrefixDatum appends one datum's part of a prefix key: "\x00N" for
+// NULL, "\x00s<len>:<bytes>" for a string, "\x00f<hex bits>" for a float,
+// "\x00i<decimal>" otherwise. Spill files persist these bytes.
+func appendPrefixDatum(key []byte, d *catalog.Datum) []byte {
+	switch {
+	case d.Null:
+		return append(key, "\x00N"...)
+	case d.T == catalog.String:
+		key = append(key, "\x00s"...)
+		key = strconv.AppendInt(key, int64(len(d.S)), 10)
+		key = append(key, ':')
+		return append(key, d.S...)
+	case d.T == catalog.Float:
+		key = append(key, "\x00f"...)
+		return strconv.AppendUint(key, math.Float64bits(d.F), 16)
+	default:
+		key = append(key, "\x00i"...)
+		return strconv.AppendInt(key, d.I, 10)
+	}
 }
 
 // PrefixDensity returns the density of the k-column leading prefix

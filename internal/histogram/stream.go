@@ -1,7 +1,10 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"autostats/internal/catalog"
 )
@@ -17,27 +20,44 @@ import (
 
 // datumBytes is the rough in-memory footprint of one catalog.Datum: the
 // struct itself (type tag, int64, float64, string header, null flag) plus
-// the string payload. It feeds the build-memory budget accounting — an
-// estimate that only has to be consistent, not exact, since spill decisions
-// and the peak-memory gauge both use the same scale.
+// the string payload. It is what a collapsed Partial retains per distinct
+// value; the builder's typed runs are charged what they hold instead.
 func datumBytes(d catalog.Datum) int64 {
 	return 48 + int64(len(d.S))
 }
+
+// Retained bytes per buffered leading value: a number is its 8-byte payload,
+// a string its header plus payload. NULLs are only counted.
+const (
+	numberBytes       = 8
+	stringHeaderBytes = 16
+)
 
 // PartialBuilder accumulates one partition of a streaming statistics build.
 // Not safe for concurrent use. The zero value is not usable; construct with
 // NewPartialBuilder.
 type PartialBuilder struct {
-	cols int
-	rows int64
-	// leading buffers the partition's leading-column values for the Finish
-	// sort — the O(partition) memory the streaming design bounds. The
-	// backing array is kept across Finish calls.
-	leading []catalog.Datum
+	cols  int
+	rows  int64
+	nulls int64
+	// One run per leading-value type buffers the partition's non-NULL
+	// leading payloads for the Finish sort — the O(partition) memory the
+	// streaming design bounds. Payloads, not Datums: a native sort of 8-byte
+	// numbers or string headers is several times cheaper than sorting
+	// 48-byte Datums through Datum.Compare, and the numeric runs hold no
+	// pointers for the collector to scan. A real column fills exactly one
+	// run; the backing arrays are kept across Finish calls.
+	ints   []int64
+	dates  []int64
+	floats []float64
+	strs   []string
 	// prefixes[k-2] collects the distinct k-column prefix encodings.
 	prefixes []map[string]struct{}
-	// bytes is the running memory estimate of everything the builder
-	// retains (leading values + prefix keys).
+	// key is the reused prefix-encoding buffer: only a prefix not yet in its
+	// set is copied out of it into a map key.
+	key []byte
+	// bytes is the running count of the bytes the builder retains (typed
+	// runs + prefix keys).
 	bytes int64
 }
 
@@ -48,35 +68,72 @@ func NewPartialBuilder(columns []string) (*PartialBuilder, error) {
 		return nil, fmt.Errorf("histogram: partial statistic needs at least one column")
 	}
 	b := &PartialBuilder{cols: len(columns)}
-	if len(columns) > 1 {
-		b.prefixes = make([]map[string]struct{}, len(columns)-1)
-		for i := range b.prefixes {
-			b.prefixes[i] = make(map[string]struct{})
-		}
-	}
+	b.prefixes = newPrefixSets(b.cols)
 	return b, nil
+}
+
+// newPrefixSets returns one empty distinct set per non-leading prefix (nil
+// for a single-column statistic).
+func newPrefixSets(cols int) []map[string]struct{} {
+	if cols < 2 {
+		return nil
+	}
+	sets := make([]map[string]struct{}, cols-1)
+	for i := range sets {
+		sets[i] = make(map[string]struct{})
+	}
+	return sets
 }
 
 // AddBlock folds one block of tuples into the partition. The tuples (and
 // the block slice) may be reused by the caller after the call returns: the
-// builder copies everything it retains.
+// builder copies everything it retains. A block with a tuple of the wrong
+// arity or a non-NULL leading datum of an unknown type is rejected whole,
+// leaving the partition as it was.
 func (b *PartialBuilder) AddBlock(tuples [][]catalog.Datum) error {
 	for _, t := range tuples {
 		if len(t) != b.cols {
 			return fmt.Errorf("histogram: tuple arity %d does not match %d columns", len(t), b.cols)
 		}
+		switch d := &t[0]; d.T {
+		case catalog.Int, catalog.Float, catalog.String, catalog.Date:
+		default:
+			if !d.Null {
+				return fmt.Errorf("histogram: leading datum of unknown type %s", d.T)
+			}
+		}
 	}
 	for _, t := range tuples {
-		// catalog.Datum is a value type; appending copies it. The string
-		// payload is shared with the table row, which is immutable once
-		// published, so no deep copy is needed.
-		b.leading = append(b.leading, t[0])
-		b.bytes += datumBytes(t[0])
-		for k := 2; k <= b.cols; k++ {
-			key := encodePrefix(t[:k])
-			if _, ok := b.prefixes[k-2][key]; !ok {
-				b.prefixes[k-2][key] = struct{}{}
-				b.bytes += int64(len(key)) + 48
+		// Only the payload is copied. A string's bytes are shared with the
+		// table row, which is immutable once published, so no deep copy is
+		// needed.
+		switch d := &t[0]; {
+		case d.Null:
+			b.nulls++
+		case d.T == catalog.Int:
+			b.ints = append(b.ints, d.I)
+			b.bytes += numberBytes
+		case d.T == catalog.Date:
+			b.dates = append(b.dates, d.I)
+			b.bytes += numberBytes
+		case d.T == catalog.Float:
+			b.floats = append(b.floats, d.F)
+			b.bytes += numberBytes
+		default:
+			b.strs = append(b.strs, d.S)
+			b.bytes += stringHeaderBytes + int64(len(d.S))
+		}
+		if b.cols > 1 {
+			// The k-column key extends the (k-1)-column key, so one pass
+			// over the tuple yields every prefix.
+			b.key = appendPrefixDatum(b.key[:0], &t[0])
+			for k := 2; k <= b.cols; k++ {
+				b.key = appendPrefixDatum(b.key, &t[k-1])
+				set := b.prefixes[k-2]
+				if _, ok := set[string(b.key)]; !ok {
+					set[string(b.key)] = struct{}{}
+					b.bytes += int64(len(b.key)) + 48
+				}
 			}
 		}
 	}
@@ -88,32 +145,101 @@ func (b *PartialBuilder) AddBlock(tuples [][]catalog.Datum) error {
 // Finish).
 func (b *PartialBuilder) Rows() int64 { return b.rows }
 
-// MemBytes returns the builder's estimated retained memory, on the same
-// scale as Partial.MemBytes.
+// MemBytes returns the bytes the builder retains: 8 per buffered number, 16
+// plus the payload per buffered string, and the distinct prefix keys on the
+// scale Partial.MemBytes uses for them.
 func (b *PartialBuilder) MemBytes() int64 { return b.bytes }
 
 // Finish collapses the accumulated partition into a Partial and resets the
 // builder for the next partition. Finishing an empty builder yields a valid
 // zero-row Partial.
+//
+// Each non-empty run is sorted natively and collapsed to a (value,
+// frequency) list, and the per-type lists are combined by mergeFreqLists —
+// the merge MergePartials already applies across partitions. Within one
+// type Datum.Compare is the native order, and across types the merge's
+// Compare + tieBreak rule is by definition what one cmpValue sort over the
+// mixed values yields (Int 5 and Float 5.0 collapse with the Int
+// representing them; numbers, then strings, then dates), so heterogeneous
+// input needs no second path and a one-type column pays for no merge.
 func (b *PartialBuilder) Finish() *Partial {
-	p := &Partial{cols: b.cols, rows: b.rows}
-	p.freqs, p.nulls = collectFreqs(b.leading)
-	if b.cols > 1 {
-		p.prefixes = b.prefixes
+	p := &Partial{cols: b.cols, rows: b.rows, nulls: b.nulls, prefixes: b.prefixes}
+	lists := make([][]valueFreq, 0, 4)
+	if len(b.ints) > 0 {
+		slices.Sort(b.ints)
+		lists = append(lists, collapseRun(b.ints, catalog.NewInt))
 	}
-	// collectFreqs copies every datum it keeps, so the buffer is free for
-	// the next partition. Regrowing it by append doubling after every cut
-	// would cost a fifth of a tuning round's allocation volume.
-	b.leading = b.leading[:0]
-	b.rows = 0
-	b.bytes = 0
-	if b.cols > 1 {
-		b.prefixes = make([]map[string]struct{}, b.cols-1)
-		for i := range b.prefixes {
-			b.prefixes[i] = make(map[string]struct{})
+	if len(b.floats) > 0 {
+		slices.Sort(b.floats)
+		lists = append(lists, collapseFloats(b.floats))
+	}
+	if len(b.strs) > 0 {
+		slices.Sort(b.strs)
+		lists = append(lists, collapseRun(b.strs, catalog.NewString))
+	}
+	if len(b.dates) > 0 {
+		slices.Sort(b.dates)
+		lists = append(lists, collapseRun(b.dates, catalog.NewDate))
+	}
+	p.freqs = mergeFreqLists(lists)
+	// The collapsed lists are copies, so the runs are free for the next
+	// partition. Regrowing them by append doubling after every cut would
+	// cost a fifth of a tuning round's allocation volume. The string run is
+	// cleared first: stale headers past the new length would keep a
+	// finished partition's strings reachable.
+	b.ints, b.dates, b.floats = b.ints[:0], b.dates[:0], b.floats[:0]
+	clear(b.strs)
+	b.strs = b.strs[:0]
+	b.rows, b.nulls, b.bytes = 0, 0, 0
+	b.prefixes = newPrefixSets(b.cols)
+	return p
+}
+
+// collapseRun turns a sorted run of one type's payloads into its frequency
+// list, allocated once at its exact length.
+func collapseRun[T comparable](run []T, datum func(T) catalog.Datum) []valueFreq {
+	distinct := 1
+	for i := 1; i < len(run); i++ {
+		if run[i] != run[i-1] {
+			distinct++
 		}
 	}
-	return p
+	out := make([]valueFreq, 0, distinct)
+	for i := 0; i < len(run); {
+		j := i + 1
+		for j < len(run) && run[j] == run[i] {
+			j++
+		}
+		out = append(out, valueFreq{v: datum(run[i]), f: int64(j - i)})
+		i = j
+	}
+	return out
+}
+
+// collapseFloats is collapseRun for the float run, where equal values need
+// not be identical: a group is what Datum.Compare calls equal (-0 and +0;
+// every NaN), and its representative is the member with the smallest bit
+// pattern — the one tieBreak puts first.
+func collapseFloats(run []float64) []valueFreq {
+	distinct := 1
+	for i := 1; i < len(run); i++ {
+		if cmp.Compare(run[i], run[i-1]) != 0 {
+			distinct++
+		}
+	}
+	out := make([]valueFreq, 0, distinct)
+	for i := 0; i < len(run); {
+		rep := run[i]
+		j := i + 1
+		for ; j < len(run) && cmp.Compare(run[j], run[i]) == 0; j++ {
+			if math.Float64bits(run[j]) < math.Float64bits(rep) {
+				rep = run[j]
+			}
+		}
+		out = append(out, valueFreq{v: catalog.NewFloat(rep), f: int64(j - i)})
+		i = j
+	}
+	return out
 }
 
 // MemBytes estimates the partial's retained memory: the collapsed frequency

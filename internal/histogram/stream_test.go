@@ -3,6 +3,7 @@ package histogram
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -130,6 +131,16 @@ func TestPartialBuilderEmptyAndErrors(t *testing.T) {
 	}
 	if err := b.AddBlock([][]catalog.Datum{{catalog.NewInt(1)}}); err == nil {
 		t.Error("no error for arity mismatch")
+	}
+	// A non-NULL leading value of no known type has no run to go to; a NULL
+	// of any type is only counted. The good tuple ahead of the bad one must
+	// not land either.
+	unknown := catalog.Datum{T: catalog.Type(9), I: 1}
+	if err := b.AddBlock([][]catalog.Datum{
+		{catalog.NewInt(1), catalog.NewInt(1)},
+		{unknown, catalog.NewInt(1)},
+	}); err == nil {
+		t.Error("no error for a leading datum of unknown type")
 	}
 	want, err := BuildPartial([]string{"a", "b"}, nil)
 	if err != nil {
@@ -319,6 +330,261 @@ func BenchmarkStreamingPartialBuild(b *testing.B) {
 		p := pb.Finish()
 		if _, err := MergePartials(EquiDepth, cols, []*Partial{p}, 10); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// freqKey is a valueFreq with the float payload as bits, so that
+// reflect.DeepEqual tells -0 from +0 and one NaN from another (and calls a
+// NaN equal to itself).
+type freqKey struct {
+	t     catalog.Type
+	i     int64
+	fbits uint64
+	s     string
+	null  bool
+	f     int64
+}
+
+func freqKeys(freqs []valueFreq) []freqKey {
+	out := make([]freqKey, len(freqs))
+	for i, vf := range freqs {
+		out[i] = freqKey{vf.v.T, vf.v.I, math.Float64bits(vf.v.F), vf.v.S, vf.v.Null, vf.f}
+	}
+	return out
+}
+
+// rankDatum maps a rank onto a value of the given type, order-preserving
+// within the type: negative and positive ints, floats off the integers,
+// strings that share a long prefix and include "".
+func rankDatum(typ catalog.Type, rank int) catalog.Datum {
+	switch typ {
+	case catalog.Int:
+		return catalog.NewInt(int64(rank) - 3)
+	case catalog.Date:
+		return catalog.NewDate(int64(rank) - 3)
+	case catalog.Float:
+		return catalog.NewFloat(float64(rank)/4 - 1)
+	default:
+		if rank == 0 {
+			return catalog.NewString("")
+		}
+		return catalog.NewString(fmt.Sprintf("Customer#%06d", rank))
+	}
+}
+
+// rankColumn draws n values of one type: 8 distinct values, a Zipf(2) draw
+// over 1000, or n distinct values in random order.
+func rankColumn(rng *rand.Rand, typ catalog.Type, shape string, n int) []catalog.Datum {
+	out := make([]catalog.Datum, n)
+	switch shape {
+	case "distinct8":
+		for i := range out {
+			out[i] = rankDatum(typ, rng.Intn(8))
+		}
+	case "zipf2":
+		for i, r := range zipfInts(rng, n, 1000, 2) {
+			out[i] = rankDatum(typ, int(r.I))
+		}
+	default:
+		for i, r := range rng.Perm(n) {
+			out[i] = rankDatum(typ, r)
+		}
+	}
+	return out
+}
+
+var (
+	runTypes = []struct {
+		name string
+		typ  catalog.Type
+	}{{"int", catalog.Int}, {"date", catalog.Date}, {"float", catalog.Float}, {"string", catalog.String}}
+	runShapes = []string{"distinct8", "zipf2", "alldistinct"}
+)
+
+// TestTypedRunsMatchReference: the builder's typed runs and per-type merge
+// must yield exactly the frequency list of collectFreqs, the Datum-sorting
+// reference, down to the float bits of every representative — for each
+// type alone, for NULLs, for every way types can meet in one column, at
+// several block sizes, and again for a second partition through the same
+// builder.
+func TestTypedRunsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := map[string][]catalog.Datum{}
+	for _, rt := range runTypes {
+		for _, shape := range runShapes {
+			cases[rt.name+"/"+shape] = rankColumn(rng, rt.typ, shape, 600)
+		}
+	}
+	mix := func(cols ...[]catalog.Datum) []catalog.Datum {
+		var out []catalog.Datum
+		for _, c := range cols {
+			out = append(out, c...)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	nulls := func(typ catalog.Type, n int) []catalog.Datum {
+		out := make([]catalog.Datum, n)
+		for i := range out {
+			out[i] = catalog.NewNull(typ)
+		}
+		return out
+	}
+	ints := func(n, domain int) []catalog.Datum {
+		out := make([]catalog.Datum, n)
+		for i := range out {
+			out[i] = catalog.NewInt(int64(rng.Intn(domain)))
+		}
+		return out
+	}
+	wholeFloats := make([]catalog.Datum, 300)
+	for i := range wholeFloats {
+		wholeFloats[i] = catalog.NewFloat(float64(rng.Intn(12)) / 2) // every other one ties an Int
+	}
+	sameDays := make([]catalog.Datum, 300)
+	for i := range sameDays {
+		sameDays[i] = catalog.NewDate(int64(rng.Intn(6)))
+	}
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	edgeFloats := []catalog.Datum{
+		catalog.NewFloat(0), catalog.NewFloat(negZero()), catalog.NewFloat(negZero()), catalog.NewFloat(0),
+		catalog.NewFloat(math.NaN()), catalog.NewFloat(otherNaN), catalog.NewFloat(math.NaN()),
+		catalog.NewFloat(math.Inf(1)), catalog.NewFloat(math.Inf(-1)), catalog.NewFloat(-2.5),
+	}
+	cases["nulls/some"] = mix(rankColumn(rng, catalog.Int, "distinct8", 300), nulls(catalog.Int, 80))
+	cases["nulls/all"] = nulls(catalog.String, 50)
+	cases["int+float/ties"] = mix(ints(300, 6), wholeFloats)
+	cases["int+date"] = mix(ints(300, 6), sameDays)
+	cases["string among numbers"] = mix(ints(200, 6), wholeFloats, rankColumn(rng, catalog.String, "distinct8", 40))
+	cases["float/zeros and NaN"] = mix(edgeFloats, edgeFloats[4:7], rankColumn(rng, catalog.Float, "distinct8", 50))
+	// Arrival order is kept by a short sort, so the first member of each of
+	// these groups is not the one that must represent it.
+	cases["float/larger bits first"] = []catalog.Datum{
+		catalog.NewFloat(negZero()), catalog.NewFloat(0), catalog.NewFloat(otherNaN), catalog.NewFloat(math.NaN()),
+	}
+	cases["float/zeros tie an int"] = []catalog.Datum{catalog.NewFloat(negZero()), catalog.NewFloat(0), catalog.NewInt(0)}
+	cases["everything"] = mix(ints(100, 6), wholeFloats, sameDays, edgeFloats, nulls(catalog.Float, 9),
+		rankColumn(rng, catalog.String, "zipf2", 100))
+	cases["empty"] = nil
+
+	check := func(t *testing.T, what string, p *Partial, values []catalog.Datum) {
+		t.Helper()
+		ref, refNulls := collectFreqs(values)
+		if p.nulls != refNulls || p.rows != int64(len(values)) {
+			t.Errorf("%s: nulls=%d rows=%d, reference nulls=%d rows=%d", what, p.nulls, p.rows, refNulls, len(values))
+		}
+		if got, want := freqKeys(p.freqs), freqKeys(ref); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: frequency list differs from collectFreqs\n got %v\nwant %v", what, got, want)
+		}
+	}
+	for name, values := range cases {
+		t.Run(name, func(t *testing.T) {
+			tuples := make([][]catalog.Datum, len(values))
+			for i := range values {
+				tuples[i] = values[i : i+1 : i+1]
+			}
+			for _, bs := range []int{1, 7, 4096} {
+				b, err := NewPartialBuilder([]string{"a"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedBlocks(t, b, tuples, bs)
+				check(t, fmt.Sprintf("block=%d", bs), b.Finish(), values)
+				// Buffer reuse: a different partition through the same
+				// builder must carry nothing over — no value, no NULL count.
+				second := values[len(values)/3:]
+				feedBlocks(t, b, tuples[len(values)/3:], bs)
+				check(t, fmt.Sprintf("block=%d, second partition", bs), b.Finish(), second)
+				check(t, fmt.Sprintf("block=%d, empty third partition", bs), b.Finish(), nil)
+			}
+		})
+	}
+}
+
+// fmtEncodePrefix is the prefix-key format as it was first written, kept as
+// the reference for the append-based encoder: spill files persist these
+// bytes, so they may never change.
+func fmtEncodePrefix(t []catalog.Datum) string {
+	var b strings.Builder
+	for _, d := range t {
+		if d.Null {
+			b.WriteString("\x00N")
+		} else {
+			switch d.T {
+			case catalog.String:
+				fmt.Fprintf(&b, "\x00s%d:%s", len(d.S), d.S)
+			case catalog.Float:
+				fmt.Fprintf(&b, "\x00f%x", math.Float64bits(d.F))
+			default:
+				fmt.Fprintf(&b, "\x00i%d", d.I)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestPrefixKeysMatchFmtReference: encodePrefix and the builder's reused
+// key buffer must produce the fmt-rendered keys byte for byte — over the
+// mixed-type generators and the values whose rendering could plausibly
+// drift (negative and extreme ints, -0, NaN, empty and NUL-bearing strings).
+func TestPrefixKeysMatchFmtReference(t *testing.T) {
+	edge := [][]catalog.Datum{
+		{catalog.NewInt(math.MinInt64), catalog.NewFloat(negZero()), catalog.NewString("")},
+		{catalog.NewInt(math.MaxInt64), catalog.NewFloat(math.NaN()), catalog.NewString("x\x00y")},
+		{catalog.NewDate(-1), catalog.NewFloat(math.Inf(-1)), catalog.NewNull(catalog.String)},
+		{catalog.NewNull(catalog.Date), catalog.NewFloat(1e-310), catalog.NewString("12:ab")},
+	}
+	tuples := append(append(randTuples(rand.New(rand.NewSource(5)), 400, 3), streamTuples(400, 6)...), edge...)
+	want := []map[string]struct{}{{}, {}}
+	for _, tup := range tuples {
+		for k := 1; k <= 3; k++ {
+			if got, ref := encodePrefix(tup[:k]), fmtEncodePrefix(tup[:k]); got != ref {
+				t.Fatalf("encodePrefix(%v) = %q, fmt form %q", tup[:k], got, ref)
+			}
+		}
+		want[0][fmtEncodePrefix(tup[:2])] = struct{}{}
+		want[1][fmtEncodePrefix(tup[:3])] = struct{}{}
+	}
+	b, err := NewPartialBuilder([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBlocks(t, b, tuples, 13)
+	if got := b.Finish().prefixes; !reflect.DeepEqual(got, want) {
+		t.Error("builder prefix sets differ from the fmt-rendered keys")
+	}
+}
+
+var sinkPartial *Partial
+
+// BenchmarkPartialBuilderFinish is the layer benchmark of one partition
+// cut: 8192 rows (the production cut) of one type through AddBlock and
+// Finish on a builder that, as in a real build, has already cut before.
+func BenchmarkPartialBuilderFinish(b *testing.B) {
+	for _, rt := range runTypes {
+		for _, shape := range runShapes {
+			b.Run(rt.name+"/"+shape, func(b *testing.B) {
+				values := rankColumn(rand.New(rand.NewSource(3)), rt.typ, shape, 8192)
+				tuples := make([][]catalog.Datum, len(values))
+				for i := range values {
+					tuples[i] = values[i : i+1 : i+1]
+				}
+				pb, err := NewPartialBuilder([]string{"a"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for start := 0; start < len(tuples); start += 1024 {
+						if err := pb.AddBlock(tuples[start : start+1024]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					sinkPartial = pb.Finish()
+				}
+			})
 		}
 	}
 }

@@ -531,9 +531,9 @@ func TestStreamingPeakMemoryFlat(t *testing.T) {
 
 // TestBuildAllocsBounded pins the PartialBuilder's buffer reuse: a
 // single-column build allocates per partition cut and per merge level, never
-// per row. Measured over these 60 k rows: 230 mallocs; 352 when the builder
-// regrows its buffer after every cut; one per row (120 052 for 120 k rows)
-// with the one-shot gather this pipeline replaced.
+// per row. Measured over these 60 k rows: 88 mallocs (one frequency list per
+// cut and the merge levels; 230 when each cut also copied the partition into
+// a second Datum buffer to sort it); one per row with a one-shot gather.
 func TestBuildAllocsBounded(t *testing.T) {
 	schema := catalog.NewSchema()
 	if err := schema.AddTable(catalog.NewTable("big", catalog.Column{Name: "a", Type: catalog.Int})); err != nil {
@@ -559,8 +559,8 @@ func TestBuildAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs >= 300 {
-		t.Fatalf("Create over %d rows allocates %.0f objects; want < 300 (per cut with the buffer reused, not per row)", len(rows), allocs)
+	if allocs >= 100 {
+		t.Fatalf("Create over %d rows allocates %.0f objects; want < 100 (per cut with the buffer reused, not per row)", len(rows), allocs)
 	}
 }
 
