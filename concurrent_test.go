@@ -76,12 +76,12 @@ func TestSystemConcurrentHammer(t *testing.T) {
 			}
 		}(w * 3)
 	}
-	// Tuner: MNSA creates statistics while statements run.
+	// Tuner: MNSA/D creates and drop-lists statistics while statements run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			_, err := sys.TuneQuery(selects[i%len(selects)], TuneOptions{})
+			_, err := sys.TuneQuery(selects[i%len(selects)], TuneOptions{Drop: true})
 			report("tune", err)
 		}
 	}()
@@ -110,6 +110,45 @@ func TestSystemConcurrentHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStatisticsWhileDropListing: Statistics() — the inspector behind the
+// server's stats op — reads InDropList from statistics the manager has
+// handed out, so a drop-list change must publish a copy rather than write
+// the shared value. Run under -race; the drop-listed count keeps the run
+// from passing with nothing flipped.
+func TestStatisticsWhileDropListing(t *testing.T) {
+	sys, err := GenerateTPCD(TPCDOptions{Scale: 0.2, Skew: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts, err := sys.GenerateWorkload(WorkloadOptions{Count: 60, Complex: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = sys.Statistics()
+			}
+		}
+	}()
+	rep, err := sys.TuneWorkload(stmts, TuneOptions{Drop: true})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.DropListed) == 0 {
+		t.Fatalf("tuning drop-listed nothing (%d created): the race has nothing to catch", len(rep.Created))
 	}
 }
 

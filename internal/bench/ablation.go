@@ -53,7 +53,7 @@ func runMNSAPoint(dbName, wlName string, scale float64, seed int64, label string
 	return &AblationRow{
 		Label:           label,
 		StatsCreated:    len(wr.Created),
-		CreationUnits:   env.Mgr.TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+		CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
 		OptimizerCalls:  wr.OptimizerCalls,
 		ExecCost:        exec,
 		ExecIncreasePct: PctIncrease(baselineExec, exec),
@@ -198,7 +198,7 @@ func AblationCostWeighted(dbName, wlName string, scale float64, seed int64, cove
 		rows = append(rows, &AblationRow{
 			Label:           labelFloat("coverage=", cov, "") + labelFloat(" (", float64(tuned), " queries)"),
 			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
 			OptimizerCalls:  wr.OptimizerCalls,
 			ExecCost:        exec,
 			ExecIncreasePct: PctIncrease(base, exec),
@@ -291,7 +291,7 @@ func AblationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]
 		rows = append(rows, &AblationRow{
 			Label:           kind.String(),
 			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
 			OptimizerCalls:  wr.OptimizerCalls,
 			ExecCost:        exec,
 			ExecIncreasePct: PctIncrease(base, exec),
@@ -340,7 +340,7 @@ func AblationSampling(dbName, wlName string, scale float64, seed int64, fraction
 		rows = append(rows, &AblationRow{
 			Label:           labelFloat("sample=", f, ""),
 			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
 			OptimizerCalls:  wr.OptimizerCalls,
 			ExecCost:        exec,
 			ExecIncreasePct: PctIncrease(base, exec),

@@ -25,7 +25,8 @@ func (e *Env) createAll(cands []core.Candidate) (float64, time.Duration, error) 
 			return 0, 0, err
 		}
 	}
-	return e.Mgr.TotalBuildCost, e.Mgr.TotalBuildTime, nil
+	acct := e.Mgr.Snapshot()
+	return acct.TotalBuildCost, acct.TotalBuildTime, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 		return nil, err
 	}
 	mnsaTime := time.Since(start)
-	mnsaUnits := envM.Mgr.TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits
+	mnsaUnits := envM.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits
 	mnsaExec, err := envM.ExecuteQueries(w)
 	if err != nil {
 		return nil, err
@@ -432,5 +433,5 @@ func replayWithMaintenance(e *Env, w *workload.Workload) (float64, error) {
 			}
 		}
 	}
-	return e.Mgr.TotalUpdateCost, nil
+	return e.Mgr.Snapshot().TotalUpdateCost, nil
 }

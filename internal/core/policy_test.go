@@ -250,7 +250,8 @@ func TestMNSADResurrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.InDropList {
+	// A drop-list change publishes a replacement; st itself is never written.
+	if mgr.IsDropListed(st.ID) {
 		t.Errorf("statistic should have been resurrected; result: %+v", res)
 	}
 }

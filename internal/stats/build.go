@@ -78,20 +78,20 @@ func (m *Manager) IncrementalMaintenance() FoldConfig {
 // partition is cut at PartitionRows rows or early when the memory budget
 // fills, cut partials past the budget spill to temp files, and everything is
 // merged once at the end. It bumps the logical clock but charges no
-// accounting; EnsureCtx and refreshShardLocked charge the build- and
-// update-side counters respectively. Cancellation and the failpoint are
-// checked between blocks; on every exit path the iterator is closed and
-// spill files are removed, so an aborted build publishes nothing and leaks
-// neither a snapshot guard nor a temp file. Callers must hold the owning
-// shard's write lock.
+// accounting; EnsureCtx and refresh charge the build- and update-side
+// counters respectively. Cancellation and the failpoint are checked between
+// blocks; on every exit path the iterator is closed and spill files are
+// removed, so an aborted build publishes nothing and leaks neither a
+// snapshot guard nor a temp file. Callers must hold m.mu.
 //
 // While the iterator is open the table's read lock is held by this
-// goroutine: nothing in the scan loop (including the "block" failpoint,
-// which fault tests use to cancel mid-stream) may call back into the table
-// or the manager. The iterator is closed before the merge pass, keeping the
-// writer-blocking window proportional to the scan alone. Its delta-log
-// watermark is exactly the table state the histogram summarizes, so a later
-// folding refresh replays precisely the modifications the build did not see.
+// goroutine, under m.mu: nothing in the scan loop (including the "block"
+// failpoint, which fault tests use to cancel mid-stream) may call back into
+// the table or a manager mutator. The iterator is closed before the merge
+// pass, keeping the writer-blocking window proportional to the scan alone.
+// Its delta-log watermark is exactly the table state the histogram
+// summarizes, so a later folding refresh replays precisely the modifications
+// the build did not see.
 func (m *Manager) build(ctx context.Context, table string, cols []string, met managerMetrics) (_ *Statistic, err error) {
 	id := MakeID(table, cols)
 	defer func() {
@@ -254,7 +254,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 
 // rebuildOrFold produces the refreshed replacement for s and the update
 // cost to charge: a cheap fold of logged row deltas when eligible, a full
-// rebuild otherwise. Callers must hold the owning shard's write lock.
+// rebuild otherwise. Callers must hold m.mu.
 func (m *Manager) rebuildOrFold(ctx context.Context, s *Statistic, met managerMetrics) (*Statistic, float64, error) {
 	if folded, cost, ok := m.tryFold(ctx, s, met); ok {
 		return folded, cost, nil

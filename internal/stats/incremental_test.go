@@ -33,9 +33,6 @@ func TestBuildMetrics(t *testing.T) {
 	if got := snap.Counters["stats.build.full_scans"]; got != 1 {
 		t.Errorf("full_scans = %d, want 1", got)
 	}
-	if got := snap.Gauges["stats.shards"]; got != numShards {
-		t.Errorf("stats.shards = %d, want %d", got, numShards)
-	}
 }
 
 // TestFoldRefreshAvoidsRescan is the incremental-maintenance acceptance
@@ -180,10 +177,9 @@ func TestFoldDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestShardedEpochAndCount: mutations across many tables keep the epoch
-// strictly increasing and the count gauge exact, even though they land on
-// different shards.
-func TestShardedEpochAndCount(t *testing.T) {
+// TestEpochAndCountAcrossTables: mutations across many tables keep the epoch
+// strictly increasing and the count gauge exact.
+func TestEpochAndCountAcrossTables(t *testing.T) {
 	schema := catalog.NewSchema()
 	tables := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
 	for _, name := range tables {
@@ -229,12 +225,12 @@ func TestShardedEpochAndCount(t *testing.T) {
 	if got := len(m.All()); got != len(tables) {
 		t.Errorf("All() = %d stats, want %d", got, len(tables))
 	}
-	// Cross-shard wholesale reset.
-	m.DropAll()
+	// Wholesale reset.
+	m.dropAll()
 	if got := reg.Snapshot().Gauges["stats.count"]; got != 0 {
-		t.Errorf("stats.count after DropAll = %d", got)
+		t.Errorf("stats.count after dropAll = %d", got)
 	}
 	if e := m.Epoch(); e <= last {
-		t.Errorf("DropAll did not bump epoch: %d -> %d", last, e)
+		t.Errorf("dropAll did not bump epoch: %d -> %d", last, e)
 	}
 }

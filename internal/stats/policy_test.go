@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestMaintenanceReportCost(t *testing.T) {
 }
 
 // TestMaintenanceCostUnderConcurrentRefresh: a maintenance pass must report
-// only its own refresh cost even while another goroutine hammers RefreshTable
+// only its own refresh cost even while another goroutine hammers table refreshes
 // on a different table. The old implementation diffed the manager-wide
 // TotalUpdateCost around the pass, so the concurrent refreshes leaked into
 // the report.
@@ -96,7 +97,7 @@ func TestMaintenanceCostUnderConcurrentRefresh(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := m.RefreshTable("cold"); err != nil {
+			if _, _, err := m.refreshTableCost(context.Background(), "cold"); err != nil {
 				t.Errorf("concurrent refresh: %v", err)
 				return
 			}
@@ -116,11 +117,11 @@ func TestMaintenanceCostUnderConcurrentRefresh(t *testing.T) {
 	wg.Wait()
 	// One more refresh outside the passes so the overcount check below cannot
 	// depend on goroutine scheduling.
-	if _, err := m.RefreshTable("cold"); err != nil {
+	if _, _, err := m.refreshTableCost(context.Background(), "cold"); err != nil {
 		t.Fatal(err)
 	}
 
-	// RefreshTable resets the mod counter, so only the first pass refreshes
+	// A table refresh resets the mod counter, so only the first pass refreshes
 	// hot; its cost is exactly one rebuild of hot(v) at the current row count.
 	want := histogram.BuildCostUnits(int64(hot.RowCount()), 1)
 	if passCost != want {

@@ -37,10 +37,11 @@ var _ Provider = (*Manager)(nil)
 // operations. op is "refresh" (rebuilding an existing statistic) or
 // "create" (physically building a new one); id names the target. Streaming
 // builds additionally consult it at finer grain: "block" after each scan
-// block (while the table's snapshot guard is held — the hook must not call
-// back into the table or the manager), "spill-write" before a partial
-// spills to a temp file, and "spill-read" before a spilled partial is
-// reloaded for the merge; spill-op vetoes surface as TransientError. A
+// block (while the table's snapshot guard and the manager's writer mutex
+// are held — the hook must not call back into the table or a manager
+// mutator), "spill-write" before a partial spills to a temp file, and
+// "spill-read" before a spilled partial is reloaded for the merge; spill-op
+// vetoes surface as TransientError. A
 // non-nil return aborts the operation with that error, and the manager
 // must leave all published state — snapshots, epoch, accounting —
 // exactly as it was. ctx is the operation's context: latency-injecting

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 
 	"autostats/internal/histogram"
@@ -86,13 +87,9 @@ func sampleOrdinals(cfg SampleConfig, id ID, n int) []bool {
 }
 
 func hashID(id ID) uint64 {
-	// FNV-1a.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return h.Sum64()
 }
 
 // scaleSampled rescales a statistic built from a sample of size sampleN back

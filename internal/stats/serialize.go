@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"autostats/internal/catalog"
 	"autostats/internal/histogram"
@@ -103,9 +104,9 @@ func (m *Manager) Load(r io.Reader) error {
 	if snap.Version != 1 {
 		return fmt.Errorf("stats: unsupported snapshot version %d", snap.Version)
 	}
-	// Validate and construct outside the locks; nothing is published when
-	// the snapshot is malformed.
-	loaded := make(map[ID]*Statistic, len(snap.Statistics))
+	// Validate and construct before taking the writer mutex; nothing is
+	// published when the snapshot is malformed.
+	next := &version{byTable: make(map[string][]*Statistic)}
 	for _, sj := range snap.Statistics {
 		if len(sj.Columns) == 0 {
 			return fmt.Errorf("stats: snapshot statistic on %s has no columns", sj.Table)
@@ -125,7 +126,7 @@ func (m *Manager) Load(r io.Reader) error {
 			})
 		}
 		id := MakeID(sj.Table, sj.Columns)
-		loaded[id] = &Statistic{
+		s := &Statistic{
 			ID:      id,
 			Table:   sj.Table,
 			Columns: sj.Columns,
@@ -140,21 +141,25 @@ func (m *Manager) Load(r io.Reader) error {
 			UpdateCount: sj.UpdateCount,
 			InDropList:  sj.InDropList,
 		}
+		// Groups stay in ID order; a repeated ID keeps its last entry.
+		if group, i, ok := next.locate(id); ok {
+			group[i] = s
+		} else {
+			next.byTable[id.Table()] = slices.Insert(group, i, s)
+			next.count++
+		}
 	}
 	met := m.metrics()
-	m.lockAll()
-	defer m.unlockAll()
-	var old int64
-	for i := range m.shards {
-		old += int64(len(m.shards[i].stats))
-		m.shards[i].stats = make(map[ID]*Statistic)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now := m.clock.Add(1)
+	for _, group := range next.byTable {
+		for _, s := range group {
+			s.CreatedAt, s.UpdatedAt = now, now
+		}
 	}
-	for id, s := range loaded {
-		now := m.clock.Add(1)
-		s.CreatedAt, s.UpdatedAt = now, now
-		m.shardFor(id.Table()).stats[id] = s
-	}
-	met.statCount.Add(int64(len(loaded)) - old)
-	m.bumpEpoch(met)
+	v := m.cur.Load()
+	next.epoch, next.droppedAt = v.epoch+1, v.droppedAt
+	m.publish(next, met)
 	return nil
 }

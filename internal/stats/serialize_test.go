@@ -52,8 +52,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("prefix densities not preserved")
 	}
 	// Loading charges no build cost.
-	if m2.TotalBuildCost != 0 || m2.BuildCount != 0 {
-		t.Errorf("load charged build cost: %v / %d", m2.TotalBuildCost, m2.BuildCount)
+	if acct := m2.Snapshot(); acct.TotalBuildCost != 0 || acct.BuildCount != 0 {
+		t.Errorf("load charged build cost: %v / %d", acct.TotalBuildCost, acct.BuildCount)
 	}
 }
 

@@ -3,32 +3,30 @@
 // the drop-list of §5, the aging mechanism of §6, and the SQL Server 7.0
 // auto-update/auto-drop maintenance policy the paper extends.
 //
-// Concurrency model: a Manager is safe for concurrent use. The catalog is
-// sharded by table — a statistic lives in the shard its table name hashes
-// to — so refreshes and creates on different tables never contend on one
-// mutex. Every observable mutation (Create/Drop/Refresh/drop-list
-// changes/Load) bumps a global, monotonically increasing epoch that
-// callers — notably the optimizer's plan cache — use to detect staleness.
-// The epoch is advanced inside the owning shard's critical section, before
-// the shard lock is released, so a reader that observes the mutated catalog
-// state also observes the new epoch. *Statistic values handed out by the
-// manager are treated as immutable snapshots: Refresh replaces the map
-// entry with a fresh Statistic instead of mutating the published one in
-// place, so a reader that obtained a pointer before the refresh keeps a
+// Concurrency model: a Manager is safe for concurrent use. The whole catalog
+// — epoch, statistics grouped by table, drop times — is one immutable
+// version published through one atomic pointer. Readers (Epoch, Get, All,
+// StatsForColumn, ...) load the pointer and take no lock, so they never
+// wait on a build. Every mutator (Create/Drop/Refresh/drop-list
+// changes/Load) takes the one writer mutex, holds it across the build,
+// derives the next version copy-on-write and stores it; the epoch travels in
+// the version, so a reader that observes the mutated catalog also observes
+// the new epoch — the rule the optimizer's plan cache relies on to detect
+// staleness. A published *Statistic is never written again: a refresh
+// publishes a fresh Statistic and a drop-list change publishes a shallow
+// copy (Data shared), so a reader that obtained a pointer earlier keeps a
 // consistent (if stale) view without data races.
 //
-// Lock ordering: shard mutexes are acquired before cfgMu (configuration)
-// and accMu (accounting); when several shards are locked together (Load,
-// DropAll) they are taken in index order. cfgMu is never held while
-// acquiring a shard lock.
+// cfgMu (configuration) and accMu (accounting) are leaf locks: either may be
+// taken under the writer mutex, and nothing is acquired under them.
 package stats
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,36 +101,62 @@ func (s *Statistic) IsSingleColumn() bool { return len(s.Columns) == 1 }
 // LeadingColumn returns the first (histogram-bearing) column.
 func (s *Statistic) LeadingColumn() string { return s.Columns[0] }
 
-// numShards is the catalog shard count. Statistics are distributed by a
-// hash of their table name, so all statistics of one table share a shard
-// (RefreshTable stays a single-shard critical section) while different
-// tables almost always land on different mutexes.
-const numShards = 16
-
-// shard is one slice of the statistics catalog with its own lock.
-type shard struct {
-	mu    sync.RWMutex
-	stats map[ID]*Statistic
+// version is one immutable state of the statistics catalog. Nothing
+// reachable from a published version is written again; mutators derive a
+// successor with withGroup and publish that.
+type version struct {
+	// epoch increases with every published version — equal epochs imply an
+	// identical visible statistics set.
+	epoch uint64
+	count int
+	// byTable groups the statistics by (lower-case) table, each group in ID
+	// order. The index is by table because StatsForColumn runs once per
+	// predicate column of every optimizer call and must not walk the
+	// statistics of the other tables.
+	byTable map[string][]*Statistic
 	// droppedAt records logical drop times of physically dropped statistics,
 	// feeding the aging policy (§6).
 	droppedAt map[ID]int64
 }
 
+// locate returns the group of id's table and id's index in it — or, when
+// absent, the index that keeps the group in ID order.
+func (v *version) locate(id ID) ([]*Statistic, int, bool) {
+	group := v.byTable[id.Table()]
+	i, ok := slices.BinarySearchFunc(group, id, func(s *Statistic, id ID) int {
+		return cmp.Compare(s.ID, id)
+	})
+	return group, i, ok
+}
+
+// withGroup returns v's successor in which table's statistics are group: the
+// table index is copied, every other group is shared.
+func (v *version) withGroup(table string, group []*Statistic) *version {
+	next := *v
+	next.epoch++
+	next.count += len(group) - len(v.byTable[table])
+	next.byTable = make(map[string][]*Statistic, len(v.byTable)+1)
+	maps.Copy(next.byTable, v.byTable)
+	next.byTable[table] = group
+	return &next
+}
+
 // Manager owns all statistics of one database. It is safe for concurrent
-// use; see the package comment for the sharding, locking and epoch
+// use; see the package comment for the publication, locking and epoch
 // discipline.
 type Manager struct {
 	db         *storage.Database
 	kind       histogram.Kind
 	maxBuckets int
 
-	shards [numShards]shard
+	// mu serializes mutators; it is held across a build. cur is the
+	// published catalog, stored only under mu and loaded by readers with no
+	// lock.
+	mu  sync.Mutex
+	cur atomic.Pointer[version]
 
-	// clock is the logical clock; epoch increases on every observable
-	// statistics mutation — equal epochs imply an identical visible
-	// statistics set.
+	// clock is the logical clock.
 	clock atomic.Int64
-	epoch atomic.Uint64
 
 	// AgingWindow is the number of logical ticks during which a recently
 	// dropped statistic is considered "aged" and should not be re-created
@@ -140,8 +164,8 @@ type Manager struct {
 	// manager across goroutines.
 	AgingWindow int64
 
-	// cfgMu guards the reconfigurable collaborators below. It is never held
-	// while acquiring a shard lock.
+	// cfgMu guards the reconfigurable collaborators below. It is a leaf
+	// lock.
 	cfgMu sync.RWMutex
 	// sampling configures sampled statistics construction (see SetSampling).
 	sampling SampleConfig
@@ -160,25 +184,17 @@ type Manager struct {
 	// met caches the manager's observability handles; see managerMetrics.
 	met managerMetrics
 
-	// accMu guards the cumulative accounting fields below. It is the
-	// innermost lock: taken only with no other manager lock needed, or
-	// inside a shard critical section.
+	// accMu guards acct, the cumulative accounting the experiment harness
+	// reports (read it with Snapshot). It is a leaf lock.
 	accMu sync.Mutex
-	// Cumulative accounting, reported by the experiment harness. Mutated
-	// only under accMu; read them after concurrent phases have joined, or
-	// via Accounting for a consistent snapshot.
-	TotalBuildCost  float64
-	TotalBuildTime  time.Duration
-	TotalUpdateCost float64
-	BuildCount      int
-	UpdateOpCount   int
+	acct  Accounting
 }
 
 // managerMetrics caches the manager's metric handles so hot paths hit the
 // atomics directly instead of re-looking names up in the registry. Counters
-// mirror the cumulative accounting fields one-for-one (stats.builds =
-// BuildCount, stats.build.cost_units = TotalBuildCost, ...) so experiment
-// tables derived from either source reconcile.
+// mirror the cumulative Accounting one-for-one (stats.builds = BuildCount,
+// stats.build.cost_units = TotalBuildCost, ...) so experiment tables derived
+// from either source reconcile.
 type managerMetrics struct {
 	reg           *obs.Registry
 	builds        *obs.Counter
@@ -191,7 +207,6 @@ type managerMetrics struct {
 	updateUnits   *obs.FloatCounter
 	statCount     *obs.Gauge
 	epoch         *obs.Gauge
-	shardCount    *obs.Gauge
 	buildLatency  *obs.Timing
 
 	// Build-path instrumentation: fullScans counts statistic (re)builds —
@@ -230,7 +245,6 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 		updateUnits:    reg.FloatCounter("stats.update.cost_units"),
 		statCount:      reg.Gauge("stats.count"),
 		epoch:          reg.Gauge("stats.epoch"),
-		shardCount:     reg.Gauge("stats.shards"),
 		buildLatency:   reg.Timing("stats.build.latency"),
 		fullScans:      reg.Counter("stats.build.full_scans"),
 		partialsMerged: reg.Counter("stats.build.partials_merged"),
@@ -254,27 +268,12 @@ func NewManager(db *storage.Database, kind histogram.Kind, maxBuckets int) *Mana
 		stream:     StreamConfig{PartitionRows: defaultPartitionRows},
 		met:        newManagerMetrics(obs.Default),
 	}
-	for i := range m.shards {
-		m.shards[i].stats = make(map[ID]*Statistic)
-		m.shards[i].droppedAt = make(map[ID]int64)
-	}
-	m.met.shardCount.Set(numShards)
+	m.cur.Store(&version{})
 	return m
 }
 
 // Database returns the managed database.
 func (m *Manager) Database() *storage.Database { return m.db }
-
-// shardFor returns the shard owning statistics of the (lower-case) table.
-func (m *Manager) shardFor(table string) *shard {
-	// FNV-1a over the table name.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(table); i++ {
-		h ^= uint64(table[i])
-		h *= 1099511628211
-	}
-	return &m.shards[h%numShards]
-}
 
 // metrics returns the current observability handles. Hot paths snapshot
 // them once per operation instead of re-reading cfgMu per counter.
@@ -287,11 +286,8 @@ func (m *Manager) metrics() managerMetrics {
 // SetObsRegistry redirects the manager's metrics to reg (obs.Default at
 // construction). Call it before sharing the manager across goroutines.
 func (m *Manager) SetObsRegistry(reg *obs.Registry) {
-	n := int64(len(m.All()))
 	met := newManagerMetrics(reg)
-	met.statCount.Set(n)
-	met.epoch.Set(int64(m.epoch.Load()))
-	met.shardCount.Set(numShards)
+	met.setGauges(m.cur.Load())
 	m.cfgMu.Lock()
 	defer m.cfgMu.Unlock()
 	m.met = met
@@ -304,20 +300,22 @@ func (m *Manager) ObsRegistry() *obs.Registry {
 	return m.met.reg
 }
 
-// bumpEpoch advances the statistics epoch. Callers must hold the mutated
-// shard's write lock (or all shard locks) so the new epoch is published
-// before the mutation becomes visible to other goroutines. The epoch and
-// stat-count gauges are maintained with deltas — gauge Set from concurrent
-// shards could publish a stale absolute value.
-func (m *Manager) bumpEpoch(met managerMetrics) {
-	m.epoch.Add(1)
-	met.epoch.Add(1)
+// publish makes next the visible catalog. Contents and epoch travel in one
+// pointer, so no reader can see one without the other. The caller holds m.mu.
+func (m *Manager) publish(next *version, met managerMetrics) {
+	m.cur.Store(next)
+	met.setGauges(next)
+}
+
+func (met managerMetrics) setGauges(v *version) {
+	met.epoch.Set(int64(v.epoch))
+	met.statCount.Set(int64(v.count))
 }
 
 // Epoch returns the statistics epoch: a counter bumped by every observable
-// mutation (Create, Drop, Refresh, drop-list changes, Load, DropAll). Two
+// mutation (Create, Drop, Refresh, drop-list changes, Load). Two
 // optimizations at the same epoch see the same statistics.
-func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
+func (m *Manager) Epoch() uint64 { return m.cur.Load().epoch }
 
 // Tick advances the logical clock (called once per processed statement by
 // policy drivers) and returns the new time.
@@ -325,10 +323,10 @@ func (m *Manager) Tick() int64 { return m.clock.Add(1) }
 
 // Get returns the statistic with the given ID, or nil.
 func (m *Manager) Get(id ID) *Statistic {
-	sh := m.shardFor(id.Table())
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.stats[id]
+	if group, i, ok := m.cur.Load().locate(id); ok {
+		return group[i]
+	}
+	return nil
 }
 
 // Has reports whether the statistic exists (whether or not drop-listed).
@@ -336,30 +334,23 @@ func (m *Manager) Has(id ID) bool { return m.Get(id) != nil }
 
 // IsDropListed reports whether the statistic exists and is drop-listed.
 func (m *Manager) IsDropListed(id ID) bool {
-	sh := m.shardFor(id.Table())
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.stats[id]
+	s := m.Get(id)
 	return s != nil && s.InDropList
 }
 
-// collect gathers the statistics matching filter (nil means all) across
-// every shard, in deterministic ID order. Shards are visited one at a time;
-// the result is a consistent per-shard snapshot, which is all the previous
-// single-mutex implementation guaranteed to concurrent readers as well.
+// collect gathers the statistics of one version matching filter (nil means
+// all), in deterministic ID order.
 func (m *Manager) collect(filter func(*Statistic) bool) []*Statistic {
-	var out []*Statistic
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.stats {
+	v := m.cur.Load()
+	out := make([]*Statistic, 0, v.count)
+	for _, group := range v.byTable {
+		for _, s := range group {
 			if filter == nil || filter(s) {
 				out = append(out, s)
 			}
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Statistic) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -417,15 +408,11 @@ func (m *Manager) Ensure(table string, cols []string) (*Statistic, bool, error) 
 func (m *Manager) EnsureCtx(ctx context.Context, table string, cols []string) (*Statistic, bool, error) {
 	id := MakeID(table, cols)
 	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s := sh.stats[id]; s != nil {
-		if s.InDropList {
-			s.InDropList = false
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s, resurrected := m.setDropListed(id, false, met); s != nil {
+		if resurrected {
 			met.resurrections.Inc()
-			met.droplistRems.Inc()
-			m.bumpEpoch(met)
 		}
 		return s, false, nil
 	}
@@ -441,16 +428,16 @@ func (m *Manager) EnsureCtx(ctx context.Context, table string, cols []string) (*
 	// Creation accounting is charged here, NOT in build: refreshes reuse
 	// the build path but must charge only the update-side counters.
 	m.accMu.Lock()
-	m.TotalBuildCost += s.BuildCost
-	m.TotalBuildTime += s.BuildTime
-	m.BuildCount++
+	m.acct.TotalBuildCost += s.BuildCost
+	m.acct.TotalBuildTime += s.BuildTime
+	m.acct.BuildCount++
 	m.accMu.Unlock()
 	met.builds.Inc()
 	met.buildUnits.Add(s.BuildCost)
 	met.buildLatency.Observe(s.BuildTime)
-	sh.stats[id] = s
-	met.statCount.Add(1)
-	m.bumpEpoch(met)
+	v := m.cur.Load()
+	group, i, _ := v.locate(id)
+	m.publish(v.withGroup(id.Table(), slices.Insert(slices.Clone(group), i, s)), met)
 	return s, true, nil
 }
 
@@ -465,84 +452,64 @@ func lowerAll(cols []string) []string {
 // Drop physically removes a statistic and records the drop time for aging.
 func (m *Manager) Drop(id ID) bool {
 	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return m.dropShardLocked(sh, id, met)
-}
-
-// dropShardLocked removes id from sh; the caller holds sh.mu.
-func (m *Manager) dropShardLocked(sh *shard, id ID, met managerMetrics) bool {
-	if _, ok := sh.stats[id]; !ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.cur.Load()
+	group, i, ok := v.locate(id)
+	if !ok {
 		return false
 	}
-	delete(sh.stats, id)
-	sh.droppedAt[id] = m.clock.Add(1)
+	next := v.withGroup(id.Table(), slices.Delete(slices.Clone(group), i, i+1))
+	next.droppedAt = make(map[ID]int64, len(v.droppedAt)+1)
+	maps.Copy(next.droppedAt, v.droppedAt)
+	next.droppedAt[id] = m.clock.Add(1)
 	met.drops.Inc()
-	met.statCount.Add(-1)
-	m.bumpEpoch(met)
+	m.publish(next, met)
 	return true
+}
+
+// setDropListed publishes id's statistic with InDropList = listed, as a
+// shallow copy (Data shared) — the handed-out value is never written. It
+// returns the current statistic (nil when unknown) and whether the flag
+// changed. The caller holds m.mu.
+func (m *Manager) setDropListed(id ID, listed bool, met managerMetrics) (*Statistic, bool) {
+	v := m.cur.Load()
+	group, i, ok := v.locate(id)
+	if !ok {
+		return nil, false
+	}
+	if group[i].InDropList == listed {
+		return group[i], false
+	}
+	flipped := *group[i]
+	flipped.InDropList = listed
+	group = slices.Clone(group)
+	group[i] = &flipped
+	if listed {
+		met.droplistAdds.Inc()
+	} else {
+		met.droplistRems.Inc()
+	}
+	m.publish(v.withGroup(id.Table(), group), met)
+	return &flipped, true
 }
 
 // AddToDropList marks a statistic non-essential. Returns false if unknown.
 func (m *Manager) AddToDropList(id ID) bool {
 	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.stats[id]
-	if s == nil {
-		return false
-	}
-	if !s.InDropList {
-		s.InDropList = true
-		met.droplistAdds.Inc()
-		m.bumpEpoch(met)
-	}
-	return true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, _ := m.setDropListed(id, true, met)
+	return s != nil
 }
 
 // RemoveFromDropList resurrects a drop-listed statistic.
 func (m *Manager) RemoveFromDropList(id ID) bool {
 	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.stats[id]
-	if s == nil {
-		return false
-	}
-	if s.InDropList {
-		s.InDropList = false
-		met.droplistRems.Inc()
-		m.bumpEpoch(met)
-	}
-	return true
-}
-
-// PurgeDropList physically drops every drop-listed statistic and returns
-// how many were dropped (a policy action, §6).
-func (m *Manager) PurgeDropList() int {
-	met := m.metrics()
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		var ids []ID
-		for id, s := range sh.stats {
-			if s.InDropList {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			if m.dropShardLocked(sh, id, met) {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, _ := m.setDropListed(id, false, met)
+	return s != nil
 }
 
 // RecentlyDropped reports whether the statistic was physically dropped
@@ -552,18 +519,15 @@ func (m *Manager) RecentlyDropped(id ID) bool {
 	if m.AgingWindow <= 0 {
 		return false
 	}
-	sh := m.shardFor(id.Table())
-	sh.mu.RLock()
-	at, ok := sh.droppedAt[id]
-	sh.mu.RUnlock()
+	at, ok := m.cur.Load().droppedAt[id]
 	return ok && m.clock.Load()-at < m.AgingWindow
 }
 
 // Refresh rebuilds an existing statistic from current data, charging its
 // update cost (and only its update cost — creation accounting is untouched).
-// Drop-listed statistics are skipped (they are not maintained). The map
-// entry is replaced with a fresh Statistic; previously handed-out pointers
-// keep their pre-refresh snapshot. When incremental maintenance is enabled
+// Drop-listed statistics are skipped (they are not maintained). A fresh
+// Statistic is published in its place; previously handed-out pointers keep
+// their pre-refresh snapshot. When incremental maintenance is enabled
 // and the table's logged row deltas are small enough, the refresh folds the
 // deltas into the existing histogram instead of rescanning the table.
 func (m *Manager) Refresh(id ID) error {
@@ -573,25 +537,31 @@ func (m *Manager) Refresh(id ID) error {
 // RefreshCtx is Refresh honoring cancellation and deadlines; see EnsureCtx
 // for the abandonment guarantees.
 func (m *Manager) RefreshCtx(ctx context.Context, id ID) error {
-	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, err := m.refreshShardLocked(ctx, sh, id, met)
+	_, err := m.refreshStatCost(ctx, id)
 	return err
 }
 
-// refreshShardLocked refreshes one statistic and returns the update cost
-// this call charged (0 when the statistic is drop-listed and skipped).
-// Callers must hold sh.mu. Returning the cost lets maintenance passes
-// attribute exactly their own work instead of diffing the global counters,
-// which would fold in concurrent refreshes.
-func (m *Manager) refreshShardLocked(ctx context.Context, sh *shard, id ID, met managerMetrics) (float64, error) {
-	s := sh.stats[id]
-	if s == nil {
+// refreshStatCost refreshes a single statistic and returns the update cost
+// this call charged (0 when the statistic is drop-listed and skipped), so a
+// maintenance pass can attribute exactly its own work instead of diffing the
+// global counters, which would fold in concurrent refreshes. The table's
+// modification counter is left untouched: other statistics on the table
+// remain governed by it.
+func (m *Manager) refreshStatCost(ctx context.Context, id ID) (float64, error) {
+	met := m.metrics()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.refresh(ctx, id, met)
+}
+
+// refresh is refreshStatCost for a caller that holds m.mu.
+func (m *Manager) refresh(ctx context.Context, id ID, met managerMetrics) (float64, error) {
+	v := m.cur.Load()
+	group, i, ok := v.locate(id)
+	if !ok {
 		return 0, fmt.Errorf("stats: unknown statistic %s", id)
 	}
-	if s.InDropList {
+	if group[i].InDropList {
 		return 0, nil
 	}
 	if fp := m.failpointFn(); fp != nil {
@@ -599,62 +569,39 @@ func (m *Manager) refreshShardLocked(ctx context.Context, sh *shard, id ID, met 
 			return 0, fmt.Errorf("stats: refresh %s vetoed: %w", id, err)
 		}
 	}
-	fresh, cost, err := m.rebuildOrFold(ctx, s, met)
+	fresh, cost, err := m.rebuildOrFold(ctx, group[i], met)
 	if err != nil {
 		return 0, fmt.Errorf("stats: refresh %s: %w", id, err)
 	}
-	sh.stats[id] = fresh
+	group = slices.Clone(group)
+	group[i] = fresh
 	m.accMu.Lock()
-	m.TotalUpdateCost += cost
-	m.UpdateOpCount++
+	m.acct.TotalUpdateCost += cost
+	m.acct.UpdateOpCount++
 	m.accMu.Unlock()
 	met.refreshes.Inc()
 	met.updateUnits.Add(cost)
-	m.bumpEpoch(met)
+	m.publish(v.withGroup(id.Table(), group), met)
 	return cost, nil
 }
 
-// refreshStatCost refreshes a single statistic and returns the update cost
-// this call charged — the per-statistic sibling of refreshTableCost, used by
-// the feedback-triggered maintenance path. The table's modification counter
-// is left untouched: other statistics on the table remain governed by it.
-func (m *Manager) refreshStatCost(ctx context.Context, id ID) (float64, error) {
-	met := m.metrics()
-	sh := m.shardFor(id.Table())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return m.refreshShardLocked(ctx, sh, id, met)
-}
-
-// RefreshTable refreshes every maintained statistic on the table and resets
-// its modification counter. Returns the number refreshed.
-func (m *Manager) RefreshTable(table string) (int, error) {
-	n, _, err := m.refreshTableCost(context.Background(), table)
-	return n, err
-}
-
-// refreshTableCost is RefreshTable plus the update cost charged by this call
-// alone, so a maintenance pass can report its own cost even while other
-// goroutines refresh concurrently. All statistics of one table live in one
-// shard, so the whole pass is a single-shard critical section. Cancellation
-// is checked between the per-statistic rebuilds.
+// refreshTableCost refreshes every maintained statistic on the table, in ID
+// order, and resets its modification counter. It returns the number
+// refreshed and the update cost charged by this call alone. The writer mutex
+// is held for the whole pass; each refreshed statistic is published as it
+// completes. Cancellation is checked between the per-statistic rebuilds.
 func (m *Manager) refreshTableCost(ctx context.Context, table string) (int, float64, error) {
 	table = strings.ToLower(table)
 	met := m.metrics()
-	sh := m.shardFor(table)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var ids []ID
-	for id, s := range sh.stats {
-		if s.Table == table && !s.InDropList {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
 	var cost float64
-	for _, id := range ids {
-		c, err := m.refreshShardLocked(ctx, sh, id, met)
+	for _, s := range m.cur.Load().byTable[table] {
+		if s.InDropList {
+			continue
+		}
+		c, err := m.refresh(ctx, s.ID, met)
 		if err != nil {
 			return n, cost, err
 		}
@@ -682,20 +629,9 @@ func (m *Manager) MaintenanceCostUnits() float64 {
 	return c
 }
 
-// StatsOnTable returns all existing statistics on a table.
+// StatsOnTable returns all existing statistics on a table, in ID order.
 func (m *Manager) StatsOnTable(table string) []*Statistic {
-	table = strings.ToLower(table)
-	sh := m.shardFor(table)
-	sh.mu.RLock()
-	var out []*Statistic
-	for _, s := range sh.stats {
-		if s.Table == table {
-			out = append(out, s)
-		}
-	}
-	sh.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *Statistic) int { return cmp.Compare(a.ID, b.ID) })
-	return out
+	return slices.Clone(m.cur.Load().byTable[strings.ToLower(table)])
 }
 
 // StatsForColumn returns all statistics whose leading (histogram-bearing)
@@ -704,15 +640,12 @@ func (m *Manager) StatsOnTable(table string) []*Statistic {
 // the most precise structure.
 func (m *Manager) StatsForColumn(table, column string) []*Statistic {
 	table, column = strings.ToLower(table), strings.ToLower(column)
-	sh := m.shardFor(table)
-	sh.mu.RLock()
 	var out []*Statistic
-	for _, s := range sh.stats {
-		if s.Table == table && s.LeadingColumn() == column {
+	for _, s := range m.cur.Load().byTable[table] {
+		if s.LeadingColumn() == column {
 			out = append(out, s)
 		}
 	}
-	sh.mu.RUnlock()
 	slices.SortFunc(out, func(a, b *Statistic) int {
 		if c := cmp.Compare(len(a.Columns), len(b.Columns)); c != 0 {
 			return c
@@ -736,13 +669,7 @@ type Accounting struct {
 func (m *Manager) Snapshot() Accounting {
 	m.accMu.Lock()
 	defer m.accMu.Unlock()
-	return Accounting{
-		TotalBuildCost:  m.TotalBuildCost,
-		TotalBuildTime:  m.TotalBuildTime,
-		TotalUpdateCost: m.TotalUpdateCost,
-		BuildCount:      m.BuildCount,
-		UpdateOpCount:   m.UpdateOpCount,
-	}
+	return m.acct
 }
 
 // ResetAccounting zeroes the cumulative cost counters (between experiment
@@ -750,40 +677,14 @@ func (m *Manager) Snapshot() Accounting {
 func (m *Manager) ResetAccounting() {
 	m.accMu.Lock()
 	defer m.accMu.Unlock()
-	m.TotalBuildCost = 0
-	m.TotalBuildTime = 0
-	m.TotalUpdateCost = 0
-	m.BuildCount = 0
-	m.UpdateOpCount = 0
+	m.acct = Accounting{}
 }
 
-// lockAll write-locks every shard in index order; unlockAll releases them
-// in reverse. Used by the wholesale operations (Load, DropAll) that must
-// mutate the catalog atomically with respect to readers.
-func (m *Manager) lockAll() {
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-	}
-}
-
-func (m *Manager) unlockAll() {
-	for i := len(m.shards) - 1; i >= 0; i-- {
-		m.shards[i].mu.Unlock()
-	}
-}
-
-// DropAll removes every statistic without recording aging drops (used to
-// reset experiments).
-func (m *Manager) DropAll() {
+// dropAll removes every statistic without recording aging drops — the
+// wholesale reset of the package's tests.
+func (m *Manager) dropAll() {
 	met := m.metrics()
-	m.lockAll()
-	defer m.unlockAll()
-	var old int64
-	for i := range m.shards {
-		old += int64(len(m.shards[i].stats))
-		m.shards[i].stats = make(map[ID]*Statistic)
-		m.shards[i].droppedAt = make(map[ID]int64)
-	}
-	met.statCount.Add(-old)
-	m.bumpEpoch(met)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.publish(&version{epoch: m.cur.Load().epoch + 1}, met)
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/catalog"
@@ -53,16 +54,16 @@ func TestCreateGetDrop(t *testing.T) {
 	if !m.Has(st.ID) || m.Get(st.ID) != st {
 		t.Error("lookup after create failed")
 	}
-	if m.BuildCount != 1 || m.TotalBuildCost <= 0 {
-		t.Errorf("accounting: count=%d cost=%v", m.BuildCount, m.TotalBuildCost)
+	if acct := m.Snapshot(); acct.BuildCount != 1 || acct.TotalBuildCost <= 0 {
+		t.Errorf("accounting: count=%d cost=%v", acct.BuildCount, acct.TotalBuildCost)
 	}
 	// Idempotent create returns existing without a rebuild.
 	again, err := m.Create("t", []string{"a"})
 	if err != nil || again != st {
 		t.Errorf("re-create returned %v, %v", again, err)
 	}
-	if m.BuildCount != 1 {
-		t.Errorf("re-create rebuilt: count=%d", m.BuildCount)
+	if n := m.Snapshot().BuildCount; n != 1 {
+		t.Errorf("re-create rebuilt: count=%d", n)
 	}
 	if !m.Drop(st.ID) {
 		t.Error("drop failed")
@@ -82,21 +83,22 @@ func TestDropListLifecycle(t *testing.T) {
 		t.Error("drop-list membership wrong")
 	}
 	// §5: a drop-listed statistic is resurrected by Create without rebuild.
-	buildCount := m.BuildCount
+	buildCount := m.Snapshot().BuildCount
 	re, err := m.Create("t", []string{"a"})
 	if err != nil || re.InDropList {
 		t.Errorf("resurrect: %v, inDropList=%v", err, re.InDropList)
 	}
-	if m.BuildCount != buildCount {
+	if m.Snapshot().BuildCount != buildCount {
 		t.Error("resurrection must not rebuild")
 	}
-	// Purge physically drops drop-listed statistics only.
+	// Physically dropping the drop-list leaves maintained statistics alone.
+	kept, _ := m.Create("t", []string{"b"})
 	m.AddToDropList(st.ID)
-	if n := m.PurgeDropList(); n != 1 {
-		t.Errorf("PurgeDropList = %d", n)
+	for _, s := range m.DropList() {
+		m.Drop(s.ID)
 	}
-	if m.Has(st.ID) {
-		t.Error("purged statistic still exists")
+	if m.Has(st.ID) || !m.Has(kept.ID) {
+		t.Errorf("after dropping the drop-list: listed exists=%v, maintained exists=%v", m.Has(st.ID), m.Has(kept.ID))
 	}
 	if m.AddToDropList(ID("t(zzz)")) {
 		t.Error("AddToDropList on unknown should fail")
@@ -130,7 +132,7 @@ func TestRefreshAccountingAndDropListSkip(t *testing.T) {
 	b, _ := m.Create("t", []string{"b"})
 	m.AddToDropList(b.ID)
 	m.ResetAccounting()
-	n, err := m.RefreshTable("t")
+	n, _, err := m.refreshTableCost(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestRefreshAccountingAndDropListSkip(t *testing.T) {
 	if got := m.Get(b.ID).UpdateCount; got != 0 {
 		t.Errorf("b.UpdateCount = %d, want 0", got)
 	}
-	if m.TotalUpdateCost <= 0 {
+	if m.Snapshot().TotalUpdateCost <= 0 {
 		t.Error("update cost not charged")
 	}
 	if err := m.Refresh(ID("t(zzz)")); err == nil {
@@ -340,8 +342,8 @@ func TestDropAllAndAll(t *testing.T) {
 	if got := len(m.StatsOnTable("t")); got != 2 {
 		t.Errorf("StatsOnTable = %d", got)
 	}
-	m.DropAll()
+	m.dropAll()
 	if len(m.All()) != 0 {
-		t.Error("DropAll left statistics behind")
+		t.Error("dropAll left statistics behind")
 	}
 }

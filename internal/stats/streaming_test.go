@@ -417,7 +417,7 @@ func TestStreamingCancelMidStream(t *testing.T) {
 }
 
 // TestStreamingConcurrentBuildsAndFolds: full rebuilds, folding
-// refreshes and DML hammer one shard concurrently; run under -race this
+// refreshes and DML hammer one table concurrently; run under -race this
 // proves block scans and FoldMulti never interleave on shared state. The
 // final refreshed statistic must equal a fresh reference build.
 func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
