@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -182,7 +183,11 @@ func (s *System) Schema() *catalog.Schema { return s.db.Schema }
 type QueryResult struct {
 	// Columns names the output columns ("table.column"), in position order.
 	Columns []string
-	// Rows holds the output values rendered as SQL literals.
+	// Rows holds the output values rendered as SQL literals. The cells of
+	// one result are substrings of one backing string and the rows are
+	// capped windows of one []string: appending to a row copies it, and a
+	// cell kept beyond the result should be strings.Clone'd, or it keeps
+	// the whole result's text reachable.
 	Rows [][]string
 	// ExecCost is the execution cost in deterministic work units.
 	ExecCost float64
@@ -253,6 +258,9 @@ func (s *System) ExecCtx(ctx context.Context, sql string) (*QueryResult, error) 
 // renderResult copies an executor result into the facade's shape: cost,
 // affected count and — for a SELECT, the only statement with output columns —
 // the columns in position order and every value rendered as a SQL literal.
+// The cells cost one buffer, not one string each: all of them are rendered
+// into one text, every cell is a substring of it, and the cells sit in one
+// []string of which each row is a capped window.
 func renderResult(res *executor.Result) *QueryResult {
 	out := &QueryResult{ExecCost: res.Cost, Affected: res.Affected}
 	if res.Cols == nil {
@@ -264,13 +272,54 @@ func renderResult(res *executor.Result) *QueryResult {
 			out.Columns[pos] = name
 		}
 	}
+	// Bound the text's size before rendering it, so that it is allocated once.
+	ncells, size := 0, 0
+	for _, r := range res.Rows {
+		ncells += len(r)
+		for _, d := range r {
+			switch {
+			case d.Null:
+				size += len("NULL")
+			case d.T == catalog.String: // the bytes, two quotes, each inner quote doubled
+				size += len(d.S) + 2 + strings.Count(d.S, "'")
+			case d.T == catalog.Float:
+				size += 24 // strconv's longest shortest-form float64
+			default: // Int, Date: "DATE ", a sign, one digit and ⌊bits·log10(2)⌋ more
+				size += 7 + bits.Len64(uint64(d.I))*1233>>12
+			}
+		}
+	}
+	// Text and cells are allocated a chunk at a time, at most chunk bytes
+	// each: one chunk of each, sized from the counts above, for any ordinary
+	// result; MiB pieces filled to the brim for a huge one (a whole table read
+	// in-process), which then needs no contiguous block proportional to its
+	// size and does not hold what the text estimate overshot by.
+	// Builder.Grow makes room for a chunk at once: no write into it moves it,
+	// and a cell can be cut out of it as soon as it is written. The cells and
+	// rows cut from a finished chunk are what keep it alive.
+	const chunk = 1 << 20
+	const chunkCells = chunk / 16 // a string header is 16 bytes
+	var text strings.Builder
+	cells := make([]string, 0, min(ncells, chunkCells))
+	lit := make([]byte, 0, 64) // one literal at a time
 	out.Rows = make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
-		row := make([]string, len(r))
-		for j, d := range r {
-			row[j] = d.String()
+		if cap(cells)-len(cells) < len(r) {
+			cells = make([]string, 0, max(len(r), min(ncells, chunkCells)))
 		}
-		out.Rows[i] = row
+		ncells -= len(r) // cells still to come
+		for _, d := range r {
+			lit = d.AppendString(lit[:0])
+			if text.Cap()-text.Len() < len(lit) {
+				text.Reset()
+				text.Grow(max(len(lit), min(size, chunk)))
+			}
+			size -= len(lit) // still an upper bound on what is left to write
+			start := text.Len()
+			text.Write(lit)
+			cells = append(cells, text.String()[start:])
+		}
+		out.Rows[i] = cells[len(cells)-len(r) : len(cells) : len(cells)]
 	}
 	return out
 }

@@ -215,9 +215,15 @@ func (c *Client) dialOnce(ctx context.Context) (*liveConn, *protocol.HelloResult
 
 // readLoop pairs responses to waiters by ID until the connection dies.
 func (lc *liveConn) readLoop(maxFrame int) {
-	br := bufio.NewReaderSize(lc.nc, 16<<10)
+	fr := frameReader{r: lc.nc, maxFrame: maxFrame}
 	for {
-		resp, err := protocol.ReadResponse(br, maxFrame)
+		var resp *protocol.Response
+		payload, err := fr.next()
+		if err == nil {
+			// DecodeResponse copies what it keeps, so the next frame may
+			// overwrite payload.
+			resp, err = protocol.DecodeResponse(payload)
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("client: connection closed by server: %w", err)
@@ -231,6 +237,59 @@ func (lc *liveConn) readLoop(maxFrame int) {
 		lc.pmu.Unlock()
 		if ch != nil {
 			ch <- resp // buffered; never blocks
+		}
+	}
+}
+
+// The reader's buffer starts at readBuf bytes and doubles until the frame in
+// hand fits; one grown past keepReadBuf is dropped once it is empty, so a
+// single 4 MiB answer does not pin megabytes for the life of the connection.
+const (
+	readBuf     = 16 << 10
+	keepReadBuf = 256 << 10
+)
+
+// frameReader reads frames from r into one buffer that it owns and reuses.
+// A payload returned by next aliases that buffer: it is valid until the
+// following call and no longer.
+type frameReader struct {
+	r        io.Reader
+	maxFrame int
+	buf      []byte
+	lo, hi   int // buf[lo:hi] is read and not yet consumed
+}
+
+// next returns the payload of the next frame. protocol.DecodeFrame is the one
+// place a length prefix is judged: it rejects a length above maxFrame as
+// soon as the four header bytes are in, before the buffer grows or another
+// byte of that frame is read, and asks for more with ErrShortFrame. A clean
+// EOF between frames is io.EOF; one inside a frame is io.ErrUnexpectedEOF.
+func (fr *frameReader) next() ([]byte, error) {
+	for {
+		payload, rest, err := protocol.DecodeFrame(fr.buf[fr.lo:fr.hi], fr.maxFrame)
+		if err == nil {
+			fr.lo = fr.hi - len(rest)
+			return payload, nil
+		}
+		if !errors.Is(err, protocol.ErrShortFrame) {
+			return nil, err
+		}
+		switch {
+		case fr.lo == fr.hi && (fr.buf == nil || len(fr.buf) > keepReadBuf):
+			fr.buf, fr.lo, fr.hi = make([]byte, readBuf), 0, 0
+		case fr.lo > 0: // move the partial frame to the front
+			fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
+			fr.lo = 0
+		case fr.hi == len(fr.buf):
+			fr.buf = append(fr.buf, make([]byte, len(fr.buf))...)
+		}
+		n, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += n
+		if n == 0 && err != nil {
+			if err == io.EOF && fr.hi > fr.lo {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
 	}
 }
@@ -336,7 +395,7 @@ func (c *Client) do(ctx context.Context, req *protocol.Request) (*protocol.Respo
 		if errors.Is(derr, ErrClosed) {
 			return nil, derr
 		}
-		return nil, fmt.Errorf("%w: %v", ErrConnLost, derr)
+		return nil, fmt.Errorf("%w: %w", ErrConnLost, derr)
 	case <-ctx.Done():
 		lc.unregister(req.ID)
 		return nil, ctx.Err()
@@ -362,6 +421,10 @@ func (c *Client) doIdempotent(ctx context.Context, req *protocol.Request) (*prot
 // Exec runs one SQL statement (query or DML) on the client's tenant.
 // Never auto-retried: a connection lost mid-flight fails with ErrConnLost
 // and the caller decides whether re-running the statement is safe.
+//
+// The cells of the result share memory (see protocol.ExecResult.Rows): they
+// are substrings of one copy of the response, so strings.Clone a cell that
+// is kept after the result is dropped.
 func (c *Client) Exec(ctx context.Context, sql string) (*protocol.ExecResult, error) {
 	resp, err := c.do(ctx, &protocol.Request{Op: protocol.OpExec, SQL: sql})
 	if err != nil {

@@ -371,6 +371,25 @@ func TestClientConnLostTypedAndExecNotReplayed(t *testing.T) {
 	}
 }
 
+// TestClientMalformedResponseTyped: a frame that is not a JSON response ends
+// the connection, and the call in flight reports why by type — ErrConnLost
+// for the retry policy, protocol.ErrMalformed for the cause.
+func TestClientMalformedResponseTyped(t *testing.T) {
+	ln := fakeStatsServer(t, func(nc net.Conn, req *protocol.Request) {
+		nc.Write(protocol.AppendFrame(nil, []byte("not json")))
+	})
+	c, err := client.Dial(ln.Addr().String(), client.Options{Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	_, err = c.Exec(context.Background(), "SELECT 1")
+	if !errors.Is(err, client.ErrConnLost) || !errors.Is(err, protocol.ErrMalformed) {
+		t.Fatalf("err = %v, want ErrConnLost wrapping protocol.ErrMalformed", err)
+	}
+}
+
 // TestClientIdempotentRetriedAfterConnLoss checks that a read-only call lost
 // mid-flight is transparently retried once on a fresh connection.
 func TestClientIdempotentRetriedAfterConnLoss(t *testing.T) {

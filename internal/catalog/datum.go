@@ -203,12 +203,38 @@ func (d Datum) String() string {
 	case Int:
 		return strconv.FormatInt(d.I, 10)
 	case Date:
-		return fmt.Sprintf("DATE %d", d.I)
+		return "DATE " + strconv.FormatInt(d.I, 10)
 	case Float:
 		return strconv.FormatFloat(d.F, 'g', -1, 64)
 	case String:
 		return "'" + strings.ReplaceAll(d.S, "'", "''") + "'"
 	default:
 		return "?"
+	}
+}
+
+// AppendString appends the SQL literal String returns to dst, without an
+// allocation of its own.
+func (d Datum) AppendString(dst []byte) []byte {
+	if d.Null {
+		return append(dst, "NULL"...)
+	}
+	switch d.T {
+	case Int:
+		return strconv.AppendInt(dst, d.I, 10)
+	case Date:
+		return strconv.AppendInt(append(dst, "DATE "...), d.I, 10)
+	case Float:
+		return strconv.AppendFloat(dst, d.F, 'g', -1, 64)
+	case String:
+		dst = append(dst, '\'')
+		s := d.S
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			dst = append(append(dst, s[:i+1]...), '\'')
+			s = s[i+1:]
+		}
+		return append(append(dst, s...), '\'')
+	default:
+		return append(dst, '?')
 	}
 }

@@ -178,6 +178,25 @@ func TestDatumStringRendering(t *testing.T) {
 	}
 }
 
+// TestDatumAppendStringMatchesString: the append form renders every type,
+// NULL of every type and quote-bearing strings exactly as String does, behind
+// whatever dst already holds.
+func TestDatumAppendStringMatchesString(t *testing.T) {
+	data := []Datum{
+		NewInt(0), NewInt(-7), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewDate(8035), NewDate(-1),
+		NewFloat(0), NewFloat(2.5), NewFloat(-1e21), NewFloat(1e-7), NewFloat(math.Inf(1)), NewFloat(math.NaN()),
+		NewString(""), NewString("plain"), NewString("it's"), NewString("''"), NewString("'lead and trail'"), NewString("Zürich"),
+		NewNull(Int), NewNull(Float), NewNull(String), NewNull(Date),
+		{T: Type(9)},
+	}
+	for _, d := range data {
+		if got, want := string(d.AppendString([]byte("x="))), "x="+d.String(); got != want {
+			t.Errorf("AppendString = %q, String gives %q", got, want)
+		}
+	}
+}
+
 func TestTypeString(t *testing.T) {
 	for typ, want := range map[Type]string{Int: "INT", Float: "FLOAT", String: "VARCHAR", Date: "DATE"} {
 		if typ.String() != want {

@@ -76,3 +76,26 @@ func FuzzDecodeFrame(f *testing.F) {
 		_ = json.Unmarshal(payload, &req)
 	})
 }
+
+// FuzzResponseCodec throws arbitrary payloads at DecodeResponse with
+// encoding/json as the reference (checkDecode): it never panics, it fails
+// exactly when json.Unmarshal fails, a payload both accept decodes to deeply
+// equal values, and re-encoding that value with AppendResponse reproduces
+// json.Marshal byte for byte. The seeds are TestResponseCodecMatchesJSON's
+// table; the checked-in corpus under testdata/fuzz/FuzzResponseCodec keeps
+// the shapes at the edge of the walker's grammar.
+func FuzzResponseCodec(f *testing.F) {
+	for _, r := range codecResponses {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	for _, p := range codecPayloads {
+		f.Add([]byte(p))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkDecode(t, payload)
+	})
+}

@@ -8,7 +8,10 @@
 // a byte stream with exactly one size check and one unmarshal, and a
 // malformed, truncated or oversized frame can never make a connection
 // goroutine panic or read unboundedly (see DecodeFrame and the
-// FuzzDecodeFrame corpus).
+// FuzzDecodeFrame corpus). Responses, which carry the rows, have their own
+// encoder and decoder for that same JSON (codec.go: AppendResponse,
+// DecodeResponse), held byte for byte to encoding/json by FuzzResponseCodec;
+// requests go through encoding/json itself.
 //
 // Request IDs are chosen by the client and echoed verbatim in the response,
 // which is what makes pipelining work: a client may have any number of
@@ -70,6 +73,10 @@ var (
 	// ErrShortFrame reports a buffer that ends before the declared payload
 	// (DecodeFrame only; a stream read reports io.ErrUnexpectedEOF instead).
 	ErrShortFrame = errors.New("protocol: short frame")
+	// ErrMalformed reports a frame whose payload is not a valid message:
+	// ReadRequest, ReadResponse and DecodeResponse wrap it around the
+	// decoder's error, so a peer is classified by errors.Is, not by text.
+	ErrMalformed = errors.New("protocol: malformed")
 	// ErrOverloaded is the admission-control backpressure signal: the
 	// server's worker queue is full and the request was rejected without
 	// queuing. Clients should back off and retry; the client package returns
@@ -150,7 +157,11 @@ type HelloResult struct {
 
 // ExecResult mirrors autostats.QueryResult across the wire.
 type ExecResult struct {
-	Columns       []string   `json:"columns,omitempty"`
+	Columns []string `json:"columns,omitempty"`
+	// Rows as DecodeResponse returns them share memory: the cells are
+	// substrings of one copy of the payload and the rows capped windows of
+	// one []string. Appending to a row copies it; a cell kept beyond the
+	// result should be strings.Clone'd, or it keeps the payload reachable.
 	Rows          [][]string `json:"rows,omitempty"`
 	ExecCost      float64    `json:"exec_cost"`
 	EstimatedCost float64    `json:"estimated_cost,omitempty"`
@@ -196,21 +207,33 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// EncodeFrame marshals v as JSON and returns it as one frame. It refuses to
-// build a frame larger than maxFrame (0 means DefaultMaxFrame), so a server
+// EncodeFrame encodes v as JSON — a *Response through AppendResponse,
+// anything else through json.Marshal — and returns it as one frame. It refuses
+// to build a frame larger than maxFrame (0 means DefaultMaxFrame), so a server
 // cannot emit what a symmetric peer would reject.
 func EncodeFrame(v any, maxFrame int) ([]byte, error) {
-	payload, err := json.Marshal(v)
+	var frame []byte
+	var err error
+	// The payload goes in behind four bytes kept for its length.
+	if resp, ok := v.(*Response); ok {
+		frame, err = AppendResponse(make([]byte, headerSize, headerSize+sizeHint(resp)), resp)
+	} else {
+		var payload []byte
+		payload, err = json.Marshal(v)
+		frame = append(make([]byte, headerSize, headerSize+len(payload)), payload...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("protocol: encode: %w", err)
 	}
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	if len(payload) > maxFrame {
-		return nil, fmt.Errorf("%w: %d bytes > limit %d", ErrFrameTooLarge, len(payload), maxFrame)
+	n := len(frame) - headerSize
+	if n > maxFrame {
+		return nil, fmt.Errorf("%w: %d bytes > limit %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	return AppendFrame(make([]byte, 0, headerSize+len(payload)), payload), nil
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return frame, nil
 }
 
 // WriteFrame marshals v and writes it as one frame.
@@ -283,22 +306,18 @@ func ReadRequest(r io.Reader, maxFrame int) (*Request, error) {
 	}
 	req := new(Request)
 	if err := json.Unmarshal(payload, req); err != nil {
-		return nil, fmt.Errorf("protocol: malformed request: %w", err)
+		return nil, fmt.Errorf("%w request: %w", ErrMalformed, err)
 	}
 	return req, nil
 }
 
-// ReadResponse reads and unmarshals one Response frame.
+// ReadResponse reads one frame and decodes it with DecodeResponse.
 func ReadResponse(r io.Reader, maxFrame int) (*Response, error) {
 	payload, err := ReadFrame(r, maxFrame)
 	if err != nil {
 		return nil, err
 	}
-	resp := new(Response)
-	if err := json.Unmarshal(payload, resp); err != nil {
-		return nil, fmt.Errorf("protocol: malformed response: %w", err)
-	}
-	return resp, nil
+	return DecodeResponse(payload)
 }
 
 // ErrResponse builds an error response echoing the request ID.

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -170,5 +171,23 @@ func TestDecodeFrameAtMaxFrameBoundary(t *testing.T) {
 	}
 	if r.Len() != DefaultMaxFrame+1 {
 		t.Fatalf("max+1 stream consumed payload bytes: %d left, want %d", r.Len(), DefaultMaxFrame+1)
+	}
+}
+
+// TestMalformedPayloadsAreTyped: a frame whose payload is not the expected
+// message is reported as ErrMalformed by both readers, with the decoder's
+// own error still in the chain.
+func TestMalformedPayloadsAreTyped(t *testing.T) {
+	frame := AppendFrame(nil, []byte("not json"))
+	var syntax *json.SyntaxError
+	if _, err := ReadRequest(bytes.NewReader(frame), 0); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
+		t.Fatalf("ReadRequest: %v, want ErrMalformed wrapping a json.SyntaxError", err)
+	}
+	if _, err := ReadResponse(bytes.NewReader(frame), 0); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
+		t.Fatalf("ReadResponse: %v, want ErrMalformed wrapping a json.SyntaxError", err)
+	}
+	// A transport failure is not a malformed message.
+	if _, err := ReadResponse(bytes.NewReader(frame[:6]), 0); errors.Is(err, ErrMalformed) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

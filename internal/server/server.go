@@ -26,6 +26,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -875,6 +876,16 @@ func (cn *conn) writeLoop() {
 	cn.nc.Close()
 }
 
+// The writer encodes into one buffer it owns and reuses across responses.
+const (
+	// writeBatch: while more responses are queued, frames are coalesced
+	// into one write until this many bytes are pending.
+	writeBatch = 16 << 10
+	// keepEncodeBuf is the largest buffer kept between writes, so that one
+	// 4 MiB answer does not pin 4 MiB for the life of its connection.
+	keepEncodeBuf = 256 << 10
+)
+
 // writeFrames serializes responses until the out channel closes or the
 // connection dies, under a per-write deadline: a peer that stops reading
 // until TCP backpressure reaches us is evicted, not waited on.
@@ -886,24 +897,24 @@ func (cn *conn) writeFrames() {
 			cn.kill()
 		}
 	}()
-	bw := bufio.NewWriterSize(cn.nc, 16<<10)
+	var buf []byte // frames encoded and not yet written
 	var werr error
 	for resp := range cn.out {
 		if werr != nil {
 			continue // connection dead; drain the channel so close proceeds
 		}
+		buf = cn.appendFrame(buf, resp)
+		if len(cn.out) > 0 && len(buf) < writeBatch {
+			continue // the response behind this one shares its write
+		}
 		if to := cn.srv.cfg.WriteTimeout; to > 0 {
 			cn.nc.SetWriteDeadline(time.Now().Add(to))
 		}
-		werr = protocol.WriteFrame(bw, resp, cn.srv.cfg.MaxFrame)
-		if errors.Is(werr, protocol.ErrFrameTooLarge) {
-			// The result didn't fit one frame; degrade to an error response
-			// instead of tearing down the connection.
-			werr = protocol.WriteFrame(bw, protocol.ErrResponse(resp.ID,
-				protocol.CodeInternal, "response exceeds frame limit"), cn.srv.cfg.MaxFrame)
-		}
-		if werr == nil && len(cn.out) == 0 {
-			werr = bw.Flush()
+		_, werr = cn.nc.Write(buf)
+		if cap(buf) > keepEncodeBuf {
+			buf = nil
+		} else {
+			buf = buf[:0]
 		}
 		if werr != nil {
 			var ne net.Error
@@ -914,12 +925,31 @@ func (cn *conn) writeFrames() {
 			cn.kill()
 		}
 	}
-	if werr == nil {
-		if to := cn.srv.cfg.WriteTimeout; to > 0 {
-			cn.nc.SetWriteDeadline(time.Now().Add(to))
-		}
-		bw.Flush()
+}
+
+// appendFrame appends resp to buf as one frame: four bytes kept for the
+// length, the payload, then the length patched in. A response that cannot be
+// encoded — a NaN or infinite cost, a payload over the frame cap — is
+// answered with CodeInternal under its own ID: it fails one request, not the
+// connection and every other request pipelined on it.
+func (cn *conn) appendFrame(buf []byte, resp *protocol.Response) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	out, err := protocol.AppendResponse(buf, resp)
+	if n := len(out) - len(buf); err == nil && n > cn.srv.cfg.MaxFrame {
+		err = fmt.Errorf("%w: %d bytes > limit %d", protocol.ErrFrameTooLarge, n, cn.srv.cfg.MaxFrame)
 	}
+	if err != nil {
+		cn.srv.logf("response %d to %s: %v", resp.ID, cn.nc.RemoteAddr(), err)
+		msg := "response not encodable"
+		if errors.Is(err, protocol.ErrFrameTooLarge) {
+			msg = "response exceeds frame limit"
+		}
+		// An ID, a code and a short message always encode.
+		out, _ = protocol.AppendResponse(buf, protocol.ErrResponse(resp.ID, protocol.CodeInternal, msg))
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-len(buf)))
+	return out
 }
 
 func defaultWorkers() int {

@@ -214,6 +214,34 @@ func TestServerMissingTenant(t *testing.T) {
 	}
 }
 
+// TestServerMalformedFrame: a frame that is not a JSON request, and one whose
+// length prefix is over the cap, are both answered with bad_request before
+// the connection closes — classified by error type (protocol.ErrMalformed,
+// protocol.ErrFrameTooLarge), whatever the decoder's message says.
+func TestServerMalformedFrame(t *testing.T) {
+	s := startServer(t, server.Config{MaxFrame: 1 << 10})
+	for name, frame := range map[string][]byte{
+		"not json":  protocol.AppendFrame(nil, []byte("not json")),
+		"oversized": protocol.AppendFrame(nil, make([]byte, 2<<10)),
+	} {
+		c := dialServer(t, s)
+		c.hello("alpha")
+		if _, err := c.nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if resp := c.read(); resp.Code != protocol.CodeBadRequest || resp.ID != 0 {
+			t.Fatalf("%s: %+v, want bad_request", name, resp)
+		}
+		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := protocol.ReadResponse(c.br, 0); err == nil {
+			t.Fatalf("%s: connection still open after an undecodable frame", name)
+		}
+	}
+	if got := s.Obs().Counter("server.requests.bad").Value(); got != 2 {
+		t.Fatalf("server.requests.bad = %d, want 2", got)
+	}
+}
+
 func TestServerVersionMismatch(t *testing.T) {
 	s := startServer(t, server.Config{})
 	c := dialServer(t, s)
