@@ -38,7 +38,6 @@ import (
 	"autostats/internal/core"
 	"autostats/internal/datagen"
 	"autostats/internal/executor"
-	"autostats/internal/feedback"
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
@@ -55,21 +54,21 @@ import (
 //
 // Concurrency model (the server's default usage pattern):
 //
-//   - Exec, Explain, Statistics, PlanCacheStats, BreakerStates and the
-//     feedback inspectors may be called from any number of goroutines at
-//     once. Exec and Explain borrow a per-call optimizer session clone from
-//     an internal pool over the concurrency-safe statistics manager, shared
-//     plan cache and internally locked storage layer.
+//   - Exec, Explain, Statistics, PlanCacheStats and BreakerStates may be
+//     called from any number of goroutines at once. Exec and Explain borrow
+//     a per-call optimizer session clone from an internal pool over the
+//     concurrency-safe statistics manager, shared plan cache and internally
+//     locked storage layer.
 //   - TuneQuery, TuneWorkload, ProcessStatement and RunMaintenance are
 //     serialized on an internal mutex (they mutate the shared tuning session
 //     and policy state); concurrent callers queue. Each runs on the calling
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
 //     and Explain keep being served against it.
-//   - Configuration methods (SetPlanCacheCapacity, EnableFeedback,
-//     EnableResilience, SetAgingWindow, SetBuildMemoryBudget,
-//     EnableIncrementalMaintenance, …) follow the usual configure-then-serve
-//     server pattern: call them before the System is shared across
-//     goroutines, not while requests are in flight.
+//   - Configuration methods (SetPlanCacheCapacity, EnableResilience,
+//     SetAgingWindow, SetBuildMemoryBudget, EnableIncrementalMaintenance, …)
+//     follow the usual configure-then-serve server pattern: call them before
+//     the System is shared across goroutines, not while requests are in
+//     flight.
 type System struct {
 	db    *storage.Database
 	mgr   *stats.Manager
@@ -77,7 +76,6 @@ type System struct {
 	ex    *executor.Executor
 	auto  *core.AutoManager
 	cache *optimizer.PlanCache
-	fb    *feedback.Ledger
 	// guard is the resilience stack installed by EnableResilience (nil when
 	// disabled); see resilience.go.
 	guard *resilience.Guard

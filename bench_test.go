@@ -278,17 +278,3 @@ func BenchmarkAblationHistogramKind(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationSampling sweeps the statistics-construction sample
-// fraction (§2's complementary technique).
-func BenchmarkAblationSampling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationSampling("TPCD_2", "U0-C-60", benchScale, benchSeed, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.CreationUnits, metricUnit(r.Label, "-units"))
-		}
-	}
-}

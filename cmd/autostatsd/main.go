@@ -43,7 +43,6 @@ var (
 	maxTenants   = flag.Int("max-tenants", 64, "max live tenant systems")
 	tenantTTL    = flag.Duration("tenant-ttl", 10*time.Minute, "evict tenants idle this long (<0 disables)")
 	planCache    = flag.Int("plan-cache", 0, "per-tenant plan cache capacity (0 = default)")
-	feedbackOn   = flag.Bool("feedback", true, "enable the execution-feedback loop per tenant")
 	resilienceOn = flag.Bool("resilience", true, "enable the resilience layer per tenant")
 	buildMem     = flag.Int64("build-mem-budget", 0, "per-tenant statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	metricsAddr  = flag.String("metrics-addr", "", "optional HTTP address serving the metrics registry (text, or ?format=json) plus /healthz and /readyz probes")
@@ -86,9 +85,6 @@ func run() error {
 		// configure-then-serve contract).
 		if *planCache > 0 {
 			sys.SetPlanCacheCapacity(*planCache)
-		}
-		if *feedbackOn {
-			sys.EnableFeedback(autostats.FeedbackOptions{})
 		}
 		if *resilienceOn {
 			sys.EnableResilience(autostats.ResilienceOptions{Seed: *dbSeed})

@@ -52,6 +52,10 @@ func main() {
 		buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	)
 	flag.Parse()
+	if err := checkFlagDependencies(*retries, *incr); err != nil {
+		fmt.Fprintln(os.Stderr, "autostatsql:", err)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -105,6 +109,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlagDependencies rejects a flag given on the command line without the
+// flag it depends on, which would otherwise be silently ignored.
+func checkFlagDependencies(retries int, incremental bool) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case f.Name == "build-timeout" && retries < 0:
+			err = fmt.Errorf("-build-timeout needs -retries >= 0")
+		case f.Name == "max-fold-fraction" && !incremental:
+			err = fmt.Errorf("-max-fold-fraction needs -incremental")
+		}
+	})
+	return err
 }
 
 // orDefaultFrac renders the effective fold fraction (0 means the default).

@@ -7,9 +7,8 @@
 //	experiments -exp all
 //	experiments -exp fig4 -workload U0-C-100 -scale 0.5 -seed 1
 //
-// Experiments: intro, fig3, fig4, fig4sc, table1, feedback, ablation-t,
-// ablation-eps, ablation-next, ablation-cov, ablation-hist, ablation-sample,
-// all.
+// Experiments: intro, fig3, fig4, fig4sc, table1, ablation-t, ablation-eps,
+// ablation-next, ablation-cov, ablation-hist, all.
 //
 // -swarm-addr drives a client swarm against an already-running autostatsd
 // instead of running experiments. Timings and regressions are measured by
@@ -35,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|feedback|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|ablation-sample|all")
+		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|all")
 		swarmN    = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -swarm-addr")
 		swarmTen  = flag.Int("swarm-tenants", 8, "tenants for -swarm-addr")
 		swarmAddr = flag.String("swarm-addr", "", "run the client swarm against an already-running autostatsd at this address and exit")
@@ -112,8 +111,6 @@ func main() {
 	run("ablation-next", func() error { return runAblationNext(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("ablation-cov", func() error { return runAblationCov(orDefault(*wl, "U0-C-60"), *scale, *seed) })
 	run("ablation-hist", func() error { return runAblationHist(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("ablation-sample", func() error { return runAblationSample(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("feedback", func() error { return runFeedback(*scale) })
 
 	if *metrics {
 		fmt.Printf("\nmetrics:\n")
@@ -277,39 +274,6 @@ func runAblationHist(wl string, scale float64, seed int64) error {
 		return err
 	}
 	printAblation(rows)
-	return nil
-}
-
-func runAblationSample(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — sampled statistics construction — TPCD_2, workload %s", wl))
-	rows, err := bench.AblationSampling("TPCD_2", wl, scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
-	return nil
-}
-
-func runFeedback(scale float64) error {
-	header(fmt.Sprintf("Execution feedback — stale statistic corrected by q-error evidence — TPCD_2, scale %.2f", scale))
-	row, err := bench.FeedbackDemo(scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("skew shift rewrote %.1f%% of lineitem (counter threshold 20%%)\n", row.ModifiedPct)
-	fmt.Printf("stale estimate %.1f rows vs actual %d  =>  q-error %.1f\n", row.EstBefore, row.ActualRows, row.QErrBefore)
-	fmt.Printf("maintenance: counter refreshed %d tables, feedback refreshed %d statistics\n",
-		row.CounterRefreshes, row.FeedbackRefreshes)
-	fmt.Printf("post-refresh q-error %.2f, plan changed: %v\n", row.QErrAfter, row.PlanChanged)
-	fmt.Printf("  before: %s\n  after:  %s\n", row.PlanBefore, row.PlanAfter)
-
-	over, err := bench.FeedbackOverhead(scale, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("capture overhead: %d runs, off %v / on %v (%.1f%%), %d observations\n",
-		over.QueriesRun, over.OffWall.Round(time.Microsecond), over.OnWall.Round(time.Microsecond),
-		over.OverheadPct, over.Observations)
 	return nil
 }
 

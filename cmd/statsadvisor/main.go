@@ -33,7 +33,6 @@ import (
 	"autostats/internal/core"
 	"autostats/internal/datagen"
 	"autostats/internal/executor"
-	"autostats/internal/feedback"
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
@@ -55,7 +54,6 @@ var (
 	eps      = flag.Float64("eps", 0.0005, "epsilon for the sensitivity extremes")
 	single   = flag.Bool("single-column", false, "consider only single-column candidate statistics")
 	cacheCap = flag.Int("plan-cache", 1024, "plan cache capacity (0 disables)")
-	useFB    = flag.Bool("feedback", false, "capture actual cardinalities during workload execution, apply learned selectivity corrections, and run a feedback-aware maintenance pass")
 	verbose  = flag.Bool("verbose", false, "per-query detail")
 	saveTo   = flag.String("save-stats", "", "export the resulting statistics set as JSON")
 	loadFrom = flag.String("load-stats", "", "import a statistics JSON snapshot before tuning")
@@ -71,6 +69,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := checkFlagDependencies(*retries, *incr); err != nil {
+		fmt.Fprintln(os.Stderr, "statsadvisor:", err)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -166,12 +168,6 @@ func run(ctx context.Context) error {
 	sess := optimizer.NewSession(mgr)
 	cache := optimizer.NewPlanCache(*cacheCap)
 	sess.SetPlanCache(cache)
-	var led *feedback.Ledger
-	if *useFB {
-		led = feedback.NewLedger(feedback.ManagerVersions(mgr), feedback.Config{})
-		sess.SetCorrections(led)
-		mgr.SetFeedbackProvider(led)
-	}
 	cfg := core.DefaultConfig()
 	cfg.T = *tPct
 	cfg.Epsilon = *eps
@@ -258,9 +254,6 @@ func run(ctx context.Context) error {
 
 	// Execute the workload under the recommendation and report cost.
 	ex := executor.New(db)
-	if led != nil {
-		ex.SetFeedback(led)
-	}
 	total := 0.0
 	for _, stmt := range w.Statements {
 		if err := ctx.Err(); err != nil {
@@ -273,26 +266,6 @@ func run(ctx context.Context) error {
 		total += res.Cost
 	}
 	fmt.Printf("workload execution cost under recommendation: %.0f units\n", total)
-
-	if led != nil {
-		ls := led.Stats()
-		fmt.Printf("\nfeedback ledger: %d entries, %d observations, %d evictions, %d corrections applied\n",
-			ls.Entries, ls.Observations, ls.Evictions, ls.CorrectionHits)
-		worst := led.Entries()
-		if len(worst) > 5 {
-			worst = worst[:5]
-		}
-		for _, e := range worst {
-			fmt.Printf("  %s(%s) [%s]: %d obs, max q-error %.2f, last est %.1f vs actual %d\n",
-				e.Key.Table, e.Key.Columns, e.Key.Signature, e.Count, e.MaxQ, e.LastEst, e.LastActual)
-		}
-		rep, err := mgr.RunMaintenanceCtx(ctx, stats.DefaultFeedbackPolicy())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("feedback maintenance: %d counter-refreshed tables, %d feedback-refreshed statistics, %d drops confirmed\n",
-			rep.TablesRefreshed, rep.StatsFeedbackRefreshed, rep.StatsDropConfirmed)
-	}
 
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
@@ -309,6 +282,22 @@ func run(ctx context.Context) error {
 		fmt.Printf("saved %d statistics to %s\n", len(mgr.All()), *saveTo)
 	}
 	return nil
+}
+
+// checkFlagDependencies rejects a flag given on the command line without the
+// flag it depends on, which would otherwise be silently ignored.
+func checkFlagDependencies(retries int, incremental bool) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case f.Name == "build-timeout" && retries < 0:
+			err = fmt.Errorf("-build-timeout needs -retries >= 0")
+		case f.Name == "max-fold-fraction" && !incremental:
+			err = fmt.Errorf("-max-fold-fraction needs -incremental")
+		}
+	})
+	return err
 }
 
 // reportDegraded summarizes degraded-mode tuning: which builds failed and

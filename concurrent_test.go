@@ -20,9 +20,8 @@ func TestSystemConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Configure BEFORE serving, per the System concurrency contract, and
-	// turn everything on so the sweep covers the feedback capture path and
-	// the resilience guard alongside plain execution.
-	sys.EnableFeedback(FeedbackOptions{})
+	// turn the resilience guard on so the sweep covers it alongside plain
+	// execution.
 	sys.EnableResilience(ResilienceOptions{})
 	if err := sys.CreateIndexedColumnStats(); err != nil {
 		t.Fatal(err)
@@ -102,7 +101,6 @@ func TestSystemConcurrentHammer(t *testing.T) {
 			_ = sys.Statistics()
 			_ = sys.PlanCacheStats()
 			_ = sys.BreakerStates()
-			_ = sys.FeedbackStats()
 		}
 	}()
 

@@ -300,52 +300,3 @@ func AblationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]
 	}
 	return rows, nil
 }
-
-// AblationSampling sweeps the statistics-construction sample fraction: the
-// §2 complementary technique. Creation cost falls with the sample size while
-// MNSA keeps pruning the candidate space on top.
-func AblationSampling(dbName, wlName string, scale float64, seed int64, fractions []float64) ([]*AblationRow, error) {
-	if len(fractions) == 0 {
-		fractions = []float64{1.0, 0.25, 0.1, 0.05}
-	}
-	base, err := baselineExec(dbName, wlName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []*AblationRow
-	for _, f := range fractions {
-		env, err := NewEnv(dbName, scale)
-		if err != nil {
-			return nil, err
-		}
-		if f < 1 {
-			if err := env.Mgr.SetSampling(stats.SampleConfig{Fraction: f, MinRows: 100, Seed: seed}); err != nil {
-				return nil, err
-			}
-		}
-		w, err := env.Workload(wlName, seed)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		wr, err := core.RunMNSAWorkload(env.Sess, w.Queries(), core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		exec, err := env.ExecuteQueries(w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, &AblationRow{
-			Label:           labelFloat("sample=", f, ""),
-			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
-			OptimizerCalls:  wr.OptimizerCalls,
-			ExecCost:        exec,
-			ExecIncreasePct: PctIncrease(base, exec),
-			Elapsed:         elapsed,
-		})
-	}
-	return rows, nil
-}

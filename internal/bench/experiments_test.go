@@ -125,14 +125,6 @@ func TestAblationShapes(t *testing.T) {
 		t.Errorf("coverage 0.5 should cost less to tune than full: %+v", rows)
 	}
 
-	rows, err = AblationSampling("TPCD_2", wl, 0.5, 1, []float64{1.0, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[1].CreationUnits >= rows[0].CreationUnits/2 {
-		t.Errorf("10%% sampling should slash creation units: full=%v sampled=%v", rows[0].CreationUnits, rows[1].CreationUnits)
-	}
-
 	rows, err = AblationHistogramKind("TPCD_2", wl, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)

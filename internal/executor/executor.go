@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"autostats/internal/catalog"
-	"autostats/internal/feedback"
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
 	"autostats/internal/storage"
@@ -27,45 +26,23 @@ type Result struct {
 	Cost float64
 	// Affected counts rows inserted/updated/deleted by DML.
 	Affected int
-	// Feedback holds the per-node estimated-vs-actual observations of this
-	// execution, in plan post-order. Nil unless a feedback ledger is attached
-	// to the executor.
-	Feedback []feedback.NodeObservation
 }
 
 // Executor evaluates plans and DML against one database.
 type Executor struct {
 	db *storage.Database
-	// fb, when non-nil, receives per-node actual-cardinality observations
-	// from every successful query execution (see SetFeedback).
-	fb *feedback.Ledger
 }
 
 // New creates an executor over db.
 func New(db *storage.Database) *Executor { return &Executor{db: db} }
 
-// SetFeedback attaches a feedback ledger: every subsequent successful Run
-// records per-plan-node actual cardinalities and flushes the base-table ones
-// into the ledger. nil detaches it. With no ledger attached the collector is
-// nil and the capture path costs nothing (the obs nil-span idiom). Set it
-// before sharing the executor across goroutines.
-func (ex *Executor) SetFeedback(l *feedback.Ledger) { ex.fb = l }
-
 // Run executes a query plan.
 func (ex *Executor) Run(p *optimizer.Plan) (*Result, error) {
-	var col *feedback.Collector
-	if ex.fb != nil {
-		col = ex.fb.NewCollector()
-		col.SetBaseRows(p.RawBaseRows)
-	}
-	rs, cost, err := ex.exec(p.Root, col)
+	rs, cost, err := ex.exec(p.Root)
 	if err != nil {
 		return nil, err
 	}
-	// Flush only after a fully successful execution so partial runs never
-	// feed the ledger.
-	col.Flush()
-	return &Result{Cols: rs.cols, Rows: rs.rows, Cost: cost, Feedback: col.Nodes()}, nil
+	return &Result{Cols: rs.cols, Rows: rs.rows, Cost: cost}, nil
 }
 
 // resultSet is an intermediate materialized relation.
@@ -85,50 +62,31 @@ func (rs *resultSet) colPos(c query.ColumnRef) (int, error) {
 	return 0, fmt.Errorf("executor: column %s not in intermediate result", c)
 }
 
-// exec evaluates one plan node and, when a collector is attached, records the
-// node's estimated-vs-actual cardinality. This is the single observation call
-// site: every operator materializes its resultSet, so counting rows is free,
-// and the nil-collector branch keeps the disabled path allocation-free.
-func (ex *Executor) exec(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	rs, cost, err := ex.dispatch(n, col)
-	if err != nil {
-		return nil, 0, err
-	}
-	if col != nil {
-		actual := int64(len(rs.rows))
-		if (n.Op == optimizer.OpTableScan || n.Op == optimizer.OpIndexSeek) && n.Table != "" {
-			col.Observe(feedback.ScanObservation(
-				n.Op.String(), n.Table, n.Filters, col.RawEstimate(n.Table, n.EstRows), actual))
-		} else {
-			col.Observe(feedback.NodeObservation{Op: n.Op.String(), EstRows: n.EstRows, ActualRows: actual})
-		}
-	}
-	return rs, cost, nil
-}
-
-// dispatch routes a node to its operator implementation. The inner base table
-// of an IndexNLJoin is probed inline by execIndexNLJoin rather than executed
-// through this dispatcher, so it produces no observation of its own.
-func (ex *Executor) dispatch(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
+// exec evaluates one plan node by routing it to its operator implementation.
+// Every operator materializes its resultSet, so a node's actual cardinality
+// is len(rs.rows) of what this returns. The inner base table of an
+// IndexNLJoin is probed inline by execIndexNLJoin rather than executed
+// through here, so it has no row count of its own.
+func (ex *Executor) exec(n *optimizer.Node) (*resultSet, float64, error) {
 	switch n.Op {
 	case optimizer.OpTableScan:
 		return ex.execScan(n)
 	case optimizer.OpIndexSeek:
 		return ex.execSeek(n)
 	case optimizer.OpHashJoin:
-		return ex.execHashJoin(n, col)
+		return ex.execHashJoin(n)
 	case optimizer.OpMergeJoin:
-		return ex.execMergeJoin(n, col)
+		return ex.execMergeJoin(n)
 	case optimizer.OpNestedLoopJoin:
-		return ex.execNLJoin(n, col)
+		return ex.execNLJoin(n)
 	case optimizer.OpIndexNLJoin:
-		return ex.execIndexNLJoin(n, col)
+		return ex.execIndexNLJoin(n)
 	case optimizer.OpHashAggregate:
-		return ex.execHashAgg(n, col)
+		return ex.execHashAgg(n)
 	case optimizer.OpStreamAggregate:
-		return ex.execStreamAgg(n, col)
+		return ex.execStreamAgg(n)
 	case optimizer.OpSort:
-		return ex.execSort(n, col)
+		return ex.execSort(n)
 	default:
 		return nil, 0, fmt.Errorf("executor: unsupported operator %s", n.Op)
 	}
@@ -319,12 +277,12 @@ func hashKey(row []catalog.Datum, pos []int) string {
 	return b.String()
 }
 
-func (ex *Executor) execHashJoin(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execHashJoin(n *optimizer.Node) (*resultSet, float64, error) {
+	l, lc, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
-	r, rc, err := ex.exec(n.Children[1], col)
+	r, rc, err := ex.exec(n.Children[1])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -371,12 +329,12 @@ func anyNull(row []catalog.Datum, pos []int) bool {
 	return false
 }
 
-func (ex *Executor) execMergeJoin(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execMergeJoin(n *optimizer.Node) (*resultSet, float64, error) {
+	l, lc, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
-	r, rc, err := ex.exec(n.Children[1], col)
+	r, rc, err := ex.exec(n.Children[1])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -455,12 +413,12 @@ func compareKeys(lrow []catalog.Datum, lpos []int, rrow []catalog.Datum, rpos []
 	return 0
 }
 
-func (ex *Executor) execNLJoin(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execNLJoin(n *optimizer.Node) (*resultSet, float64, error) {
+	l, lc, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
-	r, rc, err := ex.exec(n.Children[1], col)
+	r, rc, err := ex.exec(n.Children[1])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -513,8 +471,8 @@ func (ex *Executor) execNLJoin(n *optimizer.Node, col *feedback.Collector) (*res
 	return out, cost, nil
 }
 
-func (ex *Executor) execIndexNLJoin(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, error) {
+	l, lc, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -591,8 +549,8 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node, col *feedback.Collector) 
 	return out, cost, nil
 }
 
-func (ex *Executor) execHashAgg(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	in, c, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execHashAgg(n *optimizer.Node) (*resultSet, float64, error) {
+	in, c, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -670,8 +628,8 @@ func (ex *Executor) execHashAgg(n *optimizer.Node, col *feedback.Collector) (*re
 	return out, cost, nil
 }
 
-func (ex *Executor) execStreamAgg(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	in, c, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execStreamAgg(n *optimizer.Node) (*resultSet, float64, error) {
+	in, c, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -726,8 +684,8 @@ func (ex *Executor) execStreamAgg(n *optimizer.Node, col *feedback.Collector) (*
 	return out, cost, nil
 }
 
-func (ex *Executor) execSort(n *optimizer.Node, col *feedback.Collector) (*resultSet, float64, error) {
-	in, c, err := ex.exec(n.Children[0], col)
+func (ex *Executor) execSort(n *optimizer.Node) (*resultSet, float64, error) {
+	in, c, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
 	}

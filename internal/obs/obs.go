@@ -143,7 +143,6 @@ type Registry struct {
 	floats   map[string]*FloatCounter
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
-	histos   map[string]*Histo
 
 	tracers atomic.Pointer[[]Tracer]
 	spanSeq atomic.Uint64
@@ -156,7 +155,6 @@ func New() *Registry {
 		floats:   make(map[string]*FloatCounter),
 		gauges:   make(map[string]*Gauge),
 		timings:  make(map[string]*Timing),
-		histos:   make(map[string]*Histo),
 	}
 }
 
@@ -238,7 +236,6 @@ type Snapshot struct {
 	FloatCounters map[string]float64
 	Gauges        map[string]int64
 	Timings       map[string]TimingSnapshot
-	Histos        map[string]HistoSnapshot
 }
 
 // Snapshot copies every metric. Each metric is read atomically (timings under
@@ -251,7 +248,6 @@ func (r *Registry) Snapshot() Snapshot {
 		FloatCounters: make(map[string]float64, len(r.floats)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
 		Timings:       make(map[string]TimingSnapshot, len(r.timings)),
-		Histos:        make(map[string]HistoSnapshot, len(r.histos)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -264,9 +260,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, t := range r.timings {
 		s.Timings[name] = t.Snapshot()
-	}
-	for name, h := range r.histos {
-		s.Histos[name] = h.Snapshot()
 	}
 	return s
 }
@@ -289,10 +282,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for name, t := range s.Timings {
 		lines = append(lines, fmt.Sprintf("%s count=%d sum=%s mean=%s min=%s max=%s",
 			name, t.Count, t.Sum, t.Mean(), t.Min, t.Max))
-	}
-	for name, h := range s.Histos {
-		lines = append(lines, fmt.Sprintf("%s count=%d sum=%.3f mean=%.3f min=%.3f max=%.3f",
-			name, h.Count, h.Sum, h.Mean(), h.Min, h.Max))
 	}
 	sort.Strings(lines)
 	_, err := io.WriteString(w, strings.Join(lines, "\n"))

@@ -30,13 +30,8 @@ func (s *Session) referenceOptimize(q *query.Select) (*Plan, error) {
 		tables[i] = lt
 	}
 
-	// Base table info: raw rows, filtered selectivity, best access path. A
-	// learned feedback correction, when one matches the table's predicate
-	// signature, multiplies the estimated selectivity; the raw estimate is
-	// kept in rawBase so the executor's feedback collector can measure the
-	// underlying statistics rather than the correction layer.
+	// Base table info: raw rows, filtered selectivity, best access path.
 	base := make([]baseInfo, len(tables))
-	var rawBase map[string]float64
 	for i, t := range tables {
 		td, err := s.prov.Database().Table(t)
 		if err != nil {
@@ -45,15 +40,6 @@ func (s *Session) referenceOptimize(q *query.Select) (*Plan, error) {
 		n := float64(td.RowCount())
 		filters := q.FiltersOn(t)
 		sel := e.tableSelectivity(t, filters)
-		if s.corr != nil && len(filters) > 0 {
-			if f, ok := s.corr.CorrectSelectivity(t, query.FilterColumns(filters), query.FilterSignature(filters)); ok {
-				if rawBase == nil {
-					rawBase = make(map[string]float64)
-				}
-				rawBase[t] = n * sel
-				sel = clampSel(sel * f)
-			}
-		}
 		base[i] = baseInfo{rawRows: n, sel: sel, plan: e.bestAccessPath(t, n, sel, filters)}
 	}
 
@@ -235,7 +221,7 @@ func (s *Session) referenceOptimize(q *query.Select) (*Plan, error) {
 		}
 	}
 
-	return &Plan{Root: root, Query: q, UsedStats: e.usedStats(), MissingVars: e.missingVars(), RawBaseRows: rawBase}, nil
+	return &Plan{Root: root, Query: q, UsedStats: e.usedStats(), MissingVars: e.missingVars()}, nil
 }
 
 // referenceJoinCandidates enumerates physical join implementations of left ⋈ right.

@@ -70,9 +70,9 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	if bypass && s.cache != nil {
 		s.met.cacheBypasses.Inc()
 	}
-	// Publish only if no statistics, data, or correction mutation raced with
-	// this optimization; a plan built from a torn read must not be cached.
-	if cacheable && s.prov.Epoch() == key.epoch && s.prov.Database().DataVersion() == key.dataVersion && s.corrVersion() == key.fbver {
+	// Publish only if no statistics or data mutation raced with this
+	// optimization; a plan built from a torn read must not be cached.
+	if cacheable && s.prov.Epoch() == key.epoch && s.prov.Database().DataVersion() == key.dataVersion {
 		if s.cache.put(key, p) {
 			s.met.cacheEvictions.Inc()
 		}
@@ -93,13 +93,8 @@ func (s *Session) optimize(q *query.Select) (*Plan, error) {
 		tables[i] = strings.ToLower(t)
 	}
 
-	// Base table info: raw rows, filtered selectivity, best access path. A
-	// learned feedback correction, when one matches the table's predicate
-	// signature, multiplies the estimated selectivity; the raw estimate is
-	// kept in rawBase so the executor's feedback collector can measure the
-	// underlying statistics rather than the correction layer.
+	// Base table info: raw rows, filtered selectivity, best access path.
 	base := make([]baseInfo, len(tables))
-	var rawBase map[string]float64
 	for i, t := range tables {
 		td, err := s.prov.Database().Table(t)
 		if err != nil {
@@ -108,15 +103,6 @@ func (s *Session) optimize(q *query.Select) (*Plan, error) {
 		n := float64(td.RowCount())
 		filters := q.FiltersOn(t)
 		sel := e.tableSelectivity(t, filters)
-		if s.corr != nil && len(filters) > 0 {
-			if f, ok := s.corr.CorrectSelectivity(t, query.FilterColumns(filters), query.FilterSignature(filters)); ok {
-				if rawBase == nil {
-					rawBase = make(map[string]float64)
-				}
-				rawBase[t] = n * sel
-				sel = clampSel(sel * f)
-			}
-		}
 		base[i] = baseInfo{rawRows: n, sel: sel, plan: e.bestAccessPath(t, n, sel, filters)}
 	}
 
@@ -170,7 +156,7 @@ func (s *Session) optimize(q *query.Select) (*Plan, error) {
 		}
 	}
 
-	return &Plan{Root: root, Query: q, UsedStats: e.usedStats(), MissingVars: e.missingVars(), RawBaseRows: rawBase}, nil
+	return &Plan{Root: root, Query: q, UsedStats: e.usedStats(), MissingVars: e.missingVars()}, nil
 }
 
 // aggregateSet unions the SELECT-list aggregates with any extra aggregates

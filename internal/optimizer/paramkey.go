@@ -18,14 +18,9 @@ import (
 // use — probed through the same visible-statistics pipeline as filterSel.
 // Constants in the same bucket are within a factor of two of each other,
 // comfortably inside estimate-grade noise; constants in different regimes
-// get different keys and fresh optimizations.
-//
-// Learned feedback corrections also shift the selectivities the optimizer
-// uses, but a correction factor is keyed by the predicate's column signature,
-// not by the constant's value — it shifts every constant of a template
-// equally. The key's fbver field (bumped whenever a correction materially
-// changes) therefore covers the correction half of the pipeline, and the
-// buckets only need to quantize the raw histogram estimate.
+// get different keys and fresh optimizations. The histogram (or, without
+// one, the magic number) is the optimizer's only selectivity source, so the
+// bucket of its estimate is all of the constant the key needs to carry.
 
 // filterBucket quantizes the selectivity estimate for one filter constant.
 // The probe mirrors filterSel's statistics path: the first statistic whose

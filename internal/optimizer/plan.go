@@ -158,13 +158,6 @@ type Plan struct {
 	// MissingVars lists the selectivity variables that fell back to magic
 	// numbers (or overrides) because no applicable statistic was visible.
 	MissingVars []int
-	// RawBaseRows maps lower-cased table names to the raw (pre-correction)
-	// filtered-row estimate for tables whose selectivity was adjusted by a
-	// learned feedback correction. Nil when no correction was applied. The
-	// executor's feedback collector uses it to back corrections out of
-	// EstRows, so q-errors always measure the underlying statistics rather
-	// than the correction layer.
-	RawBaseRows map[string]float64
 	// Degraded lists why this plan was produced in degraded mode (sorted,
 	// deduplicated reasons like "stats-build:breaker-open"): a statistic the
 	// analysis wanted was unavailable, so the affected selectivity variables

@@ -26,9 +26,8 @@ const bucketMissing = int8(127)
 // the statement template (the canonical SQL print with comparison constants
 // replaced by '?'), the per-constant selectivity buckets, the statistics
 // epoch (bumped by every create/drop/refresh/drop-list change), the storage
-// data version (bumped by every DML row change), the magic numbers, and the
-// feedback-correction version (bumped when a learned correction materially
-// changes). A session's what-if state — ignore buffer, selectivity overrides,
+// data version (bumped by every DML row change) and the magic numbers. A
+// session's what-if state — ignore buffer, selectivity overrides,
 // degraded reasons — is deliberately not in the key: Session.Optimize never
 // looks up or publishes while any of it is set.
 //
@@ -42,7 +41,6 @@ type planKey struct {
 	buckets     [maxCachedParams]int8 // slots past len(Filters) stay zero
 	epoch       uint64
 	dataVersion int64
-	fbver       uint64
 	magic       MagicNumbers
 }
 
@@ -198,14 +196,13 @@ func (c *PlanCache) Len() int {
 // entry was built from (concrete constants, re-parseable); Template and
 // Buckets are the parameterized key the entry is reachable under.
 type CachedPlanKey struct {
-	SQL             string
-	Template        string
-	Buckets         string
-	Epoch           uint64
-	DataVersion     int64
-	FeedbackVersion uint64
-	Signature       string
-	Cost            float64
+	SQL         string
+	Template    string
+	Buckets     string
+	Epoch       uint64
+	DataVersion int64
+	Signature   string
+	Cost        float64
 }
 
 // Keys returns a snapshot of every cached entry, most recently used first,
@@ -224,14 +221,13 @@ func (c *PlanCache) Keys() []CachedPlanKey {
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		out = append(out, CachedPlanKey{
-			SQL:             e.plan.Query.SQL(),
-			Template:        e.key.template,
-			Buckets:         formatBuckets(e.key.buckets, len(e.plan.Query.Filters)),
-			Epoch:           e.key.epoch,
-			DataVersion:     e.key.dataVersion,
-			FeedbackVersion: e.key.fbver,
-			Signature:       e.plan.Signature(),
-			Cost:            e.plan.Cost(),
+			SQL:         e.plan.Query.SQL(),
+			Template:    e.key.template,
+			Buckets:     formatBuckets(e.key.buckets, len(e.plan.Query.Filters)),
+			Epoch:       e.key.epoch,
+			DataVersion: e.key.dataVersion,
+			Signature:   e.plan.Signature(),
+			Cost:        e.plan.Cost(),
 		})
 	}
 	return out
@@ -276,7 +272,6 @@ func (s *Session) cacheKey(template string, buckets [maxCachedParams]int8) planK
 		buckets:     buckets,
 		epoch:       s.prov.Epoch(),
 		dataVersion: s.prov.Database().DataVersion(),
-		fbver:       s.corrVersion(),
 		magic:       s.Magic,
 	}
 }

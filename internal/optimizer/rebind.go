@@ -47,7 +47,6 @@ func rebindPlan(cached *Plan, q *query.Select) *Plan {
 		Query:       q,
 		UsedStats:   cached.UsedStats,
 		MissingVars: cached.MissingVars,
-		RawBaseRows: cached.RawBaseRows,
 	}
 }
 

@@ -46,7 +46,6 @@ type Session struct {
 	// Degraded and bypasses the plan cache like any other what-if state.
 	degraded map[string]bool
 	cache    *PlanCache
-	corr     CorrectionSource
 	met      sessionMetrics
 }
 
@@ -120,9 +119,8 @@ func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
 func (s *Session) PlanCache() *PlanCache { return s.cache }
 
 // Clone returns an independent session for use by another goroutine: same
-// manager, magic numbers and (shared, thread-safe) plan cache and correction
-// source, but fresh ignore and override buffers so the clones cannot
-// interfere.
+// manager, magic numbers and (shared, thread-safe) plan cache, but fresh
+// ignore and override buffers so the clones cannot interfere.
 func (s *Session) Clone() *Session {
 	return &Session{
 		mgr:       s.mgr,
@@ -131,7 +129,6 @@ func (s *Session) Clone() *Session {
 		ignored:   make(map[stats.ID]bool),
 		overrides: make(map[int]float64),
 		cache:     s.cache,
-		corr:      s.corr,
 		met:       s.met,
 	}
 }

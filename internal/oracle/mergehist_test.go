@@ -108,51 +108,33 @@ func TestPartitionMergeDifferential(t *testing.T) {
 }
 
 // TestPartitionCountDeterminism: rebuilding the same statistic at different
-// partition cuts — including refreshes — must never change it. With
-// sampling off every cut must equal the single-pass BuildMulti reference;
-// with sampling on the seeded draw depends only on the live row count, so
-// every cut must equal the first (internal/stats TestBuildIdentity ties the
-// sampled statistic itself to BuildMulti over the drawn rows).
+// partition cuts — including refreshes — must never change it: every cut
+// must equal the single-pass BuildMulti reference.
 func TestPartitionCountDeterminism(t *testing.T) {
 	cols := []string{"l_quantity", "l_partkey"}
-	for _, sampled := range []bool{false, true} {
-		name := "exact"
-		if sampled {
-			name = "sampled"
-		}
-		t.Run(name, func(t *testing.T) {
-			var want *histogram.MultiColumn
-			for _, par := range []int{1, 2, 4, 7} {
-				h, err := New(Options{Seed: 17})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sampled {
-					if err := h.Mgr.SetSampling(stats.SampleConfig{Fraction: 0.4, MinRows: 50, Seed: 3}); err != nil {
-						t.Fatal(err)
-					}
-				} else if want == nil {
-					want, _ = singlePassReference(t, h, "lineitem", cols)
-				}
-				cutInto(t, h, "lineitem", par)
-				st, err := h.Mgr.Create("lineitem", cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// A refresh re-runs the build path; it must be just as
-				// deterministic as the initial create.
-				if err := h.Mgr.Refresh(st.ID); err != nil {
-					t.Fatal(err)
-				}
-				st = h.Mgr.Get(st.ID)
-				if want == nil {
-					want = st.Data
-					continue
-				}
-				if !reflect.DeepEqual(st.Data, want) {
-					t.Errorf("%d partitions produced a different statistic than the reference", par)
-				}
+	t.Run("exact", func(t *testing.T) {
+		var want *histogram.MultiColumn
+		for _, par := range []int{1, 2, 4, 7} {
+			h, err := New(Options{Seed: 17})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if want == nil {
+				want, _ = singlePassReference(t, h, "lineitem", cols)
+			}
+			cutInto(t, h, "lineitem", par)
+			st, err := h.Mgr.Create("lineitem", cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A refresh re-runs the build path; it must be just as
+			// deterministic as the initial create.
+			if err := h.Mgr.Refresh(st.ID); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Mgr.Get(st.ID).Data; !reflect.DeepEqual(got, want) {
+				t.Errorf("%d partitions produced a different statistic than the reference", par)
+			}
+		}
+	})
 }

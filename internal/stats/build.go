@@ -10,13 +10,13 @@ import (
 )
 
 // Statistic construction and incremental maintenance. There is one full
-// build — build, below: a snapshot-guarded block scan, an optional sample
-// filter, mergeable partials cut every PartitionRows rows (spilled past the
-// memory budget) and one exact merge — bitwise-identical to the single-pass
-// histogram.BuildMulti reference the tests and oracles compare it against.
-// Refreshes can avoid the scan entirely by folding logged row deltas into
-// the existing histogram, falling back to a full rebuild once the folded
-// fraction crosses FoldConfig.MaxFoldFraction.
+// build — build, below: a snapshot-guarded block scan, mergeable partials cut
+// every PartitionRows rows (spilled past the memory budget) and one exact
+// merge — bitwise-identical to the single-pass histogram.BuildMulti
+// reference the tests and oracles compare it against. Refreshes can avoid
+// the scan entirely by folding logged row deltas into the existing
+// histogram, falling back to a full rebuild once the folded fraction crosses
+// FoldConfig.MaxFoldFraction.
 
 // DefaultMaxFoldFraction bounds the fold error when FoldConfig does not:
 // once folded row deltas exceed this fraction of the table, the next
@@ -73,16 +73,15 @@ func (m *Manager) IncrementalMaintenance() FoldConfig {
 
 // build constructs a fresh Statistic from current data — the only code that
 // turns table rows into a statistic. The table is scanned block by block
-// under the iterator's snapshot guard, each block (filtered to the seeded
-// sample when sampling is on) is folded into a histogram.PartialBuilder, a
-// partition is cut at PartitionRows rows or early when the memory budget
-// fills, cut partials past the budget spill to temp files, and everything is
-// merged once at the end. It bumps the logical clock but charges no
-// accounting; EnsureCtx and refresh charge the build- and update-side
-// counters respectively. Cancellation and the failpoint are checked between
-// blocks; on every exit path the iterator is closed and spill files are
-// removed, so an aborted build publishes nothing and leaks neither a
-// snapshot guard nor a temp file. Callers must hold m.mu.
+// under the iterator's snapshot guard, each block is folded into a
+// histogram.PartialBuilder, a partition is cut at PartitionRows rows or early
+// when the memory budget fills, cut partials past the budget spill to temp
+// files, and everything is merged once at the end. It bumps the logical
+// clock but charges no accounting; EnsureCtx and refresh charge the build-
+// and update-side counters respectively. Cancellation and the failpoint are
+// checked between blocks; on every exit path the iterator is closed and
+// spill files are removed, so an aborted build publishes nothing and leaks
+// neither a snapshot guard nor a temp file. Callers must hold m.mu.
 //
 // While the iterator is open the table's read lock is held by this
 // goroutine, under m.mu: nothing in the scan loop (including the "block"
@@ -107,7 +106,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 		return nil, err
 	}
 	m.cfgMu.RLock()
-	cfg, sampling, fp := m.stream, m.sampling, m.failpoint
+	cfg, fp := m.stream, m.failpoint
 	m.cfgMu.RUnlock()
 
 	start := time.Now()
@@ -122,10 +121,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 		return nil, err
 	}
 	defer it.Close()
-	seq, live := it.Seq(), it.LiveRows()
-	// Each statistic draws its own sample over the snapshot's live rows;
-	// nil keeps every row.
-	keep := sampleOrdinals(sampling, id, live)
+	seq := it.Seq()
 
 	var (
 		slots      []partialSlot
@@ -134,8 +130,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 		blocks     int64
 		spills     int64
 		spillBytes int64
-		ordinal    int // live rows scanned so far
-		kept       int // rows that passed the sample filter
+		rows       int64
 	)
 	cut := func() error {
 		p := builder.Finish()
@@ -167,19 +162,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 				return nil, err
 			}
 		}
-		if keep != nil {
-			// Compact the sampled rows to the front of the block; the
-			// iterator rebuilds the slice on its next call.
-			sel := block[:0]
-			for _, t := range block {
-				if keep[ordinal] {
-					sel = append(sel, t)
-				}
-				ordinal++
-			}
-			block = sel
-		}
-		kept += len(block)
+		rows += int64(len(block))
 		if err := builder.AddBlock(block); err != nil {
 			return nil, err
 		}
@@ -221,9 +204,6 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 	if err != nil {
 		return nil, err
 	}
-	if kept < live {
-		scaleSampled(mc, kept, live)
-	}
 	elapsed := time.Since(start)
 
 	met.fullScans.Inc()
@@ -238,13 +218,11 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 	met.buildMemPeak.Set(peakBytes)
 	now := m.clock.Add(1)
 	return &Statistic{
-		ID:      id,
-		Table:   id.Table(),
-		Columns: lowerAll(cols),
-		Data:    mc,
-		// Creation cost reflects the rows actually processed — sampling is
-		// exactly how real systems cheapen construction.
-		BuildCost: histogram.BuildCostUnits(int64(kept), len(cols)),
+		ID:        id,
+		Table:     id.Table(),
+		Columns:   lowerAll(cols),
+		Data:      mc,
+		BuildCost: histogram.BuildCostUnits(rows, len(cols)),
 		BuildTime: elapsed,
 		CreatedAt: now,
 		UpdatedAt: now,
@@ -271,17 +249,12 @@ func (m *Manager) rebuildOrFold(ctx context.Context, s *Statistic, met managerMe
 
 // tryFold refreshes s by folding the table's logged row deltas into the
 // existing histogram, avoiding the table scan entirely. It declines (ok
-// false) when folding is disabled, the stat was sampled, the delta window
-// is unavailable (log disabled, trimmed, or overflowed), or the accumulated
-// fold error would cross the configured bound — the caller then rebuilds.
+// false) when folding is disabled, the delta window is unavailable (log
+// disabled, trimmed, or overflowed), or the accumulated fold error would
+// cross the configured bound — the caller then rebuilds.
 func (m *Manager) tryFold(ctx context.Context, s *Statistic, met managerMetrics) (*Statistic, float64, bool) {
 	cfg := m.IncrementalMaintenance()
 	if !cfg.Enabled || s.Data == nil || ctx.Err() != nil {
-		return nil, 0, false
-	}
-	if sc := m.Sampling(); sc.Fraction > 0 && sc.Fraction < 1 {
-		// A sampled histogram is already scaled to the population; folding
-		// raw deltas into it would mix units. Sampled refreshes re-sample.
 		return nil, 0, false
 	}
 	td, err := m.db.Table(s.Table)

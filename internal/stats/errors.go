@@ -7,7 +7,7 @@ import (
 
 // TransientError marks a statistics build/refresh failure as retryable: the
 // operation failed for a reason expected to clear on its own (an injected
-// flaky fault, a torn snapshot, a temporarily unavailable sampling source),
+// flaky fault, a torn snapshot, a spill file that could not be written),
 // as opposed to a permanent condition like an unknown table or column. The
 // resilience layer's retry policy retries only transient failures; everything
 // else either trips the circuit breaker immediately or propagates.

@@ -167,11 +167,6 @@ type Manager struct {
 	// cfgMu guards the reconfigurable collaborators below. It is a leaf
 	// lock.
 	cfgMu sync.RWMutex
-	// sampling configures sampled statistics construction (see SetSampling).
-	sampling SampleConfig
-	// feedback, when non-nil, supplies execution-feedback q-error summaries
-	// to RunMaintenance (see SetFeedbackProvider).
-	feedback FeedbackProvider
 	// failpoint, when non-nil, can veto mutating operations (see
 	// SetFailpoint).
 	failpoint Failpoint
@@ -535,26 +530,21 @@ func (m *Manager) Refresh(id ID) error {
 }
 
 // RefreshCtx is Refresh honoring cancellation and deadlines; see EnsureCtx
-// for the abandonment guarantees.
+// for the abandonment guarantees. The table's modification counter is left
+// untouched: other statistics on the table remain governed by it.
 func (m *Manager) RefreshCtx(ctx context.Context, id ID) error {
-	_, err := m.refreshStatCost(ctx, id)
-	return err
-}
-
-// refreshStatCost refreshes a single statistic and returns the update cost
-// this call charged (0 when the statistic is drop-listed and skipped), so a
-// maintenance pass can attribute exactly its own work instead of diffing the
-// global counters, which would fold in concurrent refreshes. The table's
-// modification counter is left untouched: other statistics on the table
-// remain governed by it.
-func (m *Manager) refreshStatCost(ctx context.Context, id ID) (float64, error) {
 	met := m.metrics()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.refresh(ctx, id, met)
+	_, err := m.refresh(ctx, id, met)
+	return err
 }
 
-// refresh is refreshStatCost for a caller that holds m.mu.
+// refresh rebuilds (or folds) one statistic and returns the update cost this
+// call charged — 0 when the statistic is drop-listed and skipped — so a
+// maintenance pass attributes exactly its own work instead of diffing the
+// global counters, which would fold in concurrent refreshes. The caller holds
+// m.mu.
 func (m *Manager) refresh(ctx context.Context, id ID, met managerMetrics) (float64, error) {
 	v := m.cur.Load()
 	group, i, ok := v.locate(id)

@@ -273,8 +273,45 @@ func TestMaintenancePolicy(t *testing.T) {
 		t.Errorf("unexpected refresh: %+v", rep)
 	}
 
-	// Cross the modification threshold.
+	// The counter is the only refresh trigger. A skew shift that rewrites
+	// 15 % of the rows moves probability mass the histogram no longer sees,
+	// yet the counter stays silent and the stale statistic stays published.
 	td := mustTable(t, db, "t")
+	update := func(from, to int) {
+		t.Helper()
+		ids := make([]int, 0, to-from)
+		for id := from; id < to; id++ {
+			ids = append(ids, id)
+		}
+		if n := td.Update(ids, 0, catalog.NewInt(9)); n != len(ids) {
+			t.Fatalf("updated %d of %d rows", n, len(ids))
+		}
+	}
+	update(0, 15)
+	if rep, err = m.RunMaintenance(p); err != nil {
+		t.Fatal(err)
+	}
+	if rep.TablesRefreshed != 0 || m.Get(a.ID) != a {
+		t.Errorf("15 %% rewrite refreshed: %+v", rep)
+	}
+	// The boundary is strict: counter = 0.2·rows (20 of 100) does not
+	// refresh, 21 does.
+	update(15, 20)
+	if rep, err = m.RunMaintenance(p); err != nil {
+		t.Fatal(err)
+	}
+	if rep.TablesRefreshed != 0 || td.ModCounter() != 20 {
+		t.Errorf("counter at the threshold refreshed: %+v, counter %d", rep, td.ModCounter())
+	}
+	update(20, 21)
+	if rep, err = m.RunMaintenance(p); err != nil {
+		t.Fatal(err)
+	}
+	if rep.TablesRefreshed != 1 || rep.StatsRefreshed != 1 || td.ModCounter() != 0 {
+		t.Errorf("counter past the threshold: %+v, counter %d", rep, td.ModCounter())
+	}
+
+	// Cross the modification threshold by inserting.
 	for i := 0; i < 40; i++ {
 		_ = td.Insert(storage.Row{catalog.NewInt(1), catalog.NewInt(1)})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"reflect"
 	"sync"
@@ -67,61 +66,27 @@ func spillFiles(t *testing.T, dir string) int {
 	return len(ents)
 }
 
-// drawParentSample reproduces, independently of sampleOrdinals, the draw the
-// materialized build made before the paths were collapsed: a partial
-// Fisher–Yates over the gathered tuples, emitted in draw order. It pins the
-// sampled statistic of a given (Seed, ID) bitwise across that change.
-func drawParentSample(cfg SampleConfig, id ID, tuples [][]catalog.Datum) [][]catalog.Datum {
-	if cfg.Fraction <= 0 || cfg.Fraction >= 1 {
-		return tuples
-	}
-	want := int(float64(len(tuples)) * cfg.Fraction)
-	if want < cfg.MinRows {
-		want = cfg.MinRows
-	}
-	if want >= len(tuples) {
-		return tuples
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(id))))
-	idx := make([]int, len(tuples))
-	for i := range idx {
-		idx[i] = i
-	}
-	out := make([][]catalog.Datum, want)
-	for i := range out {
-		j := i + rng.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = tuples[idx[i]]
-	}
-	return out
-}
-
 // referenceStat is what every build is compared against: histogram.BuildMulti
-// over the one-shot MultiColumnValuesSeq gather — restricted to the drawn
-// sample and scaled when cfg samples — called directly, never through the
-// manager. It returns the data, the watermark and the creation cost the
-// manager's statistic must carry.
-func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buckets int, table string, cols []string, cfg SampleConfig) (*histogram.MultiColumn, int64, float64) {
+// over the one-shot MultiColumnValuesSeq gather, called directly, never
+// through the manager. It returns the data, the watermark and the creation
+// cost the manager's statistic must carry.
+func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buckets int, table string, cols []string) (*histogram.MultiColumn, int64, float64) {
 	t.Helper()
 	tuples, seq, err := mustTable(t, db, table).MultiColumnValuesSeq(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drawn := drawParentSample(cfg, MakeID(table, cols), tuples)
-	mc, err := histogram.BuildMulti(kind, cols, drawn, buckets)
+	mc, err := histogram.BuildMulti(kind, cols, tuples, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(drawn) < len(tuples) {
-		scaleSampled(mc, len(drawn), len(tuples))
-	}
-	return mc, seq, histogram.BuildCostUnits(int64(len(drawn)), len(cols))
+	return mc, seq, histogram.BuildCostUnits(int64(len(tuples)), len(cols))
 }
 
-// TestBuildIdentity is the tentpole invariant as one table: at every block
-// size, partition cut and spill pattern, sampled or not, for single-column,
-// multi-column and NULL-bearing statistics, Manager.Create produces exactly
-// the BuildMulti reference, with the same watermark and creation cost.
+// TestBuildIdentity is the build path's invariant as one table: at every
+// block size, partition cut and spill pattern, for single-column, multi-column
+// and NULL-bearing statistics, Manager.Create produces exactly the BuildMulti
+// reference, with the same watermark and creation cost.
 func TestBuildIdentity(t *testing.T) {
 	db := streamDB(t, 500)
 	td := mustTable(t, db, "s")
@@ -143,46 +108,37 @@ func TestBuildIdentity(t *testing.T) {
 	}
 	spillDir := t.TempDir()
 	for _, tgt := range targets {
-		for _, frac := range []float64{0, 0.4} {
-			sampling := SampleConfig{Fraction: frac, MinRows: 10, Seed: 3}
-			want, wantSeq, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols, sampling)
-			if frac > 0 && want.Rows != int64(td.RowCount()) {
-				t.Fatalf("%s: sampled reference not scaled to the table: %d rows", tgt.name, want.Rows)
-			}
-			for _, bs := range []int{1, 7, 64, 4096} {
-				for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
-					for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
-						name := fmt.Sprintf("%s sample=%v block=%d cut=%d budget=%d", tgt.name, frac, bs, partRows, budget)
-						m := NewManager(db, tgt.kind, tgt.buckets)
-						reg := obs.New()
-						m.SetObsRegistry(reg)
-						if err := m.SetSampling(sampling); err != nil {
-							t.Fatal(err)
-						}
-						if err := m.SetStreamingBuild(StreamConfig{
-							BlockSize:      bs,
-							PartitionRows:  partRows,
-							MemBudgetBytes: budget,
-							SpillDir:       spillDir,
-						}); err != nil {
-							t.Fatal(err)
-						}
-						got, err := m.Create("s", tgt.cols)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !reflect.DeepEqual(got.Data, want) {
-							t.Errorf("%s: statistic differs from the BuildMulti reference", name)
-						}
-						if got.DeltaSeq != wantSeq {
-							t.Errorf("%s: DeltaSeq=%d want %d", name, got.DeltaSeq, wantSeq)
-						}
-						if got.BuildCost != wantCost {
-							t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
-						}
-						if spilled := reg.Counter("stats.build.spills").Value() > 0; spilled != (budget > 0) {
-							t.Errorf("%s: spilled=%v", name, spilled)
-						}
+		want, wantSeq, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
+		for _, bs := range []int{1, 7, 64, 4096} {
+			for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
+				for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
+					name := fmt.Sprintf("%s block=%d cut=%d budget=%d", tgt.name, bs, partRows, budget)
+					m := NewManager(db, tgt.kind, tgt.buckets)
+					reg := obs.New()
+					m.SetObsRegistry(reg)
+					if err := m.SetStreamingBuild(StreamConfig{
+						BlockSize:      bs,
+						PartitionRows:  partRows,
+						MemBudgetBytes: budget,
+						SpillDir:       spillDir,
+					}); err != nil {
+						t.Fatal(err)
+					}
+					got, err := m.Create("s", tgt.cols)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !reflect.DeepEqual(got.Data, want) {
+						t.Errorf("%s: statistic differs from the BuildMulti reference", name)
+					}
+					if got.DeltaSeq != wantSeq {
+						t.Errorf("%s: DeltaSeq=%d want %d", name, got.DeltaSeq, wantSeq)
+					}
+					if got.BuildCost != wantCost {
+						t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
+					}
+					if spilled := reg.Counter("stats.build.spills").Value() > 0; spilled != (budget > 0) {
+						t.Errorf("%s: spilled=%v", name, spilled)
 					}
 				}
 			}
@@ -193,54 +149,6 @@ func TestBuildIdentity(t *testing.T) {
 	}
 	if n := td.OpenSnapshots(); n != 0 {
 		t.Errorf("OpenSnapshots=%d after the sweep", n)
-	}
-}
-
-// TestSampledBuildHonoursBudget: the memory budget applies to sampled builds
-// too (before the paths were collapsed, configuring sampling silently
-// bypassed it): the build spills, cleans up, and still produces exactly the
-// unbudgeted sampled statistic and the scaled BuildMulti over the drawn rows.
-func TestSampledBuildHonoursBudget(t *testing.T) {
-	db := streamDB(t, 400)
-	cols := []string{"a", "b"}
-	sampling := SampleConfig{Fraction: 0.4, MinRows: 10, Seed: 5}
-	build := func(budget int64, dir string) (*Statistic, *obs.Registry) {
-		m := NewManager(db, histogram.MaxDiff, 0)
-		reg := obs.New()
-		m.SetObsRegistry(reg)
-		if err := m.SetSampling(sampling); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetStreamingBuild(StreamConfig{PartitionRows: 40, MemBudgetBytes: budget, SpillDir: dir}); err != nil {
-			t.Fatal(err)
-		}
-		st, err := m.Create("s", cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, reg
-	}
-	dir := t.TempDir()
-	got, reg := build(1, dir)
-	if n := reg.Counter("stats.build.spills").Value(); n == 0 {
-		t.Error("sampled build ignored the memory budget: no spills")
-	}
-	if n := spillFiles(t, dir); n != 0 {
-		t.Errorf("%d spill files left behind", n)
-	}
-	unbudgeted, reg0 := build(0, dir)
-	if n := reg0.Counter("stats.build.spills").Value(); n != 0 {
-		t.Errorf("budget 0 spilled %d partials", n)
-	}
-	if !reflect.DeepEqual(got.Data, unbudgeted.Data) {
-		t.Error("budgeted sampled build differs from the unbudgeted one")
-	}
-	want, _, wantCost := referenceStat(t, db, histogram.MaxDiff, 0, "s", cols, sampling)
-	if !reflect.DeepEqual(got.Data, want) {
-		t.Error("budgeted sampled build differs from the scaled BuildMulti over the drawn rows")
-	}
-	if got.BuildCost != wantCost {
-		t.Errorf("BuildCost=%v want %v (sampled rows only)", got.BuildCost, wantCost)
 	}
 }
 
@@ -354,7 +262,7 @@ func TestStreamingSpillFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("retry after fault: %v", err)
 			}
-			want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"}, SampleConfig{})
+			want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"})
 			if !reflect.DeepEqual(got.Data, want) {
 				t.Error("post-fault retry differs from reference build")
 			}
@@ -482,7 +390,7 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.Get(id)
-	want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a"}, SampleConfig{})
+	want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a"})
 	if got.FoldedRows == 0 {
 		// The last refresh rebuilt: must match exactly.
 		if !reflect.DeepEqual(got.Data, want) {

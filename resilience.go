@@ -79,12 +79,10 @@ func (s *System) BreakerStates() []resilience.TableState {
 	return s.guard.Breakers().States()
 }
 
-// RunMaintenanceCtx applies the current maintenance policy once (the
-// feedback-enabled one after EnableFeedback), honoring cancellation between
-// tables and statistics, and returns the full report, feedback-triggered
-// refreshes and confirmed drops included. With resilience enabled the pass
-// skips open-breaker tables and tolerates per-table failures (recorded in the
-// report) instead of aborting.
+// RunMaintenanceCtx applies the §6 maintenance policy once, honoring
+// cancellation between tables and statistics, and returns the full report.
+// With resilience enabled the pass skips open-breaker tables and tolerates
+// per-table failures (recorded in the report) instead of aborting.
 func (s *System) RunMaintenanceCtx(ctx context.Context) (stats.MaintenanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
