@@ -42,7 +42,6 @@ import (
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
-	"autostats/internal/resilience"
 	"autostats/internal/sqlparser"
 	"autostats/internal/stats"
 	"autostats/internal/storage"
@@ -54,9 +53,9 @@ import (
 //
 // Concurrency model (the server's default usage pattern):
 //
-//   - Exec, Explain, Statistics, PlanCacheStats and BreakerStates may be
-//     called from any number of goroutines at once. Exec and Explain borrow
-//     a per-call optimizer session clone from an internal pool over the
+//   - Exec, Explain, Statistics and PlanCacheStats may be called from any
+//     number of goroutines at once. Exec and Explain borrow a per-call
+//     optimizer session clone from an internal pool over the
 //     concurrency-safe statistics manager, shared plan cache and internally
 //     locked storage layer.
 //   - TuneQuery, TuneWorkload, ProcessStatement and RunMaintenance are
@@ -64,11 +63,17 @@ import (
 //     and policy state); concurrent callers queue. Each runs on the calling
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
 //     and Explain keep being served against it.
-//   - Configuration methods (SetPlanCacheCapacity, EnableResilience,
-//     SetAgingWindow, SetBuildMemoryBudget, EnableIncrementalMaintenance, …)
-//     follow the usual configure-then-serve server pattern: call them before
-//     the System is shared across goroutines, not while requests are in
-//     flight.
+//   - Configuration methods (SetPlanCacheCapacity, SetAgingWindow,
+//     SetBuildMemoryBudget, EnableIncrementalMaintenance, …) follow the usual
+//     configure-then-serve server pattern: call them before the System is
+//     shared across goroutines, not while requests are in flight.
+//
+// A statistic that cannot be built never fails a statement or a tuning run:
+// the affected predicates are planned on the paper's default magic numbers
+// (§4), the plan is tagged Degraded and kept out of the plan cache, and the
+// failure is reported (QueryResult.Degraded, TuneReport.BuildFailures,
+// MaintenanceReport.RefreshFailures). Only cancellation of the caller's
+// context aborts.
 type System struct {
 	db    *storage.Database
 	mgr   *stats.Manager
@@ -76,9 +81,6 @@ type System struct {
 	ex    *executor.Executor
 	auto  *core.AutoManager
 	cache *optimizer.PlanCache
-	// guard is the resilience stack installed by EnableResilience (nil when
-	// disabled); see resilience.go.
-	guard *resilience.Guard
 
 	// mu serializes the mutating entry points: tuning, the on-the-fly
 	// policy, and maintenance. The read-mostly statement path (Exec,
@@ -196,9 +198,9 @@ type QueryResult struct {
 	// Affected counts DML-affected rows.
 	Affected int
 	// Degraded lists the degraded-mode reasons when the statement was
-	// planned without statistics the analysis wanted (resilience enabled,
-	// builds failing); empty for healthy plans. The results themselves are
-	// exact — only the plan choice leaned on default magic numbers.
+	// planned without statistics the analysis wanted (their builds failed);
+	// empty for healthy plans. The results themselves are exact — only the
+	// plan choice leaned on default magic numbers.
 	Degraded []string
 }
 

@@ -7,8 +7,8 @@
 // responses to waiters by request ID, so a slow tune does not block a fast
 // exec issued after it. When the connection dies (server restart, network
 // fault), every waiter fails promptly with the transport error, and the
-// next call redials with the deterministic capped-exponential backoff of
-// internal/resilience before giving up.
+// next call redials, up to five connect attempts spaced 10, 20, 40 and 80 ms
+// apart, before giving up.
 //
 // Server backpressure surfaces as errors the caller can classify:
 // errors.Is(err, protocol.ErrOverloaded) for admission-control fast-fails
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"autostats/internal/protocol"
-	"autostats/internal/resilience"
 )
 
 // ErrClosed reports a call on a client after Close.
@@ -59,10 +58,12 @@ type Options struct {
 	RequestTimeout time.Duration
 	// MaxFrame caps frames in both directions (default protocol.DefaultMaxFrame).
 	MaxFrame int
-	// Retry is the redial backoff policy; its MaxAttempts bounds connect
-	// attempts per call. Zero value means resilience.DefaultRetry(0) with
-	// 5 attempts.
-	Retry resilience.Retry
+}
+
+// redialBackoff is the pause before each connect attempt after the first, so
+// one call makes at most len(redialBackoff)+1 attempts.
+var redialBackoff = [...]time.Duration{
+	10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond,
 }
 
 func (o *Options) fill() {
@@ -74,10 +75,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = protocol.DefaultMaxFrame
-	}
-	if o.Retry.MaxAttempts == 0 {
-		o.Retry = resilience.DefaultRetry(0)
-		o.Retry.MaxAttempts = 5
 	}
 }
 
@@ -146,10 +143,9 @@ func (c *Client) Close() error {
 // connectLocked dials and handshakes with backoff; c.mu must be held.
 func (c *Client) connectLocked(ctx context.Context) (*liveConn, error) {
 	var lastErr error
-	sched := c.opts.Retry.Schedule()
-	for attempt := 0; attempt <= len(sched); attempt++ {
+	for attempt := 0; attempt <= len(redialBackoff); attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(sched[attempt-1])
+			t := time.NewTimer(redialBackoff[attempt-1])
 			select {
 			case <-t.C:
 			case <-ctx.Done():

@@ -14,7 +14,6 @@ import (
 	"autostats"
 	"autostats/client"
 	"autostats/internal/protocol"
-	"autostats/internal/resilience"
 	"autostats/internal/server"
 )
 
@@ -294,7 +293,6 @@ func TestClientDialHelloTimeout(t *testing.T) {
 	_, err = client.Dial(ln.Addr().String(), client.Options{
 		Tenant:       "stall",
 		HelloTimeout: 150 * time.Millisecond,
-		Retry:        resilience.Retry{MaxAttempts: 1},
 	})
 	if err == nil {
 		t.Fatal("Dial against an accept-and-stall listener succeeded")

@@ -33,29 +33,28 @@ import (
 )
 
 var (
-	addr         = flag.String("addr", "127.0.0.1:7744", "TCP listen address")
-	workers      = flag.Int("workers", 0, "worker pool size (0 = 2x GOMAXPROCS, min 4)")
-	queue        = flag.Int("queue", 0, "admission queue depth (0 = 16x workers)")
-	maxFrame     = flag.Int("max-frame", 0, "max frame payload bytes (0 = 4 MiB)")
-	scale        = flag.Float64("scale", 0.1, "per-tenant TPC-D scale factor")
-	skew         = flag.Float64("skew", 2, "per-tenant Zipfian skew z")
-	dbSeed       = flag.Int64("db-seed", 42, "per-tenant database generator seed")
-	maxTenants   = flag.Int("max-tenants", 64, "max live tenant systems")
-	tenantTTL    = flag.Duration("tenant-ttl", 10*time.Minute, "evict tenants idle this long (<0 disables)")
-	planCache    = flag.Int("plan-cache", 0, "per-tenant plan cache capacity (0 = default)")
-	resilienceOn = flag.Bool("resilience", true, "enable the resilience layer per tenant")
-	buildMem     = flag.Int64("build-mem-budget", 0, "per-tenant statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
-	metricsAddr  = flag.String("metrics-addr", "", "optional HTTP address serving the metrics registry (text, or ?format=json) plus /healthz and /readyz probes")
-	drainTO      = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
-	readTO       = flag.Duration("read-timeout", 0, "per-connection read/idle deadline; silent and half-open connections are evicted after this long (0 = server default 2m, <0 disables)")
-	writeTO      = flag.Duration("write-timeout", 0, "per-response write deadline; a client stalling the TCP window longer is evicted (0 = server default 30s, <0 disables)")
-	requestTO    = flag.Duration("request-timeout", 0, "server-side deadline per request once a worker picks it up; exceeding it fails typed with the timeout code (0 = unbounded)")
-	tenantRPS    = flag.Float64("tenant-rps", 0, "per-tenant request quota in req/s; tenants over it are rejected with the rate_limited code (0 disables)")
-	tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant quota burst (0 = one second of -tenant-rps)")
-	maxInflight  = flag.Int("max-inflight-per-conn", 0, "max requests one connection may have in flight; excess fast-fails overloaded (0 = server default 256, <0 disables)")
-	waitReady    = flag.Bool("wait-ready", false, "do not serve: poll http://<-metrics-addr>/readyz of an already-running daemon until it reports ready, then exit (0 ready, 1 not ready in time) — for scripts that start the daemon in the background")
-	waitTO       = flag.Duration("wait-timeout", 30*time.Second, "give up on -wait-ready after this long")
-	verbose      = flag.Bool("verbose", false, "log per-lifecycle-event detail")
+	addr        = flag.String("addr", "127.0.0.1:7744", "TCP listen address")
+	workers     = flag.Int("workers", 0, "worker pool size (0 = 2x GOMAXPROCS, min 4)")
+	queue       = flag.Int("queue", 0, "admission queue depth (0 = 16x workers)")
+	maxFrame    = flag.Int("max-frame", 0, "max frame payload bytes (0 = 4 MiB)")
+	scale       = flag.Float64("scale", 0.1, "per-tenant TPC-D scale factor")
+	skew        = flag.Float64("skew", 2, "per-tenant Zipfian skew z")
+	dbSeed      = flag.Int64("db-seed", 42, "per-tenant database generator seed")
+	maxTenants  = flag.Int("max-tenants", 64, "max live tenant systems")
+	tenantTTL   = flag.Duration("tenant-ttl", 10*time.Minute, "evict tenants idle this long (<0 disables)")
+	planCache   = flag.Int("plan-cache", 0, "per-tenant plan cache capacity (0 = default)")
+	buildMem    = flag.Int64("build-mem-budget", 0, "per-tenant statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
+	metricsAddr = flag.String("metrics-addr", "", "optional HTTP address serving the metrics registry (text, or ?format=json) plus /healthz and /readyz probes")
+	drainTO     = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
+	readTO      = flag.Duration("read-timeout", 0, "per-connection read/idle deadline; silent and half-open connections are evicted after this long (0 = server default 2m, <0 disables)")
+	writeTO     = flag.Duration("write-timeout", 0, "per-response write deadline; a client stalling the TCP window longer is evicted (0 = server default 30s, <0 disables)")
+	requestTO   = flag.Duration("request-timeout", 0, "server-side deadline per request once a worker picks it up; exceeding it fails typed with the timeout code (0 = unbounded)")
+	tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant request quota in req/s; tenants over it are rejected with the rate_limited code (0 disables)")
+	tenantBurst = flag.Int("tenant-burst", 0, "per-tenant quota burst (0 = one second of -tenant-rps)")
+	maxInflight = flag.Int("max-inflight-per-conn", 0, "max requests one connection may have in flight; excess fast-fails overloaded (0 = server default 256, <0 disables)")
+	waitReady   = flag.Bool("wait-ready", false, "do not serve: poll http://<-metrics-addr>/readyz of an already-running daemon until it reports ready, then exit (0 ready, 1 not ready in time) — for scripts that start the daemon in the background")
+	waitTO      = flag.Duration("wait-timeout", 30*time.Second, "give up on -wait-ready after this long")
+	verbose     = flag.Bool("verbose", false, "log per-lifecycle-event detail")
 )
 
 func main() {
@@ -85,9 +84,6 @@ func run() error {
 		// configure-then-serve contract).
 		if *planCache > 0 {
 			sys.SetPlanCacheCapacity(*planCache)
-		}
-		if *resilienceOn {
-			sys.EnableResilience(autostats.ResilienceOptions{Seed: *dbSeed})
 		}
 		if *buildMem != 0 {
 			if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {

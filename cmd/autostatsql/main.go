@@ -7,7 +7,6 @@
 //	.stats                 list statistics (drop-listed ones marked)
 //	.auto on|off           toggle on-the-fly mode (MNSA before every SELECT)
 //	.maintenance           run the update/drop maintenance policy once
-//	.breakers              show circuit breaker states (resilience mode)
 //	.health <addr>         probe a daemon's /healthz and /readyz probes
 //	.help                  command summary
 //	.quit                  exit
@@ -15,12 +14,9 @@
 // Usage:
 //
 //	autostatsql -db TPCD_2 -scale 0.5
-//	autostatsql -retries 2 -build-timeout 2s    # resilience mode
 //
-// With -retries >= 0 the resilience layer is enabled: statistic builds that
-// fail are retried with backoff, persistently failing tables trip per-table
-// circuit breakers, and affected statements still run on degraded
-// magic-number plans (shown as [degraded: ...]). SIGINT/SIGTERM cancel the
+// A statement whose statistics cannot be built still runs, on a degraded
+// magic-number plan (shown as [degraded: ...]). SIGINT/SIGTERM cancel the
 // in-flight statement and exit the shell cleanly.
 package main
 
@@ -45,14 +41,12 @@ func main() {
 		dbName   = flag.String("db", "TPCD_2", "database: TPCD_0 | TPCD_2 | TPCD_4 | TPCD_MIX")
 		scale    = flag.Float64("scale", 0.5, "database scale factor")
 		seed     = flag.Int64("seed", 42, "generator seed")
-		retries  = flag.Int("retries", -1, "enable the resilience layer, retrying each failed statistic build this many times (-1 = resilience off)")
-		buildTO  = flag.Duration("build-timeout", 0, "per-statistic build attempt timeout (needs -retries >= 0; 0 = unbounded)")
 		incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
 		foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
 		buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := checkFlagDependencies(*retries, *incr); err != nil {
+	if err := checkFlagDependencies(*incr); err != nil {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(2)
 	}
@@ -81,14 +75,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(1)
 	}
-	if *retries >= 0 {
-		sys.EnableResilience(autostats.ResilienceOptions{
-			Retries:      *retries,
-			BuildTimeout: *buildTO,
-			Seed:         *seed,
-		})
-		fmt.Printf("resilience ON: %d retries per build, build timeout %v\n", *retries, *buildTO)
-	}
 	if *incr {
 		if err := sys.EnableIncrementalMaintenance(*foldFrac); err != nil {
 			fmt.Fprintln(os.Stderr, "autostatsql:", err)
@@ -113,14 +99,10 @@ func main() {
 
 // checkFlagDependencies rejects a flag given on the command line without the
 // flag it depends on, which would otherwise be silently ignored.
-func checkFlagDependencies(retries int, incremental bool) error {
+func checkFlagDependencies(incremental bool) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case err != nil:
-		case f.Name == "build-timeout" && retries < 0:
-			err = fmt.Errorf("-build-timeout needs -retries >= 0")
-		case f.Name == "max-fold-fraction" && !incremental:
+		if f.Name == "max-fold-fraction" && !incremental {
 			err = fmt.Errorf("-max-fold-fraction needs -incremental")
 		}
 	})
@@ -236,7 +218,6 @@ func dotCommand(ctx context.Context, sys *autostats.System, out io.Writer, line 
   .stats             list statistics
   .auto on|off       toggle on-the-fly statistics management
   .maintenance       run the maintenance policy once
-  .breakers          show circuit breaker states (resilience mode)
   .health <addr>     probe a daemon's /healthz and /readyz at its metrics address
   .quit              exit
 `)
@@ -271,9 +252,8 @@ func dotCommand(ctx context.Context, sys *autostats.System, out io.Writer, line 
 		}
 		fmt.Fprintf(out, "maintenance: %d tables refreshed, %d statistics dropped\n",
 			rep.TablesRefreshed, rep.StatsDropped)
-		if rep.TablesSkipped > 0 || len(rep.RefreshFailures) > 0 {
-			fmt.Fprintf(out, "degraded pass: %d tables skipped (breaker open), %d refresh failures\n",
-				rep.TablesSkipped, len(rep.RefreshFailures))
+		for _, f := range rep.RefreshFailures {
+			fmt.Fprintf(out, "refresh of %s failed: %v\n", f.Table, f.Err)
 		}
 	case ".health":
 		if len(fields) != 2 {
@@ -281,18 +261,6 @@ func dotCommand(ctx context.Context, sys *autostats.System, out io.Writer, line 
 			break
 		}
 		probeHealth(out, fields[1])
-	case ".breakers":
-		if !sys.ResilienceEnabled() {
-			fmt.Fprintln(out, "resilience layer is off (start with -retries >= 0)")
-			break
-		}
-		states := sys.BreakerStates()
-		if len(states) == 0 {
-			fmt.Fprintln(out, "(no table has been gated yet)")
-		}
-		for _, ts := range states {
-			fmt.Fprintf(out, "%-15s %-9s %d trips\n", ts.Table, ts.State, ts.Trips)
-		}
 	default:
 		fmt.Fprintf(out, "unknown command %s (try .help)\n", fields[0])
 	}

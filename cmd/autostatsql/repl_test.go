@@ -182,7 +182,6 @@ func TestDependentFlagWithoutItsFlagFails(t *testing.T) {
 		args    []string
 		missing string
 	}{
-		{[]string{"-scale", "0.05", "-build-timeout", "1s"}, "-retries"},
 		{[]string{"-scale", "0.05", "-max-fold-fraction", "0.05"}, "-incremental"},
 	} {
 		code, stdout, stderr := runCommand(t, tc.args...)
@@ -191,11 +190,10 @@ func TestDependentFlagWithoutItsFlagFails(t *testing.T) {
 				tc.args, code, stdout, stderr, tc.missing)
 		}
 	}
-	// With the flags they depend on, both are accepted and the shell runs
-	// to the end of its (empty) input.
-	code, stdout, stderr := runCommand(t, "-scale", "0.05", "-retries", "0", "-build-timeout", "1s",
-		"-incremental", "-max-fold-fraction", "0.05")
-	if code != 0 || !strings.Contains(stdout, "build timeout 1s") || !strings.Contains(stdout, "max fold fraction 0.05") {
+	// With the flag it depends on, it is accepted and the shell runs to the
+	// end of its (empty) input.
+	code, stdout, stderr := runCommand(t, "-scale", "0.05", "-incremental", "-max-fold-fraction", "0.05")
+	if code != 0 || !strings.Contains(stdout, "max fold fraction 0.05") {
 		t.Errorf("satisfied dependencies: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }

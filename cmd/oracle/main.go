@@ -221,10 +221,10 @@ func runSeed(seed int64, queries, meta, samples int, scale, zipf float64, simple
 	}
 	report(strm.Findings)
 
-	fmt.Printf("seed %-6d %4d queries (%d dml, %d skipped, %d mnsa, %d maint) | mono %d asserts | bracket %d asserts | shrink %d plans | degraded %d/%d (%d inj, %d trips) | stream %d builds %d merges | %d findings | %.1fs\n",
+	fmt.Printf("seed %-6d %4d queries (%d dml, %d skipped, %d mnsa, %d maint) | mono %d asserts | bracket %d asserts | shrink %d plans | degraded %d/%d (%d inj) | stream %d builds %d merges | %d findings | %.1fs\n",
 		seed, diff.Queries, diff.DML, diff.Skipped, diff.MNSARuns, diff.MaintenanceRuns,
 		mono.Assertions, brk.Assertions, shr.Checked,
-		deg.DegradedPlans, deg.Queries, deg.Injections, deg.BreakerTrips,
+		deg.DegradedPlans, deg.Queries, deg.Injections,
 		strm.Builds, strm.MergeOrders,
 		findings, time.Since(start).Seconds())
 	return findings, nil

@@ -15,10 +15,10 @@
 //
 // SIGINT/SIGTERM cancel the run cleanly: in-flight tuning stops at the next
 // statement or build boundary, and the -metrics dump and -trace file are
-// still written before exit. -timeout bounds the whole run the same way;
-// -retries enables the resilience layer (retry/backoff, per-table circuit
-// breakers, optional -build-timeout), under which failed statistic builds
-// degrade the affected queries to magic-number planning instead of aborting.
+// still written before exit. -timeout bounds the whole run the same way. A
+// statistic build that fails for any reason other than cancellation degrades
+// the affected queries to magic-number planning instead of aborting the run;
+// the failures are listed after the summary line.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
-	"autostats/internal/resilience"
 	"autostats/internal/stats"
 	"autostats/internal/storage"
 	"autostats/internal/workload"
@@ -60,8 +59,6 @@ var (
 	metrics  = flag.Bool("metrics", false, "dump the observability counters after the run")
 	traceTo  = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
-	retries  = flag.Int("retries", -1, "enable the resilience layer, retrying each failed statistic build this many times (-1 = resilience off)")
-	buildTO  = flag.Duration("build-timeout", 0, "per-statistic build attempt timeout (needs -retries >= 0; 0 = unbounded)")
 	incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
 	foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
 	buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
@@ -69,7 +66,7 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := checkFlagDependencies(*retries, *incr); err != nil {
+	if err := checkFlagDependencies(*incr); err != nil {
 		fmt.Fprintln(os.Stderr, "statsadvisor:", err)
 		os.Exit(2)
 	}
@@ -174,17 +171,6 @@ func run(ctx context.Context) error {
 	if *single {
 		cfg.CandidateFn = core.SingleColumnCandidates
 	}
-	var guard *resilience.Guard
-	if *retries >= 0 {
-		retry := resilience.DefaultRetry(*dbSeed)
-		retry.MaxAttempts = *retries + 1
-		guard = resilience.NewGuard(mgr, resilience.GuardConfig{
-			Retry:        retry,
-			BuildTimeout: *buildTO,
-			Seed:         *dbSeed,
-		})
-		cfg.Builder = guard
-	}
 
 	switch *mode {
 	case "all":
@@ -220,7 +206,7 @@ func run(ctx context.Context) error {
 			}
 			fmt.Printf("MNSA%s: created %d statistics with %d optimizer calls\n",
 				map[bool]string{true: "/D", false: ""}[cfg.Drop], len(wr.Created), wr.OptimizerCalls)
-			reportDegraded(wr.BuildFailures, guard)
+			reportDegraded(wr.BuildFailures)
 		}
 	case "offline":
 		rep, err := core.OfflineTuneCtx(ctx, sess, queries, cfg, nil)
@@ -229,7 +215,7 @@ func run(ctx context.Context) error {
 		}
 		fmt.Printf("offline tune: MNSA created %d, shrinking set kept %d (essential), drop-listed %d\n",
 			len(rep.MNSA.Created), len(rep.Shrink.Kept), len(rep.DropListed))
-		reportDegraded(rep.BuildFailures(), guard)
+		reportDegraded(rep.BuildFailures())
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -286,14 +272,10 @@ func run(ctx context.Context) error {
 
 // checkFlagDependencies rejects a flag given on the command line without the
 // flag it depends on, which would otherwise be silently ignored.
-func checkFlagDependencies(retries int, incremental bool) error {
+func checkFlagDependencies(incremental bool) error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case err != nil:
-		case f.Name == "build-timeout" && retries < 0:
-			err = fmt.Errorf("-build-timeout needs -retries >= 0")
-		case f.Name == "max-fold-fraction" && !incremental:
+		if f.Name == "max-fold-fraction" && !incremental {
 			err = fmt.Errorf("-max-fold-fraction needs -incremental")
 		}
 	})
@@ -301,19 +283,14 @@ func checkFlagDependencies(retries int, incremental bool) error {
 }
 
 // reportDegraded summarizes degraded-mode tuning: which builds failed and
-// why, and where the circuit breakers ended up.
-func reportDegraded(failures []core.BuildFailure, guard *resilience.Guard) {
+// why.
+func reportDegraded(failures []core.BuildFailure) {
 	if len(failures) == 0 {
 		return
 	}
 	fmt.Printf("DEGRADED: %d statistic build(s) failed; affected queries were planned on magic numbers:\n", len(failures))
 	for _, f := range failures {
 		fmt.Printf("  %s: %s (%v)\n", f.ID, f.Reason, f.Err)
-	}
-	if guard != nil {
-		for _, ts := range guard.Breakers().States() {
-			fmt.Printf("  breaker %-12s %-9s (%d trips)\n", ts.Table, ts.State, ts.Trips)
-		}
 	}
 }
 

@@ -48,8 +48,6 @@ func TestDependentFlagWithoutItsFlagFails(t *testing.T) {
 		args    []string
 		missing string
 	}{
-		{[]string{"-build-timeout", "1s"}, "-retries"},
-		{[]string{"-retries", "-1", "-build-timeout", "1s"}, "-retries"},
 		{[]string{"-max-fold-fraction", "0.05"}, "-incremental"},
 	} {
 		code, stdout, stderr := runCommand(t, tc.args...)
@@ -60,8 +58,7 @@ func TestDependentFlagWithoutItsFlagFails(t *testing.T) {
 	}
 	// With the flag it depends on, the dependent flag is accepted; the run
 	// then stops on the missing workload, an ordinary failure.
-	code, _, stderr := runCommand(t, "-scale", "0.05", "-retries", "0", "-build-timeout", "1s",
-		"-incremental", "-max-fold-fraction", "0.05")
+	code, _, stderr := runCommand(t, "-scale", "0.05", "-incremental", "-max-fold-fraction", "0.05")
 	if code != 1 || !strings.Contains(stderr, "-workload") {
 		t.Errorf("satisfied dependencies: exit %d, stderr %q; want exit 1 asking for a workload", code, stderr)
 	}

@@ -19,10 +19,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Configure BEFORE serving, per the System concurrency contract, and
-	// turn the resilience guard on so the sweep covers it alongside plain
-	// execution.
-	sys.EnableResilience(ResilienceOptions{})
+	// Configure BEFORE serving, per the System concurrency contract.
 	if err := sys.CreateIndexedColumnStats(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,6 @@ func TestSystemConcurrentHammer(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			_ = sys.Statistics()
 			_ = sys.PlanCacheStats()
-			_ = sys.BreakerStates()
 		}
 	}()
 

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"autostats/internal/resilience"
 	"autostats/internal/stats"
 )
 
@@ -83,10 +83,10 @@ func TestWorkloadPreCanceled(t *testing.T) {
 	}
 }
 
-// TestMNSADegradedTolerant: with a resilience Builder installed and every
-// build failing, MNSA must finish (not error), report every wanted build as a
-// failure, and mark the session degraded; without a Builder the same failure
-// aborts the analysis.
+// TestMNSADegradedTolerant: with every build failing, MNSA under the default
+// configuration must finish (not error), report every wanted build as a
+// failure with its cause, and mark the session degraded; cancellation still
+// aborts it.
 func TestMNSADegradedTolerant(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
@@ -95,29 +95,17 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	mgr.SetFailpoint(func(context.Context, string, stats.ID) error { return stats.Transient(boom) })
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
-
-	// Strict mode: the failure aborts.
-	if _, err := RunMNSA(sess, q, DefaultConfig()); !errors.Is(err, boom) {
-		t.Fatalf("strict mode: err = %v, want the build failure", err)
-	}
-
-	// Tolerant mode: degraded completion on magic numbers.
-	guard := resilience.NewGuard(mgr, resilience.GuardConfig{
-		Retry: resilience.Retry{MaxAttempts: 1},
-	})
 	cfg := DefaultConfig()
-	cfg.Builder = guard
-	sess.ClearDegraded()
 	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
-		t.Fatalf("tolerant mode: %v", err)
+		t.Fatalf("failed builds must degrade the run, not fail it: %v", err)
 	}
 	if !res.Degraded() || len(res.BuildFailures) == 0 {
 		t.Fatalf("run should be degraded with recorded failures: %+v", res)
 	}
 	for _, bf := range res.BuildFailures {
-		if !errors.Is(bf.Err, boom) {
-			t.Errorf("BuildFailure %s lost its cause: %v", bf.ID, bf.Err)
+		if !errors.Is(bf.Err, boom) || bf.Reason != "transient" {
+			t.Errorf("BuildFailure %s: reason %q, cause %v; want transient, boom", bf.ID, bf.Reason, bf.Err)
 		}
 	}
 	if len(res.Created) != 0 {
@@ -126,10 +114,29 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	if reasons := sess.DegradedReasons(); len(reasons) == 0 {
 		t.Error("session not marked degraded")
 	}
-	// Cancellation still aborts even in tolerant mode.
+	// Cancellation still aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunMNSACtx(ctx, sess, q, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("tolerant mode must still propagate cancellation, got %v", err)
+		t.Errorf("a canceled run must return its context error, got %v", err)
+	}
+}
+
+// TestBuildFailureReason: a failure the statistics layer marked transient
+// reads "transient", wrapped or not; anything else reads "error".
+func TestBuildFailureReason(t *testing.T) {
+	x := errors.New("x")
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{x, "error"},
+		{stats.Transient(x), "transient"},
+		{fmt.Errorf("wrapped: %w", stats.Transient(x)), "transient"},
+		{fmt.Errorf("wrapped: %w", x), "error"},
+	} {
+		if got := failureReason(tc.err); got != tc.want {
+			t.Errorf("failureReason(%v) = %q, want %q", tc.err, got, tc.want)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
-	"autostats/internal/resilience"
 	"autostats/internal/stats"
 )
 
@@ -45,30 +44,7 @@ type Config struct {
 	// NextStatFn overrides the next-statistic heuristic (§4.2's
 	// most-expensive-operator rule by default). Used by ablation benches.
 	NextStatFn NextStatFunc
-	// Builder, when non-nil, replaces direct manager calls for on-the-fly
-	// statistic builds — the resilience layer's Guard goes here. With a
-	// Builder installed MNSA runs degraded-tolerant: a unit that cannot be
-	// built (circuit breaker open, build timeout, build failure) no longer
-	// aborts the analysis. The failure is recorded in Result.BuildFailures,
-	// the affected selectivity variables stay on the default magic numbers
-	// (exactly the fallback §4 pins them to), and the session is marked
-	// degraded so subsequent plans are tagged and kept out of the plan
-	// cache. Cancellation still aborts.
-	Builder StatBuilder
 }
-
-// StatBuilder is the seam between MNSA's on-the-fly statistic creation and
-// the statistics layer. *stats.Manager satisfies it directly; the
-// resilience.Guard wraps it with retry, circuit breaking and per-build
-// timeouts.
-type StatBuilder interface {
-	EnsureCtx(ctx context.Context, table string, cols []string) (*stats.Statistic, bool, error)
-}
-
-var (
-	_ StatBuilder = (*stats.Manager)(nil)
-	_ StatBuilder = (*resilience.Guard)(nil)
-)
 
 // NextStatFunc picks the next build unit from the remaining candidates given
 // the current default-magic-number plan and the missing variable IDs.
@@ -102,7 +78,7 @@ func newMNSAMetrics(reg *obs.Registry) mnsaMetrics {
 		ageSkips:       reg.Counter("mnsa.age_skips"),
 		droplistAdds:   reg.Counter("mnsa.droplist.adds"),
 		resurrections:  reg.Counter("mnsa.resurrections"),
-		buildFailures:  reg.Counter("resilience.mnsa.build_failures"),
+		buildFailures:  reg.Counter("mnsa.build_failures"),
 		degradedRuns:   reg.Counter("degraded.mnsa_runs"),
 		unitsConsumed:  reg.FloatCounter("mnsa.units_consumed"),
 	}
@@ -153,10 +129,9 @@ type Result struct {
 	Iterations int
 	// TerminatedBy records the loop exit reason.
 	TerminatedBy Termination
-	// BuildFailures lists statistics the run wanted but could not build
-	// (only populated in degraded-tolerant mode, i.e. with Config.Builder
-	// installed). The run is degraded when non-empty: the affected
-	// selectivity variables were planned on default magic numbers.
+	// BuildFailures lists statistics the run wanted but could not build.
+	// The run is degraded when non-empty: the affected selectivity
+	// variables were planned on default magic numbers.
 	BuildFailures []BuildFailure
 }
 
@@ -164,13 +139,23 @@ type Result struct {
 // wanted.
 func (r *Result) Degraded() bool { return len(r.BuildFailures) > 0 }
 
-// BuildFailure records one statistic a degraded-tolerant MNSA run could not
-// build, with the resilience classification of why ("breaker-open",
-// "timeout", "transient", "error") and the underlying cause.
+// BuildFailure records one statistic an MNSA run could not build, with the
+// classification of why ("transient" or "error", see failureReason) and the
+// underlying cause.
 type BuildFailure struct {
 	ID     stats.ID
 	Reason string
 	Err    error
+}
+
+// failureReason classifies a build failure for BuildFailure.Reason and the
+// session's degraded tag: "transient" when the statistics layer marked it
+// so (stats.IsTransient), "error" otherwise.
+func failureReason(err error) string {
+	if stats.IsTransient(err) {
+		return "transient"
+	}
+	return "error"
 }
 
 // RunMNSA creates statistics for q per Figure 1: repeatedly test whether the
@@ -185,7 +170,9 @@ func RunMNSA(sess *optimizer.Session, q *query.Select, cfg Config) (*Result, err
 // RunMNSACtx is RunMNSA honoring cancellation and deadlines: ctx is checked
 // at every loop iteration and flows into each statistic build, so a canceled
 // analysis stops at the next boundary with manager state reflecting exactly
-// the builds that completed (each build is individually atomic).
+// the builds that completed (each build is individually atomic). A build
+// that fails with ctx still live does not fail the analysis: it is recorded
+// in Result.BuildFailures and the run continues degraded.
 func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
 	if cfg.T <= 0 {
 		cfg.T = 20
@@ -220,24 +207,19 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 		})
 	}()
 
-	// Statistic builds go through the configured Builder; with one installed
-	// (the resilience Guard) build failures degrade the analysis instead of
-	// failing it: the variables the statistic would have covered stay pinned
-	// on the default magic numbers — the same fallback the sensitivity
-	// analysis itself reasons about — and the session is marked so the plans
-	// it produces are tagged Degraded. ensure returns ok=false for a
-	// tolerated failure; cancellation always propagates.
-	builder, tolerant := StatBuilder(mgr), false
-	if cfg.Builder != nil {
-		builder, tolerant = cfg.Builder, true
-	}
+	// A failed build degrades the analysis instead of failing it: the
+	// variables the statistic would have covered stay pinned on the default
+	// magic numbers — the same fallback the sensitivity analysis itself
+	// reasons about — and the session is marked so the plans it produces are
+	// tagged Degraded. ensure returns ok=false for such a failure; only
+	// cancellation of ctx propagates.
 	ensure := func(c Candidate) (ok bool, err error) {
-		s, built, err := builder.EnsureCtx(ctx, c.Table, c.Columns)
+		s, built, err := mgr.EnsureCtx(ctx, c.Table, c.Columns)
 		if err != nil {
-			if !tolerant || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return false, fmt.Errorf("core: creating %s: %w", c.ID(), err)
 			}
-			reason := resilience.Reason(err)
+			reason := failureReason(err)
 			res.BuildFailures = append(res.BuildFailures, BuildFailure{ID: c.ID(), Reason: reason, Err: err})
 			met.buildFailures.Inc()
 			sess.MarkDegraded("stats-build:" + reason)
@@ -397,9 +379,9 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 					return nil, err
 				}
 				if !ok {
-					// Tolerated build failure: the candidate is consumed (no
-					// point re-picking it this run) but nothing was built, so
-					// the loop keeps looking for another unit. If everything
+					// Failed build: the candidate is consumed (no point
+					// re-picking it this run) but nothing was built, so the
+					// loop keeps looking for another unit. If everything
 					// fails, the run terminates by candidate exhaustion with
 					// the missing variables still on magic numbers.
 					continue
@@ -442,8 +424,8 @@ type WorkloadResult struct {
 	Created        []stats.ID
 	DropListed     []stats.ID
 	OptimizerCalls int
-	// BuildFailures aggregates the per-query build failures of a
-	// degraded-tolerant run; the workload pass is degraded when non-empty.
+	// BuildFailures aggregates the per-query build failures; the workload
+	// pass is degraded when non-empty.
 	BuildFailures []BuildFailure
 }
 

@@ -6,7 +6,6 @@ import (
 	"autostats/internal/executor"
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
-	"autostats/internal/resilience"
 	"autostats/internal/stats"
 )
 
@@ -28,13 +27,6 @@ type AutoManager struct {
 	// MaintenanceEvery runs a maintenance pass after every N statements
 	// (0 disables automatic maintenance).
 	MaintenanceEvery int
-	// Guard, when non-nil, routes statistic builds and maintenance through
-	// the resilience stack (retry, per-table circuit breakers, per-build
-	// timeouts) and switches the manager to degraded-mode planning: a
-	// statement whose statistics cannot be built still plans and executes,
-	// on the default magic-number selectivities for exactly the affected
-	// predicates, with the plan tagged Degraded.
-	Guard *resilience.Guard
 
 	stmtCount int
 
@@ -70,12 +62,17 @@ func (am *AutoManager) ProcessStatement(stmt query.Statement) (*executor.Result,
 
 // ProcessStatementCtx is ProcessStatement honoring cancellation and
 // deadlines through the MNSA analysis, statistic builds and the periodic
-// maintenance pass. With a Guard installed, statistics failures degrade the
-// statement instead of failing it: the degraded reasons are set on the
-// session before optimization (so the executed plan is tagged and bypasses
-// the plan cache) and cleared at the next statement boundary, which is what
-// lets recovered statistics produce healthy plans again without any explicit
-// reset.
+// maintenance pass. Statistics failures degrade the statement instead of
+// failing it: the degraded reasons are set on the session before
+// optimization (so the executed plan is tagged and bypasses the plan cache)
+// and cleared at the next statement boundary, which is what lets recovered
+// statistics produce healthy plans again without any explicit reset.
+//
+// Once the statement has executed, its result is returned whatever happens
+// to the maintenance pass that follows it: refresh failures are recorded in
+// the pass's report, and a pass cut short by cancellation leaves the
+// remaining tables' modification counters set, so the next pass redoes
+// their refreshes.
 func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.Statement) (*executor.Result, error) {
 	mgr := am.sess.Manager()
 	mgr.Tick()
@@ -87,12 +84,8 @@ func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.State
 	// per-statement condition, re-derived from what MNSA can(not) build now.
 	am.sess.ClearDegraded()
 
-	cfg := am.MNSA
-	if cfg.Builder == nil && am.Guard != nil {
-		cfg.Builder = am.Guard
-	}
 	if q, ok := stmt.(*query.Select); ok {
-		r, err := RunMNSACtx(ctx, am.sess, q, cfg)
+		r, err := RunMNSACtx(ctx, am.sess, q, am.MNSA)
 		if err != nil {
 			return nil, err
 		}
@@ -109,15 +102,10 @@ func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.State
 
 	am.stmtCount++
 	if am.MaintenanceEvery > 0 && am.stmtCount%am.MaintenanceEvery == 0 {
-		if am.Guard != nil {
-			if _, err := am.Guard.MaintainCtx(ctx, am.Policy); err != nil {
-				return nil, err
-			}
-		} else if _, err := mgr.RunMaintenanceCtx(ctx, am.Policy); err != nil {
-			return nil, err
+		if _, err := mgr.RunMaintenanceCtx(ctx, am.Policy); err == nil {
+			am.MaintenanceRuns++
+			reg.Counter("auto.maintenance_runs").Inc()
 		}
-		am.MaintenanceRuns++
-		reg.Counter("auto.maintenance_runs").Inc()
 	}
 	return res, nil
 }
@@ -133,7 +121,7 @@ type TuneReport struct {
 }
 
 // Degraded reports whether the creation phase ran degraded (some statistic
-// builds failed under a resilience Builder).
+// builds failed).
 func (r *TuneReport) Degraded() bool { return r.MNSA != nil && r.MNSA.Degraded() }
 
 // BuildFailures returns the creation phase's build failures, if any.

@@ -41,8 +41,8 @@ type Session struct {
 	tmplQ   *query.Select
 	tmplStr string
 	// degraded collects the reasons statistics could not be provided for
-	// the statement being processed (set by the resilience-aware MNSA
-	// driver, cleared per statement). While non-empty, Optimize tags plans
+	// the statement being processed (set by MNSA when a build fails,
+	// cleared per statement). While non-empty, Optimize tags plans
 	// Degraded and bypasses the plan cache like any other what-if state.
 	degraded map[string]bool
 	cache    *PlanCache
@@ -176,11 +176,11 @@ func (s *Session) ClearOverrides() {
 }
 
 // MarkDegraded records one reason the current statement is planned in
-// degraded mode (a statistic was unavailable — breaker open, build timeout,
-// build failure). While any reason is recorded, Optimize tags plans with the
-// reasons and bypasses the plan cache so the degraded plan is never reused
-// once statistics recover. The resilience-aware MNSA driver calls this;
-// ClearDegraded resets it at the next statement boundary.
+// degraded mode (a statistic the analysis wanted could not be built). While
+// any reason is recorded, Optimize tags plans with the reasons and bypasses
+// the plan cache so the degraded plan is never reused once statistics
+// recover. MNSA calls this on a failed build; ClearDegraded resets it at the
+// next statement boundary.
 func (s *Session) MarkDegraded(reason string) {
 	if s.degraded == nil {
 		s.degraded = make(map[string]bool)

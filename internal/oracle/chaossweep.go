@@ -15,7 +15,6 @@ import (
 	"autostats/client"
 	"autostats/internal/chaos"
 	"autostats/internal/protocol"
-	"autostats/internal/resilience"
 	"autostats/internal/server"
 )
 
@@ -185,7 +184,6 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 				DialTimeout:    2 * time.Second,
 				HelloTimeout:   2 * time.Second,
 				RequestTimeout: 10 * time.Second,
-				Retry:          resilience.Retry{MaxAttempts: 3, BaseDelay: 20 * time.Millisecond},
 			})
 			if err != nil {
 				return // dial lost to chaos; nothing to assert about an unopened session

@@ -3,11 +3,9 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"autostats/internal/core"
 	"autostats/internal/query"
-	"autostats/internal/resilience"
 	"autostats/internal/workload"
 )
 
@@ -19,16 +17,14 @@ type DegradedReport struct {
 	DegradedPlans int
 	// Injections counts failpoint firings during the fault phase.
 	Injections int
-	// BreakerTrips counts circuit breaker trips during the fault phase.
-	BreakerTrips int64
 	// Findings lists every oracle violation.
 	Findings []Finding
 }
 
-// RunDegradedRecovery checks the resilience layer's core promise end to end:
-// with every statistic build failing, queries must still plan (degraded, on
-// magic numbers) and return exactly the reference evaluator's results; once
-// builds recover, the same queries must re-optimize to non-degraded plans —
+// RunDegradedRecovery checks degraded planning end to end: with every
+// statistic build failing, queries must still plan (degraded, on magic
+// numbers) and return exactly the reference evaluator's results; once builds
+// recover, the same queries must re-optimize to non-degraded plans —
 // automatically, with no reset call — and still agree with the reference.
 //
 // The check drops all existing statistics first so the fault phase is
@@ -55,25 +51,12 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 		h.Mgr.Drop(st.ID)
 	}
 
-	const cooldown = time.Millisecond
-	guard := resilience.NewGuard(h.Mgr, resilience.GuardConfig{
-		Retry: resilience.Retry{
-			MaxAttempts: 2,
-			BaseDelay:   time.Microsecond,
-			// Backoffs are irrelevant to the oracle; skip the wall time.
-			Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-		},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: cooldown},
-		Seed:    h.Opts.Seed,
-	})
 	cfg := core.DefaultConfig()
-	cfg.Builder = guard
-
 	rep := &DegradedReport{Queries: len(queries)}
 	ctx := context.Background()
 
-	// Fault phase: every build fails (transiently, so the retry layer is
-	// exercised too); results must still match the reference.
+	// Fault phase: every build fails; results must still match the
+	// reference.
 	fired := FlakyFailpoint(h.Mgr, 1<<30)
 	for _, sel := range queries {
 		h.Sess.ClearDegraded()
@@ -96,9 +79,6 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 		}
 	}
 	rep.Injections = fired()
-	for _, ts := range guard.Breakers().States() {
-		rep.BreakerTrips += ts.Trips
-	}
 	if rep.DegradedPlans == 0 && rep.Injections == 0 && len(queries) > 0 {
 		rep.Findings = append(rep.Findings, Finding{
 			Oracle: "degraded-recovery",
@@ -107,11 +87,10 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 		})
 	}
 
-	// Recovery phase: builds succeed again. After the breaker cooldown, the
-	// first ensure per table is the half-open probe; its success must close
-	// the breaker and yield non-degraded plans with no explicit reset.
+	// Recovery phase: builds succeed again, and the very next analysis of
+	// each query must build what it wants and plan non-degraded, with no
+	// explicit reset.
 	h.Mgr.SetFailpoint(nil)
-	time.Sleep(5 * cooldown)
 	for _, sel := range queries {
 		h.Sess.ClearDegraded()
 		if _, err := core.RunMNSACtx(ctx, h.Sess, sel, cfg); err != nil {

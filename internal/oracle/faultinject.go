@@ -140,11 +140,10 @@ func FailNextRefreshes(mgr *stats.Manager, n int) (fired func() int) {
 }
 
 // FlakyFailpoint installs a fail-N-then-succeed failpoint: the first n
-// build/refresh operations fail with a TRANSIENT ErrInjected (so the retry
-// policy classifies them retryable), every operation after that succeeds.
-// It models a build path that recovers on its own — the scenario the
-// retry/backoff layer exists for. Returns a function reporting how many
-// injections fired.
+// build/refresh operations fail with a transient ErrInjected (so a degraded
+// plan's reason reads "transient"), every operation after that succeeds.
+// It models a build path that recovers on its own. Returns a function
+// reporting how many injections fired.
 func FlakyFailpoint(mgr *stats.Manager, n int) (fired func() int) {
 	var mu sync.Mutex
 	count := 0

@@ -163,9 +163,9 @@ func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 
 	e.churnOrders(t, 400) // well past the 20% modification threshold
 	fired := FailNextRefreshes(h.Mgr, 1)
-	_, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy())
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("RunMaintenance error = %v, want ErrInjected", err)
+	rep, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy())
+	if err != nil || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, ErrInjected) {
+		t.Fatalf("RunMaintenance: err = %v, failures = %v; want no error and one ErrInjected failure", err, rep.RefreshFailures)
 	}
 	if fired() != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", fired())
@@ -392,7 +392,7 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 					return
 				}
 			default:
-				if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil && !errors.Is(err, ErrInjected) {
+				if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil {
 					errs <- err
 					return
 				}

@@ -5,12 +5,14 @@ import (
 	"fmt"
 )
 
-// TransientError marks a statistics build/refresh failure as retryable: the
-// operation failed for a reason expected to clear on its own (an injected
-// flaky fault, a torn snapshot, a spill file that could not be written),
-// as opposed to a permanent condition like an unknown table or column. The
-// resilience layer's retry policy retries only transient failures; everything
-// else either trips the circuit breaker immediately or propagates.
+// TransientError marks a statistics build/refresh failure as one expected to
+// clear on its own (an injected flaky fault, a torn snapshot, a spill file
+// that could not be written), as opposed to a permanent condition like an
+// unknown table or column. Both kinds are handled alike — MNSA plans the
+// affected predicates on magic numbers and maintenance retries the table on
+// its next pass — but MNSA reports the class as the failure's reason
+// ("transient" or "error"), so an operator can tell a passing fault from a
+// broken one.
 //
 // TransientError wraps the underlying cause, so callers can both classify
 // (errors.As(&TransientError{})) and still reach the root cause with

@@ -23,19 +23,6 @@ type MaintenancePolicy struct {
 	// DropListOnly, when true, applies the paper's extension: only
 	// drop-listed (non-essential) statistics are eligible for physical drop.
 	DropListOnly bool
-
-	// TolerateFailures turns per-table refresh failures from pass-aborting
-	// errors into recorded RefreshFailures: the pass skips the failing table
-	// (leaving its modification counter intact so a later pass retries) and
-	// keeps maintaining the rest. The resilience layer sets this so one
-	// failing build path cannot starve every other table of maintenance.
-	// Cancellation still aborts the pass.
-	TolerateFailures bool
-	// SkipTable, when non-nil, is consulted before refreshing a table; a
-	// true return skips it (counted in TablesSkipped). The resilience layer
-	// uses it to keep maintenance from hammering tables whose circuit
-	// breaker is open.
-	SkipTable func(table string) bool
 }
 
 // DefaultMaintenancePolicy mirrors the paper's recommended configuration.
@@ -43,10 +30,8 @@ func DefaultMaintenancePolicy() MaintenancePolicy {
 	return MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 4, DropListOnly: true}
 }
 
-// RefreshFailure records one table refresh the pass could not complete
-// under MaintenancePolicy.TolerateFailures, with the underlying cause —
-// preserved unwrapped-able so the resilience layer can classify it transient
-// or permanent.
+// RefreshFailure records one table refresh the pass could not complete, with
+// the underlying cause (errors.Is / IsTransient see through it).
 type RefreshFailure struct {
 	Table string
 	Err   error
@@ -59,20 +44,15 @@ type MaintenanceReport struct {
 	StatsDropped    int
 	UpdateCostUnits float64
 
-	// RefreshedTables names the tables this pass counter-refreshed, in
-	// schema order (the resilience layer feeds them to breaker resets).
-	RefreshedTables []string
-	// TablesSkipped counts tables the SkipTable hook excluded.
-	TablesSkipped int
-	// RefreshFailures lists refreshes tolerated under TolerateFailures; the
-	// pass is degraded when non-empty.
+	// RefreshFailures lists the tables whose refresh failed; the pass is
+	// degraded when non-empty.
 	RefreshFailures []RefreshFailure
 }
 
 // Degraded reports whether the pass completed in degraded mode: at least one
-// refresh failed (and was tolerated) or was skipped by an open breaker.
+// table's refresh failed.
 func (r MaintenanceReport) Degraded() bool {
-	return len(r.RefreshFailures) > 0 || r.TablesSkipped > 0
+	return len(r.RefreshFailures) > 0
 }
 
 // RunMaintenance applies the policy once across all tables: refreshes
@@ -92,6 +72,11 @@ func (m *Manager) RunMaintenance(p MaintenancePolicy) (MaintenanceReport, error)
 // ctx is checked between tables and between per-statistic rebuilds, so a
 // canceled pass stops at the next boundary with the report covering exactly
 // the work completed. ctx also bounds each statistic rebuild (see EnsureCtx).
+//
+// Only cancellation aborts the pass. A table whose refresh fails for any
+// other reason is recorded in RefreshFailures and the pass moves on to the
+// next table. A table the pass did not finish, failed or cut short, keeps
+// its modification counter, so the next pass refreshes it again.
 func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (MaintenanceReport, error) {
 	reg := m.ObsRegistry()
 	start := time.Now()
@@ -114,19 +99,10 @@ func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (M
 		if float64(td.ModCounter()) <= threshold {
 			continue
 		}
-		if p.SkipTable != nil && p.SkipTable(table) {
-			rep.TablesSkipped++
-			continue
-		}
 		n, cost, err := m.refreshTableCost(ctx, table)
 		rep.UpdateCostUnits += cost
 		if err != nil {
-			// Cancellation always aborts; other failures are tolerated when
-			// the policy says so: record the cause (unwrapped-able, for the
-			// transient/permanent classifier) and maintain the rest. The
-			// table's modification counter is deliberately left set so the
-			// next pass retries it.
-			if !p.TolerateFailures || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return rep, err
 			}
 			rep.RefreshFailures = append(rep.RefreshFailures, RefreshFailure{Table: strings.ToLower(table), Err: err})
@@ -135,7 +111,6 @@ func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (M
 		if n > 0 {
 			rep.TablesRefreshed++
 			rep.StatsRefreshed += n
-			rep.RefreshedTables = append(rep.RefreshedTables, strings.ToLower(table))
 		}
 	}
 
@@ -158,7 +133,6 @@ func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (M
 	reg.Counter("stats.maintenance.stats_refreshed").Add(int64(rep.StatsRefreshed))
 	reg.Counter("stats.maintenance.stats_dropped").Add(int64(rep.StatsDropped))
 	reg.Counter("stats.maintenance.refresh_failures").Add(int64(len(rep.RefreshFailures)))
-	reg.Counter("stats.maintenance.tables_skipped").Add(int64(rep.TablesSkipped))
 	if rep.Degraded() {
 		reg.Counter("degraded.maintenance_passes").Inc()
 	}
@@ -170,7 +144,6 @@ func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (M
 			"stats_refreshed":  rep.StatsRefreshed,
 			"stats_dropped":    rep.StatsDropped,
 			"refresh_failures": len(rep.RefreshFailures),
-			"tables_skipped":   rep.TablesSkipped,
 			"update_cost":      rep.UpdateCostUnits,
 		}
 	})

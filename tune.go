@@ -68,13 +68,11 @@ type TuneReport struct {
 	OptimizerCalls int
 	// CreationCostUnits is the statistics build cost in work units.
 	CreationCostUnits float64
-	// Degraded reports whether the run completed in degraded mode: with
-	// resilience enabled, some statistic builds failed (breaker open,
-	// timeout, or error) and the affected queries were planned on default
-	// magic-number selectivities instead.
+	// Degraded reports whether the run completed in degraded mode: some
+	// statistic builds failed and the affected queries were planned on
+	// default magic-number selectivities instead.
 	Degraded bool
-	// BuildFailures describes each failed build as "id: reason" (only
-	// populated with resilience enabled).
+	// BuildFailures describes each failed build as "id: reason".
 	BuildFailures []string
 }
 
@@ -96,7 +94,7 @@ func (s *System) TuneQueryCtx(ctx context.Context, sql string, opts TuneOptions)
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
 	s.sess.ClearDegraded()
-	res, err := core.RunMNSACtx(ctx, s.sess, q, s.config(opts))
+	res, err := core.RunMNSACtx(ctx, s.sess, q, opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -132,23 +130,12 @@ func (s *System) TuneWorkloadCtx(ctx context.Context, sqls []string, opts TuneOp
 	return s.tuneQueries(ctx, queries, opts)
 }
 
-// config finalizes the core configuration for this system: with resilience
-// enabled, builds route through the Guard so failures degrade instead of
-// aborting.
-func (s *System) config(opts TuneOptions) core.Config {
-	cfg := opts.config()
-	if s.guard != nil {
-		cfg.Builder = s.guard
-	}
-	return cfg
-}
-
 func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts TuneOptions) (*TuneReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
 	s.sess.ClearDegraded()
-	cfg := s.config(opts)
+	cfg := opts.config()
 	rep := &TuneReport{}
 	sp := s.sess.Obs().StartSpan("tune.workload", func() map[string]any {
 		return map[string]any{"queries": len(queries), "shrink": opts.Shrink}
@@ -234,9 +221,10 @@ func (s *System) ProcessStatement(sql string) (*QueryResult, error) {
 
 // ProcessStatementCtx is ProcessStatement honoring cancellation and
 // deadlines through the MNSA analysis, statistic builds and periodic
-// maintenance. With resilience enabled, statements whose statistics cannot
-// be built still execute — on degraded magic-number plans, reported in
-// QueryResult.Degraded.
+// maintenance. Statements whose statistics cannot be built still execute —
+// on degraded magic-number plans, reported in QueryResult.Degraded — and an
+// executed statement is returned even when the maintenance pass after it
+// fails or is canceled.
 func (s *System) ProcessStatementCtx(ctx context.Context, sql string) (*QueryResult, error) {
 	stmt, err := sqlparser.Parse(s.db.Schema, sql)
 	if err != nil {
@@ -308,13 +296,22 @@ func (s *System) TPCDOrigWorkload() ([]string, error) {
 
 // RunMaintenance applies the SQL Server 7.0-style maintenance policy once:
 // refresh statistics on heavily modified tables, drop over-updated
-// drop-listed statistics. Returns (tables refreshed, statistics dropped).
-// With resilience enabled the pass routes through the Guard (breaker-gated,
-// failure-tolerant); use RunMaintenanceCtx for the full report.
+// drop-listed statistics. Returns (tables refreshed, statistics dropped); use
+// RunMaintenanceCtx for the full report, refresh failures included.
 func (s *System) RunMaintenance() (int, int, error) {
 	rep, err := s.RunMaintenanceCtx(context.Background())
 	if err != nil {
 		return 0, 0, err
 	}
 	return rep.TablesRefreshed, rep.StatsDropped, nil
+}
+
+// RunMaintenanceCtx applies the §6 maintenance policy once, honoring
+// cancellation between tables and statistics, and returns the full report.
+// A table whose refresh fails is recorded in the report's RefreshFailures and
+// retried by the next pass; only cancellation returns an error.
+func (s *System) RunMaintenanceCtx(ctx context.Context) (stats.MaintenanceReport, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mgr.RunMaintenanceCtx(ctx, s.auto.Policy)
 }
