@@ -64,9 +64,9 @@ import (
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
 //     and Explain keep being served against it.
 //   - Configuration methods (SetPlanCacheCapacity, SetAgingWindow,
-//     SetBuildMemoryBudget, EnableIncrementalMaintenance, …) follow the usual
-//     configure-then-serve server pattern: call them before the System is
-//     shared across goroutines, not while requests are in flight.
+//     SetBuildMemoryBudget, …) follow the usual configure-then-serve server
+//     pattern: call them before the System is shared across goroutines, not
+//     while requests are in flight.
 //
 // A statistic that cannot be built never fails a statement or a tuning run:
 // the affected predicates are planned on the paper's default magic numbers
@@ -394,23 +394,6 @@ func (s *System) DropStatistic(table string, columns ...string) bool {
 // queries when tuning with UseAging. Zero disables aging.
 func (s *System) SetAgingWindow(ticks int64) {
 	s.mgr.AgingWindow = ticks
-}
-
-// DefaultMaxFoldFraction is the incremental-maintenance fold bound used when
-// EnableIncrementalMaintenance is called with 0.
-const DefaultMaxFoldFraction = stats.DefaultMaxFoldFraction
-
-// EnableIncrementalMaintenance switches statistics refreshes to incremental
-// (folding) maintenance: every table keeps a bounded delta log, and a refresh
-// folds the logged row modifications into the existing histogram instead of
-// rescanning the table, until the folded fraction exceeds maxFoldFraction
-// (0 means the default, stats.DefaultMaxFoldFraction) and a full rebuild
-// resets the drift.
-func (s *System) EnableIncrementalMaintenance(maxFoldFraction float64) error {
-	return s.mgr.SetIncrementalMaintenance(stats.FoldConfig{
-		Enabled:         true,
-		MaxFoldFraction: maxFoldFraction,
-	})
 }
 
 // SetBuildMemoryBudget bounds the estimated memory a statistic build

@@ -41,15 +41,9 @@ func main() {
 		dbName   = flag.String("db", "TPCD_2", "database: TPCD_0 | TPCD_2 | TPCD_4 | TPCD_MIX")
 		scale    = flag.Float64("scale", 0.5, "database scale factor")
 		seed     = flag.Int64("seed", 42, "generator seed")
-		incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
-		foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
 		buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := checkFlagDependencies(*incr); err != nil {
-		fmt.Fprintln(os.Stderr, "autostatsql:", err)
-		os.Exit(2)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -75,14 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(1)
 	}
-	if *incr {
-		if err := sys.EnableIncrementalMaintenance(*foldFrac); err != nil {
-			fmt.Fprintln(os.Stderr, "autostatsql:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("incremental maintenance ON: refreshes fold row deltas (max fold fraction %v)\n",
-			orDefaultFrac(*foldFrac))
-	}
 	if *buildMem != 0 {
 		if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {
 			fmt.Fprintln(os.Stderr, "autostatsql:", err)
@@ -95,26 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(1)
 	}
-}
-
-// checkFlagDependencies rejects a flag given on the command line without the
-// flag it depends on, which would otherwise be silently ignored.
-func checkFlagDependencies(incremental bool) error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "max-fold-fraction" && !incremental {
-			err = fmt.Errorf("-max-fold-fraction needs -incremental")
-		}
-	})
-	return err
-}
-
-// orDefaultFrac renders the effective fold fraction (0 means the default).
-func orDefaultFrac(f float64) float64 {
-	if f <= 0 {
-		return autostats.DefaultMaxFoldFraction
-	}
-	return f
 }
 
 // maxRowsShown caps result printing.

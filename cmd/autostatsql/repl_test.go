@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
-	"os"
-	"os/exec"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,61 +136,5 @@ func TestREPLHealthProbe(t *testing.T) {
 	out = drive(t, ".health "+addr+"\n.quit\n")
 	if !strings.Contains(out, "unreachable") {
 		t.Errorf("probing a dead address should report unreachable:\n%s", out)
-	}
-}
-
-// TestMain lets a test run the shell itself: with runMainEnv set, the test
-// binary is autostatsql, parsing the arguments it was started with.
-func TestMain(m *testing.M) {
-	if os.Getenv(runMainEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-const runMainEnv = "AUTOSTATSQL_TEST_RUN_MAIN"
-
-// runCommand runs autostatsql with args and an empty standard input, and
-// returns its exit status, standard output and standard error.
-func runCommand(t *testing.T, args ...string) (code int, stdout, stderr string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var out, errOut strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case err == nil:
-	case errors.As(err, &exit):
-		code = exit.ExitCode()
-	default:
-		t.Fatal(err)
-	}
-	return code, out.String(), errOut.String()
-}
-
-// TestDependentFlagWithoutItsFlagFails: a flag documented as needing another
-// one is rejected, with exit status 2 and the missing flag named, before the
-// database is generated — not silently dropped.
-func TestDependentFlagWithoutItsFlagFails(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		missing string
-	}{
-		{[]string{"-scale", "0.05", "-max-fold-fraction", "0.05"}, "-incremental"},
-	} {
-		code, stdout, stderr := runCommand(t, tc.args...)
-		if code != 2 || !strings.Contains(stderr, tc.missing) || stdout != "" {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output",
-				tc.args, code, stdout, stderr, tc.missing)
-		}
-	}
-	// With the flag it depends on, it is accepted and the shell runs to the
-	// end of its (empty) input.
-	code, stdout, stderr := runCommand(t, "-scale", "0.05", "-incremental", "-max-fold-fraction", "0.05")
-	if code != 0 || !strings.Contains(stdout, "max fold fraction 0.05") {
-		t.Errorf("satisfied dependencies: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }

@@ -59,17 +59,11 @@ var (
 	metrics  = flag.Bool("metrics", false, "dump the observability counters after the run")
 	traceTo  = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
-	incr     = flag.Bool("incremental", false, "incremental statistics maintenance: refreshes fold logged row deltas into histograms instead of rescanning")
-	foldFrac = flag.Float64("max-fold-fraction", 0, "folded-rows fraction above which a refresh rebuilds from a full scan (needs -incremental; 0 = default 0.1)")
 	buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 )
 
 func main() {
 	flag.Parse()
-	if err := checkFlagDependencies(*incr); err != nil {
-		fmt.Fprintln(os.Stderr, "statsadvisor:", err)
-		os.Exit(2)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -146,15 +140,6 @@ func run(ctx context.Context) error {
 			return err
 		}
 		fmt.Printf("loaded %d statistics from %s\n", len(mgr.All()), *loadFrom)
-	}
-	if *incr {
-		if err := mgr.SetIncrementalMaintenance(stats.FoldConfig{
-			Enabled:         true,
-			MaxFoldFraction: *foldFrac,
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("incremental maintenance: refreshes fold row deltas (max fold fraction %v)\n", *foldFrac)
 	}
 	if *buildMem != 0 {
 		if err := mgr.SetStreamingBuild(stats.StreamConfig{MemBudgetBytes: *buildMem}); err != nil {
@@ -268,18 +253,6 @@ func run(ctx context.Context) error {
 		fmt.Printf("saved %d statistics to %s\n", len(mgr.All()), *saveTo)
 	}
 	return nil
-}
-
-// checkFlagDependencies rejects a flag given on the command line without the
-// flag it depends on, which would otherwise be silently ignored.
-func checkFlagDependencies(incremental bool) error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "max-fold-fraction" && !incremental {
-			err = fmt.Errorf("-max-fold-fraction needs -incremental")
-		}
-	})
-	return err
 }
 
 // reportDegraded summarizes degraded-mode tuning: which builds failed and

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -428,7 +429,7 @@ func replayWithMaintenance(e *Env, w *workload.Workload) (float64, error) {
 			return 0, err
 		}
 		if (i+1)%25 == 0 {
-			if _, err := e.Mgr.RunMaintenance(policy); err != nil {
+			if _, err := e.Mgr.RunMaintenance(context.Background(), policy); err != nil {
 				return 0, err
 			}
 		}

@@ -102,7 +102,7 @@ func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.State
 
 	am.stmtCount++
 	if am.MaintenanceEvery > 0 && am.stmtCount%am.MaintenanceEvery == 0 {
-		if _, err := mgr.RunMaintenanceCtx(ctx, am.Policy); err == nil {
+		if _, err := mgr.RunMaintenance(ctx, am.Policy); err == nil {
 			am.MaintenanceRuns++
 			reg.Counter("auto.maintenance_runs").Inc()
 		}

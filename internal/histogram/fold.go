@@ -6,16 +6,16 @@ import (
 	"autostats/internal/catalog"
 )
 
-// Incremental maintenance: instead of rebuilding a histogram from a full
-// table scan, FoldMulti folds logged row deltas into the existing buckets.
+// Folding row deltas into an existing histogram instead of rebuilding it.
 // Bucket row counts, totals and NULL counts stay exact under folding; bucket
-// boundaries, distinct counts and prefix densities are left as built — that
-// drift is the "fold error", and the statistics manager bounds it by falling
-// back to a full rebuild once the folded-row fraction crosses its threshold
-// (see stats.FoldConfig).
+// boundaries, distinct counts and prefix densities are left as built. The
+// statistics manager does not fold: every refresh is a full build, because
+// a measured trial found folding never served a refresh under the §6
+// counter trigger. FoldMulti and Clone remain only as the subject of the
+// benchmark's histogram.fold_us_per_row probe and go with it.
 
 // Clone returns a deep copy of the histogram; folding always operates on a
-// clone so published statistics stay immutable snapshots.
+// clone so the input stays an immutable snapshot.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
 	c.Buckets = append([]Bucket(nil), h.Buckets...)
@@ -35,8 +35,7 @@ func (mc *MultiColumn) Clone() *MultiColumn {
 // FoldMulti returns a clone of mc with the leading-column values of inserted
 // and deleted rows folded into the leading histogram and the row totals. The
 // input statistic is not modified. Distinct counts and prefix densities are
-// intentionally left stale; callers bound the resulting error by rebuilding
-// once enough rows have been folded.
+// intentionally left stale.
 func FoldMulti(mc *MultiColumn, inserts, deletes []catalog.Datum) *MultiColumn {
 	out := mc.Clone()
 	h := out.Leading
@@ -100,15 +99,4 @@ func (h *Histogram) foldDelete(v catalog.Datum) {
 	if i := h.bucketFor(v); i < len(h.Buckets) && v.Compare(h.Buckets[i].Lo) >= 0 && h.Buckets[i].Rows > 0 {
 		h.Buckets[i].Rows--
 	}
-}
-
-// FoldCostUnits models the work to fold n logged row deltas into an existing
-// histogram: a binary bucket search per delta. Compare with BuildCostUnits —
-// the n·log n sort over the whole table — to see what incremental
-// maintenance saves.
-func FoldCostUnits(n int64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	return float64(n) * 2
 }

@@ -149,7 +149,7 @@ func BenchmarkMergePartials4(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldMulti measures the incremental-maintenance hot path.
+// BenchmarkFoldMulti measures folding 256 deltas into a 5 000-row histogram.
 func BenchmarkFoldMulti(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tuples := randTuples(rng, 5000, 1)
@@ -168,8 +168,8 @@ func BenchmarkFoldMulti(b *testing.B) {
 	}
 }
 
-// TestFoldAllocsBounded is the allocation regression gate for the fold hot
-// path: folding must cost a clone plus per-delta search work, never a
+// TestFoldAllocsBounded is the allocation regression gate for FoldMulti:
+// folding must cost a clone plus per-delta search work, never a
 // per-delta allocation. The bound is generous; it exists to catch gross
 // regressions (e.g. an accidental re-sort or per-delta boxing).
 func TestFoldAllocsBounded(t *testing.T) {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"autostats/internal/core"
@@ -76,7 +77,7 @@ func (h *Harness) RunDifferential(count int) (*DiffReport, error) {
 			rep.MNSARuns++
 		}
 		if rep.Statements%maintenanceEvery == 0 {
-			if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil {
+			if _, err := h.Mgr.RunMaintenance(context.Background(), stats.DefaultMaintenancePolicy()); err != nil {
 				return rep, fmt.Errorf("oracle: maintenance after statement %d: %w", i, err)
 			}
 			rep.MaintenanceRuns++

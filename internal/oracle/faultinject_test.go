@@ -75,7 +75,7 @@ func TestRefreshFailpointLeavesManagerClean(t *testing.T) {
 	refreshesBefore := refreshes.Value()
 
 	fired := FailNextRefreshes(mgr, 1)
-	err := mgr.Refresh(e.stat.ID)
+	err := mgr.Refresh(context.Background(), e.stat.ID)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Refresh error = %v, want ErrInjected", err)
 	}
@@ -97,7 +97,7 @@ func TestRefreshFailpointLeavesManagerClean(t *testing.T) {
 
 	// Disarm and verify the manager recovers on the next attempt.
 	mgr.SetFailpoint(nil)
-	if err := mgr.Refresh(e.stat.ID); err != nil {
+	if err := mgr.Refresh(context.Background(), e.stat.ID); err != nil {
 		t.Fatalf("refresh after disarm: %v", err)
 	}
 	if mgr.Get(e.stat.ID) == before {
@@ -163,7 +163,7 @@ func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 
 	e.churnOrders(t, 400) // well past the 20% modification threshold
 	fired := FailNextRefreshes(h.Mgr, 1)
-	rep, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy())
+	rep, err := h.Mgr.RunMaintenance(context.Background(), stats.DefaultMaintenancePolicy())
 	if err != nil || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, ErrInjected) {
 		t.Fatalf("RunMaintenance: err = %v, failures = %v; want no error and one ErrInjected failure", err, rep.RefreshFailures)
 	}
@@ -211,7 +211,7 @@ func TestStaleEpochProviderCannotPoisonSharedCache(t *testing.T) {
 	frozen := fp.FreezeEpoch()
 	// The statistics set changes after the freeze: the faulty session now
 	// reads fresh statistics under a stale identity.
-	if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+	if err := h.Mgr.Refresh(context.Background(), e.stat.ID); err != nil {
 		t.Fatal(err)
 	}
 	if h.Mgr.Epoch() == frozen {
@@ -269,7 +269,7 @@ func TestTornSnapshotPlanNotCached(t *testing.T) {
 	sess.SetStatsProvider(fp)
 
 	fp.TearAfter(1, func() {
-		if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+		if err := h.Mgr.Refresh(context.Background(), e.stat.ID); err != nil {
 			t.Errorf("tear refresh: %v", err)
 		}
 	})
@@ -376,13 +376,13 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 			switch i % 4 {
 			case 0:
 				FailNextRefreshes(h.Mgr, 1)
-				if err := h.Mgr.Refresh(e.stat.ID); !errors.Is(err, ErrInjected) {
+				if err := h.Mgr.Refresh(context.Background(), e.stat.ID); !errors.Is(err, ErrInjected) {
 					errs <- fmt.Errorf("churn iter %d: want injected error, got %v", i, err)
 					return
 				}
 				h.Mgr.SetFailpoint(nil)
 			case 1:
-				if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+				if err := h.Mgr.Refresh(context.Background(), e.stat.ID); err != nil {
 					errs <- err
 					return
 				}
@@ -392,7 +392,7 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 					return
 				}
 			default:
-				if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil {
+				if _, err := h.Mgr.RunMaintenance(context.Background(), stats.DefaultMaintenancePolicy()); err != nil {
 					errs <- err
 					return
 				}

@@ -204,7 +204,7 @@ func (h *Harness) injectNulls() error {
 			}
 			td.Update(hit, pos, catalog.NewNull(typ))
 		}
-		td.ResetModCounter()
+		td.ResetModCounter(td.ModCounter())
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func TestManagerConcurrentMutation(t *testing.T) {
 					// Refresh errors when another goroutine dropped the
 					// statistic first; only unexpected errors matter.
 					if m.Has(id) {
-						_ = m.Refresh(id)
+						_ = m.Refresh(context.Background(), id)
 					}
 				case 3:
 					m.AddToDropList(id)
@@ -133,12 +133,11 @@ func TestPublishedStatisticNeverWritten(t *testing.T) {
 			}
 		}, false},
 		{"Refresh/rebuild", nil, func(t *testing.T, m *Manager) {
-			if err := m.Refresh(id); err != nil {
+			if err := m.Refresh(context.Background(), id); err != nil {
 				t.Error(err)
 			}
 		}, true},
-		{"Refresh/fold", func(t *testing.T, m *Manager) {
-			// Deltas logged after the build make the refresh fold-eligible.
+		{"Refresh/after DML", func(t *testing.T, m *Manager) {
 			td := mustTable(t, m.Database(), "t")
 			for i := 0; i < 5; i++ {
 				if err := td.Insert(storage.Row{catalog.NewInt(3), catalog.NewInt(1)}); err != nil {
@@ -146,15 +145,16 @@ func TestPublishedStatisticNeverWritten(t *testing.T) {
 				}
 			}
 		}, func(t *testing.T, m *Manager) {
-			if err := m.Refresh(id); err != nil {
+			if err := m.Refresh(context.Background(), id); err != nil {
 				t.Error(err)
 			}
-			if got := m.Get(id); got.FoldedRows != 5 {
-				t.Errorf("FoldedRows = %d, want 5 (the refresh did not fold)", got.FoldedRows)
+			td := mustTable(t, m.Database(), "t")
+			if got := m.Get(id); got.Data.Rows != int64(td.RowCount()) {
+				t.Errorf("refreshed statistic summarizes %d rows, table has %d", got.Data.Rows, td.RowCount())
 			}
 		}, true},
 		{"Refresh/listed", dropList, func(t *testing.T, m *Manager) {
-			if err := m.Refresh(id); err != nil {
+			if err := m.Refresh(context.Background(), id); err != nil {
 				t.Error(err)
 			}
 		}, false},
@@ -172,9 +172,6 @@ func TestPublishedStatisticNeverWritten(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewManager(testDB(t), histogram.EquiDepth, 0)
-			if err := m.SetIncrementalMaintenance(FoldConfig{Enabled: true}); err != nil {
-				t.Fatal(err)
-			}
 			if _, err := m.Create("t", []string{"a"}); err != nil {
 				t.Fatal(err)
 			}

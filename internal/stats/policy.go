@@ -64,20 +64,15 @@ func (r MaintenanceReport) Degraded() bool {
 // pass sums them, so refreshes issued concurrently by other goroutines are
 // never misattributed to this pass (diffing the global TotalUpdateCost
 // before/after would fold them in).
-func (m *Manager) RunMaintenance(p MaintenancePolicy) (MaintenanceReport, error) {
-	return m.RunMaintenanceCtx(context.Background(), p)
-}
-
-// RunMaintenanceCtx is RunMaintenance honoring cancellation and deadlines:
+//
 // ctx is checked between tables and between per-statistic rebuilds, so a
 // canceled pass stops at the next boundary with the report covering exactly
-// the work completed. ctx also bounds each statistic rebuild (see EnsureCtx).
-//
-// Only cancellation aborts the pass. A table whose refresh fails for any
-// other reason is recorded in RefreshFailures and the pass moves on to the
-// next table. A table the pass did not finish, failed or cut short, keeps
-// its modification counter, so the next pass refreshes it again.
-func (m *Manager) RunMaintenanceCtx(ctx context.Context, p MaintenancePolicy) (MaintenanceReport, error) {
+// the work completed; it also bounds each rebuild (see EnsureCtx). Only
+// cancellation aborts the pass. A table whose refresh fails for any other
+// reason is recorded in RefreshFailures and the pass moves on to the next
+// table. A table the pass did not finish, failed or cut short, keeps its
+// modification counter, so the next pass refreshes it again.
+func (m *Manager) RunMaintenance(ctx context.Context, p MaintenancePolicy) (MaintenanceReport, error) {
 	reg := m.ObsRegistry()
 	start := time.Now()
 	sp := reg.StartSpan("stats.maintenance", nil)

@@ -69,11 +69,10 @@ type Statistic struct {
 	// MultiColumn with one column.
 	Data *histogram.MultiColumn
 
-	// BuildCost is the work-unit cost charged when the statistic was built
-	// (full-rebuild refreshes charge the same units to the update-side
-	// accounting; fold refreshes charge histogram.FoldCostUnits instead).
+	// BuildCost is the work-unit cost charged when the statistic was built;
+	// a refresh charges the same units to the update-side accounting.
 	BuildCost float64
-	// BuildTime is the wall-clock time of the most recent (re)build or fold.
+	// BuildTime is the wall-clock time of the most recent (re)build.
 	BuildTime time.Duration
 	// CreatedAt / UpdatedAt are logical-clock stamps.
 	CreatedAt int64
@@ -85,14 +84,6 @@ type Statistic struct {
 	// Drop-listed statistics remain usable by the optimizer until
 	// physically dropped but incur no maintenance cost.
 	InDropList bool
-
-	// DeltaSeq is the table delta-log watermark Data reflects: the folding
-	// refresh path replays exactly the modifications logged after it.
-	DeltaSeq int64
-	// FoldedRows counts row deltas folded incrementally into Data since the
-	// last full build — the bounded "fold error" that triggers a rebuild
-	// once it crosses FoldConfig.MaxFoldFraction of the table.
-	FoldedRows int64
 }
 
 // IsSingleColumn reports whether the statistic covers exactly one column.
@@ -170,9 +161,6 @@ type Manager struct {
 	// failpoint, when non-nil, can veto mutating operations (see
 	// SetFailpoint).
 	failpoint Failpoint
-	// fold configures incremental (folding) maintenance (see
-	// SetIncrementalMaintenance).
-	fold FoldConfig
 	// stream holds the block-pipeline parameters of full builds (see
 	// SetStreamingBuild).
 	stream StreamConfig
@@ -205,17 +193,11 @@ type managerMetrics struct {
 	buildLatency  *obs.Timing
 
 	// Build-path instrumentation: fullScans counts statistic (re)builds —
-	// every one scans the table, so its standing still is the evidence that
-	// incremental maintenance worked; partialsMerged counts the partials
-	// merged by builds that cut more than one partition.
+	// every creation and every refresh scans the table once, so it always
+	// equals builds + refreshes; partialsMerged counts the partials merged by
+	// builds that cut more than one partition.
 	fullScans      *obs.Counter
 	partialsMerged *obs.Counter
-	// Fold-path instrumentation: folds counts refreshes served by folding
-	// row deltas, foldRebuilds counts fold attempts that fell back to a
-	// full rebuild, foldedRows counts the deltas folded.
-	folds        *obs.Counter
-	foldRebuilds *obs.Counter
-	foldedRows   *obs.Counter
 	// Scan instrumentation: buildBlocks counts the blocks builds consumed,
 	// buildSpills/spillBytes the partials (and bytes) that overflowed the
 	// build-memory budget to temp files. buildMemPeak is the estimated peak
@@ -243,9 +225,6 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 		buildLatency:   reg.Timing("stats.build.latency"),
 		fullScans:      reg.Counter("stats.build.full_scans"),
 		partialsMerged: reg.Counter("stats.build.partials_merged"),
-		folds:          reg.Counter("stats.fold.applied"),
-		foldRebuilds:   reg.Counter("stats.fold.rebuilds"),
-		foldedRows:     reg.Counter("stats.fold.rows"),
 		buildBlocks:    reg.Counter("stats.build.blocks"),
 		buildSpills:    reg.Counter("stats.build.spills"),
 		spillBytes:     reg.Counter("stats.build.spill_bytes"),
@@ -522,17 +501,10 @@ func (m *Manager) RecentlyDropped(id ID) bool {
 // update cost (and only its update cost — creation accounting is untouched).
 // Drop-listed statistics are skipped (they are not maintained). A fresh
 // Statistic is published in its place; previously handed-out pointers keep
-// their pre-refresh snapshot. When incremental maintenance is enabled
-// and the table's logged row deltas are small enough, the refresh folds the
-// deltas into the existing histogram instead of rescanning the table.
-func (m *Manager) Refresh(id ID) error {
-	return m.RefreshCtx(context.Background(), id)
-}
-
-// RefreshCtx is Refresh honoring cancellation and deadlines; see EnsureCtx
-// for the abandonment guarantees. The table's modification counter is left
-// untouched: other statistics on the table remain governed by it.
-func (m *Manager) RefreshCtx(ctx context.Context, id ID) error {
+// their pre-refresh snapshot. Cancellation and deadlines abandon the rebuild
+// as in EnsureCtx. The table's modification counter is left untouched: other
+// statistics on the table remain governed by it.
+func (m *Manager) Refresh(ctx context.Context, id ID) error {
 	met := m.metrics()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -540,8 +512,8 @@ func (m *Manager) RefreshCtx(ctx context.Context, id ID) error {
 	return err
 }
 
-// refresh rebuilds (or folds) one statistic and returns the update cost this
-// call charged — 0 when the statistic is drop-listed and skipped — so a
+// refresh rebuilds one statistic and returns the update cost this call
+// charged — 0 when the statistic is drop-listed and skipped — so a
 // maintenance pass attributes exactly its own work instead of diffing the
 // global counters, which would fold in concurrent refreshes. The caller holds
 // m.mu.
@@ -559,32 +531,45 @@ func (m *Manager) refresh(ctx context.Context, id ID, met managerMetrics) (float
 			return 0, fmt.Errorf("stats: refresh %s vetoed: %w", id, err)
 		}
 	}
-	fresh, cost, err := m.rebuildOrFold(ctx, group[i], met)
+	old := group[i]
+	fresh, err := m.build(ctx, old.Table, old.Columns, met)
 	if err != nil {
 		return 0, fmt.Errorf("stats: refresh %s: %w", id, err)
 	}
+	fresh.CreatedAt = old.CreatedAt
+	fresh.UpdateCount = old.UpdateCount + 1
 	group = slices.Clone(group)
 	group[i] = fresh
 	m.accMu.Lock()
-	m.acct.TotalUpdateCost += cost
+	m.acct.TotalUpdateCost += fresh.BuildCost
 	m.acct.UpdateOpCount++
 	m.accMu.Unlock()
 	met.refreshes.Inc()
-	met.updateUnits.Add(cost)
+	met.updateUnits.Add(fresh.BuildCost)
 	m.publish(v.withGroup(id.Table(), group), met)
-	return cost, nil
+	return fresh.BuildCost, nil
 }
 
 // refreshTableCost refreshes every maintained statistic on the table, in ID
-// order, and resets its modification counter. It returns the number
-// refreshed and the update cost charged by this call alone. The writer mutex
-// is held for the whole pass; each refreshed statistic is published as it
-// completes. Cancellation is checked between the per-statistic rebuilds.
+// order, and takes the modifications it has seen off the table's counter. It
+// returns the number refreshed and the update cost charged by this call
+// alone. The writer mutex is held for the whole pass; each refreshed
+// statistic is published as it completes. Cancellation is checked between the
+// per-statistic rebuilds.
+//
+// The counter is read before the first rebuild and only that amount is
+// subtracted after the last: DML that commits during the pass may have missed
+// an earlier statistic's scan, so it stays pending for the next pass.
 func (m *Manager) refreshTableCost(ctx context.Context, table string) (int, float64, error) {
 	table = strings.ToLower(table)
 	met := m.metrics()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	td, err := m.db.Table(table)
+	if err != nil {
+		return 0, 0, err
+	}
+	seen := td.ModCounter()
 	n := 0
 	var cost float64
 	for _, s := range m.cur.Load().byTable[table] {
@@ -598,9 +583,7 @@ func (m *Manager) refreshTableCost(ctx context.Context, table string) (int, floa
 		cost += c
 		n++
 	}
-	if td, err := m.db.Table(table); err == nil {
-		td.ResetModCounter()
-	}
+	td.ResetModCounter(seen)
 	return n, cost, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"autostats/internal/catalog"
 	"autostats/internal/histogram"
+	"autostats/internal/obs"
 	"autostats/internal/storage"
 )
 
@@ -28,7 +29,7 @@ func testDB(t *testing.T) *storage.Database {
 			t.Fatal(err)
 		}
 	}
-	td.ResetModCounter()
+	td.ResetModCounter(td.ModCounter())
 	return db
 }
 
@@ -149,7 +150,7 @@ func TestRefreshAccountingAndDropListSkip(t *testing.T) {
 	if m.Snapshot().TotalUpdateCost <= 0 {
 		t.Error("update cost not charged")
 	}
-	if err := m.Refresh(ID("t(zzz)")); err == nil {
+	if err := m.Refresh(context.Background(), ID("t(zzz)")); err == nil {
 		t.Error("refresh of unknown statistic should error")
 	}
 }
@@ -168,7 +169,7 @@ func TestRefreshChargesOnlyUpdateAccounting(t *testing.T) {
 	if before.BuildCount != 1 || before.TotalBuildCost <= 0 {
 		t.Fatalf("setup accounting: %+v", before)
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.Refresh(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Snapshot()
@@ -226,7 +227,7 @@ func TestEpochBumpsOnMutations(t *testing.T) {
 	if e3 <= e2 {
 		t.Error("resurrecting Create did not bump epoch")
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.Refresh(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	e4 := m.Epoch()
@@ -238,6 +239,64 @@ func TestEpochBumpsOnMutations(t *testing.T) {
 	}
 	if m.Epoch() <= e4 {
 		t.Error("Drop did not bump epoch")
+	}
+}
+
+// TestEpochAndCountAcrossTables: mutations across many tables keep the epoch
+// strictly increasing and the count gauge exact.
+func TestEpochAndCountAcrossTables(t *testing.T) {
+	schema := catalog.NewSchema()
+	tables := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+	for _, name := range tables {
+		if err := schema.AddTable(catalog.NewTable(name,
+			catalog.Column{Name: "a", Type: catalog.Int},
+		)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := storage.NewDatabase("db", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tables {
+		td := mustTable(t, db, name)
+		for i := 0; i < 10; i++ {
+			if err := td.Insert(storage.Row{catalog.NewInt(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := NewManager(db, histogram.EquiDepth, 0)
+	reg := obs.New()
+	m.SetObsRegistry(reg)
+	last := m.Epoch()
+	for _, name := range tables {
+		if _, err := m.Create(name, []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		if e := m.Epoch(); e <= last {
+			t.Fatalf("epoch did not advance on create of %s: %d -> %d", name, last, e)
+		} else {
+			last = e
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Gauges["stats.count"]; got != int64(len(tables)) {
+		t.Errorf("stats.count = %d, want %d", got, len(tables))
+	}
+	if got := snap.Gauges["stats.epoch"]; got != int64(m.Epoch()) {
+		t.Errorf("stats.epoch gauge = %d, manager epoch %d", got, m.Epoch())
+	}
+	if got := len(m.All()); got != len(tables) {
+		t.Errorf("All() = %d stats, want %d", got, len(tables))
+	}
+	// Wholesale reset.
+	m.dropAll()
+	if got := reg.Snapshot().Gauges["stats.count"]; got != 0 {
+		t.Errorf("stats.count after dropAll = %d", got)
+	}
+	if e := m.Epoch(); e <= last {
+		t.Errorf("dropAll did not bump epoch: %d -> %d", last, e)
 	}
 }
 
@@ -265,7 +324,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	p := MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1, DropListOnly: true}
 
 	// Below threshold: nothing happens.
-	rep, err := m.RunMaintenance(p)
+	rep, err := m.RunMaintenance(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +347,7 @@ func TestMaintenancePolicy(t *testing.T) {
 		}
 	}
 	update(0, 15)
-	if rep, err = m.RunMaintenance(p); err != nil {
+	if rep, err = m.RunMaintenance(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if rep.TablesRefreshed != 0 || m.Get(a.ID) != a {
@@ -297,14 +356,14 @@ func TestMaintenancePolicy(t *testing.T) {
 	// The boundary is strict: counter = 0.2·rows (20 of 100) does not
 	// refresh, 21 does.
 	update(15, 20)
-	if rep, err = m.RunMaintenance(p); err != nil {
+	if rep, err = m.RunMaintenance(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if rep.TablesRefreshed != 0 || td.ModCounter() != 20 {
 		t.Errorf("counter at the threshold refreshed: %+v, counter %d", rep, td.ModCounter())
 	}
 	update(20, 21)
-	if rep, err = m.RunMaintenance(p); err != nil {
+	if rep, err = m.RunMaintenance(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if rep.TablesRefreshed != 1 || rep.StatsRefreshed != 1 || td.ModCounter() != 0 {
@@ -315,7 +374,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		_ = td.Insert(storage.Row{catalog.NewInt(1), catalog.NewInt(1)})
 	}
-	rep, err = m.RunMaintenance(p)
+	rep, err = m.RunMaintenance(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +389,12 @@ func TestMaintenancePolicy(t *testing.T) {
 	// Refresh replaced the published Statistic, so re-fetch the live one.
 	a = m.Get(a.ID)
 	a.UpdateCount = 5
-	rep, _ = m.RunMaintenance(p)
+	rep, _ = m.RunMaintenance(context.Background(), p)
 	if rep.StatsDropped != 0 {
 		t.Error("DropListOnly policy dropped a maintained statistic")
 	}
 	m.AddToDropList(a.ID)
-	rep, _ = m.RunMaintenance(p)
+	rep, _ = m.RunMaintenance(context.Background(), p)
 	if rep.StatsDropped != 1 {
 		t.Errorf("expected drop of over-updated drop-listed statistic: %+v", rep)
 	}
@@ -344,7 +403,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	// statistic is dropped.
 	b, _ := m.Create("t", []string{"b"})
 	b.UpdateCount = 5
-	rep, _ = m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1})
+	rep, _ = m.RunMaintenance(context.Background(), MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1})
 	if rep.StatsDropped != 1 {
 		t.Errorf("stock policy should drop over-updated statistic: %+v", rep)
 	}

@@ -67,12 +67,12 @@ func spillFiles(t *testing.T, dir string) int {
 }
 
 // referenceStat is what every build is compared against: histogram.BuildMulti
-// over the one-shot MultiColumnValuesSeq gather, called directly, never
-// through the manager. It returns the data, the watermark and the creation
-// cost the manager's statistic must carry.
-func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buckets int, table string, cols []string) (*histogram.MultiColumn, int64, float64) {
+// over the one-shot MultiColumnValues gather, called directly, never through
+// the manager. It returns the data and the build cost the manager's statistic
+// must carry.
+func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buckets int, table string, cols []string) (*histogram.MultiColumn, float64) {
 	t.Helper()
-	tuples, seq, err := mustTable(t, db, table).MultiColumnValuesSeq(cols)
+	tuples, err := mustTable(t, db, table).MultiColumnValues(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,22 +80,18 @@ func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buck
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mc, seq, histogram.BuildCostUnits(int64(len(tuples)), len(cols))
+	return mc, histogram.BuildCostUnits(int64(len(tuples)), len(cols))
 }
 
 // TestBuildIdentity is the build path's invariant as one table: at every
 // block size, partition cut and spill pattern, for single-column, multi-column
 // and NULL-bearing statistics, Manager.Create produces exactly the BuildMulti
-// reference, with the same watermark and creation cost.
+// reference with the same creation cost, and a refresh after an insert
+// produces exactly the reference over the new contents, charging the same
+// cost to the update-side accounting only.
 func TestBuildIdentity(t *testing.T) {
 	db := streamDB(t, 500)
 	td := mustTable(t, db, "s")
-	td.EnableDeltaLog(0)
-	for i := 0; i < 3; i++ { // a non-zero watermark to carry
-		if err := td.Insert(storage.Row{catalog.NewInt(99), catalog.NewString("g9"), catalog.NewInt(9)}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	targets := []struct {
 		name    string
 		cols    []string
@@ -107,8 +103,8 @@ func TestBuildIdentity(t *testing.T) {
 		{"nulls", []string{"a", "b", "c"}, histogram.MaxDiff, 0},
 	}
 	spillDir := t.TempDir()
+	inserted := 0
 	for _, tgt := range targets {
-		want, wantSeq, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
 		for _, bs := range []int{1, 7, 64, 4096} {
 			for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
 				for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
@@ -124,6 +120,7 @@ func TestBuildIdentity(t *testing.T) {
 					}); err != nil {
 						t.Fatal(err)
 					}
+					want, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
 					got, err := m.Create("s", tgt.cols)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -131,14 +128,35 @@ func TestBuildIdentity(t *testing.T) {
 					if !reflect.DeepEqual(got.Data, want) {
 						t.Errorf("%s: statistic differs from the BuildMulti reference", name)
 					}
-					if got.DeltaSeq != wantSeq {
-						t.Errorf("%s: DeltaSeq=%d want %d", name, got.DeltaSeq, wantSeq)
-					}
 					if got.BuildCost != wantCost {
 						t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
 					}
 					if spilled := reg.Counter("stats.build.spills").Value() > 0; spilled != (budget > 0) {
 						t.Errorf("%s: spilled=%v", name, spilled)
+					}
+
+					inserted++
+					if err := td.Insert(storage.Row{
+						catalog.NewInt(int64(90 + inserted%17)),
+						catalog.NewString(fmt.Sprintf("g%d", inserted%9)),
+						catalog.NewInt(int64(inserted % 5)),
+					}); err != nil {
+						t.Fatal(err)
+					}
+					want, wantCost = referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
+					before := m.Snapshot()
+					if err := m.Refresh(context.Background(), got.ID); err != nil {
+						t.Fatalf("%s: refresh: %v", name, err)
+					}
+					after := m.Snapshot()
+					if !reflect.DeepEqual(m.Get(got.ID).Data, want) {
+						t.Errorf("%s: refreshed statistic differs from the BuildMulti reference over the new contents", name)
+					}
+					if charged := after.TotalUpdateCost - before.TotalUpdateCost; charged != wantCost {
+						t.Errorf("%s: refresh charged %v update units, want %v", name, charged, wantCost)
+					}
+					if after.TotalBuildCost != before.TotalBuildCost || after.BuildCount != before.BuildCount {
+						t.Errorf("%s: refresh charged creation accounting: %+v -> %+v", name, before, after)
 					}
 				}
 			}
@@ -192,6 +210,56 @@ func TestStreamingSpillMetricsAndCleanup(t *testing.T) {
 	if n := mustTable(t, db, "s").OpenSnapshots(); n != 0 {
 		t.Errorf("OpenSnapshots=%d after build", n)
 	}
+}
+
+// TestBuildMetrics: every build is visible in the registry. A build that
+// cuts several partitions is one full scan with every cut partial merged and
+// the blocks counted; a refresh is a build too, so full scans always equal
+// creations plus refreshes.
+func TestBuildMetrics(t *testing.T) {
+	t.Run("partitioned create", func(t *testing.T) {
+		m := NewManager(testDB(t), histogram.EquiDepth, 0)
+		reg := obs.New()
+		m.SetObsRegistry(reg)
+		// 100 rows in blocks of 10, cut every 25 rows: the cut is checked
+		// after each block, so partitions close at 30, 60, 90 and the 10-row
+		// tail.
+		if err := m.SetStreamingBuild(StreamConfig{BlockSize: 10, PartitionRows: 25}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Create("t", []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["stats.build.partials_merged"]; got != 4 {
+			t.Errorf("partials_merged = %d, want 4", got)
+		}
+		if got := snap.Counters["stats.build.blocks"]; got != 10 {
+			t.Errorf("blocks = %d, want 10", got)
+		}
+		if got := snap.Counters["stats.build.full_scans"]; got != 1 {
+			t.Errorf("full_scans = %d, want 1", got)
+		}
+	})
+	t.Run("create plus refresh", func(t *testing.T) {
+		m := NewManager(testDB(t), histogram.EquiDepth, 0)
+		reg := obs.New()
+		m.SetObsRegistry(reg)
+		st, err := m.Create("t", []string{"a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Refresh(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+		c := reg.Snapshot().Counters
+		if got := c["stats.build.full_scans"]; got != 2 {
+			t.Errorf("full_scans = %d, want 2 (create + refresh)", got)
+		}
+		if scans, sum := c["stats.build.full_scans"], c["stats.builds"]+c["stats.refreshes"]; scans != sum {
+			t.Errorf("full_scans = %d, builds + refreshes = %d", scans, sum)
+		}
+	})
 }
 
 // streamFaultFixture returns a manager with small cuts and forced spilling
@@ -262,7 +330,7 @@ func TestStreamingSpillFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("retry after fault: %v", err)
 			}
-			want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"})
+			want, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"})
 			if !reflect.DeepEqual(got.Data, want) {
 				t.Error("post-fault retry differs from reference build")
 			}
@@ -324,11 +392,11 @@ func TestStreamingCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestStreamingConcurrentBuildsAndFolds: full rebuilds, folding
-// refreshes and DML hammer one table concurrently; run under -race this
-// proves block scans and FoldMulti never interleave on shared state. The
-// final refreshed statistic must equal a fresh reference build.
-func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
+// TestStreamingConcurrentBuildsAndDML: refreshes, readers and DML hammer one
+// table concurrently; run under -race this proves block scans and writers
+// never interleave on shared state. The final refreshed statistic must equal
+// a fresh reference build exactly.
+func TestStreamingConcurrentBuildsAndDML(t *testing.T) {
 	db := streamDB(t, 300)
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
@@ -338,9 +406,6 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 		MemBudgetBytes: 4 << 10,
 		SpillDir:       t.TempDir(),
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetIncrementalMaintenance(FoldConfig{Enabled: true, MaxFoldFraction: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	id := MakeID("s", []string{"a"})
@@ -366,7 +431,7 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
-			if err := m.Refresh(id); err != nil {
+			if err := m.Refresh(context.Background(), id); err != nil {
 				t.Errorf("refresh: %v", err)
 				return
 			}
@@ -386,19 +451,12 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 	}
 	// One more refresh so the statistic reflects the final table state, then
 	// compare against the single-pass reference.
-	if err := m.Refresh(id); err != nil {
+	if err := m.Refresh(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Get(id)
-	want, _, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a"})
-	if got.FoldedRows == 0 {
-		// The last refresh rebuilt: must match exactly.
-		if !reflect.DeepEqual(got.Data, want) {
-			t.Error("final rebuild differs from reference")
-		}
-	} else if got.Data.Rows != want.Rows {
-		// The last refresh folded: row counts still reconcile exactly.
-		t.Errorf("folded rows=%d, reference rows=%d", got.Data.Rows, want.Rows)
+	want, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a"})
+	if !reflect.DeepEqual(m.Get(id).Data, want) {
+		t.Error("final refresh differs from reference")
 	}
 }
 
@@ -516,7 +574,7 @@ func BenchmarkStreamingManagerBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Refresh(id); err != nil {
+		if err := m.Refresh(context.Background(), id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,10 +10,10 @@ import (
 // BlockIter yields the live rows of a table projected onto a column set in
 // fixed-size blocks, under a snapshot guard: the table's read lock is held
 // from Open to Close, so every block belongs to one consistent table
-// version — the same guarantee MultiColumnValuesSeq gives a one-shot
-// gather, without materializing the full projection. Writers queue behind
-// the guard for the duration of the scan; the statistics build path keeps
-// that window short by releasing the iterator before the merge pass.
+// version — the same guarantee MultiColumnValues gives a one-shot gather,
+// without materializing the full projection. Writers queue behind the guard
+// for the duration of the scan; the statistics build path keeps that window
+// short by releasing the iterator before the merge pass.
 
 // DefaultBlockSize is the rows-per-block used when OpenBlockIter is called
 // with a non-positive block size.
@@ -31,8 +31,6 @@ type BlockIter struct {
 	pos  int
 	rows int
 	live int
-	seq  int64
-	ver  int64
 
 	// buf and flat back the reused block: buf[i] is flat[i*w:(i+1)*w].
 	buf    [][]catalog.Datum
@@ -42,8 +40,7 @@ type BlockIter struct {
 
 // OpenBlockIter opens a streaming scan of the named columns in blocks of at
 // most blockSize rows (<= 0 means DefaultBlockSize). The table read lock is
-// held until Close: the scan observes exactly one table version, and the
-// delta-log sequence reported by Seq corresponds to it atomically. Callers
+// held until Close, so the scan observes exactly one table version. Callers
 // MUST Close the iterator (Close is idempotent), must not call other
 // methods of the same TableData while it is open (the guard is held by this
 // goroutine), and must copy datums they retain across Next calls.
@@ -67,8 +64,6 @@ func (t *TableData) OpenBlockIter(cols []string, blockSize int) (*BlockIter, err
 		ords: ords,
 		rows: len(t.rows),
 		live: t.live,
-		seq:  t.deltaBase + int64(len(t.deltas)),
-		ver:  t.version,
 		buf:  make([][]catalog.Datum, 0, blockSize),
 		flat: make([]catalog.Datum, blockSize*w),
 	}
@@ -108,16 +103,6 @@ func (it *BlockIter) Next() ([][]catalog.Datum, bool) {
 // LiveRows returns the number of live rows in the snapshot (the total the
 // blocks will sum to).
 func (it *BlockIter) LiveRows() int { return it.live }
-
-// Seq returns the delta-log sequence observed at open — the watermark a
-// statistic built from this scan records so a later folding refresh replays
-// exactly the modifications the scan did not see.
-func (it *BlockIter) Seq() int64 { return it.seq }
-
-// Version returns the table content version the snapshot pins. While the
-// iterator is open it cannot change (the guard excludes writers); it is
-// exposed so builds can assert the invariant cheaply.
-func (it *BlockIter) Version() int64 { return it.ver }
 
 // Close releases the snapshot guard. Idempotent; after Close, Next returns
 // false. Every open iterator must be closed, including on error and

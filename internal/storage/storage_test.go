@@ -102,9 +102,15 @@ func TestUpdateAndModCounter(t *testing.T) {
 	if r[1].F != 999 {
 		t.Errorf("update not applied: %v", r[1])
 	}
-	td.ResetModCounter()
+	// A refresh that saw 5 of the 7 modifications leaves 2 pending; taking
+	// off more than remain clamps at zero.
+	td.ResetModCounter(5)
+	if td.ModCounter() != 2 {
+		t.Errorf("mod counter after taking 5 off 7 = %d, want 2", td.ModCounter())
+	}
+	td.ResetModCounter(7)
 	if td.ModCounter() != 0 {
-		t.Error("ResetModCounter failed")
+		t.Errorf("mod counter after over-subtraction = %d, want 0", td.ModCounter())
 	}
 }
 

@@ -38,14 +38,6 @@ type TableData struct {
 	// DML invalidates cached plans whose cardinality inputs went stale.
 	version int64
 
-	// Delta log (opt-in, see EnableDeltaLog): a bounded sequence-numbered
-	// record of row modifications since the last trim, letting the statistics
-	// manager fold deltas into existing histograms instead of rescanning the
-	// table. deltaCap == 0 means the log is disabled and DML pays nothing.
-	deltaCap  int
-	deltaBase int64 // sequence number of deltas[0]
-	deltas    []DeltaRec
-
 	// openSnapshots counts live BlockIter snapshot guards on this table.
 	// It exists for leak detection: a streaming statistics build that exits
 	// on any path — success, error, cancellation — must bring it back to
@@ -59,19 +51,6 @@ type TableData struct {
 func (t *TableData) OpenSnapshots() int64 {
 	return t.openSnapshots.Load()
 }
-
-// DeltaRec is one logged row modification: Del marks a deletion, otherwise an
-// insertion. An update logs a deletion of the old row followed by an
-// insertion of the new one. Row is a private copy, never mutated after
-// logging, so readers may hold records without a lock.
-type DeltaRec struct {
-	Del bool
-	Row Row
-}
-
-// DefaultDeltaLogCap bounds the delta log when EnableDeltaLog is called with
-// a non-positive capacity.
-const DefaultDeltaLogCap = 4096
 
 // NewTableData creates an empty table.
 func NewTableData(schema *catalog.Table) *TableData {
@@ -91,7 +70,6 @@ func (t *TableData) Insert(r Row) error {
 	t.live++
 	t.modCounter++
 	t.version++
-	t.appendDeltaLocked(false, r)
 	for col, ix := range t.indexes {
 		ci := t.Schema.ColumnIndex(col)
 		ix.insert(r[ci], id)
@@ -114,9 +92,6 @@ func (t *TableData) BulkLoad(rows []Row) error {
 	t.dead = make([]bool, len(rows))
 	t.live = len(rows)
 	t.version++
-	// A bulk load replaces content wholesale without logging per-row deltas,
-	// so every outstanding watermark must be invalidated.
-	t.trimDeltasLocked(1)
 	for col := range t.indexes {
 		t.rebuildIndexLocked(col)
 	}
@@ -144,97 +119,13 @@ func (t *TableData) Version() int64 {
 	return t.version
 }
 
-// ResetModCounter zeroes the modification counter (called when statistics on
-// the table are refreshed). The delta log is trimmed to the current sequence:
-// watermarks equal to DeltaSeq stay valid (and see an empty window); older
-// watermarks are invalidated, forcing their statistics to rebuild.
-func (t *TableData) ResetModCounter() {
+// ResetModCounter takes seen modifications off the counter (called when the
+// statistics on the table are refreshed). seen is the counter as read before
+// the refresh began, so modifications made while it ran stay pending.
+func (t *TableData) ResetModCounter(seen int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.modCounter = 0
-	t.trimDeltasLocked(0)
-}
-
-// EnableDeltaLog turns on row-modification logging with the given capacity
-// (<= 0 uses DefaultDeltaLogCap). Enabling invalidates previously handed-out
-// sequence watermarks — modifications made while the log was off were never
-// recorded — so statistics built before the switch take one full rebuild
-// before they can fold.
-func (t *TableData) EnableDeltaLog(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultDeltaLogCap
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.deltaCap == 0 {
-		t.trimDeltasLocked(1)
-	}
-	t.deltaCap = capacity
-}
-
-// DisableDeltaLog stops logging and drops the current log.
-func (t *TableData) DisableDeltaLog() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.deltaCap = 0
-	t.trimDeltasLocked(0)
-}
-
-// DeltaLogEnabled reports whether row modifications are being logged.
-func (t *TableData) DeltaLogEnabled() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.deltaCap > 0
-}
-
-// DeltaSeq returns the log's current sequence number: the watermark a freshly
-// built statistic records so a later DeltaWindow call replays exactly the
-// modifications it has not seen.
-func (t *TableData) DeltaSeq() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.deltaBase + int64(len(t.deltas))
-}
-
-// DeltaWindow returns the modifications logged since the given watermark and
-// the new watermark to record after folding them. ok is false when the window
-// is unavailable — the log is disabled, the watermark predates a trim or an
-// overflow, or it is from the future — in which case the caller must fall
-// back to a full rebuild. The returned records are immutable; they remain
-// valid after the lock is released.
-func (t *TableData) DeltaWindow(since int64) (recs []DeltaRec, next int64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	next = t.deltaBase + int64(len(t.deltas))
-	if t.deltaCap == 0 || since < t.deltaBase || since > next {
-		return nil, next, false
-	}
-	return t.deltas[since-t.deltaBase:], next, true
-}
-
-// trimDeltasLocked drops all buffered records, advancing the base by the
-// dropped count plus skew. A skew of 0 keeps current watermarks valid (their
-// windows become empty); a positive skew invalidates every outstanding
-// watermark (used when unlogged modifications happened, e.g. BulkLoad or
-// enabling the log). Callers must hold mu. The buffer is released, never
-// reused, so previously returned DeltaWindow slices stay immutable.
-func (t *TableData) trimDeltasLocked(skew int64) {
-	t.deltaBase += int64(len(t.deltas)) + skew
-	t.deltas = nil
-}
-
-// appendDeltaLocked logs one modification, copying the row. On overflow the
-// buffered window is dropped: watermarks that had already consumed it stay
-// valid, while older ones see DeltaWindow ok=false and rebuild. Callers must
-// hold mu.
-func (t *TableData) appendDeltaLocked(del bool, r Row) {
-	if t.deltaCap == 0 {
-		return
-	}
-	if len(t.deltas) >= t.deltaCap {
-		t.trimDeltasLocked(0)
-	}
-	t.deltas = append(t.deltas, DeltaRec{Del: del, Row: append(Row(nil), r...)})
+	t.modCounter = max(t.modCounter-seen, 0)
 }
 
 // Scan invokes fn for every live row. fn must not retain the row slice.
@@ -273,7 +164,6 @@ func (t *TableData) Delete(ids []int) int {
 		if id < 0 || id >= len(t.rows) || t.dead[id] {
 			continue
 		}
-		t.appendDeltaLocked(true, t.rows[id])
 		t.dead[id] = true
 		t.live--
 		n++
@@ -299,11 +189,7 @@ func (t *TableData) Update(ids []int, col int, v catalog.Datum) int {
 			ix.remove(t.rows[id][col], id)
 			ix.insert(v, id)
 		}
-		// An update logs delete-old + insert-new; the old row must be copied
-		// before the in-place overwrite below.
-		t.appendDeltaLocked(true, t.rows[id])
 		t.rows[id][col] = v
-		t.appendDeltaLocked(false, t.rows[id])
 		n++
 	}
 	t.modCounter += int64(n)
@@ -346,34 +232,20 @@ func (t *TableData) ColumnValues(col string) ([]catalog.Datum, error) {
 	return out, nil
 }
 
-// MultiColumnValues returns live tuples of the named columns, for
-// multi-column statistics construction.
+// MultiColumnValues returns the live tuples of the named columns, in row
+// order, gathered under one read lock: the one-shot projection that
+// histogram.BuildMulti references are built from.
 func (t *TableData) MultiColumnValues(cols []string) ([][]catalog.Datum, error) {
-	out, _, err := t.MultiColumnValuesSeq(cols)
-	return out, err
-}
-
-// MultiColumnValuesSeq is MultiColumnValues plus the delta-log sequence
-// observed under the same lock, so the tuples and the watermark form one
-// atomic snapshot: a statistic built from the tuples and stamped with the
-// sequence can later fold exactly the modifications it has not seen.
-func (t *TableData) MultiColumnValuesSeq(cols []string) ([][]catalog.Datum, int64, error) {
 	ords := make([]int, len(cols))
 	for i, c := range cols {
 		ci := t.Schema.ColumnIndex(c)
 		if ci < 0 {
-			return nil, 0, fmt.Errorf("storage: table %s has no column %s", t.Schema.Name, c)
+			return nil, fmt.Errorf("storage: table %s has no column %s", t.Schema.Name, c)
 		}
 		ords[i] = ci
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.gatherLocked(ords), t.deltaBase + int64(len(t.deltas)), nil
-}
-
-// gatherLocked projects the live rows onto the given column ordinals.
-// Callers must hold mu.
-func (t *TableData) gatherLocked(ords []int) [][]catalog.Datum {
 	out := make([][]catalog.Datum, 0, t.live)
 	for id, r := range t.rows {
 		if t.dead[id] {
@@ -385,7 +257,7 @@ func (t *TableData) gatherLocked(ords []int) [][]catalog.Datum {
 		}
 		out = append(out, tuple)
 	}
-	return out
+	return out, nil
 }
 
 func keyOf(col string) string {

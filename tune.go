@@ -313,5 +313,5 @@ func (s *System) RunMaintenance() (int, int, error) {
 func (s *System) RunMaintenanceCtx(ctx context.Context) (stats.MaintenanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.mgr.RunMaintenanceCtx(ctx, s.auto.Policy)
+	return s.mgr.RunMaintenance(ctx, s.auto.Policy)
 }
