@@ -63,10 +63,9 @@ import (
 //     and policy state); concurrent callers queue. Each runs on the calling
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
 //     and Explain keep being served against it.
-//   - Configuration methods (SetPlanCacheCapacity, SetAgingWindow,
-//     SetBuildMemoryBudget, …) follow the usual configure-then-serve server
-//     pattern: call them before the System is shared across goroutines, not
-//     while requests are in flight.
+//   - Configuration methods (SetPlanCacheCapacity, SetAgingWindow, …) follow
+//     the usual configure-then-serve server pattern: call them before the
+//     System is shared across goroutines, not while requests are in flight.
 //
 // A statistic that cannot be built never fails a statement or a tuning run:
 // the affected predicates are planned on the paper's default magic numbers
@@ -394,16 +393,6 @@ func (s *System) DropStatistic(table string, columns ...string) bool {
 // queries when tuning with UseAging. Zero disables aging.
 func (s *System) SetAgingWindow(ticks int64) {
 	s.mgr.AgingWindow = ticks
-}
-
-// SetBuildMemoryBudget bounds the estimated memory a statistic build
-// retains (the partition being summarized plus completed partials): past
-// the budget, partitions are cut early and completed partials spill to temp
-// files, reloaded only for the final merge — the statistic is
-// bitwise-identical at any budget. 0 means unbounded (never spill).
-// Configuration method: call before sharing the System.
-func (s *System) SetBuildMemoryBudget(bytes int64) error {
-	return s.mgr.SetStreamingBuild(stats.StreamConfig{MemBudgetBytes: bytes})
 }
 
 // CreateIndexedColumnStats builds single-column statistics on every indexed

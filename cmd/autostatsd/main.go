@@ -43,7 +43,6 @@ var (
 	maxTenants  = flag.Int("max-tenants", 64, "max live tenant systems")
 	tenantTTL   = flag.Duration("tenant-ttl", 10*time.Minute, "evict tenants idle this long (<0 disables)")
 	planCache   = flag.Int("plan-cache", 0, "per-tenant plan cache capacity (0 = default)")
-	buildMem    = flag.Int64("build-mem-budget", 0, "per-tenant statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 	metricsAddr = flag.String("metrics-addr", "", "optional HTTP address serving the metrics registry (text, or ?format=json) plus /healthz and /readyz probes")
 	drainTO     = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
 	readTO      = flag.Duration("read-timeout", 0, "per-connection read/idle deadline; silent and half-open connections are evicted after this long (0 = server default 2m, <0 disables)")
@@ -84,11 +83,6 @@ func run() error {
 		// configure-then-serve contract).
 		if *planCache > 0 {
 			sys.SetPlanCacheCapacity(*planCache)
-		}
-		if *buildMem != 0 {
-			if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {
-				return nil, fmt.Errorf("tenant %s: %w", name, err)
-			}
 		}
 		if *verbose {
 			logger.Printf("tenant %s ready in %v", name, time.Since(start).Round(time.Millisecond))

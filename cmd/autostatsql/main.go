@@ -38,10 +38,9 @@ import (
 
 func main() {
 	var (
-		dbName   = flag.String("db", "TPCD_2", "database: TPCD_0 | TPCD_2 | TPCD_4 | TPCD_MIX")
-		scale    = flag.Float64("scale", 0.5, "database scale factor")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
+		dbName = flag.String("db", "TPCD_2", "database: TPCD_0 | TPCD_2 | TPCD_4 | TPCD_MIX")
+		scale  = flag.Float64("scale", 0.5, "database scale factor")
+		seed   = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
 
@@ -68,13 +67,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "autostatsql:", err)
 		os.Exit(1)
-	}
-	if *buildMem != 0 {
-		if err := sys.SetBuildMemoryBudget(*buildMem); err != nil {
-			fmt.Fprintln(os.Stderr, "autostatsql:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("statistic builds spill past a %d-byte memory budget\n", *buildMem)
 	}
 	fmt.Printf("autostatsql — %s at scale %.2f. Type .help for commands.\n", *dbName, *scale)
 	if err := runREPL(ctx, sys, os.Stdin, os.Stdout); err != nil {

@@ -59,7 +59,6 @@ var (
 	metrics  = flag.Bool("metrics", false, "dump the observability counters after the run")
 	traceTo  = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	timeout  = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
-	buildMem = flag.Int64("build-mem-budget", 0, "statistic-build memory budget in bytes: finished partials past the budget spill to temp files (0 = unbounded)")
 )
 
 func main() {
@@ -140,12 +139,6 @@ func run(ctx context.Context) error {
 			return err
 		}
 		fmt.Printf("loaded %d statistics from %s\n", len(mgr.All()), *loadFrom)
-	}
-	if *buildMem != 0 {
-		if err := mgr.SetStreamingBuild(stats.StreamConfig{MemBudgetBytes: *buildMem}); err != nil {
-			return err
-		}
-		fmt.Printf("statistic builds spill past a %d-byte memory budget\n", *buildMem)
 	}
 	sess := optimizer.NewSession(mgr)
 	cache := optimizer.NewPlanCache(*cacheCap)
@@ -256,14 +249,14 @@ func run(ctx context.Context) error {
 }
 
 // reportDegraded summarizes degraded-mode tuning: which builds failed and
-// why.
+// with what error.
 func reportDegraded(failures []core.BuildFailure) {
 	if len(failures) == 0 {
 		return
 	}
 	fmt.Printf("DEGRADED: %d statistic build(s) failed; affected queries were planned on magic numbers:\n", len(failures))
 	for _, f := range failures {
-		fmt.Printf("  %s: %s (%v)\n", f.ID, f.Reason, f.Err)
+		fmt.Printf("  %s (%v)\n", f.ID, f.Err)
 	}
 }
 

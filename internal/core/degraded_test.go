@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	sess := newSession(t, db)
 	mgr := sess.Manager()
 	boom := errors.New("boom")
-	mgr.SetFailpoint(func(context.Context, string, stats.ID) error { return stats.Transient(boom) })
+	mgr.SetFailpoint(func(context.Context, string, stats.ID) error { return boom })
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 	cfg := DefaultConfig()
@@ -104,8 +105,8 @@ func TestMNSADegradedTolerant(t *testing.T) {
 		t.Fatalf("run should be degraded with recorded failures: %+v", res)
 	}
 	for _, bf := range res.BuildFailures {
-		if !errors.Is(bf.Err, boom) || bf.Reason != "transient" {
-			t.Errorf("BuildFailure %s: reason %q, cause %v; want transient, boom", bf.ID, bf.Reason, bf.Err)
+		if !errors.Is(bf.Err, boom) {
+			t.Errorf("BuildFailure %s: cause %v, want boom", bf.ID, bf.Err)
 		}
 	}
 	if len(res.Created) != 0 {
@@ -122,21 +123,42 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	}
 }
 
-// TestBuildFailureReason: a failure the statistics layer marked transient
-// reads "transient", wrapped or not; anything else reads "error".
-func TestBuildFailureReason(t *testing.T) {
-	x := errors.New("x")
-	for _, tc := range []struct {
-		err  error
-		want string
-	}{
-		{x, "error"},
-		{stats.Transient(x), "transient"},
-		{fmt.Errorf("wrapped: %w", stats.Transient(x)), "transient"},
-		{fmt.Errorf("wrapped: %w", x), "error"},
-	} {
-		if got := failureReason(tc.err); got != tc.want {
-			t.Errorf("failureReason(%v) = %q, want %q", tc.err, got, tc.want)
+// TestBuildFailureReporting: each failed build is reported under the ID of
+// the statistic the manager was asked for, in the order the builds were
+// attempted, with an Err that still reaches the injected cause through the
+// manager's wrapping, and the session's one degraded tag is "stats-build".
+func TestBuildFailureReporting(t *testing.T) {
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	boom := errors.New("boom")
+	var vetoed []stats.ID
+	sess.Manager().SetFailpoint(func(_ context.Context, op string, id stats.ID) error {
+		if op != "create" {
+			return nil
 		}
+		vetoed = append(vetoed, id)
+		return fmt.Errorf("store unavailable: %w", boom)
+	})
+	q := mustParse(t, db, "SELECT * FROM orders, customer WHERE o_custkey = c_custkey AND o_totalprice > 400000")
+	res, err := RunMNSACtx(context.Background(), sess, q, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vetoed) == 0 {
+		t.Fatal("no build was attempted")
+	}
+	if len(res.BuildFailures) != len(vetoed) {
+		t.Fatalf("%d build failures reported for %d vetoed builds", len(res.BuildFailures), len(vetoed))
+	}
+	for i, bf := range res.BuildFailures {
+		if bf.ID != vetoed[i] {
+			t.Errorf("failure %d: ID %s, want %s", i, bf.ID, vetoed[i])
+		}
+		if !errors.Is(bf.Err, boom) {
+			t.Errorf("failure %s: cause %v does not reach the injected error", bf.ID, bf.Err)
+		}
+	}
+	if reasons := sess.DegradedReasons(); !slices.Equal(reasons, []string{"stats-build"}) {
+		t.Errorf("degraded reasons = %v, want [stats-build]", reasons)
 	}
 }

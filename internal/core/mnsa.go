@@ -139,23 +139,10 @@ type Result struct {
 // wanted.
 func (r *Result) Degraded() bool { return len(r.BuildFailures) > 0 }
 
-// BuildFailure records one statistic an MNSA run could not build, with the
-// classification of why ("transient" or "error", see failureReason) and the
-// underlying cause.
+// BuildFailure records one statistic an MNSA run could not build and why.
 type BuildFailure struct {
-	ID     stats.ID
-	Reason string
-	Err    error
-}
-
-// failureReason classifies a build failure for BuildFailure.Reason and the
-// session's degraded tag: "transient" when the statistics layer marked it
-// so (stats.IsTransient), "error" otherwise.
-func failureReason(err error) string {
-	if stats.IsTransient(err) {
-		return "transient"
-	}
-	return "error"
+	ID  stats.ID
+	Err error
 }
 
 // RunMNSA creates statistics for q per Figure 1: repeatedly test whether the
@@ -219,10 +206,9 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 			if ctx.Err() != nil {
 				return false, fmt.Errorf("core: creating %s: %w", c.ID(), err)
 			}
-			reason := failureReason(err)
-			res.BuildFailures = append(res.BuildFailures, BuildFailure{ID: c.ID(), Reason: reason, Err: err})
+			res.BuildFailures = append(res.BuildFailures, BuildFailure{ID: c.ID(), Err: err})
 			met.buildFailures.Inc()
-			sess.MarkDegraded("stats-build:" + reason)
+			sess.MarkDegraded("stats-build")
 			return false, nil
 		}
 		if built {

@@ -78,7 +78,7 @@ func encodePrefix(t []catalog.Datum) string {
 
 // appendPrefixDatum appends one datum's part of a prefix key: "\x00N" for
 // NULL, "\x00s<len>:<bytes>" for a string, "\x00f<hex bits>" for a float,
-// "\x00i<decimal>" otherwise. Spill files persist these bytes.
+// "\x00i<decimal>" otherwise.
 func appendPrefixDatum(key []byte, d *catalog.Datum) []byte {
 	switch {
 	case d.Null:

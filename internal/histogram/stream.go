@@ -243,9 +243,8 @@ func collapseFloats(run []float64) []valueFreq {
 }
 
 // MemBytes estimates the partial's retained memory: the collapsed frequency
-// list plus the distinct-prefix sets. It is the unit the statistics
-// manager's build-memory budget counts — completed partials whose combined
-// estimate exceeds the budget spill to disk.
+// list plus the distinct-prefix sets. The statistics manager sums it into
+// its stats.build.mem_peak_bytes gauge.
 func (p *Partial) MemBytes() int64 {
 	// valueFreq is a Datum plus an int64 frequency.
 	var n int64

@@ -1,7 +1,6 @@
 package histogram
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -189,116 +188,9 @@ func TestPartialBuilderMemBytes(t *testing.T) {
 	}
 }
 
-// TestPartialCodecRoundtrip: Encode/Decode must reproduce the partial
-// exactly — reflect.DeepEqual on the full struct including tie-break float
-// bits — and partials that passed through the codec must merge to the same
-// histogram as the originals.
-func TestPartialCodecRoundtrip(t *testing.T) {
-	tuples := streamTuples(321, 3)
-	cols := []string{"a", "b", "c"}
-	parts := SplitTuples(tuples, 4)
-	var orig, decoded []*Partial
-	for _, part := range parts {
-		p, err := BuildPartial(cols, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig = append(orig, p)
-		var buf bytes.Buffer
-		if err := EncodePartial(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		q, err := DecodePartial(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p, q) {
-			t.Fatal("decoded partial differs from original")
-		}
-		decoded = append(decoded, q)
-	}
-	for _, kind := range []Kind{EquiDepth, MaxDiff} {
-		want, err := MergePartials(kind, cols, orig, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MergePartials(kind, cols, decoded, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("kind=%v: merge of decoded partials differs", kind)
-		}
-	}
-}
-
-// TestPartialCodecFloatBits: negative zero, NaN-adjacent bit patterns and
-// NULL datums must survive the roundtrip bit-for-bit, since tieBreak
-// compares Float64bits.
-func TestPartialCodecFloatBits(t *testing.T) {
-	vals := []catalog.Datum{
-		catalog.NewFloat(0.0),
-		{T: catalog.Float, F: negZero()},
-		catalog.NewFloat(5.0),
-		catalog.NewInt(5),
-		catalog.NewNull(catalog.Float),
-		catalog.NewString(""),
-		catalog.NewString("x\x00y"),
-		catalog.NewDate(19000),
-	}
-	tuples := make([][]catalog.Datum, len(vals))
-	for i, v := range vals {
-		tuples[i] = []catalog.Datum{v}
-	}
-	p, err := BuildPartial([]string{"a"}, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodePartial(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	q, err := DecodePartial(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Error("edge-case datums did not survive the codec roundtrip")
-	}
-}
-
 func negZero() float64 {
 	z := 0.0
 	return -z
-}
-
-// TestPartialCodecCorrupt: garbage input errors instead of yielding a bogus
-// partial.
-func TestPartialCodecCorrupt(t *testing.T) {
-	if _, err := DecodePartial(strings.NewReader("not a spill file")); err == nil {
-		t.Error("no error for bad magic")
-	}
-	if _, err := DecodePartial(strings.NewReader("")); err == nil {
-		t.Error("no error for empty input")
-	}
-	// Truncated body after a valid header.
-	tuples := streamTuples(50, 4)
-	proj := make([][]catalog.Datum, len(tuples))
-	for i, tup := range tuples {
-		proj[i] = tup[:1]
-	}
-	p, err := BuildPartial([]string{"a"}, proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodePartial(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := DecodePartial(bytes.NewReader(trunc)); err == nil {
-		t.Error("no error for truncated spill file")
-	}
 }
 
 // BenchmarkStreamingPartialBuild measures per-build allocations of the
@@ -503,8 +395,8 @@ func TestTypedRunsMatchReference(t *testing.T) {
 }
 
 // fmtEncodePrefix is the prefix-key format as it was first written, kept as
-// the reference for the append-based encoder: spill files persist these
-// bytes, so they may never change.
+// the reference for the append-based encoder: the two must render every
+// tuple to the same collision-safe key.
 func fmtEncodePrefix(t []catalog.Datum) string {
 	var b strings.Builder
 	for _, d := range t {

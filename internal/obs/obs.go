@@ -68,6 +68,16 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add adjusts the value by n.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
+// SetMax raises the value to n if n is larger, making the gauge a
+// high-water mark that concurrent writers cannot lower.
+func (g *Gauge) SetMax(n int64) {
+	for cur := g.v.Load(); n > cur; cur = g.v.Load() {
+		if g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

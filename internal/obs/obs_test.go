@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestConcurrentCounters hammers one counter, one float counter, one gauge
-// and one timing from many goroutines; totals must be exact (run under
-// -race as part of tier-1).
+// TestConcurrentCounters hammers one counter, one float counter, one gauge,
+// one high-water gauge and one timing from many goroutines; totals and the
+// maximum must be exact (run under -race as part of tier-1).
 func TestConcurrentCounters(t *testing.T) {
 	r := New()
 	const workers, perWorker = 16, 1000
@@ -21,11 +21,13 @@ func TestConcurrentCounters(t *testing.T) {
 			c := r.Counter("test.counter")
 			f := r.FloatCounter("test.float")
 			g := r.Gauge("test.gauge")
+			hw := r.Gauge("test.high_water")
 			tm := r.Timing("test.timing")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				f.Add(0.5)
 				g.Add(1)
+				hw.SetMax(int64(w*perWorker + i))
 				tm.Observe(time.Millisecond)
 			}
 		}()
@@ -41,6 +43,9 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	if got := r.Gauge("test.gauge").Value(); got != total {
 		t.Errorf("gauge = %d, want %d", got, total)
+	}
+	if got := r.Gauge("test.high_water").Value(); got != total-1 {
+		t.Errorf("high-water gauge = %d, want %d", got, total-1)
 	}
 	ts := r.Timing("test.timing").Snapshot()
 	if ts.Count != total || ts.Sum != total*time.Millisecond {

@@ -159,7 +159,7 @@ type Plan struct {
 	// numbers (or overrides) because no applicable statistic was visible.
 	MissingVars []int
 	// Degraded lists why this plan was produced in degraded mode (sorted,
-	// deduplicated reasons like "stats-build:transient"): a statistic the
+	// deduplicated reasons like "stats-build"): a statistic the
 	// analysis wanted was unavailable, so the affected selectivity variables
 	// fell back to the default magic numbers of §4/§6. Degraded plans are
 	// still correct — only their cost estimates lean on magic numbers — and

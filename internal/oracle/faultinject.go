@@ -140,10 +140,9 @@ func FailNextRefreshes(mgr *stats.Manager, n int) (fired func() int) {
 }
 
 // FlakyFailpoint installs a fail-N-then-succeed failpoint: the first n
-// build/refresh operations fail with a transient ErrInjected (so a degraded
-// plan's reason reads "transient"), every operation after that succeeds.
-// It models a build path that recovers on its own. Returns a function
-// reporting how many injections fired.
+// build/refresh operations fail with ErrInjected, every operation after that
+// succeeds. It models a build path that recovers on its own. Returns a
+// function reporting how many injections fired.
 func FlakyFailpoint(mgr *stats.Manager, n int) (fired func() int) {
 	var mu sync.Mutex
 	count := 0
@@ -152,7 +151,7 @@ func FlakyFailpoint(mgr *stats.Manager, n int) (fired func() int) {
 		defer mu.Unlock()
 		if count < n {
 			count++
-			return stats.Transient(ErrInjected)
+			return ErrInjected
 		}
 		return nil
 	})

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 
@@ -12,20 +11,22 @@ import (
 
 // Streaming differential oracle. The invariant of the statistics manager's
 // one build path is bitwise identity: a statistic built block-at-a-time — at
-// any block size, any partition cut, spilling or not, merging partials in
-// any order — must be EXACTLY the statistic the single-pass reference
-// (histogram.BuildMulti over one MultiColumnValues gather, called
-// directly — never through the manager, which would compare the pipeline
-// with itself) produces. This sweep checks the invariant at two levels: end
-// to end through stats.Manager (block sizes × forced/disabled spilling,
-// including the temp-file codec on the spill path), and at the histogram
-// layer (random partition cuts, shuffled merge orders, and an explicit
-// encode/decode roundtrip of every partial).
+// any block size, any partition cut, merging partials in any order — must be
+// EXACTLY the statistic the single-pass reference (histogram.BuildMulti over
+// one MultiColumnValues gather, called directly — never through the manager,
+// which would compare the pipeline with itself) produces. This sweep checks
+// the invariant at two levels: end to end through stats.Manager (block sizes
+// × partition cuts), and at the histogram layer (random partition cuts and
+// shuffled merge orders).
 
 // streamSweepBlockSizes are the block sizes the manager-level sweep covers:
 // degenerate (1), prime and non-dividing (7), typical (64), and larger than
 // most oracle tables (4096, one block per partition).
 var streamSweepBlockSizes = []int{1, 7, 64, 4096}
+
+// streamSweepCuts are the partition cuts the manager-level sweep covers: a
+// small one that cuts every oracle table many times, and the default (0).
+var streamSweepCuts = []int{64, 0}
 
 // streamSweepTargets are the statistics the sweep builds: a date column with
 // heavy duplication, a skewed multi-column pair, and a NULL-bearing numeric
@@ -45,8 +46,6 @@ type StreamReport struct {
 	Builds int
 	// MergeOrders counts shuffled histogram-level merge orders checked.
 	MergeOrders int
-	// Roundtrips counts partials pushed through the spill codec.
-	Roundtrips int
 	// Findings lists every violation.
 	Findings []Finding
 }
@@ -80,37 +79,33 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 			return nil, fmt.Errorf("reference build %s%v: %w", tgt.table, tgt.cols, err)
 		}
 
-		// Manager level: block sizes × spill forced on/off.
+		// Manager level: block sizes × partition cuts.
 		for _, bs := range streamSweepBlockSizes {
-			for _, budget := range []int64{0, 1} {
+			for _, cut := range streamSweepCuts {
 				m := stats.NewManager(h.DB, histogram.MaxDiff, 0)
 				m.SetObsRegistry(h.Reg)
-				if err := m.SetStreamingBuild(stats.StreamConfig{
-					BlockSize:      bs,
-					PartitionRows:  64,
-					MemBudgetBytes: budget,
-				}); err != nil {
+				if err := m.SetStreamingBuild(stats.StreamConfig{BlockSize: bs, PartitionRows: cut}); err != nil {
 					return nil, err
 				}
 				st, err := m.Create(tgt.table, tgt.cols)
 				if err != nil {
-					return nil, fmt.Errorf("streaming build %s%v block=%d budget=%d: %w",
-						tgt.table, tgt.cols, bs, budget, err)
+					return nil, fmt.Errorf("streaming build %s%v block=%d cut=%d: %w",
+						tgt.table, tgt.cols, bs, cut, err)
 				}
 				rep.Builds++
 				if !reflect.DeepEqual(st.Data, refData) {
 					rep.Findings = append(rep.Findings, Finding{
 						Oracle: "streaming",
 						Seed:   h.Opts.Seed,
-						Detail: fmt.Sprintf("%s%v: streamed histogram (block=%d budget=%d) differs from single-pass build",
-							tgt.table, tgt.cols, bs, budget),
+						Detail: fmt.Sprintf("%s%v: streamed histogram (block=%d cut=%d) differs from single-pass build",
+							tgt.table, tgt.cols, bs, cut),
 					})
 				}
 			}
 		}
 
-		// Histogram level: random partition cuts, codec roundtrip of every
-		// partial, merge in shuffled order — still bitwise-identical.
+		// Histogram level: random partition cuts, merged in shuffled order —
+		// still bitwise-identical.
 		for round := 0; round < 4; round++ {
 			var parts []*histogram.Partial
 			b, err := histogram.NewPartialBuilder(tgt.cols)
@@ -133,27 +128,6 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 			if b.Rows() > 0 || len(parts) == 0 {
 				parts = append(parts, b.Finish())
 			}
-			// Every partial takes a spill-codec roundtrip.
-			for i, p := range parts {
-				var buf bytes.Buffer
-				if err := histogram.EncodePartial(&buf, p); err != nil {
-					return nil, err
-				}
-				q, err := histogram.DecodePartial(&buf)
-				if err != nil {
-					return nil, err
-				}
-				rep.Roundtrips++
-				if !reflect.DeepEqual(p, q) {
-					rep.Findings = append(rep.Findings, Finding{
-						Oracle: "streaming",
-						Seed:   h.Opts.Seed,
-						Detail: fmt.Sprintf("%s%v: partial %d changed across the spill codec roundtrip",
-							tgt.table, tgt.cols, i),
-					})
-				}
-				parts[i] = q
-			}
 			h.rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 			mc, err := histogram.MergePartials(histogram.MaxDiff, tgt.cols, parts, 0)
 			if err != nil {
@@ -164,7 +138,7 @@ func (h *Harness) RunStreamingSweep() (*StreamReport, error) {
 				rep.Findings = append(rep.Findings, Finding{
 					Oracle: "streaming",
 					Seed:   h.Opts.Seed,
-					Detail: fmt.Sprintf("%s%v: shuffled merge of %d spilled partials differs from single-pass build",
+					Detail: fmt.Sprintf("%s%v: shuffled merge of %d partials differs from single-pass build",
 						tgt.table, tgt.cols, len(parts)),
 				})
 			}

@@ -31,7 +31,7 @@ func DefaultMaintenancePolicy() MaintenancePolicy {
 }
 
 // RefreshFailure records one table refresh the pass could not complete, with
-// the underlying cause (errors.Is / IsTransient see through it).
+// the underlying cause (errors.Is sees through it).
 type RefreshFailure struct {
 	Table string
 	Err   error

@@ -35,18 +35,15 @@ var _ Provider = (*Manager)(nil)
 
 // Failpoint is a test hook consulted before state-mutating statistics
 // operations. op is "refresh" (rebuilding an existing statistic) or
-// "create" (physically building a new one); id names the target. Streaming
-// builds additionally consult it at finer grain: "block" after each scan
-// block (while the table's snapshot guard and the manager's writer mutex
-// are held — the hook must not call back into the table or a manager
-// mutator), "spill-write" before a partial spills to a temp file, and
-// "spill-read" before a spilled partial is reloaded for the merge; spill-op
-// vetoes surface as TransientError. A
-// non-nil return aborts the operation with that error, and the manager
-// must leave all published state — snapshots, epoch, accounting —
-// exactly as it was. ctx is the operation's context: latency-injecting
-// failpoints must select on ctx.Done() while sleeping so deadlines and
-// cancellation cut the injected delay short.
+// "create" (physically building a new one); id names the target. Builds
+// additionally consult it with "block" after each scan block, while the
+// table's snapshot guard and the manager's writer mutex are held — the hook
+// must not call back into the table or a manager mutator. A non-nil return
+// aborts the operation with that error, and the manager must leave all
+// published state — snapshots, epoch, accounting — exactly as it was. ctx is
+// the operation's context: latency-injecting failpoints must select on
+// ctx.Done() while sleeping so deadlines and cancellation cut the injected
+// delay short.
 type Failpoint func(ctx context.Context, op string, id ID) error
 
 // SetFailpoint installs (or, with nil, removes) the manager's failpoint.

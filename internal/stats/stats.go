@@ -198,14 +198,10 @@ type managerMetrics struct {
 	// builds that cut more than one partition.
 	fullScans      *obs.Counter
 	partialsMerged *obs.Counter
-	// Scan instrumentation: buildBlocks counts the blocks builds consumed,
-	// buildSpills/spillBytes the partials (and bytes) that overflowed the
-	// build-memory budget to temp files. buildMemPeak is the estimated peak
-	// build memory (builder + retained partials) of the most recent build —
-	// the gauge the flat-memory regression test gates on.
+	// Scan instrumentation: buildBlocks counts the blocks builds consumed.
+	// buildMemPeak is the high-water mark, over every build reporting to the
+	// registry, of a build's estimated memory (builder + retained partials).
 	buildBlocks  *obs.Counter
-	buildSpills  *obs.Counter
-	spillBytes   *obs.Counter
 	buildMemPeak *obs.Gauge
 }
 
@@ -226,8 +222,6 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 		fullScans:      reg.Counter("stats.build.full_scans"),
 		partialsMerged: reg.Counter("stats.build.partials_merged"),
 		buildBlocks:    reg.Counter("stats.build.blocks"),
-		buildSpills:    reg.Counter("stats.build.spills"),
-		spillBytes:     reg.Counter("stats.build.spill_bytes"),
 		buildMemPeak:   reg.Gauge("stats.build.mem_peak_bytes"),
 	}
 }

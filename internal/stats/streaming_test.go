@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -56,16 +55,6 @@ func streamDB(t *testing.T, rows int) *storage.Database {
 	return db
 }
 
-// spillFiles counts leftover spill temp files in dir.
-func spillFiles(t *testing.T, dir string) int {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(ents)
-}
-
 // referenceStat is what every build is compared against: histogram.BuildMulti
 // over the one-shot MultiColumnValues gather, called directly, never through
 // the manager. It returns the data and the build cost the manager's statistic
@@ -84,8 +73,8 @@ func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buck
 }
 
 // TestBuildIdentity is the build path's invariant as one table: at every
-// block size, partition cut and spill pattern, for single-column, multi-column
-// and NULL-bearing statistics, Manager.Create produces exactly the BuildMulti
+// block size and partition cut, for single-column, multi-column and
+// NULL-bearing statistics, Manager.Create produces exactly the BuildMulti
 // reference with the same creation cost, and a refresh after an insert
 // produces exactly the reference over the new contents, charging the same
 // cost to the update-side accounting only.
@@ -102,113 +91,56 @@ func TestBuildIdentity(t *testing.T) {
 		{"multi", []string{"b", "c"}, histogram.MaxDiff, 0},
 		{"nulls", []string{"a", "b", "c"}, histogram.MaxDiff, 0},
 	}
-	spillDir := t.TempDir()
 	inserted := 0
 	for _, tgt := range targets {
 		for _, bs := range []int{1, 7, 64, 4096} {
 			for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
-				for _, budget := range []int64{0, 1} { // 0 = never spill, 1 = spill every partial
-					name := fmt.Sprintf("%s block=%d cut=%d budget=%d", tgt.name, bs, partRows, budget)
-					m := NewManager(db, tgt.kind, tgt.buckets)
-					reg := obs.New()
-					m.SetObsRegistry(reg)
-					if err := m.SetStreamingBuild(StreamConfig{
-						BlockSize:      bs,
-						PartitionRows:  partRows,
-						MemBudgetBytes: budget,
-						SpillDir:       spillDir,
-					}); err != nil {
-						t.Fatal(err)
-					}
-					want, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
-					got, err := m.Create("s", tgt.cols)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(got.Data, want) {
-						t.Errorf("%s: statistic differs from the BuildMulti reference", name)
-					}
-					if got.BuildCost != wantCost {
-						t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
-					}
-					if spilled := reg.Counter("stats.build.spills").Value() > 0; spilled != (budget > 0) {
-						t.Errorf("%s: spilled=%v", name, spilled)
-					}
+				name := fmt.Sprintf("%s block=%d cut=%d", tgt.name, bs, partRows)
+				m := NewManager(db, tgt.kind, tgt.buckets)
+				m.SetObsRegistry(obs.New())
+				if err := m.SetStreamingBuild(StreamConfig{BlockSize: bs, PartitionRows: partRows}); err != nil {
+					t.Fatal(err)
+				}
+				want, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
+				got, err := m.Create("s", tgt.cols)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Data, want) {
+					t.Errorf("%s: statistic differs from the BuildMulti reference", name)
+				}
+				if got.BuildCost != wantCost {
+					t.Errorf("%s: BuildCost=%v want %v", name, got.BuildCost, wantCost)
+				}
 
-					inserted++
-					if err := td.Insert(storage.Row{
-						catalog.NewInt(int64(90 + inserted%17)),
-						catalog.NewString(fmt.Sprintf("g%d", inserted%9)),
-						catalog.NewInt(int64(inserted % 5)),
-					}); err != nil {
-						t.Fatal(err)
-					}
-					want, wantCost = referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
-					before := m.Snapshot()
-					if err := m.Refresh(context.Background(), got.ID); err != nil {
-						t.Fatalf("%s: refresh: %v", name, err)
-					}
-					after := m.Snapshot()
-					if !reflect.DeepEqual(m.Get(got.ID).Data, want) {
-						t.Errorf("%s: refreshed statistic differs from the BuildMulti reference over the new contents", name)
-					}
-					if charged := after.TotalUpdateCost - before.TotalUpdateCost; charged != wantCost {
-						t.Errorf("%s: refresh charged %v update units, want %v", name, charged, wantCost)
-					}
-					if after.TotalBuildCost != before.TotalBuildCost || after.BuildCount != before.BuildCount {
-						t.Errorf("%s: refresh charged creation accounting: %+v -> %+v", name, before, after)
-					}
+				inserted++
+				if err := td.Insert(storage.Row{
+					catalog.NewInt(int64(90 + inserted%17)),
+					catalog.NewString(fmt.Sprintf("g%d", inserted%9)),
+					catalog.NewInt(int64(inserted % 5)),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want, wantCost = referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
+				before := m.Snapshot()
+				if err := m.Refresh(context.Background(), got.ID); err != nil {
+					t.Fatalf("%s: refresh: %v", name, err)
+				}
+				after := m.Snapshot()
+				if !reflect.DeepEqual(m.Get(got.ID).Data, want) {
+					t.Errorf("%s: refreshed statistic differs from the BuildMulti reference over the new contents", name)
+				}
+				if charged := after.TotalUpdateCost - before.TotalUpdateCost; charged != wantCost {
+					t.Errorf("%s: refresh charged %v update units, want %v", name, charged, wantCost)
+				}
+				if after.TotalBuildCost != before.TotalBuildCost || after.BuildCount != before.BuildCount {
+					t.Errorf("%s: refresh charged creation accounting: %+v -> %+v", name, before, after)
 				}
 			}
 		}
 	}
-	if n := spillFiles(t, spillDir); n != 0 {
-		t.Errorf("%d spill files left behind", n)
-	}
 	if n := td.OpenSnapshots(); n != 0 {
 		t.Errorf("OpenSnapshots=%d after the sweep", n)
-	}
-}
-
-// TestStreamingSpillMetricsAndCleanup: a budget-bound build spills, reports
-// it via the obs counters, and leaves no temp files behind.
-func TestStreamingSpillMetricsAndCleanup(t *testing.T) {
-	db := streamDB(t, 400)
-	dir := t.TempDir()
-	m := NewManager(db, histogram.MaxDiff, 0)
-	reg := obs.New()
-	m.SetObsRegistry(reg)
-	if err := m.SetStreamingBuild(StreamConfig{
-		BlockSize:      16,
-		PartitionRows:  50,
-		MemBudgetBytes: 1,
-		SpillDir:       dir,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Create("s", []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter("stats.build.full_scans").Value(); n != 1 {
-		t.Errorf("full_scans=%d want 1", n)
-	}
-	if n := reg.Counter("stats.build.blocks").Value(); n == 0 {
-		t.Error("no blocks counted")
-	}
-	if n := reg.Counter("stats.build.spills").Value(); n == 0 {
-		t.Error("budget=1 build did not spill")
-	}
-	if n := reg.Counter("stats.build.spill_bytes").Value(); n == 0 {
-		t.Error("spills reported but no spill bytes")
-	}
-	if n := reg.Gauge("stats.build.mem_peak_bytes").Value(); n <= 0 {
-		t.Errorf("mem_peak_bytes=%d", n)
-	}
-	if n := spillFiles(t, dir); n != 0 {
-		t.Errorf("%d spill files left after successful build", n)
-	}
-	if n := mustTable(t, db, "s").OpenSnapshots(); n != 0 {
-		t.Errorf("OpenSnapshots=%d after build", n)
 	}
 }
 
@@ -262,133 +194,82 @@ func TestBuildMetrics(t *testing.T) {
 	})
 }
 
-// streamFaultFixture returns a manager with small cuts and forced spilling
-// into dir, ready for fault injection.
-func streamFaultFixture(t *testing.T, db *storage.Database, dir string) *Manager {
-	t.Helper()
-	m := NewManager(db, histogram.MaxDiff, 0)
-	m.SetObsRegistry(obs.New())
-	if err := m.SetStreamingBuild(StreamConfig{
-		BlockSize:      8,
-		PartitionRows:  40,
-		MemBudgetBytes: 1,
-		SpillDir:       dir,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestStreamingSpillFaultInjection: injected spill write/read failures must
-// abort the build as Transient and leave every piece of published state —
-// catalog, epoch, accounting, temp dir, snapshot guards — untouched.
-func TestStreamingSpillFaultInjection(t *testing.T) {
-	sentinel := errors.New("injected spill fault")
-	for _, op := range []string{"spill-write", "spill-read"} {
-		t.Run(op, func(t *testing.T) {
-			db := streamDB(t, 300)
-			dir := t.TempDir()
-			m := streamFaultFixture(t, db, dir)
-			failOp := op
-			m.SetFailpoint(func(ctx context.Context, fpOp string, id ID) error {
-				if fpOp == failOp {
-					return sentinel
+// TestStreamingCancelMidStream: aborting a build between blocks — after
+// several partials have already been cut — by cancelling its context or by a
+// failing "block" failpoint must return that cause, release the block
+// iterator's snapshot guard and leave catalog/epoch/accounting untouched; the
+// same build then succeeds and matches the reference.
+func TestStreamingCancelMidStream(t *testing.T) {
+	injected := errors.New("injected block fault")
+	for _, tc := range []struct {
+		name string
+		want error
+	}{
+		{"cancel", context.Canceled},
+		{"fault", injected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := streamDB(t, 400)
+			m := NewManager(db, histogram.MaxDiff, 0)
+			m.SetObsRegistry(obs.New())
+			if err := m.SetStreamingBuild(StreamConfig{BlockSize: 8, PartitionRows: 40}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			blocks := 0
+			m.SetFailpoint(func(fpCtx context.Context, op string, id ID) error {
+				if op != "block" {
+					return nil
+				}
+				blocks++
+				// With BlockSize 8 and PartitionRows 40, block 20 is well
+				// past several cut partials.
+				if blocks == 20 {
+					if tc.want == injected {
+						return injected
+					}
+					cancel()
 				}
 				return nil
 			})
 			epoch := m.Epoch()
 			acc := m.Snapshot()
-			_, err := m.Create("s", []string{"a", "b"})
-			if err == nil {
-				t.Fatal("build survived injected spill fault")
+			_, _, err := m.EnsureCtx(ctx, "s", []string{"a", "b"})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("aborted build returned %v, want %v", err, tc.want)
 			}
-			if !IsTransient(err) {
-				t.Errorf("%s fault not classified transient: %v", op, err)
-			}
-			if !errors.Is(err, sentinel) {
-				t.Errorf("injected sentinel lost: %v", err)
-			}
-			if m.Epoch() != epoch {
-				t.Error("failed build bumped the epoch")
-			}
-			if got := m.Snapshot(); got != acc {
-				t.Errorf("failed build changed accounting: %+v -> %+v", acc, got)
-			}
-			if m.Has(MakeID("s", []string{"a", "b"})) {
-				t.Error("failed build published a statistic")
-			}
-			if n := spillFiles(t, dir); n != 0 {
-				t.Errorf("%d spill files left after injected %s fault", n, op)
+			if blocks < 20 {
+				t.Fatalf("build consumed only %d blocks; abort point never reached", blocks)
 			}
 			if n := mustTable(t, db, "s").OpenSnapshots(); n != 0 {
-				t.Errorf("OpenSnapshots=%d after injected %s fault", n, op)
+				t.Errorf("OpenSnapshots=%d after abort — snapshot guard leaked", n)
 			}
-			// The fault must be recoverable: clearing it, the same build
-			// succeeds and matches a plain build.
+			if m.Epoch() != epoch {
+				t.Error("aborted build bumped the epoch")
+			}
+			if got := m.Snapshot(); got != acc {
+				t.Error("aborted build changed accounting")
+			}
+			if m.Has(MakeID("s", []string{"a", "b"})) {
+				t.Error("aborted build published a statistic")
+			}
+			// The table must be fully writable again (guard released).
+			if err := mustTable(t, db, "s").Insert(storage.Row{
+				catalog.NewInt(1), catalog.NewString("z"), catalog.NewInt(1),
+			}); err != nil {
+				t.Fatal(err)
+			}
 			m.SetFailpoint(nil)
 			got, err := m.Create("s", []string{"a", "b"})
 			if err != nil {
-				t.Fatalf("retry after fault: %v", err)
+				t.Fatalf("retry after abort: %v", err)
 			}
 			want, _ := referenceStat(t, db, histogram.MaxDiff, 0, "s", []string{"a", "b"})
 			if !reflect.DeepEqual(got.Data, want) {
-				t.Error("post-fault retry differs from reference build")
+				t.Error("retry after abort differs from the reference build")
 			}
 		})
-	}
-}
-
-// TestStreamingCancelMidStream: cancelling a build between blocks — after
-// partials have already spilled — must delete the spill files, release the
-// block iterator's snapshot guard, and leave catalog/epoch/accounting
-// untouched.
-func TestStreamingCancelMidStream(t *testing.T) {
-	db := streamDB(t, 400)
-	dir := t.TempDir()
-	m := streamFaultFixture(t, db, dir)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks := 0
-	m.SetFailpoint(func(fpCtx context.Context, op string, id ID) error {
-		if op == "block" {
-			blocks++
-			// With BlockSize 8 and PartitionRows 40, block 20 is well past
-			// several spilled partials.
-			if blocks == 20 {
-				cancel()
-			}
-		}
-		return nil
-	})
-	epoch := m.Epoch()
-	acc := m.Snapshot()
-	_, _, err := m.EnsureCtx(ctx, "s", []string{"a", "b"})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled build returned %v", err)
-	}
-	if blocks < 20 {
-		t.Fatalf("build consumed only %d blocks; cancel point never reached", blocks)
-	}
-	if n := spillFiles(t, dir); n != 0 {
-		t.Errorf("%d spill files left after cancel", n)
-	}
-	if n := mustTable(t, db, "s").OpenSnapshots(); n != 0 {
-		t.Errorf("OpenSnapshots=%d after cancel — snapshot guard leaked", n)
-	}
-	if m.Epoch() != epoch {
-		t.Error("cancelled build bumped the epoch")
-	}
-	if got := m.Snapshot(); got != acc {
-		t.Error("cancelled build changed accounting")
-	}
-	if m.Has(MakeID("s", []string{"a", "b"})) {
-		t.Error("cancelled build published a statistic")
-	}
-	// The table must be fully writable again (guard released).
-	if err := mustTable(t, db, "s").Insert(storage.Row{
-		catalog.NewInt(1), catalog.NewString("z"), catalog.NewInt(1),
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -400,12 +281,7 @@ func TestStreamingConcurrentBuildsAndDML(t *testing.T) {
 	db := streamDB(t, 300)
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
-	if err := m.SetStreamingBuild(StreamConfig{
-		BlockSize:      16,
-		PartitionRows:  64,
-		MemBudgetBytes: 4 << 10,
-		SpillDir:       t.TempDir(),
-	}); err != nil {
+	if err := m.SetStreamingBuild(StreamConfig{BlockSize: 16, PartitionRows: 64}); err != nil {
 		t.Fatal(err)
 	}
 	id := MakeID("s", []string{"a"})
@@ -460,38 +336,35 @@ func TestStreamingConcurrentBuildsAndDML(t *testing.T) {
 	}
 }
 
-// TestStreamingPeakMemoryFlat: the tracked peak build memory must stay flat
-// as the table grows 10x — the O(block + partition) bound the tentpole
-// promises. The gauge is a deterministic estimate of retained bytes, so the
-// gate is exact, not timing-dependent.
-func TestStreamingPeakMemoryFlat(t *testing.T) {
-	peak := func(rows int) int64 {
-		db := streamDB(t, rows)
-		m := NewManager(db, histogram.MaxDiff, 0)
-		reg := obs.New()
-		m.SetObsRegistry(reg)
-		if err := m.SetStreamingBuild(StreamConfig{
-			BlockSize:      64,
-			PartitionRows:  256,
-			MemBudgetBytes: 64 << 10,
-			SpillDir:       t.TempDir(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Create("s", []string{"a", "b"}); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Gauge("stats.build.mem_peak_bytes").Value()
+// TestBuildMemPeakIsHighWaterMark: stats.build.mem_peak_bytes is the largest
+// estimated build memory over every build reporting to the registry, so a
+// narrow build after a wide one must not lower it.
+func TestBuildMemPeakIsHighWaterMark(t *testing.T) {
+	m := NewManager(streamDB(t, 2_000), histogram.MaxDiff, 0)
+	reg := obs.New()
+	m.SetObsRegistry(reg)
+	peak := reg.Gauge("stats.build.mem_peak_bytes")
+	if _, err := m.Create("s", []string{"a", "b", "c"}); err != nil {
+		t.Fatal(err)
 	}
-	small := peak(1_000)
-	large := peak(10_000)
-	if small <= 0 || large <= 0 {
-		t.Fatalf("peaks not tracked: small=%d large=%d", small, large)
+	wide := peak.Value()
+	if wide <= 0 {
+		t.Fatalf("mem_peak_bytes=%d after a build", wide)
 	}
-	// 10x the rows must not move the peak past the budget headroom; allow 2x
-	// for partition-boundary noise. (Unbudgeted, the peak would scale ~10x.)
-	if large > 2*small && large > 80<<10 {
-		t.Errorf("peak grew from %d to %d over 10x rows — not flat", small, large)
+	narrow := NewManager(m.Database(), histogram.MaxDiff, 0)
+	narrowReg := obs.New()
+	narrow.SetObsRegistry(narrowReg)
+	if _, err := narrow.Create("s", []string{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := narrowReg.Gauge("stats.build.mem_peak_bytes").Value(); n <= 0 || n >= wide {
+		t.Fatalf("narrow build peak %d not below the wide build peak %d", n, wide)
+	}
+	if _, err := m.Create("s", []string{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Value(); got != wide {
+		t.Errorf("mem_peak_bytes=%d after a narrow build, want the wide peak %d", got, wide)
 	}
 }
 
@@ -530,9 +403,10 @@ func TestBuildAllocsBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamingManagerBuild is the end-to-end budgeted build the
-// statsbuild CI job watches with -benchmem: per-build allocations must track
-// the block/partition bounds, not the table size.
+// BenchmarkStreamingManagerBuild is the end-to-end build (a refresh at the
+// default block size and partition cut) the statsbuild CI job watches with -benchmem:
+// per-build allocations must track the block/partition bounds, not the table
+// size.
 func BenchmarkStreamingManagerBuild(b *testing.B) {
 	schema := catalog.NewSchema()
 	if err := schema.AddTable(catalog.NewTable("s",
@@ -559,14 +433,6 @@ func BenchmarkStreamingManagerBuild(b *testing.B) {
 	}
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
-	if err := m.SetStreamingBuild(StreamConfig{
-		BlockSize:      512,
-		PartitionRows:  4096,
-		MemBudgetBytes: 256 << 10,
-		SpillDir:       b.TempDir(),
-	}); err != nil {
-		b.Fatal(err)
-	}
 	id := MakeID("s", []string{"a", "b"})
 	if _, err := m.Create("s", []string{"a", "b"}); err != nil {
 		b.Fatal(err)

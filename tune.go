@@ -72,7 +72,7 @@ type TuneReport struct {
 	// statistic builds failed and the affected queries were planned on
 	// default magic-number selectivities instead.
 	Degraded bool
-	// BuildFailures describes each failed build as "id: reason".
+	// BuildFailures lists the statistics whose build failed.
 	BuildFailures []string
 }
 
@@ -106,7 +106,7 @@ func (s *System) TuneQueryCtx(ctx context.Context, sql string, opts TuneOptions)
 		Degraded:          res.Degraded(),
 	}
 	for _, f := range res.BuildFailures {
-		rep.BuildFailures = append(rep.BuildFailures, fmt.Sprintf("%s: %s", f.ID, f.Reason))
+		rep.BuildFailures = append(rep.BuildFailures, string(f.ID))
 	}
 	return rep, nil
 }
@@ -156,7 +156,7 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 		rep.OptimizerCalls = wr.OptimizerCalls
 		rep.Degraded = wr.Degraded()
 		for _, f := range wr.BuildFailures {
-			rep.BuildFailures = append(rep.BuildFailures, fmt.Sprintf("%s: %s", f.ID, f.Reason))
+			rep.BuildFailures = append(rep.BuildFailures, string(f.ID))
 		}
 	}
 	if opts.Shrink {
