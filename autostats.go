@@ -20,7 +20,7 @@
 // Quickstart:
 //
 //	sys, _ := autostats.GenerateTPCD(autostats.TPCDOptions{Skew: 2})
-//	rep, _ := sys.TuneWorkload([]string{
+//	rep, _ := sys.TuneWorkloadCtx(ctx, []string{
 //	    "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45",
 //	}, autostats.TuneOptions{})
 //	fmt.Println(rep.Created)
@@ -28,7 +28,6 @@ package autostats
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/bits"
 	"strings"
@@ -58,7 +57,7 @@ import (
 //     optimizer session clone from an internal pool over the
 //     concurrency-safe statistics manager, shared plan cache and internally
 //     locked storage layer.
-//   - TuneQuery, TuneWorkload, ProcessStatement and RunMaintenance are
+//   - TuneQuery, TuneWorkloadCtx, ProcessStatementCtx and RunMaintenance are
 //     serialized on an internal mutex (they mutate the shared tuning session
 //     and policy state); concurrent callers queue. Each runs on the calling
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
@@ -102,8 +101,6 @@ type TPCDOptions struct {
 	Mix bool
 	// Seed defaults to 42.
 	Seed int64
-	// HistogramKind selects "maxdiff" (default) or "equidepth".
-	HistogramKind string
 	// HistogramBuckets caps histogram buckets (default 200).
 	HistogramBuckets int
 }
@@ -119,19 +116,7 @@ func GenerateTPCD(opts TPCDOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := histogram.MaxDiff
-	switch strings.ToLower(opts.HistogramKind) {
-	case "", "maxdiff":
-	case "equidepth", "equi-depth":
-		kind = histogram.EquiDepth
-	default:
-		return nil, fmt.Errorf("autostats: unknown histogram kind %q", opts.HistogramKind)
-	}
-	return newSystem(db, kind, opts.HistogramBuckets), nil
-}
-
-func newSystem(db *storage.Database, kind histogram.Kind, buckets int) *System {
-	mgr := stats.NewManager(db, kind, buckets)
+	mgr := stats.NewManager(db, histogram.MaxDiff, opts.HistogramBuckets)
 	sess := optimizer.NewSession(mgr)
 	cache := optimizer.NewPlanCache(DefaultPlanCacheCapacity)
 	sess.SetPlanCache(cache)
@@ -141,7 +126,7 @@ func newSystem(db *storage.Database, kind histogram.Kind, buckets int) *System {
 		auto:     core.NewAutoManager(sess, ex),
 		cache:    cache,
 		sessions: newSessionPool(sess.Clone()),
-	}
+	}, nil
 }
 
 // SetPlanCacheCapacity replaces the plan cache with one holding up to n
@@ -323,14 +308,10 @@ func renderResult(res *executor.Result) *QueryResult {
 	return out
 }
 
-// Explain returns the chosen plan for a SELECT without executing it. Safe
-// for concurrent use (see Exec).
-func (s *System) Explain(sql string) (string, error) {
-	return s.ExplainCtx(context.Background(), sql)
-}
-
-// ExplainCtx is Explain honoring ctx at phase boundaries (see ExecCtx).
-func (s *System) ExplainCtx(ctx context.Context, sql string) (string, error) {
+// Explain returns the chosen plan for a SELECT without executing it,
+// honoring ctx at phase boundaries (see ExecCtx). Safe for concurrent use
+// (see Exec).
+func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	q, err := sqlparser.ParseSelect(s.db.Schema, sql)
 	if err != nil {
 		return "", err

@@ -1,6 +1,7 @@
 package autostats
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -15,18 +16,18 @@ func testSystem(t testing.TB) *System {
 }
 
 func TestGenerateTPCDOptions(t *testing.T) {
-	if _, err := GenerateTPCD(TPCDOptions{HistogramKind: "equidepth"}); err != nil {
-		t.Errorf("equidepth: %v", err)
-	}
-	if _, err := GenerateTPCD(TPCDOptions{HistogramKind: "vbar"}); err == nil {
-		t.Error("expected error for unknown histogram kind")
-	}
-	sys, err := GenerateTPCD(TPCDOptions{Mix: true, Scale: 0.2})
+	sys, err := GenerateTPCD(TPCDOptions{Mix: true, Scale: 0.2, HistogramBuckets: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sys.Schema().TableNames()); got != 8 {
 		t.Errorf("schema tables = %d", got)
+	}
+	if err := sys.CreateStatistic("orders", "o_totalprice"); err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Statistics(); len(st) != 1 || st[0].Buckets == 0 || st[0].Buckets > 5 {
+		t.Errorf("HistogramBuckets 5: statistics %+v", st)
 	}
 }
 
@@ -64,7 +65,7 @@ func TestExecQueryAndDML(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	sys := testSystem(t)
-	plan, err := sys.Explain("SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey")
+	plan, err := sys.Explain(context.Background(), "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestExplain(t *testing.T) {
 
 func TestTuneQueryLifecycle(t *testing.T) {
 	sys := testSystem(t)
-	rep, err := sys.TuneQuery("SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45", TuneOptions{})
+	rep, err := sys.TuneQuery(context.Background(), "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45", TuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestTuneWorkloadWithShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.TuneWorkload(sqls, TuneOptions{Shrink: true})
+	rep, err := sys.TuneWorkloadCtx(context.Background(), sqls, TuneOptions{Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestTuneWorkloadDropAndShrinkReportUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.TuneWorkload(sqls, TuneOptions{Drop: true, Shrink: true})
+	rep, err := sys.TuneWorkloadCtx(context.Background(), sqls, TuneOptions{Drop: true, Shrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestCreateDropStatistic(t *testing.T) {
 
 func TestProcessStatementOnTheFly(t *testing.T) {
 	sys := testSystem(t)
-	res, err := sys.ProcessStatement("SELECT * FROM orders, customer WHERE o_custkey = c_custkey AND o_totalprice > 400000")
+	res, err := sys.ProcessStatementCtx(context.Background(), "SELECT * FROM orders, customer WHERE o_custkey = c_custkey AND o_totalprice > 400000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestProcessStatementOnTheFly(t *testing.T) {
 	if len(sys.Statistics()) == 0 {
 		t.Error("on-the-fly processing should create statistics")
 	}
-	if _, err := sys.ProcessStatement("INSERT INTO region VALUES (9, 'X', 'c')"); err != nil {
+	if _, err := sys.ProcessStatementCtx(context.Background(), "INSERT INTO region VALUES (9, 'X', 'c')"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -227,11 +228,11 @@ func TestRunMaintenanceFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	refreshed, dropped, err := sys.RunMaintenance()
+	rep, err := sys.RunMaintenance(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refreshed != 1 || dropped != 0 {
-		t.Errorf("maintenance: refreshed=%d dropped=%d", refreshed, dropped)
+	if rep.TablesRefreshed != 1 || rep.StatsDropped != 0 || len(rep.RefreshFailures) != 0 {
+		t.Errorf("maintenance: refreshed=%d dropped=%d failures=%v", rep.TablesRefreshed, rep.StatsDropped, rep.RefreshFailures)
 	}
 }

@@ -11,6 +11,7 @@ package autostats_test
 // formatted tables.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -172,7 +173,7 @@ func BenchmarkWorkloadTuning(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		rep, err := sys.TuneWorkload(sqls, autostats.TuneOptions{})
+		rep, err := sys.TuneWorkloadCtx(context.Background(), sqls, autostats.TuneOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func BenchmarkOptimizeCached(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, sql := range sqls {
-				if _, err := sys.Explain(sql); err != nil {
+				if _, err := sys.Explain(context.Background(), sql); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -245,7 +246,7 @@ func BenchmarkMNSAQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := sys.TuneQuery("SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45 AND o_totalprice > 400000", autostats.TuneOptions{}); err != nil {
+		if _, err := sys.TuneQuery(context.Background(), "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45 AND o_totalprice > 400000", autostats.TuneOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,14 +100,14 @@ func runREPL(ctx context.Context, sys *autostats.System, in io.Reader, out io.Wr
 				return nil
 			}
 		case hasPrefixFold(line, "EXPLAIN "):
-			plan, err := sys.Explain(strings.TrimSpace(line[len("EXPLAIN "):]))
+			plan, err := sys.Explain(ctx, strings.TrimSpace(line[len("EXPLAIN "):]))
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 			} else {
 				fmt.Fprint(out, plan)
 			}
 		case hasPrefixFold(line, "TUNE "):
-			rep, err := sys.TuneQueryCtx(ctx, strings.TrimSpace(line[len("TUNE "):]), autostats.TuneOptions{})
+			rep, err := sys.TuneQuery(ctx, strings.TrimSpace(line[len("TUNE "):]), autostats.TuneOptions{})
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				break
@@ -140,7 +140,7 @@ func runStatement(ctx context.Context, sys *autostats.System, out io.Writer, sql
 	if autoMode {
 		res, err = sys.ProcessStatementCtx(ctx, sql)
 	} else {
-		res, err = sys.Exec(sql)
+		res, err = sys.ExecCtx(ctx, sql)
 	}
 	if err != nil {
 		fmt.Fprintln(out, "error:", err)
@@ -203,7 +203,7 @@ func dotCommand(ctx context.Context, sys *autostats.System, out io.Writer, line 
 			fmt.Fprintln(out, "usage: .auto on|off")
 		}
 	case ".maintenance":
-		rep, err := sys.RunMaintenanceCtx(ctx)
+		rep, err := sys.RunMaintenance(ctx)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			break

@@ -166,7 +166,7 @@ func run(ctx context.Context) error {
 		cfg.Drop = *mode == "mnsad"
 		if *verbose {
 			for i, q := range queries {
-				r, err := core.RunMNSACtx(ctx, sess, q, cfg)
+				r, err := core.RunMNSA(ctx, sess, q, cfg)
 				if err != nil {
 					return err
 				}

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		fatal(ctx, err)
 	}
-	if err := datagen.WriteTblCtx(ctx, db, *out); err != nil {
+	if err := datagen.WriteTbl(ctx, db, *out); err != nil {
 		fatal(ctx, err)
 	}
 	for _, name := range db.Schema.TableNames() {

@@ -9,7 +9,7 @@ import (
 
 // TestSystemConcurrentHammer is the race-regression sweep for the
 // stats-as-a-service usage pattern: one System shared by many goroutines
-// running Exec (queries and DML), Explain, TuneQuery, RunMaintenanceCtx and
+// running Exec (queries and DML), Explain, TuneQuery, RunMaintenance and
 // the read-only inspectors at the same time. The server (internal/server)
 // makes this the DEFAULT way a System is used — before it, only
 // stats.Manager internals were swept under -race. The test asserts nothing
@@ -30,7 +30,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 	}
 	var selects []string
 	for _, s := range stmts {
-		if exp, eerr := sys.Explain(s); eerr == nil && exp != "" {
+		if exp, eerr := sys.Explain(context.Background(), s); eerr == nil && exp != "" {
 			selects = append(selects, s)
 		}
 	}
@@ -67,7 +67,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 		go func(off int) {
 			defer wg.Done()
 			for i := 0; i < 2*len(selects); i++ {
-				_, err := sys.Explain(selects[(i+off)%len(selects)])
+				_, err := sys.Explain(context.Background(), selects[(i+off)%len(selects)])
 				report("explain", err)
 			}
 		}(w * 3)
@@ -77,7 +77,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			_, err := sys.TuneQuery(selects[i%len(selects)], TuneOptions{Drop: true})
+			_, err := sys.TuneQuery(context.Background(), selects[i%len(selects)], TuneOptions{Drop: true})
 			report("tune", err)
 		}
 	}()
@@ -86,7 +86,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			_, err := sys.RunMaintenanceCtx(context.Background())
+			_, err := sys.RunMaintenance(context.Background())
 			report("maintenance", err)
 		}
 	}()
@@ -135,7 +135,7 @@ func TestStatisticsWhileDropListing(t *testing.T) {
 			}
 		}
 	}()
-	rep, err := sys.TuneWorkload(stmts, TuneOptions{Drop: true})
+	rep, err := sys.TuneWorkloadCtx(context.Background(), stmts, TuneOptions{Drop: true})
 	close(stop)
 	wg.Wait()
 	if err != nil {

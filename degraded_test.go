@@ -107,7 +107,7 @@ func TestGracefulDegradationEndToEnd(t *testing.T) {
 // TestTuneDegradedReport: tuning on a default System under a failing build
 // path reports Degraded with one failure per statistic it could not build,
 // named by that statistic's ID, instead of aborting, both for one query and
-// for a workload; cancellation still returns its error.
+// for a workload.
 func TestTuneDegradedReport(t *testing.T) {
 	sys := testSystem(t)
 	down := errors.New("down")
@@ -117,7 +117,7 @@ func TestTuneDegradedReport(t *testing.T) {
 		return down
 	})
 	const q = "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45"
-	rep, err := sys.TuneQueryCtx(context.Background(), q, TuneOptions{})
+	rep, err := sys.TuneQuery(context.Background(), q, TuneOptions{})
 	if err != nil {
 		t.Fatalf("degraded tune must not abort: %v", err)
 	}
@@ -134,13 +134,6 @@ func TestTuneDegradedReport(t *testing.T) {
 	}
 	if !wrep.Degraded || len(wrep.Created) != 0 {
 		t.Errorf("workload tune: degraded=%v created=%v, want degraded with nothing built", wrep.Degraded, wrep.Created)
-	}
-
-	// Cancellation beats degradation: a canceled tune returns the ctx error.
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := sys.TuneQueryCtx(cctx, "SELECT * FROM orders WHERE o_totalprice < 1000", TuneOptions{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled tune: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -188,13 +181,10 @@ func TestMaintenanceFailureKeepsStatementResult(t *testing.T) {
 		t.Fatalf("stats.maintenance.refresh_failures grew by %d, want 1", got)
 	}
 
-	// The explicit entry points record the failure too, with its cause.
-	rep, err := sys.RunMaintenanceCtx(ctx)
-	if err != nil || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, injected) {
-		t.Fatalf("RunMaintenanceCtx: failures=%v err=%v, want one region failure and no error", rep.RefreshFailures, err)
-	}
-	if refreshed, _, err := sys.RunMaintenance(); err != nil || refreshed != 0 {
-		t.Fatalf("RunMaintenance: refreshed=%d err=%v, want 0 and no error", refreshed, err)
+	// The explicit entry point records the failure too, with its cause.
+	rep, err := sys.RunMaintenance(ctx)
+	if err != nil || rep.TablesRefreshed != 0 || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, injected) {
+		t.Fatalf("RunMaintenance: refreshed=%d failures=%v err=%v, want no refresh, one region failure and no error", rep.TablesRefreshed, rep.RefreshFailures, err)
 	}
 
 	// The failed table kept its modification counter, so the next

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys, err := autostats.GenerateTPCD(autostats.TPCDOptions{Scale: 0.5, Mix: true, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +35,7 @@ func main() {
 	var totalCost float64
 	lastStats := 0
 	for i, sql := range stream {
-		res, err := sys.ProcessStatement(sql)
+		res, err := sys.ProcessStatementCtx(ctx, sql)
 		if err != nil {
 			log.Fatalf("statement %d (%s): %v", i, sql, err)
 		}
@@ -61,7 +63,7 @@ func main() {
 	// nothing new — the system has converged.
 	before := len(sys.Statistics())
 	for _, sql := range stream {
-		if _, err := sys.ProcessStatement(sql); err != nil {
+		if _, err := sys.ProcessStatementCtx(ctx, sql); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const workloadSeed = 5
 
 	// Arm A: plain MNSA — keep everything it creates.
@@ -28,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := keep.TuneWorkload(stream, autostats.TuneOptions{}); err != nil {
+	if _, err := keep.TuneWorkloadCtx(ctx, stream, autostats.TuneOptions{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -40,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	drop.SetAgingWindow(500) // dampen re-creation of recently dropped stats
-	rep, err := drop.TuneWorkload(stream, autostats.TuneOptions{Drop: true, Shrink: true})
+	rep, err := drop.TuneWorkloadCtx(ctx, stream, autostats.TuneOptions{Drop: true, Shrink: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,13 +67,13 @@ func main() {
 	// maintained statistics, so arm B pays less.
 	execute := func(s *autostats.System) (execCost float64) {
 		for _, sql := range stream {
-			res, err := s.Exec(sql)
+			res, err := s.ExecCtx(ctx, sql)
 			if err != nil {
 				log.Fatal(err)
 			}
 			execCost += res.ExecCost
 		}
-		if _, _, err := s.RunMaintenance(); err != nil {
+		if _, err := s.RunMaintenance(ctx); err != nil {
 			log.Fatal(err)
 		}
 		return execCost

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A moderately skewed (z = 2) TPC-D instance, ~4.4k rows.
 	sys, err := autostats.GenerateTPCD(autostats.TPCDOptions{Scale: 0.5, Skew: 2})
 	if err != nil {
@@ -23,7 +25,7 @@ func main() {
 		WHERE l_orderkey = o_orderkey AND l_quantity > 45 AND o_totalprice > 400000`
 
 	fmt.Println("--- plan with NO statistics (magic numbers only) ---")
-	before, err := sys.Exec(sql)
+	before, err := sys.ExecCtx(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 
 	// Magic Number Sensitivity Analysis: create statistics only until the
 	// plan is provably insensitive to the rest (t = 20%, ε = 0.0005).
-	rep, err := sys.TuneQuery(sql, autostats.TuneOptions{})
+	rep, err := sys.TuneQuery(ctx, sql, autostats.TuneOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- plan WITH statistics ---")
-	after, err := sys.Exec(sql)
+	after, err := sys.ExecCtx(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

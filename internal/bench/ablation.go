@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -41,7 +42,7 @@ func runMNSAPoint(dbName, wlName string, scale float64, seed int64, label string
 		return nil, err
 	}
 	start := time.Now()
-	wr, err := core.RunMNSAWorkload(env.Sess, w.Queries(), cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.Sess, w.Queries(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +248,7 @@ func runMNSACostWeighted(sess *optimizer.Session, queries []*query.Select, cfg c
 		selected = append(selected, r.q)
 		covered += r.cost
 	}
-	wr, err := core.RunMNSAWorkload(sess, selected, cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), sess, selected, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -279,7 +280,7 @@ func AblationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]
 			return nil, err
 		}
 		start := time.Now()
-		wr, err := core.RunMNSAWorkload(env.Sess, w.Queries(), core.DefaultConfig())
+		wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.Sess, w.Queries(), core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

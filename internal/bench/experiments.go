@@ -262,7 +262,7 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 	cfg.CandidateFn = candidateFn
 	envM.Mgr.ResetAccounting()
 	start := time.Now()
-	wr, err := core.RunMNSAWorkload(envM.Sess, queries, cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), envM.Sess, queries, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +327,7 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 	}
 	queries := w.Queries()
 	cfg := core.DefaultConfig()
-	wrA, err := core.RunMNSAWorkload(envA.Sess, queries, cfg)
+	wrA, err := core.RunMNSAWorkloadCtx(context.Background(), envA.Sess, queries, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +340,7 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 	}
 	cfgD := cfg
 	cfgD.Drop = true
-	wrB, err := core.RunMNSAWorkload(envB.Sess, queries, cfgD)
+	wrB, err := core.RunMNSAWorkloadCtx(context.Background(), envB.Sess, queries, cfgD)
 	if err != nil {
 		return nil, err
 	}

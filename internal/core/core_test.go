@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/datagen"
@@ -142,7 +143,7 @@ func TestMNSAPrunesAndPreservesQuality(t *testing.T) {
 			WHERE l_orderkey = o_orderkey AND l_shipdate < DATE 8500
 			AND o_totalprice > 400000 AND l_quantity > 45`)
 		cfg := DefaultConfig()
-		res, err := RunMNSA(sess, q, cfg)
+		res, err := RunMNSA(context.Background(), sess, q, cfg)
 		if err != nil {
 			t.Fatalf("z=%v: MNSA: %v", z, err)
 		}
@@ -187,7 +188,7 @@ func TestMNSAOptimizerCallOverhead(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	q := mustParse(t, db, `SELECT * FROM lineitem WHERE l_quantity > 45 AND l_discount < 0.02`)
-	res, err := RunMNSA(sess, q, DefaultConfig())
+	res, err := RunMNSA(context.Background(), sess, q, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,9 @@ func TestMNSADDropListsNonEssential(t *testing.T) {
 	q := mustParse(t, db, `SELECT * FROM lineitem, orders, customer
 		WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey
 		AND l_quantity > 45 AND c_acctbal > 9000 AND o_totalprice > 400000`)
-	res, err := RunMNSAD(sess, q, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Drop = true
+	res, err := RunMNSA(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestShrinkingSetProducesEssentialSet(t *testing.T) {
 	}
 
 	eq := ExecutionTree{}
-	sr, err := ShrinkingSet(sess, []*querySelect{q}, nil, eq)
+	sr, err := ShrinkingSetCtx(context.Background(), sess, []*querySelect{q}, nil, eq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestShrinkingSetCallBound(t *testing.T) {
 		}
 	}
 	n := len(sess.Manager().All())
-	sr, err := ShrinkingSet(sess, []*querySelect{q1, q2}, nil, ExecutionTree{})
+	sr, err := ShrinkingSetCtx(context.Background(), sess, []*querySelect{q1, q2}, nil, ExecutionTree{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +305,7 @@ func TestWorkloadInvariants(t *testing.T) {
 		candidates[c.ID()] = true
 	}
 
-	wr, err := RunMNSAWorkload(sess, queries, cfg)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +354,7 @@ func TestWorkloadDropListDelta(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Drop = true
-	wr, err := RunMNSAWorkload(sess, tuningWorkload(t, db), cfg)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, tuningWorkload(t, db), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +376,7 @@ func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 	cfg := DefaultConfig()
-	res, err := RunMNSA(sess, q, cfg)
+	res, err := RunMNSA(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
 
 	cfg.UseAging = true
 	cfg.AgingCostThreshold = 1e18
-	res2, err := RunMNSA(sess, q, cfg)
+	res2, err := RunMNSA(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestMNSADegradedTolerant(t *testing.T) {
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 	cfg := DefaultConfig()
-	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
+	res, err := RunMNSA(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatalf("failed builds must degrade the run, not fail it: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	// Cancellation still aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunMNSACtx(ctx, sess, q, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := RunMNSA(ctx, sess, q, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("a canceled run must return its context error, got %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestBuildFailureReporting(t *testing.T) {
 		return fmt.Errorf("store unavailable: %w", boom)
 	})
 	q := mustParse(t, db, "SELECT * FROM orders, customer WHERE o_custkey = c_custkey AND o_totalprice > 400000")
-	res, err := RunMNSACtx(context.Background(), sess, q, DefaultConfig())
+	res, err := RunMNSA(context.Background(), sess, q, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,18 +149,15 @@ type BuildFailure struct {
 // current statistics include an essential set via magic number sensitivity
 // analysis, and if not, build the statistic most likely to matter (the
 // most-expensive-operator heuristic of §4.2). Join-column statistics are
-// created in dependent pairs.
-func RunMNSA(sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
-	return RunMNSACtx(context.Background(), sess, q, cfg)
-}
-
-// RunMNSACtx is RunMNSA honoring cancellation and deadlines: ctx is checked
-// at every loop iteration and flows into each statistic build, so a canceled
-// analysis stops at the next boundary with manager state reflecting exactly
-// the builds that completed (each build is individually atomic). A build
-// that fails with ctx still live does not fail the analysis: it is recorded
-// in Result.BuildFailures and the run continues degraded.
-func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
+// created in dependent pairs. With cfg.Drop it is MNSA/D (§5.1), which also
+// drop-lists the statistics it finds non-essential.
+//
+// ctx is checked at every loop iteration and flows into each statistic
+// build, so a canceled analysis stops at the next boundary with manager state
+// reflecting exactly the builds that completed (each build is individually
+// atomic). A build that fails with ctx still live does not fail the analysis:
+// it is recorded in Result.BuildFailures and the run continues degraded.
+func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
 	if cfg.T <= 0 {
 		cfg.T = 20
 	}
@@ -397,13 +394,6 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 	}
 }
 
-// RunMNSAD is RunMNSA with non-essential statistic detection enabled —
-// Magic Number Sensitivity Analysis with Drop (§5.1).
-func RunMNSAD(sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
-	cfg.Drop = true
-	return RunMNSA(sess, q, cfg)
-}
-
 // WorkloadResult aggregates MNSA runs over a workload.
 type WorkloadResult struct {
 	PerQuery       []*Result
@@ -418,17 +408,12 @@ type WorkloadResult struct {
 // Degraded reports whether any query of the workload ran degraded.
 func (wr *WorkloadResult) Degraded() bool { return len(wr.BuildFailures) > 0 }
 
-// RunMNSAWorkload invokes MNSA for each query in order (§4.3: "a sufficient
-// set of statistics for a workload can be obtained by invoking MNSA for each
-// query in the workload"). Statistics accumulate in the session's manager.
-func RunMNSAWorkload(sess *optimizer.Session, queries []*query.Select, cfg Config) (*WorkloadResult, error) {
-	return RunMNSAWorkloadCtx(context.Background(), sess, queries, cfg)
-}
-
-// RunMNSAWorkloadCtx is RunMNSAWorkload honoring cancellation: ctx is
-// checked between workload queries (and inside each per-query analysis), so
-// cancellation stops the pass at the next boundary with the manager holding
-// exactly the statistics already built.
+// RunMNSAWorkloadCtx invokes MNSA for each query in order (§4.3: "a
+// sufficient set of statistics for a workload can be obtained by invoking
+// MNSA for each query in the workload"). Statistics accumulate in the
+// session's manager. ctx is checked between workload queries (and inside each
+// per-query analysis), so cancellation stops the pass at the next boundary
+// with the manager holding exactly the statistics already built.
 func RunMNSAWorkloadCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config) (*WorkloadResult, error) {
 	wr := &WorkloadResult{}
 	// Snapshot the drop-list at entry: the report must cover what THIS run
@@ -442,7 +427,7 @@ func RunMNSAWorkloadCtx(ctx context.Context, sess *optimizer.Session, queries []
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := RunMNSACtx(ctx, sess, q, cfg)
+		r, err := RunMNSA(ctx, sess, q, cfg)
 		if err != nil {
 			return nil, err
 		}

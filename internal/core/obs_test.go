@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestTuneCountersReconcile(t *testing.T) {
 	qs := tuningWorkload(t, db)
 	cfg := DefaultConfig()
 
-	rep, err := OfflineTune(sess, qs, cfg, nil)
+	rep, err := OfflineTuneCtx(context.Background(), sess, qs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestWorkloadTuningWithTracing(t *testing.T) {
 	cfg.Drop = true
 	qs := tuningWorkload(t, db)
 
-	wr, err := RunMNSAWorkload(sess, qs, cfg)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, qs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,10 @@ func (am *AutoManager) Session() *optimizer.Session { return am.sess }
 
 // ProcessStatement handles one incoming statement under the on-the-fly
 // policy and returns its execution result.
-func (am *AutoManager) ProcessStatement(stmt query.Statement) (*executor.Result, error) {
-	return am.ProcessStatementCtx(context.Background(), stmt)
-}
-
-// ProcessStatementCtx is ProcessStatement honoring cancellation and
-// deadlines through the MNSA analysis, statistic builds and the periodic
+//
+// ctx is checked before the statement touches the clock or any counter and
+// again before execution, so a canceled statement never applies its DML; it
+// also flows through the MNSA analysis, statistic builds and the periodic
 // maintenance pass. Statistics failures degrade the statement instead of
 // failing it: the degraded reasons are set on the session before
 // optimization (so the executed plan is tagged and bypasses the plan cache)
@@ -73,7 +71,10 @@ func (am *AutoManager) ProcessStatement(stmt query.Statement) (*executor.Result,
 // the pass's report, and a pass cut short by cancellation leaves the
 // remaining tables' modification counters set, so the next pass redoes
 // their refreshes.
-func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.Statement) (*executor.Result, error) {
+func (am *AutoManager) ProcessStatement(ctx context.Context, stmt query.Statement) (*executor.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	mgr := am.sess.Manager()
 	mgr.Tick()
 	am.StatementsRun++
@@ -85,7 +86,7 @@ func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.State
 	am.sess.ClearDegraded()
 
 	if q, ok := stmt.(*query.Select); ok {
-		r, err := RunMNSACtx(ctx, am.sess, q, am.MNSA)
+		r, err := RunMNSA(ctx, am.sess, q, am.MNSA)
 		if err != nil {
 			return nil, err
 		}
@@ -93,6 +94,9 @@ func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.State
 			am.DegradedStatements++
 			reg.Counter("degraded.statements").Inc()
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	res, err := am.ex.RunStatement(am.sess, stmt)
 	if err != nil {
@@ -132,16 +136,11 @@ func (r *TuneReport) BuildFailures() []BuildFailure {
 	return r.MNSA.BuildFailures
 }
 
-// OfflineTune implements the conservative §6 policy: an offline process runs
+// OfflineTuneCtx implements the conservative §6 policy: an offline process runs
 // MNSA over every query of the workload, then the Shrinking Set algorithm
 // eliminates non-essential statistics, which are moved to the drop-list
 // (physical deletion remains a separate policy action). eq nil defaults to
-// execution-tree equivalence as in Figure 2.
-func OfflineTune(sess *optimizer.Session, queries []*query.Select, cfg Config, eq Equivalence) (*TuneReport, error) {
-	return OfflineTuneCtx(context.Background(), sess, queries, cfg, eq)
-}
-
-// OfflineTuneCtx is OfflineTune honoring cancellation in both phases.
+// execution-tree equivalence as in Figure 2. ctx is honored in both phases.
 func OfflineTuneCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config, eq Equivalence) (*TuneReport, error) {
 	if eq == nil {
 		eq = ExecutionTree{}

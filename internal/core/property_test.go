@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/stats"
@@ -34,7 +35,7 @@ func TestMNSAInvariantsOnRandomWorkloads(t *testing.T) {
 				for _, c := range cfg.CandidateFn(q) {
 					cands[c.ID()] = true
 				}
-				res, err := RunMNSA(sess, q, cfg)
+				res, err := RunMNSA(context.Background(), sess, q, cfg)
 				if err != nil {
 					t.Fatalf("z=%v seed=%d Q%d: %v", z, seed, qi, err)
 				}
@@ -89,7 +90,7 @@ func TestMNSAInvariantsOnRandomWorkloads(t *testing.T) {
 				}
 
 				// Convergence: an immediate re-run builds nothing.
-				again, err := RunMNSA(sess, q, cfg)
+				again, err := RunMNSA(context.Background(), sess, q, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +114,7 @@ func TestMNSADInvariants(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Drop = true
-	wr, err := RunMNSAWorkload(sess, w.Queries(), cfg)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, w.Queries(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestWorkloadMNSAQualityAcrossSkews(t *testing.T) {
 
 		dbB := testDB(t, z)
 		sessB := newSession(t, dbB)
-		if _, err := RunMNSAWorkload(sessB, queries, DefaultConfig()); err != nil {
+		if _, err := RunMNSAWorkloadCtx(context.Background(), sessB, queries, DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
 		execB := execQueries(t, dbB, sessB, queries)

@@ -20,7 +20,7 @@ type ShrinkResult struct {
 	OptimizerCalls int
 }
 
-// ShrinkingSet implements Figure 2: starting from the current statistics set
+// ShrinkingSetCtx implements Figure 2: starting from the current statistics set
 // S (assumed to be a superset of an essential set, e.g. built by MNSA), test
 // each statistic in turn and discard it if hiding it — via the
 // Ignore_Statistics_Subset extension — leaves the plan of every potentially
@@ -31,14 +31,10 @@ type ShrinkResult struct {
 // initial nil means "all statistics currently in the manager". The specific
 // essential set produced depends on the order statistics are tested (§5.2);
 // statistics are tested in ascending ID order for determinism.
-func ShrinkingSet(sess *optimizer.Session, queries []*query.Select, initial []stats.ID, eq Equivalence) (*ShrinkResult, error) {
-	return ShrinkingSetCtx(context.Background(), sess, queries, initial, eq)
-}
-
-// ShrinkingSetCtx is ShrinkingSet honoring cancellation: ctx is checked
-// between baseline optimizations and between per-statistic probe rounds.
-// The algorithm only hides statistics (never mutates the manager), so a
-// canceled run leaves no partial state behind.
+//
+// ctx is checked between baseline optimizations and between per-statistic
+// probe rounds. The algorithm only hides statistics (never mutates the
+// manager), so a canceled run leaves no partial state behind.
 func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, initial []stats.ID, eq Equivalence) (*ShrinkResult, error) {
 	mgr := sess.Manager()
 	if initial == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/optimizer"
@@ -51,7 +52,7 @@ func TestShrinkingProbesDoNotPollutePlanCache(t *testing.T) {
 	}
 
 	bypassesBefore := sess.Obs().Snapshot().Counters["degraded.plancache_bypasses"]
-	sr, err := ShrinkingSet(sess, queries, nil, ExecutionTree{})
+	sr, err := ShrinkingSetCtx(context.Background(), sess, queries, nil, ExecutionTree{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestTuningProbesDoNotPollutePlanCache(t *testing.T) {
 	}
 	bypassesBefore := sess.Obs().Snapshot().Counters["degraded.plancache_bypasses"]
 
-	wr, err := RunMNSAWorkload(sess, queries, DefaultConfig())
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, queries, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := ShrinkingSet(sess, queries, nil, ExecutionTree{})
+	sr, err := ShrinkingSetCtx(context.Background(), sess, queries, nil, ExecutionTree{})
 	if err != nil {
 		t.Fatal(err)
 	}

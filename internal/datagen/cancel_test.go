@@ -17,10 +17,10 @@ func TestGenerateCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestWriteTblCtxCanceledLeavesNothing verifies the no-partial-dataset
+// TestWriteTblCanceledLeavesNothing verifies the no-partial-dataset
 // guarantee: cancellation mid-write removes every .tbl file already created,
-// and the output directory too when WriteTblCtx created it.
-func TestWriteTblCtxCanceledLeavesNothing(t *testing.T) {
+// and the output directory too when WriteTbl created it.
+func TestWriteTblCanceledLeavesNothing(t *testing.T) {
 	db, err := Generate(Config{Scale: 0.05, Z: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -28,11 +28,11 @@ func TestWriteTblCtxCanceledLeavesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dir := filepath.Join(t.TempDir(), "out")
-	if err := WriteTblCtx(ctx, db, dir); err != context.Canceled {
-		t.Fatalf("WriteTblCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if err := WriteTbl(ctx, db, dir); err != context.Canceled {
+		t.Fatalf("WriteTbl on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("canceled WriteTblCtx left output directory behind (stat err = %v)", err)
+		t.Fatalf("canceled WriteTbl left output directory behind (stat err = %v)", err)
 	}
 }
 
@@ -51,17 +51,17 @@ func (c *stepCtx) Err() error {
 	return nil
 }
 
-// TestWriteTblCtxMidWriteCancelRemovesCreatedFiles cancels after the first
+// TestWriteTblMidWriteCancelRemovesCreatedFiles cancels after the first
 // table's pre-check, so at least one .tbl file exists before the cancellation
 // is observed and the cleanup path must actually delete files.
-func TestWriteTblCtxMidWriteCancelRemovesCreatedFiles(t *testing.T) {
+func TestWriteTblMidWriteCancelRemovesCreatedFiles(t *testing.T) {
 	db, err := Generate(Config{Scale: 0.02, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir() // pre-existing: only the files should be removed
 	ctx := &stepCtx{Context: context.Background(), after: 1}
-	if err := WriteTblCtx(ctx, db, dir); err != context.Canceled {
+	if err := WriteTbl(ctx, db, dir); err != context.Canceled {
 		t.Fatalf("mid-write cancel: err = %v, want context.Canceled", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -73,9 +73,9 @@ func TestWriteTblCtxMidWriteCancelRemovesCreatedFiles(t *testing.T) {
 	}
 }
 
-// TestWriteTblCtxErrorCleansCreatedFiles verifies cleanup on a non-ctx
+// TestWriteTblErrorCleansCreatedFiles verifies cleanup on a non-ctx
 // failure path too: an unwritable directory must not accumulate .tbl files.
-func TestWriteTblCtxErrorCleansCreatedFiles(t *testing.T) {
+func TestWriteTblErrorCleansCreatedFiles(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("permission-based failure injection does not work as root")
 	}
@@ -88,27 +88,27 @@ func TestWriteTblCtxErrorCleansCreatedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chmod(dir, 0o755)
-	if err := WriteTblCtx(context.Background(), db, dir); err == nil {
-		t.Fatal("WriteTblCtx into read-only dir succeeded")
+	if err := WriteTbl(context.Background(), db, dir); err == nil {
+		t.Fatal("WriteTbl into read-only dir succeeded")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Fatalf("failed WriteTblCtx left %d files behind", len(entries))
+		t.Fatalf("failed WriteTbl left %d files behind", len(entries))
 	}
 }
 
-// TestWriteTblCtxCleanRoundTrip verifies the happy path still inverts via
+// TestWriteTblCleanRoundTrip verifies the happy path still inverts via
 // LoadTbl after the cancellation plumbing.
-func TestWriteTblCtxCleanRoundTrip(t *testing.T) {
+func TestWriteTblCleanRoundTrip(t *testing.T) {
 	db, err := Generate(Config{Scale: 0.02, Z: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "tbl")
-	if err := WriteTblCtx(context.Background(), db, dir); err != nil {
+	if err := WriteTbl(context.Background(), db, dir); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadTbl(dir)

@@ -16,17 +16,12 @@ import (
 
 // WriteTbl writes every table of the database as a pipe-delimited
 // <table>.tbl file under dir, the flat-file format of the original dbgen
-// tool (one row per line, columns separated by '|').
-func WriteTbl(db *storage.Database, dir string) error {
-	return WriteTblCtx(context.Background(), db, dir)
-}
-
-// WriteTblCtx is WriteTbl honoring cancellation, with the stronger guarantee
-// that a failed or interrupted run leaves no partial dataset behind: every
-// .tbl file created so far is removed, and the directory too if this call
-// created it and it is otherwise empty. ctx is checked before each table and
-// every 4096 rows while streaming.
-func WriteTblCtx(ctx context.Context, db *storage.Database, dir string) (err error) {
+// tool (one row per line, columns separated by '|'). A failed or
+// interrupted run leaves no partial dataset behind: every .tbl file created
+// so far is removed, and the directory too if this call created it and it is
+// otherwise empty. ctx is checked before each table and every 4096 rows while
+// streaming.
+func WriteTbl(ctx context.Context, db *storage.Database, dir string) (err error) {
 	madeDir := false
 	if _, serr := os.Stat(dir); os.IsNotExist(serr) {
 		madeDir = true

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ func TestWriteLoadTblRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := WriteTbl(db, dir); err != nil {
+	if err := WriteTbl(context.Background(), db, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range db.Schema.TableNames() {

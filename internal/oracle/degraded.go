@@ -60,7 +60,7 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 	fired := FlakyFailpoint(h.Mgr, 1<<30)
 	for _, sel := range queries {
 		h.Sess.ClearDegraded()
-		if _, err := core.RunMNSACtx(ctx, h.Sess, sel, cfg); err != nil {
+		if _, err := core.RunMNSA(ctx, h.Sess, sel, cfg); err != nil {
 			h.Mgr.SetFailpoint(nil)
 			return rep, fmt.Errorf("oracle: MNSA under faults (%s): %w", sel.SQL(), err)
 		}
@@ -93,7 +93,7 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 	h.Mgr.SetFailpoint(nil)
 	for _, sel := range queries {
 		h.Sess.ClearDegraded()
-		if _, err := core.RunMNSACtx(ctx, h.Sess, sel, cfg); err != nil {
+		if _, err := core.RunMNSA(ctx, h.Sess, sel, cfg); err != nil {
 			return rep, fmt.Errorf("oracle: MNSA after recovery (%s): %w", sel.SQL(), err)
 		}
 		if reasons := h.Sess.DegradedReasons(); len(reasons) > 0 {

@@ -71,7 +71,7 @@ func (h *Harness) RunDifferential(count int) (*DiffReport, error) {
 			continue
 		}
 		if rep.Queries%mnsaEvery == mnsaEvery-1 {
-			if _, err := core.RunMNSA(h.Sess, sel, core.DefaultConfig()); err != nil {
+			if _, err := core.RunMNSA(context.Background(), h.Sess, sel, core.DefaultConfig()); err != nil {
 				return rep, fmt.Errorf("oracle: MNSA on query %d (%s): %w", i, sel.SQL(), err)
 			}
 			rep.MNSARuns++

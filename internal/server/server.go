@@ -488,7 +488,7 @@ func (s *Server) execute(t task) *protocol.Response {
 			Degraded:      r.Degraded,
 		}}
 	case protocol.OpExplain:
-		plan, err := sys.ExplainCtx(ctx, req.SQL)
+		plan, err := sys.Explain(ctx, req.SQL)
 		if err != nil {
 			return s.opErrResponse(req.ID, err)
 		}
@@ -536,7 +536,7 @@ func (s *Server) execute(t task) *protocol.Response {
 		}
 		return &protocol.Response{ID: req.ID, Stats: rows}
 	case protocol.OpMaintain:
-		rep, err := sys.RunMaintenanceCtx(ctx)
+		rep, err := sys.RunMaintenance(ctx)
 		if err != nil {
 			return s.opErrResponse(req.ID, err)
 		}

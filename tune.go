@@ -77,15 +77,10 @@ type TuneReport struct {
 }
 
 // TuneQuery runs MNSA (or MNSA/D when opts.Drop) for one SELECT statement,
-// creating the statistics it needs.
-func (s *System) TuneQuery(sql string, opts TuneOptions) (*TuneReport, error) {
-	return s.TuneQueryCtx(context.Background(), sql, opts)
-}
-
-// TuneQueryCtx is TuneQuery honoring cancellation and deadlines. Tuning
-// entry points serialize on the system's internal mutex; concurrent callers
-// queue (see the System doc comment).
-func (s *System) TuneQueryCtx(ctx context.Context, sql string, opts TuneOptions) (*TuneReport, error) {
+// creating the statistics it needs, honoring cancellation and deadlines.
+// Tuning entry points serialize on the system's internal mutex; concurrent
+// callers queue (see the System doc comment).
+func (s *System) TuneQuery(ctx context.Context, sql string, opts TuneOptions) (*TuneReport, error) {
 	q, err := sqlparser.ParseSelect(s.db.Schema, sql)
 	if err != nil {
 		return nil, err
@@ -94,7 +89,7 @@ func (s *System) TuneQueryCtx(ctx context.Context, sql string, opts TuneOptions)
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
 	s.sess.ClearDegraded()
-	res, err := core.RunMNSACtx(ctx, s.sess, q, opts.config())
+	res, err := core.RunMNSA(ctx, s.sess, q, opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -111,17 +106,12 @@ func (s *System) TuneQueryCtx(ctx context.Context, sql string, opts TuneOptions)
 	return rep, nil
 }
 
-// TuneWorkload runs MNSA over every SELECT in the workload, then optionally
-// the Shrinking Set algorithm (opts.Shrink) — the offline policy of §6.
-// Non-SELECT statements are ignored for selection purposes.
-func (s *System) TuneWorkload(sqls []string, opts TuneOptions) (*TuneReport, error) {
-	return s.TuneWorkloadCtx(context.Background(), sqls, opts)
-}
-
-// TuneWorkloadCtx is TuneWorkload honoring cancellation and deadlines: ctx
-// is checked between workload queries, between per-statistic build steps,
-// and through the shrinking phase, so an interrupted run returns promptly
-// with the statistics already built intact.
+// TuneWorkloadCtx runs MNSA over every SELECT in the workload, then
+// optionally the Shrinking Set algorithm (opts.Shrink) — the offline policy
+// of §6. Non-SELECT statements are ignored for selection purposes. ctx is
+// checked between workload queries, between per-statistic build steps, and
+// through the shrinking phase, so an interrupted run returns promptly with
+// the statistics already built intact.
 func (s *System) TuneWorkloadCtx(ctx context.Context, sqls []string, opts TuneOptions) (*TuneReport, error) {
 	queries, err := s.parseQueries(sqls)
 	if err != nil {
@@ -212,19 +202,15 @@ func idsToStrings(ids []stats.ID) []string {
 	return out
 }
 
-// ProcessStatement handles one incoming statement under the on-the-fly
+// ProcessStatementCtx handles one incoming statement under the on-the-fly
 // policy (§6): SELECTs pass through MNSA first, DML executes and
-// periodically triggers the maintenance policy.
-func (s *System) ProcessStatement(sql string) (*QueryResult, error) {
-	return s.ProcessStatementCtx(context.Background(), sql)
-}
-
-// ProcessStatementCtx is ProcessStatement honoring cancellation and
-// deadlines through the MNSA analysis, statistic builds and periodic
-// maintenance. Statements whose statistics cannot be built still execute —
-// on degraded magic-number plans, reported in QueryResult.Degraded — and an
-// executed statement is returned even when the maintenance pass after it
-// fails or is canceled.
+// periodically triggers the maintenance policy. ctx is honored before the
+// statement changes any state, before execution, and through the MNSA
+// analysis, statistic builds and periodic maintenance, so a canceled
+// statement never applies its DML. Statements whose statistics cannot be
+// built still execute — on degraded magic-number plans, reported in
+// QueryResult.Degraded — and an executed statement is returned even when the
+// maintenance pass after it fails or is canceled.
 func (s *System) ProcessStatementCtx(ctx context.Context, sql string) (*QueryResult, error) {
 	stmt, err := sqlparser.Parse(s.db.Schema, sql)
 	if err != nil {
@@ -232,7 +218,7 @@ func (s *System) ProcessStatementCtx(ctx context.Context, sql string) (*QueryRes
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.auto.ProcessStatementCtx(ctx, stmt)
+	res, err := s.auto.ProcessStatement(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -294,23 +280,13 @@ func (s *System) TPCDOrigWorkload() ([]string, error) {
 	return out, nil
 }
 
-// RunMaintenance applies the SQL Server 7.0-style maintenance policy once:
-// refresh statistics on heavily modified tables, drop over-updated
-// drop-listed statistics. Returns (tables refreshed, statistics dropped); use
-// RunMaintenanceCtx for the full report, refresh failures included.
-func (s *System) RunMaintenance() (int, int, error) {
-	rep, err := s.RunMaintenanceCtx(context.Background())
-	if err != nil {
-		return 0, 0, err
-	}
-	return rep.TablesRefreshed, rep.StatsDropped, nil
-}
-
-// RunMaintenanceCtx applies the §6 maintenance policy once, honoring
-// cancellation between tables and statistics, and returns the full report.
-// A table whose refresh fails is recorded in the report's RefreshFailures and
-// retried by the next pass; only cancellation returns an error.
-func (s *System) RunMaintenanceCtx(ctx context.Context) (stats.MaintenanceReport, error) {
+// RunMaintenance applies the SQL Server 7.0-style maintenance policy of §6
+// once: refresh statistics on heavily modified tables, drop over-updated
+// drop-listed statistics. It honors cancellation between tables and
+// statistics and returns the full report. A table whose refresh fails is
+// recorded in the report's RefreshFailures and retried by the next pass;
+// only cancellation returns an error.
+func (s *System) RunMaintenance(ctx context.Context) (stats.MaintenanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mgr.RunMaintenance(ctx, s.auto.Policy)
