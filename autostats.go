@@ -15,7 +15,7 @@
 //   - MNSA/D (§5.1): interleave creation with non-essential detection.
 //   - Shrinking Set (§5.2): reduce to a guaranteed essential set.
 //   - Policies (§6): on-the-fly auto-tuning, offline tuning, drop-lists,
-//     aging, and SQL Server 7.0-style update/drop maintenance.
+//     and SQL Server 7.0-style update/drop maintenance.
 //
 // Quickstart:
 //
@@ -28,7 +28,6 @@ package autostats
 
 import (
 	"context"
-	"io"
 	"math/bits"
 	"strings"
 	"sync"
@@ -62,9 +61,9 @@ import (
 //     and policy state); concurrent callers queue. Each runs on the calling
 //     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
 //     and Explain keep being served against it.
-//   - Configuration methods (SetPlanCacheCapacity, SetAgingWindow, …) follow
-//     the usual configure-then-serve server pattern: call them before the
-//     System is shared across goroutines, not while requests are in flight.
+//   - SetPlanCacheCapacity follows the usual configure-then-serve server
+//     pattern: call it before the System is shared across goroutines, not
+//     while requests are in flight.
 //
 // A statistic that cannot be built never fails a statement or a tuning run:
 // the affected predicates are planned on the paper's default magic numbers
@@ -151,14 +150,6 @@ func (s *System) PlanCacheStats() optimizer.PlanCacheStats {
 // were created). Use it to read counters, take snapshots, or register
 // tracers.
 func (s *System) Obs() *obs.Registry { return s.sess.Obs() }
-
-// WriteMetrics dumps every metric of the system's registry as "name value"
-// text lines — the same format as the CLIs' -metrics flags.
-func (s *System) WriteMetrics(w io.Writer) error { return s.sess.Obs().WriteText(w) }
-
-// AddTracer registers a span-event hook on the system's registry; subsequent
-// tuning, maintenance and optimization spans emit to it.
-func (s *System) AddTracer(t obs.Tracer) { s.sess.Obs().AddTracer(t) }
 
 // Schema returns the underlying schema (read-only use intended).
 func (s *System) Schema() *catalog.Schema { return s.db.Schema }
@@ -367,13 +358,6 @@ func (s *System) CreateStatistic(table string, columns ...string) error {
 // DropStatistic physically removes a statistic.
 func (s *System) DropStatistic(table string, columns ...string) bool {
 	return s.mgr.Drop(stats.MakeID(table, columns))
-}
-
-// SetAgingWindow sets the aging window (§6) in logical ticks: statistics
-// physically dropped within the window are not re-created for inexpensive
-// queries when tuning with UseAging. Zero disables aging.
-func (s *System) SetAgingWindow(ticks int64) {
-	s.mgr.AgingWindow = ticks
 }
 
 // CreateIndexedColumnStats builds single-column statistics on every indexed

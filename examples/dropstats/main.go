@@ -1,8 +1,8 @@
 // Dropstats: the update-sensitive scenario of §5-§6. An update-heavy system
 // cannot afford to maintain every statistic: each refresh rescans the table.
 // MNSA/D detects non-essential statistics while creating them, the offline
-// Shrinking Set pass guarantees an essential set, and the drop-list plus
-// aging keep maintenance cost down without hurting plans.
+// Shrinking Set pass guarantees an essential set, and the drop-list keeps
+// maintenance cost down without hurting plans.
 //
 //	go run ./examples/dropstats
 package main
@@ -41,7 +41,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	drop.SetAgingWindow(500) // dampen re-creation of recently dropped stats
 	rep, err := drop.TuneWorkloadCtx(ctx, stream, autostats.TuneOptions{Drop: true, Shrink: true})
 	if err != nil {
 		log.Fatal(err)

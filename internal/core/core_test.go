@@ -365,47 +365,6 @@ func TestWorkloadDropListDelta(t *testing.T) {
 	}
 }
 
-// TestAgingSkipAvoidsWastedReoptimize: when aging suppresses every candidate,
-// MNSA must terminate after the initial plan and one extremes test (3 calls)
-// instead of burning a re-optimization per suppressed unit.
-func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
-	db := testDB(t, 2)
-	sess := newSession(t, db)
-	mgr := sess.Manager()
-	mgr.AgingWindow = 1000
-
-	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
-	cfg := DefaultConfig()
-	res, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range res.Created {
-		mgr.Drop(id)
-	}
-
-	cfg.UseAging = true
-	cfg.AgingCostThreshold = 1e18
-	res2, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Created) != 0 || len(res2.AgeSkipped) == 0 {
-		t.Fatalf("setup: aging should suppress all creation: %+v", res2)
-	}
-	if res2.TerminatedBy != TermNoCandidates {
-		t.Errorf("terminated by %s, want %s", res2.TerminatedBy, TermNoCandidates)
-	}
-	// 1 initial optimization + 2 extreme plans; no re-optimizations for
-	// units that built nothing.
-	if res2.OptimizerCalls != 3 {
-		t.Errorf("OptimizerCalls = %d, want 3 (no wasted re-optimizations)", res2.OptimizerCalls)
-	}
-	if res2.Iterations != 1 {
-		t.Errorf("Iterations = %d, want 1 (extremes tested once)", res2.Iterations)
-	}
-}
-
 // execQueries optimizes and executes all queries, returning total cost.
 func execQueries(t testing.TB, db *storage.Database, sess *optimizer.Session, queries []*querySelect) float64 {
 	t.Helper()

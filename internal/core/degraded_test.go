@@ -87,7 +87,9 @@ func TestWorkloadPreCanceled(t *testing.T) {
 // TestMNSADegradedTolerant: with every build failing, MNSA under the default
 // configuration must finish (not error), report every wanted build as a
 // failure with its cause, and mark the session degraded; cancellation still
-// aborts it.
+// aborts it. A unit that builds nothing leaves the plan as it was, so the
+// run must not re-optimize for it: it ends after the initial plan and one
+// extremes test (3 calls) by candidate exhaustion.
 func TestMNSADegradedTolerant(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
@@ -111,6 +113,10 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	}
 	if len(res.Created) != 0 {
 		t.Errorf("nothing could be built, yet Created = %v", res.Created)
+	}
+	if res.OptimizerCalls != 3 || res.Iterations != 1 || res.TerminatedBy != TermNoCandidates {
+		t.Errorf("optimizer calls / iterations / termination = %d / %d / %s, want 3 / 1 / %s",
+			res.OptimizerCalls, res.Iterations, res.TerminatedBy, TermNoCandidates)
 	}
 	if reasons := sess.DegradedReasons(); len(reasons) == 0 {
 		t.Error("session not marked degraded")

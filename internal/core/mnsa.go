@@ -24,23 +24,12 @@ type Config struct {
 	// (CandidateStats by default; SingleColumnCandidates or ExhaustiveStats
 	// for the experiment variants).
 	CandidateFn func(*query.Select) []Candidate
-	// MinTableRows, when positive, creates candidates on tables of at most
-	// this many rows without sensitivity analysis (§4.3: "creating
-	// candidate statistics on small tables is inexpensive, [so] MNSA can be
-	// augmented with a threshold").
-	MinTableRows int
 	// Drop enables MNSA/D: after each statistic is created, if the plan is
 	// unchanged the statistic is heuristically drop-listed.
 	Drop bool
 	// DropEquivalence decides "unchanged" for MNSA/D (execution-tree by
 	// default).
 	DropEquivalence Equivalence
-	// UseAging dampens re-creation of recently dropped statistics (§6)
-	// unless the query's default plan cost exceeds AgingCostThreshold.
-	UseAging bool
-	// AgingCostThreshold exempts expensive queries from aging damping so
-	// their optimization is not adversely affected (§6).
-	AgingCostThreshold float64
 	// NextStatFn overrides the next-statistic heuristic (§4.2's
 	// most-expensive-operator rule by default). Used by ablation benches.
 	NextStatFn NextStatFunc
@@ -60,7 +49,6 @@ type mnsaMetrics struct {
 	optimizerCalls *obs.Counter
 	extremeReopts  *obs.Counter
 	tequivChecks   *obs.Counter
-	ageSkips       *obs.Counter
 	droplistAdds   *obs.Counter
 	resurrections  *obs.Counter
 	buildFailures  *obs.Counter
@@ -75,7 +63,6 @@ func newMNSAMetrics(reg *obs.Registry) mnsaMetrics {
 		optimizerCalls: reg.Counter("mnsa.optimizer_calls"),
 		extremeReopts:  reg.Counter("mnsa.extreme_reopts"),
 		tequivChecks:   reg.Counter("mnsa.tequiv.checks"),
-		ageSkips:       reg.Counter("mnsa.age_skips"),
 		droplistAdds:   reg.Counter("mnsa.droplist.adds"),
 		resurrections:  reg.Counter("mnsa.resurrections"),
 		buildFailures:  reg.Counter("mnsa.build_failures"),
@@ -115,8 +102,6 @@ type Result struct {
 	Created []stats.ID
 	// DropListed lists statistics MNSA/D identified as non-essential.
 	DropListed []stats.ID
-	// AgeSkipped lists candidates whose creation aging suppressed.
-	AgeSkipped []stats.ID
 	// Resurrected lists drop-listed statistics found load-bearing for this
 	// query's final plan and removed from the drop-list (§5: "if the
 	// statistic s is subsequently found to be useful for another query ...
@@ -214,33 +199,10 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 		return true, nil
 	}
 
-	// consumed tracks candidates no longer available this run (built,
-	// age-skipped, or already existing).
+	// consumed tracks candidates no longer available this run (picked
+	// once, whether built, already existing, or failed).
 	cands := cfg.CandidateFn(q)
 	consumed := make(map[stats.ID]bool, len(cands))
-
-	// Small-table shortcut: build those candidates outright.
-	if cfg.MinTableRows > 0 {
-		for _, c := range cands {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			td, err := mgr.Database().Table(c.Table)
-			if err != nil {
-				return nil, err
-			}
-			if td.RowCount() <= cfg.MinTableRows && !mgr.Has(c.ID()) {
-				ok, err := ensure(c)
-				if err != nil {
-					return nil, err
-				}
-				consumed[c.ID()] = true
-				if ok {
-					res.Created = append(res.Created, c.ID())
-				}
-			}
-		}
-	}
 
 	sess.ClearOverrides()
 	defer sess.ClearOverrides()
@@ -338,7 +300,7 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 			nextFn = findNextStatToBuild
 		}
 		// Step 10: build the unit (a single statistic, or a dependent pair
-		// for join columns). When aging suppresses the entire unit nothing
+		// for join columns). When every build of the unit fails nothing
 		// changed — the plan, the missing variables and the extremes are all
 		// as before — so re-optimizing would waste a call and re-testing the
 		// extremes would loop forever on the same answer; instead keep
@@ -352,11 +314,6 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 			}
 			for _, c := range unit {
 				consumed[c.ID()] = true
-				if cfg.UseAging && mgr.RecentlyDropped(c.ID()) && p.Cost() <= cfg.AgingCostThreshold {
-					res.AgeSkipped = append(res.AgeSkipped, c.ID())
-					met.ageSkips.Inc()
-					continue
-				}
 				ok, err := ensure(c)
 				if err != nil {
 					return nil, err

@@ -160,76 +160,6 @@ func TestOfflineTune(t *testing.T) {
 	}
 }
 
-// TestMNSAAgingDampens: a recently dropped statistic is not re-created for a
-// cheap query, but an expensive query overrides aging (§6).
-func TestMNSAAgingDampens(t *testing.T) {
-	db := testDB(t, 2)
-	sess := newSession(t, db)
-	mgr := sess.Manager()
-	mgr.AgingWindow = 1000
-
-	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
-	cfg := DefaultConfig()
-	res, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Created) == 0 {
-		t.Fatal("setup: nothing created")
-	}
-	// Physically drop everything that was created.
-	for _, id := range res.Created {
-		mgr.Drop(id)
-	}
-	// With aging enabled and a sky-high cost threshold, re-tuning must skip
-	// re-creation.
-	cfg.UseAging = true
-	cfg.AgingCostThreshold = 1e18
-	res2, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Created) != 0 {
-		t.Errorf("aging should dampen re-creation; created %v", res2.Created)
-	}
-	if len(res2.AgeSkipped) == 0 {
-		t.Error("expected age-skipped candidates")
-	}
-	// An expensive query (threshold 0 → every query counts as expensive)
-	// overrides aging.
-	cfg.AgingCostThreshold = 0
-	res3, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res3.Created) == 0 {
-		t.Error("expensive query must bypass aging damping")
-	}
-}
-
-// TestMNSASmallTableShortcut: §4.3's threshold — candidates on small tables
-// are created without analysis.
-func TestMNSASmallTableShortcut(t *testing.T) {
-	db := testDB(t, 0)
-	sess := newSession(t, db)
-	q := mustParse(t, db, "SELECT * FROM region WHERE r_name = 'ASIA'")
-	cfg := DefaultConfig()
-	cfg.MinTableRows = 100 // region has 5 rows
-	res, err := RunMNSA(context.Background(), sess, q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, id := range res.Created {
-		if id == "region(r_name)" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("small-table candidate not auto-created: %v", res.Created)
-	}
-}
-
 // TestMNSADResurrection: a statistic wrongly drop-listed for one query is
 // rescued when a later query's plan depends on it (§5).
 func TestMNSADResurrection(t *testing.T) {

@@ -9,29 +9,23 @@
 // asserts this.
 package optimizer
 
-// MagicNumbers are the system-wide default selectivities used when no
-// statistics are available for a predicate (§4.1: "Magic numbers are system
-// wide constants between 0 and 1 that are predetermined for various kinds of
-// predicates"). The defaults mirror classic System-R-descended optimizers:
-// 0.30 for a range predicate (the value the paper quotes), 0.10 for
-// equality.
-type MagicNumbers struct {
-	// Eq is the default selectivity of an equality predicate (col = const).
-	Eq float64
-	// Range is the default selectivity of an inequality predicate
+// The magic numbers: the default selectivities used when no statistics are
+// available for a predicate (§4.1: "Magic numbers are system wide constants
+// between 0 and 1 that are predetermined for various kinds of predicates").
+// The values mirror classic System-R-descended optimizers: 0.30 for a range
+// predicate (the value the paper quotes), 0.10 for equality.
+const (
+	// magicEq is the selectivity of an equality predicate (col = const).
+	magicEq = 0.10
+	// magicRange is the selectivity of an inequality predicate
 	// (col < const etc.).
-	Range float64
-	// Ne is the default selectivity of a non-equality predicate.
-	Ne float64
-	// Join is the default selectivity of an equi-join predicate when either
+	magicRange = 0.30
+	// magicNe is the selectivity of a non-equality predicate.
+	magicNe = 0.90
+	// magicJoin is the selectivity of an equi-join predicate when either
 	// side lacks statistics.
-	Join float64
-	// GroupFrac is the default distinct-value fraction for a GROUP BY /
-	// SELECT DISTINCT clause (§4.1's aggregation selectivity variable).
-	GroupFrac float64
-}
-
-// DefaultMagicNumbers returns the stock configuration.
-func DefaultMagicNumbers() MagicNumbers {
-	return MagicNumbers{Eq: 0.10, Range: 0.30, Ne: 0.90, Join: 0.10, GroupFrac: 0.10}
-}
+	magicJoin = 0.10
+	// magicGroupFrac is the distinct-value fraction of a GROUP BY / SELECT
+	// DISTINCT clause (§4.1's aggregation selectivity variable).
+	magicGroupFrac = 0.10
+)

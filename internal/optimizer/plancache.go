@@ -17,19 +17,18 @@ const maxCachedParams = 16
 
 // bucketMissing marks a lifted constant whose predicate has no statistic: its
 // selectivity is a magic number, which does not depend on the constant's
-// value, so every such constant shares one bucket (the magic numbers are a
-// separate key field).
+// value, so every such constant shares one bucket.
 const bucketMissing = int8(127)
 
 // planKey identifies a cached plan. Two optimizations may share a plan only
 // when every input the cost model reads is identical up to constant lifting:
 // the statement template (the canonical SQL print with comparison constants
 // replaced by '?'), the per-constant selectivity buckets, the statistics
-// epoch (bumped by every create/drop/refresh/drop-list change), the storage
-// data version (bumped by every DML row change) and the magic numbers. A
-// session's what-if state — ignore buffer, selectivity overrides,
-// degraded reasons — is deliberately not in the key: Session.Optimize never
-// looks up or publishes while any of it is set.
+// epoch (bumped by every create/drop/refresh/drop-list change) and the
+// storage data version (bumped by every DML row change). A session's what-if
+// state — ignore buffer, selectivity overrides, degraded reasons — is
+// deliberately not in the key: Session.Optimize never looks up or publishes
+// while any of it is set.
 //
 // The bucket vector is what makes constant lifting safe: a constant whose
 // estimated selectivity lands in a different power-of-two regime gets a
@@ -41,7 +40,6 @@ type planKey struct {
 	buckets     [maxCachedParams]int8 // slots past len(Filters) stay zero
 	epoch       uint64
 	dataVersion int64
-	magic       MagicNumbers
 }
 
 // PlanCacheStats is a point-in-time snapshot of cache effectiveness counters.
@@ -64,9 +62,8 @@ func (s PlanCacheStats) HitRate() float64 {
 
 // PlanCache is a concurrency-safe LRU cache of optimized plans: one mutex over
 // one map and one recency list, so capacity and eviction order are exact at
-// every size. It is shared by all sessions cloned from one System: the key
-// embeds the magic numbers, so sessions with different settings never
-// collide, while workers running the same workload share hits. The lock
+// every size. It is shared by all sessions cloned from one System, so
+// workers running the same workload share hits. The lock
 // covers a map lookup and a list splice — rebinding a hit to new constants
 // happens outside it — and 8 goroutines hammering 30 cached statements on two
 // CPUs measured no faster through 8 hashed shards than through this one lock.
@@ -272,6 +269,5 @@ func (s *Session) cacheKey(template string, buckets [maxCachedParams]int8) planK
 		buckets:     buckets,
 		epoch:       s.prov.Epoch(),
 		dataVersion: s.prov.Database().DataVersion(),
-		magic:       s.Magic,
 	}
 }

@@ -134,21 +134,14 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 	}
 	sess.ClearOverrides()
 	sess.ClearIgnored()
-	// Magic numbers are part of the cache key.
-	orig := sess.Magic
-	sess.Magic.Range = 0.5
-	p5, _ := sess.Optimize(q)
-	if p5 == p1 {
-		t.Error("magic numbers must be part of the cache key")
+	// With the what-if state cleared, the session is back on the production
+	// path and hits the original entry.
+	p4, _ := sess.Optimize(q)
+	if p4 != p1 {
+		t.Error("clearing the what-if state should hit the original cache entry")
 	}
-	// Restoring the original knobs hits the original entry.
-	sess.Magic = orig
-	p6, _ := sess.Optimize(q)
-	if p6 != p1 {
-		t.Error("restoring session knobs should hit the original cache entry")
-	}
-	if st := c.Stats(); st.Hits < 1 {
-		t.Errorf("expected the restored-knobs lookup to hit: %+v", st)
+	if st := c.Stats(); st.Hits != 1 {
+		t.Errorf("expected the cleared-state lookup to hit: %+v", st)
 	}
 }
 

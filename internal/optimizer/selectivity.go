@@ -89,14 +89,13 @@ func (e *estimator) filterSel(f query.Filter) float64 {
 	if ov, ok := e.sess.overrides[f.VarID]; ok {
 		return clampSel(ov)
 	}
-	m := e.sess.Magic
 	switch {
 	case f.Op == query.Eq:
-		return m.Eq
+		return magicEq
 	case f.Op == query.Ne:
-		return m.Ne
+		return magicNe
 	default:
-		return m.Range
+		return magicRange
 	}
 }
 
@@ -221,7 +220,7 @@ func (e *estimator) joinSelUncached(j query.JoinPred) float64 {
 	if ov, ok := e.sess.overrides[j.VarID]; ok {
 		return clampSel(ov)
 	}
-	return e.sess.Magic.Join
+	return magicJoin
 }
 
 // joinGroupSel estimates the combined selectivity of all join predicates
@@ -344,7 +343,7 @@ func (e *estimator) groupCount(inputRows float64) float64 {
 			return g
 		}
 	}
-	g := e.sess.Magic.GroupFrac * inputRows
+	g := magicGroupFrac * inputRows
 	if g < 1 {
 		g = 1
 	}

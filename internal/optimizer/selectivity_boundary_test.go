@@ -166,7 +166,7 @@ func TestSelectivityIgnoredStatFallsBackToMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := filterRows(t, sess, query.Eq, 3)
-	want := 100 * sess.Magic.Eq
+	want := 100 * magicEq
 	if got != want {
 		t.Errorf("ignored stat: estimated %v rows, want magic-number estimate %v", got, want)
 	}

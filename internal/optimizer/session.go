@@ -27,8 +27,7 @@ type Session struct {
 	// prov is the statistics view every estimator read goes through. It
 	// defaults to mgr; SetStatsProvider substitutes a wrapper (fault
 	// injection, tracing) without touching the manager used for mutations.
-	prov  stats.Provider
-	Magic MagicNumbers
+	prov stats.Provider
 
 	// ignored and overrides are the what-if buffers. While either is
 	// non-empty Optimize bypasses the plan cache in both directions, which is
@@ -77,13 +76,11 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 	}
 }
 
-// NewSession creates a session over the given statistics manager with
-// default magic numbers.
+// NewSession creates a session over the given statistics manager.
 func NewSession(mgr *stats.Manager) *Session {
 	return &Session{
 		mgr:       mgr,
 		prov:      mgr,
-		Magic:     DefaultMagicNumbers(),
 		ignored:   make(map[stats.ID]bool),
 		overrides: make(map[int]float64),
 		met:       newSessionMetrics(mgr.ObsRegistry()),
@@ -111,21 +108,20 @@ func (s *Session) SetStatsProvider(p stats.Provider) {
 func (s *Session) Obs() *obs.Registry { return s.met.reg }
 
 // SetPlanCache attaches a plan cache (nil detaches). Shared caches are safe:
-// the cache key embeds the magic numbers, and a session holding what-if state
-// (ignore buffer, overrides, degraded reasons) does not touch the cache.
+// a session holding what-if state (ignore buffer, overrides, degraded
+// reasons) does not touch the cache.
 func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
 
 // PlanCache returns the attached plan cache, or nil.
 func (s *Session) PlanCache() *PlanCache { return s.cache }
 
 // Clone returns an independent session for use by another goroutine: same
-// manager, magic numbers and (shared, thread-safe) plan cache, but fresh
+// manager and (shared, thread-safe) plan cache, but fresh
 // ignore and override buffers so the clones cannot interfere.
 func (s *Session) Clone() *Session {
 	return &Session{
 		mgr:       s.mgr,
 		prov:      s.prov,
-		Magic:     s.Magic,
 		ignored:   make(map[stats.ID]bool),
 		overrides: make(map[int]float64),
 		cache:     s.cache,

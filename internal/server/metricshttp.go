@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"time"
 
 	"autostats/internal/obs"
 )
@@ -74,10 +75,23 @@ func OpsHandler(reg *obs.Registry, ready func() bool) http.Handler {
 	return mux
 }
 
+// The ops listener's deadlines, the HTTP counterpart of the daemon's
+// ReadTimeout: a peer that stalls mid-header is closed after
+// opsReadHeaderTimeout, and an idle keep-alive connection after
+// opsIdleTimeout. opsReadHeaderTimeout is a variable only so tests can
+// shorten it.
+var opsReadHeaderTimeout = 10 * time.Second
+
+const opsIdleTimeout = 2 * time.Minute
+
 // ServeOps starts an HTTP server for the ops surface (metrics + health
 // probes) on addr and returns its bound address and a shutdown func.
 func ServeOps(addr string, reg *obs.Registry, ready func() bool) (string, func() error, error) {
-	srv := &http.Server{Handler: OpsHandler(reg, ready)}
+	srv := &http.Server{
+		Handler:           OpsHandler(reg, ready),
+		ReadHeaderTimeout: opsReadHeaderTimeout,
+		IdleTimeout:       opsIdleTimeout,
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

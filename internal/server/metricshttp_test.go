@@ -2,6 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,5 +94,32 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestServeOpsClosesStalledHeader: a peer that sends part of a request
+// header and then stalls is closed by the ops listener once the header
+// deadline passes, instead of holding the connection open indefinitely.
+func TestServeOpsClosesStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { opsReadHeaderTimeout = d }(opsReadHeaderTimeout)
+	opsReadHeaderTimeout = 100 * time.Millisecond
+	addr, stop, err := ServeOps("127.0.0.1:0", metricsRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection with a stalled header still open after 5s")
 	}
 }

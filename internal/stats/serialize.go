@@ -158,8 +158,7 @@ func (m *Manager) Load(r io.Reader) error {
 			s.CreatedAt, s.UpdatedAt = now, now
 		}
 	}
-	v := m.cur.Load()
-	next.epoch, next.droppedAt = v.epoch+1, v.droppedAt
+	next.epoch = m.cur.Load().epoch + 1
 	m.publish(next, met)
 	return nil
 }

@@ -1,11 +1,11 @@
 // Package stats implements the statistics manager: creation, update and
 // deletion of single- and multi-column statistics over a storage.Database,
-// the drop-list of §5, the aging mechanism of §6, and the SQL Server 7.0
-// auto-update/auto-drop maintenance policy the paper extends.
+// the drop-list of §5, and the SQL Server 7.0 auto-update/auto-drop
+// maintenance policy the paper extends.
 //
 // Concurrency model: a Manager is safe for concurrent use. The whole catalog
-// — epoch, statistics grouped by table, drop times — is one immutable
-// version published through one atomic pointer. Readers (Epoch, Get, All,
+// — epoch and statistics grouped by table — is one immutable version
+// published through one atomic pointer. Readers (Epoch, Get, All,
 // StatsForColumn, ...) load the pointer and take no lock, so they never
 // wait on a build. Every mutator (Create/Drop/Refresh/drop-list
 // changes/Load) takes the one writer mutex, holds it across the build,
@@ -105,9 +105,6 @@ type version struct {
 	// predicate column of every optimizer call and must not walk the
 	// statistics of the other tables.
 	byTable map[string][]*Statistic
-	// droppedAt records logical drop times of physically dropped statistics,
-	// feeding the aging policy (§6).
-	droppedAt map[ID]int64
 }
 
 // locate returns the group of id's table and id's index in it — or, when
@@ -148,12 +145,6 @@ type Manager struct {
 
 	// clock is the logical clock.
 	clock atomic.Int64
-
-	// AgingWindow is the number of logical ticks during which a recently
-	// dropped statistic is considered "aged" and should not be re-created
-	// for cheap queries. Zero disables aging. Set it before sharing the
-	// manager across goroutines.
-	AgingWindow int64
 
 	// cfgMu guards the reconfigurable collaborators below. It is a leaf
 	// lock.
@@ -417,7 +408,8 @@ func lowerAll(cols []string) []string {
 	return out
 }
 
-// Drop physically removes a statistic and records the drop time for aging.
+// Drop physically removes a statistic. It ticks the logical clock, so a
+// statistic built afterwards is stamped later than the drop.
 func (m *Manager) Drop(id ID) bool {
 	met := m.metrics()
 	m.mu.Lock()
@@ -427,12 +419,9 @@ func (m *Manager) Drop(id ID) bool {
 	if !ok {
 		return false
 	}
-	next := v.withGroup(id.Table(), slices.Delete(slices.Clone(group), i, i+1))
-	next.droppedAt = make(map[ID]int64, len(v.droppedAt)+1)
-	maps.Copy(next.droppedAt, v.droppedAt)
-	next.droppedAt[id] = m.clock.Add(1)
+	m.clock.Add(1)
 	met.drops.Inc()
-	m.publish(next, met)
+	m.publish(v.withGroup(id.Table(), slices.Delete(slices.Clone(group), i, i+1)), met)
 	return true
 }
 
@@ -478,17 +467,6 @@ func (m *Manager) RemoveFromDropList(id ID) bool {
 	defer m.mu.Unlock()
 	s, _ := m.setDropListed(id, false, met)
 	return s != nil
-}
-
-// RecentlyDropped reports whether the statistic was physically dropped
-// within the aging window, in which case re-creation should be dampened for
-// inexpensive queries (§6).
-func (m *Manager) RecentlyDropped(id ID) bool {
-	if m.AgingWindow <= 0 {
-		return false
-	}
-	at, ok := m.cur.Load().droppedAt[id]
-	return ok && m.clock.Load()-at < m.AgingWindow
 }
 
 // Refresh rebuilds an existing statistic from current data, charging its
@@ -647,7 +625,7 @@ func (m *Manager) ResetAccounting() {
 	m.acct = Accounting{}
 }
 
-// dropAll removes every statistic without recording aging drops — the
+// dropAll removes every statistic without ticking the clock — the
 // wholesale reset of the package's tests.
 func (m *Manager) dropAll() {
 	met := m.metrics()

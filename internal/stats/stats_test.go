@@ -72,6 +72,15 @@ func TestCreateGetDrop(t *testing.T) {
 	if m.Has(st.ID) || m.Drop(st.ID) {
 		t.Error("statistic survived drop")
 	}
+	// A drop ticks the logical clock, so a statistic built afterwards is
+	// stamped later than the drop.
+	re, err := m.Create("t", []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.CreatedAt != st.CreatedAt+2 {
+		t.Errorf("re-created at tick %d, want %d (create, drop, create)", re.CreatedAt, st.CreatedAt+2)
+	}
 }
 
 func TestDropListLifecycle(t *testing.T) {
@@ -103,27 +112,6 @@ func TestDropListLifecycle(t *testing.T) {
 	}
 	if m.AddToDropList(ID("t(zzz)")) {
 		t.Error("AddToDropList on unknown should fail")
-	}
-}
-
-func TestAging(t *testing.T) {
-	m := NewManager(testDB(t), histogram.MaxDiff, 0)
-	m.AgingWindow = 10
-	st, _ := m.Create("t", []string{"a"})
-	m.Drop(st.ID)
-	if !m.RecentlyDropped(st.ID) {
-		t.Error("freshly dropped statistic should be aged")
-	}
-	for i := 0; i < 11; i++ {
-		m.Tick()
-	}
-	if m.RecentlyDropped(st.ID) {
-		t.Error("aging window should have expired")
-	}
-	m.AgingWindow = 0
-	m.Drop(st.ID)
-	if m.RecentlyDropped(st.ID) {
-		t.Error("aging disabled should never report recently dropped")
 	}
 }
 

@@ -20,8 +20,6 @@ type TuneOptions struct {
 	Epsilon float64
 	// SingleColumnOnly restricts candidates to single-column statistics.
 	SingleColumnOnly bool
-	// Exhaustive uses the exhaustive candidate space (baseline; expensive).
-	Exhaustive bool
 	// Drop enables MNSA/D: detect non-essential statistics during creation
 	// and place them on the drop-list.
 	Drop bool
@@ -29,11 +27,6 @@ type TuneOptions struct {
 	// everything outside the resulting essential set (the offline policy of
 	// §6).
 	Shrink bool
-	// SmallTableRows creates candidates on tables at or below this size
-	// without sensitivity analysis (§4.3's threshold augmentation).
-	SmallTableRows int
-	// UseAging dampens re-creation of recently dropped statistics (§6).
-	UseAging bool
 }
 
 func (o TuneOptions) config() core.Config {
@@ -44,15 +37,10 @@ func (o TuneOptions) config() core.Config {
 	if o.Epsilon > 0 {
 		cfg.Epsilon = o.Epsilon
 	}
-	switch {
-	case o.Exhaustive:
-		cfg.CandidateFn = core.ExhaustiveStats
-	case o.SingleColumnOnly:
+	if o.SingleColumnOnly {
 		cfg.CandidateFn = core.SingleColumnCandidates
 	}
 	cfg.Drop = o.Drop
-	cfg.MinTableRows = o.SmallTableRows
-	cfg.UseAging = o.UseAging
 	return cfg
 }
 
