@@ -39,6 +39,7 @@ import (
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
+	"autostats/internal/protocol"
 	"autostats/internal/query"
 	"autostats/internal/sqlparser"
 	"autostats/internal/stats"
@@ -154,30 +155,10 @@ func (s *System) Obs() *obs.Registry { return s.sess.Obs() }
 // Schema returns the underlying schema (read-only use intended).
 func (s *System) Schema() *catalog.Schema { return s.db.Schema }
 
-// QueryResult is the outcome of executing one SQL statement.
-type QueryResult struct {
-	// Columns names the output columns ("table.column"), in position order.
-	Columns []string
-	// Rows holds the output values rendered as SQL literals. The cells of
-	// one result are substrings of one backing string and the rows are
-	// capped windows of one []string: appending to a row copies it, and a
-	// cell kept beyond the result should be strings.Clone'd, or it keeps
-	// the whole result's text reachable.
-	Rows [][]string
-	// ExecCost is the execution cost in deterministic work units.
-	ExecCost float64
-	// EstimatedCost is the optimizer's estimate (0 for DML).
-	EstimatedCost float64
-	// Plan is the executed plan, pretty-printed (empty for DML).
-	Plan string
-	// Affected counts DML-affected rows.
-	Affected int
-	// Degraded lists the degraded-mode reasons when the statement was
-	// planned without statistics the analysis wanted (their builds failed);
-	// empty for healthy plans. The results themselves are exact — only the
-	// plan choice leaned on default magic numbers.
-	Degraded []string
-}
+// QueryResult is the outcome of executing one SQL statement. It is the wire's
+// exec answer (see protocol.ExecResult for the fields), so the server sends
+// what Exec returns without a copy.
+type QueryResult = protocol.ExecResult
 
 // Exec parses, optimizes and executes one SQL statement. Safe for concurrent
 // use: each call optimizes on a pooled session clone over the shared plan
@@ -319,17 +300,9 @@ func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	return plan.Format(), nil
 }
 
-// StatInfo describes one existing statistic.
-type StatInfo struct {
-	ID         string
-	Table      string
-	Columns    []string
-	Rows       int64
-	Distinct   int64
-	Buckets    int
-	InDropList bool
-	Updates    int
-}
+// StatInfo describes one existing statistic. It is the wire's stats row
+// (protocol.StatRow).
+type StatInfo = protocol.StatRow
 
 // Statistics lists all existing statistics in ID order.
 func (s *System) Statistics() []StatInfo {

@@ -10,13 +10,20 @@
 // next call redials, up to five connect attempts spaced 10, 20, 40 and 80 ms
 // apart, before giving up.
 //
+// Frames are read with protocol.FrameReader, the server's reader too, and
+// capped in both directions at the frame size the server announces in its
+// hello. A request that cannot be encoded (a NaN knob, a frame over that cap)
+// fails alone with the encoder's error; it never reached the wire, so the
+// connection and the calls pipelined on it are untouched. Results are the
+// wire's messages, which are also the facade's types: an Exec answer is the
+// autostats.QueryResult the same statement returns in-process.
+//
 // Server backpressure surfaces as errors the caller can classify:
 // errors.Is(err, protocol.ErrOverloaded) for admission-control fast-fails
 // and errors.Is(err, protocol.ErrDraining) for a server shutting down.
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -56,8 +63,6 @@ type Options struct {
 	// RequestTimeout, when > 0, bounds every call whose context carries no
 	// deadline of its own. A caller-supplied deadline always wins.
 	RequestTimeout time.Duration
-	// MaxFrame caps frames in both directions (default protocol.DefaultMaxFrame).
-	MaxFrame int
 }
 
 // redialBackoff is the pause before each connect attempt after the first, so
@@ -72,9 +77,6 @@ func (o *Options) fill() {
 	}
 	if o.HelloTimeout <= 0 {
 		o.HelloTimeout = o.DialTimeout
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = protocol.DefaultMaxFrame
 	}
 }
 
@@ -97,11 +99,12 @@ type Client struct {
 
 // liveConn is one established connection generation: writes serialize on
 // wmu; the reader goroutine owns the read side and fails all pending waiters
-// when the connection dies.
+// when the connection dies. Frames in both directions are capped at the
+// maxFrame the server announced in its hello.
 type liveConn struct {
-	nc  net.Conn
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	nc       net.Conn
+	maxFrame int
+	wmu      sync.Mutex
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *protocol.Response
@@ -175,46 +178,55 @@ func (c *Client) dialOnce(ctx context.Context) (*liveConn, *protocol.HelloResult
 	if err != nil {
 		return nil, nil, err
 	}
-	lc := &liveConn{
-		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 16<<10),
-		pending: make(map[uint64]chan *protocol.Response),
-		dead:    make(chan struct{}),
-	}
 	// Synchronous hello before the reader starts: a version-mismatched or
 	// impostor server fails Dial, not the first real call. The deadline is
-	// what bounds the handshake against an accept-and-stall listener.
+	// what bounds the handshake against an accept-and-stall listener. The
+	// server's frame cap is unknown until its hello arrives, so the hello
+	// exchange itself is held to DefaultMaxFrame.
 	hreq := &protocol.Request{ID: c.nextID.Add(1), Op: protocol.OpHello,
 		Version: protocol.Version, Tenant: c.opts.Tenant}
 	nc.SetDeadline(time.Now().Add(c.opts.HelloTimeout))
-	if err := protocol.WriteFrame(nc, hreq, c.opts.MaxFrame); err != nil {
-		nc.Close()
-		return nil, nil, fmt.Errorf("hello: %w", err)
+	frame, err := protocol.EncodeFrame(hreq, protocol.DefaultMaxFrame)
+	if err == nil {
+		_, err = nc.Write(frame)
 	}
-	hresp, err := protocol.ReadResponse(nc, c.opts.MaxFrame)
+	var hresp *protocol.Response
+	if err == nil {
+		var payload []byte
+		if payload, err = protocol.NewFrameReader(nc, protocol.DefaultMaxFrame).Next(); err == nil {
+			hresp, err = protocol.DecodeResponse(payload)
+		}
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("hello: %w", err)
+	case hresp.Err() != nil:
+		err = fmt.Errorf("hello rejected: %w", hresp.Err())
+	case hresp.Hello == nil:
+		err = errors.New("hello response missing handshake")
+	}
 	if err != nil {
 		nc.Close()
-		return nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	if err := hresp.Err(); err != nil {
-		nc.Close()
-		return nil, nil, fmt.Errorf("hello rejected: %w", err)
-	}
-	if hresp.Hello == nil {
-		nc.Close()
-		return nil, nil, errors.New("hello response missing handshake")
+		return nil, nil, err
 	}
 	nc.SetDeadline(time.Time{})
-	go lc.readLoop(c.opts.MaxFrame)
+	lc := &liveConn{
+		nc:       nc,
+		maxFrame: hresp.Hello.MaxFrame,
+		pending:  make(map[uint64]chan *protocol.Response),
+		dead:     make(chan struct{}),
+	}
+	// The server sends nothing before the next request, so the hello's
+	// reader had nothing buffered past the hello for this one to miss.
+	go lc.readLoop(protocol.NewFrameReader(nc, lc.maxFrame))
 	return lc, hresp.Hello, nil
 }
 
 // readLoop pairs responses to waiters by ID until the connection dies.
-func (lc *liveConn) readLoop(maxFrame int) {
-	fr := frameReader{r: lc.nc, maxFrame: maxFrame}
+func (lc *liveConn) readLoop(fr *protocol.FrameReader) {
 	for {
 		var resp *protocol.Response
-		payload, err := fr.next()
+		payload, err := fr.Next()
 		if err == nil {
 			// DecodeResponse copies what it keeps, so the next frame may
 			// overwrite payload.
@@ -233,59 +245,6 @@ func (lc *liveConn) readLoop(maxFrame int) {
 		lc.pmu.Unlock()
 		if ch != nil {
 			ch <- resp // buffered; never blocks
-		}
-	}
-}
-
-// The reader's buffer starts at readBuf bytes and doubles until the frame in
-// hand fits; one grown past keepReadBuf is dropped once it is empty, so a
-// single 4 MiB answer does not pin megabytes for the life of the connection.
-const (
-	readBuf     = 16 << 10
-	keepReadBuf = 256 << 10
-)
-
-// frameReader reads frames from r into one buffer that it owns and reuses.
-// A payload returned by next aliases that buffer: it is valid until the
-// following call and no longer.
-type frameReader struct {
-	r        io.Reader
-	maxFrame int
-	buf      []byte
-	lo, hi   int // buf[lo:hi] is read and not yet consumed
-}
-
-// next returns the payload of the next frame. protocol.DecodeFrame is the one
-// place a length prefix is judged: it rejects a length above maxFrame as
-// soon as the four header bytes are in, before the buffer grows or another
-// byte of that frame is read, and asks for more with ErrShortFrame. A clean
-// EOF between frames is io.EOF; one inside a frame is io.ErrUnexpectedEOF.
-func (fr *frameReader) next() ([]byte, error) {
-	for {
-		payload, rest, err := protocol.DecodeFrame(fr.buf[fr.lo:fr.hi], fr.maxFrame)
-		if err == nil {
-			fr.lo = fr.hi - len(rest)
-			return payload, nil
-		}
-		if !errors.Is(err, protocol.ErrShortFrame) {
-			return nil, err
-		}
-		switch {
-		case fr.lo == fr.hi && (fr.buf == nil || len(fr.buf) > keepReadBuf):
-			fr.buf, fr.lo, fr.hi = make([]byte, readBuf), 0, 0
-		case fr.lo > 0: // move the partial frame to the front
-			fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
-			fr.lo = 0
-		case fr.hi == len(fr.buf):
-			fr.buf = append(fr.buf, make([]byte, len(fr.buf))...)
-		}
-		n, err := fr.r.Read(fr.buf[fr.hi:])
-		fr.hi += n
-		if n == 0 && err != nil {
-			if err == io.EOF && fr.hi > fr.lo {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
 		}
 	}
 }
@@ -353,13 +312,17 @@ func (c *Client) do(ctx context.Context, req *protocol.Request) (*protocol.Respo
 		return nil, err
 	}
 	req.ID = c.nextID.Add(1)
+	// A request that cannot be encoded — a NaN knob, a frame over the cap —
+	// never reached the wire: it fails alone and the connection, with every
+	// call pipelined on it, is untouched.
+	frame, err := protocol.EncodeFrame(req, lc.maxFrame)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
 	ch := lc.register(req.ID)
 
 	lc.wmu.Lock()
-	werr := protocol.WriteFrame(lc.bw, req, c.opts.MaxFrame)
-	if werr == nil {
-		werr = lc.bw.Flush()
-	}
+	_, werr := lc.nc.Write(frame)
 	lc.wmu.Unlock()
 	if werr != nil {
 		lc.unregister(req.ID)

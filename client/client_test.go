@@ -1,9 +1,10 @@
 package client_test
 
 import (
-	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -303,9 +304,10 @@ func TestClientDialHelloTimeout(t *testing.T) {
 }
 
 // fakeStatsServer speaks just enough of the wire protocol for fault-injection
-// tests: it answers hellos itself and hands every other request to handle,
-// which may respond, stay silent, or kill the connection.
-func fakeStatsServer(t *testing.T, handle func(nc net.Conn, req *protocol.Request)) net.Listener {
+// tests: it answers hellos itself, announcing maxFrame (0 leaves the field
+// unset, which means protocol.DefaultMaxFrame), and hands every other request
+// to handle, which may respond, stay silent, or kill the connection.
+func fakeStatsServer(t *testing.T, maxFrame int, handle func(nc net.Conn, req *protocol.Request)) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -319,16 +321,19 @@ func fakeStatsServer(t *testing.T, handle func(nc net.Conn, req *protocol.Reques
 			}
 			go func(nc net.Conn) {
 				defer nc.Close()
-				br := bufio.NewReader(nc)
+				fr := protocol.NewFrameReader(nc, maxFrame)
 				for {
-					req, err := protocol.ReadRequest(br, protocol.DefaultMaxFrame)
+					payload, err := fr.Next()
+					if err != nil {
+						return
+					}
+					req, err := protocol.DecodeRequest(payload)
 					if err != nil {
 						return
 					}
 					if req.Op == protocol.OpHello {
-						protocol.WriteFrame(nc, &protocol.Response{ID: req.ID,
-							Hello: &protocol.HelloResult{Version: protocol.Version, Tenant: req.Tenant},
-						}, protocol.DefaultMaxFrame)
+						reply(nc, &protocol.Response{ID: req.ID, Hello: &protocol.HelloResult{
+							Version: protocol.Version, MaxFrame: maxFrame, Tenant: req.Tenant}})
 						continue
 					}
 					handle(nc, req)
@@ -340,13 +345,20 @@ func fakeStatsServer(t *testing.T, handle func(nc net.Conn, req *protocol.Reques
 	return ln
 }
 
+// reply writes resp as one frame, with no cap beyond the frame format's own.
+func reply(nc net.Conn, resp *protocol.Response) {
+	if frame, err := protocol.EncodeFrame(resp, math.MaxInt32); err == nil {
+		nc.Write(frame)
+	}
+}
+
 // TestClientConnLostTypedAndExecNotReplayed checks both halves of the
 // disconnect contract: an in-flight request fails with the typed ErrConnLost
 // when the server vanishes mid-request, and a non-idempotent Exec is never
 // silently replayed on the reconnect.
 func TestClientConnLostTypedAndExecNotReplayed(t *testing.T) {
 	var execs atomic.Int64
-	ln := fakeStatsServer(t, func(nc net.Conn, req *protocol.Request) {
+	ln := fakeStatsServer(t, 0, func(nc net.Conn, req *protocol.Request) {
 		if req.Op == protocol.OpExec {
 			execs.Add(1)
 			nc.Close() // die mid-request, no response
@@ -373,8 +385,8 @@ func TestClientConnLostTypedAndExecNotReplayed(t *testing.T) {
 // the connection, and the call in flight reports why by type — ErrConnLost
 // for the retry policy, protocol.ErrMalformed for the cause.
 func TestClientMalformedResponseTyped(t *testing.T) {
-	ln := fakeStatsServer(t, func(nc net.Conn, req *protocol.Request) {
-		nc.Write(protocol.AppendFrame(nil, []byte("not json")))
+	ln := fakeStatsServer(t, 0, func(nc net.Conn, req *protocol.Request) {
+		nc.Write([]byte("\x00\x00\x00\x08not json"))
 	})
 	c, err := client.Dial(ln.Addr().String(), client.Options{Tenant: "t"})
 	if err != nil {
@@ -392,7 +404,7 @@ func TestClientMalformedResponseTyped(t *testing.T) {
 // mid-flight is transparently retried once on a fresh connection.
 func TestClientIdempotentRetriedAfterConnLoss(t *testing.T) {
 	var statsCalls atomic.Int64
-	ln := fakeStatsServer(t, func(nc net.Conn, req *protocol.Request) {
+	ln := fakeStatsServer(t, 0, func(nc net.Conn, req *protocol.Request) {
 		if req.Op != protocol.OpStats {
 			return
 		}
@@ -400,9 +412,9 @@ func TestClientIdempotentRetriedAfterConnLoss(t *testing.T) {
 			nc.Close() // first attempt dies mid-flight
 			return
 		}
-		protocol.WriteFrame(nc, &protocol.Response{ID: req.ID,
+		reply(nc, &protocol.Response{ID: req.ID,
 			Stats: []protocol.StatRow{{Table: "orders", Columns: []string{"o_orderkey"}}},
-		}, protocol.DefaultMaxFrame)
+		})
 	})
 	c, err := client.Dial(ln.Addr().String(), client.Options{Tenant: "t"})
 	if err != nil {
@@ -425,7 +437,7 @@ func TestClientIdempotentRetriedAfterConnLoss(t *testing.T) {
 // TestClientRequestTimeout checks that Options.RequestTimeout bounds calls
 // whose contexts carry no deadline of their own.
 func TestClientRequestTimeout(t *testing.T) {
-	ln := fakeStatsServer(t, func(nc net.Conn, req *protocol.Request) {
+	ln := fakeStatsServer(t, 0, func(nc net.Conn, req *protocol.Request) {
 		// Swallow the request: never respond, keep the connection open.
 	})
 	c, err := client.Dial(ln.Addr().String(), client.Options{
@@ -442,5 +454,69 @@ func TestClientRequestTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("call blocked %v with a 150ms request timeout", elapsed)
+	}
+}
+
+// TestClientUsesAnnouncedFrameCap: the frame cap a server announces in its
+// hello governs the connection in both directions. A server allowing 8 MiB
+// takes a 5 MiB statement and answers with a 5 MiB frame; both are over
+// protocol.DefaultMaxFrame, which holds only for the hello itself.
+func TestClientUsesAnnouncedFrameCap(t *testing.T) {
+	ln := fakeStatsServer(t, 8<<20, func(nc net.Conn, req *protocol.Request) {
+		reply(nc, &protocol.Response{ID: req.ID, Exec: &protocol.ExecResult{
+			Columns: []string{"t.sql"}, Rows: [][]string{{req.SQL}}}})
+	})
+	c, err := client.Dial(ln.Addr().String(), client.Options{Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.Hello().MaxFrame; got != 8<<20 {
+		t.Fatalf("hello announced %d, want %d", got, 8<<20)
+	}
+
+	sql := "SELECT '" + strings.Repeat("x", 5<<20) + "'"
+	res, err := c.Exec(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("5 MiB exec under an 8 MiB cap: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != sql {
+		t.Fatalf("the 5 MiB answer came back damaged")
+	}
+}
+
+// TestClientUnencodableRequestKeepsConnection: a request the client cannot
+// encode — a NaN tune knob, which JSON has no spelling for, or a workload
+// over the frame cap — never reaches the wire. It fails alone with the
+// encoder's error, not ErrConnLost, and the connection stays up: the next
+// call is served on it without a redial.
+func TestClientUnencodableRequestKeepsConnection(t *testing.T) {
+	s := startServer(t, server.Config{})
+	c, err := client.Dial(s.Addr().String(), client.Options{Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	accepted := s.Obs().Counter("server.conns.accepted")
+	if n := accepted.Value(); n != 1 {
+		t.Fatalf("server.conns.accepted = %d after Dial, want 1", n)
+	}
+
+	q := []string{"SELECT * FROM orders WHERE o_orderkey > 10"}
+	_, err = c.Tune(ctx, q, &protocol.TuneParams{Epsilon: math.NaN()})
+	var unsupported *json.UnsupportedValueError
+	if !errors.As(err, &unsupported) || errors.Is(err, client.ErrConnLost) {
+		t.Fatalf("NaN knob: %v, want a json.UnsupportedValueError that is not ErrConnLost", err)
+	}
+	huge := []string{strings.Repeat("x", protocol.DefaultMaxFrame)}
+	if _, err := c.Tune(ctx, huge, nil); !errors.Is(err, protocol.ErrFrameTooLarge) || errors.Is(err, client.ErrConnLost) {
+		t.Fatalf("oversized workload: %v, want ErrFrameTooLarge that is not ErrConnLost", err)
+	}
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatalf("call after the encode failures: %v", err)
+	}
+	if n := accepted.Value(); n != 1 {
+		t.Fatalf("server.conns.accepted = %d, want 1: an encode failure redialled", n)
 	}
 }

@@ -169,7 +169,7 @@ func TestResponseCodecMatchesJSON(t *testing.T) {
 			t.Fatalf("response %d: walked = %v", r.ID, walked)
 		}
 		frame, err := EncodeFrame(r, 0)
-		if err != nil || !bytes.Equal(frame, AppendFrame(nil, want)) {
+		if err != nil || !bytes.Equal(frame, appendFrame(nil, want)) {
 			t.Fatalf("response %d: EncodeFrame = %q, %v", r.ID, frame, err)
 		}
 	}

@@ -6,74 +6,90 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzDecodeFrame throws arbitrary byte streams at the frame decoder — the
 // exact bytes a hostile or broken peer could put on a connection. The
 // invariants under fuzz:
 //
-//   - neither DecodeFrame nor ReadFrame ever panics;
-//   - both agree on every input (same payload or equivalent error), so the
-//     buffered and streaming paths cannot drift;
+//   - neither DecodeFrame nor FrameReader ever panics;
+//   - a FrameReader over the same bytes, fed whole or one byte per Read,
+//     agrees with DecodeFrame frame by frame: the same payloads, then
+//     ErrFrameTooLarge at the same frame, io.ErrUnexpectedEOF where
+//     DecodeFrame reports a short frame, or io.EOF where the bytes end
+//     between frames — so the stream reader adds no grammar of its own;
 //   - a declared length above the cap is rejected without consuming payload
 //     bytes, and a successfully decoded payload round-trips through
-//     AppendFrame byte-for-byte;
-//   - JSON unmarshalling of a decoded payload returns, never hangs or panics.
+//     appendFrame byte-for-byte;
+//   - decoding a payload as a request returns, never hangs or panics.
 //
 // The checked-in corpus under testdata/fuzz/FuzzDecodeFrame seeds the
 // interesting shapes: valid frames, truncated header, truncated payload,
 // oversized length, zero-length payload, and non-JSON payload bytes.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, []byte(`{"id":1,"op":"hello","version":1}`)))
-	f.Add(AppendFrame(nil, []byte(``)))
+	f.Add(appendFrame(nil, []byte(`{"id":1,"op":"hello","version":1}`)))
+	f.Add(appendFrame(nil, []byte(``)))
 	f.Add([]byte{0, 0})                   // short header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // absurd length
 	f.Add([]byte{0, 0, 0, 8, 'p', 'a'})   // truncated payload
-	f.Add(AppendFrame(nil, []byte("not json")))
-	valid := AppendFrame(nil, []byte(`{"id":9,"op":"exec","tenant":"t","sql":"SELECT 1"}`))
+	f.Add(appendFrame(nil, []byte("not json")))
+	valid := appendFrame(nil, []byte(`{"id":9,"op":"exec","tenant":"t","sql":"SELECT 1"}`))
 	f.Add(append(valid, valid...)) // two frames back to back
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, rest, err := DecodeFrame(data, maxFrame)
-		sp, serr := ReadFrame(bytes.NewReader(data), maxFrame)
-
-		if err != nil {
+		src := bytes.NewReader(data) // read one byte at a time
+		readers := map[string]*FrameReader{
+			"whole":  NewFrameReader(bytes.NewReader(data), maxFrame),
+			"1 byte": NewFrameReader(iotest.OneByteReader(src), maxFrame),
+		}
+		buf := data
+		for {
+			payload, rest, err := DecodeFrame(buf, maxFrame)
+			var want error
 			switch {
+			case err == nil:
+			case errors.Is(err, ErrShortFrame) && len(buf) == 0:
+				want = io.EOF
 			case errors.Is(err, ErrShortFrame):
-				if serr == nil {
-					t.Fatalf("DecodeFrame short but ReadFrame succeeded on %q", data)
-				}
-				if !errors.Is(serr, io.EOF) && !errors.Is(serr, io.ErrUnexpectedEOF) {
-					t.Fatalf("short frame: stream error %v, want EOF-ish", serr)
-				}
+				want = io.ErrUnexpectedEOF
 			case errors.Is(err, ErrFrameTooLarge):
-				if !errors.Is(serr, ErrFrameTooLarge) {
-					t.Fatalf("size-cap disagreement: buffered %v, stream %v", err, serr)
-				}
+				want = ErrFrameTooLarge
 			default:
 				t.Fatalf("unexpected DecodeFrame error %v", err)
 			}
-			return
+			for name, fr := range readers {
+				sp, serr := fr.Next()
+				if !errors.Is(serr, want) {
+					t.Fatalf("%s: frame at %d: reader %v, DecodeFrame %v", name, len(data)-len(buf), serr, err)
+				}
+				if want == nil && !bytes.Equal(payload, sp) {
+					t.Fatalf("%s: payload disagreement: %q vs %q", name, sp, payload)
+				}
+			}
+			if want == ErrFrameTooLarge {
+				// Read a byte at a time, the reader stopped at the header.
+				if consumed := len(data) - src.Len(); consumed != len(data)-len(buf)+headerSize {
+					t.Fatalf("oversized frame at %d: %d bytes read, want the header only", len(data)-len(buf), consumed)
+				}
+			}
+			if err != nil {
+				return
+			}
+			if len(payload)+headerSize+len(rest) != len(buf) {
+				t.Fatalf("frame accounting: %d payload + %d rest != %d input",
+					len(payload), len(rest), len(buf))
+			}
+			// Round-trip: re-encoding the payload reproduces the consumed bytes.
+			if re := appendFrame(nil, payload); !bytes.Equal(re, buf[:len(buf)-len(rest)]) {
+				t.Fatalf("re-encode mismatch")
+			}
+			// Decoding a payload as a request must return without panicking;
+			// errors are fine (that is CodeBadRequest territory, not a crash).
+			_, _ = DecodeRequest(payload)
+			buf = rest
 		}
-		if serr != nil {
-			t.Fatalf("DecodeFrame ok but ReadFrame failed: %v", serr)
-		}
-		if !bytes.Equal(payload, sp) {
-			t.Fatalf("payload disagreement: %q vs %q", payload, sp)
-		}
-		if len(payload)+headerSize+len(rest) != len(data) {
-			t.Fatalf("frame accounting: %d payload + %d rest != %d input",
-				len(payload), len(rest), len(data))
-		}
-		// Round-trip: re-encoding the payload reproduces the consumed bytes.
-		if re := AppendFrame(nil, payload); !bytes.Equal(re, data[:len(data)-len(rest)]) {
-			t.Fatalf("re-encode mismatch")
-		}
-		// Unmarshalling a decoded payload must return without panicking;
-		// errors are fine (that is CodeBadRequest territory, not a crash).
-		var req Request
-		_ = json.Unmarshal(payload, &req)
 	})
 }
 

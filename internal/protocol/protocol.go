@@ -8,10 +8,12 @@
 // a byte stream with exactly one size check and one unmarshal, and a
 // malformed, truncated or oversized frame can never make a connection
 // goroutine panic or read unboundedly (see DecodeFrame and the
-// FuzzDecodeFrame corpus). Responses, which carry the rows, have their own
-// encoder and decoder for that same JSON (codec.go: AppendResponse,
-// DecodeResponse), held byte for byte to encoding/json by FuzzResponseCodec;
-// requests go through encoding/json itself.
+// FuzzDecodeFrame corpus); server and client both read through FrameReader,
+// which runs DecodeFrame over its buffer. Responses, which carry the rows,
+// have their own encoder and decoder for that same JSON (codec.go:
+// AppendResponse, DecodeResponse), held byte for byte to encoding/json by
+// FuzzResponseCodec; requests go through encoding/json itself. ExecResult,
+// TuneResult, StatRow and TuneParams are also the facade's autostats types.
 //
 // Request IDs are chosen by the client and echoed verbatim in the response,
 // which is what makes pipelining work: a client may have any number of
@@ -71,11 +73,11 @@ var (
 	// ErrFrameTooLarge reports a length prefix above the frame cap.
 	ErrFrameTooLarge = errors.New("protocol: frame exceeds size limit")
 	// ErrShortFrame reports a buffer that ends before the declared payload
-	// (DecodeFrame only; a stream read reports io.ErrUnexpectedEOF instead).
+	// (DecodeFrame only; FrameReader reports io.ErrUnexpectedEOF instead).
 	ErrShortFrame = errors.New("protocol: short frame")
 	// ErrMalformed reports a frame whose payload is not a valid message:
-	// ReadRequest, ReadResponse and DecodeResponse wrap it around the
-	// decoder's error, so a peer is classified by errors.Is, not by text.
+	// DecodeRequest and DecodeResponse wrap it around the decoder's error, so
+	// a peer is classified by errors.Is, not by text.
 	ErrMalformed = errors.New("protocol: malformed")
 	// ErrOverloaded is the admission-control backpressure signal: the
 	// server's worker queue is full and the request was rejected without
@@ -115,14 +117,24 @@ type Request struct {
 	Tune *TuneParams `json:"tuneopts,omitempty"`
 }
 
-// TuneParams mirrors the facade's TuneOptions across the wire (zero values
-// select the server defaults).
+// TuneParams configures statistics selection: the tune request's knobs and
+// the facade's autostats.TuneOptions, one type. Zero values select the
+// defaults.
 type TuneParams struct {
-	ThresholdPct     float64 `json:"threshold_pct,omitempty"`
-	Epsilon          float64 `json:"epsilon,omitempty"`
-	SingleColumnOnly bool    `json:"single_column_only,omitempty"`
-	Drop             bool    `json:"drop,omitempty"`
-	Shrink           bool    `json:"shrink,omitempty"`
+	// ThresholdPct is the t of t-optimizer-cost equivalence, in percent
+	// (default 20, the paper's conservative choice).
+	ThresholdPct float64 `json:"threshold_pct,omitempty"`
+	// Epsilon pins the extreme selectivities of MNSA (default 0.0005).
+	Epsilon float64 `json:"epsilon,omitempty"`
+	// SingleColumnOnly restricts candidates to single-column statistics.
+	SingleColumnOnly bool `json:"single_column_only,omitempty"`
+	// Drop enables MNSA/D: detect non-essential statistics during creation
+	// and place them on the drop-list.
+	Drop bool `json:"drop,omitempty"`
+	// Shrink runs the Shrinking Set algorithm after MNSA, drop-listing
+	// everything outside the resulting essential set (the offline policy of
+	// §6).
+	Shrink bool `json:"shrink,omitempty"`
 }
 
 // Response is one server→client message. Exactly one of the payload fields
@@ -148,40 +160,64 @@ type Response struct {
 
 // HelloResult announces the server to a new connection.
 type HelloResult struct {
-	Version  int    `json:"version"`
-	Server   string `json:"server"`
-	MaxFrame int    `json:"max_frame"`
+	Version int    `json:"version"`
+	Server  string `json:"server"`
+	// MaxFrame caps every later frame of the connection, both directions.
+	MaxFrame int `json:"max_frame"`
 	// Tenant confirms the connection's default tenant ("" when none).
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// ExecResult mirrors autostats.QueryResult across the wire.
+// ExecResult is the outcome of executing one SQL statement: the exec
+// answer and the facade's autostats.QueryResult, one type.
 type ExecResult struct {
+	// Columns names the output columns ("table.column"), in position order.
 	Columns []string `json:"columns,omitempty"`
-	// Rows as DecodeResponse returns them share memory: the cells are
-	// substrings of one copy of the payload and the rows capped windows of
-	// one []string. Appending to a row copies it; a cell kept beyond the
-	// result should be strings.Clone'd, or it keeps the payload reachable.
-	Rows          [][]string `json:"rows,omitempty"`
-	ExecCost      float64    `json:"exec_cost"`
-	EstimatedCost float64    `json:"estimated_cost,omitempty"`
-	Plan          string     `json:"plan,omitempty"`
-	Affected      int        `json:"affected,omitempty"`
-	Degraded      []string   `json:"degraded,omitempty"`
+	// Rows holds the output values rendered as SQL literals. The cells of
+	// one result share memory — substrings of one backing string, whether
+	// the facade rendered them or DecodeResponse decoded them — and the rows
+	// are capped windows of one []string: appending to a row copies it, and a
+	// cell kept beyond the result should be strings.Clone'd, or it keeps the
+	// whole result's text reachable.
+	Rows [][]string `json:"rows,omitempty"`
+	// ExecCost is the execution cost in deterministic work units.
+	ExecCost float64 `json:"exec_cost"`
+	// EstimatedCost is the optimizer's estimate (0 for DML).
+	EstimatedCost float64 `json:"estimated_cost,omitempty"`
+	// Plan is the executed plan, pretty-printed (empty for DML).
+	Plan string `json:"plan,omitempty"`
+	// Affected counts DML-affected rows.
+	Affected int `json:"affected,omitempty"`
+	// Degraded lists the degraded-mode reasons when the statement was
+	// planned without statistics the analysis wanted (their builds failed);
+	// empty for healthy plans. The results themselves are exact — only the
+	// plan choice leaned on default magic numbers.
+	Degraded []string `json:"degraded,omitempty"`
 }
 
-// TuneResult mirrors autostats.TuneReport across the wire.
+// TuneResult summarizes a tuning run: the tune answer and the facade's
+// autostats.TuneReport, one type.
 type TuneResult struct {
-	Created           []string `json:"created,omitempty"`
-	DropListed        []string `json:"drop_listed,omitempty"`
-	Essential         []string `json:"essential,omitempty"`
-	OptimizerCalls    int      `json:"optimizer_calls"`
-	CreationCostUnits float64  `json:"creation_cost_units"`
-	Degraded          bool     `json:"degraded,omitempty"`
-	BuildFailures     []string `json:"build_failures,omitempty"`
+	// Created lists statistics built, in creation order.
+	Created []string `json:"created,omitempty"`
+	// DropListed lists statistics identified as non-essential.
+	DropListed []string `json:"drop_listed,omitempty"`
+	// Essential lists the essential set when Shrink ran (nil otherwise).
+	Essential []string `json:"essential,omitempty"`
+	// OptimizerCalls counts optimizations performed by the algorithms.
+	OptimizerCalls int `json:"optimizer_calls"`
+	// CreationCostUnits is the statistics build cost in work units.
+	CreationCostUnits float64 `json:"creation_cost_units"`
+	// Degraded reports whether the run completed in degraded mode: some
+	// statistic builds failed and the affected queries were planned on
+	// default magic-number selectivities instead.
+	Degraded bool `json:"degraded,omitempty"`
+	// BuildFailures lists the statistics whose build failed.
+	BuildFailures []string `json:"build_failures,omitempty"`
 }
 
-// StatRow mirrors autostats.StatInfo across the wire.
+// StatRow describes one existing statistic: a row of the stats answer and
+// the facade's autostats.StatInfo, one type.
 type StatRow struct {
 	ID         string   `json:"id"`
 	Table      string   `json:"table"`
@@ -197,14 +233,6 @@ type StatRow struct {
 type MaintResult struct {
 	TablesRefreshed int `json:"tables_refreshed"`
 	StatsDropped    int `json:"stats_dropped"`
-}
-
-// AppendFrame appends payload to dst as one frame (length prefix + bytes).
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // EncodeFrame encodes v as JSON — a *Response through AppendResponse,
@@ -236,16 +264,6 @@ func EncodeFrame(v any, maxFrame int) ([]byte, error) {
 	return frame, nil
 }
 
-// WriteFrame marshals v and writes it as one frame.
-func WriteFrame(w io.Writer, v any, maxFrame int) error {
-	frame, err := EncodeFrame(v, maxFrame)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // DecodeFrame decodes the first frame in buf, returning its payload and the
 // remaining bytes. A buffer shorter than the header or the declared payload
 // returns ErrShortFrame (the caller needs more data); a declared length above
@@ -269,55 +287,71 @@ func DecodeFrame(buf []byte, maxFrame int) (payload, rest []byte, err error) {
 	return buf[headerSize:end], buf[end:], nil
 }
 
-// ReadFrame reads one frame's payload from r. The length prefix is validated
-// against maxFrame (0 means DefaultMaxFrame) before any payload is read. A
-// clean EOF before the first header byte returns io.EOF; a stream that ends
-// mid-frame returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > uint32(maxFrame) {
-		return nil, fmt.Errorf("%w: %d bytes > limit %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return payload, nil
+// A FrameReader's buffer starts at readBuf bytes and doubles until the frame
+// in hand fits; one grown past keepReadBuf is dropped once it is empty.
+const (
+	readBuf     = 16 << 10
+	keepReadBuf = 256 << 10
+)
+
+// FrameReader reads frames from a stream into one buffer that it owns and
+// reuses; the server reads requests and the client responses through it.
+type FrameReader struct {
+	r        io.Reader
+	maxFrame int
+	buf      []byte
+	lo, hi   int // buf[lo:hi] is read and not yet consumed
 }
 
-// ReadRequest reads and unmarshals one Request frame.
-func ReadRequest(r io.Reader, maxFrame int) (*Request, error) {
-	payload, err := ReadFrame(r, maxFrame)
-	if err != nil {
-		return nil, err
+// NewFrameReader returns a reader of the frames on r whose payloads may be at
+// most maxFrame bytes (0 means DefaultMaxFrame).
+func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
+	return &FrameReader{r: r, maxFrame: maxFrame}
+}
+
+// Next returns the payload of the next frame, valid until the following
+// call. DecodeFrame judges the length prefix: one above the cap fails with
+// ErrFrameTooLarge as soon as the header is in, before the buffer grows or
+// another byte is read. A clean EOF between frames is io.EOF; one inside a
+// frame is io.ErrUnexpectedEOF; other read errors are returned as they are.
+func (fr *FrameReader) Next() ([]byte, error) {
+	for {
+		payload, rest, err := DecodeFrame(fr.buf[fr.lo:fr.hi], fr.maxFrame)
+		if err == nil {
+			fr.lo = fr.hi - len(rest)
+			return payload, nil
+		}
+		if !errors.Is(err, ErrShortFrame) {
+			return nil, err
+		}
+		switch {
+		case fr.lo == fr.hi && (fr.buf == nil || len(fr.buf) > keepReadBuf):
+			fr.buf, fr.lo, fr.hi = make([]byte, readBuf), 0, 0
+		case fr.lo > 0: // move the partial frame to the front
+			fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
+			fr.lo = 0
+		case fr.hi == len(fr.buf):
+			fr.buf = append(fr.buf, make([]byte, len(fr.buf))...)
+		}
+		n, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += n
+		if n == 0 && err != nil {
+			if err == io.EOF && fr.hi > fr.lo {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
+}
+
+// DecodeRequest unmarshals one request payload, the twin of DecodeResponse:
+// a payload that is not a request is ErrMalformed wrapping the decoder's error.
+func DecodeRequest(payload []byte) (*Request, error) {
 	req := new(Request)
 	if err := json.Unmarshal(payload, req); err != nil {
 		return nil, fmt.Errorf("%w request: %w", ErrMalformed, err)
 	}
 	return req, nil
-}
-
-// ReadResponse reads one frame and decodes it with DecodeResponse.
-func ReadResponse(r io.Reader, maxFrame int) (*Response, error) {
-	payload, err := ReadFrame(r, maxFrame)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResponse(payload)
 }
 
 // ErrResponse builds an error response echoing the request ID.

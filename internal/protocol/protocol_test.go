@@ -10,6 +10,12 @@ import (
 	"testing"
 )
 
+// appendFrame appends payload to dst as one frame, built by hand — its length,
+// big endian, then its bytes — so the tests can frame any payload at all.
+func appendFrame(dst, payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(payload))), payload...)
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	in := &Request{
 		ID:     42,
@@ -18,11 +24,15 @@ func TestRequestRoundTrip(t *testing.T) {
 		SQLs:   []string{"SELECT * FROM lineitem WHERE l_quantity > 45"},
 		Tune:   &TuneParams{ThresholdPct: 10, Shrink: true},
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, in, 0); err != nil {
+	frame, err := EncodeFrame(in, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadRequest(&buf, 0)
+	payload, err := NewFrameReader(bytes.NewReader(frame), 0).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeRequest(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +52,15 @@ func TestResponseRoundTripAndErr(t *testing.T) {
 		ID:   7,
 		Exec: &ExecResult{Columns: []string{"a.b"}, Rows: [][]string{{"1"}}, ExecCost: 3.5},
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, in, 0); err != nil {
+	frame, err := EncodeFrame(in, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadResponse(&buf, 0)
+	payload, err := NewFrameReader(bytes.NewReader(frame), 0).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeResponse(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestDecodeFrameShortAndOversized(t *testing.T) {
 		t.Fatalf("want ErrShortFrame for short header, got %v", err)
 	}
 	// Header present, payload truncated.
-	frame := AppendFrame(nil, []byte(`{"id":1}`))
+	frame := appendFrame(nil, []byte(`{"id":1}`))
 	if _, _, err := DecodeFrame(frame[:len(frame)-3], 0); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("want ErrShortFrame for truncated payload, got %v", err)
 	}
@@ -85,7 +99,7 @@ func TestDecodeFrameShortAndOversized(t *testing.T) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 	// Two concatenated frames decode in order with the rest returned.
-	buf := AppendFrame(AppendFrame(nil, []byte("one")), []byte("two"))
+	buf := appendFrame(appendFrame(nil, []byte("one")), []byte("two"))
 	p1, rest, err := DecodeFrame(buf, 0)
 	if err != nil || string(p1) != "one" {
 		t.Fatalf("first frame: %q %v", p1, err)
@@ -96,10 +110,13 @@ func TestDecodeFrameShortAndOversized(t *testing.T) {
 	}
 }
 
+// TestReadFrameTruncatedStream: a FrameReader over a stream that ends before
+// the first header byte reports a clean io.EOF; one that ends anywhere inside
+// the frame reports io.ErrUnexpectedEOF.
 func TestReadFrameTruncatedStream(t *testing.T) {
-	frame := AppendFrame(nil, []byte(`{"id":1,"op":"hello"}`))
+	frame := appendFrame(nil, []byte(`{"id":1,"op":"hello"}`))
 	for cut := 0; cut < len(frame); cut++ {
-		_, err := ReadFrame(bytes.NewReader(frame[:cut]), 0)
+		_, err := NewFrameReader(bytes.NewReader(frame[:cut]), 0).Next()
 		if cut == 0 {
 			if !errors.Is(err, io.EOF) {
 				t.Fatalf("cut=0: want io.EOF, got %v", err)
@@ -112,11 +129,19 @@ func TestReadFrameTruncatedStream(t *testing.T) {
 	}
 }
 
+// headerFirst delivers the four header bytes of r in a read of their own, as
+// a slow peer would, so a test can see that nothing past them was read.
+func headerFirst(r io.Reader) io.Reader {
+	return io.MultiReader(io.LimitReader(r, headerSize), r)
+}
+
+// TestReadFrameOversizedDoesNotRead: a FrameReader rejects a length prefix
+// above the cap as soon as the header is in, without reading the payload.
 func TestReadFrameOversizedDoesNotRead(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(DefaultMaxFrame+1))
 	r := bytes.NewReader(append(hdr[:], bytes.Repeat([]byte{'x'}, 64)...))
-	if _, err := ReadFrame(r, 0); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrameReader(headerFirst(r), 0).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
 	// The payload must not have been consumed: the cap check happens first.
@@ -143,30 +168,30 @@ func TestResponseErrRateLimitedAndTimeout(t *testing.T) {
 
 // TestDecodeFrameAtMaxFrameBoundary pins the length-prefix edge cases: a
 // payload of exactly DefaultMaxFrame decodes, one byte more is rejected by
-// both the buffered and streaming paths, and the declared-length check uses
+// both DecodeFrame and a FrameReader, and the declared-length check uses
 // the payload length alone (the 4 header bytes never count against the cap).
 func TestDecodeFrameAtMaxFrameBoundary(t *testing.T) {
 	exact := make([]byte, DefaultMaxFrame)
 	for i := range exact {
 		exact[i] = byte('a' + i%26)
 	}
-	frame := AppendFrame(nil, exact)
+	frame := appendFrame(nil, exact)
 
 	payload, rest, err := DecodeFrame(frame, DefaultMaxFrame)
 	if err != nil || len(payload) != DefaultMaxFrame || len(rest) != 0 {
 		t.Fatalf("exactly-max frame: len=%d rest=%d err=%v", len(payload), len(rest), err)
 	}
-	if sp, serr := ReadFrame(bytes.NewReader(frame), DefaultMaxFrame); serr != nil || len(sp) != DefaultMaxFrame {
+	if sp, serr := NewFrameReader(bytes.NewReader(frame), DefaultMaxFrame).Next(); serr != nil || len(sp) != DefaultMaxFrame {
 		t.Fatalf("exactly-max stream frame: len=%d err=%v", len(sp), serr)
 	}
 
 	// One past the cap: rejected before any payload is consumed.
-	over := AppendFrame(nil, append(exact, 'z'))
+	over := appendFrame(nil, append(exact, 'z'))
 	if _, _, err := DecodeFrame(over, DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("max+1 buffered: want ErrFrameTooLarge, got %v", err)
 	}
 	r := bytes.NewReader(over)
-	if _, err := ReadFrame(r, DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrameReader(headerFirst(r), DefaultMaxFrame).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("max+1 stream: want ErrFrameTooLarge, got %v", err)
 	}
 	if r.Len() != DefaultMaxFrame+1 {
@@ -174,20 +199,21 @@ func TestDecodeFrameAtMaxFrameBoundary(t *testing.T) {
 	}
 }
 
-// TestMalformedPayloadsAreTyped: a frame whose payload is not the expected
-// message is reported as ErrMalformed by both readers, with the decoder's
-// own error still in the chain.
+// TestMalformedPayloadsAreTyped: a payload that is not the expected message
+// is reported as ErrMalformed by both decoders, with the decoder's own error
+// still in the chain; a frame cut short by the stream is not malformed.
 func TestMalformedPayloadsAreTyped(t *testing.T) {
-	frame := AppendFrame(nil, []byte("not json"))
+	payload := []byte("not json")
 	var syntax *json.SyntaxError
-	if _, err := ReadRequest(bytes.NewReader(frame), 0); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
-		t.Fatalf("ReadRequest: %v, want ErrMalformed wrapping a json.SyntaxError", err)
+	if _, err := DecodeRequest(payload); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
+		t.Fatalf("DecodeRequest: %v, want ErrMalformed wrapping a json.SyntaxError", err)
 	}
-	if _, err := ReadResponse(bytes.NewReader(frame), 0); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
-		t.Fatalf("ReadResponse: %v, want ErrMalformed wrapping a json.SyntaxError", err)
+	if _, err := DecodeResponse(payload); !errors.Is(err, ErrMalformed) || !errors.As(err, &syntax) {
+		t.Fatalf("DecodeResponse: %v, want ErrMalformed wrapping a json.SyntaxError", err)
 	}
 	// A transport failure is not a malformed message.
-	if _, err := ReadResponse(bytes.NewReader(frame[:6]), 0); errors.Is(err, ErrMalformed) || !errors.Is(err, io.ErrUnexpectedEOF) {
+	frame := appendFrame(nil, payload)
+	if _, err := NewFrameReader(bytes.NewReader(frame[:6]), 0).Next(); errors.Is(err, ErrMalformed) || !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

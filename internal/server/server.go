@@ -24,7 +24,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -478,15 +477,7 @@ func (s *Server) execute(t task) *protocol.Response {
 		if err != nil {
 			return s.opErrResponse(req.ID, err)
 		}
-		return &protocol.Response{ID: req.ID, Exec: &protocol.ExecResult{
-			Columns:       r.Columns,
-			Rows:          r.Rows,
-			ExecCost:      r.ExecCost,
-			EstimatedCost: r.EstimatedCost,
-			Plan:          r.Plan,
-			Affected:      r.Affected,
-			Degraded:      r.Degraded,
-		}}
+		return &protocol.Response{ID: req.ID, Exec: r}
 	case protocol.OpExplain:
 		plan, err := sys.Explain(ctx, req.SQL)
 		if err != nil {
@@ -498,43 +489,17 @@ func (s *Server) execute(t task) *protocol.Response {
 		if len(sqls) == 0 {
 			sqls = []string{req.SQL}
 		}
-		opts := autostats.TuneOptions{}
-		if p := req.Tune; p != nil {
-			opts.ThresholdPct = p.ThresholdPct
-			opts.Epsilon = p.Epsilon
-			opts.SingleColumnOnly = p.SingleColumnOnly
-			opts.Drop = p.Drop
-			opts.Shrink = p.Shrink
+		var opts autostats.TuneOptions
+		if req.Tune != nil {
+			opts = *req.Tune
 		}
 		rep, err := sys.TuneWorkloadCtx(ctx, sqls, opts)
 		if err != nil {
 			return s.opErrResponse(req.ID, err)
 		}
-		return &protocol.Response{ID: req.ID, Tune: &protocol.TuneResult{
-			Created:           rep.Created,
-			DropListed:        rep.DropListed,
-			Essential:         rep.Essential,
-			OptimizerCalls:    rep.OptimizerCalls,
-			CreationCostUnits: rep.CreationCostUnits,
-			Degraded:          rep.Degraded,
-			BuildFailures:     rep.BuildFailures,
-		}}
+		return &protocol.Response{ID: req.ID, Tune: rep}
 	case protocol.OpStats:
-		infos := sys.Statistics()
-		rows := make([]protocol.StatRow, len(infos))
-		for i, st := range infos {
-			rows[i] = protocol.StatRow{
-				ID:         st.ID,
-				Table:      st.Table,
-				Columns:    st.Columns,
-				Rows:       st.Rows,
-				Distinct:   st.Distinct,
-				Buckets:    st.Buckets,
-				InDropList: st.InDropList,
-				Updates:    st.Updates,
-			}
-		}
-		return &protocol.Response{ID: req.ID, Stats: rows}
+		return &protocol.Response{ID: req.ID, Stats: sys.Statistics()}
 	case protocol.OpMaintain:
 		rep, err := sys.RunMaintenance(ctx)
 		if err != nil {
@@ -829,7 +794,7 @@ func (cn *conn) readFrames() {
 			cn.kill()
 		}
 	}()
-	br := bufio.NewReaderSize(cn.nc, 16<<10)
+	fr := protocol.NewFrameReader(cn.nc, cn.srv.cfg.MaxFrame)
 	for {
 		// Deadline before the draining check: if the drain poke lands after
 		// this SetReadDeadline, the read still times out promptly; if it
@@ -841,7 +806,13 @@ func (cn *conn) readFrames() {
 		if cn.srv.draining.Load() {
 			break
 		}
-		req, err := protocol.ReadRequest(br, cn.srv.cfg.MaxFrame)
+		payload, err := fr.Next()
+		var req *protocol.Request
+		if err == nil {
+			// DecodeRequest copies what it keeps, so the next frame may
+			// overwrite payload.
+			req, err = protocol.DecodeRequest(payload)
+		}
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -856,7 +827,7 @@ func (cn *conn) readFrames() {
 				cn.srv.logf("evicting idle/half-open connection %s after %v", cn.nc.RemoteAddr(), cn.srv.cfg.ReadTimeout)
 				break
 			}
-			if errors.Is(err, protocol.ErrFrameTooLarge) || strings.Contains(err.Error(), "malformed request") {
+			if errors.Is(err, protocol.ErrFrameTooLarge) || errors.Is(err, protocol.ErrMalformed) {
 				cn.srv.met.badRequests.Inc()
 				cn.send(protocol.ErrResponse(0, protocol.CodeBadRequest, err.Error()))
 			}

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,7 +52,7 @@ func startServer(t *testing.T, cfg server.Config) *server.Server {
 type testConn struct {
 	t  *testing.T
 	nc net.Conn
-	br *bufio.Reader
+	fr *protocol.FrameReader
 }
 
 func dialServer(t *testing.T, s *server.Server) *testConn {
@@ -63,20 +62,38 @@ func dialServer(t *testing.T, s *server.Server) *testConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return &testConn{t: t, nc: nc, br: bufio.NewReader(nc)}
+	return &testConn{t: t, nc: nc, fr: protocol.NewFrameReader(nc, 0)}
+}
+
+// send writes v as one frame.
+func (c *testConn) send(v any) error {
+	frame, err := protocol.EncodeFrame(v, 0)
+	if err == nil {
+		_, err = c.nc.Write(frame)
+	}
+	return err
 }
 
 func (c *testConn) write(req *protocol.Request) {
 	c.t.Helper()
-	if err := protocol.WriteFrame(c.nc, req, 0); err != nil {
+	if err := c.send(req); err != nil {
 		c.t.Fatalf("write %+v: %v", req, err)
 	}
+}
+
+// recv reads and decodes the next response frame.
+func (c *testConn) recv() (*protocol.Response, error) {
+	payload, err := c.fr.Next()
+	if err != nil {
+		return nil, err
+	}
+	return protocol.DecodeResponse(payload)
 }
 
 func (c *testConn) read() *protocol.Response {
 	c.t.Helper()
 	c.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	resp, err := protocol.ReadResponse(c.br, 0)
+	resp, err := c.recv()
 	if err != nil {
 		c.t.Fatalf("read response: %v", err)
 	}
@@ -192,7 +209,7 @@ func TestServerTuneIgnoresRetiredParallelism(t *testing.T) {
 	frame := json.RawMessage(`{"id":2,"op":"tune",` +
 		`"sql":"SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45",` +
 		`"tuneopts":{"shrink":true,"parallelism":4}}`)
-	if err := protocol.WriteFrame(c.nc, frame, 0); err != nil {
+	if err := c.send(frame); err != nil {
 		t.Fatal(err)
 	}
 	resp := c.read()
@@ -221,8 +238,8 @@ func TestServerMissingTenant(t *testing.T) {
 func TestServerMalformedFrame(t *testing.T) {
 	s := startServer(t, server.Config{MaxFrame: 1 << 10})
 	for name, frame := range map[string][]byte{
-		"not json":  protocol.AppendFrame(nil, []byte("not json")),
-		"oversized": protocol.AppendFrame(nil, make([]byte, 2<<10)),
+		"not json":  []byte("\x00\x00\x00\x08not json"),
+		"oversized": append([]byte{0, 0, 8, 0}, make([]byte, 2<<10)...),
 	} {
 		c := dialServer(t, s)
 		c.hello("alpha")
@@ -233,7 +250,7 @@ func TestServerMalformedFrame(t *testing.T) {
 			t.Fatalf("%s: %+v, want bad_request", name, resp)
 		}
 		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := protocol.ReadResponse(c.br, 0); err == nil {
+		if _, err := c.recv(); err == nil {
 			t.Fatalf("%s: connection still open after an undecodable frame", name)
 		}
 	}
@@ -412,7 +429,7 @@ func TestServerDrainCompletesInflight(t *testing.T) {
 
 	// The connection is closed once drained.
 	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := protocol.ReadResponse(c.br, 0); err == nil {
+	if _, err := c.recv(); err == nil {
 		t.Fatal("connection still open after drain")
 	}
 }
@@ -462,7 +479,7 @@ func TestServerIdleEviction(t *testing.T) {
 	c.hello("idle")
 	// Go silent. The server must close the connection on its own.
 	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := protocol.ReadResponse(c.br, 0); err == nil {
+	if _, err := c.recv(); err == nil {
 		t.Fatal("idle connection still alive past the read timeout")
 	}
 	if v := waitCounter(t, s, "server.conn.idle_evicted", 1); v < 1 {
@@ -516,8 +533,8 @@ func TestServerSlowClientEvicted(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		// The eviction can land before the whole pipeline is written; a
 		// failed write is then the reset this test is waiting for.
-		if err := protocol.WriteFrame(c.nc, &protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
-			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"}, 0); err != nil {
+		if err := c.send(&protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
+			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"}); err != nil {
 			break
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"math"
 	"net"
@@ -36,10 +35,14 @@ func TestWriterAnswersUnencodableResponse(t *testing.T) {
 	cn.send(&protocol.Response{ID: 4, Metrics: strings.Repeat("m", 2<<10)})
 	cn.send(&protocol.Response{ID: 5, Plan: "after"})
 
-	br := bufio.NewReader(peer)
+	fr := protocol.NewFrameReader(peer, 0)
 	wantErr := []string{"", "response not encodable", "response not encodable", "response exceeds frame limit", ""}
 	for i, want := range wantErr {
-		resp, err := protocol.ReadResponse(br, 0)
+		payload, err := fr.Next()
+		var resp *protocol.Response
+		if err == nil {
+			resp, err = protocol.DecodeResponse(payload)
+		}
 		if err != nil {
 			t.Fatalf("response %d: %v", i+1, err)
 		}

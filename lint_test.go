@@ -7,11 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"autostats/internal/protocol"
 )
 
 // panicAllowlist maps files permitted to call panic to the number of calls
@@ -137,29 +134,6 @@ func TestOneSpellingPerOperation(t *testing.T) {
 	for base := range pairAllowlist {
 		if !found[base] {
 			t.Errorf("allowlisted pair %s / %sCtx is gone: delete its allowlist entry", base, base)
-		}
-	}
-}
-
-// TestTuneOptionsReachableFromWire requires every exported field of
-// TuneOptions to have a field of the same name and kind in
-// protocol.TuneParams, so that a tune option the daemon's clients cannot set
-// — a facade-only knob — cannot reappear.
-func TestTuneOptionsReachableFromWire(t *testing.T) {
-	opts := reflect.TypeOf(TuneOptions{})
-	wire := reflect.TypeOf(protocol.TuneParams{})
-	for i := 0; i < opts.NumField(); i++ {
-		f := opts.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		w, ok := wire.FieldByName(f.Name)
-		if !ok {
-			t.Errorf("TuneOptions.%s has no field in protocol.TuneParams", f.Name)
-			continue
-		}
-		if w.Type.Kind() != f.Type.Kind() {
-			t.Errorf("TuneOptions.%s is a %s, protocol.TuneParams.%s a %s", f.Name, f.Type.Kind(), w.Name, w.Type.Kind())
 		}
 	}
 }

@@ -5,31 +5,24 @@ import (
 	"fmt"
 
 	"autostats/internal/core"
+	"autostats/internal/protocol"
 	"autostats/internal/query"
 	"autostats/internal/sqlparser"
 	"autostats/internal/stats"
 	"autostats/internal/workload"
 )
 
-// TuneOptions configures statistics selection.
-type TuneOptions struct {
-	// ThresholdPct is the t of t-optimizer-cost equivalence, in percent
-	// (default 20, the paper's conservative choice).
-	ThresholdPct float64
-	// Epsilon pins the extreme selectivities of MNSA (default 0.0005).
-	Epsilon float64
-	// SingleColumnOnly restricts candidates to single-column statistics.
-	SingleColumnOnly bool
-	// Drop enables MNSA/D: detect non-essential statistics during creation
-	// and place them on the drop-list.
-	Drop bool
-	// Shrink runs the Shrinking Set algorithm after MNSA, drop-listing
-	// everything outside the resulting essential set (the offline policy of
-	// §6).
-	Shrink bool
-}
+// TuneOptions configures statistics selection. It is the tune request's
+// knobs (see protocol.TuneParams for the fields), so every option a caller
+// of the facade can set, a client of the daemon can set too.
+type TuneOptions = protocol.TuneParams
 
-func (o TuneOptions) config() core.Config {
+// TuneReport summarizes a tuning run. It is the wire's tune answer (see
+// protocol.TuneResult for the fields).
+type TuneReport = protocol.TuneResult
+
+// tuneConfig maps the options onto the core algorithms' configuration.
+func tuneConfig(o TuneOptions) core.Config {
 	cfg := core.DefaultConfig()
 	if o.ThresholdPct > 0 {
 		cfg.T = o.ThresholdPct
@@ -42,26 +35,6 @@ func (o TuneOptions) config() core.Config {
 	}
 	cfg.Drop = o.Drop
 	return cfg
-}
-
-// TuneReport summarizes a tuning run.
-type TuneReport struct {
-	// Created lists statistics built, in creation order.
-	Created []string
-	// DropListed lists statistics identified as non-essential.
-	DropListed []string
-	// Essential lists the essential set when Shrink ran (nil otherwise).
-	Essential []string
-	// OptimizerCalls counts optimizations performed by the algorithms.
-	OptimizerCalls int
-	// CreationCostUnits is the statistics build cost in work units.
-	CreationCostUnits float64
-	// Degraded reports whether the run completed in degraded mode: some
-	// statistic builds failed and the affected queries were planned on
-	// default magic-number selectivities instead.
-	Degraded bool
-	// BuildFailures lists the statistics whose build failed.
-	BuildFailures []string
 }
 
 // TuneQuery runs MNSA (or MNSA/D when opts.Drop) for one SELECT statement,
@@ -77,7 +50,7 @@ func (s *System) TuneQuery(ctx context.Context, sql string, opts TuneOptions) (*
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
 	s.sess.ClearDegraded()
-	res, err := core.RunMNSA(ctx, s.sess, q, opts.config())
+	res, err := core.RunMNSA(ctx, s.sess, q, tuneConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +86,7 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
 	s.sess.ClearDegraded()
-	cfg := opts.config()
+	cfg := tuneConfig(opts)
 	rep := &TuneReport{}
 	sp := s.sess.Obs().StartSpan("tune.workload", func() map[string]any {
 		return map[string]any{"queries": len(queries), "shrink": opts.Shrink}
