@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -114,9 +113,11 @@ func TestREPLEOFExitsCleanly(t *testing.T) {
 func TestREPLHealthProbe(t *testing.T) {
 	ready := atomic.Bool{}
 	ready.Store(true)
-	ts := httptest.NewServer(server.OpsHandler(obs.New(), ready.Load))
-	defer ts.Close()
-	addr := strings.TrimPrefix(ts.URL, "http://")
+	addr, stop, err := server.ServeOps("127.0.0.1:0", obs.New(), ready.Load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
 
 	out := drive(t, ".health\n.health "+addr+"\n.quit\n")
 	if !strings.Contains(out, "usage: .health") {
@@ -132,7 +133,7 @@ func TestREPLHealthProbe(t *testing.T) {
 		t.Errorf("draining daemon must stay live but report not ready:\n%s", out)
 	}
 
-	ts.Close()
+	stop()
 	out = drive(t, ".health "+addr+"\n.quit\n")
 	if !strings.Contains(out, "unreachable") {
 		t.Errorf("probing a dead address should report unreachable:\n%s", out)

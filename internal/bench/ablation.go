@@ -33,28 +33,28 @@ type AblationRow struct {
 
 // runMNSAPoint runs MNSA with cfg on a fresh environment and returns a row.
 func runMNSAPoint(dbName, wlName string, scale float64, seed int64, label string, baselineExec float64, cfg core.Config) (*AblationRow, error) {
-	env, err := NewEnv(dbName, scale)
+	env, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
-	w, err := env.Workload(wlName, seed)
+	w, err := env.buildWorkload(wlName, seed)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.Sess, w.Queries(), cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.sess, w.Queries(), cfg)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	exec, err := env.ExecuteQueries(w)
+	exec, err := env.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
 	return &AblationRow{
 		Label:           label,
 		StatsCreated:    len(wr.Created),
-		CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+		CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
 		OptimizerCalls:  wr.OptimizerCalls,
 		ExecCost:        exec,
 		ExecIncreasePct: PctIncrease(baselineExec, exec),
@@ -64,18 +64,18 @@ func runMNSAPoint(dbName, wlName string, scale float64, seed int64, label string
 
 // baselineExec measures workload execution cost with every candidate built.
 func baselineExec(dbName, wlName string, scale float64, seed int64) (float64, error) {
-	env, err := NewEnv(dbName, scale)
+	env, err := newEnv(dbName, scale)
 	if err != nil {
 		return 0, err
 	}
-	w, err := env.Workload(wlName, seed)
+	w, err := env.buildWorkload(wlName, seed)
 	if err != nil {
 		return 0, err
 	}
 	if _, _, err := env.createAll(core.WorkloadCandidates(w.Queries(), core.CandidateStats)); err != nil {
 		return 0, err
 	}
-	return env.ExecuteQueries(w)
+	return env.executeQueries(w)
 }
 
 // AblationThreshold sweeps the t-optimizer-cost equivalence threshold
@@ -178,28 +178,28 @@ func AblationCostWeighted(dbName, wlName string, scale float64, seed int64, cove
 	}
 	var rows []*AblationRow
 	for _, cov := range coverages {
-		env, err := NewEnv(dbName, scale)
+		env, err := newEnv(dbName, scale)
 		if err != nil {
 			return nil, err
 		}
-		w, err := env.Workload(wlName, seed)
+		w, err := env.buildWorkload(wlName, seed)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		wr, tuned, err := runMNSACostWeighted(env.Sess, w.Queries(), core.DefaultConfig(), cov)
+		wr, tuned, err := runMNSACostWeighted(env.sess, w.Queries(), core.DefaultConfig(), cov)
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		exec, err := env.ExecuteQueries(w)
+		exec, err := env.executeQueries(w)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, &AblationRow{
 			Label:           labelFloat("coverage=", cov, "") + labelFloat(" (", float64(tuned), " queries)"),
 			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+			CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
 			OptimizerCalls:  wr.OptimizerCalls,
 			ExecCost:        exec,
 			ExecIncreasePct: PctIncrease(base, exec),
@@ -267,32 +267,32 @@ func AblationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]
 	}
 	var rows []*AblationRow
 	for _, kind := range []histogram.Kind{histogram.MaxDiff, histogram.EquiDepth} {
-		env, err := NewEnv(dbName, scale)
+		env, err := newEnv(dbName, scale)
 		if err != nil {
 			return nil, err
 		}
 		// Swap the manager's histogram kind by rebuilding the environment
 		// plumbing with the alternative kind.
-		env.Mgr = stats.NewManager(env.DB, kind, 0)
-		env.Sess = optimizer.NewSession(env.Mgr)
-		w, err := env.Workload(wlName, seed)
+		env.mgr = stats.NewManager(env.db, kind, 0)
+		env.sess = optimizer.NewSession(env.mgr)
+		w, err := env.buildWorkload(wlName, seed)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.Sess, w.Queries(), core.DefaultConfig())
+		wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.sess, w.Queries(), core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		exec, err := env.ExecuteQueries(w)
+		exec, err := env.executeQueries(w)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, &AblationRow{
 			Label:           kind.String(),
 			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits,
+			CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
 			OptimizerCalls:  wr.OptimizerCalls,
 			ExecCost:        exec,
 			ExecIncreasePct: PctIncrease(base, exec),

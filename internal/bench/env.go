@@ -16,21 +16,20 @@ import (
 	"autostats/internal/workload"
 )
 
-// Env is one freshly generated database with its statistics manager,
+// env is one freshly generated database with its statistics manager,
 // optimizer session and executor. Experiments that compare two statistics
-// policies run each policy in its own Env over identical data (same
+// policies run each policy in its own env over identical data (same
 // generator seed) so DML side effects cannot leak between arms.
-type Env struct {
-	DBName string
-	DB     *storage.Database
-	Mgr    *stats.Manager
-	Sess   *optimizer.Session
-	Ex     *executor.Executor
+type env struct {
+	db   *storage.Database
+	mgr  *stats.Manager
+	sess *optimizer.Session
+	ex   *executor.Executor
 }
 
-// NewEnv generates the named paper database (TPCD_0, TPCD_2, TPCD_4,
+// newEnv generates the named paper database (TPCD_0, TPCD_2, TPCD_4,
 // TPCD_MIX) at the given scale.
-func NewEnv(dbName string, scale float64) (*Env, error) {
+func newEnv(dbName string, scale float64) (*env, error) {
 	cfg, err := datagen.ConfigByName(dbName)
 	if err != nil {
 		return nil, err
@@ -41,48 +40,47 @@ func NewEnv(dbName string, scale float64) (*Env, error) {
 		return nil, err
 	}
 	mgr := stats.NewManager(db, histogram.MaxDiff, 0)
-	return &Env{
-		DBName: dbName,
-		DB:     db,
-		Mgr:    mgr,
-		Sess:   optimizer.NewSession(mgr),
-		Ex:     executor.New(db),
+	return &env{
+		db:   db,
+		mgr:  mgr,
+		sess: optimizer.NewSession(mgr),
+		ex:   executor.New(db),
 	}, nil
 }
 
-// CreateIndexedColumnStats builds single-column statistics on every indexed
+// createIndexedColumnStats builds single-column statistics on every indexed
 // column, mirroring the paper's tuned baseline ("besides statistics on
 // indexed columns") — index creation auto-creates a statistic in SQL Server.
-func (e *Env) CreateIndexedColumnStats() error {
-	for _, ix := range e.DB.Schema.Indexes {
-		if _, err := e.Mgr.Create(ix.Table, []string{ix.Column}); err != nil {
+func (e *env) createIndexedColumnStats() error {
+	for _, ix := range e.db.Schema.Indexes {
+		if _, err := e.mgr.Create(ix.Table, []string{ix.Column}); err != nil {
 			return fmt.Errorf("bench: stats on indexed column %s.%s: %w", ix.Table, ix.Column, err)
 		}
 	}
 	return nil
 }
 
-// Workload builds the named Rags workload (e.g. "U25-C-100") over this
+// buildWorkload builds the named Rags workload (e.g. "U25-C-100") over this
 // environment's database with a deterministic seed.
-func (e *Env) Workload(name string, seed int64) (*workload.Workload, error) {
+func (e *env) buildWorkload(name string, seed int64) (*workload.Workload, error) {
 	cfg, err := workload.ConfigByName(name, seed)
 	if err != nil {
 		return nil, err
 	}
-	return workload.Generate(e.DB, cfg)
+	return workload.Generate(e.db, cfg)
 }
 
-// ExecuteQueries optimizes and executes every SELECT in the workload under
+// executeQueries optimizes and executes every SELECT in the workload under
 // the env's current statistics and returns the total execution cost in work
 // units.
-func (e *Env) ExecuteQueries(w *workload.Workload) (float64, error) {
+func (e *env) executeQueries(w *workload.Workload) (float64, error) {
 	total := 0.0
 	for _, q := range w.Queries() {
-		plan, err := e.Sess.Optimize(q)
+		plan, err := e.sess.Optimize(q)
 		if err != nil {
 			return 0, err
 		}
-		res, err := e.Ex.Run(plan)
+		res, err := e.ex.Run(plan)
 		if err != nil {
 			return 0, err
 		}
@@ -91,8 +89,8 @@ func (e *Env) ExecuteQueries(w *workload.Workload) (float64, error) {
 	return total, nil
 }
 
-// PctReduction returns (base−new)/base in percent (0 when base is 0).
-func PctReduction(base, new float64) float64 {
+// pctReduction returns (base−new)/base in percent (0 when base is 0).
+func pctReduction(base, new float64) float64 {
 	if base <= 0 {
 		return 0
 	}

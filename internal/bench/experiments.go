@@ -11,22 +11,22 @@ import (
 	"autostats/internal/workload"
 )
 
-// OptimizerCallUnits charges one full optimization at the equivalent of
+// optimizerCallUnits charges one full optimization at the equivalent of
 // scanning a few hundred rows when folding MNSA's overhead into "statistics
 // creation cost" (§8.2 includes the overhead; §4.3: "the time to create a
 // statistic typically far exceeds the time to optimize a query").
-const OptimizerCallUnits = 200.0
+const optimizerCallUnits = 200.0
 
 // createAll builds every candidate in order and returns (cost units, wall
 // time) charged by the statistics manager.
-func (e *Env) createAll(cands []core.Candidate) (float64, time.Duration, error) {
-	e.Mgr.ResetAccounting()
+func (e *env) createAll(cands []core.Candidate) (float64, time.Duration, error) {
+	e.mgr.ResetAccounting()
 	for _, c := range cands {
-		if _, err := e.Mgr.Create(c.Table, c.Columns); err != nil {
+		if _, err := e.mgr.Create(c.Table, c.Columns); err != nil {
 			return 0, 0, err
 		}
 	}
-	acct := e.Mgr.Snapshot()
+	acct := e.mgr.Snapshot()
 	return acct.TotalBuildCost, acct.TotalBuildTime, nil
 }
 
@@ -60,14 +60,14 @@ type IntroResult struct {
 
 // Intro runs the §1 experiment on the named database.
 func Intro(dbName string, scale float64) (*IntroResult, error) {
-	env, err := NewEnv(dbName, scale)
+	env, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
-	if err := env.CreateIndexedColumnStats(); err != nil {
+	if err := env.createIndexedColumnStats(); err != nil {
 		return nil, err
 	}
-	w, err := workload.TPCDOrig(env.DB.Schema)
+	w, err := workload.TPCDOrig(env.db.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +117,12 @@ type planExec struct {
 	execCost float64
 }
 
-func (e *Env) planAndRun(q *query.Select) (*planExec, error) {
-	plan, err := e.Sess.Optimize(q)
+func (e *env) planAndRun(q *query.Select) (*planExec, error) {
+	plan, err := e.sess.Optimize(q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Ex.Run(plan)
+	res, err := e.ex.Run(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +154,11 @@ type Fig3Row struct {
 
 // Figure3 runs one cell of Figure 3.
 func Figure3(dbName, wlName string, scale float64, seed int64) (*Fig3Row, error) {
-	envEx, err := NewEnv(dbName, scale)
+	envEx, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
-	w, err := envEx.Workload(wlName, seed)
+	w, err := envEx.buildWorkload(wlName, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -169,12 +169,12 @@ func Figure3(dbName, wlName string, scale float64, seed int64) (*Fig3Row, error)
 	if err != nil {
 		return nil, err
 	}
-	exExec, err := envEx.ExecuteQueries(w)
+	exExec, err := envEx.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
 
-	envCand, err := NewEnv(dbName, scale)
+	envCand, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func Figure3(dbName, wlName string, scale float64, seed int64) (*Fig3Row, error)
 	if err != nil {
 		return nil, err
 	}
-	candExec, err := envCand.ExecuteQueries(w)
+	candExec, err := envCand.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
@@ -197,8 +197,8 @@ func Figure3(dbName, wlName string, scale float64, seed int64) (*Fig3Row, error)
 		CandidateUnits:       candUnits,
 		ExhaustiveTime:       exTime,
 		CandidateTime:        candTime,
-		CreationReductionPct: PctReduction(exUnits, candUnits),
-		WallReductionPct:     PctReduction(float64(exTime), float64(candTime)),
+		CreationReductionPct: pctReduction(exUnits, candUnits),
+		WallReductionPct:     pctReduction(float64(exTime), float64(candTime)),
 		ExecIncreasePct:      PctIncrease(exExec, candExec),
 	}, nil
 }
@@ -234,11 +234,11 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 		candidateFn = core.CandidateStats
 	}
 	// Arm A: all candidate statistics.
-	envAll, err := NewEnv(dbName, scale)
+	envAll, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
-	w, err := envAll.Workload(wlName, seed)
+	w, err := envAll.buildWorkload(wlName, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -248,27 +248,27 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 	if err != nil {
 		return nil, err
 	}
-	allExec, err := envAll.ExecuteQueries(w)
+	allExec, err := envAll.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
 
 	// Arm B: MNSA over the same candidate space.
-	envM, err := NewEnv(dbName, scale)
+	envM, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.CandidateFn = candidateFn
-	envM.Mgr.ResetAccounting()
+	envM.mgr.ResetAccounting()
 	start := time.Now()
-	wr, err := core.RunMNSAWorkloadCtx(context.Background(), envM.Sess, queries, cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), envM.sess, queries, cfg)
 	if err != nil {
 		return nil, err
 	}
 	mnsaTime := time.Since(start)
-	mnsaUnits := envM.Mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*OptimizerCallUnits
-	mnsaExec, err := envM.ExecuteQueries(w)
+	mnsaUnits := envM.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits
+	mnsaExec, err := envM.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
@@ -283,8 +283,8 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 		AllTime:              allTime,
 		MNSATime:             mnsaTime,
 		OptimizerCalls:       wr.OptimizerCalls,
-		CreationReductionPct: PctReduction(allUnits, mnsaUnits),
-		WallReductionPct:     PctReduction(float64(allTime), float64(mnsaTime)),
+		CreationReductionPct: pctReduction(allUnits, mnsaUnits),
+		WallReductionPct:     pctReduction(float64(allTime), float64(mnsaTime)),
 		ExecIncreasePct:      PctIncrease(allExec, mnsaExec),
 	}, nil
 }
@@ -317,34 +317,34 @@ type Table1Row struct {
 // workload (paper configuration), or any workload name passed in.
 func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error) {
 	// Arm A: plain MNSA.
-	envA, err := NewEnv(dbName, scale)
+	envA, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
-	w, err := envA.Workload(wlName, seed)
+	w, err := envA.buildWorkload(wlName, seed)
 	if err != nil {
 		return nil, err
 	}
 	queries := w.Queries()
 	cfg := core.DefaultConfig()
-	wrA, err := core.RunMNSAWorkloadCtx(context.Background(), envA.Sess, queries, cfg)
+	wrA, err := core.RunMNSAWorkloadCtx(context.Background(), envA.sess, queries, cfg)
 	if err != nil {
 		return nil, err
 	}
-	updateA := envA.Mgr.MaintenanceCostUnits()
+	updateA := envA.mgr.MaintenanceCostUnits()
 
 	// Arm B: MNSA/D.
-	envB, err := NewEnv(dbName, scale)
+	envB, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
 	cfgD := cfg
 	cfgD.Drop = true
-	wrB, err := core.RunMNSAWorkloadCtx(context.Background(), envB.Sess, queries, cfgD)
+	wrB, err := core.RunMNSAWorkloadCtx(context.Background(), envB.sess, queries, cfgD)
 	if err != nil {
 		return nil, err
 	}
-	updateB := envB.Mgr.MaintenanceCostUnits()
+	updateB := envB.mgr.MaintenanceCostUnits()
 
 	// Replay the full workload (queries + DML) under the maintenance policy
 	// and accumulate actual refresh cost.
@@ -360,24 +360,24 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 	// §8.2 re-run check: physically drop the drop-listed statistics, then
 	// re-run the workload queries and compare against arm A. Fresh
 	// environments keep the data identical after the replay's DML.
-	envA2, err := NewEnv(dbName, scale)
+	envA2, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
 	for _, id := range wrA.Created {
-		st := envA.Mgr.Get(id)
+		st := envA.mgr.Get(id)
 		if st == nil {
 			continue
 		}
-		if _, err := envA2.Mgr.Create(st.Table, st.Columns); err != nil {
+		if _, err := envA2.mgr.Create(st.Table, st.Columns); err != nil {
 			return nil, err
 		}
 	}
-	execA, err := envA2.ExecuteQueries(w)
+	execA, err := envA2.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
-	envB2, err := NewEnv(dbName, scale)
+	envB2, err := newEnv(dbName, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -389,15 +389,15 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 		if dropped[id] {
 			continue
 		}
-		st := envB.Mgr.Get(id)
+		st := envB.mgr.Get(id)
 		if st == nil {
 			continue
 		}
-		if _, err := envB2.Mgr.Create(st.Table, st.Columns); err != nil {
+		if _, err := envB2.mgr.Create(st.Table, st.Columns); err != nil {
 			return nil, err
 		}
 	}
-	execB, err := envB2.ExecuteQueries(w)
+	execB, err := envB2.executeQueries(w)
 	if err != nil {
 		return nil, err
 	}
@@ -409,10 +409,10 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 		DropListed:         len(wrB.DropListed),
 		MNSAUpdateUnits:    updateA,
 		MNSADUpdateUnits:   updateB,
-		UpdateReductionPct: PctReduction(updateA, updateB),
+		UpdateReductionPct: pctReduction(updateA, updateB),
 		ReplayMNSAUnits:    replayA,
 		ReplayMNSADUnits:   replayB,
-		ReplayReductionPct: PctReduction(replayA, replayB),
+		ReplayReductionPct: pctReduction(replayA, replayB),
 		ExecIncreasePct:    PctIncrease(execA, execB),
 	}, nil
 }
@@ -420,19 +420,19 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 // replayWithMaintenance executes the whole workload, running the SQL
 // Server-style maintenance policy every 25 statements, and returns the
 // statistics update cost charged.
-func replayWithMaintenance(e *Env, w *workload.Workload) (float64, error) {
-	e.Mgr.ResetAccounting()
+func replayWithMaintenance(e *env, w *workload.Workload) (float64, error) {
+	e.mgr.ResetAccounting()
 	policy := stats.DefaultMaintenancePolicy()
 	policy.MaxUpdates = 0 // measure pure update cost; no drops during replay
 	for i, stmt := range w.Statements {
-		if _, err := e.Ex.RunStatement(e.Sess, stmt); err != nil {
+		if _, err := e.ex.RunStatement(e.sess, stmt); err != nil {
 			return 0, err
 		}
 		if (i+1)%25 == 0 {
-			if _, err := e.Mgr.RunMaintenance(context.Background(), policy); err != nil {
+			if _, err := e.mgr.RunMaintenance(context.Background(), policy); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return e.Mgr.Snapshot().TotalUpdateCost, nil
+	return e.mgr.Snapshot().TotalUpdateCost, nil
 }

@@ -140,15 +140,15 @@ func TestAblationShapes(t *testing.T) {
 // every query, and a coverage outside (0,1] is an error.
 func TestCostWeightedTuning(t *testing.T) {
 	run := func(coverage float64) (*core.WorkloadResult, int, int, error) {
-		env, err := NewEnv("TPCD_2", 0.5)
+		env, err := newEnv("TPCD_2", 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := env.Workload("U0-C-30", 21)
+		w, err := env.buildWorkload("U0-C-30", 21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wr, tuned, err := runMNSACostWeighted(env.Sess, w.Queries(), core.DefaultConfig(), coverage)
+		wr, tuned, err := runMNSACostWeighted(env.sess, w.Queries(), core.DefaultConfig(), coverage)
 		return wr, tuned, len(w.Queries()), err
 	}
 	wrFull, tunedFull, n, err := run(1.0)

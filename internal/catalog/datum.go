@@ -150,20 +150,9 @@ func (d Datum) asFloat() float64 {
 	return float64(d.I)
 }
 
-// Equal reports whether two datums compare equal. NULL never equals anything,
-// matching SQL semantics for predicate evaluation; incompatible types are
-// simply unequal.
-func (d Datum) Equal(other Datum) bool {
-	if d.Null || other.Null {
-		return false
-	}
-	c, err := d.TryCompare(other)
-	return err == nil && c == 0
-}
-
 // ToFloat converts a numeric datum to float64 for histogram bucketing.
 // Strings hash-order through their first bytes so histograms can still
-// bucket them; see StringRank.
+// bucket them; see stringRank.
 func (d Datum) ToFloat() float64 {
 	switch d.T {
 	case Int, Date:
@@ -171,16 +160,16 @@ func (d Datum) ToFloat() float64 {
 	case Float:
 		return d.F
 	case String:
-		return StringRank(d.S)
+		return stringRank(d.S)
 	default:
 		return 0
 	}
 }
 
-// StringRank maps a string onto a float preserving lexicographic order for
+// stringRank maps a string onto a float preserving lexicographic order for
 // the first eight bytes. It gives histograms a total order over strings
 // without storing full values in bucket boundaries.
-func StringRank(s string) float64 {
+func stringRank(s string) float64 {
 	var r float64
 	scale := 1.0
 	for i := 0; i < 8; i++ {

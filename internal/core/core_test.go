@@ -258,7 +258,7 @@ func TestShrinkingSetProducesEssentialSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("kept %v, removed %d", sr.Kept, len(sr.Removed))
-	ok, reason, err := IsEssentialSet(sess, q, sr.Kept, cIDs, eq)
+	ok, reason, err := isEssentialSet(sess, q, sr.Kept, cIDs, eq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,12 @@ func (ExecutionTree) Equivalent(a, b *optimizer.Plan) bool {
 // Name implements Equivalence.
 func (ExecutionTree) Name() string { return "execution-tree" }
 
-// OptimizerCost requires the optimizer-estimated costs to be (numerically)
+// optimizerCost requires the optimizer-estimated costs to be (numerically)
 // equal; the plans themselves may differ.
-type OptimizerCost struct{}
+type optimizerCost struct{}
 
 // Equivalent compares estimated costs exactly (within floating-point noise).
-func (OptimizerCost) Equivalent(a, b *optimizer.Plan) bool {
+func (optimizerCost) Equivalent(a, b *optimizer.Plan) bool {
 	ca, cb := a.Cost(), b.Cost()
 	if ca == cb {
 		return true
@@ -45,7 +45,7 @@ func (OptimizerCost) Equivalent(a, b *optimizer.Plan) bool {
 }
 
 // Name implements Equivalence.
-func (OptimizerCost) Name() string { return "optimizer-cost" }
+func (optimizerCost) Name() string { return "optimizer-cost" }
 
 // TOptimizerCost is the paper's pragmatic working definition: costs within
 // t percent of each other (footnote 2:

@@ -25,7 +25,7 @@ func planWithVisible(sess *optimizer.Session, q *query.Select, visible map[stats
 	return sess.Optimize(q)
 }
 
-// IsEssentialSet verifies Definition 1 directly: S (a subset of the
+// isEssentialSet verifies Definition 1 directly: S (a subset of the
 // candidate set C, all of which must already be built in the manager) is an
 // essential set for q iff S is equivalent to C and no single-statistic
 // removal preserves equivalence. It returns a human-readable reason when the
@@ -34,7 +34,7 @@ func planWithVisible(sess *optimizer.Session, q *query.Select, visible map[stats
 // This is an exponential-free but optimizer-call-heavy check (1 + 1 + |S|
 // optimizations) intended for validation and tests, not production tuning —
 // production uses MNSA + Shrinking Set, which avoid building C at all.
-func IsEssentialSet(sess *optimizer.Session, q *query.Select, S, C []stats.ID, eq Equivalence) (bool, string, error) {
+func isEssentialSet(sess *optimizer.Session, q *query.Select, S, C []stats.ID, eq Equivalence) (bool, string, error) {
 	mgr := sess.Manager()
 	inC := map[stats.ID]bool{}
 	for _, id := range C {

@@ -51,9 +51,6 @@ func NewAutoManager(sess *optimizer.Session, ex *executor.Executor) *AutoManager
 	}
 }
 
-// Session returns the underlying optimizer session.
-func (am *AutoManager) Session() *optimizer.Session { return am.sess }
-
 // ProcessStatement handles one incoming statement under the on-the-fly
 // policy and returns its execution result.
 //
@@ -123,10 +120,6 @@ type TuneReport struct {
 	// DropListed lists the statistics moved to the drop-list by shrinking.
 	DropListed []stats.ID
 }
-
-// Degraded reports whether the creation phase ran degraded (some statistic
-// builds failed).
-func (r *TuneReport) Degraded() bool { return r.MNSA != nil && r.MNSA.Degraded() }
 
 // BuildFailures returns the creation phase's build failures, if any.
 func (r *TuneReport) BuildFailures() []BuildFailure {

@@ -26,11 +26,11 @@ func TestEquivalenceNotions(t *testing.T) {
 	if (ExecutionTree{}).Equivalent(a, c) {
 		t.Error("different trees are not execution-tree equivalent")
 	}
-	if !(OptimizerCost{}).Equivalent(a, c) {
+	if !(optimizerCost{}).Equivalent(a, c) {
 		t.Error("equal costs are optimizer-cost equivalent regardless of tree")
 	}
 	d := mk(115, "t")
-	if (OptimizerCost{}).Equivalent(a, d) {
+	if (optimizerCost{}).Equivalent(a, d) {
 		t.Error("115 vs 100 is not exact-cost equivalent")
 	}
 	if !(TOptimizerCost{T: 20}).Equivalent(a, d) {
@@ -48,7 +48,7 @@ func TestEquivalenceNotions(t *testing.T) {
 	if (TOptimizerCost{T: 20}).Equivalent(a, f) {
 		t.Error("21/100 > 20% must not be equivalent")
 	}
-	for _, eq := range []Equivalence{ExecutionTree{}, OptimizerCost{}, TOptimizerCost{T: 20}} {
+	for _, eq := range []Equivalence{ExecutionTree{}, optimizerCost{}, TOptimizerCost{T: 20}} {
 		if eq.Name() == "" {
 			t.Error("equivalence must have a name")
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSchemaShape(t *testing.T) {
-	s := Schema()
+	s := tpcdSchema()
 	if got := len(s.TableNames()); got != 8 {
 		t.Errorf("TPC-D has 8 tables, got %d", got)
 	}
@@ -32,10 +32,10 @@ func TestSchemaShape(t *testing.T) {
 
 func TestZipfUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	z := NewZipf(rng, 10, 0)
+	z := newZipf(rng, 10, 0)
 	counts := make([]int, 10)
 	for i := 0; i < 10000; i++ {
-		counts[z.Next()]++
+		counts[z.next()]++
 	}
 	for r, c := range counts {
 		if c < 700 || c > 1300 {
@@ -47,11 +47,11 @@ func TestZipfUniform(t *testing.T) {
 func TestZipfSkewIncreasesWithZ(t *testing.T) {
 	top1 := func(zv float64) float64 {
 		rng := rand.New(rand.NewSource(2))
-		z := NewZipf(rng, 100, zv)
+		z := newZipf(rng, 100, zv)
 		hits := 0
 		const n = 20000
 		for i := 0; i < n; i++ {
-			if z.Next() == 0 {
+			if z.next() == 0 {
 				hits++
 			}
 		}
@@ -71,14 +71,14 @@ func TestZipfSkewIncreasesWithZ(t *testing.T) {
 
 func TestZipfDomainBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	z := NewZipf(rng, 7, 3)
+	z := newZipf(rng, 7, 3)
 	for i := 0; i < 1000; i++ {
-		if r := z.Next(); r < 0 || r >= 7 {
+		if r := z.next(); r < 0 || r >= 7 {
 			t.Fatalf("rank %d out of [0,7)", r)
 		}
 	}
-	one := NewZipf(rng, 0, 2) // degenerate domain clamps to 1
-	if one.N() != 1 || one.Next() != 0 {
+	one := newZipf(rng, 0, 2) // degenerate domain clamps to 1
+	if one.n != 1 || one.next() != 0 {
 		t.Error("degenerate domain should clamp to a single rank")
 	}
 }

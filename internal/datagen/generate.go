@@ -25,30 +25,20 @@ type Config struct {
 	Seed int64
 }
 
-// Named database configurations used throughout the paper's §8.
-var (
-	// TPCD0 is the uniform database (z = 0).
-	TPCD0 = Config{Scale: 1, Z: 0, Seed: 42}
-	// TPCD2 is moderately skewed (z = 2).
-	TPCD2 = Config{Scale: 1, Z: 2, Seed: 42}
-	// TPCD4 is highly skewed (z = 4).
-	TPCD4 = Config{Scale: 1, Z: 4, Seed: 42}
-	// TPCDMix assigns each column a random skew in [0, 4].
-	TPCDMix = Config{Scale: 1, Mix: true, Seed: 42}
-)
-
-// ConfigByName resolves the paper's database names (TPCD_0, TPCD_2, TPCD_4,
-// TPCD_MIX) to configurations.
+// ConfigByName resolves the paper's database names used throughout §8 to
+// configurations: TPCD_0 is uniform (z = 0), TPCD_2 moderately skewed,
+// TPCD_4 highly skewed, and TPCD_MIX assigns each column a random skew in
+// [0, 4].
 func ConfigByName(name string) (Config, error) {
 	switch name {
 	case "TPCD_0":
-		return TPCD0, nil
+		return Config{Scale: 1, Z: 0, Seed: 42}, nil
 	case "TPCD_2":
-		return TPCD2, nil
+		return Config{Scale: 1, Z: 2, Seed: 42}, nil
 	case "TPCD_4":
-		return TPCD4, nil
+		return Config{Scale: 1, Z: 4, Seed: 42}, nil
 	case "TPCD_MIX":
-		return TPCDMix, nil
+		return Config{Scale: 1, Mix: true, Seed: 42}, nil
 	default:
 		return Config{}, fmt.Errorf("datagen: unknown database name %q", name)
 	}
@@ -89,35 +79,35 @@ func (g *gen) colZ() float64 {
 
 // zipfInt returns a sampler producing Int datums over lo..lo+n-1.
 func (g *gen) zipfInt(n int, lo int64) func() catalog.Datum {
-	z := NewZipf(g.rng, n, g.colZ())
-	return func() catalog.Datum { return catalog.NewInt(lo + int64(z.Next())) }
+	z := newZipf(g.rng, n, g.colZ())
+	return func() catalog.Datum { return catalog.NewInt(lo + int64(z.next())) }
 }
 
 // zipfFloat returns a sampler over n evenly spaced floats in [lo, hi].
 func (g *gen) zipfFloat(n int, lo, hi float64) func() catalog.Datum {
-	z := NewZipf(g.rng, n, g.colZ())
+	z := newZipf(g.rng, n, g.colZ())
 	step := (hi - lo) / float64(n)
-	return func() catalog.Datum { return catalog.NewFloat(lo + float64(z.Next())*step) }
+	return func() catalog.Datum { return catalog.NewFloat(lo + float64(z.next())*step) }
 }
 
 // zipfChoice returns a sampler over a fixed string pool.
 func (g *gen) zipfChoice(pool []string) func() catalog.Datum {
-	z := NewZipf(g.rng, len(pool), g.colZ())
-	return func() catalog.Datum { return catalog.NewString(pool[z.Next()]) }
+	z := newZipf(g.rng, len(pool), g.colZ())
+	return func() catalog.Datum { return catalog.NewString(pool[z.next()]) }
 }
 
 // zipfLabel returns a sampler over n synthetic strings "prefix#00042".
 func (g *gen) zipfLabel(prefix string, n int) func() catalog.Datum {
-	z := NewZipf(g.rng, n, g.colZ())
+	z := newZipf(g.rng, n, g.colZ())
 	return func() catalog.Datum {
-		return catalog.NewString(fmt.Sprintf("%s#%06d", prefix, z.Next()))
+		return catalog.NewString(fmt.Sprintf("%s#%06d", prefix, z.next()))
 	}
 }
 
 // zipfDate returns a sampler over the benchmark date range.
 func (g *gen) zipfDate() func() catalog.Datum {
-	z := NewZipf(g.rng, dateSpan, g.colZ())
-	return func() catalog.Datum { return catalog.NewDate(startDate + int64(z.Next())) }
+	z := newZipf(g.rng, dateSpan, g.colZ())
+	return func() catalog.Datum { return catalog.NewDate(startDate + int64(z.next())) }
 }
 
 var (
@@ -183,7 +173,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*storage.Database, error) {
 		cfg.Scale = 1
 	}
 	g := &gen{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
-	schema := Schema()
+	schema := tpcdSchema()
 	dbName := fmt.Sprintf("tpcd_z%.1f_s%.2f", cfg.Z, cfg.Scale)
 	if cfg.Mix {
 		dbName = fmt.Sprintf("tpcd_mix_s%.2f", cfg.Scale)
@@ -301,7 +291,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*storage.Database, error) {
 		suppPerPart = nSupp
 	}
 	nPartSupp = suppPerPart * nPart
-	psSupp := NewZipf(g.rng, nSupp, g.colZ())
+	psSupp := newZipf(g.rng, nSupp, g.colZ())
 	psQty := g.zipfInt(9999, 1)
 	psCost := g.zipfFloat(1000, 1, 1000)
 	comment = g.zipfLabel("comment", 500)
@@ -309,9 +299,9 @@ func GenerateCtx(ctx context.Context, cfg Config) (*storage.Database, error) {
 	for p := 0; p < nPart; p++ {
 		seen := make(map[int]bool, suppPerPart)
 		for len(seen) < suppPerPart {
-			s := psSupp.Next()
+			s := psSupp.next()
 			for attempts := 0; seen[s] && attempts < 8; attempts++ {
-				s = psSupp.Next()
+				s = psSupp.next()
 			}
 			if seen[s] {
 				// Skewed draws collide; fall back to scanning for a free
@@ -357,7 +347,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*storage.Database, error) {
 	// lineitem: (l_partkey, l_suppkey) references an existing partsupp pair,
 	// as the benchmark mandates — the pair index itself is drawn skewed.
 	lOrder := g.zipfInt(nOrders, 0)
-	lPair := NewZipf(g.rng, len(psPairs), g.colZ())
+	lPair := newZipf(g.rng, len(psPairs), g.colZ())
 	lNum := g.zipfInt(7, 1)
 	lQty := g.zipfFloat(50, 1, 50)
 	lPrice := g.zipfFloat(5000, 900, 105000)
@@ -372,7 +362,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*storage.Database, error) {
 	lMode := g.zipfChoice(shipModes)
 	comment = g.zipfLabel("comment", 500)
 	if err := load("lineitem", nLine, func(i int) storage.Row {
-		pair := psPairs[lPair.Next()]
+		pair := psPairs[lPair.next()]
 		return storage.Row{
 			lOrder(), catalog.NewInt(pair[0]), catalog.NewInt(pair[1]), lNum(),
 			lQty(), lPrice(), lDiscount(), lTax(),

@@ -6,10 +6,10 @@ import (
 	"autostats/internal/catalog"
 )
 
-// Schema returns the TPC-D benchmark schema: eight tables, the standard
+// tpcdSchema returns the TPC-D benchmark schema: eight tables, the standard
 // foreign-key join graph, and the thirteen indexes of the paper's "tuned
 // TPC-D database ... with 13 indexes" (§1).
-func Schema() *catalog.Schema {
+func tpcdSchema() *catalog.Schema {
 	s := catalog.NewSchema()
 	mustAdd := func(t *catalog.Table, pk string) {
 		t.PrimaryKey = pk

@@ -111,7 +111,7 @@ func tblField(d catalog.Datum) string {
 // LoadTbl reads <table>.tbl files from dir into a fresh database over the
 // TPC-D schema, inverting WriteTbl.
 func LoadTbl(dir string) (*storage.Database, error) {
-	schema := Schema()
+	schema := tpcdSchema()
 	db, err := storage.NewDatabase("tpcd_tbl", schema)
 	if err != nil {
 		return nil, err

@@ -9,22 +9,22 @@ import (
 	"math/rand"
 )
 
-// Zipf samples ranks 0..n-1 with probability proportional to 1/(rank+1)^z.
+// zipf samples ranks 0..n-1 with probability proportional to 1/(rank+1)^z.
 // z = 0 degenerates to uniform. Sampling is O(log n) by binary search over
 // the precomputed CDF; construction is O(n).
-type Zipf struct {
+type zipf struct {
 	rng *rand.Rand
 	n   int
 	z   float64
 	cdf []float64 // cdf[i] = P(rank <= i); empty when z == 0
 }
 
-// NewZipf builds a sampler over n ranks with skew z using rng.
-func NewZipf(rng *rand.Rand, n int, z float64) *Zipf {
+// newZipf builds a sampler over n ranks with skew z using rng.
+func newZipf(rng *rand.Rand, n int, z float64) *zipf {
 	if n < 1 {
 		n = 1
 	}
-	s := &Zipf{rng: rng, n: n, z: z}
+	s := &zipf{rng: rng, n: n, z: z}
 	if z <= 0 {
 		return s
 	}
@@ -41,8 +41,8 @@ func NewZipf(rng *rand.Rand, n int, z float64) *Zipf {
 	return s
 }
 
-// Next returns the next sampled rank in [0, n).
-func (s *Zipf) Next() int {
+// next returns the next sampled rank in [0, n).
+func (s *zipf) next() int {
 	if s.z <= 0 {
 		return s.rng.Intn(s.n)
 	}
@@ -58,6 +58,3 @@ func (s *Zipf) Next() int {
 	}
 	return lo
 }
-
-// N returns the domain size.
-func (s *Zipf) N() int { return s.n }

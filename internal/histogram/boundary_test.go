@@ -15,8 +15,8 @@ var kinds = []Kind{EquiDepth, MaxDiff}
 func TestEmptyColumn(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.String(), func(t *testing.T) {
-			h := Build(k, nil, DefaultBuckets)
-			if h.TotalRows() != 0 || h.Rows != 0 || h.NullRows != 0 || h.Distinct != 0 {
+			h := build(k, nil, defaultBuckets)
+			if h.totalRows() != 0 || h.Rows != 0 || h.NullRows != 0 || h.Distinct != 0 {
 				t.Fatalf("empty column: %+v", h)
 			}
 			if len(h.Buckets) != 0 {
@@ -48,7 +48,7 @@ func TestSingleValueColumn(t *testing.T) {
 			for i := range vals {
 				vals[i] = catalog.NewInt(42)
 			}
-			h := Build(k, vals, DefaultBuckets)
+			h := build(k, vals, defaultBuckets)
 			if h.Rows != 50 || h.Distinct != 1 || len(h.Buckets) != 1 {
 				t.Fatalf("single-value column: %+v", h)
 			}
@@ -75,7 +75,7 @@ func TestSingleValueColumn(t *testing.T) {
 }
 
 // TestAllNullColumn: NULLs are excluded from buckets but counted in
-// TotalRows, so value predicates (which NULL never satisfies) estimate 0
+// totalRows, so value predicates (which NULL never satisfies) estimate 0
 // while NullFraction is 1.
 func TestAllNullColumn(t *testing.T) {
 	for _, k := range kinds {
@@ -84,8 +84,8 @@ func TestAllNullColumn(t *testing.T) {
 			for i := range vals {
 				vals[i] = catalog.NewNull(catalog.Int)
 			}
-			h := Build(k, vals, DefaultBuckets)
-			if h.Rows != 0 || h.NullRows != 30 || h.TotalRows() != 30 {
+			h := build(k, vals, defaultBuckets)
+			if h.Rows != 0 || h.NullRows != 30 || h.totalRows() != 30 {
 				t.Fatalf("all-NULL column: %+v", h)
 			}
 			if len(h.Buckets) != 0 {
@@ -114,7 +114,7 @@ func TestOutOfRangePredicates(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				vals = append(vals, catalog.NewInt(int64(10+i%20)))
 			}
-			h := Build(k, vals, 8)
+			h := build(k, vals, 8)
 			below := catalog.NewInt(-1 << 40)
 			above := catalog.NewInt(1 << 40)
 			cases := []struct {
@@ -151,7 +151,7 @@ func TestMixedNullBoundaries(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				vals = append(vals, catalog.NewNull(catalog.Int))
 			}
-			h := Build(k, vals, DefaultBuckets)
+			h := build(k, vals, defaultBuckets)
 			if got := h.SelectivityEq(catalog.NewInt(5)); got != 0.4 {
 				t.Errorf("SelectivityEq = %v, want 0.4 (diluted by NULLs)", got)
 			}
@@ -174,7 +174,7 @@ func TestTinyBucketBudget(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				vals = append(vals, catalog.NewInt(int64(i)))
 			}
-			h := Build(k, vals, 1)
+			h := build(k, vals, 1)
 			if len(h.Buckets) != 1 {
 				t.Fatalf("budget 1 built %d buckets", len(h.Buckets))
 			}

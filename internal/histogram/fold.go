@@ -14,19 +14,19 @@ import (
 // counter trigger. FoldMulti and Clone remain only as the subject of the
 // benchmark's histogram.fold_us_per_row probe and go with it.
 
-// Clone returns a deep copy of the histogram; folding always operates on a
+// clone returns a deep copy of the histogram; folding always operates on a
 // clone so the input stays an immutable snapshot.
-func (h *Histogram) Clone() *Histogram {
+func (h *Histogram) clone() *Histogram {
 	c := *h
 	c.Buckets = append([]Bucket(nil), h.Buckets...)
 	return &c
 }
 
-// Clone returns a deep copy of the multi-column statistic.
-func (mc *MultiColumn) Clone() *MultiColumn {
+// clone returns a deep copy of the multi-column statistic.
+func (mc *MultiColumn) clone() *MultiColumn {
 	c := *mc
 	c.Columns = append([]string(nil), mc.Columns...)
-	c.Leading = mc.Leading.Clone()
+	c.Leading = mc.Leading.clone()
 	c.Densities = append([]float64(nil), mc.Densities...)
 	c.PrefixDistinct = append([]int64(nil), mc.PrefixDistinct...)
 	return &c
@@ -37,7 +37,7 @@ func (mc *MultiColumn) Clone() *MultiColumn {
 // input statistic is not modified. Distinct counts and prefix densities are
 // intentionally left stale.
 func FoldMulti(mc *MultiColumn, inserts, deletes []catalog.Datum) *MultiColumn {
-	out := mc.Clone()
+	out := mc.clone()
 	h := out.Leading
 	for _, v := range inserts {
 		h.foldInsert(v)

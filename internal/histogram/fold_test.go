@@ -23,7 +23,7 @@ func TestFoldMultiRowTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tuples := randTuples(rng, 400, 1)
 	mc := mustBuildMulti(t, MaxDiff, []string{"a"}, tuples, 12)
-	before := mc.Clone()
+	before := mc.clone()
 
 	ins := []catalog.Datum{catalog.NewInt(3), catalog.NewInt(999), catalog.NewInt(-50), {Null: true}}
 	del := []catalog.Datum{tuples[0][0], tuples[10][0]}
@@ -103,7 +103,7 @@ func TestFoldEmptyHistogram(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tuples := randTuples(rand.New(rand.NewSource(9)), 50, 2)
 	mc := mustBuildMulti(t, MaxDiff, []string{"a", "b"}, tuples, 8)
-	c := mc.Clone()
+	c := mc.clone()
 	c.Leading.Buckets[0].Rows += 100
 	c.Densities[0] = -1
 	c.PrefixDistinct[1] = -1

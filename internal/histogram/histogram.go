@@ -41,9 +41,9 @@ func (k Kind) String() string {
 	}
 }
 
-// DefaultBuckets is the bucket budget used when callers do not specify one.
+// defaultBuckets is the bucket budget used when callers do not specify one.
 // SQL Server 7.0 statistics held up to 200 histogram steps.
-const DefaultBuckets = 200
+const defaultBuckets = 200
 
 // Bucket summarizes a value range [Lo, Hi] (both inclusive).
 type Bucket struct {
@@ -61,8 +61,8 @@ type Histogram struct {
 	Distinct int64 // distinct non-NULL values
 }
 
-// TotalRows returns all rows summarized, including NULLs.
-func (h *Histogram) TotalRows() int64 { return h.Rows + h.NullRows }
+// totalRows returns all rows summarized, including NULLs.
+func (h *Histogram) totalRows() int64 { return h.Rows + h.NullRows }
 
 // valueFreq is an intermediate (value, frequency) pair.
 type valueFreq struct {
@@ -133,20 +133,20 @@ func collectFreqs(values []catalog.Datum) (freqs []valueFreq, nulls int64) {
 	return freqs, nulls
 }
 
-// Build constructs a histogram of the given kind over the column values
-// with at most maxBuckets buckets (DefaultBuckets if maxBuckets <= 0).
-func Build(kind Kind, values []catalog.Datum, maxBuckets int) *Histogram {
+// build constructs a histogram of the given kind over the column values
+// with at most maxBuckets buckets (defaultBuckets if maxBuckets <= 0).
+func build(kind Kind, values []catalog.Datum, maxBuckets int) *Histogram {
 	freqs, nulls := collectFreqs(values)
 	return buildFromFreqs(kind, freqs, nulls, maxBuckets)
 }
 
 // buildFromFreqs buckets an already-sorted, collapsed (value, frequency) list.
-// It is the single bucketing entry point shared by Build and MergePartials, so
+// It is the single bucketing entry point shared by build and MergePartials, so
 // a merged build is bitwise-identical to a single-pass build over the same
 // rows.
 func buildFromFreqs(kind Kind, freqs []valueFreq, nulls int64, maxBuckets int) *Histogram {
 	if maxBuckets <= 0 {
-		maxBuckets = DefaultBuckets
+		maxBuckets = defaultBuckets
 	}
 	h := &Histogram{Kind: kind, NullRows: nulls, Distinct: int64(len(freqs))}
 	for _, vf := range freqs {
@@ -253,7 +253,7 @@ func buildMaxDiff(freqs []valueFreq, maxBuckets int) []Bucket {
 // uniform-within-bucket assumption (bucket rows spread over bucket distinct
 // values).
 func (h *Histogram) SelectivityEq(v catalog.Datum) float64 {
-	total := float64(h.TotalRows())
+	total := float64(h.totalRows())
 	if total == 0 {
 		return 0
 	}
@@ -273,7 +273,7 @@ func (h *Histogram) SelectivityEq(v catalog.Datum) float64 {
 // (or ≤ v when inclusive), interpolating linearly inside the boundary
 // bucket via the datum's float rank.
 func (h *Histogram) SelectivityLess(v catalog.Datum, inclusive bool) float64 {
-	total := float64(h.TotalRows())
+	total := float64(h.totalRows())
 	if total == 0 {
 		return 0
 	}
@@ -316,7 +316,7 @@ func (h *Histogram) SelectivityLess(v catalog.Datum, inclusive bool) float64 {
 
 // NullFraction returns the fraction of NULL rows.
 func (h *Histogram) NullFraction() float64 {
-	total := float64(h.TotalRows())
+	total := float64(h.totalRows())
 	if total == 0 {
 		return 0
 	}
@@ -337,6 +337,6 @@ func clamp01(x float64) float64 {
 func (h *Histogram) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s histogram: %d rows (%d null), %d distinct, %d buckets",
-		h.Kind, h.TotalRows(), h.NullRows, h.Distinct, len(h.Buckets))
+		h.Kind, h.totalRows(), h.NullRows, h.Distinct, len(h.Buckets))
 	return b.String()
 }

@@ -69,14 +69,14 @@ func TestBuildInvariants(t *testing.T) {
 		for _, n := range []int{0, 1, 10, 1000} {
 			for _, domain := range []int{1, 5, 300} {
 				if n == 0 {
-					h := Build(kind, nil, 50)
-					if len(h.Buckets) != 0 || h.TotalRows() != 0 {
+					h := build(kind, nil, 50)
+					if len(h.Buckets) != 0 || h.totalRows() != 0 {
 						t.Errorf("%v empty build: %+v", kind, h)
 					}
 					continue
 				}
 				vals := randomInts(rng, n, domain)
-				h := Build(kind, vals, 50)
+				h := build(kind, vals, 50)
 				checkInvariants(t, h, vals)
 				if len(h.Buckets) > 50 {
 					t.Errorf("%v n=%d domain=%d: %d buckets exceeds budget", kind, n, domain, len(h.Buckets))
@@ -89,8 +89,8 @@ func TestBuildInvariants(t *testing.T) {
 func TestNullsTracked(t *testing.T) {
 	vals := intVals(1, 2, 3)
 	vals = append(vals, catalog.NewNull(catalog.Int), catalog.NewNull(catalog.Int))
-	h := Build(MaxDiff, vals, 10)
-	if h.NullRows != 2 || h.Rows != 3 || h.TotalRows() != 5 {
+	h := build(MaxDiff, vals, 10)
+	if h.NullRows != 2 || h.Rows != 3 || h.totalRows() != 5 {
 		t.Errorf("null accounting: %+v", h)
 	}
 	if got := h.NullFraction(); math.Abs(got-0.4) > 1e-9 {
@@ -103,7 +103,7 @@ func TestNullsTracked(t *testing.T) {
 func TestMaxDiffExactWhenFewDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := randomInts(rng, 2000, 40)
-	h := Build(MaxDiff, vals, 200)
+	h := build(MaxDiff, vals, 200)
 	counts := map[int64]int{}
 	for _, v := range vals {
 		counts[v.I]++
@@ -126,7 +126,7 @@ func TestSelectivityLessMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, kind := range []Kind{EquiDepth, MaxDiff} {
 		vals := randomInts(rng, 5000, 1000)
-		h := Build(kind, vals, 100)
+		h := build(kind, vals, 100)
 		f := func(raw int16, inclusive bool) bool {
 			v := catalog.NewInt(int64(raw)%1200 - 100)
 			exact := 0
@@ -153,7 +153,7 @@ func TestEquiDepthBucketsBalanced(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		vals = append(vals, catalog.NewInt(int64(i)))
 	}
-	h := Build(EquiDepth, vals, 100)
+	h := build(EquiDepth, vals, 100)
 	target := int64(10000 / 100)
 	for i, b := range h.Buckets {
 		if b.Rows > 2*target {
@@ -177,7 +177,7 @@ func TestMaxDiffIsolatesHeavyHitter(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		vals = append(vals, catalog.NewInt(int64(1+rng.Intn(2000))))
 	}
-	h := Build(MaxDiff, vals, 50)
+	h := build(MaxDiff, vals, 50)
 	got := h.SelectivityEq(catalog.NewInt(0))
 	if math.Abs(got-0.5) > 0.05 {
 		t.Errorf("heavy hitter selectivity %v, want ≈0.5", got)
@@ -193,7 +193,7 @@ func TestSelectivityEqUniformAssumption(t *testing.T) {
 			vals = append(vals, catalog.NewInt(int64(v)))
 		}
 	}
-	h := Build(EquiDepth, vals, 10)
+	h := build(EquiDepth, vals, 10)
 	for v := 0; v < 100; v += 7 {
 		got := h.SelectivityEq(catalog.NewInt(int64(v)))
 		if math.Abs(got-0.01) > 0.005 {
@@ -207,7 +207,7 @@ func TestStringHistogram(t *testing.T) {
 		catalog.NewString("apple"), catalog.NewString("apple"),
 		catalog.NewString("banana"), catalog.NewString("cherry"),
 	}
-	h := Build(MaxDiff, vals, 10)
+	h := build(MaxDiff, vals, 10)
 	if got := h.SelectivityEq(catalog.NewString("apple")); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("apple selectivity %v", got)
 	}

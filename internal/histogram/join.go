@@ -14,7 +14,7 @@ package histogram
 // where the naive 1/max(V) estimate is off by orders of magnitude — are
 // estimated accurately.
 func JoinSelectivity(h1, h2 *Histogram) float64 {
-	n1, n2 := float64(h1.TotalRows()), float64(h2.TotalRows())
+	n1, n2 := float64(h1.totalRows()), float64(h2.totalRows())
 	if n1 <= 0 || n2 <= 0 || len(h1.Buckets) == 0 || len(h2.Buckets) == 0 {
 		return 0
 	}

@@ -57,8 +57,8 @@ func TestJoinSelectivityExactWithSingletonBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := zipfInts(rng, 3000, 50, 1.5)
 	b := zipfInts(rng, 500, 50, 0)
-	ha := Build(MaxDiff, a, 100) // 50 distinct < 100 buckets → singletons
-	hb := Build(MaxDiff, b, 100)
+	ha := build(MaxDiff, a, 100) // 50 distinct < 100 buckets → singletons
+	hb := build(MaxDiff, b, 100)
 	got := JoinSelectivity(ha, hb)
 	want := exactJoinSel(a, b)
 	if math.Abs(got-want)/want > 0.01 {
@@ -76,8 +76,8 @@ func TestJoinSelectivityUnderSkew(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		pk = append(pk, catalog.NewInt(int64(i)))
 	}
-	hfk := Build(MaxDiff, fk, 200)
-	hpk := Build(MaxDiff, pk, 200)
+	hfk := build(MaxDiff, fk, 200)
+	hpk := build(MaxDiff, pk, 200)
 	got := JoinSelectivity(hfk, hpk)
 	want := exactJoinSel(fk, pk) // = 1/1500 exactly (PK unique)
 	if got < want/3 || got > want*3 {
@@ -88,7 +88,7 @@ func TestJoinSelectivityUnderSkew(t *testing.T) {
 	// matches concentrate on the hot keys. The naive estimate 1/max(V)
 	// would be ~1/1500; the true value is far larger.
 	fk2 := zipfInts(rng, 800, 1500, 2)
-	hfk2 := Build(MaxDiff, fk2, 200)
+	hfk2 := build(MaxDiff, fk2, 200)
 	got = JoinSelectivity(hfk, hfk2)
 	want = exactJoinSel(fk, fk2)
 	naive := 1.0 / 1500
@@ -101,16 +101,16 @@ func TestJoinSelectivityUnderSkew(t *testing.T) {
 }
 
 func TestJoinSelectivityDisjointDomains(t *testing.T) {
-	a := Build(MaxDiff, intVals(1, 2, 3), 10)
-	b := Build(MaxDiff, intVals(100, 200), 10)
+	a := build(MaxDiff, intVals(1, 2, 3), 10)
+	b := build(MaxDiff, intVals(100, 200), 10)
 	if got := JoinSelectivity(a, b); got != 0 {
 		t.Errorf("disjoint join selectivity = %v, want 0", got)
 	}
 }
 
 func TestJoinSelectivityEmpty(t *testing.T) {
-	a := Build(MaxDiff, nil, 10)
-	b := Build(MaxDiff, intVals(1), 10)
+	a := build(MaxDiff, nil, 10)
+	b := build(MaxDiff, intVals(1), 10)
 	if got := JoinSelectivity(a, b); got != 0 {
 		t.Errorf("empty join selectivity = %v", got)
 	}
@@ -120,7 +120,7 @@ func TestJoinSelectivitySymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := zipfInts(rng, 1000, 80, 1)
 	b := zipfInts(rng, 400, 80, 2)
-	ha, hb := Build(MaxDiff, a, 40), Build(MaxDiff, b, 40)
+	ha, hb := build(MaxDiff, a, 40), build(MaxDiff, b, 40)
 	ab, ba := JoinSelectivity(ha, hb), JoinSelectivity(hb, ha)
 	if math.Abs(ab-ba)/math.Max(ab, ba) > 0.05 {
 		t.Errorf("join selectivity should be (near) symmetric: %v vs %v", ab, ba)

@@ -12,7 +12,7 @@ import (
 // sets — and MergePartials combines the partials and buckets the merged
 // frequency list once. Because the bucket boundaries are chosen over the
 // complete merged frequency list (not over pre-bucketed partial histograms),
-// the merged result is bitwise-identical to a single-pass Build/BuildMulti
+// the merged result is bitwise-identical to a single-pass build/BuildMulti
 // over the concatenated rows, regardless of partition count or order. That
 // exactness is what the differential oracles in internal/oracle assert.
 
@@ -30,9 +30,6 @@ type Partial struct {
 	// leading prefix, for k in 2..cols. The k=1 prefix is derived from freqs.
 	prefixes []map[string]struct{}
 }
-
-// Rows returns the number of tuples summarized by the partial.
-func (p *Partial) Rows() int64 { return p.rows }
 
 // BuildPartial summarizes one partition of column tuples held in memory: a
 // PartialBuilder fed the whole partition as one block. Each tuple must have

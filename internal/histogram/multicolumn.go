@@ -42,7 +42,7 @@ func BuildMulti(kind Kind, columns []string, tuples [][]catalog.Datum, maxBucket
 	}
 	mc := &MultiColumn{
 		Columns:        append([]string(nil), columns...),
-		Leading:        Build(kind, leading, maxBuckets),
+		Leading:        build(kind, leading, maxBuckets),
 		Densities:      make([]float64, len(columns)),
 		PrefixDistinct: make([]int64, len(columns)),
 		Rows:           int64(len(tuples)),

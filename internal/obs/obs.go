@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -56,8 +57,8 @@ func (c *FloatCounter) Add(delta float64) {
 	}
 }
 
-// Value returns the current total.
-func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// value returns the current total.
+func (c *FloatCounter) value() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Gauge is an instantaneous int64 value (set or adjusted, not accumulated).
 type Gauge struct{ v atomic.Int64 }
@@ -103,9 +104,10 @@ func (t *Timing) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	// The smallest i with ceil(d / 1µs) <= 2^i.
 	idx := 0
-	for us := d.Microseconds(); us > 1 && idx < timingBuckets-1; us >>= 1 {
-		idx++
+	if us := uint64((d + time.Microsecond - 1) / time.Microsecond); us > 1 {
+		idx = min(bits.Len64(us-1), timingBuckets-1)
 	}
 	t.mu.Lock()
 	t.count++
@@ -129,8 +131,8 @@ type TimingSnapshot struct {
 	Buckets [timingBuckets]int64
 }
 
-// Mean returns Sum/Count, or 0 before any observation.
-func (s TimingSnapshot) Mean() time.Duration {
+// mean returns Sum/Count, or 0 before any observation.
+func (s TimingSnapshot) mean() time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
@@ -263,7 +265,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters[name] = c.Value()
 	}
 	for name, c := range r.floats {
-		s.FloatCounters[name] = c.Value()
+		s.FloatCounters[name] = c.value()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
@@ -291,7 +293,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	for name, t := range s.Timings {
 		lines = append(lines, fmt.Sprintf("%s count=%d sum=%s mean=%s min=%s max=%s",
-			name, t.Count, t.Sum, t.Mean(), t.Min, t.Max))
+			name, t.Count, t.Sum, t.mean(), t.Min, t.Max))
 	}
 	sort.Strings(lines)
 	_, err := io.WriteString(w, strings.Join(lines, "\n"))

@@ -38,7 +38,7 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Counter("test.counter").Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
 	}
-	if got := r.FloatCounter("test.float").Value(); got != total/2 {
+	if got := r.FloatCounter("test.float").value(); got != total/2 {
 		t.Errorf("float counter = %g, want %d", got, total/2)
 	}
 	if got := r.Gauge("test.gauge").Value(); got != total {
@@ -107,6 +107,38 @@ func TestTimingSnapshotConsistency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTimingBucketBounds: bucket i holds observations of at most 2^i µs
+// and more than 2^(i-1) µs; the last bucket takes everything above.
+func TestTimingBucketBounds(t *testing.T) {
+	const us = time.Microsecond
+	for _, c := range []struct {
+		d      time.Duration
+		bucket int
+	}{
+		{0, 0},
+		{1 * us, 0},
+		{1900 * time.Nanosecond, 1},
+		{2 * us, 1},
+		{3 * us, 2},
+		{4 * us, 2},
+		{5 * us, 3},
+		{(1 << 18) * us, 18},
+		{(1<<18 + 1) * us, timingBuckets - 1},
+		{(1 << 19) * us, timingBuckets - 1},
+		{(1<<19 + 1) * us, timingBuckets - 1},
+	} {
+		var tm Timing
+		tm.Observe(c.d)
+		if got := tm.Snapshot().Buckets; got[c.bucket] != 1 {
+			t.Errorf("Observe(%v) filed in %v, want bucket %d", c.d, got, c.bucket)
+		}
+	}
+	var tm Timing
+	if allocs := testing.AllocsPerRun(100, func() { tm.Observe(3 * us) }); allocs != 0 {
+		t.Errorf("Observe allocates %.0f times", allocs)
+	}
 }
 
 // TestRegistrySnapshotAndText: a snapshot holds every registered metric, and

@@ -111,7 +111,7 @@ func TestIgnoreStatisticsSubset(t *testing.T) {
 	if err := sess.IgnoreStatisticsSubset("not-this-db", []stats.ID{id.ID}); err == nil {
 		t.Error("IgnoreStatisticsSubset with wrong db id should return an error")
 	}
-	if sess.Ignored(id.ID) {
+	if sess.ignored[id.ID] {
 		t.Error("failed IgnoreStatisticsSubset must not modify the ignore buffer")
 	}
 	again, _ := sess.Optimize(q)
@@ -210,7 +210,10 @@ func TestCostMonotonicity(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for qi, q := range queries {
-		nv := q.NumVars()
+		nv := len(q.Filters) + len(q.Joins)
+		if q.GroupVarID >= 0 {
+			nv++
+		}
 		f := func() bool {
 			u := make(map[int]float64, nv)
 			v := make(map[int]float64, nv)

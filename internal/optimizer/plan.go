@@ -67,15 +67,15 @@ const (
 	CostHashProbe = 1.0
 	// CostRowOut is charged per row emitted by a join or aggregate.
 	CostRowOut = 0.5
-	// CostSortFactor scales n·log2(n) for sorting.
-	CostSortFactor = 0.5
-	// CostGroupInsert is charged per input row of a hash aggregate.
-	CostGroupInsert = 1.5
-	// CostGroupSpill is charged per GROUP of a hash aggregate, modeling the
+	// costSortFactor scales n·log2(n) for sorting.
+	costSortFactor = 0.5
+	// costGroupInsert is charged per input row of a hash aggregate.
+	costGroupInsert = 1.5
+	// costGroupSpill is charged per GROUP of a hash aggregate, modeling the
 	// memory/spill pressure of wide hash tables. It makes the hash-vs-sort
 	// aggregation choice depend on the estimated group count — i.e. on the
 	// GROUP BY distinct-fraction selectivity variable of §4.1.
-	CostGroupSpill = 8.0
+	costGroupSpill = 8.0
 	// CostStreamRow is charged per input row of a sort-based (stream)
 	// aggregate, on top of the input sort.
 	CostStreamRow = 1.0
@@ -83,7 +83,7 @@ const (
 
 // HashAggCost estimates hash aggregation of in rows into groups.
 func HashAggCost(in, groups float64) float64 {
-	return CostGroupInsert*in + CostGroupSpill*groups + CostRowOut*groups
+	return costGroupInsert*in + costGroupSpill*groups + CostRowOut*groups
 }
 
 // StreamAggCost estimates sort-based aggregation of in rows into groups.
@@ -96,7 +96,7 @@ func SortCost(n float64) float64 {
 	if n < 1 {
 		n = 1
 	}
-	return CostSortFactor * n * math.Log2(n+2)
+	return costSortFactor * n * math.Log2(n+2)
 }
 
 // SeekCost returns the B-tree traversal cost on a table of n rows.

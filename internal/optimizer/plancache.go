@@ -176,16 +176,6 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// Len returns the number of cached plans. Safe on a nil cache.
-func (c *PlanCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // CachedPlanKey describes one cache entry for inspection: the key fields
 // the staleness discipline hinges on, plus the stored plan's signature and
 // cost so tests can prove an entry is the plan a fresh optimization would
@@ -247,17 +237,6 @@ func formatBuckets(b [maxCachedParams]int8, n int) string {
 		}
 	}
 	return sb.String()
-}
-
-// Clear drops every cached plan but keeps the counters. Safe on a nil cache.
-func (c *PlanCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = make(map[planKey]*list.Element, c.capacity)
 }
 
 // cacheKey assembles the planKey for the session's current state from the

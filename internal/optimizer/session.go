@@ -112,9 +112,6 @@ func (s *Session) Obs() *obs.Registry { return s.met.reg }
 // reasons) does not touch the cache.
 func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
 
-// PlanCache returns the attached plan cache, or nil.
-func (s *Session) PlanCache() *PlanCache { return s.cache }
-
 // Clone returns an independent session for use by another goroutine: same
 // manager and (shared, thread-safe) plan cache, but fresh
 // ignore and override buffers so the clones cannot interfere.
@@ -150,9 +147,6 @@ func (s *Session) IgnoreStatisticsSubset(dbID string, ids []stats.ID) error {
 func (s *Session) ClearIgnored() {
 	s.ignored = make(map[stats.ID]bool)
 }
-
-// Ignored reports whether the statistic is currently ignored.
-func (s *Session) Ignored(id stats.ID) bool { return s.ignored[id] }
 
 // SetSelectivityOverrides replaces the per-predicate selectivity parameters.
 // An override applies ONLY where the optimizer would otherwise use a default

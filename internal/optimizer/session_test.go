@@ -21,7 +21,7 @@ func TestCloneIsolation(t *testing.T) {
 	}
 
 	c := sess.Clone()
-	if c.PlanCache() != sess.PlanCache() || c.Manager() != sess.Manager() {
+	if c.cache != sess.cache || c.Manager() != sess.Manager() {
 		t.Error("Clone must share manager and plan cache")
 	}
 	if len(c.ignored) != 0 || len(c.overrides) != 0 {
@@ -33,7 +33,7 @@ func TestCloneIsolation(t *testing.T) {
 	if len(sess.overrides) != 1 || sess.overrides[7] != 0.5 {
 		t.Errorf("parent overrides mutated via clone: %v", sess.overrides)
 	}
-	if sess.Ignored(stats.MakeID("lineitem", []string{"l_quantity"})) {
+	if sess.ignored[stats.MakeID("lineitem", []string{"l_quantity"})] {
 		t.Error("parent ignore buffer mutated via clone")
 	}
 }

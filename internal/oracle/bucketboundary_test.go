@@ -61,7 +61,7 @@ func TestBucketBoundaryDifferential(t *testing.T) {
 		t.Fatalf("%d differential failures across %d boundary probes", findings, checked)
 	}
 
-	cs := h.Sess.PlanCache().Stats()
+	cs := h.cache.Stats()
 	if cs.Hits == 0 {
 		t.Errorf("boundary sweep should produce parameterized cache hits: %+v", cs)
 	}
@@ -105,7 +105,7 @@ func TestBucketBoundaryJoinDifferential(t *testing.T) {
 			}
 		}
 	}
-	if cs := h.Sess.PlanCache().Stats(); cs.Hits == 0 {
+	if cs := h.cache.Stats(); cs.Hits == 0 {
 		t.Errorf("join sweep should produce cache hits: %+v", cs)
 	}
 }

@@ -18,10 +18,10 @@ import (
 // is compared exactly.
 const floatAggTol = 1e-9
 
-// CompareResults diffs the optimized execution of q against the reference
+// compareResults diffs the optimized execution of q against the reference
 // evaluation as multisets. It returns "" when they agree, otherwise a
 // human-readable description of the first discrepancy.
-func CompareResults(q *query.Select, got *executor.Result, want *NaiveResult) string {
+func compareResults(q *query.Select, got *executor.Result, want *NaiveResult) string {
 	if d := compareColumnSets(got.Cols, want.Cols); d != "" {
 		return d
 	}

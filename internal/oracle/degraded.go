@@ -57,7 +57,7 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 
 	// Fault phase: every build fails; results must still match the
 	// reference.
-	fired := FlakyFailpoint(h.Mgr, 1<<30)
+	fired := flakyFailpoint(h.Mgr, 1<<30)
 	for _, sel := range queries {
 		h.Sess.ClearDegraded()
 		if _, err := core.RunMNSA(ctx, h.Sess, sel, cfg); err != nil {

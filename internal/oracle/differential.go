@@ -110,13 +110,13 @@ func (h *Harness) checkQuery(sel *query.Select) (*Finding, error) {
 		return nil, fmt.Errorf("execute: %w", err)
 	}
 	want, err := NaiveExecute(h.DB, sel, h.Opts.MaxNaiveRows)
-	if err == ErrBudget {
+	if err == errBudget {
 		return &Finding{Oracle: "differential", Seed: h.Opts.Seed, SQL: sel.SQL(), Detail: "budget"}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reference execute: %w", err)
 	}
-	if diff := CompareResults(sel, got, want); diff != "" {
+	if diff := compareResults(sel, got, want); diff != "" {
 		return &Finding{
 			Oracle: "differential",
 			Seed:   h.Opts.Seed,

@@ -15,6 +15,132 @@ import (
 	"autostats/internal/storage"
 )
 
+// FaultyProvider wraps a stats.Manager and misreports statistics state to
+// the optimizer, simulating the reader-side races and staleness the plan
+// cache's epoch discipline must survive:
+//
+//   - FreezeEpoch makes Epoch() return a pinned value while the underlying
+//     manager moves on — a session reading through a stale snapshot;
+//   - TearAfter triggers a callback after a fixed number of statistic
+//     reads, letting a test mutate the manager in the middle of one
+//     optimization — a torn snapshot, which the optimizer must detect via
+//     its publish-time epoch re-check and refuse to cache.
+//
+// All state is mutex-guarded so the provider is safe under -race when
+// optimizer goroutines share it.
+type FaultyProvider struct {
+	mgr *stats.Manager
+
+	mu          sync.Mutex
+	frozen      bool
+	frozenEpoch uint64
+	reads       int
+	tearAt      int // fire tear() on the tearAt-th read; 0 = disabled
+	tear        func()
+}
+
+// NewFaultyProvider wraps mgr with no faults armed; it behaves identically
+// to the manager until FreezeEpoch or TearAfter is called.
+func NewFaultyProvider(mgr *stats.Manager) *FaultyProvider {
+	return &FaultyProvider{mgr: mgr}
+}
+
+var _ stats.Provider = (*FaultyProvider)(nil)
+
+// FreezeEpoch pins the epoch the provider reports to the manager's current
+// value. Statistic reads keep returning live data — exactly the hazardous
+// combination: fresh snapshots under a stale identity.
+func (p *FaultyProvider) FreezeEpoch() uint64 {
+	e := p.mgr.Epoch()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.frozen, p.frozenEpoch = true, e
+	return e
+}
+
+// TearAfter arms a one-shot callback fired in the middle of the n-th
+// subsequent statistic read (1-based). The callback typically mutates the
+// manager (refresh, create) so the optimization that triggered it computes
+// from a torn view spanning two epochs.
+func (p *FaultyProvider) TearAfter(n int, fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.reads, p.tearAt, p.tear = 0, n, fn
+}
+
+// noteRead counts one statistic read and fires the armed tear callback
+// when the trigger point is crossed. The callback runs without the
+// provider lock held so it may call back into provider or manager.
+func (p *FaultyProvider) noteRead() {
+	p.mu.Lock()
+	p.reads++
+	var fire func()
+	if p.tearAt > 0 && p.reads == p.tearAt {
+		fire, p.tear, p.tearAt = p.tear, nil, 0
+	}
+	p.mu.Unlock()
+	if fire != nil {
+		fire()
+	}
+}
+
+// Epoch implements stats.Provider, honestly or frozen.
+func (p *FaultyProvider) Epoch() uint64 {
+	p.mu.Lock()
+	frozen, e := p.frozen, p.frozenEpoch
+	p.mu.Unlock()
+	if frozen {
+		return e
+	}
+	return p.mgr.Epoch()
+}
+
+// Get implements stats.Provider.
+func (p *FaultyProvider) Get(id stats.ID) *stats.Statistic {
+	p.noteRead()
+	return p.mgr.Get(id)
+}
+
+// StatsForColumn implements stats.Provider.
+func (p *FaultyProvider) StatsForColumn(table, column string) []*stats.Statistic {
+	p.noteRead()
+	return p.mgr.StatsForColumn(table, column)
+}
+
+// StatsOnTable implements stats.Provider.
+func (p *FaultyProvider) StatsOnTable(table string) []*stats.Statistic {
+	p.noteRead()
+	return p.mgr.StatsOnTable(table)
+}
+
+// Database implements stats.Provider.
+func (p *FaultyProvider) Database() *storage.Database { return p.mgr.Database() }
+
+// FailNextRefreshes installs a manager failpoint that fails the next n
+// refresh operations with errInjected, then disarms itself. It returns a
+// function reporting how many injections actually fired.
+func FailNextRefreshes(mgr *stats.Manager, n int) (fired func() int) {
+	var mu sync.Mutex
+	count := 0
+	mgr.SetFailpoint(func(_ context.Context, op string, _ stats.ID) error {
+		if op != "refresh" {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if count < n {
+			count++
+			return errInjected
+		}
+		return nil
+	})
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return count
+	}
+}
+
 // faultEnv stands up a harness with one statistic built and one query
 // whose plan depends on it.
 type faultEnv struct {
@@ -76,8 +202,8 @@ func TestRefreshFailpointLeavesManagerClean(t *testing.T) {
 
 	fired := FailNextRefreshes(mgr, 1)
 	err := mgr.Refresh(context.Background(), e.stat.ID)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("Refresh error = %v, want ErrInjected", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("Refresh error = %v, want errInjected", err)
 	}
 	if fired() != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", fired())
@@ -118,12 +244,12 @@ func TestCreateFailpointLeavesManagerClean(t *testing.T) {
 
 	mgr.SetFailpoint(func(_ context.Context, op string, _ stats.ID) error {
 		if op == "create" {
-			return ErrInjected
+			return errInjected
 		}
 		return nil
 	})
-	if _, err := mgr.Create("lineitem", []string{"l_quantity"}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Create error = %v, want ErrInjected", err)
+	if _, err := mgr.Create("lineitem", []string{"l_quantity"}); !errors.Is(err, errInjected) {
+		t.Fatalf("Create error = %v, want errInjected", err)
 	}
 	if mgr.Has(stats.MakeID("lineitem", []string{"l_quantity"})) {
 		t.Error("failed create left a statistic behind")
@@ -147,7 +273,7 @@ func TestCreateFailpointLeavesManagerClean(t *testing.T) {
 func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 	e := newFaultEnv(t)
 	h := e.h
-	cache := h.Sess.PlanCache()
+	cache := h.cache
 	misses := h.Reg.Counter("optimizer.plancache.misses")
 	hits := h.Reg.Counter("optimizer.plancache.hits")
 
@@ -164,8 +290,8 @@ func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 	e.churnOrders(t, 400) // well past the 20% modification threshold
 	fired := FailNextRefreshes(h.Mgr, 1)
 	rep, err := h.Mgr.RunMaintenance(context.Background(), stats.DefaultMaintenancePolicy())
-	if err != nil || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, ErrInjected) {
-		t.Fatalf("RunMaintenance: err = %v, failures = %v; want no error and one ErrInjected failure", err, rep.RefreshFailures)
+	if err != nil || len(rep.RefreshFailures) != 1 || !errors.Is(rep.RefreshFailures[0].Err, errInjected) {
+		t.Fatalf("RunMaintenance: err = %v, failures = %v; want no error and one errInjected failure", err, rep.RefreshFailures)
 	}
 	if fired() != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", fired())
@@ -203,7 +329,7 @@ func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 func TestStaleEpochProviderCannotPoisonSharedCache(t *testing.T) {
 	e := newFaultEnv(t)
 	h := e.h
-	cache := h.Sess.PlanCache()
+	cache := h.cache
 	misses := h.Reg.Counter("optimizer.plancache.misses")
 	hits := h.Reg.Counter("optimizer.plancache.hits")
 
@@ -262,7 +388,7 @@ func TestStaleEpochProviderCannotPoisonSharedCache(t *testing.T) {
 func TestTornSnapshotPlanNotCached(t *testing.T) {
 	e := newFaultEnv(t)
 	h := e.h
-	cache := h.Sess.PlanCache()
+	cache := h.cache
 
 	fp := NewFaultyProvider(h.Mgr)
 	sess := h.Sess.Clone()
@@ -276,7 +402,7 @@ func TestTornSnapshotPlanNotCached(t *testing.T) {
 	if _, err := sess.Optimize(e.q); err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Len(); n != 0 {
+	if n := cache.Stats().Size; n != 0 {
 		t.Fatalf("torn optimization was cached (%d entries): %+v", n, cache.Keys())
 	}
 
@@ -284,7 +410,7 @@ func TestTornSnapshotPlanNotCached(t *testing.T) {
 	if _, err := sess.Optimize(e.q); err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Len(); n != 1 {
+	if n := cache.Stats().Size; n != 1 {
 		t.Fatalf("clean optimization was not cached (len=%d)", n)
 	}
 	assertNoPoisonedEntries(t, h, cache)
@@ -376,7 +502,7 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 			switch i % 4 {
 			case 0:
 				FailNextRefreshes(h.Mgr, 1)
-				if err := h.Mgr.Refresh(context.Background(), e.stat.ID); !errors.Is(err, ErrInjected) {
+				if err := h.Mgr.Refresh(context.Background(), e.stat.ID); !errors.Is(err, errInjected) {
 					errs <- fmt.Errorf("churn iter %d: want injected error, got %v", i, err)
 					return
 				}
@@ -404,5 +530,5 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	assertNoPoisonedEntries(t, h, h.Sess.PlanCache())
+	assertNoPoisonedEntries(t, h, h.cache)
 }

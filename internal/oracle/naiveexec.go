@@ -38,10 +38,10 @@ type NaiveResult struct {
 	Rows [][]catalog.Datum
 }
 
-// ErrBudget is returned when a naive evaluation would materialize more
+// errBudget is returned when a naive evaluation would materialize more
 // intermediate rows than the caller's budget; the differential oracle
 // counts such queries as skipped rather than failed.
-var ErrBudget = fmt.Errorf("oracle: naive evaluation exceeded the row budget")
+var errBudget = fmt.Errorf("oracle: naive evaluation exceeded the row budget")
 
 // NaiveExecute evaluates q against db using only full table scans and
 // FROM-order nested-loop joins — no indexes, no join reordering, no hash or
@@ -49,7 +49,7 @@ var ErrBudget = fmt.Errorf("oracle: naive evaluation exceeded the row budget")
 // with the optimizer/executor stack it checks. Join predicates are applied
 // as soon as both sides are present (every FROM prefix the workload
 // generator emits is FK-connected, so intermediates stay near final size).
-// maxRows bounds any intermediate relation; exceeding it returns ErrBudget.
+// maxRows bounds any intermediate relation; exceeding it returns errBudget.
 // A maxRows <= 0 means unbounded.
 //
 // Semantics replicated from the SQL subset the executor implements:
@@ -143,7 +143,7 @@ func naiveJoin(db *storage.Database, q *query.Select, maxRows int) (*NaiveResult
 				out.Rows[i] = append([]catalog.Datum(nil), r...)
 			}
 			if len(out.Rows) > maxRows {
-				return nil, ErrBudget
+				return nil, errBudget
 			}
 			continue
 		}
@@ -166,7 +166,7 @@ func naiveJoin(db *storage.Database, q *query.Select, maxRows int) (*NaiveResult
 				if ok {
 					next = append(next, combined)
 					if len(next) > maxRows {
-						return nil, ErrBudget
+						return nil, errBudget
 					}
 				}
 			}

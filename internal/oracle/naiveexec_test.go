@@ -222,14 +222,14 @@ func TestNaiveRowBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NaiveExecute(db, q, 2); err != ErrBudget {
-		t.Fatalf("budget of 2 rows: err = %v, want ErrBudget", err)
+	if _, err := NaiveExecute(db, q, 2); err != errBudget {
+		t.Fatalf("budget of 2 rows: err = %v, want errBudget", err)
 	}
 }
 
 // TestNaiveMatchesExecutorOnHandQueries closes the loop on the tiny
 // database: for each hand query, the real optimize+execute pipeline must
-// agree with the naive evaluator under CompareResults — the exact check
+// agree with the naive evaluator under compareResults — the exact check
 // the differential sweep applies at scale.
 func TestNaiveMatchesExecutorOnHandQueries(t *testing.T) {
 	h, err := New(Options{Seed: 5})
@@ -284,7 +284,7 @@ func TestEncodeDatumDistinguishesValues(t *testing.T) {
 	}
 }
 
-// TestCompareResultsDetectsDifferences feeds CompareResults deliberately
+// TestCompareResultsDetectsDifferences feeds compareResults deliberately
 // wrong "optimized" outputs and requires a non-empty diagnosis, proving
 // the oracle can actually fail.
 func TestCompareResultsDetectsDifferences(t *testing.T) {
@@ -308,12 +308,12 @@ func TestCompareResultsDetectsDifferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := CompareResults(q, got, want); d != "" {
+	if d := compareResults(q, got, want); d != "" {
 		t.Fatalf("sanity: matching results reported diff %q", d)
 	}
 	// Drop a row from the reference: row-count mismatch.
 	truncated := &NaiveResult{Cols: want.Cols, Rows: want.Rows[1:]}
-	if d := CompareResults(q, got, truncated); d == "" {
+	if d := compareResults(q, got, truncated); d == "" {
 		t.Error("row-count mismatch not detected")
 	}
 	// Corrupt one cell: content mismatch at equal cardinality.
@@ -322,7 +322,7 @@ func TestCompareResultsDetectsDifferences(t *testing.T) {
 		corrupt.Rows[i] = append([]catalog.Datum(nil), r...)
 	}
 	corrupt.Rows[0][want.Cols["region.r_regionkey"]] = catalog.NewInt(-777)
-	if d := CompareResults(q, got, corrupt); d == "" {
+	if d := compareResults(q, got, corrupt); d == "" {
 		t.Error("cell corruption not detected")
 	}
 }
@@ -353,11 +353,11 @@ func TestCompareResultsChecksOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := CompareResults(q, got, want); d != "" {
+	if d := compareResults(q, got, want); d != "" {
 		t.Fatalf("sanity: ordered result reported diff %q", d)
 	}
 	got.Rows[0], got.Rows[len(got.Rows)-1] = got.Rows[len(got.Rows)-1], got.Rows[0]
-	if d := CompareResults(q, got, want); d == "" {
+	if d := compareResults(q, got, want); d == "" {
 		t.Error("ORDER BY violation not detected")
 	}
 }

@@ -98,7 +98,8 @@ type Harness struct {
 	// are not perturbed by other tests sharing obs.Default.
 	Reg *obs.Registry
 
-	rng *rand.Rand
+	cache *optimizer.PlanCache // attached to Sess
+	rng   *rand.Rand
 }
 
 // New builds a harness: generates skewed TPC-D data at the configured
@@ -122,7 +123,8 @@ func New(opts Options) (*Harness, error) {
 	h.Mgr = stats.NewManager(db, histogram.MaxDiff, 0)
 	h.Mgr.SetObsRegistry(h.Reg)
 	h.Sess = optimizer.NewSession(h.Mgr)
-	h.Sess.SetPlanCache(optimizer.NewPlanCache(opts.PlanCacheCapacity))
+	h.cache = optimizer.NewPlanCache(opts.PlanCacheCapacity)
+	h.Sess.SetPlanCache(h.cache)
 	h.Exec = executor.New(db)
 	return h, nil
 }

@@ -50,9 +50,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			var want error
 			switch {
 			case err == nil:
-			case errors.Is(err, ErrShortFrame) && len(buf) == 0:
+			case errors.Is(err, errShortFrame) && len(buf) == 0:
 				want = io.EOF
-			case errors.Is(err, ErrShortFrame):
+			case errors.Is(err, errShortFrame):
 				want = io.ErrUnexpectedEOF
 			case errors.Is(err, ErrFrameTooLarge):
 				want = ErrFrameTooLarge

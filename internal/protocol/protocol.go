@@ -55,7 +55,6 @@ const (
 
 // Error codes carried in Response.Code. An empty code means success.
 const (
-	CodeOK          = ""
 	CodeOverloaded  = "overloaded"   // admission control fast-fail; retry later
 	CodeDraining    = "draining"     // server is shutting down; reconnect elsewhere
 	CodeBadRequest  = "bad_request"  // malformed or incomplete request
@@ -72,9 +71,9 @@ const (
 var (
 	// ErrFrameTooLarge reports a length prefix above the frame cap.
 	ErrFrameTooLarge = errors.New("protocol: frame exceeds size limit")
-	// ErrShortFrame reports a buffer that ends before the declared payload
+	// errShortFrame reports a buffer that ends before the declared payload
 	// (DecodeFrame only; FrameReader reports io.ErrUnexpectedEOF instead).
-	ErrShortFrame = errors.New("protocol: short frame")
+	errShortFrame = errors.New("protocol: short frame")
 	// ErrMalformed reports a frame whose payload is not a valid message:
 	// DecodeRequest and DecodeResponse wrap it around the decoder's error, so
 	// a peer is classified by errors.Is, not by text.
@@ -266,7 +265,7 @@ func EncodeFrame(v any, maxFrame int) ([]byte, error) {
 
 // DecodeFrame decodes the first frame in buf, returning its payload and the
 // remaining bytes. A buffer shorter than the header or the declared payload
-// returns ErrShortFrame (the caller needs more data); a declared length above
+// returns errShortFrame (the caller needs more data); a declared length above
 // maxFrame (0 means DefaultMaxFrame) returns ErrFrameTooLarge. The payload
 // aliases buf; callers that keep it must copy.
 func DecodeFrame(buf []byte, maxFrame int) (payload, rest []byte, err error) {
@@ -274,14 +273,14 @@ func DecodeFrame(buf []byte, maxFrame int) (payload, rest []byte, err error) {
 		maxFrame = DefaultMaxFrame
 	}
 	if len(buf) < headerSize {
-		return nil, buf, ErrShortFrame
+		return nil, buf, errShortFrame
 	}
 	n := binary.BigEndian.Uint32(buf)
 	if n > uint32(maxFrame) {
 		return nil, buf, fmt.Errorf("%w: %d bytes > limit %d", ErrFrameTooLarge, n, maxFrame)
 	}
 	if uint32(len(buf)-headerSize) < n {
-		return nil, buf, ErrShortFrame
+		return nil, buf, errShortFrame
 	}
 	end := headerSize + int(n)
 	return buf[headerSize:end], buf[end:], nil
@@ -321,7 +320,7 @@ func (fr *FrameReader) Next() ([]byte, error) {
 			fr.lo = fr.hi - len(rest)
 			return payload, nil
 		}
-		if !errors.Is(err, ErrShortFrame) {
+		if !errors.Is(err, errShortFrame) {
 			return nil, err
 		}
 		switch {
@@ -364,7 +363,7 @@ func ErrResponse(id uint64, code, msg string) *Response {
 // errors.Is them.
 func (r *Response) Err() error {
 	switch r.Code {
-	case CodeOK:
+	case "": // success
 		return nil
 	case CodeOverloaded:
 		return fmt.Errorf("%w (request %d)", ErrOverloaded, r.ID)

@@ -84,13 +84,13 @@ func TestResponseRoundTripAndErr(t *testing.T) {
 
 func TestDecodeFrameShortAndOversized(t *testing.T) {
 	// Too short for a header.
-	if _, _, err := DecodeFrame([]byte{0, 0}, 0); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("want ErrShortFrame for short header, got %v", err)
+	if _, _, err := DecodeFrame([]byte{0, 0}, 0); !errors.Is(err, errShortFrame) {
+		t.Fatalf("want errShortFrame for short header, got %v", err)
 	}
 	// Header present, payload truncated.
 	frame := appendFrame(nil, []byte(`{"id":1}`))
-	if _, _, err := DecodeFrame(frame[:len(frame)-3], 0); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("want ErrShortFrame for truncated payload, got %v", err)
+	if _, _, err := DecodeFrame(frame[:len(frame)-3], 0); !errors.Is(err, errShortFrame) {
+		t.Fatalf("want errShortFrame for truncated payload, got %v", err)
 	}
 	// Oversized declared length is rejected before any payload inspection.
 	var hdr [4]byte

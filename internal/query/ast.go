@@ -23,8 +23,8 @@ type ColumnRef struct {
 	Column string
 }
 
-// Key returns the canonical lower-case "table.column" form used as map keys.
-func (c ColumnRef) Key() string {
+// key returns the canonical lower-case "table.column" form used as map keys.
+func (c ColumnRef) key() string {
 	return strings.ToLower(c.Table) + "." + strings.ToLower(c.Column)
 }
 
@@ -63,11 +63,6 @@ func (op CmpOp) String() string {
 		return "?"
 	}
 }
-
-// IsRange reports whether the operator is an inequality (range) comparison.
-// The distinction matters for magic numbers: optimizers use different
-// default selectivities for equality and range predicates.
-func (op CmpOp) IsRange() bool { return op == Lt || op == Le || op == Gt || op == Ge }
 
 // Eval applies the comparison to two datums with SQL NULL semantics
 // (NULL never satisfies a predicate). Comparing incompatible types — e.g. a
@@ -186,15 +181,6 @@ func (s *Select) Normalize() {
 	} else {
 		s.GroupVarID = -1
 	}
-}
-
-// NumVars returns the number of selectivity variables in the query.
-func (s *Select) NumVars() int {
-	n := len(s.Filters) + len(s.Joins)
-	if s.GroupVarID >= 0 {
-		n++
-	}
-	return n
 }
 
 // GroupingColumns returns the effective grouping columns: GROUP BY columns,

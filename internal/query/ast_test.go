@@ -60,14 +60,6 @@ func TestCmpOpEvalIncompatibleTypes(t *testing.T) {
 	}
 }
 
-func TestCmpOpIsRange(t *testing.T) {
-	for op, want := range map[CmpOp]bool{Eq: false, Ne: false, Lt: true, Le: true, Gt: true, Ge: true} {
-		if op.IsRange() != want {
-			t.Errorf("%s.IsRange() = %v", op, op.IsRange())
-		}
-	}
-}
-
 func TestNormalizeAssignsDenseVarIDs(t *testing.T) {
 	q := &Select{
 		Tables: []string{"a", "b"},
@@ -82,13 +74,10 @@ func TestNormalizeAssignsDenseVarIDs(t *testing.T) {
 	if q.Filters[0].VarID != 0 || q.Filters[1].VarID != 1 || q.Joins[0].VarID != 2 || q.GroupVarID != 3 {
 		t.Errorf("var ids: %d %d %d %d", q.Filters[0].VarID, q.Filters[1].VarID, q.Joins[0].VarID, q.GroupVarID)
 	}
-	if q.NumVars() != 4 {
-		t.Errorf("NumVars = %d", q.NumVars())
-	}
 	q.GroupBy = nil
 	q.Normalize()
-	if q.GroupVarID != -1 || q.NumVars() != 3 {
-		t.Errorf("after removing group by: GroupVarID=%d NumVars=%d", q.GroupVarID, q.NumVars())
+	if q.GroupVarID != -1 {
+		t.Errorf("after removing group by: GroupVarID=%d", q.GroupVarID)
 	}
 }
 
@@ -164,7 +153,7 @@ func TestStatementSQLRendering(t *testing.T) {
 }
 
 func TestColumnRefKey(t *testing.T) {
-	if (ColumnRef{"Orders", "O_OrderKey"}).Key() != "orders.o_orderkey" {
+	if (ColumnRef{"Orders", "O_OrderKey"}).key() != "orders.o_orderkey" {
 		t.Error("Key must lower-case")
 	}
 }

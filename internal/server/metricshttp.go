@@ -11,12 +11,12 @@ import (
 	"autostats/internal/obs"
 )
 
-// MetricsHandler serves a registry over HTTP — the optional -metrics-addr
+// metricsHandler serves a registry over HTTP — the optional -metrics-addr
 // endpoint of cmd/autostatsd. GET / returns the expvar-style "name value"
 // text dump; GET /?format=json (or an Accept header preferring
 // application/json) returns the full structured obs.Snapshot, timings and
 // histograms included.
-func MetricsHandler(reg *obs.Registry) http.Handler {
+func metricsHandler(reg *obs.Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -49,14 +49,14 @@ func wantJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/json")
 }
 
-// OpsHandler serves the metrics registry plus the health probes:
+// opsHandler serves the metrics registry plus the health probes:
 //
 //	GET /healthz  — 200 while the process is alive (liveness)
 //	GET /readyz   — 200 once ready() is true, 503 otherwise (readiness:
 //	                listening and not draining); orchestrators and the
 //	                -wait-ready flag of cmd/autostatsd poll this
 //	GET /         — the metrics registry (text, or ?format=json)
-func OpsHandler(reg *obs.Registry, ready func() bool) http.Handler {
+func opsHandler(reg *obs.Registry, ready func() bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -71,7 +71,7 @@ func OpsHandler(reg *obs.Registry, ready func() bool) http.Handler {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	mux.Handle("/", MetricsHandler(reg))
+	mux.Handle("/", metricsHandler(reg))
 	return mux
 }
 
@@ -88,7 +88,7 @@ const opsIdleTimeout = 2 * time.Minute
 // probes) on addr and returns its bound address and a shutdown func.
 func ServeOps(addr string, reg *obs.Registry, ready func() bool) (string, func() error, error) {
 	srv := &http.Server{
-		Handler:           OpsHandler(reg, ready),
+		Handler:           opsHandler(reg, ready),
 		ReadHeaderTimeout: opsReadHeaderTimeout,
 		IdleTimeout:       opsIdleTimeout,
 	}

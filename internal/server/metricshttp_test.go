@@ -23,7 +23,7 @@ func metricsRegistry() *obs.Registry {
 }
 
 func TestMetricsHandlerText(t *testing.T) {
-	h := MetricsHandler(metricsRegistry())
+	h := metricsHandler(metricsRegistry())
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rr.Code != http.StatusOK {
@@ -42,7 +42,7 @@ func TestMetricsHandlerText(t *testing.T) {
 }
 
 func TestMetricsHandlerJSON(t *testing.T) {
-	h := MetricsHandler(metricsRegistry())
+	h := metricsHandler(metricsRegistry())
 	for _, req := range []*http.Request{
 		httptest.NewRequest(http.MethodGet, "/?format=json", nil),
 		func() *http.Request {
@@ -73,7 +73,7 @@ func TestMetricsHandlerJSON(t *testing.T) {
 }
 
 func TestMetricsHandlerMethodNotAllowed(t *testing.T) {
-	h := MetricsHandler(metricsRegistry())
+	h := metricsHandler(metricsRegistry())
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/", strings.NewReader("x")))
 	if rr.Code != http.StatusMethodNotAllowed {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -12,9 +13,9 @@ import (
 // starve the shared worker queue — the multi-tenant fairness half of the
 // overload story (the queue bound is the aggregate half).
 //
-// Buckets are created lazily (full) on a tenant's first request and pruned
-// when the map grows past a bound, so hostile tenant-name churn cannot grow
-// the table without limit.
+// Buckets are created lazily (full) on a tenant's first request, and the map
+// never holds more than maxTrackedBuckets, so hostile tenant-name churn can
+// neither grow the table without limit nor make each new name scan it.
 type tenantLimiter struct {
 	rps   float64
 	burst float64
@@ -28,8 +29,8 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// maxTrackedBuckets bounds the bucket map; reaching it prunes entries idle
-// long enough to have refilled completely (their state is reconstructible).
+// maxTrackedBuckets bounds the bucket map; a new tenant that finds it full
+// makes room first (see makeRoomLocked).
 const maxTrackedBuckets = 4096
 
 // newTenantLimiter builds a limiter, or returns nil (no limiting) for rps <= 0.
@@ -56,7 +57,7 @@ func (l *tenantLimiter) allow(tenant string, now time.Time) bool {
 	bk := l.buckets[tenant]
 	if bk == nil {
 		if len(l.buckets) >= maxTrackedBuckets {
-			l.pruneLocked(now)
+			l.makeRoomLocked(now)
 		}
 		bk = &tokenBucket{tokens: l.burst, last: now}
 		l.buckets[tenant] = bk
@@ -75,13 +76,32 @@ func (l *tenantLimiter) allow(tenant string, now time.Time) bool {
 	return true
 }
 
-// pruneLocked drops buckets idle long enough to be full again. A full bucket
-// carries no information a fresh one would not.
-func (l *tenantLimiter) pruneLocked(now time.Time) {
+// makeRoomLocked drops the buckets idle long enough to be full again, which
+// carry nothing a fresh bucket would not, and then the least recently used
+// buckets until three quarters of maxTrackedBuckets remain. One pass sorts
+// at most the cap and leaves room for a quarter of it, so a flood of new
+// names costs each O(log cap) amortised instead of a scan of the map; an
+// evicted tenant regains at most one burst.
+func (l *tenantLimiter) makeRoomLocked(now time.Time) {
 	refill := time.Duration(l.burst / l.rps * float64(time.Second))
+	type entry struct {
+		name string
+		last time.Time
+	}
+	kept := make([]entry, 0, len(l.buckets))
 	for name, bk := range l.buckets {
 		if now.Sub(bk.last) > refill {
 			delete(l.buckets, name)
+		} else {
+			kept = append(kept, entry{name, bk.last})
 		}
+	}
+	excess := len(kept) - maxTrackedBuckets*3/4
+	if excess <= 0 {
+		return
+	}
+	slices.SortFunc(kept, func(a, b entry) int { return a.last.Compare(b.last) })
+	for _, e := range kept[:excess] {
+		delete(l.buckets, e.name)
 	}
 }

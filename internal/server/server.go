@@ -296,33 +296,12 @@ func (s *Server) Start() error {
 // Ready reports the server is listening and not draining — the /readyz gate.
 func (s *Server) Ready() bool { return s.started.Load() && !s.draining.Load() }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Addr returns the bound listen address (nil before Start).
 func (s *Server) Addr() net.Addr {
 	if s.ln == nil {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// TenantCount returns the number of live tenant systems.
-func (s *Server) TenantCount() int { return s.tenants.count() }
-
-// PlanCacheStats aggregates the plan-cache counters of every live tenant —
-// the multi-tenant hit rate the swarm benchmark reports.
-func (s *Server) PlanCacheStats() optimizer.PlanCacheStats {
-	var agg optimizer.PlanCacheStats
-	s.tenants.forEach(func(name string, sys *autostats.System) {
-		st := sys.PlanCacheStats()
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.Size += st.Size
-		agg.Capacity += st.Capacity
-	})
-	return agg
 }
 
 // TenantPlanCacheStats returns each live tenant's plan-cache counters keyed

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http/httptest"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,7 +114,7 @@ func (c *testConn) rt(req *protocol.Request) *protocol.Response {
 func (c *testConn) hello(tenant string) *protocol.HelloResult {
 	c.t.Helper()
 	resp := c.rt(&protocol.Request{ID: 1, Op: protocol.OpHello, Version: protocol.Version, Tenant: tenant})
-	if resp.Code != protocol.CodeOK || resp.Hello == nil {
+	if resp.Code != "" || resp.Hello == nil {
 		c.t.Fatalf("hello failed: %+v", resp)
 	}
 	return resp.Hello
@@ -131,7 +131,7 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// exec SELECT against the connection-default tenant.
 	resp := c.rt(&protocol.Request{ID: 2, Op: protocol.OpExec, SQL: "SELECT * FROM orders WHERE o_orderkey > 10"})
-	if resp.Code != protocol.CodeOK || resp.Exec == nil {
+	if resp.Code != "" || resp.Exec == nil {
 		t.Fatalf("exec: %+v", resp)
 	}
 	if len(resp.Exec.Rows) == 0 || resp.Exec.Plan == "" {
@@ -140,24 +140,24 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// exec DML.
 	resp = c.rt(&protocol.Request{ID: 3, Op: protocol.OpExec, SQL: "DELETE FROM lineitem WHERE l_quantity > 49"})
-	if resp.Code != protocol.CodeOK || resp.Exec == nil {
+	if resp.Code != "" || resp.Exec == nil {
 		t.Fatalf("exec dml: %+v", resp)
 	}
 
 	// explain, against an explicit second tenant (lazy creation).
 	resp = c.rt(&protocol.Request{ID: 4, Op: protocol.OpExplain, Tenant: "beta", SQL: "SELECT * FROM orders WHERE o_orderkey > 10"})
-	if resp.Code != protocol.CodeOK || resp.Plan == "" {
+	if resp.Code != "" || resp.Plan == "" {
 		t.Fatalf("explain: %+v", resp)
 	}
 
 	// tune one query, then stats must show created statistics.
 	resp = c.rt(&protocol.Request{ID: 5, Op: protocol.OpTune,
 		SQL: "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45"})
-	if resp.Code != protocol.CodeOK || resp.Tune == nil {
+	if resp.Code != "" || resp.Tune == nil {
 		t.Fatalf("tune: %+v", resp)
 	}
 	resp = c.rt(&protocol.Request{ID: 6, Op: protocol.OpStats})
-	if resp.Code != protocol.CodeOK {
+	if resp.Code != "" {
 		t.Fatalf("stats: %+v", resp)
 	}
 	if len(resp.Stats) == 0 {
@@ -166,13 +166,13 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// maintenance.
 	resp = c.rt(&protocol.Request{ID: 7, Op: protocol.OpMaintain})
-	if resp.Code != protocol.CodeOK || resp.Maintain == nil {
+	if resp.Code != "" || resp.Maintain == nil {
 		t.Fatalf("maintain: %+v", resp)
 	}
 
 	// metrics text includes the server's own counters.
 	resp = c.rt(&protocol.Request{ID: 8, Op: protocol.OpMetrics})
-	if resp.Code != protocol.CodeOK || !strings.Contains(resp.Metrics, "server.requests.admitted") {
+	if resp.Code != "" || !strings.Contains(resp.Metrics, "server.requests.admitted") {
 		t.Fatalf("metrics: %+v", resp)
 	}
 
@@ -190,11 +190,13 @@ func TestServerRoundTrips(t *testing.T) {
 		t.Fatalf("bad tenant name code %q", resp.Code)
 	}
 
-	if n := s.TenantCount(); n != 2 {
-		t.Fatalf("TenantCount = %d, want 2", n)
+	if n := s.Obs().Snapshot().Gauges["server.tenants.live"]; n != 2 {
+		t.Fatalf("server.tenants.live = %d, want 2", n)
 	}
-	if st := s.PlanCacheStats(); st.Capacity == 0 {
-		t.Fatalf("aggregated plan-cache stats empty: %+v", st)
+	for name, st := range s.TenantPlanCacheStats() {
+		if st.Capacity == 0 {
+			t.Fatalf("tenant %s plan-cache stats empty: %+v", name, st)
+		}
 	}
 }
 
@@ -213,7 +215,7 @@ func TestServerTuneIgnoresRetiredParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := c.read()
-	if resp.ID != 2 || resp.Code != protocol.CodeOK || resp.Tune == nil {
+	if resp.ID != 2 || resp.Code != "" || resp.Tune == nil {
 		t.Fatalf("tune with retired field: %+v", resp)
 	}
 	if len(resp.Tune.Created) == 0 || len(resp.Tune.Essential) == 0 {
@@ -272,7 +274,7 @@ func TestServerTenantLimit(t *testing.T) {
 	s := startServer(t, server.Config{MaxTenants: 1})
 	c := dialServer(t, s)
 	c.hello("one")
-	if resp := c.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != protocol.CodeOK {
+	if resp := c.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != "" {
 		t.Fatalf("first tenant: %+v", resp)
 	}
 	resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpStats, Tenant: "two"})
@@ -294,7 +296,7 @@ func TestServerPipelinedOutOfOrder(t *testing.T) {
 	seen := make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {
 		resp := c.read()
-		if resp.Code != protocol.CodeOK {
+		if resp.Code != "" {
 			t.Fatalf("request %d failed: %+v", resp.ID, resp)
 		}
 		if seen[resp.ID] {
@@ -347,7 +349,7 @@ func TestServerOverloadFastFail(t *testing.T) {
 		resp := c.read()
 		if resp.Code == protocol.CodeOverloaded {
 			overloaded = resp
-		} else if resp.Code != protocol.CodeOK && resp.Code != protocol.CodeInternal {
+		} else if resp.Code != "" && resp.Code != protocol.CodeInternal {
 			t.Fatalf("unexpected code %q: %+v", resp.Code, resp)
 		}
 	}
@@ -395,7 +397,7 @@ func TestServerDrainCompletesInflight(t *testing.T) {
 	}()
 
 	// Wait for Shutdown to actually start draining (no arbitrary sleep).
-	for deadline := time.Now().Add(10 * time.Second); !s.Draining(); {
+	for deadline := time.Now().Add(10 * time.Second); s.Ready(); {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -505,7 +507,7 @@ func TestServerHalfOpenMidRequestVanish(t *testing.T) {
 	// fresh connection round-trips fine and shutdown balances its books.
 	c2 := dialServer(t, s)
 	c2.hello("alive")
-	if resp := c2.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != protocol.CodeOK {
+	if resp := c2.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != "" {
 		t.Fatalf("server unhealthy after half-open client: %+v", resp)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -553,7 +555,7 @@ func TestServerSlowClientEvicted(t *testing.T) {
 			break
 		}
 	}
-	if resp.Code != protocol.CodeOK {
+	if resp.Code != "" {
 		t.Fatalf("server unhealthy after slow-client eviction: %+v", resp)
 	}
 }
@@ -603,7 +605,7 @@ func TestServerTenantRateLimit(t *testing.T) {
 	s := startServer(t, server.Config{TenantRPS: 1, TenantBurst: 1})
 	c := dialServer(t, s)
 	c.hello("greedy")
-	if resp := c.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != protocol.CodeOK {
+	if resp := c.rt(&protocol.Request{ID: 2, Op: protocol.OpStats}); resp.Code != "" {
 		t.Fatalf("first request within quota failed: %+v", resp)
 	}
 	resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpStats})
@@ -618,7 +620,7 @@ func TestServerTenantRateLimit(t *testing.T) {
 	}
 	// Hellos and metrics are not rate limited — the quota protects workers,
 	// not the control plane.
-	if resp := c.rt(&protocol.Request{ID: 4, Op: protocol.OpMetrics}); resp.Code != protocol.CodeOK {
+	if resp := c.rt(&protocol.Request{ID: 4, Op: protocol.OpMetrics}); resp.Code != "" {
 		t.Fatalf("metrics should bypass the tenant quota: %+v", resp)
 	}
 }
@@ -663,7 +665,7 @@ func TestServerWorkerPanicRecovery(t *testing.T) {
 		t.Fatalf("server.worker.panics = %d, want 1", v)
 	}
 	// The worker recovered: the connection still answers.
-	if resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpMetrics}); resp.Code != protocol.CodeOK {
+	if resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpMetrics}); resp.Code != "" {
 		t.Fatalf("worker did not survive the panic: %+v", resp)
 	}
 }
@@ -689,7 +691,7 @@ func TestServerTenantFactoryPanic(t *testing.T) {
 		t.Fatalf("server.tenant.factory_panics = %d, want 1", v)
 	}
 	// The failed entry was dropped; the retry builds the tenant for real.
-	if resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpStats}); resp.Code != protocol.CodeOK {
+	if resp := c.rt(&protocol.Request{ID: 3, Op: protocol.OpStats}); resp.Code != "" {
 		t.Fatalf("tenant never recovered from the factory panic: %+v", resp)
 	}
 }
@@ -702,11 +704,18 @@ func TestServerHealthEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := server.OpsHandler(s.Obs(), s.Ready)
+	addr, stop, err := server.ServeOps("127.0.0.1:0", s.Obs(), s.Ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
 	status := func(path string) int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec.Code
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
 	if got := status("/healthz"); got != 200 {
 		t.Fatalf("/healthz before start = %d, want 200", got)

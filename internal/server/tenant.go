@@ -116,11 +116,6 @@ func (t *tenantTable) acquire(name string) (sys *autostats.System, release func(
 	}, nil
 }
 
-// count returns the number of live (successfully created) tenants.
-func (t *tenantTable) count() int {
-	return int(t.live.Value())
-}
-
 // forEach visits every successfully created tenant system.
 func (t *tenantTable) forEach(fn func(name string, sys *autostats.System)) {
 	t.mu.Lock()

@@ -51,8 +51,8 @@ func TestTenantTableLazySingleCreation(t *testing.T) {
 	if calls["a"] != 1 {
 		t.Fatalf("factory ran %d times for one tenant", calls["a"])
 	}
-	if tt.count() != 1 {
-		t.Fatalf("count = %d", tt.count())
+	if tt.live.Value() != 1 {
+		t.Fatalf("count = %d", tt.live.Value())
 	}
 }
 
@@ -100,8 +100,8 @@ func TestTenantTableIdleEviction(t *testing.T) {
 	// Pin "a" (in use) and let "b" go idle past the TTL.
 	time.Sleep(20 * time.Millisecond)
 	tt.evictIdle(10 * time.Millisecond)
-	if tt.count() != 1 {
-		t.Fatalf("count after eviction = %d, want 1 (only pinned tenant)", tt.count())
+	if tt.live.Value() != 1 {
+		t.Fatalf("count after eviction = %d, want 1 (only pinned tenant)", tt.live.Value())
 	}
 	names := map[string]bool{}
 	tt.forEach(func(name string, _ *autostats.System) { names[name] = true })
@@ -113,8 +113,8 @@ func TestTenantTableIdleEviction(t *testing.T) {
 	// Once released and idle, "a" is evictable too — and re-creatable after.
 	time.Sleep(20 * time.Millisecond)
 	tt.evictIdle(10 * time.Millisecond)
-	if tt.count() != 0 {
-		t.Fatalf("count = %d, want 0", tt.count())
+	if tt.live.Value() != 0 {
+		t.Fatalf("count = %d, want 0", tt.live.Value())
 	}
 	if _, release, err := tt.acquire("a"); err != nil {
 		t.Fatalf("re-create after eviction: %v", err)

@@ -2,16 +2,28 @@ package sqlparser
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"autostats/internal/catalog"
 	"autostats/internal/datagen"
 	"autostats/internal/query"
+	"autostats/internal/storage"
 )
+
+// tpcd is the smallest generated TPC-D database; the tests parse against its
+// schema.
+var tpcd = sync.OnceValues(func() (*storage.Database, error) {
+	return datagen.Generate(datagen.Config{Scale: 0.001})
+})
 
 func schema(t testing.TB) *catalog.Schema {
 	t.Helper()
-	return datagen.Schema()
+	db, err := tpcd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db.Schema
 }
 
 func parseSel(t *testing.T, sql string) *query.Select {

@@ -49,12 +49,6 @@ type MaintenanceReport struct {
 	RefreshFailures []RefreshFailure
 }
 
-// Degraded reports whether the pass completed in degraded mode: at least one
-// table's refresh failed.
-func (r MaintenanceReport) Degraded() bool {
-	return len(r.RefreshFailures) > 0
-}
-
 // RunMaintenance applies the policy once across all tables: refreshes
 // statistics on tables whose modification counter exceeds the threshold,
 // then drops over-updated statistics per the policy.
@@ -128,7 +122,7 @@ func (m *Manager) RunMaintenance(ctx context.Context, p MaintenancePolicy) (Main
 	reg.Counter("stats.maintenance.stats_refreshed").Add(int64(rep.StatsRefreshed))
 	reg.Counter("stats.maintenance.stats_dropped").Add(int64(rep.StatsDropped))
 	reg.Counter("stats.maintenance.refresh_failures").Add(int64(len(rep.RefreshFailures)))
-	if rep.Degraded() {
+	if len(rep.RefreshFailures) > 0 {
 		reg.Counter("degraded.maintenance_passes").Inc()
 	}
 	reg.FloatCounter("stats.maintenance.update_cost_units").Add(rep.UpdateCostUnits)

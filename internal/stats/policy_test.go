@@ -169,9 +169,9 @@ func TestMaintenanceRefreshesEmptiedTable(t *testing.T) {
 	if fresh == st {
 		t.Fatal("statistic was not refreshed after mass delete")
 	}
-	if fresh.Data.Rows != 0 || fresh.Data.Leading.TotalRows() != 0 {
+	if lead := fresh.Data.Leading; fresh.Data.Rows != 0 || lead.Rows+lead.NullRows != 0 {
 		t.Errorf("refreshed stat reports %d rows (histogram %d), want 0",
-			fresh.Data.Rows, fresh.Data.Leading.TotalRows())
+			fresh.Data.Rows, lead.Rows+lead.NullRows)
 	}
 	// The counter was reset: an immediately repeated pass is a no-op.
 	rep2, err := m.RunMaintenance(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})
@@ -218,7 +218,7 @@ func TestMaintenanceKeepsDMLCommittedDuringPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StatsRefreshed != 2 || rep.Degraded() {
+	if rep.StatsRefreshed != 2 || len(rep.RefreshFailures) > 0 {
 		t.Fatalf("report = %+v, want both statistics refreshed", rep)
 	}
 	if rows := m.Get(a).Data.Rows; rows != 140 {

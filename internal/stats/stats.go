@@ -86,9 +86,6 @@ type Statistic struct {
 	InDropList bool
 }
 
-// IsSingleColumn reports whether the statistic covers exactly one column.
-func (s *Statistic) IsSingleColumn() bool { return len(s.Columns) == 1 }
-
 // LeadingColumn returns the first (histogram-bearing) column.
 func (s *Statistic) LeadingColumn() string { return s.Columns[0] }
 
@@ -218,7 +215,7 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 }
 
 // NewManager creates a statistics manager over db using the given histogram
-// kind and bucket budget (<=0 means histogram.DefaultBuckets).
+// kind and bucket budget (<=0 means the histogram package default).
 func NewManager(db *storage.Database, kind histogram.Kind, maxBuckets int) *Manager {
 	m := &Manager{
 		db:         db,

@@ -296,7 +296,7 @@ func TestStatsForColumnOrdering(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("StatsForColumn found %d", len(got))
 	}
-	if !got[0].IsSingleColumn() {
+	if len(got[0].Columns) != 1 {
 		t.Error("single-column statistic must sort first (most precise)")
 	}
 	// Leading column must match: stat (a,b) does not serve column b.

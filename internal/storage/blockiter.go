@@ -15,9 +15,9 @@ import (
 // for the duration of the scan; the statistics build path keeps that window
 // short by releasing the iterator before the merge pass.
 
-// DefaultBlockSize is the rows-per-block used when OpenBlockIter is called
+// defaultBlockSize is the rows-per-block used when OpenBlockIter is called
 // with a non-positive block size.
-const DefaultBlockSize = 1024
+const defaultBlockSize = 1024
 
 // BlockIter streams projected row blocks of one table snapshot. It is not
 // safe for concurrent use; one goroutine opens, drains and closes it. The
@@ -30,7 +30,6 @@ type BlockIter struct {
 	// slice length (stable while the guard is held).
 	pos  int
 	rows int
-	live int
 
 	// buf and flat back the reused block: buf[i] is flat[i*w:(i+1)*w].
 	buf    [][]catalog.Datum
@@ -39,7 +38,7 @@ type BlockIter struct {
 }
 
 // OpenBlockIter opens a streaming scan of the named columns in blocks of at
-// most blockSize rows (<= 0 means DefaultBlockSize). The table read lock is
+// most blockSize rows (<= 0 means defaultBlockSize). The table read lock is
 // held until Close, so the scan observes exactly one table version. Callers
 // MUST Close the iterator (Close is idempotent), must not call other
 // methods of the same TableData while it is open (the guard is held by this
@@ -54,7 +53,7 @@ func (t *TableData) OpenBlockIter(cols []string, blockSize int) (*BlockIter, err
 		ords[i] = ci
 	}
 	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+		blockSize = defaultBlockSize
 	}
 	t.mu.RLock()
 	t.openSnapshots.Add(1)
@@ -63,7 +62,6 @@ func (t *TableData) OpenBlockIter(cols []string, blockSize int) (*BlockIter, err
 		t:    t,
 		ords: ords,
 		rows: len(t.rows),
-		live: t.live,
 		buf:  make([][]catalog.Datum, 0, blockSize),
 		flat: make([]catalog.Datum, blockSize*w),
 	}
@@ -99,10 +97,6 @@ func (it *BlockIter) Next() ([][]catalog.Datum, bool) {
 	}
 	return it.buf, true
 }
-
-// LiveRows returns the number of live rows in the snapshot (the total the
-// blocks will sum to).
-func (it *BlockIter) LiveRows() int { return it.live }
 
 // Close releases the snapshot guard. Idempotent; after Close, Next returns
 // false. Every open iterator must be closed, including on error and

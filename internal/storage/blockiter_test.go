@@ -77,9 +77,6 @@ func TestBlockIterMatchesGather(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if it.LiveRows() != len(want) {
-			t.Errorf("block=%d: LiveRows=%d want %d", bs, it.LiveRows(), len(want))
-		}
 		got := drain(it)
 		it.Close()
 		if !reflect.DeepEqual(got, want) {
@@ -154,8 +151,5 @@ func TestBlockIterEmptyTable(t *testing.T) {
 	defer it.Close()
 	if got := drain(it); len(got) != 0 {
 		t.Errorf("empty table yielded %d tuples", len(got))
-	}
-	if it.LiveRows() != 0 {
-		t.Errorf("LiveRows=%d on empty table", it.LiveRows())
 	}
 }

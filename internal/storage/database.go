@@ -21,14 +21,14 @@ type Database struct {
 func NewDatabase(name string, schema *catalog.Schema) (*Database, error) {
 	db := &Database{Name: name, Schema: schema, tables: make(map[string]*TableData)}
 	for key, t := range schema.Tables {
-		db.tables[key] = NewTableData(t)
+		db.tables[key] = newTableData(t)
 	}
 	for _, ix := range schema.Indexes {
 		td, err := db.Table(ix.Table)
 		if err != nil {
 			return nil, err
 		}
-		if err := td.CreateIndex(ix.Column); err != nil {
+		if err := td.createIndex(ix.Column); err != nil {
 			return nil, fmt.Errorf("storage: building index %s: %w", ix.Name, err)
 		}
 	}
@@ -59,7 +59,7 @@ func (db *Database) TotalRows() int {
 func (db *Database) DataVersion() int64 {
 	var v int64
 	for _, td := range db.tables {
-		v += td.Version()
+		v += td.contentVersion()
 	}
 	return v
 }

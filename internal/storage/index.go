@@ -19,10 +19,6 @@ type Index struct {
 	entries []indexEntry
 }
 
-// Len returns the number of entries (including entries pointing at
-// tombstoned rows; the executor filters those via TableData.Get).
-func (ix *Index) Len() int { return len(ix.entries) }
-
 func (ix *Index) insert(key catalog.Datum, rowID int) {
 	i := sort.Search(len(ix.entries), func(i int) bool {
 		return ix.entries[i].key.Compare(key) >= 0

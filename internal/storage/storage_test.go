@@ -22,7 +22,7 @@ func row(id int64, salary float64, name string) Row {
 }
 
 func TestInsertScanGet(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	for i := 0; i < 10; i++ {
 		if err := td.Insert(row(int64(i), float64(i)*100, "e")); err != nil {
 			t.Fatal(err)
@@ -51,14 +51,14 @@ func TestInsertScanGet(t *testing.T) {
 }
 
 func TestInsertArityError(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	if err := td.Insert(Row{catalog.NewInt(1)}); err == nil {
 		t.Error("expected arity error")
 	}
 }
 
-func TestDeleteTombstonesAndCompact(t *testing.T) {
-	td := NewTableData(empSchema())
+func TestDeleteTombstones(t *testing.T) {
+	td := newTableData(empSchema())
 	for i := 0; i < 10; i++ {
 		_ = td.Insert(row(int64(i), 0, "x"))
 	}
@@ -72,19 +72,15 @@ func TestDeleteTombstonesAndCompact(t *testing.T) {
 	if _, ok := td.Get(2); ok {
 		t.Error("deleted row still visible")
 	}
-	td.Compact()
-	if td.RowCount() != 8 {
-		t.Errorf("RowCount after compact = %d", td.RowCount())
-	}
 	seen := 0
 	td.Scan(func(_ int, _ Row) bool { seen++; return true })
 	if seen != 8 {
-		t.Errorf("scan after compact saw %d", seen)
+		t.Errorf("scan after delete saw %d", seen)
 	}
 }
 
 func TestUpdateAndModCounter(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	for i := 0; i < 5; i++ {
 		_ = td.Insert(row(int64(i), 0, "x"))
 	}
@@ -115,7 +111,7 @@ func TestUpdateAndModCounter(t *testing.T) {
 }
 
 func TestBulkLoadDoesNotBumpModCounter(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	rows := []Row{row(1, 1, "a"), row(2, 2, "b")}
 	if err := td.BulkLoad(rows); err != nil {
 		t.Fatal(err)
@@ -132,8 +128,8 @@ func TestBulkLoadDoesNotBumpModCounter(t *testing.T) {
 }
 
 func TestIndexMaintainedAcrossDML(t *testing.T) {
-	td := NewTableData(empSchema())
-	if err := td.CreateIndex("salary"); err != nil {
+	td := newTableData(empSchema())
+	if err := td.createIndex("salary"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -171,8 +167,8 @@ func TestIndexMaintainedAcrossDML(t *testing.T) {
 // linear scan for random data and random bounds.
 func TestIndexSeekRangeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	td := NewTableData(empSchema())
-	if err := td.CreateIndex("id"); err != nil {
+	td := newTableData(empSchema())
+	if err := td.createIndex("id"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
@@ -227,7 +223,7 @@ func TestIndexSeekRangeMatchesScan(t *testing.T) {
 }
 
 func TestColumnValues(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	_ = td.Insert(row(1, 10, "a"))
 	_ = td.Insert(row(2, 20, "b"))
 	td.Delete([]int{0})
@@ -244,7 +240,7 @@ func TestColumnValues(t *testing.T) {
 }
 
 func TestMultiColumnValues(t *testing.T) {
-	td := NewTableData(empSchema())
+	td := newTableData(empSchema())
 	_ = td.Insert(row(1, 10, "a"))
 	_ = td.Insert(row(2, 20, "b"))
 	tuples, err := td.MultiColumnValues([]string{"name", "id"})

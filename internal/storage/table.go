@@ -19,7 +19,7 @@ type Row []catalog.Datum
 // TableData holds the rows of one table plus its secondary indexes.
 //
 // Deletion is implemented with a tombstone bitmap so row IDs stay stable for
-// the indexes; Compact rewrites the table when tombstones accumulate.
+// the indexes.
 type TableData struct {
 	mu sync.RWMutex
 
@@ -52,8 +52,8 @@ func (t *TableData) OpenSnapshots() int64 {
 	return t.openSnapshots.Load()
 }
 
-// NewTableData creates an empty table.
-func NewTableData(schema *catalog.Table) *TableData {
+// newTableData creates an empty table.
+func newTableData(schema *catalog.Table) *TableData {
 	return &TableData{Schema: schema, indexes: make(map[string]*Index)}
 }
 
@@ -112,8 +112,8 @@ func (t *TableData) ModCounter() int64 {
 	return t.modCounter
 }
 
-// Version returns the monotonically increasing content-change counter.
-func (t *TableData) Version() int64 {
+// contentVersion returns the monotonically increasing content-change counter.
+func (t *TableData) contentVersion() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.version
@@ -197,23 +197,6 @@ func (t *TableData) Update(ids []int, col int, v catalog.Datum) int {
 	return n
 }
 
-// Compact rewrites the table dropping tombstoned rows and rebuilds indexes.
-func (t *TableData) Compact() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rows := make([]Row, 0, t.live)
-	for id, r := range t.rows {
-		if !t.dead[id] {
-			rows = append(rows, r)
-		}
-	}
-	t.rows = rows
-	t.dead = make([]bool, len(rows))
-	for col := range t.indexes {
-		t.rebuildIndexLocked(col)
-	}
-}
-
 // ColumnValues returns the live values of the named column, in row order.
 // It is the feed for histogram construction.
 func (t *TableData) ColumnValues(col string) ([]catalog.Datum, error) {
@@ -271,8 +254,8 @@ func keyOf(col string) string {
 	return string(b)
 }
 
-// CreateIndex builds a sorted secondary index on the named column.
-func (t *TableData) CreateIndex(col string) error {
+// createIndex builds a sorted secondary index on the named column.
+func (t *TableData) createIndex(col string) error {
 	if t.Schema.ColumnIndex(col) < 0 {
 		return fmt.Errorf("storage: table %s has no column %s", t.Schema.Name, col)
 	}

@@ -23,16 +23,16 @@ const (
 	Complex
 )
 
-// MaxTables returns the table cap for the complexity level.
-func (c Complexity) MaxTables() int {
+// maxTables returns the table cap for the complexity level.
+func (c Complexity) maxTables() int {
 	if c == Complex {
 		return 8
 	}
 	return 2
 }
 
-// Letter returns the workload-name letter (S or C).
-func (c Complexity) Letter() string {
+// letter returns the workload-name letter (S or C).
+func (c Complexity) letter() string {
 	if c == Complex {
 		return "C"
 	}
@@ -73,9 +73,9 @@ type Config struct {
 	HavingPct int
 }
 
-// Name renders the paper's workload naming scheme, e.g. "U25-S-1000".
-func (c Config) Name() string {
-	return fmt.Sprintf("U%d-%s-%d", c.UpdatePct, c.Complexity.Letter(), c.Count)
+// name renders the paper's workload naming scheme, e.g. "U25-S-1000".
+func (c Config) name() string {
+	return fmt.Sprintf("U%d-%s-%d", c.UpdatePct, c.Complexity.letter(), c.Count)
 }
 
 // ConfigByName parses names like "U25-S-1000" back into a Config.
@@ -151,7 +151,7 @@ func Generate(db *storage.Database, cfg Config) (*Workload, error) {
 		g.adj[strings.ToLower(fk.RefTable)] = append(g.adj[strings.ToLower(fk.RefTable)], fk)
 	}
 
-	w := &Workload{Name: cfg.Name()}
+	w := &Workload{Name: cfg.name()}
 	for i := 0; i < cfg.Count; i++ {
 		var stmt query.Statement
 		var err error
@@ -330,7 +330,7 @@ func (g *generator) genFilter(table string) (query.Filter, bool) {
 }
 
 func (g *generator) genQuery() (query.Statement, error) {
-	max := g.cfg.Complexity.MaxTables()
+	max := g.cfg.Complexity.maxTables()
 	n := 1 + g.rng.Intn(max)
 	tables := g.pickTables(n)
 	q := &query.Select{Tables: tables, GroupVarID: -1}

@@ -25,7 +25,7 @@ func TestConfigNameRoundTrip(t *testing.T) {
 		{Count: 100, UpdatePct: 0, Complexity: Complex},
 		{Count: 500, UpdatePct: 50, Complexity: Complex},
 	} {
-		name := cfg.Name()
+		name := cfg.name()
 		back, err := ConfigByName(name, 7)
 		if err != nil {
 			t.Fatalf("ConfigByName(%q): %v", name, err)
@@ -34,7 +34,7 @@ func TestConfigNameRoundTrip(t *testing.T) {
 			t.Errorf("%q round-tripped to %+v", name, back)
 		}
 	}
-	if (Config{Count: 1000, UpdatePct: 25, Complexity: Simple}).Name() != "U25-S-1000" {
+	if (Config{Count: 1000, UpdatePct: 25, Complexity: Simple}).name() != "U25-S-1000" {
 		t.Error("paper naming scheme broken")
 	}
 	for _, bad := range []string{"", "X25-S-100", "U25-Q-100", "U25-S", "U2x-S-100"} {
@@ -97,8 +97,8 @@ func TestComplexityBoundsTables(t *testing.T) {
 				maxSeen = len(q.Tables)
 			}
 		}
-		if maxSeen > c.MaxTables() {
-			t.Errorf("%s workload used %d tables (cap %d)", c.Letter(), maxSeen, c.MaxTables())
+		if maxSeen > c.maxTables() {
+			t.Errorf("%s workload used %d tables (cap %d)", c.letter(), maxSeen, c.maxTables())
 		}
 	}
 }
@@ -204,7 +204,7 @@ func TestPredicateConstantsComeFromData(t *testing.T) {
 			}
 			found := false
 			for _, v := range vals {
-				if v.Equal(f.Val) {
+				if v.Compare(f.Val) == 0 {
 					found = true
 					break
 				}

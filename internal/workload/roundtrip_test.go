@@ -12,7 +12,11 @@ import (
 // TestRoundTripTPCDOrig: every TPCD-ORIG query re-renders and re-parses to
 // identical SQL (fixed point after one round).
 func TestRoundTripTPCDOrig(t *testing.T) {
-	s := datagen.Schema()
+	db, err := datagen.Generate(datagen.Config{Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Schema
 	w, err := TPCDOrig(s)
 	if err != nil {
 		t.Fatal(err)
