@@ -163,7 +163,8 @@ type QueryResult = protocol.ExecResult
 // Exec parses, optimizes and executes one SQL statement. Safe for concurrent
 // use: each call optimizes on a pooled session clone over the shared plan
 // cache and concurrency-safe statistics manager; DML serializes inside the
-// storage layer's per-table locks.
+// storage layer's per-table locks, each statement matching its rows and
+// writing them under one write lock.
 func (s *System) Exec(sql string) (*QueryResult, error) {
 	return s.ExecCtx(context.Background(), sql)
 }

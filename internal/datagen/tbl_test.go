@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"autostats/internal/storage"
 )
 
 func TestWriteLoadTblRoundTrip(t *testing.T) {
@@ -40,9 +42,10 @@ func TestWriteLoadTblRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		// Indexes must be rebuilt on load.
-		if _, ok := mustTable(t, back, "orders").IndexOn("o_orderkey"); !ok {
-			t.Fatal("schema indexes not rebuilt after LoadTbl")
+		// Indexes must be rebuilt on load: a full-range seek visits every row.
+		orders, seen := mustTable(t, back, "orders"), 0
+		if !orders.Seek("o_orderkey", nil, nil, true, true, func(int, storage.Row) bool { seen++; return true }) || seen != orders.RowCount() {
+			t.Fatalf("schema indexes not rebuilt after LoadTbl: a seek saw %d of %d rows", seen, orders.RowCount())
 		}
 	}
 }

@@ -2,7 +2,10 @@ package executor
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
+	"autostats/internal/catalog"
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
 	"autostats/internal/storage"
@@ -40,14 +43,56 @@ func (ex *Executor) runInsert(s *query.Insert) (*Result, error) {
 	return &Result{Affected: 1, Cost: 1}, nil
 }
 
-// matchingIDs scans the table for rows satisfying the filters, charging a
-// full-scan cost (DML in this engine always scans; its cost is dominated by
-// table size, which is what the update-cost experiments measure).
-func (ex *Executor) matchingIDs(td *storage.TableData, filters []query.Filter) ([]int, float64, error) {
-	rs := tableResultSet(td)
+// keyRange is one index range: the rows whose value of col lies between lo
+// and hi, as seekBounds derives them.
+type keyRange struct {
+	col          string
+	lo, hi       *catalog.Datum
+	loInc, hiInc bool
+}
+
+// cheapestSeek applies the optimizer's access-path rule (bestAccessPath) to
+// a DML statement's filters, with exact counts where SELECT has estimates:
+// each indexed filter column's range, from its non-Ne filters, is counted
+// by two binary searches, and the smallest is worth seeking when
+// SeekCost(n) + CostRowFetch·count < n·CostRowScan for n live rows.
+func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
+	var cols []string
+	for _, f := range filters {
+		if f.Op != query.Ne && !slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, f.Col.Column) }) {
+			cols = append(cols, f.Col.Column)
+		}
+	}
+	var best keyRange
+	bestCount := -1
+	for _, col := range cols {
+		var on []query.Filter
+		for _, f := range filters {
+			if f.Op != query.Ne && strings.EqualFold(f.Col.Column, col) {
+				on = append(on, f)
+			}
+		}
+		r := keyRange{col: col}
+		r.lo, r.hi, r.loInc, r.hiInc = seekBounds(on)
+		if c, ok := v.Count(r.col, r.lo, r.hi, r.loInc, r.hiInc); ok && (bestCount < 0 || c < bestCount) {
+			best, bestCount = r, c
+		}
+	}
+	n := float64(v.Rows())
+	return best, bestCount >= 0 && optimizer.SeekCost(n)+optimizer.CostRowFetch*float64(bestCount) < n*optimizer.CostRowScan
+}
+
+// matchingIDs returns, ascending, the IDs of the live rows of v that satisfy
+// every filter. It seeks the range cheapestSeek picks, or else scans, and
+// re-checks every filter on each row either path fetches. Sorting a seek's
+// IDs makes the write that follows touch rows in the scan's order, so an
+// UPDATE of an indexed column re-inserts its index entries in the same order
+// whichever path found them. Only the path depends on the indexes: the
+// statement's charge is a full scan either way (see runDelete).
+func matchingIDs(v storage.View, filters []query.Filter, rs *resultSet) ([]int, error) {
 	var ids []int
 	var ferr error
-	td.Scan(func(id int, r storage.Row) bool {
+	keep := func(id int, r storage.Row) bool {
 		ok, err := evalFilters(rs, filters, r)
 		if err != nil {
 			ferr = err
@@ -57,21 +102,35 @@ func (ex *Executor) matchingIDs(td *storage.TableData, filters []query.Filter) (
 			ids = append(ids, id)
 		}
 		return true
-	})
-	return ids, float64(td.RowCount()) * optimizer.CostRowScan, ferr
+	}
+	if r, ok := cheapestSeek(v, filters); ok {
+		v.Seek(r.col, r.lo, r.hi, r.loInc, r.hiInc, keep)
+		slices.Sort(ids)
+	} else {
+		v.Scan(keep)
+	}
+	return ids, ferr
 }
 
+// runDelete and runUpdate match and write under one table write lock, so
+// concurrent DML on a table serializes. Each charges a full scan of the live
+// rows plus one unit per row written, whichever path matchingIDs took:
+// that is what the §8 update-cost experiments measure.
 func (ex *Executor) runDelete(s *query.Delete) (*Result, error) {
 	td, err := ex.db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	ids, cost, err := ex.matchingIDs(td, s.Filters)
+	rs := tableResultSet(td)
+	var scan float64
+	n, err := td.Delete(func(v storage.View) ([]int, error) {
+		scan = float64(v.Rows()) * optimizer.CostRowScan
+		return matchingIDs(v, s.Filters, rs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := td.Delete(ids)
-	return &Result{Affected: n, Cost: cost + float64(n)}, nil
+	return &Result{Affected: n, Cost: scan + float64(n)}, nil
 }
 
 func (ex *Executor) runUpdate(s *query.Update) (*Result, error) {
@@ -83,10 +142,14 @@ func (ex *Executor) runUpdate(s *query.Update) (*Result, error) {
 	if col < 0 {
 		return nil, fmt.Errorf("executor: update %s: unknown column %s", s.Table, s.SetCol)
 	}
-	ids, cost, err := ex.matchingIDs(td, s.Filters)
+	rs := tableResultSet(td)
+	var scan float64
+	n, err := td.Update(func(v storage.View) ([]int, error) {
+		scan = float64(v.Rows()) * optimizer.CostRowScan
+		return matchingIDs(v, s.Filters, rs)
+	}, col, s.SetVal)
 	if err != nil {
 		return nil, err
 	}
-	n := td.Update(ids, col, s.SetVal)
-	return &Result{Affected: n, Cost: cost + float64(n)}, nil
+	return &Result{Affected: n, Cost: scan + float64(n)}, nil
 }

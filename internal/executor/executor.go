@@ -181,27 +181,27 @@ func (ex *Executor) execSeek(n *optimizer.Node) (*resultSet, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, ok := td.IndexOn(n.IndexCol)
-	if !ok {
-		return nil, 0, fmt.Errorf("executor: no index on %s.%s", n.Table, n.IndexCol)
-	}
 	lo, hi, loInc, hiInc := seekBounds(n.SeekFilters)
-	ids := ix.SeekRange(lo, hi, loInc, hiInc)
 	rs := tableResultSet(td)
 	cost := optimizer.SeekCost(float64(td.RowCount()))
-	for _, id := range ids {
-		r, live := td.Get(id)
-		if !live {
-			continue
-		}
+	var ferr error
+	indexed := td.Seek(n.IndexCol, lo, hi, loInc, hiInc, func(_ int, r storage.Row) bool {
 		cost += optimizer.CostRowFetch
 		ok, err := evalFilters(rs, n.Filters, r)
 		if err != nil {
-			return nil, 0, err
+			ferr = err
+			return false
 		}
 		if ok {
 			rs.rows = append(rs.rows, append([]catalog.Datum(nil), r...))
 		}
+		return true
+	})
+	if !indexed {
+		return nil, 0, fmt.Errorf("executor: no index on %s.%s", n.Table, n.IndexCol)
+	}
+	if ferr != nil {
+		return nil, 0, ferr
 	}
 	return rs, cost, nil
 }
@@ -484,10 +484,6 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, err
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, ok := td.IndexOn(n.IndexCol)
-	if !ok {
-		return nil, 0, fmt.Errorf("executor: no index on %s.%s", inner.Table, n.IndexCol)
-	}
 	r := tableResultSet(td)
 	keys, err := joinKeys(l, r, n.Joins)
 	if err != nil {
@@ -511,39 +507,42 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, err
 	cost := lc
 	seek := optimizer.SeekCost(float64(td.RowCount()))
 	out := &resultSet{cols: mergeCols(l, r)}
-	for _, lrow := range l.rows {
+	// probe visits the inner rows one outer row's seek fetches.
+	var lrow []catalog.Datum
+	var ferr error
+	probe := func(_ int, rrow storage.Row) bool {
+		cost += optimizer.CostRowFetch
+		pass, err := evalFilters(r, inner.Filters, rrow)
+		if err != nil {
+			ferr = err
+			return false
+		}
+		if !pass {
+			return true
+		}
+		for ki, k := range keys {
+			if ki == ixPred {
+				continue
+			}
+			if lrow[k[0]].Null || rrow[k[1]].Null || lrow[k[0]].Compare(rrow[k[1]]) != 0 {
+				return true
+			}
+		}
+		out.rows = append(out.rows, concatRows(lrow, rrow))
+		cost += optimizer.CostRowOut
+		return true
+	}
+	for _, lrow = range l.rows {
 		cost += seek
 		key := lrow[keys[ixPred][0]]
 		if key.Null {
 			continue
 		}
-		for _, id := range ix.SeekEqual(key) {
-			rrow, live := td.Get(id)
-			if !live {
-				continue
-			}
-			cost += optimizer.CostRowFetch
-			pass, err := evalFilters(r, inner.Filters, rrow)
-			if err != nil {
-				return nil, 0, err
-			}
-			if !pass {
-				continue
-			}
-			match := true
-			for ki, k := range keys {
-				if ki == ixPred {
-					continue
-				}
-				if lrow[k[0]].Null || rrow[k[1]].Null || lrow[k[0]].Compare(rrow[k[1]]) != 0 {
-					match = false
-					break
-				}
-			}
-			if match {
-				out.rows = append(out.rows, concatRows(lrow, rrow))
-				cost += optimizer.CostRowOut
-			}
+		if !td.Seek(n.IndexCol, &key, &key, true, true, probe) {
+			return nil, 0, fmt.Errorf("executor: no index on %s.%s", inner.Table, n.IndexCol)
+		}
+		if ferr != nil {
+			return nil, 0, ferr
 		}
 	}
 	return out, cost, nil

@@ -15,8 +15,7 @@ import (
 // [2, 2] into the empty range (2, 2] and silently losing the matching row.
 func TestIndexSeekBoundsWithMixedFilters(t *testing.T) {
 	env := newEnv(t, 0, 1)
-	region := mustTable(t, env.db, "region")
-	if _, ok := region.IndexOn("r_regionkey"); !ok {
+	if _, ok := env.db.Schema.IndexOn("region", "r_regionkey"); !ok {
 		t.Fatal("expected an index on region.r_regionkey")
 	}
 

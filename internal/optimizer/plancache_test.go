@@ -81,8 +81,12 @@ func TestPlanCacheDataVersionInvalidation(t *testing.T) {
 	q := dateQuery(10400)
 	p1, _ := sess.Optimize(q)
 	td := mustTable(t, sess.Manager().Database(), "orders")
-	row, _ := td.Get(0)
-	if err := td.Insert(append(storage.Row(nil), row...)); err != nil {
+	var row storage.Row
+	td.Scan(func(_ int, r storage.Row) bool {
+		row = append(row, r...)
+		return false
+	})
+	if err := td.Insert(row); err != nil {
 		t.Fatal(err)
 	}
 	p2, _ := sess.Optimize(q)

@@ -204,7 +204,9 @@ func (h *Harness) injectNulls() error {
 					hit = append(hit, id)
 				}
 			}
-			td.Update(hit, pos, catalog.NewNull(typ))
+			if _, err := td.Update(func(storage.View) ([]int, error) { return hit, nil }, pos, catalog.NewNull(typ)); err != nil {
+				return err
+			}
 		}
 		td.ResetModCounter(td.ModCounter())
 	}

@@ -150,12 +150,15 @@ func TestMaintenanceRefreshesEmptiedTable(t *testing.T) {
 		t.Fatalf("pre-delete stat rows = %d, want 100", st.Data.Rows)
 	}
 	td := mustTable(t, db, "hot")
-	var ids []int
-	td.Scan(func(id int, _ storage.Row) bool {
-		ids = append(ids, id)
-		return true
+	n, err := td.Delete(func(v storage.View) ([]int, error) {
+		var ids []int
+		v.Scan(func(id int, _ storage.Row) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids, nil
 	})
-	if n := td.Delete(ids); n != 100 {
+	if err != nil || n != 100 {
 		t.Fatalf("deleted %d rows, want 100", n)
 	}
 	rep, err := m.RunMaintenance(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})

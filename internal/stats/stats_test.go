@@ -330,7 +330,7 @@ func TestMaintenancePolicy(t *testing.T) {
 		for id := from; id < to; id++ {
 			ids = append(ids, id)
 		}
-		if n := td.Update(ids, 0, catalog.NewInt(9)); n != len(ids) {
+		if n, err := td.Update(func(storage.View) ([]int, error) { return ids, nil }, 0, catalog.NewInt(9)); err != nil || n != len(ids) {
 			t.Fatalf("updated %d of %d rows", n, len(ids))
 		}
 	}

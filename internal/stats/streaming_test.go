@@ -51,7 +51,9 @@ func streamDB(t *testing.T, rows int) *storage.Database {
 	for id := 5; id < rows; id += 17 {
 		dead = append(dead, id)
 	}
-	td.Delete(dead)
+	if _, err := td.Delete(func(storage.View) ([]int, error) { return dead, nil }); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 

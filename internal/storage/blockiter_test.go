@@ -65,7 +65,7 @@ func TestBlockIterMatchesGather(t *testing.T) {
 	for id := 3; id < 157; id += 11 {
 		dead = append(dead, id)
 	}
-	td.Delete(dead)
+	deleteIDs(td, dead...)
 
 	cols := []string{"b", "c"}
 	want, err := td.MultiColumnValues(cols)

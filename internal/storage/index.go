@@ -11,15 +11,15 @@ type indexEntry struct {
 	rowID int
 }
 
-// Index is a sorted secondary index over one column. Lookups binary-search
+// index is a sorted secondary index over one column. Lookups binary-search
 // the entry slice; inserts keep it sorted. This models a B-tree closely
-// enough for cost purposes (O(log n) seek + O(matches) scan).
-type Index struct {
-	Column  string
+// enough for cost purposes (O(log n) seek + O(matches) scan). It is read and
+// written only under its table's lock.
+type index struct {
 	entries []indexEntry
 }
 
-func (ix *Index) insert(key catalog.Datum, rowID int) {
+func (ix *index) insert(key catalog.Datum, rowID int) {
 	i := sort.Search(len(ix.entries), func(i int) bool {
 		return ix.entries[i].key.Compare(key) >= 0
 	})
@@ -28,7 +28,7 @@ func (ix *Index) insert(key catalog.Datum, rowID int) {
 	ix.entries[i] = indexEntry{key: key, rowID: rowID}
 }
 
-func (ix *Index) remove(key catalog.Datum, rowID int) {
+func (ix *index) remove(key catalog.Datum, rowID int) {
 	i := sort.Search(len(ix.entries), func(i int) bool {
 		return ix.entries[i].key.Compare(key) >= 0
 	})
@@ -40,22 +40,11 @@ func (ix *Index) remove(key catalog.Datum, rowID int) {
 	}
 }
 
-// SeekEqual returns the row IDs whose key equals v.
-func (ix *Index) SeekEqual(v catalog.Datum) []int {
-	lo := sort.Search(len(ix.entries), func(i int) bool {
-		return ix.entries[i].key.Compare(v) >= 0
-	})
-	var ids []int
-	for i := lo; i < len(ix.entries) && ix.entries[i].key.Compare(v) == 0; i++ {
-		ids = append(ids, ix.entries[i].rowID)
-	}
-	return ids
-}
-
-// SeekRange returns the row IDs with lo ≤ key ≤ hi, where a nil bound is
-// unbounded and loInc/hiInc control bound inclusivity.
-func (ix *Index) SeekRange(lo, hi *catalog.Datum, loInc, hiInc bool) []int {
-	start := 0
+// span returns the entries [start, end) with lo ≤ key ≤ hi, found by two
+// binary searches. A nil bound is unbounded; loInc/hiInc control bound
+// inclusivity. start ≥ end means the range is empty.
+func (ix *index) span(lo, hi *catalog.Datum, loInc, hiInc bool) (start, end int) {
+	end = len(ix.entries)
 	if lo != nil {
 		start = sort.Search(len(ix.entries), func(i int) bool {
 			c := ix.entries[i].key.Compare(*lo)
@@ -65,7 +54,6 @@ func (ix *Index) SeekRange(lo, hi *catalog.Datum, loInc, hiInc bool) []int {
 			return c > 0
 		})
 	}
-	end := len(ix.entries)
 	if hi != nil {
 		end = sort.Search(len(ix.entries), func(i int) bool {
 			c := ix.entries[i].key.Compare(*hi)
@@ -75,12 +63,5 @@ func (ix *Index) SeekRange(lo, hi *catalog.Datum, loInc, hiInc bool) []int {
 			return c >= 0
 		})
 	}
-	if start >= end {
-		return nil
-	}
-	ids := make([]int, 0, end-start)
-	for i := start; i < end; i++ {
-		ids = append(ids, ix.entries[i].rowID)
-	}
-	return ids
+	return start, end
 }

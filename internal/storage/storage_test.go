@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,8 +22,48 @@ func row(id int64, salary float64, name string) Row {
 	return Row{catalog.NewInt(id), catalog.NewFloat(salary), catalog.NewString(name)}
 }
 
+// deleteIDs and updateIDs write the given rows, as a DML statement that
+// picked them would.
+func deleteIDs(td *TableData, ids ...int) int {
+	n, _ := td.Delete(func(View) ([]int, error) { return ids, nil })
+	return n
+}
+
+func updateIDs(td *TableData, col int, v catalog.Datum, ids ...int) int {
+	n, _ := td.Update(func(View) ([]int, error) { return ids, nil }, col, v)
+	return n
+}
+
+// seekIDs returns the IDs a seek over [lo, hi] on col visits, in index order.
+func seekIDs(t *testing.T, td *TableData, col string, lo, hi *catalog.Datum, loInc, hiInc bool) []int {
+	t.Helper()
+	var ids []int
+	if !td.Seek(col, lo, hi, loInc, hiInc, func(id int, _ Row) bool {
+		ids = append(ids, id)
+		return true
+	}) {
+		t.Fatalf("no index on %s", col)
+	}
+	return ids
+}
+
+// rowOf returns the live row id, or nil, through a scan.
+func rowOf(td *TableData, id int) Row {
+	var out Row
+	td.Scan(func(got int, r Row) bool {
+		if got == id {
+			out = append(Row(nil), r...)
+		}
+		return got < id
+	})
+	return out
+}
+
 func TestInsertScanGet(t *testing.T) {
 	td := newTableData(empSchema())
+	if err := td.createIndex("id"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		if err := td.Insert(row(int64(i), float64(i)*100, "e")); err != nil {
 			t.Fatal(err)
@@ -42,11 +83,15 @@ func TestInsertScanGet(t *testing.T) {
 	if seen != 10 {
 		t.Errorf("scan saw %d rows", seen)
 	}
-	if _, ok := td.Get(5); !ok {
-		t.Error("Get(5) failed")
+	five, none := catalog.NewInt(5), catalog.NewInt(99)
+	if ids := seekIDs(t, td, "ID", &five, &five, true, true); len(ids) != 1 || ids[0] != 5 {
+		t.Errorf("seek of id 5 found %v", ids)
 	}
-	if _, ok := td.Get(99); ok {
-		t.Error("Get(99) should fail")
+	if ids := seekIDs(t, td, "id", &none, &none, true, true); len(ids) != 0 {
+		t.Errorf("seek of id 99 found %v", ids)
+	}
+	if td.Seek("salary", nil, nil, true, true, func(int, Row) bool { return true }) {
+		t.Error("seek on an unindexed column reported an index")
 	}
 }
 
@@ -62,14 +107,14 @@ func TestDeleteTombstones(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_ = td.Insert(row(int64(i), 0, "x"))
 	}
-	n := td.Delete([]int{2, 4, 4, 99})
+	n := deleteIDs(td, 2, 4, 4, 99)
 	if n != 2 {
 		t.Fatalf("Delete removed %d, want 2", n)
 	}
 	if td.RowCount() != 8 {
 		t.Errorf("RowCount after delete = %d", td.RowCount())
 	}
-	if _, ok := td.Get(2); ok {
+	if rowOf(td, 2) != nil {
 		t.Error("deleted row still visible")
 	}
 	seen := 0
@@ -87,15 +132,14 @@ func TestUpdateAndModCounter(t *testing.T) {
 	if td.ModCounter() != 5 {
 		t.Fatalf("mod counter after inserts = %d", td.ModCounter())
 	}
-	n := td.Update([]int{1, 3}, 1, catalog.NewFloat(999))
+	n := updateIDs(td, 1, catalog.NewFloat(999), 1, 3)
 	if n != 2 {
 		t.Fatalf("Update touched %d", n)
 	}
 	if td.ModCounter() != 7 {
 		t.Errorf("mod counter after update = %d", td.ModCounter())
 	}
-	r, _ := td.Get(1)
-	if r[1].F != 999 {
+	if r := rowOf(td, 1); r[1].F != 999 {
 		t.Errorf("update not applied: %v", r[1])
 	}
 	// A refresh that saw 5 of the 7 modifications leaves 2 pending; taking
@@ -135,36 +179,34 @@ func TestIndexMaintainedAcrossDML(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_ = td.Insert(row(int64(i), float64(i%5)*10, "x"))
 	}
-	ix, ok := td.IndexOn("SALARY")
-	if !ok {
-		t.Fatal("index not found")
-	}
-	ids := ix.SeekEqual(catalog.NewFloat(20))
+	twenty := catalog.NewFloat(20)
+	ids := seekIDs(t, td, "SALARY", &twenty, &twenty, true, true)
 	if len(ids) != 4 {
-		t.Fatalf("SeekEqual(20) found %d rows, want 4", len(ids))
+		t.Fatalf("seek of 20 found %d rows, want 4", len(ids))
 	}
 	// Update a matching row away and a non-matching row in.
-	td.Update([]int{ids[0]}, 1, catalog.NewFloat(55))
-	td.Update([]int{0}, 1, catalog.NewFloat(20)) // row 0 had salary 0
-	ids = ix.SeekEqual(catalog.NewFloat(20))
+	updateIDs(td, 1, catalog.NewFloat(55), ids[0])
+	updateIDs(td, 1, twenty, 0) // row 0 had salary 0
+	ids = seekIDs(t, td, "salary", &twenty, &twenty, true, true)
 	if len(ids) != 4 {
-		t.Fatalf("after updates SeekEqual(20) found %d rows, want 4", len(ids))
+		t.Fatalf("after updates seek of 20 found %d rows, want 4", len(ids))
 	}
-	// Deleted rows remain in the index but Get filters them.
-	td.Delete([]int{ids[0]})
-	live := 0
-	for _, id := range ix.SeekEqual(catalog.NewFloat(20)) {
-		if _, ok := td.Get(id); ok {
-			live++
-		}
+	// Deleted rows remain in the index, so Count sees them, but Seek skips
+	// them.
+	deleteIDs(td, ids[0])
+	if live := seekIDs(t, td, "salary", &twenty, &twenty, true, true); len(live) != 3 {
+		t.Fatalf("live matches after delete = %d, want 3", len(live))
 	}
-	if live != 3 {
-		t.Fatalf("live matches after delete = %d, want 3", live)
+	td.mu.RLock()
+	n, ok := View{td}.Count("salary", &twenty, &twenty, true, true)
+	td.mu.RUnlock()
+	if !ok || n != 4 {
+		t.Fatalf("Count after delete = %d, %v, want 4 entries", n, ok)
 	}
 }
 
-// TestIndexSeekRangeMatchesScan: property test — SeekRange agrees with a
-// linear scan for random data and random bounds.
+// TestIndexSeekRangeMatchesScan: property test — Seek agrees with a linear
+// scan for random data and random bounds, and Count with Seek.
 func TestIndexSeekRangeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	td := newTableData(empSchema())
@@ -174,7 +216,6 @@ func TestIndexSeekRangeMatchesScan(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		_ = td.Insert(row(int64(rng.Intn(50)), 0, "x"))
 	}
-	ix, _ := td.IndexOn("id")
 
 	f := func(loRaw, hiRaw int8, loInc, hiInc, loNil, hiNil bool) bool {
 		var lo, hi *catalog.Datum
@@ -186,7 +227,13 @@ func TestIndexSeekRangeMatchesScan(t *testing.T) {
 			d := catalog.NewInt(int64(hiRaw) % 50)
 			hi = &d
 		}
-		got := append([]int(nil), ix.SeekRange(lo, hi, loInc, hiInc)...)
+		got := seekIDs(t, td, "id", lo, hi, loInc, hiInc)
+		td.mu.RLock()
+		n, _ := View{td}.Count("id", lo, hi, loInc, hiInc)
+		td.mu.RUnlock()
+		if n != len(got) {
+			return false
+		}
 		sort.Ints(got)
 		var want []int
 		td.Scan(func(id int, r Row) bool {
@@ -226,7 +273,7 @@ func TestColumnValues(t *testing.T) {
 	td := newTableData(empSchema())
 	_ = td.Insert(row(1, 10, "a"))
 	_ = td.Insert(row(2, 20, "b"))
-	td.Delete([]int{0})
+	deleteIDs(td, 0)
 	vals, err := td.ColumnValues("salary")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +318,7 @@ func TestDatabaseSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := td.IndexOn("id"); !ok {
+	if td.indexOn("id") == nil {
 		t.Error("schema index was not built")
 	}
 	if _, err := db.Table("nope"); err == nil {
@@ -280,5 +327,25 @@ func TestDatabaseSetup(t *testing.T) {
 	_ = td.Insert(row(1, 1, "x"))
 	if db.TotalRows() != 1 {
 		t.Errorf("TotalRows = %d", db.TotalRows())
+	}
+}
+
+// TestFindErrorLeavesTableUnchanged: an error from the function that picks
+// a write's rows aborts the write.
+func TestFindErrorLeavesTableUnchanged(t *testing.T) {
+	td := newTableData(empSchema())
+	for i := 0; i < 3; i++ {
+		_ = td.Insert(row(int64(i), 0, "x"))
+	}
+	boom := errors.New("boom")
+	fail := func(View) ([]int, error) { return []int{0, 1}, boom }
+	if n, err := td.Delete(fail); n != 0 || err != boom {
+		t.Errorf("Delete = %d, %v", n, err)
+	}
+	if n, err := td.Update(fail, 1, catalog.NewFloat(1)); n != 0 || err != boom {
+		t.Errorf("Update = %d, %v", n, err)
+	}
+	if td.RowCount() != 3 || td.ModCounter() != 3 || rowOf(td, 0)[1].F != 0 {
+		t.Errorf("failed writes changed the table: %d rows, counter %d", td.RowCount(), td.ModCounter())
 	}
 }

@@ -28,7 +28,7 @@ type TableData struct {
 	dead   []bool
 	live   int
 
-	indexes map[string]*Index // by column name (lower-cased by caller convention)
+	indexes map[string]*index // by column name (lower-cased by caller convention)
 
 	// modCounter counts rows inserted/updated/deleted since the last
 	// statistics refresh on this table (the SQL Server 7.0 policy counter).
@@ -54,7 +54,7 @@ func (t *TableData) OpenSnapshots() int64 {
 
 // newTableData creates an empty table.
 func newTableData(schema *catalog.Table) *TableData {
-	return &TableData{Schema: schema, indexes: make(map[string]*Index)}
+	return &TableData{Schema: schema, indexes: make(map[string]*index)}
 }
 
 // Insert appends a row. The row must match the schema arity.
@@ -102,7 +102,7 @@ func (t *TableData) BulkLoad(rows []Row) error {
 func (t *TableData) RowCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.live
+	return View{t}.Rows()
 }
 
 // ModCounter returns rows modified since the last ResetModCounter.
@@ -128,37 +128,34 @@ func (t *TableData) ResetModCounter(seen int64) {
 	t.modCounter = max(t.modCounter-seen, 0)
 }
 
-// Scan invokes fn for every live row. fn must not retain the row slice.
-// Returning false from fn stops the scan.
+// Scan invokes fn for every live row under the read lock; see View.Scan.
 func (t *TableData) Scan(fn func(id int, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for id, r := range t.rows {
-		if t.dead[id] {
-			continue
-		}
-		if !fn(id, r) {
-			return
-		}
-	}
+	View{t}.Scan(fn)
 }
 
-// Get returns the row with the given ID, or false if it was deleted.
-func (t *TableData) Get(id int) (Row, bool) {
+// Seek invokes fn for every live row in an index range under the read lock;
+// see View.Seek.
+func (t *TableData) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func(id int, r Row) bool) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if id < 0 || id >= len(t.rows) || t.dead[id] {
-		return nil, false
-	}
-	return t.rows[id], true
+	return View{t}.Seek(col, lo, hi, loInc, hiInc, fn)
 }
 
-// Delete tombstones the rows with the given IDs and returns how many were
-// live. Index entries are removed lazily at lookup time via the tombstone
-// check, keeping delete O(1) per row.
-func (t *TableData) Delete(ids []int) int {
+// Delete tombstones the live rows that find picks and returns how many there
+// were. find runs under the write lock that the write then holds, so the rows
+// it picks are the rows written: no other write falls between the match and
+// the write. An error from find leaves the table unchanged. Index entries
+// are removed lazily at lookup time via the tombstone check, keeping delete
+// O(1) per row.
+func (t *TableData) Delete(find func(View) ([]int, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	ids, err := find(View{t})
+	if err != nil {
+		return 0, err
+	}
 	n := 0
 	for _, id := range ids {
 		if id < 0 || id >= len(t.rows) || t.dead[id] {
@@ -170,16 +167,21 @@ func (t *TableData) Delete(ids []int) int {
 	}
 	t.modCounter += int64(n)
 	t.version += int64(n)
-	return n
+	return n, nil
 }
 
-// Update overwrites column col (by ordinal) of the given rows with v and
-// returns how many rows were live. Indexed columns trigger an index fix-up.
-func (t *TableData) Update(ids []int, col int, v catalog.Datum) int {
+// Update overwrites column col (by ordinal) of the live rows that find picks
+// with v and returns how many there were. find runs under the write lock, as
+// for Delete. Indexed columns trigger an index fix-up in the order of the
+// picked IDs, which decides the index order among equal keys.
+func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Datum) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	colName := t.Schema.Columns[col].Name
-	ix := t.indexes[keyOf(colName)]
+	ids, err := find(View{t})
+	if err != nil {
+		return 0, err
+	}
+	ix := t.indexOn(t.Schema.Columns[col].Name)
 	n := 0
 	for _, id := range ids {
 		if id < 0 || id >= len(t.rows) || t.dead[id] {
@@ -194,7 +196,64 @@ func (t *TableData) Update(ids []int, col int, v catalog.Datum) int {
 	}
 	t.modCounter += int64(n)
 	t.version += int64(n)
-	return n
+	return n, nil
+}
+
+// View reads a table under a lock its holder already has. TableData's read
+// methods take the read lock and use one; Delete and Update hand one, under
+// the write lock, to the function that picks the rows they write. A View is
+// valid only until the call that handed it out returns, and the rows it
+// passes to fn only until fn returns. The lock is held while find and fn
+// run, so they must not call the table's own methods.
+type View struct{ t *TableData }
+
+// Rows returns the number of live rows.
+func (v View) Rows() int { return v.t.live }
+
+// Scan invokes fn for every live row, in row-ID order. Returning false from
+// fn stops the scan.
+func (v View) Scan(fn func(id int, r Row) bool) {
+	for id, r := range v.t.rows {
+		if v.t.dead[id] {
+			continue
+		}
+		if !fn(id, r) {
+			return
+		}
+	}
+}
+
+// Count returns how many index entries a Seek with the same range would
+// visit, tombstoned rows still in the index included, by two binary
+// searches. ok is false when col has no index.
+func (v View) Count(col string, lo, hi *catalog.Datum, loInc, hiInc bool) (n int, ok bool) {
+	ix := v.t.indexOn(col)
+	if ix == nil {
+		return 0, false
+	}
+	start, end := ix.span(lo, hi, loInc, hiInc)
+	return max(end-start, 0), true
+}
+
+// Seek invokes fn for every live row whose value of the indexed column col
+// lies in [lo, hi], in index order. A nil bound is unbounded; loInc/hiInc
+// control bound inclusivity. Returning false from fn stops the seek. Seek
+// returns false when col has no index.
+func (v View) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func(id int, r Row) bool) bool {
+	ix := v.t.indexOn(col)
+	if ix == nil {
+		return false
+	}
+	start, end := ix.span(lo, hi, loInc, hiInc)
+	for _, e := range ix.entries[start:max(start, end)] {
+		if v.t.dead[e.rowID] {
+			continue
+		}
+		if !fn(e.rowID, v.t.rows[e.rowID]) {
+			break
+		}
+	}
+	return true
 }
 
 // ColumnValues returns the live values of the named column, in row order.
@@ -254,6 +313,15 @@ func keyOf(col string) string {
 	return string(b)
 }
 
+// indexOn returns the index on the named column, or nil. A lower-case name,
+// the usual case, is looked up without building its key.
+func (t *TableData) indexOn(col string) *index {
+	if ix, ok := t.indexes[col]; ok {
+		return ix
+	}
+	return t.indexes[keyOf(col)]
+}
+
 // createIndex builds a sorted secondary index on the named column.
 func (t *TableData) createIndex(col string) error {
 	if t.Schema.ColumnIndex(col) < 0 {
@@ -266,17 +334,9 @@ func (t *TableData) createIndex(col string) error {
 	return nil
 }
 
-// IndexOn returns the index on the named column, if built.
-func (t *TableData) IndexOn(col string) (*Index, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[keyOf(col)]
-	return ix, ok && ix != nil
-}
-
 func (t *TableData) rebuildIndexLocked(colKey string) {
 	ci := t.Schema.ColumnIndex(colKey)
-	ix := &Index{Column: t.Schema.Columns[ci].Name}
+	ix := &index{}
 	for id, r := range t.rows {
 		if !t.dead[id] {
 			ix.entries = append(ix.entries, indexEntry{key: r[ci], rowID: id})
