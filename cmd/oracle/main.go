@@ -13,10 +13,12 @@
 //
 //	oracle -duration 10m
 //
-// On failure the offending seeds are also written to -failure-file (default
-// oracle-failures.txt) for artifact upload, and the process exits 1.
-// SIGINT/SIGTERM stop the soak at the next seed boundary; seeds that already
-// failed are still written to -failure-file before exit.
+// -chaos runs the network chaos sweep in place of the correctness oracles,
+// in either mode. Any failing seed makes the process exit 1; in long mode
+// the failing seeds are also written to -failure-file (default
+// oracle-failures.txt) for artifact upload. SIGINT/SIGTERM stop the soak at
+// the next seed boundary with exit status 1; seeds that already failed are
+// still written to -failure-file before exit.
 package main
 
 import (
@@ -49,79 +51,37 @@ func main() {
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	run := func(s int64) (int, error) {
+		return runSeed(s, *queries, *meta, *samples, *scale, *zipf, *simple)
+	}
 	if *chaosRun {
-		runChaosMode(ctx, *seed, *sessions, *requests, *duration, *failFile)
-		return
+		run = func(s int64) (int, error) { return runChaosSeed(s, *sessions, *requests) }
 	}
-
-	if *duration <= 0 {
-		findings, err := runSeed(*seed, *queries, *meta, *samples, *scale, *zipf, *simple)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oracle:", err)
-			os.Exit(1)
-		}
-		if findings > 0 {
-			fmt.Printf("oracle: seed %d FAILED with %d findings\n", *seed, findings)
-			os.Exit(1)
-		}
-		fmt.Printf("oracle: seed %d clean\n", *seed)
-		return
-	}
-
-	deadline := time.Now().Add(*duration)
-	var failed []int64
-	interrupted := false
-	s := *seed
-	for time.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		findings, err := runSeed(s, *queries, *meta, *samples, *scale, *zipf, *simple)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oracle: seed %d: %v\n", s, err)
-			failed = append(failed, s)
-		} else if findings > 0 {
-			failed = append(failed, s)
-		}
-		s++
-	}
-	ran := s - *seed
-	if len(failed) > 0 {
-		f, err := os.Create(*failFile)
-		if err == nil {
-			for _, fs := range failed {
-				fmt.Fprintf(f, "%d\n", fs)
-			}
-			f.Close()
-		}
-		fmt.Printf("oracle: %d/%d seeds FAILED: %v (repro: oracle -seed <n>; seeds in %s)\n",
-			len(failed), ran, failed, *failFile)
-		os.Exit(1)
-	}
-	if interrupted {
-		fmt.Printf("oracle: interrupted after %d clean seeds\n", ran)
-		os.Exit(1)
-	}
-	fmt.Printf("oracle: %d seeds clean in %s\n", ran, *duration)
+	code := soak(ctx, *chaosRun, *seed, *duration, *failFile, run)
+	stop()
+	os.Exit(code)
 }
 
-// runChaosMode runs the network chaos sweep: a real server behind the
-// fault-injecting proxy, robustness invariants asserted after the swarm.
-// With -duration it loops over fresh seeds until the budget is spent (the
-// nightly soak); otherwise it runs exactly -seed once (the CI smoke).
-func runChaosMode(ctx context.Context, seed int64, sessions, requests int, duration time.Duration, failFile string) {
+// soak runs run on seed and, with a positive duration, on each following
+// seed until the duration has passed (long mode). SIGINT or SIGTERM stop it
+// at the next seed boundary. In long mode the failing seeds are written to
+// failFile. It returns the exit status: 1 when a seed failed or the run was
+// interrupted. run returns the seed's finding count; an error means the
+// harness itself broke, and fails the seed too.
+func soak(ctx context.Context, chaos bool, seed int64, duration time.Duration, failFile string, run func(seed int64) (int, error)) int {
+	label, repro := "", "oracle -seed <n>"
+	if chaos {
+		label, repro = "chaos ", "oracle -chaos -seed <n>"
+	}
 	deadline := time.Now().Add(duration)
 	var failed []int64
 	s := seed
 	for {
-		findings, err := runChaosSeed(s, sessions, requests)
+		findings, err := run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "oracle: chaos seed %d: %v\n", s, err)
-			failed = append(failed, s)
-		} else if findings > 0 {
+			fmt.Fprintf(os.Stderr, "oracle: %sseed %d: %v\n", label, s, err)
+		}
+		if err != nil || findings > 0 {
 			failed = append(failed, s)
 		}
 		s++
@@ -131,17 +91,24 @@ func runChaosMode(ctx context.Context, seed int64, sessions, requests int, durat
 	}
 	ran := s - seed
 	if len(failed) > 0 {
-		if f, err := os.Create(failFile); err == nil {
-			for _, fs := range failed {
-				fmt.Fprintf(f, "%d\n", fs)
+		if duration > 0 {
+			if f, err := os.Create(failFile); err == nil {
+				for _, fs := range failed {
+					fmt.Fprintf(f, "%d\n", fs)
+				}
+				f.Close()
 			}
-			f.Close()
+			repro += "; seeds in " + failFile
 		}
-		fmt.Printf("oracle: chaos %d/%d seeds FAILED: %v (repro: oracle -chaos -seed <n>)\n",
-			len(failed), ran, failed)
-		os.Exit(1)
+		fmt.Printf("oracle: %s%d/%d seeds FAILED: %v (repro: %s)\n", label, len(failed), ran, failed, repro)
+		return 1
 	}
-	fmt.Printf("oracle: chaos %d seeds clean\n", ran)
+	if ctx.Err() != nil {
+		fmt.Printf("oracle: %sinterrupted after %d clean seeds\n", label, ran)
+		return 1
+	}
+	fmt.Printf("oracle: %s%d seeds clean\n", label, ran)
+	return 0
 }
 
 // runChaosSeed runs one chaos sweep and prints its findings and summary.
@@ -166,10 +133,8 @@ func runChaosSeed(seed int64, sessions, requests int) (int, error) {
 	return len(rep.Findings), nil
 }
 
-// runSeed runs all five oracles once for the given seed and prints every
-// finding. It returns the finding count so the caller can decide the exit
-// status (an error means the harness itself broke, not that an oracle
-// disagreed).
+// runSeed runs every oracle once for the given seed and prints every
+// finding. It returns the finding count.
 func runSeed(seed int64, queries, meta, samples int, scale, zipf float64, simple bool) (int, error) {
 	start := time.Now()
 	h, err := oracle.New(oracle.Options{Seed: seed, Scale: scale, Zipf: zipf, SimpleQueries: simple})

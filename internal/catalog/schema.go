@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,7 +32,9 @@ type ForeignKey struct {
 	RefTable, RefColumn string
 }
 
-// Table is the schema of one relation.
+// Table is the schema of one relation. Its name and column names are lower
+// case: identifiers are case-insensitive, and the catalog is where that is
+// decided, so every layer below compares names with ==.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -41,23 +44,20 @@ type Table struct {
 	byName map[string]int
 }
 
-// NewTable builds a table schema and indexes its columns by name.
+// NewTable builds a table schema with lower-case table and column names and
+// indexes its columns by name.
 func NewTable(name string, cols ...Column) *Table {
-	t := &Table{Name: name, Columns: cols, byName: make(map[string]int, len(cols))}
-	for i, c := range cols {
-		t.byName[strings.ToLower(c.Name)] = i
+	t := &Table{Name: strings.ToLower(name), Columns: slices.Clone(cols), byName: make(map[string]int, len(cols))}
+	for i := range t.Columns {
+		t.Columns[i].Name = strings.ToLower(t.Columns[i].Name)
+		t.byName[t.Columns[i].Name] = i
 	}
 	return t
 }
 
-// ColumnIndex returns the ordinal of the named column, or -1.
+// ColumnIndex returns the ordinal of the named column, matched
+// case-insensitively, or -1.
 func (t *Table) ColumnIndex(name string) int {
-	if t.byName == nil {
-		t.byName = make(map[string]int, len(t.Columns))
-		for i, c := range t.Columns {
-			t.byName[strings.ToLower(c.Name)] = i
-		}
-	}
 	if i, ok := t.byName[strings.ToLower(name)]; ok {
 		return i
 	}
@@ -88,11 +88,10 @@ func NewSchema() *Schema {
 
 // AddTable registers a table; duplicate names are an error.
 func (s *Schema) AddTable(t *Table) error {
-	key := strings.ToLower(t.Name)
-	if _, ok := s.Tables[key]; ok {
+	if _, ok := s.Tables[t.Name]; ok {
 		return fmt.Errorf("catalog: duplicate table %s", t.Name)
 	}
-	s.Tables[key] = t
+	s.Tables[t.Name] = t
 	return nil
 }
 
@@ -105,20 +104,24 @@ func (s *Schema) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// AddIndex registers a secondary index after validating its target.
+// AddIndex registers a secondary index after validating its target. The
+// index stores its table's and column's canonical (lower-case) names.
 func (s *Schema) AddIndex(ix Index) error {
 	t, err := s.Table(ix.Table)
 	if err != nil {
 		return err
 	}
-	if t.ColumnIndex(ix.Column) < 0 {
+	c := t.ColumnIndex(ix.Column)
+	if c < 0 {
 		return fmt.Errorf("catalog: index %s references unknown column %s.%s", ix.Name, ix.Table, ix.Column)
 	}
+	ix.Table, ix.Column = t.Name, t.Columns[c].Name
 	s.Indexes = append(s.Indexes, ix)
 	return nil
 }
 
-// IndexOn returns the index covering table.column, if any.
+// IndexOn returns the index covering table.column, matched
+// case-insensitively, if any.
 func (s *Schema) IndexOn(table, column string) (Index, bool) {
 	for _, ix := range s.Indexes {
 		if strings.EqualFold(ix.Table, table) && strings.EqualFold(ix.Column, column) {
@@ -129,15 +132,18 @@ func (s *Schema) IndexOn(table, column string) (Index, bool) {
 }
 
 // AddForeignKey registers a join relationship after validating both ends.
+// Both ends are stored under their canonical (lower-case) names.
 func (s *Schema) AddForeignKey(fk ForeignKey) error {
-	for _, end := range []struct{ t, c string }{{fk.Table, fk.Column}, {fk.RefTable, fk.RefColumn}} {
-		t, err := s.Table(end.t)
+	for _, end := range []struct{ t, c *string }{{&fk.Table, &fk.Column}, {&fk.RefTable, &fk.RefColumn}} {
+		t, err := s.Table(*end.t)
 		if err != nil {
 			return err
 		}
-		if t.ColumnIndex(end.c) < 0 {
-			return fmt.Errorf("catalog: foreign key references unknown column %s.%s", end.t, end.c)
+		c := t.ColumnIndex(*end.c)
+		if c < 0 {
+			return fmt.Errorf("catalog: foreign key references unknown column %s.%s", *end.t, *end.c)
 		}
+		*end.t, *end.c = t.Name, t.Columns[c].Name
 	}
 	s.ForeignKeys = append(s.ForeignKeys, fk)
 	return nil

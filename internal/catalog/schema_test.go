@@ -98,3 +98,31 @@ func TestTableNamesSorted(t *testing.T) {
 		t.Errorf("TableNames() = %v", names)
 	}
 }
+
+// The catalog is where identifier case is decided: every name it stores is
+// lower case, whatever case the definition used.
+func TestSchemaStoresLowerCaseNames(t *testing.T) {
+	s := NewSchema()
+	emp := NewTable("EMP", Column{Name: "ID", Type: Int}, Column{Name: "Dept_ID", Type: Int})
+	if emp.Name != "emp" || emp.Columns[0].Name != "id" || emp.Columns[1].Name != "dept_id" {
+		t.Errorf("NewTable stored %s%v", emp.Name, emp.Columns)
+	}
+	if err := s.AddTable(emp); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddTable(NewTable("Dept", Column{Name: "ID", Type: Int})); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddIndex(Index{Name: "Emp_ID", Table: "Emp", Column: "ID"}); err != nil {
+		t.Fatal(err)
+	}
+	if ix := s.Indexes[0]; ix.Table != "emp" || ix.Column != "id" {
+		t.Errorf("AddIndex stored %s.%s", ix.Table, ix.Column)
+	}
+	if err := s.AddForeignKey(ForeignKey{Table: "EMP", Column: "DEPT_ID", RefTable: "DEPT", RefColumn: "Id"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.ForeignKeys[0], (ForeignKey{Table: "emp", Column: "dept_id", RefTable: "dept", RefColumn: "id"}); got != want {
+		t.Errorf("AddForeignKey stored %+v, want %+v", got, want)
+	}
+}

@@ -7,8 +7,8 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"strings"
 
 	"autostats/internal/query"
 	"autostats/internal/stats"
@@ -39,14 +39,9 @@ func classifyColumns(q *query.Select) relevantColumns {
 		group:     map[string][]string{},
 	}
 	add := func(m map[string][]string, c query.ColumnRef) {
-		t := strings.ToLower(c.Table)
-		col := strings.ToLower(c.Column)
-		for _, existing := range m[t] {
-			if existing == col {
-				return
-			}
+		if !slices.Contains(m[c.Table], c.Column) {
+			m[c.Table] = append(m[c.Table], c.Column)
 		}
-		m[t] = append(m[t], col)
 	}
 	for _, f := range q.Filters {
 		add(rc.selection, f.Col)

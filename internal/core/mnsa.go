@@ -25,11 +25,9 @@ type Config struct {
 	// for the experiment variants).
 	CandidateFn func(*query.Select) []Candidate
 	// Drop enables MNSA/D: after each statistic is created, if the plan is
-	// unchanged the statistic is heuristically drop-listed.
+	// unchanged (the same execution tree) the statistic is heuristically
+	// drop-listed.
 	Drop bool
-	// DropEquivalence decides "unchanged" for MNSA/D (execution-tree by
-	// default).
-	DropEquivalence Equivalence
 	// NextStatFn overrides the next-statistic heuristic (§4.2's
 	// most-expensive-operator rule by default). Used by ablation benches.
 	NextStatFn NextStatFunc
@@ -75,10 +73,9 @@ func newMNSAMetrics(reg *obs.Registry) mnsaMetrics {
 // ε = 0.0005, §7.1 candidates, no dropping.
 func DefaultConfig() Config {
 	return Config{
-		T:               20,
-		Epsilon:         0.0005,
-		CandidateFn:     CandidateStats,
-		DropEquivalence: ExecutionTree{},
+		T:           20,
+		Epsilon:     0.0005,
+		CandidateFn: CandidateStats,
 	}
 }
 
@@ -151,9 +148,6 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 	}
 	if cfg.CandidateFn == nil {
 		cfg.CandidateFn = CandidateStats
-	}
-	if cfg.DropEquivalence == nil {
-		cfg.DropEquivalence = ExecutionTree{}
 	}
 	mgr := sess.Manager()
 	reg := sess.Obs()
@@ -339,7 +333,7 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 		met.optimizerCalls.Inc()
 		// MNSA/D (§5.1): if creating the statistic left the plan
 		// equivalent, heuristically mark it non-essential.
-		if cfg.Drop && len(builtIDs) > 0 && cfg.DropEquivalence.Equivalent(pNew, p) {
+		if cfg.Drop && len(builtIDs) > 0 && (ExecutionTree{}).Equivalent(pNew, p) {
 			for _, id := range builtIDs {
 				if mgr.AddToDropList(id) {
 					res.DropListed = append(res.DropListed, id)

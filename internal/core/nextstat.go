@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
@@ -36,7 +35,7 @@ func findNextStatToBuild(p *optimizer.Plan, cands []Candidate, mgr *stats.Manage
 	// Index candidates by table for matching.
 	byTable := map[string][]Candidate{}
 	for _, c := range cands {
-		byTable[strings.ToLower(c.Table)] = append(byTable[strings.ToLower(c.Table)], c)
+		byTable[c.Table] = append(byTable[c.Table], c)
 	}
 
 	// Collect nodes in DFS order, then sort by local cost descending (DFS
@@ -85,10 +84,10 @@ func nodeUnit(n *optimizer.Node, byTable map[string][]Candidate, available func(
 		cols := map[string]bool{}
 		for _, f := range n.Filters {
 			if missing[f.VarID] {
-				cols[strings.ToLower(f.Col.Column)] = true
+				cols[f.Col.Column] = true
 			}
 		}
-		return roleUnit(strings.ToLower(n.Table), cols, byTable, available)
+		return roleUnit(n.Table, cols, byTable, available)
 
 	case optimizer.OpHashJoin, optimizer.OpMergeJoin, optimizer.OpNestedLoopJoin, optimizer.OpIndexNLJoin:
 		// Dependent pairs across the join (§4.2: "An example of such
@@ -100,7 +99,7 @@ func nodeUnit(n *optimizer.Node, byTable map[string][]Candidate, available func(
 			}
 			var unit []Candidate
 			for _, side := range []query.ColumnRef{j.Left, j.Right} {
-				c := Candidate{Table: strings.ToLower(side.Table), Columns: []string{strings.ToLower(side.Column)}}
+				c := Candidate{Table: side.Table, Columns: []string{side.Column}}
 				if candidateExists(c, byTable) && available(c) {
 					unit = append(unit, c)
 				}
@@ -117,11 +116,10 @@ func nodeUnit(n *optimizer.Node, byTable map[string][]Candidate, available func(
 				continue
 			}
 			for _, side := range []query.ColumnRef{j.Left, j.Right} {
-				t := strings.ToLower(side.Table)
-				if sideCols[t] == nil {
-					sideCols[t] = map[string]bool{}
+				if sideCols[side.Table] == nil {
+					sideCols[side.Table] = map[string]bool{}
 				}
-				sideCols[t][strings.ToLower(side.Column)] = true
+				sideCols[side.Table][side.Column] = true
 			}
 		}
 		var tables []string
@@ -149,11 +147,10 @@ func nodeUnit(n *optimizer.Node, byTable map[string][]Candidate, available func(
 		}
 		byT := map[string]map[string]bool{}
 		for _, g := range n.GroupBy {
-			t := strings.ToLower(g.Table)
-			if byT[t] == nil {
-				byT[t] = map[string]bool{}
+			if byT[g.Table] == nil {
+				byT[g.Table] = map[string]bool{}
 			}
-			byT[t][strings.ToLower(g.Column)] = true
+			byT[g.Table][g.Column] = true
 		}
 		var tables []string
 		for t := range byT {
@@ -199,7 +196,7 @@ const groupVarKey = -2
 
 func colsSubset(cols []string, set map[string]bool) bool {
 	for _, c := range cols {
-		if !set[strings.ToLower(c)] {
+		if !set[c] {
 			return false
 		}
 	}
@@ -208,7 +205,7 @@ func colsSubset(cols []string, set map[string]bool) bool {
 
 func candidateExists(c Candidate, byTable map[string][]Candidate) bool {
 	id := c.ID()
-	for _, cand := range byTable[strings.ToLower(c.Table)] {
+	for _, cand := range byTable[c.Table] {
 		if cand.ID() == id {
 			return true
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"strings"
 
 	"autostats/internal/optimizer"
 	"autostats/internal/query"
@@ -153,7 +152,7 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 // statRelevant reports whether any column of the statistic is a relevant
 // column of the query (on the statistic's table).
 func statRelevant(st *stats.Statistic, rel map[string]map[string]bool) bool {
-	cols, ok := rel[strings.ToLower(st.Table)]
+	cols, ok := rel[st.Table]
 	if !ok {
 		return false
 	}

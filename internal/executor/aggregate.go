@@ -104,7 +104,7 @@ func (s *aggState) final() catalog.Datum {
 func aggOutputCols(groupBy []query.ColumnRef, aggs []query.Aggregate) map[string]int {
 	cols := make(map[string]int, len(groupBy)+len(aggs))
 	for i, g := range groupBy {
-		cols[colKey(g)] = i
+		cols[g.Key()] = i
 	}
 	for i, a := range aggs {
 		cols[a.Key()] = len(groupBy) + i

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"autostats/internal/catalog"
 	"autostats/internal/optimizer"
@@ -59,7 +58,7 @@ type keyRange struct {
 func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
 	var cols []string
 	for _, f := range filters {
-		if f.Op != query.Ne && !slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, f.Col.Column) }) {
+		if f.Op != query.Ne && !slices.Contains(cols, f.Col.Column) {
 			cols = append(cols, f.Col.Column)
 		}
 	}
@@ -68,7 +67,7 @@ func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
 	for _, col := range cols {
 		var on []query.Filter
 		for _, f := range filters {
-			if f.Op != query.Ne && strings.EqualFold(f.Col.Column, col) {
+			if f.Op != query.Ne && f.Col.Column == col {
 				on = append(on, f)
 			}
 		}

@@ -51,12 +51,8 @@ type resultSet struct {
 	rows [][]catalog.Datum
 }
 
-func colKey(c query.ColumnRef) string {
-	return strings.ToLower(c.Table) + "." + strings.ToLower(c.Column)
-}
-
 func (rs *resultSet) colPos(c query.ColumnRef) (int, error) {
-	if p, ok := rs.cols[colKey(c)]; ok {
+	if p, ok := rs.cols[c.Key()]; ok {
 		return p, nil
 	}
 	return 0, fmt.Errorf("executor: column %s not in intermediate result", c)
@@ -95,9 +91,8 @@ func (ex *Executor) exec(n *optimizer.Node) (*resultSet, float64, error) {
 // tableResultSet maps every column of the table into the output.
 func tableResultSet(td *storage.TableData) *resultSet {
 	cols := make(map[string]int, len(td.Schema.Columns))
-	tn := strings.ToLower(td.Schema.Name)
 	for i, c := range td.Schema.Columns {
-		cols[tn+"."+strings.ToLower(c.Name)] = i
+		cols[query.ColumnRef{Table: td.Schema.Name, Column: c.Name}.Key()] = i
 	}
 	return &resultSet{cols: cols}
 }
@@ -493,10 +488,10 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, err
 	ixPred := -1
 	for i, p := range n.Joins {
 		side := p.Right
-		if !strings.EqualFold(side.Table, inner.Table) {
+		if side.Table != inner.Table {
 			side = p.Left
 		}
-		if strings.EqualFold(side.Column, n.IndexCol) {
+		if side.Column == n.IndexCol {
 			ixPred = i
 			break
 		}

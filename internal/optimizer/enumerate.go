@@ -3,7 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"slices"
 
 	"autostats/internal/query"
 )
@@ -16,23 +16,12 @@ type joinGroup struct {
 	preds  []query.JoinPred
 }
 
-// tablePos returns the FROM position of name in the lower-cased table list,
-// or -1.
-func tablePos(tables []string, name string) int {
-	for i, t := range tables {
-		if strings.EqualFold(t, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // groupJoins groups the join predicates by unordered table pair, sorted by
 // (lo, hi), predicates in statement order within a group.
 func groupJoins(tables []string, joins []query.JoinPred) ([]joinGroup, error) {
 	groups := make([]joinGroup, 0, len(joins))
 	for _, j := range joins {
-		li, ri := tablePos(tables, j.Left.Table), tablePos(tables, j.Right.Table)
+		li, ri := slices.Index(tables, j.Left.Table), slices.Index(tables, j.Right.Table)
 		if li < 0 || ri < 0 {
 			return nil, fmt.Errorf("optimizer: join predicate %s references a table not in FROM", j)
 		}

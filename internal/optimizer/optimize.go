@@ -2,7 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"autostats/internal/query"
@@ -85,12 +85,11 @@ func (s *Session) optimize(q *query.Select) (*Plan, error) {
 
 	// A table's position in FROM is its bit in the enumerator's subset masks;
 	// self-joins are rejected.
-	tables := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		if tablePos(tables[:i], t) >= 0 {
+	tables := q.Tables
+	for i, t := range tables {
+		if slices.Contains(tables[:i], t) {
 			return nil, fmt.Errorf("optimizer: self-join on table %s is not supported", t)
 		}
-		tables[i] = strings.ToLower(t)
 	}
 
 	// Base table info: raw rows, filtered selectivity, best access path.
@@ -207,13 +206,13 @@ func (e *estimator) bestAccessPath(table string, rawRows, sel float64, filters [
 	}
 	schema := e.sess.prov.Database().Schema
 	for _, ix := range schema.Indexes {
-		if !strings.EqualFold(ix.Table, table) {
+		if ix.Table != table {
 			continue
 		}
 		var seekFilters []query.Filter
 		seekSel := 1.0
 		for _, f := range filters {
-			if !strings.EqualFold(f.Col.Column, ix.Column) || f.Op == query.Ne {
+			if f.Col.Column != ix.Column || f.Op == query.Ne {
 				continue
 			}
 			seekFilters = append(seekFilters, f)
@@ -253,13 +252,11 @@ type baseInfo struct {
 // variables are left out.
 func (s *Session) MissingStatVars(q *query.Select) []int {
 	e := newEstimator(s, q)
-	tables := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		tables[i] = strings.ToLower(t)
-		e.tableSelectivity(tables[i], q.FiltersOn(t))
+	for _, t := range q.Tables {
+		e.tableSelectivity(t, q.FiltersOn(t))
 	}
 	// The error is Optimize's to report; here it only means no join groups.
-	groups, _ := groupJoins(tables, q.Joins)
+	groups, _ := groupJoins(q.Tables, q.Joins)
 	for _, g := range groups {
 		e.joinGroupSel(g.preds)
 	}

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"sort"
-	"strings"
 
 	"autostats/internal/catalog"
 	"autostats/internal/histogram"
@@ -141,7 +140,7 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 		eqCols := make(map[string]query.Filter, nEq)
 		for _, f := range filters {
 			if eligible(f) {
-				eqCols[strings.ToLower(f.Col.Column)] = f
+				eqCols[f.Col.Column] = f
 			}
 		}
 		var bestStat *stats.Statistic
@@ -278,11 +277,10 @@ func (e *estimator) groupCount(inputRows float64) float64 {
 	byTable := make(map[string][]string)
 	var tables []string
 	for _, c := range cols {
-		t := strings.ToLower(c.Table)
-		if _, ok := byTable[t]; !ok {
-			tables = append(tables, t)
+		if _, ok := byTable[c.Table]; !ok {
+			tables = append(tables, c.Table)
 		}
-		byTable[t] = append(byTable[t], strings.ToLower(c.Column))
+		byTable[c.Table] = append(byTable[c.Table], c.Column)
 	}
 	sort.Strings(tables)
 	distinct := 1.0

@@ -109,7 +109,7 @@ func (h *Harness) checkQuery(sel *query.Select) (*Finding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("execute: %w", err)
 	}
-	want, err := NaiveExecute(h.DB, sel, h.Opts.MaxNaiveRows)
+	want, err := NaiveExecute(h.DB, sel, maxNaiveRows)
 	if err == errBudget {
 		return &Finding{Oracle: "differential", Seed: h.Opts.Seed, SQL: sel.SQL(), Detail: "budget"}, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"autostats/internal/catalog"
 	"autostats/internal/datagen"
@@ -12,6 +11,7 @@ import (
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
+	"autostats/internal/query"
 	"autostats/internal/stats"
 	"autostats/internal/storage"
 	"autostats/internal/workload"
@@ -28,20 +28,23 @@ type Options struct {
 	Scale float64
 	// Zipf is the datagen skew parameter (default 2, the paper's TPCD-2).
 	Zipf float64
-	// NullPct is the percentage of rows per nullable column whose value is
-	// replaced with NULL (default 5). TPC-D data contains no NULLs, so the
-	// harness injects them into numeric columns that carry no index and no
-	// FK role, exercising NULL filter/join/aggregate semantics.
-	NullPct int
 	// SimpleQueries restricts generated queries to at most 2 tables
 	// (workload.Simple); the default is workload.Complex (up to 8).
 	SimpleQueries bool
-	// MaxNaiveRows bounds any intermediate relation of the reference
-	// evaluator (default 400000); queries exceeding it are skipped.
-	MaxNaiveRows int
-	// PlanCacheCapacity sizes the session plan cache (default 256).
-	PlanCacheCapacity int
 }
+
+const (
+	// nullPct is the percentage of rows per nullable column whose value is
+	// replaced with NULL. TPC-D data contains no NULLs, so the harness
+	// injects them into numeric columns that carry no index and no FK role,
+	// exercising NULL filter/join/aggregate semantics.
+	nullPct = 5
+	// maxNaiveRows bounds any intermediate relation of the reference
+	// evaluator; queries exceeding it are skipped.
+	maxNaiveRows = 400000
+	// planCacheCapacity sizes the session plan cache.
+	planCacheCapacity = 256
+)
 
 func (o Options) withDefaults() Options {
 	if o.Scale == 0 {
@@ -49,15 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Zipf == 0 {
 		o.Zipf = 2
-	}
-	if o.NullPct == 0 {
-		o.NullPct = 5
-	}
-	if o.MaxNaiveRows == 0 {
-		o.MaxNaiveRows = 400000
-	}
-	if o.PlanCacheCapacity == 0 {
-		o.PlanCacheCapacity = 256
 	}
 	return o
 }
@@ -123,7 +117,7 @@ func New(opts Options) (*Harness, error) {
 	h.Mgr = stats.NewManager(db, histogram.MaxDiff, 0)
 	h.Mgr.SetObsRegistry(h.Reg)
 	h.Sess = optimizer.NewSession(h.Mgr)
-	h.cache = optimizer.NewPlanCache(opts.PlanCacheCapacity)
+	h.cache = optimizer.NewPlanCache(planCacheCapacity)
 	h.Sess.SetPlanCache(h.cache)
 	h.Exec = executor.New(db)
 	return h, nil
@@ -134,13 +128,13 @@ func New(opts Options) (*Harness, error) {
 // their integrity and only filter/aggregate paths see NULLs.
 func (h *Harness) nullableColumns() map[string][]string {
 	schema := h.DB.Schema
-	protected := make(map[string]bool)
+	protected := make(map[query.ColumnRef]bool)
 	for _, ix := range schema.Indexes {
-		protected[strings.ToLower(ix.Table)+"."+strings.ToLower(ix.Column)] = true
+		protected[query.ColumnRef{Table: ix.Table, Column: ix.Column}] = true
 	}
 	for _, fk := range schema.ForeignKeys {
-		protected[strings.ToLower(fk.Table)+"."+strings.ToLower(fk.Column)] = true
-		protected[strings.ToLower(fk.RefTable)+"."+strings.ToLower(fk.RefColumn)] = true
+		protected[query.ColumnRef{Table: fk.Table, Column: fk.Column}] = true
+		protected[query.ColumnRef{Table: fk.RefTable, Column: fk.RefColumn}] = true
 	}
 	out := make(map[string][]string)
 	for _, name := range schema.TableNames() {
@@ -148,28 +142,23 @@ func (h *Harness) nullableColumns() map[string][]string {
 		if err != nil {
 			continue
 		}
-		tn := strings.ToLower(t.Name)
 		for _, c := range t.Columns {
 			if c.Type != catalog.Int && c.Type != catalog.Float {
 				continue
 			}
-			cn := strings.ToLower(c.Name)
-			if protected[tn+"."+cn] {
+			if protected[query.ColumnRef{Table: t.Name, Column: c.Name}] {
 				continue
 			}
-			out[tn] = append(out[tn], cn)
+			out[t.Name] = append(out[t.Name], c.Name)
 		}
 	}
 	return out
 }
 
-// injectNulls replaces NullPct percent of the rows of every nullable
+// injectNulls replaces nullPct percent of the rows of every nullable
 // column with NULL, then resets the modification counters so maintenance
 // behavior stays driven by the workload's DML alone.
 func (h *Harness) injectNulls() error {
-	if h.Opts.NullPct <= 0 {
-		return nil
-	}
 	nullable := h.nullableColumns()
 	tables := make([]string, 0, len(nullable))
 	for t := range nullable {
@@ -190,7 +179,7 @@ func (h *Harness) injectNulls() error {
 			pos := -1
 			var typ catalog.Type
 			for i, c := range td.Schema.Columns {
-				if strings.EqualFold(c.Name, cn) {
+				if c.Name == cn {
 					pos, typ = i, c.Type
 					break
 				}
@@ -200,7 +189,7 @@ func (h *Harness) injectNulls() error {
 			}
 			var hit []int
 			for _, id := range ids {
-				if h.rng.Intn(100) < h.Opts.NullPct {
+				if h.rng.Intn(100) < nullPct {
 					hit = append(hit, id)
 				}
 			}

@@ -59,7 +59,7 @@ func (a Aggregate) Key() string {
 	if a.Func == CountStar {
 		return "count(*)"
 	}
-	return strings.ToLower(a.Func.String()) + "(" + a.Col.key() + ")"
+	return strings.ToLower(a.Func.String()) + "(" + a.Col.Key() + ")"
 }
 
 // HavingPred is a HAVING-clause predicate: aggregate op literal. HAVING

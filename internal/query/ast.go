@@ -17,15 +17,16 @@ import (
 )
 
 // ColumnRef names a column of a table. Table is the resolved physical table
-// name (aliases are resolved by the parser).
+// name (aliases are resolved by the parser). Both names are the catalog's
+// canonical lower-case names, so references compare with ==.
 type ColumnRef struct {
 	Table  string
 	Column string
 }
 
-// key returns the canonical lower-case "table.column" form used as map keys.
-func (c ColumnRef) key() string {
-	return strings.ToLower(c.Table) + "." + strings.ToLower(c.Column)
+// Key returns the "table.column" form used as map keys.
+func (c ColumnRef) Key() string {
+	return c.Table + "." + c.Column
 }
 
 func (c ColumnRef) String() string { return c.Table + "." + c.Column }
@@ -199,7 +200,7 @@ func (s *Select) GroupingColumns() []ColumnRef {
 func (s *Select) FiltersOn(table string) []Filter {
 	var out []Filter
 	for _, f := range s.Filters {
-		if strings.EqualFold(f.Col.Table, table) {
+		if f.Col.Table == table {
 			out = append(out, f)
 		}
 	}

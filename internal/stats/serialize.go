@@ -95,7 +95,8 @@ func (m *Manager) Save(w io.Writer) error {
 
 // Load replaces the manager's statistics with a previously saved snapshot.
 // No data is scanned and no build cost is charged: the histograms come from
-// the snapshot verbatim.
+// the snapshot verbatim. Each table and column must exist in the manager's
+// database; they are stored under the catalog's canonical names.
 func (m *Manager) Load(r io.Reader) error {
 	var snap snapshotJSON
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -111,9 +112,11 @@ func (m *Manager) Load(r io.Reader) error {
 		if len(sj.Columns) == 0 {
 			return fmt.Errorf("stats: snapshot statistic on %s has no columns", sj.Table)
 		}
-		if _, err := m.db.Table(sj.Table); err != nil {
-			return fmt.Errorf("stats: snapshot references unknown table %s", sj.Table)
+		table, cols, err := m.canonicalNames(sj.Table, sj.Columns)
+		if err != nil {
+			return fmt.Errorf("stats: snapshot statistic on %s: %w", sj.Table, err)
 		}
+		id := MakeID(table, cols)
 		h := &histogram.Histogram{
 			Kind:     histogram.Kind(sj.Leading.Kind),
 			Rows:     sj.Leading.Rows,
@@ -125,13 +128,12 @@ func (m *Manager) Load(r io.Reader) error {
 				Lo: bj.Lo.datum(), Hi: bj.Hi.datum(), Rows: bj.Rows, Distinct: bj.Distinct,
 			})
 		}
-		id := MakeID(sj.Table, sj.Columns)
 		s := &Statistic{
 			ID:      id,
-			Table:   sj.Table,
-			Columns: sj.Columns,
+			Table:   table,
+			Columns: cols,
 			Data: &histogram.MultiColumn{
-				Columns:        sj.Columns,
+				Columns:        cols,
 				Leading:        h,
 				Densities:      sj.Densities,
 				PrefixDistinct: sj.PrefixDistinct,

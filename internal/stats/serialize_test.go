@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -65,9 +66,46 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		`{"version": 99, "statistics": []}`,
 		`{"version": 1, "statistics": [{"table": "nosuch", "columns": ["x"]}]}`,
 		`{"version": 1, "statistics": [{"table": "t", "columns": []}]}`,
+		`{"version": 1, "statistics": [{"table": "t", "columns": ["nosuchcolumn"]}]}`,
 	} {
 		if err := m.Load(strings.NewReader(bad)); err == nil {
 			t.Errorf("expected error for snapshot %q", bad)
 		}
+	}
+}
+
+// A snapshot written with other-case names loads under the canonical names,
+// where the optimizer's lookups find it.
+func TestLoadFoldsNames(t *testing.T) {
+	db := testDB(t)
+	m := NewManager(db, histogram.MaxDiff, 0)
+	if _, err := m.Create("t", []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotJSON
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Statistics[0].Table = "T"
+	snap.Statistics[0].Columns = []string{"A"}
+	upper, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := NewManager(db, histogram.MaxDiff, 0)
+	if err := m2.Load(bytes.NewReader(upper)); err != nil {
+		t.Fatal(err)
+	}
+	got := m2.StatsForColumn("t", "a")
+	if len(got) != 1 {
+		t.Fatalf("StatsForColumn(t,a) = %d statistics, want 1", len(got))
+	}
+	if got[0].ID != "t(a)" || got[0].Table != "t" || got[0].Data.Columns[0] != "a" {
+		t.Errorf("loaded statistic %s on %s%v, want t(a) on t[a]", got[0].ID, got[0].Table, got[0].Data.Columns)
 	}
 }

@@ -41,13 +41,10 @@ import (
 // Column order matters: multi-column statistics are asymmetric (§7.1).
 type ID string
 
-// MakeID builds the canonical statistic ID.
+// MakeID builds the canonical statistic ID. It folds case, so callers may
+// name the table and columns in any case.
 func MakeID(table string, cols []string) ID {
-	lower := make([]string, len(cols))
-	for i, c := range cols {
-		lower[i] = strings.ToLower(c)
-	}
-	return ID(strings.ToLower(table) + "(" + strings.Join(lower, ",") + ")")
+	return ID(strings.ToLower(table + "(" + strings.Join(cols, ",") + ")"))
 }
 
 // Table extracts the (lower-case) table name from the canonical ID.
@@ -56,6 +53,25 @@ func (id ID) Table() string {
 		return string(id[:i])
 	}
 	return string(id)
+}
+
+// canonicalNames looks the table and columns up in the catalog, which
+// matches names case-insensitively, and returns their canonical (lower-case)
+// names: every name the manager stores comes from here.
+func (m *Manager) canonicalNames(table string, cols []string) (string, []string, error) {
+	td, err := m.db.Table(table)
+	if err != nil {
+		return "", nil, err
+	}
+	canon := make([]string, len(cols))
+	for i, c := range cols {
+		j := td.Schema.ColumnIndex(c)
+		if j < 0 {
+			return "", nil, fmt.Errorf("stats: table %s has no column %s", td.Schema.Name, c)
+		}
+		canon[i] = td.Schema.Columns[j].Name
+	}
+	return td.Schema.Name, canon, nil
 }
 
 // Statistic is one created statistic and its bookkeeping. Once published by
@@ -362,6 +378,10 @@ func (m *Manager) Ensure(table string, cols []string) (*Statistic, bool, error) 
 // statistic that already exists is returned regardless of ctx state; only
 // physical building is cancellable work.
 func (m *Manager) EnsureCtx(ctx context.Context, table string, cols []string) (*Statistic, bool, error) {
+	table, cols, err := m.canonicalNames(table, cols)
+	if err != nil {
+		return nil, false, err
+	}
 	id := MakeID(table, cols)
 	met := m.metrics()
 	m.mu.Lock()
@@ -395,14 +415,6 @@ func (m *Manager) EnsureCtx(ctx context.Context, table string, cols []string) (*
 	group, i, _ := v.locate(id)
 	m.publish(v.withGroup(id.Table(), slices.Insert(slices.Clone(group), i, s)), met)
 	return s, true, nil
-}
-
-func lowerAll(cols []string) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = strings.ToLower(c)
-	}
-	return out
 }
 
 // Drop physically removes a statistic. It ticks the logical clock, so a
@@ -530,7 +542,6 @@ func (m *Manager) refresh(ctx context.Context, id ID, met managerMetrics) (float
 // subtracted after the last: DML that commits during the pass may have missed
 // an earlier statistic's scan, so it stays pending for the next pass.
 func (m *Manager) refreshTableCost(ctx context.Context, table string) (int, float64, error) {
-	table = strings.ToLower(table)
 	met := m.metrics()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -571,17 +582,18 @@ func (m *Manager) MaintenanceCostUnits() float64 {
 	return c
 }
 
-// StatsOnTable returns all existing statistics on a table, in ID order.
+// StatsOnTable returns all existing statistics on a table, in ID order. The
+// table is named by its canonical (lower-case) name.
 func (m *Manager) StatsOnTable(table string) []*Statistic {
-	return slices.Clone(m.cur.Load().byTable[strings.ToLower(table)])
+	return slices.Clone(m.cur.Load().byTable[table])
 }
 
 // StatsForColumn returns all statistics whose leading (histogram-bearing)
 // column is table.column — the statistics usable to estimate a predicate on
 // that column. Single-column statistics sort first so the estimator prefers
-// the most precise structure.
+// the most precise structure. Table and column are canonical (lower-case)
+// names.
 func (m *Manager) StatsForColumn(table, column string) []*Statistic {
-	table, column = strings.ToLower(table), strings.ToLower(column)
 	var out []*Statistic
 	for _, s := range m.cur.Load().byTable[table] {
 		if s.LeadingColumn() == column {

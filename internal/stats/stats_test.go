@@ -292,7 +292,7 @@ func TestStatsForColumnOrdering(t *testing.T) {
 	m := NewManager(testDB(t), histogram.MaxDiff, 0)
 	_, _ = m.Create("t", []string{"a", "b"})
 	_, _ = m.Create("t", []string{"a"})
-	got := m.StatsForColumn("T", "A")
+	got := m.StatsForColumn("t", "a")
 	if len(got) != 2 {
 		t.Fatalf("StatsForColumn found %d", len(got))
 	}

@@ -117,9 +117,9 @@ type generator struct {
 	cfg    Config
 
 	tableNames []string
-	// colValues caches live column values per "table.column" for sampling
+	// colValues caches live column values per column for sampling
 	// predicate constants from the actual data distribution.
-	colValues map[string][]catalog.Datum
+	colValues map[query.ColumnRef][]catalog.Datum
 	// adjacency lists FK edges per table.
 	adj map[string][]catalog.ForeignKey
 }
@@ -142,13 +142,13 @@ func Generate(db *storage.Database, cfg Config) (*Workload, error) {
 		schema:    db.Schema,
 		db:        db,
 		cfg:       cfg,
-		colValues: make(map[string][]catalog.Datum),
+		colValues: make(map[query.ColumnRef][]catalog.Datum),
 		adj:       make(map[string][]catalog.ForeignKey),
 	}
 	g.tableNames = db.Schema.TableNames()
 	for _, fk := range db.Schema.ForeignKeys {
-		g.adj[strings.ToLower(fk.Table)] = append(g.adj[strings.ToLower(fk.Table)], fk)
-		g.adj[strings.ToLower(fk.RefTable)] = append(g.adj[strings.ToLower(fk.RefTable)], fk)
+		g.adj[fk.Table] = append(g.adj[fk.Table], fk)
+		g.adj[fk.RefTable] = append(g.adj[fk.RefTable], fk)
 	}
 
 	w := &Workload{Name: cfg.name()}
@@ -171,7 +171,7 @@ func Generate(db *storage.Database, cfg Config) (*Workload, error) {
 // sample returns a random live value of table.column, or a NULL datum when
 // the table is empty.
 func (g *generator) sample(table, column string) catalog.Datum {
-	key := strings.ToLower(table) + "." + strings.ToLower(column)
+	key := query.ColumnRef{Table: table, Column: column}
 	vals, ok := g.colValues[key]
 	if !ok {
 		var vs []catalog.Datum
@@ -204,8 +204,8 @@ func (g *generator) sample(table, column string) catalog.Datum {
 // dimensions query shapes.
 func (g *generator) pickTables(n int) []string {
 	start := g.tableNames[g.rng.Intn(len(g.tableNames))]
-	chosen := map[string]bool{strings.ToLower(start): true}
-	order := []string{strings.ToLower(start)}
+	chosen := map[string]bool{start: true}
+	order := []string{start}
 	downUsed := false
 	for len(order) < n {
 		// Frontier: FK edges with exactly one endpoint inside, excluding
@@ -213,7 +213,7 @@ func (g *generator) pickTables(n int) []string {
 		var frontier []catalog.ForeignKey
 		for t := range chosen {
 			for _, fk := range g.adj[t] {
-				a, b := strings.ToLower(fk.Table), strings.ToLower(fk.RefTable)
+				a, b := fk.Table, fk.RefTable
 				if chosen[a] == chosen[b] {
 					continue
 				}
@@ -232,7 +232,7 @@ func (g *generator) pickTables(n int) []string {
 			return fkKey(frontier[i]) < fkKey(frontier[j])
 		})
 		fk := frontier[g.rng.Intn(len(frontier))]
-		a, b := strings.ToLower(fk.Table), strings.ToLower(fk.RefTable)
+		a, b := fk.Table, fk.RefTable
 		if chosen[b] && !chosen[a] {
 			downUsed = true
 		}
@@ -259,11 +259,11 @@ func (g *generator) joinPredsFor(tables []string) []query.JoinPred {
 	}
 	var preds []query.JoinPred
 	for _, fk := range g.schema.ForeignKeys {
-		a, b := strings.ToLower(fk.Table), strings.ToLower(fk.RefTable)
+		a, b := fk.Table, fk.RefTable
 		if chosen[a] && chosen[b] {
 			preds = append(preds, query.JoinPred{
-				Left:  query.ColumnRef{Table: a, Column: strings.ToLower(fk.Column)},
-				Right: query.ColumnRef{Table: b, Column: strings.ToLower(fk.RefColumn)},
+				Left:  query.ColumnRef{Table: a, Column: fk.Column},
+				Right: query.ColumnRef{Table: b, Column: fk.RefColumn},
 			})
 		}
 	}
@@ -280,8 +280,7 @@ func (g *generator) filterableColumns(table string) []catalog.Column {
 	}
 	var out []catalog.Column
 	for _, c := range t.Columns {
-		lc := strings.ToLower(c.Name)
-		if strings.Contains(lc, "comment") || strings.Contains(lc, "address") || strings.Contains(lc, "name") && c.Type == catalog.String && !strings.Contains(lc, "mktsegment") {
+		if strings.Contains(c.Name, "comment") || strings.Contains(c.Name, "address") || strings.Contains(c.Name, "name") && c.Type == catalog.String && !strings.Contains(c.Name, "mktsegment") {
 			continue
 		}
 		out = append(out, c)
@@ -323,7 +322,7 @@ func (g *generator) genFilter(table string) (query.Filter, bool) {
 		}
 	}
 	return query.Filter{
-		Col: query.ColumnRef{Table: table, Column: strings.ToLower(col.Name)},
+		Col: query.ColumnRef{Table: table, Column: col.Name},
 		Op:  op,
 		Val: val,
 	}, true
@@ -347,11 +346,11 @@ func (g *generator) genQuery() (query.Statement, error) {
 		t := tables[g.rng.Intn(len(tables))]
 		if cols := g.filterableColumns(t); len(cols) > 0 {
 			c := cols[g.rng.Intn(len(cols))]
-			q.GroupBy = append(q.GroupBy, query.ColumnRef{Table: t, Column: strings.ToLower(c.Name)})
+			q.GroupBy = append(q.GroupBy, query.ColumnRef{Table: t, Column: c.Name})
 			if g.rng.Intn(100) < 30 {
 				c2 := cols[g.rng.Intn(len(cols))]
-				if !strings.EqualFold(c2.Name, c.Name) {
-					q.GroupBy = append(q.GroupBy, query.ColumnRef{Table: t, Column: strings.ToLower(c2.Name)})
+				if c2.Name != c.Name {
+					q.GroupBy = append(q.GroupBy, query.ColumnRef{Table: t, Column: c2.Name})
 				}
 			}
 			// Grouped queries project their group columns and aggregate,
@@ -379,7 +378,7 @@ func (g *generator) genQuery() (query.Statement, error) {
 		t := tables[g.rng.Intn(len(tables))]
 		if cols := g.filterableColumns(t); len(cols) > 0 {
 			c := cols[g.rng.Intn(len(cols))]
-			q.OrderBy = append(q.OrderBy, query.ColumnRef{Table: t, Column: strings.ToLower(c.Name)})
+			q.OrderBy = append(q.OrderBy, query.ColumnRef{Table: t, Column: c.Name})
 		}
 	}
 	q.Normalize()
@@ -392,7 +391,7 @@ func (g *generator) numericColumn(table string) string {
 	var nums []string
 	for _, c := range g.filterableColumns(table) {
 		if c.Type == catalog.Int || c.Type == catalog.Float {
-			nums = append(nums, strings.ToLower(c.Name))
+			nums = append(nums, c.Name)
 		}
 	}
 	if len(nums) == 0 {
@@ -416,34 +415,34 @@ func (g *generator) genDML() (query.Statement, error) {
 				vals[i] = zeroDatum(c.Type)
 			}
 		}
-		return &query.Insert{Table: strings.ToLower(t.Name), Values: vals}, nil
+		return &query.Insert{Table: t.Name, Values: vals}, nil
 	case 1: // DELETE with an equality predicate.
-		d := &query.Delete{Table: strings.ToLower(t.Name)}
-		if f, ok := g.genFilter(strings.ToLower(t.Name)); ok {
+		d := &query.Delete{Table: t.Name}
+		if f, ok := g.genFilter(t.Name); ok {
 			f.Op = query.Eq
 			d.Filters = []query.Filter{f}
 		} else {
 			// No usable filter column: delete nothing rather than everything.
 			d.Filters = []query.Filter{{
-				Col: query.ColumnRef{Table: strings.ToLower(t.Name), Column: strings.ToLower(t.Columns[0].Name)},
+				Col: query.ColumnRef{Table: t.Name, Column: t.Columns[0].Name},
 				Op:  query.Lt,
 				Val: zeroDatum(t.Columns[0].Type),
 			}}
 		}
 		return d, nil
 	default: // UPDATE a non-key column.
-		u := &query.Update{Table: strings.ToLower(t.Name)}
-		cols := g.filterableColumns(strings.ToLower(t.Name))
+		u := &query.Update{Table: t.Name}
+		cols := g.filterableColumns(t.Name)
 		if len(cols) == 0 {
 			cols = t.Columns
 		}
 		c := cols[g.rng.Intn(len(cols))]
-		u.SetCol = strings.ToLower(c.Name)
+		u.SetCol = c.Name
 		u.SetVal = g.sample(table, c.Name)
 		if u.SetVal.Null {
 			u.SetVal = zeroDatum(c.Type)
 		}
-		if f, ok := g.genFilter(strings.ToLower(t.Name)); ok {
+		if f, ok := g.genFilter(t.Name); ok {
 			u.Filters = []query.Filter{f}
 		}
 		return u, nil

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"strings"
 
 	"autostats/internal/catalog"
 	"autostats/internal/query"
@@ -19,7 +18,7 @@ import (
 type Instantiator struct {
 	rng       *rand.Rand
 	db        *storage.Database
-	colValues map[string][]catalog.Datum
+	colValues map[query.ColumnRef][]catalog.Datum
 }
 
 // NewInstantiator samples from db's current contents; the seed makes every
@@ -28,14 +27,14 @@ func NewInstantiator(db *storage.Database, seed int64) *Instantiator {
 	return &Instantiator{
 		rng:       rand.New(rand.NewSource(seed)),
 		db:        db,
-		colValues: make(map[string][]catalog.Datum),
+		colValues: make(map[query.ColumnRef][]catalog.Datum),
 	}
 }
 
 // sample mirrors generator.sample: a random live value of table.column, with
 // the column-value slice cached per column.
 func (in *Instantiator) sample(table, column string) (catalog.Datum, bool) {
-	key := strings.ToLower(table) + "." + strings.ToLower(column)
+	key := query.ColumnRef{Table: table, Column: column}
 	vals, ok := in.colValues[key]
 	if !ok {
 		if td, err := in.db.Table(table); err == nil {

@@ -33,21 +33,7 @@ var panicAllowlist = map[string]int{
 // a failed query. Test files are exempt, as are the allowlisted legacy calls.
 func TestNoPanicsInLibraryCode(t *testing.T) {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, src, 0)
-		if err != nil {
-			return err
-		}
+	walkLibraryFiles(t, fset, func(path string, f *ast.File) {
 		count := 0
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -62,6 +48,78 @@ func TestNoPanicsInLibraryCode(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// foldAllowlist maps the files permitted to fold identifier case to the
+// exact number of strings.ToLower / ToUpper / EqualFold calls each makes.
+// Names are folded where they enter the program: the catalog's table
+// definitions and exported lookups, the SQL parser's tokens, the statistic
+// ID, and the storage lookup. query/aggregate.go renders an aggregate's
+// output-column key, and oracle/naiveexec.go is the reference evaluator,
+// which must not share the code it checks.
+var foldAllowlist = map[string]int{
+	filepath.Join("internal", "catalog", "schema.go"):   6,
+	filepath.Join("internal", "sqlparser", "parser.go"): 1,
+	filepath.Join("internal", "stats", "stats.go"):      1,
+	filepath.Join("internal", "storage", "database.go"): 1,
+	filepath.Join("internal", "query", "aggregate.go"):  1,
+	filepath.Join("internal", "oracle", "naiveexec.go"): 8,
+}
+
+// TestIdentifierCaseFoldedAtBoundary enforces that names are canonical
+// (lower case) below the boundary: identifiers are case-insensitive, and only
+// the allowlisted files decide it. Everything under them compares names with
+// ==. A file's count must match its allowlist entry exactly, so an entry
+// goes stale the moment a fold is removed.
+func TestIdentifierCaseFoldedAtBoundary(t *testing.T) {
+	fset := token.NewFileSet()
+	counts := map[string]int{}
+	walkLibraryFiles(t, fset, func(path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "strings" {
+				switch sel.Sel.Name {
+				case "ToLower", "ToUpper", "EqualFold":
+					counts[path]++
+					if _, ok := foldAllowlist[path]; !ok {
+						t.Errorf("%s: strings.%s at %s — names below the catalog and the parser are canonical; compare with ==", path, sel.Sel.Name, fset.Position(call.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	})
+	for path, want := range foldAllowlist {
+		if got := counts[path]; got != want {
+			t.Errorf("%s: %d case-folding calls, allowlist says %d — update the entry", path, got, want)
+		}
+	}
+}
+
+// walkLibraryFiles parses every non-test Go file under internal/ and hands
+// it to fn with its path.
+func walkLibraryFiles(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
 		return nil
 	})
 	if err != nil {
