@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"autostats/internal/catalog"
+	"autostats/internal/executor"
+	"autostats/internal/optimizer"
 	"autostats/internal/sqlparser"
 	"autostats/internal/storage"
 )
@@ -73,6 +75,38 @@ func TestScalarAggregates(t *testing.T) {
 	}
 }
 
+// runAggBoth optimizes a grouped SELECT and runs its plan under both
+// aggregate operators: the plan's aggregate root as the optimizer built it,
+// once as OpHashAggregate and once as OpStreamAggregate.
+func runAggBoth(t *testing.T, e *env, sql string) (hash, stream [][]catalog.Datum, cols map[string]int) {
+	t.Helper()
+	q, err := sqlparser.ParseSelect(e.db.Schema, sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	plan, err := e.sess.Optimize(q)
+	if err != nil {
+		t.Fatalf("optimize %q: %v", sql, err)
+	}
+	if op := plan.Root.Op; op != optimizer.OpHashAggregate && op != optimizer.OpStreamAggregate {
+		t.Fatalf("%q: plan root is %s, not an aggregate", sql, op)
+	}
+	run := func(op optimizer.Op) *executor.Result {
+		root := *plan.Root
+		root.Op = op
+		res, err := e.ex.Run(&optimizer.Plan{Root: &root})
+		if err != nil {
+			t.Fatalf("run %q as %s: %v", sql, op, err)
+		}
+		return res
+	}
+	h, s := run(optimizer.OpHashAggregate), run(optimizer.OpStreamAggregate)
+	return h.Rows, s.Rows, s.Cols
+}
+
+// TestGroupedAggregatesMatchReference checks grouped counts against storage
+// under both aggregate operators, before and after a statistic on the
+// grouping column changes the optimizer's group estimate.
 func TestGroupedAggregatesMatchReference(t *testing.T) {
 	e := newEnv(t, 2, 0.25)
 	// Reference: count per group from storage.
@@ -84,17 +118,17 @@ func TestGroupedAggregatesMatchReference(t *testing.T) {
 		return true
 	})
 
-	// Run under both aggregate strategies (without stats the optimizer
-	// picks hash; with o_orderpriority stats the group estimate changes).
 	for phase := 0; phase < 2; phase++ {
-		rows, cols := runAgg(t, e, "SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority")
-		if len(rows) != len(want) {
-			t.Fatalf("phase %d: %d groups, want %d", phase, len(rows), len(want))
-		}
+		hash, stream, cols := runAggBoth(t, e, "SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority")
 		gp, cp := cols["orders.o_orderpriority"], cols["count(*)"]
-		for _, r := range rows {
-			if r[cp].I != want[r[gp].S] {
-				t.Errorf("phase %d: group %q count %d, want %d", phase, r[gp].S, r[cp].I, want[r[gp].S])
+		for name, rows := range map[string][][]catalog.Datum{"hash": hash, "stream": stream} {
+			if len(rows) != len(want) {
+				t.Fatalf("phase %d, %s: %d groups, want %d", phase, name, len(rows), len(want))
+			}
+			for _, r := range rows {
+				if r[cp].I != want[r[gp].S] {
+					t.Errorf("phase %d, %s: group %q count %d, want %d", phase, name, r[gp].S, r[cp].I, want[r[gp].S])
+				}
 			}
 		}
 		if phase == 0 {

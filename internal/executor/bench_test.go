@@ -108,3 +108,45 @@ func BenchmarkIndexSeekSelect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOperator runs each physical operator as the root of a hand-built
+// plan on the scale-1 database, so that a change to one operator's time or
+// allocations is attributable to it. Every plan's children are base-table
+// scans, whose cost is in each figure; FilteredScan is that cost alone.
+func BenchmarkOperator(b *testing.B) {
+	e := newEnv(b, 0, 1)
+	qty := query.Filter{Col: col2("lineitem", "l_quantity"), Op: query.Gt, Val: catalog.NewFloat(25)}
+	orderKey := []query.JoinPred{{Left: col2("orders", "o_orderkey"), Right: col2("lineitem", "l_orderkey")}}
+	join := func(op optimizer.Op) *optimizer.Node {
+		return &optimizer.Node{Op: op, Children: []*optimizer.Node{scanNode("orders"), scanNode("lineitem")}, Joins: orderKey, IndexCol: "l_orderkey"}
+	}
+	agg := func(op optimizer.Op) *optimizer.Node {
+		return &optimizer.Node{
+			Op: op, Children: []*optimizer.Node{scanNode("lineitem")},
+			GroupBy:    []query.ColumnRef{col2("lineitem", "l_orderkey")},
+			Aggregates: []query.Aggregate{{Func: query.CountStar}, {Func: query.Sum, Col: col2("lineitem", "l_quantity")}},
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		root *optimizer.Node
+	}{
+		{"FilteredScan", scanNode("lineitem", qty)},
+		{"HashJoin", join(optimizer.OpHashJoin)},
+		{"MergeJoin", join(optimizer.OpMergeJoin)},
+		{"IndexNLJoin", join(optimizer.OpIndexNLJoin)},
+		{"HashAggregate", agg(optimizer.OpHashAggregate)},
+		{"StreamAggregate", agg(optimizer.OpStreamAggregate)},
+		{"Sort", &optimizer.Node{Op: optimizer.OpSort, Children: []*optimizer.Node{scanNode("lineitem", qty)}, SortBy: []query.ColumnRef{col2("lineitem", "l_quantity")}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			plan := &optimizer.Plan{Root: bc.root}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ex.Run(plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

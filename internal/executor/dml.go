@@ -89,18 +89,16 @@ func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
 // whichever path found them. Only the path depends on the indexes: the
 // statement's charge is a full scan either way (see runDelete).
 func matchingIDs(v storage.View, filters []query.Filter, rs *resultSet) ([]int, error) {
+	f, err := newFetcher(rs, filters, 0, 0)
+	if err != nil {
+		return nil, err
+	}
 	var ids []int
-	var ferr error
 	keep := func(id int, r storage.Row) bool {
-		ok, err := evalFilters(rs, filters, r)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if ok {
+		if f.pass(r) {
 			ids = append(ids, id)
 		}
-		return true
+		return f.err == nil
 	}
 	if r, ok := cheapestSeek(v, filters); ok {
 		v.Seek(r.col, r.lo, r.hi, r.loInc, r.hiInc, keep)
@@ -108,7 +106,7 @@ func matchingIDs(v storage.View, filters []query.Filter, rs *resultSet) ([]int, 
 	} else {
 		v.Scan(keep)
 	}
-	return ids, ferr
+	return ids, f.err
 }
 
 // runDelete and runUpdate match and write under one table write lock, so

@@ -34,22 +34,19 @@ func scanDML(db *storage.Database, stmt query.Statement) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := tableResultSet(td)
+	f, err := newFetcher(tableResultSet(td), filters, 0, 0)
+	if err != nil {
+		return nil, err
+	}
 	var ids []int
-	var ferr error
 	td.Scan(func(id int, r storage.Row) bool {
-		ok, err := evalFilters(rs, filters, r)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if ok {
+		if f.pass(r) {
 			ids = append(ids, id)
 		}
-		return true
+		return f.err == nil
 	})
-	if ferr != nil {
-		return nil, ferr
+	if f.err != nil {
+		return nil, f.err
 	}
 	scan := float64(td.RowCount()) * optimizer.CostRowScan
 	pick := func(storage.View) ([]int, error) { return ids, nil }

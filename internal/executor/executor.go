@@ -6,9 +6,11 @@
 package executor
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"strings"
 
 	"autostats/internal/catalog"
 	"autostats/internal/optimizer"
@@ -18,7 +20,9 @@ import (
 
 // Result is the outcome of executing one statement.
 type Result struct {
-	// Cols maps "table.column" (lower case) to the output column position.
+	// Cols maps each output column's key to its position in Rows: a table
+	// column's key is "table.column" (lower case), an aggregate's is
+	// Aggregate.Key() (for example "count(*)").
 	Cols map[string]int
 	// Rows is the output row set (nil for DML).
 	Rows [][]catalog.Datum
@@ -51,11 +55,26 @@ type resultSet struct {
 	rows [][]catalog.Datum
 }
 
-func (rs *resultSet) colPos(c query.ColumnRef) (int, error) {
+// bind resolves a column to its position in rs's rows. Every operator binds
+// each column it reads once, before its first row.
+func (rs *resultSet) bind(c query.ColumnRef) (int, error) {
 	if p, ok := rs.cols[c.Key()]; ok {
 		return p, nil
 	}
 	return 0, fmt.Errorf("executor: column %s not in intermediate result", c)
+}
+
+// bindAll binds each of refs.
+func (rs *resultSet) bindAll(refs []query.ColumnRef) ([]int, error) {
+	pos := make([]int, len(refs))
+	for i, c := range refs {
+		p, err := rs.bind(c)
+		if err != nil {
+			return nil, err
+		}
+		pos[i] = p
+	}
+	return pos, nil
 }
 
 // exec evaluates one plan node by routing it to its operator implementation.
@@ -65,22 +84,14 @@ func (rs *resultSet) colPos(c query.ColumnRef) (int, error) {
 // through here, so it has no row count of its own.
 func (ex *Executor) exec(n *optimizer.Node) (*resultSet, float64, error) {
 	switch n.Op {
-	case optimizer.OpTableScan:
-		return ex.execScan(n)
-	case optimizer.OpIndexSeek:
-		return ex.execSeek(n)
-	case optimizer.OpHashJoin:
-		return ex.execHashJoin(n)
-	case optimizer.OpMergeJoin:
-		return ex.execMergeJoin(n)
-	case optimizer.OpNestedLoopJoin:
-		return ex.execNLJoin(n)
+	case optimizer.OpTableScan, optimizer.OpIndexSeek:
+		return ex.execTable(n)
+	case optimizer.OpHashJoin, optimizer.OpMergeJoin, optimizer.OpNestedLoopJoin:
+		return ex.execJoin(n)
 	case optimizer.OpIndexNLJoin:
 		return ex.execIndexNLJoin(n)
-	case optimizer.OpHashAggregate:
-		return ex.execHashAgg(n)
-	case optimizer.OpStreamAggregate:
-		return ex.execStreamAgg(n)
+	case optimizer.OpHashAggregate, optimizer.OpStreamAggregate:
+		return ex.execAgg(n)
 	case optimizer.OpSort:
 		return ex.execSort(n)
 	default:
@@ -97,43 +108,81 @@ func tableResultSet(td *storage.TableData) *resultSet {
 	return &resultSet{cols: cols}
 }
 
-func evalFilters(rs *resultSet, filters []query.Filter, row []catalog.Datum) (bool, error) {
-	for _, f := range filters {
-		p, err := rs.colPos(f.Col)
-		if err != nil {
-			return false, err
-		}
-		ok, err := f.Op.Eval(row[p], f.Val)
-		if err != nil {
-			return false, fmt.Errorf("executor: evaluating %s: %w", f, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+// fetcher is the filtered fetch every read of a base table shares: the
+// scan, the seek, the index-NL join's probe and DML's match. Its filters are
+// bound to row positions once; each reader's visitor keeps the rows pass
+// accepts and stops once err is set.
+type fetcher struct {
+	filters []query.Filter
+	pos     []int // pos[i] is the row position of filters[i]'s column
+	perRow  float64
+	cost    float64
+	err     error
 }
 
-func (ex *Executor) execScan(n *optimizer.Node) (*resultSet, float64, error) {
+// newFetcher binds filters to rs's columns and starts the charge at cost.
+func newFetcher(rs *resultSet, filters []query.Filter, cost, perRow float64) (fetcher, error) {
+	pos := make([]int, len(filters))
+	for i, f := range filters {
+		p, err := rs.bind(f.Col)
+		if err != nil {
+			return fetcher{}, err
+		}
+		pos[i] = p
+	}
+	return fetcher{filters: filters, pos: pos, perRow: perRow, cost: cost}, nil
+}
+
+// pass charges perRow for a fetched row and reports whether every filter
+// accepts it. A filter that fails to evaluate sets err, and pass reports
+// false.
+func (f *fetcher) pass(r storage.Row) bool {
+	f.cost += f.perRow
+	for i, flt := range f.filters {
+		ok, err := flt.Op.Eval(r[f.pos[i]], flt.Val)
+		if err != nil {
+			f.err = fmt.Errorf("executor: evaluating %s: %w", flt, err)
+			return false
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// execTable reads a base table: a scan charges every row, an index seek
+// the seek and each row in the range its seek filters bound.
+func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 	td, err := ex.db.Table(n.Table)
 	if err != nil {
 		return nil, 0, err
 	}
 	rs := tableResultSet(td)
-	cost := float64(td.RowCount()) * optimizer.CostRowScan
-	var ferr error
-	td.Scan(func(_ int, r storage.Row) bool {
-		ok, err := evalFilters(rs, n.Filters, r)
-		if err != nil {
-			ferr = err
-			return false
+	rows := float64(td.RowCount())
+	cost, perRow := rows*optimizer.CostRowScan, 0.0
+	if n.Op == optimizer.OpIndexSeek {
+		cost, perRow = optimizer.SeekCost(rows), optimizer.CostRowFetch
+	}
+	f, err := newFetcher(rs, n.Filters, cost, perRow)
+	if err != nil {
+		return nil, 0, err
+	}
+	keep := func(_ int, r storage.Row) bool {
+		if f.pass(r) {
+			rs.rows = append(rs.rows, slices.Clone(r))
 		}
-		if ok {
-			rs.rows = append(rs.rows, append([]catalog.Datum(nil), r...))
-		}
-		return true
-	})
-	return rs, cost, ferr
+		return f.err == nil
+	}
+	if n.Op == optimizer.OpTableScan {
+		td.Scan(keep)
+	} else if lo, hi, loInc, hiInc := seekBounds(n.SeekFilters); !td.Seek(n.IndexCol, lo, hi, loInc, hiInc, keep) {
+		return nil, 0, fmt.Errorf("executor: no index on %s.%s", n.Table, n.IndexCol)
+	}
+	if f.err != nil {
+		return nil, 0, f.err
+	}
+	return rs, f.cost, nil
 }
 
 // seekBounds derives the index range from the seek filters.
@@ -171,36 +220,6 @@ func seekBounds(filters []query.Filter) (lo, hi *catalog.Datum, loInc, hiInc boo
 	return lo, hi, loInc, hiInc
 }
 
-func (ex *Executor) execSeek(n *optimizer.Node) (*resultSet, float64, error) {
-	td, err := ex.db.Table(n.Table)
-	if err != nil {
-		return nil, 0, err
-	}
-	lo, hi, loInc, hiInc := seekBounds(n.SeekFilters)
-	rs := tableResultSet(td)
-	cost := optimizer.SeekCost(float64(td.RowCount()))
-	var ferr error
-	indexed := td.Seek(n.IndexCol, lo, hi, loInc, hiInc, func(_ int, r storage.Row) bool {
-		cost += optimizer.CostRowFetch
-		ok, err := evalFilters(rs, n.Filters, r)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if ok {
-			rs.rows = append(rs.rows, append([]catalog.Datum(nil), r...))
-		}
-		return true
-	})
-	if !indexed {
-		return nil, 0, fmt.Errorf("executor: no index on %s.%s", n.Table, n.IndexCol)
-	}
-	if ferr != nil {
-		return nil, 0, ferr
-	}
-	return rs, cost, nil
-}
-
 // mergeCols concatenates two column maps, with right offsets shifted.
 func mergeCols(l, r *resultSet) map[string]int {
 	cols := make(map[string]int, len(l.cols)+len(r.cols))
@@ -230,89 +249,55 @@ func concatRows(l, r []catalog.Datum) []catalog.Datum {
 	return append(out, r...)
 }
 
-// joinKeys resolves each predicate to (leftPos, rightPos), swapping sides if
-// the optimizer oriented the predicate the other way.
-func joinKeys(l, r *resultSet, preds []query.JoinPred) ([][2]int, error) {
-	keys := make([][2]int, len(preds))
+// joinKeys resolves each predicate to a left and a right position, swapping
+// sides if the optimizer oriented the predicate the other way.
+func joinKeys(l, r *resultSet, preds []query.JoinPred) (lpos, rpos []int, err error) {
+	pos := make([]int, 2*len(preds))
+	lpos, rpos = pos[:len(preds)], pos[len(preds):]
 	for i, p := range preds {
-		lp, lerr := l.colPos(p.Left)
-		rp, rerr := r.colPos(p.Right)
-		if lerr == nil && rerr == nil {
-			keys[i] = [2]int{lp, rp}
-			continue
+		lp, lok := l.cols[p.Left.Key()]
+		rp, rok := r.cols[p.Right.Key()]
+		if !lok || !rok {
+			lp, lok = l.cols[p.Right.Key()]
+			rp, rok = r.cols[p.Left.Key()]
 		}
-		lp, lerr = l.colPos(p.Right)
-		rp, rerr = r.colPos(p.Left)
-		if lerr == nil && rerr == nil {
-			keys[i] = [2]int{lp, rp}
-			continue
+		if !lok || !rok {
+			return nil, nil, fmt.Errorf("executor: cannot resolve join predicate %s", p)
 		}
-		return nil, fmt.Errorf("executor: cannot resolve join predicate %s", p)
+		lpos[i], rpos[i] = lp, rp
 	}
-	return keys, nil
+	return lpos, rpos, nil
 }
 
-func hashKey(row []catalog.Datum, pos []int) string {
-	var b strings.Builder
+// hashKey appends to b the encoding of row's values at pos. It is the
+// executor's one key equality: two rows of the same column types encode
+// alike exactly when Datum.Compare finds every column equal, so a hash
+// operator groups and matches as its sort-based twin does. Strings are
+// length-prefixed, so no two composite keys run together; -0 is folded into
+// +0 and every NaN into one; ints and dates are 8 bytes.
+func hashKey(b []byte, row []catalog.Datum, pos []int) []byte {
 	for _, p := range pos {
 		d := row[p]
-		if d.Null {
-			b.WriteString("\x00N")
-			continue
-		}
-		switch d.T {
-		case catalog.String:
-			fmt.Fprintf(&b, "\x00s%s", d.S)
-		case catalog.Float:
-			fmt.Fprintf(&b, "\x00f%v", d.F)
+		switch {
+		case d.Null:
+			b = append(b, 0)
+		case d.T == catalog.String:
+			b = binary.AppendUvarint(append(b, 1), uint64(len(d.S)))
+			b = append(b, d.S...)
+		case d.T == catalog.Float:
+			f := d.F
+			switch {
+			case f == 0:
+				f = 0 // -0 is +0
+			case math.IsNaN(f):
+				f = math.NaN()
+			}
+			b = binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(f))
 		default:
-			fmt.Fprintf(&b, "\x00i%d", d.I)
+			b = binary.LittleEndian.AppendUint64(append(b, 1), uint64(d.I))
 		}
 	}
-	return b.String()
-}
-
-func (ex *Executor) execHashJoin(n *optimizer.Node) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0])
-	if err != nil {
-		return nil, 0, err
-	}
-	r, rc, err := ex.exec(n.Children[1])
-	if err != nil {
-		return nil, 0, err
-	}
-	keys, err := joinKeys(l, r, n.Joins)
-	if err != nil {
-		return nil, 0, err
-	}
-	lpos := make([]int, len(keys))
-	rpos := make([]int, len(keys))
-	for i, k := range keys {
-		lpos[i], rpos[i] = k[0], k[1]
-	}
-	cost := lc + rc
-	// Build on the right child (matching the plan's convention).
-	ht := make(map[string][][]catalog.Datum, len(r.rows))
-	for _, row := range r.rows {
-		if anyNull(row, rpos) {
-			continue
-		}
-		k := hashKey(row, rpos)
-		ht[k] = append(ht[k], row)
-	}
-	cost += float64(len(r.rows)) * optimizer.CostHashBuild
-	out := &resultSet{cols: mergeCols(l, r)}
-	for _, lrow := range l.rows {
-		cost += optimizer.CostHashProbe
-		if anyNull(lrow, lpos) {
-			continue
-		}
-		for _, rrow := range ht[hashKey(lrow, lpos)] {
-			out.rows = append(out.rows, concatRows(lrow, rrow))
-			cost += optimizer.CostRowOut
-		}
-	}
-	return out, cost, nil
+	return b
 }
 
 func anyNull(row []catalog.Datum, pos []int) bool {
@@ -324,7 +309,9 @@ func anyNull(row []catalog.Datum, pos []int) bool {
 	return false
 }
 
-func (ex *Executor) execMergeJoin(n *optimizer.Node) (*resultSet, float64, error) {
+// execJoin runs the joins that read both children whole: hash, merge and
+// nested loop.
+func (ex *Executor) execJoin(n *optimizer.Node) (*resultSet, float64, error) {
 	l, lc, err := ex.exec(n.Children[0])
 	if err != nil {
 		return nil, 0, err
@@ -333,18 +320,74 @@ func (ex *Executor) execMergeJoin(n *optimizer.Node) (*resultSet, float64, error
 	if err != nil {
 		return nil, 0, err
 	}
-	keys, err := joinKeys(l, r, n.Joins)
+	lpos, rpos, err := joinKeys(l, r, n.Joins)
 	if err != nil {
 		return nil, 0, err
 	}
-	lpos := make([]int, len(keys))
-	rpos := make([]int, len(keys))
-	for i, k := range keys {
-		lpos[i], rpos[i] = k[0], k[1]
+	var out *resultSet
+	var cost float64
+	switch n.Op {
+	case optimizer.OpHashJoin:
+		out, cost = hashMatch(l, r, lpos, rpos, lc+rc+float64(len(r.rows))*optimizer.CostHashBuild, optimizer.CostHashProbe)
+	case optimizer.OpMergeJoin:
+		out, cost = mergeMatch(l, r, lpos, rpos, lc+rc+
+			optimizer.SortCost(float64(len(l.rows)))+optimizer.SortCost(float64(len(r.rows)))+
+			float64(len(l.rows))+float64(len(r.rows)))
+	default:
+		// The inner subtree is logically re-evaluated per outer row; we
+		// materialize once and charge its cost per outer iteration,
+		// matching the plan cost model. With equi-join predicates the
+		// matching itself is done through a hash table: the COST charged
+		// is still the nested-loop cost (that mispriced plans hurt is the
+		// point of the experiments), but wall-clock time stays near-linear
+		// instead of O(|L|·|R|).
+		cost = lc + max(float64(len(l.rows)), 1)*rc
+		if len(lpos) > 0 {
+			out, cost = hashMatch(l, r, lpos, rpos, cost, 0)
+			break
+		}
+		out = &resultSet{cols: mergeCols(l, r)}
+		for _, lrow := range l.rows {
+			for _, rrow := range r.rows {
+				out.rows = append(out.rows, concatRows(lrow, rrow))
+				cost += optimizer.CostRowOut
+			}
+		}
 	}
-	cost := lc + rc +
-		optimizer.SortCost(float64(len(l.rows))) + optimizer.SortCost(float64(len(r.rows))) +
-		float64(len(l.rows)) + float64(len(r.rows))
+	return out, cost, nil
+}
+
+// hashMatch joins l and r where lpos equals rpos: it builds a hash table on
+// r's rows (the plan's convention) and probes it with each of l's, adding
+// probe to cost per probe and CostRowOut per match. Matches come out in l's
+// order, and for one l row in r's; a NULL key matches nothing.
+func hashMatch(l, r *resultSet, lpos, rpos []int, cost, probe float64) (*resultSet, float64) {
+	ht := make(map[string][][]catalog.Datum, len(r.rows))
+	var key []byte
+	for _, row := range r.rows {
+		if !anyNull(row, rpos) {
+			key = hashKey(key[:0], row, rpos)
+			ht[string(key)] = append(ht[string(key)], row)
+		}
+	}
+	out := &resultSet{cols: mergeCols(l, r)}
+	for _, lrow := range l.rows {
+		cost += probe
+		if anyNull(lrow, lpos) {
+			continue
+		}
+		key = hashKey(key[:0], lrow, lpos)
+		for _, rrow := range ht[string(key)] {
+			out.rows = append(out.rows, concatRows(lrow, rrow))
+			cost += optimizer.CostRowOut
+		}
+	}
+	return out, cost
+}
+
+// mergeMatch sorts l and r on their keys and joins them by merging, adding
+// CostRowOut to cost per match.
+func mergeMatch(l, r *resultSet, lpos, rpos []int, cost float64) (*resultSet, float64) {
 	sortRows(l.rows, lpos)
 	sortRows(r.rows, rpos)
 	out := &resultSet{cols: mergeCols(l, r)}
@@ -383,18 +426,12 @@ func (ex *Executor) execMergeJoin(n *optimizer.Node) (*resultSet, float64, error
 			i, j = i2, j2
 		}
 	}
-	return out, cost, nil
+	return out, cost
 }
 
 func sortRows(rows [][]catalog.Datum, pos []int) {
 	sort.SliceStable(rows, func(a, b int) bool {
-		for _, p := range pos {
-			c := rows[a][p].Compare(rows[b][p])
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
+		return compareKeys(rows[a], pos, rows[b], pos) < 0
 	})
 }
 
@@ -406,64 +443,6 @@ func compareKeys(lrow []catalog.Datum, lpos []int, rrow []catalog.Datum, rpos []
 		}
 	}
 	return 0
-}
-
-func (ex *Executor) execNLJoin(n *optimizer.Node) (*resultSet, float64, error) {
-	l, lc, err := ex.exec(n.Children[0])
-	if err != nil {
-		return nil, 0, err
-	}
-	r, rc, err := ex.exec(n.Children[1])
-	if err != nil {
-		return nil, 0, err
-	}
-	keys, err := joinKeys(l, r, n.Joins)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The inner subtree is logically re-evaluated per outer row; we
-	// materialize once and charge its cost per outer iteration, matching
-	// the plan cost model. With equi-join predicates the matching itself is
-	// done through a hash table: the COST charged is still the nested-loop
-	// cost (that mispriced plans hurt is the point of the experiments), but
-	// wall-clock time stays near-linear instead of O(|L|·|R|).
-	outer := float64(len(l.rows))
-	if outer < 1 {
-		outer = 1
-	}
-	cost := lc + outer*rc
-	out := &resultSet{cols: mergeCols(l, r)}
-	if len(keys) > 0 {
-		lpos := make([]int, len(keys))
-		rpos := make([]int, len(keys))
-		for i, k := range keys {
-			lpos[i], rpos[i] = k[0], k[1]
-		}
-		ht := make(map[string][][]catalog.Datum, len(r.rows))
-		for _, rrow := range r.rows {
-			if !anyNull(rrow, rpos) {
-				k := hashKey(rrow, rpos)
-				ht[k] = append(ht[k], rrow)
-			}
-		}
-		for _, lrow := range l.rows {
-			if anyNull(lrow, lpos) {
-				continue
-			}
-			for _, rrow := range ht[hashKey(lrow, lpos)] {
-				out.rows = append(out.rows, concatRows(lrow, rrow))
-				cost += optimizer.CostRowOut
-			}
-		}
-		return out, cost, nil
-	}
-	for _, lrow := range l.rows {
-		for _, rrow := range r.rows {
-			out.rows = append(out.rows, concatRows(lrow, rrow))
-			cost += optimizer.CostRowOut
-		}
-	}
-	return out, cost, nil
 }
 
 func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, error) {
@@ -480,202 +459,50 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, err
 		return nil, 0, err
 	}
 	r := tableResultSet(td)
-	keys, err := joinKeys(l, r, n.Joins)
+	lpos, rpos, err := joinKeys(l, r, n.Joins)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Find which predicate drives the index.
-	ixPred := -1
-	for i, p := range n.Joins {
-		side := p.Right
-		if side.Table != inner.Table {
-			side = p.Left
-		}
-		if side.Column == n.IndexCol {
-			ixPred = i
-			break
-		}
-	}
-	if ixPred < 0 {
+	// The predicate on the indexed column drives the seek; the others are
+	// re-checked on each row it fetches.
+	ix := slices.Index(rpos, td.Schema.ColumnIndex(n.IndexCol))
+	if ix < 0 {
 		return nil, 0, fmt.Errorf("executor: index NL join predicate for column %s not found", n.IndexCol)
 	}
-	cost := lc
-	seek := optimizer.SeekCost(float64(td.RowCount()))
+	f, err := newFetcher(r, inner.Filters, lc, optimizer.CostRowFetch)
+	if err != nil {
+		return nil, 0, err
+	}
 	out := &resultSet{cols: mergeCols(l, r)}
-	// probe visits the inner rows one outer row's seek fetches.
 	var lrow []catalog.Datum
-	var ferr error
 	probe := func(_ int, rrow storage.Row) bool {
-		cost += optimizer.CostRowFetch
-		pass, err := evalFilters(r, inner.Filters, rrow)
-		if err != nil {
-			ferr = err
-			return false
+		if !f.pass(rrow) {
+			return f.err == nil
 		}
-		if !pass {
-			return true
-		}
-		for ki, k := range keys {
-			if ki == ixPred {
-				continue
-			}
-			if lrow[k[0]].Null || rrow[k[1]].Null || lrow[k[0]].Compare(rrow[k[1]]) != 0 {
+		for k := range lpos {
+			if k != ix && (lrow[lpos[k]].Null || rrow[rpos[k]].Null || lrow[lpos[k]].Compare(rrow[rpos[k]]) != 0) {
 				return true
 			}
 		}
 		out.rows = append(out.rows, concatRows(lrow, rrow))
-		cost += optimizer.CostRowOut
+		f.cost += optimizer.CostRowOut
 		return true
 	}
+	seek := optimizer.SeekCost(float64(td.RowCount()))
 	for _, lrow = range l.rows {
-		cost += seek
-		key := lrow[keys[ixPred][0]]
+		f.cost += seek
+		key := lrow[lpos[ix]]
 		if key.Null {
 			continue
 		}
 		if !td.Seek(n.IndexCol, &key, &key, true, true, probe) {
 			return nil, 0, fmt.Errorf("executor: no index on %s.%s", inner.Table, n.IndexCol)
 		}
-		if ferr != nil {
-			return nil, 0, ferr
+		if f.err != nil {
+			return nil, 0, f.err
 		}
 	}
-	return out, cost, nil
-}
-
-func (ex *Executor) execHashAgg(n *optimizer.Node) (*resultSet, float64, error) {
-	in, c, err := ex.exec(n.Children[0])
-	if err != nil {
-		return nil, 0, err
-	}
-	// Scalar aggregate: no grouping columns, one output row.
-	if len(n.GroupBy) == 0 {
-		states, err := newAggStates(in, n.Aggregates)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, row := range in.rows {
-			for i := range states {
-				states[i].update(row)
-			}
-		}
-		tuple := make([]catalog.Datum, len(states))
-		for i := range states {
-			tuple[i] = states[i].final()
-		}
-		out := &resultSet{cols: aggOutputCols(nil, n.Aggregates), rows: [][]catalog.Datum{tuple}}
-		out, err = applyHaving(out, n.Having)
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, c + optimizer.CostStreamRow*float64(len(in.rows)) + optimizer.CostRowOut, nil
-	}
-
-	pos := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		p, err := in.colPos(g)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos[i] = p
-	}
-	type group struct {
-		tuple  []catalog.Datum
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range in.rows {
-		k := hashKey(row, pos)
-		g, ok := groups[k]
-		if !ok {
-			tuple := make([]catalog.Datum, len(pos))
-			for i, p := range pos {
-				tuple[i] = row[p]
-			}
-			states, err := newAggStates(in, n.Aggregates)
-			if err != nil {
-				return nil, 0, err
-			}
-			g = &group{tuple: tuple, states: states}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i := range g.states {
-			g.states[i].update(row)
-		}
-	}
-	cost := c + optimizer.HashAggCost(float64(len(in.rows)), float64(len(groups)))
-	out := &resultSet{cols: aggOutputCols(n.GroupBy, n.Aggregates)}
-	for _, k := range order {
-		g := groups[k]
-		row := g.tuple
-		for i := range g.states {
-			row = append(row, g.states[i].final())
-		}
-		out.rows = append(out.rows, row)
-	}
-	out, err = applyHaving(out, n.Having)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, cost, nil
-}
-
-func (ex *Executor) execStreamAgg(n *optimizer.Node) (*resultSet, float64, error) {
-	in, c, err := ex.exec(n.Children[0])
-	if err != nil {
-		return nil, 0, err
-	}
-	pos := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		p, err := in.colPos(g)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos[i] = p
-	}
-	sortRows(in.rows, pos)
-	out := &resultSet{cols: aggOutputCols(n.GroupBy, n.Aggregates)}
-	var states []aggState
-	flush := func(boundary []catalog.Datum) {
-		row := make([]catalog.Datum, len(pos), len(pos)+len(states))
-		copy(row, boundary)
-		for i := range states {
-			row = append(row, states[i].final())
-		}
-		out.rows = append(out.rows, row)
-	}
-	var curKey []catalog.Datum
-	for i, row := range in.rows {
-		newGroup := i == 0 || compareKeys(row, pos, in.rows[i-1], pos) != 0
-		if newGroup {
-			if i > 0 {
-				flush(curKey)
-			}
-			curKey = make([]catalog.Datum, len(pos))
-			for k, p := range pos {
-				curKey[k] = row[p]
-			}
-			var err error
-			states, err = newAggStates(in, n.Aggregates)
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		for k := range states {
-			states[k].update(row)
-		}
-	}
-	if len(in.rows) > 0 {
-		flush(curKey)
-	}
-	cost := c + optimizer.StreamAggCost(float64(len(in.rows)), float64(len(out.rows)))
-	out, err = applyHaving(out, n.Having)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, cost, nil
+	return out, f.cost, nil
 }
 
 func (ex *Executor) execSort(n *optimizer.Node) (*resultSet, float64, error) {
@@ -683,13 +510,9 @@ func (ex *Executor) execSort(n *optimizer.Node) (*resultSet, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pos := make([]int, len(n.SortBy))
-	for i, s := range n.SortBy {
-		p, err := in.colPos(s)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos[i] = p
+	pos, err := in.bindAll(n.SortBy)
+	if err != nil {
+		return nil, 0, err
 	}
 	sortRows(in.rows, pos)
 	return in, c + optimizer.SortCost(float64(len(in.rows))), nil

@@ -84,7 +84,7 @@ func TestInsertScanGet(t *testing.T) {
 		t.Errorf("scan saw %d rows", seen)
 	}
 	five, none := catalog.NewInt(5), catalog.NewInt(99)
-	if ids := seekIDs(t, td, "ID", &five, &five, true, true); len(ids) != 1 || ids[0] != 5 {
+	if ids := seekIDs(t, td, "id", &five, &five, true, true); len(ids) != 1 || ids[0] != 5 {
 		t.Errorf("seek of id 5 found %v", ids)
 	}
 	if ids := seekIDs(t, td, "id", &none, &none, true, true); len(ids) != 0 {
@@ -180,7 +180,7 @@ func TestIndexMaintainedAcrossDML(t *testing.T) {
 		_ = td.Insert(row(int64(i), float64(i%5)*10, "x"))
 	}
 	twenty := catalog.NewFloat(20)
-	ids := seekIDs(t, td, "SALARY", &twenty, &twenty, true, true)
+	ids := seekIDs(t, td, "salary", &twenty, &twenty, true, true)
 	if len(ids) != 4 {
 		t.Fatalf("seek of 20 found %d rows, want 4", len(ids))
 	}
@@ -318,7 +318,7 @@ func TestDatabaseSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if td.indexOn("id") == nil {
+	if td.indexes["id"] == nil {
 		t.Error("schema index was not built")
 	}
 	if _, err := db.Table("nope"); err == nil {

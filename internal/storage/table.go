@@ -28,7 +28,7 @@ type TableData struct {
 	dead   []bool
 	live   int
 
-	indexes map[string]*index // by column name (lower-cased by caller convention)
+	indexes map[string]*index // by the catalog's column name
 
 	// modCounter counts rows inserted/updated/deleted since the last
 	// statistics refresh on this table (the SQL Server 7.0 policy counter).
@@ -181,7 +181,7 @@ func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Da
 	if err != nil {
 		return 0, err
 	}
-	ix := t.indexOn(t.Schema.Columns[col].Name)
+	ix := t.indexes[t.Schema.Columns[col].Name]
 	n := 0
 	for _, id := range ids {
 		if id < 0 || id >= len(t.rows) || t.dead[id] {
@@ -227,7 +227,7 @@ func (v View) Scan(fn func(id int, r Row) bool) {
 // visit, tombstoned rows still in the index included, by two binary
 // searches. ok is false when col has no index.
 func (v View) Count(col string, lo, hi *catalog.Datum, loInc, hiInc bool) (n int, ok bool) {
-	ix := v.t.indexOn(col)
+	ix := v.t.indexes[col]
 	if ix == nil {
 		return 0, false
 	}
@@ -240,7 +240,7 @@ func (v View) Count(col string, lo, hi *catalog.Datum, loInc, hiInc bool) (n int
 // control bound inclusivity. Returning false from fn stops the seek. Seek
 // returns false when col has no index.
 func (v View) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func(id int, r Row) bool) bool {
-	ix := v.t.indexOn(col)
+	ix := v.t.indexes[col]
 	if ix == nil {
 		return false
 	}
@@ -302,35 +302,15 @@ func (t *TableData) MultiColumnValues(cols []string) ([][]catalog.Datum, error) 
 	return out, nil
 }
 
-func keyOf(col string) string {
-	// Index map keys are lower-cased column names.
-	b := []byte(col)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
-}
-
-// indexOn returns the index on the named column, or nil. A lower-case name,
-// the usual case, is looked up without building its key.
-func (t *TableData) indexOn(col string) *index {
-	if ix, ok := t.indexes[col]; ok {
-		return ix
-	}
-	return t.indexes[keyOf(col)]
-}
-
 // createIndex builds a sorted secondary index on the named column.
 func (t *TableData) createIndex(col string) error {
-	if t.Schema.ColumnIndex(col) < 0 {
+	ci := t.Schema.ColumnIndex(col)
+	if ci < 0 {
 		return fmt.Errorf("storage: table %s has no column %s", t.Schema.Name, col)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.indexes[keyOf(col)] = nil
-	t.rebuildIndexLocked(keyOf(col))
+	t.rebuildIndexLocked(t.Schema.Columns[ci].Name)
 	return nil
 }
 
