@@ -52,26 +52,26 @@ import (
 //
 // Concurrency model (the server's default usage pattern):
 //
+//   - Every entry point uses one optimizer session, which is safe for
+//     concurrent use: a tuner's what-if probes are arguments of its own
+//     calls, not state of the session.
 //   - Exec, Explain, Statistics and PlanCacheStats may be called from any
-//     number of goroutines at once. Exec and Explain borrow a per-call
-//     optimizer session clone from an internal pool over the
-//     concurrency-safe statistics manager, shared plan cache and internally
-//     locked storage layer.
+//     number of goroutines at once, over the concurrency-safe statistics
+//     manager, shared plan cache and internally locked storage layer.
 //   - TuneQuery, TuneWorkloadCtx, ProcessStatementCtx and RunMaintenance are
-//     serialized on an internal mutex (they mutate the shared tuning session
-//     and policy state); concurrent callers queue. Each runs on the calling
-//     goroutine — MNSA is a sequential build → re-optimize loop — while Exec
-//     and Explain keep being served against it.
+//     serialized on an internal mutex (they mutate statistics and policy
+//     state); concurrent callers queue. Each runs on the calling goroutine —
+//     MNSA is a sequential build → re-optimize loop — while Exec and Explain
+//     keep being served beside it.
 //   - SetPlanCacheCapacity follows the usual configure-then-serve server
 //     pattern: call it before the System is shared across goroutines, not
 //     while requests are in flight.
 //
 // A statistic that cannot be built never fails a statement or a tuning run:
 // the affected predicates are planned on the paper's default magic numbers
-// (§4), the plan is tagged Degraded and kept out of the plan cache, and the
-// failure is reported (QueryResult.Degraded, TuneReport.BuildFailures,
-// MaintenanceReport.RefreshFailures). Only cancellation of the caller's
-// context aborts.
+// (§4), and the failure is reported (QueryResult.Degraded,
+// TuneReport.BuildFailures, MaintenanceReport.RefreshFailures). Only
+// cancellation of the caller's context aborts.
 type System struct {
 	db    *storage.Database
 	mgr   *stats.Manager
@@ -82,9 +82,8 @@ type System struct {
 
 	// mu serializes the mutating entry points: tuning, the on-the-fly
 	// policy, and maintenance. The read-mostly statement path (Exec,
-	// Explain) does not take it — it borrows session clones from sessions.
-	mu       sync.Mutex
-	sessions *sessionPool
+	// Explain) does not take it.
+	mu sync.Mutex
 }
 
 // DefaultPlanCacheCapacity is the plan cache size a new System starts with.
@@ -123,9 +122,8 @@ func GenerateTPCD(opts TPCDOptions) (*System, error) {
 	ex := executor.New(db)
 	return &System{
 		db: db, mgr: mgr, sess: sess, ex: ex,
-		auto:     core.NewAutoManager(sess, ex),
-		cache:    cache,
-		sessions: newSessionPool(sess.Clone()),
+		auto:  core.NewAutoManager(sess, ex),
+		cache: cache,
 	}, nil
 }
 
@@ -137,7 +135,6 @@ func (s *System) SetPlanCacheCapacity(n int) {
 	defer s.mu.Unlock()
 	s.cache = optimizer.NewPlanCache(n)
 	s.sess.SetPlanCache(s.cache)
-	s.refreshSessions()
 }
 
 // PlanCacheStats reports plan cache effectiveness counters (all zero when
@@ -161,10 +158,10 @@ func (s *System) Schema() *catalog.Schema { return s.db.Schema }
 type QueryResult = protocol.ExecResult
 
 // Exec parses, optimizes and executes one SQL statement. Safe for concurrent
-// use: each call optimizes on a pooled session clone over the shared plan
-// cache and concurrency-safe statistics manager; DML serializes inside the
-// storage layer's per-table locks, each statement matching its rows and
-// writing them under one write lock.
+// use: the optimizer session, its plan cache and the statistics manager are
+// concurrency-safe; DML serializes inside the storage layer's per-table
+// locks, each statement matching its rows and writing them under one write
+// lock.
 func (s *System) Exec(sql string) (*QueryResult, error) {
 	return s.ExecCtx(context.Background(), sql)
 }
@@ -183,10 +180,8 @@ func (s *System) ExecCtx(ctx context.Context, sql string) (*QueryResult, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sess := s.sessions.get()
-	defer s.sessions.put(sess)
 	if q, ok := stmt.(*query.Select); ok {
-		plan, err := sess.Optimize(q)
+		plan, err := s.sess.Optimize(q)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +200,7 @@ func (s *System) ExecCtx(ctx context.Context, sql string) (*QueryResult, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := s.ex.RunStatement(sess, stmt)
+	res, err := s.ex.RunStatement(s.sess, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -292,9 +287,7 @@ func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	sess := s.sessions.get()
-	defer s.sessions.put(sess)
-	plan, err := sess.Optimize(q)
+	plan, err := s.sess.Optimize(q)
 	if err != nil {
 		return "", err
 	}

@@ -10,7 +10,9 @@ import (
 // TestSystemConcurrentHammer is the race-regression sweep for the
 // stats-as-a-service usage pattern: one System shared by many goroutines
 // running Exec (queries and DML), Explain, TuneQuery, RunMaintenance and
-// the read-only inspectors at the same time. The server (internal/server)
+// the read-only inspectors at the same time, so TuneQuery's what-if probes
+// and Exec's optimizations run on the System's one optimizer Session
+// together. The server (internal/server)
 // makes this the DEFAULT way a System is used — before it, only
 // stats.Manager internals were swept under -race. The test asserts nothing
 // about results beyond "no error"; its value is the -race run.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"autostats/internal/datagen"
@@ -197,6 +198,46 @@ func TestMNSAOptimizerCallOverhead(t *testing.T) {
 	maxCalls := 1 + 3*res.Iterations
 	if res.OptimizerCalls > maxCalls {
 		t.Errorf("optimizer calls %d exceed bound %d (iterations %d)", res.OptimizerCalls, maxCalls, res.Iterations)
+	}
+}
+
+// TestMNSATestsSeekOnlyMissingVariable: a variable that only the access-path
+// choice reads is still missing. With lineitem(l_linenumber, l_orderkey)
+// built, the two equalities are estimated together through the statistic's
+// prefix density, but the index seek on l_orderkey is priced with
+// l_orderkey's own selectivity, which no statistic leads with: the seek runs
+// on the magic number. MNSA must test that variable at ε and 1−ε, not stop
+// with no-missing-vars after the first optimization.
+func TestMNSATestsSeekOnlyMissingVariable(t *testing.T) {
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	if _, err := sess.Manager().Create("lineitem", []string{"l_linenumber", "l_orderkey"}); err != nil {
+		t.Fatal(err)
+	}
+	q := mustParse(t, db, "SELECT * FROM lineitem WHERE l_linenumber = 2 AND l_orderkey = 5")
+	p, err := sess.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Root.Op != optimizer.OpIndexSeek || p.Root.IndexCol != "l_orderkey" {
+		t.Fatalf("want an index seek on l_orderkey, got\n%s", p.Format())
+	}
+	seekVar := -1
+	for _, f := range q.Filters {
+		if f.Col.Column == "l_orderkey" {
+			seekVar = f.VarID
+		}
+	}
+	if !slices.Equal(p.MissingVars, []int{seekVar}) {
+		t.Fatalf("MissingVars = %v, want [%d] (the seek's variable)", p.MissingVars, seekVar)
+	}
+	res, err := RunMNSA(context.Background(), sess, q, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OptimizerCalls < 3 {
+		t.Errorf("MNSA made %d optimizer calls and stopped %s: the seek's variable was never tested at ε and 1−ε",
+			res.OptimizerCalls, res.TerminatedBy)
 	}
 }
 

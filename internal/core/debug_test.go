@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"autostats/internal/optimizer"
 	"autostats/internal/stats"
 )
 
@@ -17,11 +18,11 @@ func TestDebugMNSATrace(t *testing.T) {
 	cfg := DefaultConfig()
 	consumed := map[stats.ID]bool{}
 	for i := 0; i < 10; i++ {
-		missing := sess.MissingStatVars(q)
 		p, err := sess.Optimize(q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		missing := p.MissingVars
 		t.Logf("iter %d: missing=%v cost=%.1f", i, missing, p.Cost())
 		if len(missing) == 0 {
 			break
@@ -32,11 +33,8 @@ func TestDebugMNSATrace(t *testing.T) {
 			low[v] = cfg.Epsilon
 			high[v] = 1 - cfg.Epsilon
 		}
-		sess.SetSelectivityOverrides(low)
-		pl, _ := sess.Optimize(q)
-		sess.SetSelectivityOverrides(high)
-		ph, _ := sess.Optimize(q)
-		sess.ClearOverrides()
+		pl, _ := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: low})
+		ph, _ := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: high})
 		t.Logf("  plow=%.1f phigh=%.1f", pl.Cost(), ph.Cost())
 		if (TOptimizerCost{T: cfg.T}).Equivalent(pl, ph) {
 			t.Logf("  equivalent -> stop")

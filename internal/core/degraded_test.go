@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -85,9 +84,9 @@ func TestWorkloadPreCanceled(t *testing.T) {
 }
 
 // TestMNSADegradedTolerant: with every build failing, MNSA under the default
-// configuration must finish (not error), report every wanted build as a
-// failure with its cause, and mark the session degraded; cancellation still
-// aborts it. A unit that builds nothing leaves the plan as it was, so the
+// configuration must finish (not error) and report every wanted build as a
+// failure with its cause, which makes the result Degraded; cancellation
+// still aborts it. A unit that builds nothing leaves the plan as it was, so the
 // run must not re-optimize for it: it ends after the initial plan and one
 // extremes test (3 calls) by candidate exhaustion.
 func TestMNSADegradedTolerant(t *testing.T) {
@@ -118,9 +117,6 @@ func TestMNSADegradedTolerant(t *testing.T) {
 		t.Errorf("optimizer calls / iterations / termination = %d / %d / %s, want 3 / 1 / %s",
 			res.OptimizerCalls, res.Iterations, res.TerminatedBy, TermNoCandidates)
 	}
-	if reasons := sess.DegradedReasons(); len(reasons) == 0 {
-		t.Error("session not marked degraded")
-	}
 	// Cancellation still aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -132,7 +128,7 @@ func TestMNSADegradedTolerant(t *testing.T) {
 // TestBuildFailureReporting: each failed build is reported under the ID of
 // the statistic the manager was asked for, in the order the builds were
 // attempted, with an Err that still reaches the injected cause through the
-// manager's wrapping, and the session's one degraded tag is "stats-build".
+// manager's wrapping.
 func TestBuildFailureReporting(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
@@ -163,8 +159,5 @@ func TestBuildFailureReporting(t *testing.T) {
 		if !errors.Is(bf.Err, boom) {
 			t.Errorf("failure %s: cause %v does not reach the injected error", bf.ID, bf.Err)
 		}
-	}
-	if reasons := sess.DegradedReasons(); !slices.Equal(reasons, []string{"stats-build"}) {
-		t.Errorf("degraded reasons = %v, want [stats-build]", reasons)
 	}
 }

@@ -9,20 +9,15 @@ import (
 )
 
 // planWithVisible optimizes q as if only the statistics in visible existed,
-// by ignoring every other statistic in the manager (the §7.2 interface).
+// by hiding every other statistic in the manager (the §7.2 interface).
 func planWithVisible(sess *optimizer.Session, q *query.Select, visible map[stats.ID]bool) (*optimizer.Plan, error) {
-	mgr := sess.Manager()
 	var ignore []stats.ID
-	for _, st := range mgr.All() {
+	for _, st := range sess.Manager().All() {
 		if !visible[st.ID] {
 			ignore = append(ignore, st.ID)
 		}
 	}
-	if err := sess.IgnoreStatisticsSubset(mgr.Database().Name, ignore); err != nil {
-		return nil, err
-	}
-	defer sess.ClearIgnored()
-	return sess.Optimize(q)
+	return sess.OptimizeWhatIf(q, optimizer.WhatIf{Hide: ignore})
 }
 
 // isEssentialSet verifies Definition 1 directly: S (a subset of the

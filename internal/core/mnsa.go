@@ -173,9 +173,9 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 	// A failed build degrades the analysis instead of failing it: the
 	// variables the statistic would have covered stay pinned on the default
 	// magic numbers — the same fallback the sensitivity analysis itself
-	// reasons about — and the session is marked so the plans it produces are
-	// tagged Degraded. ensure returns ok=false for such a failure; only
-	// cancellation of ctx propagates.
+	// reasons about — and the failure is recorded in res.BuildFailures.
+	// ensure returns ok=false for such a failure; only cancellation of ctx
+	// propagates.
 	ensure := func(c Candidate) (ok bool, err error) {
 		s, built, err := mgr.EnsureCtx(ctx, c.Table, c.Columns)
 		if err != nil {
@@ -184,7 +184,6 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 			}
 			res.BuildFailures = append(res.BuildFailures, BuildFailure{ID: c.ID(), Err: err})
 			met.buildFailures.Inc()
-			sess.MarkDegraded("stats-build")
 			return false, nil
 		}
 		if built {
@@ -197,9 +196,6 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 	// once, whether built, already existing, or failed).
 	cands := cfg.CandidateFn(q)
 	consumed := make(map[stats.ID]bool, len(cands))
-
-	sess.ClearOverrides()
-	defer sess.ClearOverrides()
 
 	p, err := sess.Optimize(q) // step 2: plan with default magic numbers
 	if err != nil {
@@ -218,20 +214,14 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 		if !cfg.Drop {
 			return res, nil
 		}
-		dbName := mgr.Database().Name
-		defer sess.ClearIgnored()
 		for _, id := range final.UsedStats {
 			if !mgr.IsDropListed(id) {
 				continue
 			}
-			if err := sess.IgnoreStatisticsSubset(dbName, []stats.ID{id}); err != nil {
-				return nil, err
-			}
-			probe, err := sess.Optimize(q)
+			probe, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Hide: []stats.ID{id}})
 			if err != nil {
 				return nil, err
 			}
-			sess.ClearIgnored()
 			res.OptimizerCalls++
 			met.optimizerCalls.Inc()
 			// Rescue when the statistic's absence changes the execution
@@ -254,8 +244,9 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 		}
 		res.Iterations++
 		met.iterations.Inc()
-		// Step 4: selectivity variables forced onto magic numbers.
-		missing := sess.MissingStatVars(q)
+		// Step 4: selectivity variables forced onto magic numbers in the
+		// default-magic plan.
+		missing := p.MissingVars
 		if len(missing) == 0 {
 			res.TerminatedBy = TermNoMissing
 			return finish(p)
@@ -267,17 +258,14 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 			low[v] = cfg.Epsilon
 			high[v] = 1 - cfg.Epsilon
 		}
-		sess.SetSelectivityOverrides(low)
-		pLow, err := sess.Optimize(q)
+		pLow, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: low})
 		if err != nil {
 			return nil, err
 		}
-		sess.SetSelectivityOverrides(high)
-		pHigh, err := sess.Optimize(q)
+		pHigh, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: high})
 		if err != nil {
 			return nil, err
 		}
-		sess.ClearOverrides()
 		res.OptimizerCalls += 2
 		met.optimizerCalls.Add(2)
 		met.extremeReopts.Add(2)

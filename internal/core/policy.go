@@ -52,25 +52,26 @@ func NewAutoManager(sess *optimizer.Session, ex *executor.Executor) *AutoManager
 }
 
 // ProcessStatement handles one incoming statement under the on-the-fly
-// policy and returns its execution result.
+// policy and returns its execution result and, for a SELECT, the MNSA run
+// that preceded it (nil for DML).
 //
 // ctx is checked before the statement touches the clock or any counter and
 // again before execution, so a canceled statement never applies its DML; it
 // also flows through the MNSA analysis, statistic builds and the periodic
 // maintenance pass. Statistics failures degrade the statement instead of
-// failing it: the degraded reasons are set on the session before
-// optimization (so the executed plan is tagged and bypasses the plan cache)
-// and cleared at the next statement boundary, which is what lets recovered
-// statistics produce healthy plans again without any explicit reset.
+// failing it: the MNSA result's BuildFailures name the statistics that could
+// not be built, and the statement executes on the plan for the statistics
+// that exist. That plan is cached like any other; the next successful build
+// bumps the statistics epoch in the cache key, so recovery needs no reset.
 //
 // Once the statement has executed, its result is returned whatever happens
 // to the maintenance pass that follows it: refresh failures are recorded in
 // the pass's report, and a pass cut short by cancellation leaves the
 // remaining tables' modification counters set, so the next pass redoes
 // their refreshes.
-func (am *AutoManager) ProcessStatement(ctx context.Context, stmt query.Statement) (*executor.Result, error) {
+func (am *AutoManager) ProcessStatement(ctx context.Context, stmt query.Statement) (*executor.Result, *Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mgr := am.sess.Manager()
 	mgr.Tick()
@@ -78,26 +79,23 @@ func (am *AutoManager) ProcessStatement(ctx context.Context, stmt query.Statemen
 	reg := am.sess.Obs()
 	reg.Counter("auto.statements").Inc()
 
-	// Each statement starts with a clean degraded slate: degradation is a
-	// per-statement condition, re-derived from what MNSA can(not) build now.
-	am.sess.ClearDegraded()
-
+	var mnsa *Result
 	if q, ok := stmt.(*query.Select); ok {
-		r, err := RunMNSA(ctx, am.sess, q, am.MNSA)
-		if err != nil {
-			return nil, err
+		var err error
+		if mnsa, err = RunMNSA(ctx, am.sess, q, am.MNSA); err != nil {
+			return nil, nil, err
 		}
-		if r.Degraded() {
+		if mnsa.Degraded() {
 			am.DegradedStatements++
 			reg.Counter("degraded.statements").Inc()
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := am.ex.RunStatement(am.sess, stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	am.TotalExecCost += res.Cost
 
@@ -108,7 +106,7 @@ func (am *AutoManager) ProcessStatement(ctx context.Context, stmt query.Statemen
 			reg.Counter("auto.maintenance_runs").Inc()
 		}
 	}
-	return res, nil
+	return res, mnsa, nil
 }
 
 // TuneReport summarizes an offline tuning pass.

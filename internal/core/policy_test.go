@@ -104,7 +104,7 @@ func TestOnTheFlyAutoManager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := am.ProcessStatement(context.Background(), stmt); err != nil {
+		if _, _, err := am.ProcessStatement(context.Background(), stmt); err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestOnTheFlyAutoManager(t *testing.T) {
 	// are already adequate) — the chicken-and-egg payoff.
 	before := len(sess.Manager().All())
 	stmt, _ := sqlparser.Parse(db.Schema, stmts[0])
-	if _, err := am.ProcessStatement(context.Background(), stmt); err != nil {
+	if _, _, err := am.ProcessStatement(context.Background(), stmt); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sess.Manager().All()); got != before {

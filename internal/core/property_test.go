@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"autostats/internal/optimizer"
 	"autostats/internal/stats"
 	"autostats/internal/workload"
 )
@@ -40,13 +41,17 @@ func TestMNSAInvariantsOnRandomWorkloads(t *testing.T) {
 					t.Fatalf("z=%v seed=%d Q%d: %v", z, seed, qi, err)
 				}
 
+				final, err := sess.Optimize(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				missing := final.MissingVars
 				switch res.TerminatedBy {
 				case TermNoMissing:
-					if missing := sess.MissingStatVars(q); len(missing) != 0 {
+					if len(missing) != 0 {
 						t.Errorf("z=%v Q%d: TermNoMissing but vars %v still missing", z, qi, missing)
 					}
 				case TermEquivalent:
-					missing := sess.MissingStatVars(q)
 					if len(missing) == 0 {
 						t.Errorf("z=%v Q%d: TermEquivalent with no missing vars (should be TermNoMissing)", z, qi)
 						break
@@ -57,17 +62,14 @@ func TestMNSAInvariantsOnRandomWorkloads(t *testing.T) {
 						low[v] = cfg.Epsilon
 						high[v] = 1 - cfg.Epsilon
 					}
-					sess.SetSelectivityOverrides(low)
-					pl, err := sess.Optimize(q)
+					pl, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: low})
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess.SetSelectivityOverrides(high)
-					ph, err := sess.Optimize(q)
+					ph, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: high})
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess.ClearOverrides()
 					if !(TOptimizerCost{T: cfg.T}).Equivalent(pl, ph) {
 						t.Errorf("z=%v Q%d: TermEquivalent but spread %v vs %v exceeds t", z, qi, pl.Cost(), ph.Cost())
 					}

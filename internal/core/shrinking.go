@@ -45,7 +45,6 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
 	res := &ShrinkResult{}
-	dbName := mgr.Database().Name
 	reg := sess.Obs()
 	probes := reg.Counter("shrink.probes")
 	equivChecks := reg.Counter("shrink.equiv_checks")
@@ -64,8 +63,6 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 	reg.Counter("shrink.runs").Inc()
 
 	// Baseline plans Plan(Q, S) under the full initial set.
-	sess.ClearIgnored()
-	defer sess.ClearIgnored()
 	baseline := make([]*optimizer.Plan, len(queries))
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
@@ -94,13 +91,12 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 	}
 
 	removed := map[stats.ID]bool{}
-	ignoreList := func(extra stats.ID) []stats.ID {
+	hide := func(extra stats.ID) optimizer.WhatIf {
 		out := make([]stats.ID, 0, len(removed)+1)
 		for id := range removed {
 			out = append(out, id)
 		}
-		out = append(out, extra)
-		return out
+		return optimizer.WhatIf{Hide: append(out, extra)}
 	}
 
 	for _, sid := range sorted {
@@ -116,10 +112,7 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 			if !statRelevant(st, relevant[i]) {
 				continue
 			}
-			if err := sess.IgnoreStatisticsSubset(dbName, ignoreList(sid)); err != nil {
-				return nil, err
-			}
-			p, err := sess.Optimize(q)
+			p, err := sess.OptimizeWhatIf(q, hide(sid))
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +132,6 @@ func ShrinkingSetCtx(ctx context.Context, sess *optimizer.Session, queries []*qu
 			reg.Counter("shrink.kept").Inc()
 		}
 	}
-	sess.ClearIgnored()
 
 	for _, sid := range sorted {
 		if !removed[sid] {

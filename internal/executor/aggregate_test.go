@@ -218,7 +218,15 @@ func TestAggregatesDoNotChangeRelevance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := e.sess.MissingStatVars(b), e.sess.MissingStatVars(a); len(got) != len(want) {
+	pa, err := e.sess.Optimize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := e.sess.Optimize(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pb.MissingVars, pa.MissingVars; len(got) != len(want) {
 		t.Errorf("aggregates changed missing vars: %v vs %v", got, want)
 	}
 }

@@ -13,10 +13,11 @@ import (
 // verbatim as the reference TestEnumeratorMatchesReference compares the
 // current one against: a *Node per candidate, a predicate list per split, the
 // first strictly cheaper candidate wins. Only the names changed
-// (referenceOptimize, referenceJoinCandidates).
+// (referenceOptimize, referenceJoinCandidates), and the what-if
+// configuration became an argument.
 
-func (s *Session) referenceOptimize(q *query.Select) (*Plan, error) {
-	e := newEstimator(s, q)
+func (s *Session) referenceOptimize(q *query.Select, w WhatIf) (*Plan, error) {
+	e := newEstimator(s, q, w)
 
 	// Map table -> bit position, rejecting self-joins.
 	pos := make(map[string]int, len(q.Tables))

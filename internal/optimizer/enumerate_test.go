@@ -134,12 +134,12 @@ func diffNodes(got, want *Node, path string) string {
 }
 
 // checkAgainstReference optimizes q with the enumerator and with the
-// reference under the session's current statistics, ignore buffer and
-// overrides, and fails on any difference.
-func checkAgainstReference(t *testing.T, sess *Session, q *query.Select, label string) {
+// reference under the session's current statistics and the what-if
+// configuration w, and fails on any difference.
+func checkAgainstReference(t *testing.T, sess *Session, q *query.Select, w WhatIf, label string) {
 	t.Helper()
-	want, werr := sess.referenceOptimize(q)
-	got, gerr := sess.optimize(q)
+	want, werr := sess.referenceOptimize(q, w)
+	got, gerr := sess.optimize(q, w)
 	if werr != nil || gerr != nil {
 		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
 			t.Errorf("%s: %s\n  error %v, reference %v", label, q.SQL(), gerr, werr)
@@ -163,18 +163,19 @@ func checkAgainstReference(t *testing.T, sess *Session, q *query.Select, label s
 }
 
 // checkExtremes repeats the comparison with every variable still on a magic
-// number pinned to ε and then to 1−ε, the two plans MNSA asks for.
-func checkExtremes(t *testing.T, sess *Session, q *query.Select, label string) {
+// number under hide pinned to ε and then to 1−ε, the two plans MNSA asks for.
+func checkExtremes(t *testing.T, sess *Session, q *query.Select, hide []stats.ID, label string) {
 	t.Helper()
-	defer sess.ClearOverrides()
-	missing := sess.MissingStatVars(q)
+	p, err := sess.optimize(q, WhatIf{Hide: hide})
+	if err != nil {
+		return // checkAgainstReference has compared the error
+	}
 	for _, eps := range []float64{0.0005, 1 - 0.0005} {
-		ov := make(map[int]float64, len(missing))
-		for _, v := range missing {
+		ov := make(map[int]float64, len(p.MissingVars))
+		for _, v := range p.MissingVars {
 			ov[v] = eps
 		}
-		sess.SetSelectivityOverrides(ov)
-		checkAgainstReference(t, sess, q, fmt.Sprintf("%s, missing pinned to %g", label, eps))
+		checkAgainstReference(t, sess, q, WhatIf{Hide: hide, Overrides: ov}, fmt.Sprintf("%s, missing pinned to %g", label, eps))
 	}
 }
 
@@ -208,17 +209,16 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 	checkOneRowTables(t)
 
 	for _, q := range qs {
-		checkAgainstReference(t, sess, q, "no statistics")
-		checkExtremes(t, sess, q, "no statistics")
+		checkAgainstReference(t, sess, q, WhatIf{}, "no statistics")
+		checkExtremes(t, sess, q, nil, "no statistics")
 	}
 
 	for _, q := range qs {
 		buildCandidateStats(t, sess.Manager(), q)
 	}
-	dbName := sess.Manager().Database().Name
 	for _, q := range qs {
-		checkAgainstReference(t, sess, q, "every candidate statistic")
-		full, err := sess.optimize(q)
+		checkAgainstReference(t, sess, q, WhatIf{}, "every candidate statistic")
+		full, err := sess.optimize(q, WhatIf{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,13 +230,10 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 			if i < 0 || i >= len(used) || (i > 0 && used[i] == used[i-1]) {
 				continue
 			}
-			if err := sess.IgnoreStatisticsSubset(dbName, []stats.ID{used[i]}); err != nil {
-				t.Fatal(err)
-			}
+			hide := []stats.ID{used[i]}
 			label := fmt.Sprintf("%s ignored", used[i])
-			checkAgainstReference(t, sess, q, label)
-			checkExtremes(t, sess, q, label)
-			sess.ClearIgnored()
+			checkAgainstReference(t, sess, q, WhatIf{Hide: hide}, label)
+			checkExtremes(t, sess, q, hide, label)
 		}
 	}
 }
@@ -287,8 +284,8 @@ func checkOneRowTables(t *testing.T) {
 		"SELECT * FROM eins, one, uno WHERE one_k = uno_k AND eins_v = 1",
 	} {
 		q := mustParse(t, db, sql)
-		checkAgainstReference(t, sess, q, "one-row tables")
-		checkExtremes(t, sess, q, "one-row tables")
+		checkAgainstReference(t, sess, q, WhatIf{}, "one-row tables")
+		checkExtremes(t, sess, q, nil, "one-row tables")
 	}
 }
 

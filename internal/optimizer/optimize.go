@@ -9,11 +9,17 @@ import (
 )
 
 // Optimize produces the best plan for q under the session's visible
-// statistics, ignore buffer and selectivity overrides. The search is
-// dynamic programming over connected table subsets with hash, merge,
-// nested-loop and index-nested-loop join strategies and scan-vs-seek access
-// paths; self-joins are not supported.
+// statistics. The search is dynamic programming over connected table subsets
+// with hash, merge, nested-loop and index-nested-loop join strategies and
+// scan-vs-seek access paths; self-joins are not supported.
 func (s *Session) Optimize(q *query.Select) (*Plan, error) {
+	return s.OptimizeWhatIf(q, WhatIf{})
+}
+
+// OptimizeWhatIf is Optimize under the statistics configuration w: the
+// statistics w hides are invisible and w's overrides replace magic numbers.
+// The empty WhatIf is Optimize.
+func (s *Session) OptimizeWhatIf(q *query.Select, w WhatIf) (*Plan, error) {
 	if len(q.Tables) == 0 {
 		return nil, fmt.Errorf("optimizer: query has no tables")
 	}
@@ -21,17 +27,14 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 		return nil, fmt.Errorf("optimizer: %d tables exceeds the 16-table join limit", len(q.Tables))
 	}
 
-	// What-if state bypasses the cache in both directions. An ignore buffer
-	// (Shrinking Set, MNSA/D's rescue probes) or selectivity overrides
-	// (MNSA's ε / 1−ε pair) describe a statistics configuration no served
-	// statement runs under: such a plan can never be a hit for the workload,
-	// inserting it would evict plans that can, and counting it as a miss
-	// would make the hit rate measure the tuner instead of the traffic.
-	// Degraded reasons are the same case — the plan stands in for statistics
-	// that could not be built, must not be served once they recover, and a
-	// healthy entry under the same key must not mask it; re-optimizing each
-	// time makes recovery automatic.
-	bypass := len(s.ignored) > 0 || len(s.overrides) > 0 || len(s.degraded) > 0
+	// A what-if configuration bypasses the cache in both directions. Hidden
+	// statistics (Shrinking Set, MNSA/D's rescue probes) or selectivity
+	// overrides (MNSA's ε / 1−ε pair) describe a statistics configuration no
+	// served statement runs under: such a plan can never be a hit for the
+	// workload, inserting it would evict plans that can, and counting it as
+	// a miss would make the hit rate measure the tuner instead of the
+	// traffic. That is also why w is not part of the cache key.
+	bypass := !w.empty()
 
 	// The cache key is parameterized: the statement template plus the
 	// selectivity bucket of each lifted constant (see paramkey.go).
@@ -44,8 +47,7 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	cacheable := false
 	if s.cache != nil && !bypass && len(q.Filters) <= maxCachedParams {
 		e0 := s.prov.Epoch()
-		tmpl, buckets := s.planParams(q)
-		key = s.cacheKey(tmpl, buckets)
+		key = s.cacheKey(q.Template(), s.planBuckets(q))
 		cacheable = key.epoch == e0
 		if cacheable {
 			if p, ok := s.cache.get(key, q); ok {
@@ -57,16 +59,12 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	}
 
 	start := time.Now()
-	p, err := s.optimize(q)
+	p, err := s.optimize(q, w)
 	if err != nil {
 		return nil, err
 	}
 	s.met.optimizations.Inc()
 	s.met.optimizeLatency.Observe(time.Since(start))
-	if len(s.degraded) > 0 {
-		p.Degraded = s.DegradedReasons()
-		s.met.degradedPlans.Inc()
-	}
 	if bypass && s.cache != nil {
 		s.met.cacheBypasses.Inc()
 	}
@@ -80,8 +78,8 @@ func (s *Session) Optimize(q *query.Select) (*Plan, error) {
 	return p, nil
 }
 
-func (s *Session) optimize(q *query.Select) (*Plan, error) {
-	e := newEstimator(s, q)
+func (s *Session) optimize(q *query.Select, w WhatIf) (*Plan, error) {
+	e := newEstimator(s, q, w)
 
 	// A table's position in FROM is its bit in the enumerator's subset masks;
 	// self-joins are rejected.
@@ -243,23 +241,4 @@ type baseInfo struct {
 	rawRows float64
 	sel     float64
 	plan    *Node
-}
-
-// MissingStatVars returns the selectivity variables of q that would fall
-// back to magic numbers under the session's current visible statistics —
-// step (a) of §4.1. It runs the estimator without plan enumeration, over the
-// same join groups Optimize forms; for a statement Optimize rejects, the join
-// variables are left out.
-func (s *Session) MissingStatVars(q *query.Select) []int {
-	e := newEstimator(s, q)
-	for _, t := range q.Tables {
-		e.tableSelectivity(t, q.FiltersOn(t))
-	}
-	// The error is Optimize's to report; here it only means no join groups.
-	groups, _ := groupJoins(q.Tables, q.Joins)
-	for _, g := range groups {
-		e.joinGroupSel(g.preds)
-	}
-	e.groupCount(1000)
-	return e.missingVars()
 }

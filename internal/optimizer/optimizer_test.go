@@ -96,29 +96,18 @@ func TestIgnoreStatisticsSubset(t *testing.T) {
 		[]query.Filter{{Col: col("orders", "o_orderdate"), Op: query.Gt, Val: catalog.NewDate(10400)}},
 		nil, nil)
 	with, _ := sess.Optimize(q)
-	if err := sess.IgnoreStatisticsSubset(sess.Manager().Database().Name, []stats.ID{id.ID}); err != nil {
-		t.Fatal(err)
-	}
-	without, _ := sess.Optimize(q)
+	without, _ := sess.OptimizeWhatIf(q, WhatIf{Hide: []stats.ID{id.ID}})
 	if with.Signature() == without.Signature() {
 		t.Error("ignoring the only relevant statistic should change the plan")
 	}
 	if len(without.MissingVars) != 1 {
 		t.Errorf("ignored statistic should make the variable missing: %v", without.MissingVars)
 	}
-	// Wrong database id: the call must fail and leave the buffer untouched.
-	sess.ClearIgnored()
-	if err := sess.IgnoreStatisticsSubset("not-this-db", []stats.ID{id.ID}); err == nil {
-		t.Error("IgnoreStatisticsSubset with wrong db id should return an error")
-	}
-	if sess.ignored[id.ID] {
-		t.Error("failed IgnoreStatisticsSubset must not modify the ignore buffer")
-	}
+	// Hiding is per call: the next plain optimization sees the statistic.
 	again, _ := sess.Optimize(q)
 	if again.Signature() != with.Signature() {
-		t.Error("failed IgnoreStatisticsSubset must not change planning")
+		t.Error("a hidden statistic must stay hidden only for its own call")
 	}
-	sess.ClearIgnored()
 }
 
 // TestOverridesOnlyApplyWhenMissing: §7.2 — a selectivity parameter replaces
@@ -129,11 +118,8 @@ func TestOverridesOnlyApplyWhenMissing(t *testing.T) {
 		[]query.Filter{{Col: col("orders", "o_totalprice"), Op: query.Gt, Val: catalog.NewFloat(100)}},
 		nil, []query.ColumnRef{col("orders", "o_orderpriority")})
 	// Missing: override moves the estimate.
-	sess.SetSelectivityOverrides(map[int]float64{0: 0.001})
-	low, _ := sess.Optimize(q)
-	sess.SetSelectivityOverrides(map[int]float64{0: 0.999})
-	high, _ := sess.Optimize(q)
-	sess.ClearOverrides()
+	low, _ := sess.OptimizeWhatIf(q, WhatIf{Overrides: map[int]float64{0: 0.001}})
+	high, _ := sess.OptimizeWhatIf(q, WhatIf{Overrides: map[int]float64{0: 0.999}})
 	if low.Cost() >= high.Cost() {
 		t.Errorf("override should move cost: low %v, high %v", low.Cost(), high.Cost())
 	}
@@ -142,14 +128,15 @@ func TestOverridesOnlyApplyWhenMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, _ := sess.Optimize(q)
-	sess.SetSelectivityOverrides(map[int]float64{0: 0.001})
-	ov, _ := sess.Optimize(q)
-	sess.ClearOverrides()
+	ov, _ := sess.OptimizeWhatIf(q, WhatIf{Overrides: map[int]float64{0: 0.001}})
 	if base.Cost() != ov.Cost() {
 		t.Errorf("override applied despite statistics: %v vs %v", base.Cost(), ov.Cost())
 	}
 }
 
+// TestMissingStatVars: a plan's MissingVars are step (a) of §4.1, the
+// selectivity variables that fall back to magic numbers under the visible
+// statistics.
 func TestMissingStatVars(t *testing.T) {
 	sess, _ := testSession(t, 0)
 	q := mkSelect([]string{"lineitem", "orders"},
@@ -159,26 +146,33 @@ func TestMissingStatVars(t *testing.T) {
 		},
 		[]query.JoinPred{{Left: col("lineitem", "l_orderkey"), Right: col("orders", "o_orderkey")}},
 		[]query.ColumnRef{col("orders", "o_orderpriority")})
-	missing := sess.MissingStatVars(q)
-	if len(missing) != 4 {
-		t.Fatalf("all 4 vars should be missing, got %v", missing)
+	missing := func() []int {
+		t.Helper()
+		p, err := sess.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.MissingVars
+	}
+	if got := missing(); len(got) != 4 {
+		t.Fatalf("all 4 vars should be missing, got %v", got)
 	}
 	// Join stats cover the join var; one side alone does not.
 	_, _ = sess.Manager().Create("lineitem", []string{"l_orderkey"})
-	if got := sess.MissingStatVars(q); len(got) != 4 {
+	if got := missing(); len(got) != 4 {
 		t.Errorf("join var needs BOTH sides: %v", got)
 	}
 	_, _ = sess.Manager().Create("orders", []string{"o_orderkey"})
-	if got := sess.MissingStatVars(q); len(got) != 3 {
+	if got := missing(); len(got) != 3 {
 		t.Errorf("after join pair: %v", got)
 	}
 	_, _ = sess.Manager().Create("lineitem", []string{"l_quantity"})
 	_, _ = sess.Manager().Create("orders", []string{"o_totalprice"})
-	if got := sess.MissingStatVars(q); len(got) != 1 || got[0] != q.GroupVarID {
+	if got := missing(); len(got) != 1 || got[0] != q.GroupVarID {
 		t.Errorf("only the group var should remain: %v", got)
 	}
 	_, _ = sess.Manager().Create("orders", []string{"o_orderpriority"})
-	if got := sess.MissingStatVars(q); len(got) != 0 {
+	if got := missing(); len(got) != 0 {
 		t.Errorf("nothing should be missing: %v", got)
 	}
 }
@@ -222,17 +216,14 @@ func TestCostMonotonicity(t *testing.T) {
 				b := a + rng.Float64()*(1-a)
 				u[i], v[i] = a, b
 			}
-			sess.SetSelectivityOverrides(u)
-			pu, err := sess.Optimize(q)
+			pu, err := sess.OptimizeWhatIf(q, WhatIf{Overrides: u})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.SetSelectivityOverrides(v)
-			pv, err := sess.Optimize(q)
+			pv, err := sess.OptimizeWhatIf(q, WhatIf{Overrides: v})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.ClearOverrides()
 			// Allow a hair of float slack.
 			return pu.Cost() <= pv.Cost()*(1+1e-9)
 		}

@@ -185,7 +185,7 @@ func TestPlanCacheFilterCountBypass(t *testing.T) {
 func TestCacheKeyNoAlloc(t *testing.T) {
 	sess, _ := cachedSession(t, 8)
 	q := dateQuery(10400)
-	tmpl, buckets := sess.planParams(q)
+	tmpl, buckets := q.Template(), sess.planBuckets(q)
 	if n := testing.AllocsPerRun(200, func() {
 		key := sess.cacheKey(tmpl, buckets)
 		_ = key
@@ -217,7 +217,7 @@ func distinctTemplates() []*query.Select {
 }
 
 // TestPlanCacheConcurrentExactCounts is the -race test of the single lock:
-// eight cloned sessions optimize sixteen templates through a capacity-8 cache
+// eight goroutines sharing one session optimize sixteen templates through a capacity-8 cache
 // (so lookups, inserts and evictions all interleave) while each also drains
 // Stats / Keys / Len. Every snapshot must respect the capacity, and at the
 // end the counters must be exact: one lookup per Optimize, one eviction per
@@ -229,16 +229,15 @@ func TestPlanCacheConcurrentExactCounts(t *testing.T) {
 		perW     = 120
 		capacity = 8
 	)
-	proto, c := cachedSession(t, capacity)
+	sess, c := cachedSession(t, capacity)
 	queries := distinctTemplates()
 	const evictionMetric = "optimizer.plancache.evictions"
-	evictionsBefore := proto.Obs().Snapshot().Counters[evictionMetric]
+	evictionsBefore := sess.Obs().Snapshot().Counters[evictionMetric]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := proto.Clone()
 			for i := 0; i < perW; i++ {
 				if _, err := sess.Optimize(queries[(w*3+i)%len(queries)]); err != nil {
 					t.Errorf("optimize: %v", err)
@@ -273,7 +272,7 @@ func TestPlanCacheConcurrentExactCounts(t *testing.T) {
 	if st.Evictions == 0 || st.Evictions > st.Misses-capacity {
 		t.Errorf("evictions = %d with %d misses at capacity %d", st.Evictions, st.Misses, capacity)
 	}
-	if got := proto.Obs().Snapshot().Counters[evictionMetric] - evictionsBefore; uint64(got) != st.Evictions {
+	if got := sess.Obs().Snapshot().Counters[evictionMetric] - evictionsBefore; uint64(got) != st.Evictions {
 		t.Errorf("session metric saw %d evictions, cache %d", got, st.Evictions)
 	}
 }

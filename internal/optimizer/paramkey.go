@@ -25,7 +25,7 @@ import (
 // filterBucket quantizes the selectivity estimate for one filter constant.
 // The probe mirrors filterSel's statistics path: the first statistic whose
 // leading column matches estimates the predicate through its histogram (the
-// cache is only consulted with an empty ignore buffer, so every statistic is
+// cache is only consulted with an empty WhatIf, so every statistic is
 // visible). With no statistic the estimate falls back to a magic number,
 // which does not depend on the constant, so all such constants share the
 // bucketMissing sentinel.
@@ -52,16 +52,8 @@ func quantizeSel(sel float64) int8 {
 	return int8(b)
 }
 
-// planParams returns the statement template and the bucket vector for q.
-// The template render is memoized per query pointer: sessions are single-
-// goroutine, and both the MNSA loop (one default-magic re-optimization per
-// statistic built) and plain re-execution optimize the same *Select
-// repeatedly.
-func (s *Session) planParams(q *query.Select) (string, [maxCachedParams]int8) {
-	if s.tmplQ != q {
-		s.tmplStr = q.Template()
-		s.tmplQ = q
-	}
+// planBuckets returns the bucket vector for q's lifted constants.
+func (s *Session) planBuckets(q *query.Select) [maxCachedParams]int8 {
 	var buckets [maxCachedParams]int8
 	for i, f := range q.Filters {
 		if i >= maxCachedParams {
@@ -69,5 +61,5 @@ func (s *Session) planParams(q *query.Select) (string, [maxCachedParams]int8) {
 		}
 		buckets[i] = s.filterBucket(f)
 	}
-	return s.tmplStr, buckets
+	return buckets
 }

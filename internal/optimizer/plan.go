@@ -158,15 +158,6 @@ type Plan struct {
 	// MissingVars lists the selectivity variables that fell back to magic
 	// numbers (or overrides) because no applicable statistic was visible.
 	MissingVars []int
-	// Degraded lists why this plan was produced in degraded mode (sorted,
-	// deduplicated reasons like "stats-build"): a statistic the
-	// analysis wanted was unavailable, so the affected selectivity variables
-	// fell back to the default magic numbers of §4/§6. Degraded plans are
-	// still correct — only their cost estimates lean on magic numbers — and
-	// are never published to the plan cache, so the query re-optimizes to a
-	// non-degraded plan as soon as the statistics recover. Empty for
-	// healthy plans.
-	Degraded []string
 }
 
 // Cost returns the estimated cost of the whole plan.

@@ -25,10 +25,9 @@ const bucketMissing = int8(127)
 // the statement template (the canonical SQL print with comparison constants
 // replaced by '?'), the per-constant selectivity buckets, the statistics
 // epoch (bumped by every create/drop/refresh/drop-list change) and the
-// storage data version (bumped by every DML row change). A session's what-if
-// state — ignore buffer, selectivity overrides, degraded reasons — is
-// deliberately not in the key: Session.Optimize never looks up or publishes
-// while any of it is set.
+// storage data version (bumped by every DML row change). A WhatIf is
+// deliberately not in the key: Session.OptimizeWhatIf never looks up or
+// publishes under a non-empty one.
 //
 // The bucket vector is what makes constant lifting safe: a constant whose
 // estimated selectivity lands in a different power-of-two regime gets a
@@ -62,11 +61,11 @@ func (s PlanCacheStats) HitRate() float64 {
 
 // PlanCache is a concurrency-safe LRU cache of optimized plans: one mutex over
 // one map and one recency list, so capacity and eviction order are exact at
-// every size. It is shared by all sessions cloned from one System, so
-// workers running the same workload share hits. The lock
-// covers a map lookup and a list splice — rebinding a hit to new constants
-// happens outside it — and 8 goroutines hammering 30 cached statements on two
-// CPUs measured no faster through 8 hashed shards than through this one lock.
+// every size. It may be shared by several sessions, so workers running the
+// same workload share hits. The lock covers a map lookup and a list splice —
+// rebinding a hit to new constants happens outside it — and 8 goroutines
+// hammering 30 cached statements on two CPUs measured no faster through 8
+// hashed shards than through this one lock.
 //
 // Plans are treated as immutable once published; callers must not mutate a
 // Plan returned from the cache. A hit whose constants differ from the entry's

@@ -103,28 +103,24 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 	}
 	q := dateQuery(10400)
 	p1, _ := sess.Optimize(q)
-	// What-if state — selectivity overrides, an ignore buffer, or both —
-	// marks the session as running tuner probes: those optimizations bypass
-	// the cache entirely, no lookup and no insert, so hypothetical-
-	// configuration plans can never pollute the production cache (they
-	// surface as bypasses, not misses).
+	// A what-if configuration — selectivity overrides, hidden statistics,
+	// or both — marks a tuner probe: those optimizations bypass the cache
+	// entirely, no lookup and no insert, so hypothetical-configuration plans
+	// can never pollute the production cache (they surface as bypasses, not
+	// misses).
 	bypassBefore := sess.Obs().Snapshot().Counters["degraded.plancache_bypasses"]
-	sess.SetSelectivityOverrides(map[int]float64{q.Filters[0].VarID: 0.0005})
-	if p, _ := sess.Optimize(q); p == p1 {
+	pin := map[int]float64{q.Filters[0].VarID: 0.0005}
+	hide := []stats.ID{id.ID}
+	if p, _ := sess.OptimizeWhatIf(q, WhatIf{Overrides: pin}); p == p1 {
 		t.Error("a pinned-selectivity probe must not be served from the cache")
 	}
-	sess.ClearOverrides()
-	if err := sess.IgnoreStatisticsSubset("", []stats.ID{id.ID}); err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := sess.Optimize(q)
+	p2, _ := sess.OptimizeWhatIf(q, WhatIf{Hide: hide})
 	if p1 == p2 {
 		t.Error("ignoring the statistic must not serve the cached production plan")
 	}
 	// Overrides bite under the ignored statistic and must change the probe's
 	// plan content, even though no probe touches the cache.
-	sess.SetSelectivityOverrides(map[int]float64{q.Filters[0].VarID: 0.0005})
-	p3, _ := sess.Optimize(q)
+	p3, _ := sess.OptimizeWhatIf(q, WhatIf{Hide: hide, Overrides: pin})
 	if p3.Signature() == p2.Signature() {
 		t.Error("selectivity override should change the what-if plan")
 	}
@@ -136,16 +132,14 @@ func TestPlanCacheSessionKnobsKeyed(t *testing.T) {
 	if bypasses != 3 {
 		t.Errorf("plancache_bypasses = %d, want 3 (one per probe)", bypasses)
 	}
-	sess.ClearOverrides()
-	sess.ClearIgnored()
-	// With the what-if state cleared, the session is back on the production
-	// path and hits the original entry.
+	// A plain optimization is back on the production path and hits the
+	// original entry.
 	p4, _ := sess.Optimize(q)
 	if p4 != p1 {
-		t.Error("clearing the what-if state should hit the original cache entry")
+		t.Error("a plain optimization after the probes should hit the original cache entry")
 	}
 	if st := c.Stats(); st.Hits != 1 {
-		t.Errorf("expected the cleared-state lookup to hit: %+v", st)
+		t.Errorf("expected the plain lookup to hit: %+v", st)
 	}
 }
 
@@ -200,13 +194,13 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestConcurrentOptimizeAndMutate races cached optimization in several
-// cloned sessions against statistics creation/drop in another goroutine.
+// TestConcurrentOptimizeAndMutate races cached optimization on one shared
+// session in several goroutines against statistics creation/drop in another goroutine.
 // Correctness bar: no race reports (run under -race) and every returned plan
 // is non-nil with a positive cost.
 func TestConcurrentOptimizeAndMutate(t *testing.T) {
-	proto, _ := cachedSession(t, 64)
-	mgr := proto.Manager()
+	sess, _ := cachedSession(t, 64)
+	mgr := sess.Manager()
 	queries := []*query.Select{dateQuery(10000), dateQuery(10200), dateQuery(10400)}
 
 	stop := make(chan struct{})
@@ -237,7 +231,6 @@ func TestConcurrentOptimizeAndMutate(t *testing.T) {
 		workers.Add(1)
 		go func(w int) {
 			defer workers.Done()
-			sess := proto.Clone()
 			for i := 0; i < 40; i++ {
 				p, err := sess.Optimize(queries[(w+i)%len(queries)])
 				if err != nil {

@@ -13,40 +13,51 @@ import (
 // collapse to exactly zero (which would make every plan cost-equivalent).
 const MinSelectivity = 1e-6
 
-// estimator carries per-query estimation state: which statistics were
-// consulted and which selectivity variables fell back to magic numbers.
+// estimator carries per-query estimation state: the call's what-if
+// configuration, which statistics were consulted and which selectivity
+// variables fell back to magic numbers.
 type estimator struct {
 	sess         *Session
 	q            *query.Select
+	hidden       map[stats.ID]bool // WhatIf.Hide as a set
+	overrides    map[int]float64   // WhatIf.Overrides
 	used         map[stats.ID]bool
 	missing      map[int]bool
 	joinSelCache map[int]float64
 }
 
-func newEstimator(sess *Session, q *query.Select) *estimator {
-	return &estimator{
+func newEstimator(sess *Session, q *query.Select, w WhatIf) *estimator {
+	e := &estimator{
 		sess:         sess,
 		q:            q,
+		overrides:    w.Overrides,
 		used:         make(map[stats.ID]bool),
 		missing:      make(map[int]bool),
 		joinSelCache: make(map[int]float64),
 	}
+	if len(w.Hide) > 0 {
+		e.hidden = make(map[stats.ID]bool, len(w.Hide))
+		for _, id := range w.Hide {
+			e.hidden[id] = true
+		}
+	}
+	return e
 }
 
-// visibleStatFor returns the most precise (fewest columns) non-ignored
+// visibleStatFor returns the most precise (fewest columns) non-hidden
 // statistic whose leading column is table.column, or nil.
 func (e *estimator) visibleStatFor(table, column string) *stats.Statistic {
 	for _, s := range e.sess.prov.StatsForColumn(table, column) {
-		if !e.sess.ignored[s.ID] {
+		if !e.hidden[s.ID] {
 			return s
 		}
 	}
 	return nil
 }
 
-// visibleStatByID returns the statistic if it exists and is not ignored.
+// visibleStatByID returns the statistic if it exists and is not hidden.
 func (e *estimator) visibleStatByID(id stats.ID) *stats.Statistic {
-	if e.sess.ignored[id] {
+	if e.hidden[id] {
 		return nil
 	}
 	return e.sess.prov.Get(id)
@@ -85,7 +96,7 @@ func (e *estimator) filterSel(f query.Filter) float64 {
 		return clampSel(histogramOpSel(st.Data.Leading, f.Op, f.Val))
 	}
 	e.missing[f.VarID] = true
-	if ov, ok := e.sess.overrides[f.VarID]; ok {
+	if ov, ok := e.overrides[f.VarID]; ok {
 		return clampSel(ov)
 	}
 	switch {
@@ -123,7 +134,7 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 	// coverage, i.e. when it has no single-column coverage either; keeping it
 	// out of prefix coverage is the conservative choice.
 	eligible := func(f query.Filter) bool {
-		_, ov := e.sess.overrides[f.VarID]
+		_, ov := e.overrides[f.VarID]
 		return f.Op == query.Eq && !ov
 	}
 	nEq := 0
@@ -146,7 +157,7 @@ func (e *estimator) tableSelectivity(table string, filters []query.Filter) float
 		var bestStat *stats.Statistic
 		bestLen := 1
 		for _, st := range e.sess.prov.StatsOnTable(table) {
-			if e.sess.ignored[st.ID] || len(st.Columns) < 2 {
+			if e.hidden[st.ID] || len(st.Columns) < 2 {
 				continue
 			}
 			k := 0
@@ -216,7 +227,7 @@ func (e *estimator) joinSelUncached(j query.JoinPred) float64 {
 		return clampSel(histogram.JoinSelectivity(ls.Data.Leading, rs.Data.Leading))
 	}
 	e.missing[j.VarID] = true
-	if ov, ok := e.sess.overrides[j.VarID]; ok {
+	if ov, ok := e.overrides[j.VarID]; ok {
 		return clampSel(ov)
 	}
 	return magicJoin
@@ -333,7 +344,7 @@ func (e *estimator) groupCount(inputRows float64) float64 {
 	}
 	if e.q.GroupVarID >= 0 {
 		e.missing[e.q.GroupVarID] = true
-		if ov, ok := e.sess.overrides[e.q.GroupVarID]; ok {
+		if ov, ok := e.overrides[e.q.GroupVarID]; ok {
 			g := clampSel(ov) * inputRows
 			if g < 1 {
 				g = 1

@@ -46,13 +46,19 @@ func boundarySession(t *testing.T, rows []storage.Row) (*Session, *stats.Manager
 
 func filterRows(t *testing.T, sess *Session, op query.CmpOp, val int64) float64 {
 	t.Helper()
+	return filterRowsWhatIf(t, sess, op, val, WhatIf{})
+}
+
+// filterRowsWhatIf is filterRows under the what-if configuration w.
+func filterRowsWhatIf(t *testing.T, sess *Session, op query.CmpOp, val int64, w WhatIf) float64 {
+	t.Helper()
 	s := &query.Select{
 		Tables:     []string{"b"},
 		Filters:    []query.Filter{{Col: query.ColumnRef{Table: "b", Column: "v"}, Op: op, Val: catalog.NewInt(val)}},
 		GroupVarID: -1,
 	}
 	s.Normalize()
-	p, err := sess.Optimize(s)
+	p, err := sess.OptimizeWhatIf(s, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +167,10 @@ func TestSelectivityIgnoredStatFallsBackToMagic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, storage.Row{catalog.NewInt(int64(i)), catalog.NewInt(int64(i % 10))})
 	}
-	sess, mgr := boundarySession(t, rows)
-	if err := sess.IgnoreStatisticsSubset("", []stats.ID{stats.MakeID("b", []string{"v"})}); err != nil {
-		t.Fatal(err)
-	}
-	got := filterRows(t, sess, query.Eq, 3)
+	sess, _ := boundarySession(t, rows)
+	got := filterRowsWhatIf(t, sess, query.Eq, 3, WhatIf{Hide: []stats.ID{stats.MakeID("b", []string{"v"})}})
 	want := 100 * magicEq
 	if got != want {
 		t.Errorf("ignored stat: estimated %v rows, want magic-number estimate %v", got, want)
 	}
-	_ = mgr
 }

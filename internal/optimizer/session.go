@@ -1,57 +1,53 @@
 package optimizer
 
 import (
-	"fmt"
-	"sort"
-
 	"autostats/internal/obs"
-	"autostats/internal/query"
 	"autostats/internal/stats"
 )
 
-// Session is one optimization session against a database. It carries the two
-// server extensions of §7.2:
+// Session is one optimization session against a database. It holds only
+// what is fixed once it is set up — the statistics manager, the provider the
+// estimator reads through, the plan cache and the metric handles — so any
+// number of goroutines may Optimize and OptimizeWhatIf on one Session at
+// once. SetPlanCache and SetStatsProvider are configuration: call them
+// before the Session is shared. The attached PlanCache is itself
+// concurrency-safe.
 //
-//   - IgnoreStatisticsSubset: a connection-specific buffer of statistics the
-//     optimizer must not consider (used by the Shrinking Set algorithm to
-//     obtain Plan(Q, S−{s}) without physically dropping s);
-//   - SetSelectivityOverrides: parameterized selectivities for predicates
-//     that would otherwise fall back to default magic numbers (used by MNSA
-//     to construct P_low and P_high).
-//
-// Sessions are not safe for concurrent use; create one per goroutine (Clone
-// is the cheap way to do that). The attached PlanCache, by contrast, IS safe
-// for concurrent use and is intentionally shared across clones.
+// The two server extensions of §7.2 are the WhatIf argument of
+// OptimizeWhatIf, not state of the session.
 type Session struct {
 	mgr *stats.Manager
 	// prov is the statistics view every estimator read goes through. It
 	// defaults to mgr; SetStatsProvider substitutes a wrapper (fault
 	// injection, tracing) without touching the manager used for mutations.
-	prov stats.Provider
-
-	// ignored and overrides are the what-if buffers. While either is
-	// non-empty Optimize bypasses the plan cache in both directions, which is
-	// why neither is part of the cache key.
-	ignored   map[stats.ID]bool
-	overrides map[int]float64
-	// tmplQ / tmplStr memoize the last statement template render: sessions
-	// are single-goroutine and the MNSA loop re-optimizes the same *Select
-	// under default magic numbers once per statistic it builds.
-	tmplQ   *query.Select
-	tmplStr string
-	// degraded collects the reasons statistics could not be provided for
-	// the statement being processed (set by MNSA when a build fails,
-	// cleared per statement). While non-empty, Optimize tags plans
-	// Degraded and bypasses the plan cache like any other what-if state.
-	degraded map[string]bool
-	cache    *PlanCache
-	met      sessionMetrics
+	prov  stats.Provider
+	cache *PlanCache
+	met   sessionMetrics
 }
 
-// sessionMetrics caches the session's observability handles. A session is
-// single-goroutine, so handles are captured once at construction (from the
-// manager's registry — call stats.Manager.SetObsRegistry before creating
-// sessions) and shared by clones.
+// WhatIf is a statistics configuration to plan under in place of the
+// current one: the two server extensions of §7.2. The zero value is the
+// current configuration.
+type WhatIf struct {
+	// Hide lists statistics the optimizer must not consider
+	// (Ignore_Statistics_Subset): Shrinking Set obtains Plan(Q, S−{s})
+	// without physically dropping s.
+	Hide []stats.ID
+	// Overrides maps selectivity variable IDs to the selectivity to use
+	// where the optimizer would otherwise fall back to a default magic
+	// number; predicates covered by visible statistics are unaffected
+	// (§7.2: "accept the selectivity of such predicates as a parameter
+	// rather than using the default magic number"). MNSA pins them at ε and
+	// 1−ε to construct P_low and P_high. The map is read, never written.
+	Overrides map[int]float64
+}
+
+// empty reports whether w is the current statistics configuration.
+func (w WhatIf) empty() bool { return len(w.Hide) == 0 && len(w.Overrides) == 0 }
+
+// sessionMetrics caches the session's observability handles, captured once
+// at construction from the manager's registry (call
+// stats.Manager.SetObsRegistry before creating sessions).
 type sessionMetrics struct {
 	reg             *obs.Registry
 	optimizations   *obs.Counter
@@ -59,7 +55,6 @@ type sessionMetrics struct {
 	cacheHits       *obs.Counter
 	cacheMisses     *obs.Counter
 	cacheEvictions  *obs.Counter
-	degradedPlans   *obs.Counter
 	cacheBypasses   *obs.Counter
 }
 
@@ -71,7 +66,6 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 		cacheHits:       reg.Counter("optimizer.plancache.hits"),
 		cacheMisses:     reg.Counter("optimizer.plancache.misses"),
 		cacheEvictions:  reg.Counter("optimizer.plancache.evictions"),
-		degradedPlans:   reg.Counter("degraded.plans"),
 		cacheBypasses:   reg.Counter("degraded.plancache_bypasses"),
 	}
 }
@@ -79,11 +73,9 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 // NewSession creates a session over the given statistics manager.
 func NewSession(mgr *stats.Manager) *Session {
 	return &Session{
-		mgr:       mgr,
-		prov:      mgr,
-		ignored:   make(map[stats.ID]bool),
-		overrides: make(map[int]float64),
-		met:       newSessionMetrics(mgr.ObsRegistry()),
+		mgr:  mgr,
+		prov: mgr,
+		met:  newSessionMetrics(mgr.ObsRegistry()),
 	}
 }
 
@@ -94,7 +86,8 @@ func (s *Session) Manager() *stats.Manager { return s.mgr }
 // (nil restores the manager itself). Mutating paths — statistics creation
 // by MNSA, maintenance — keep going to the Manager; only the optimizer's
 // read-side view is swapped. Used by the fault-injection oracle to present
-// stale or torn statistics state to the optimizer.
+// stale or torn statistics state to the optimizer. Configuration method: do
+// not call while the session is optimizing.
 func (s *Session) SetStatsProvider(p stats.Provider) {
 	if p == nil {
 		s.prov = s.mgr
@@ -107,89 +100,7 @@ func (s *Session) SetStatsProvider(p stats.Provider) {
 // manager's registry at session creation time).
 func (s *Session) Obs() *obs.Registry { return s.met.reg }
 
-// SetPlanCache attaches a plan cache (nil detaches). Shared caches are safe:
-// a session holding what-if state (ignore buffer, overrides, degraded
-// reasons) does not touch the cache.
+// SetPlanCache attaches a plan cache (nil detaches). The cache may be shared
+// with other sessions. Configuration method: do not call while the session
+// is optimizing.
 func (s *Session) SetPlanCache(c *PlanCache) { s.cache = c }
-
-// Clone returns an independent session for use by another goroutine: same
-// manager and (shared, thread-safe) plan cache, but fresh
-// ignore and override buffers so the clones cannot interfere.
-func (s *Session) Clone() *Session {
-	return &Session{
-		mgr:       s.mgr,
-		prov:      s.prov,
-		ignored:   make(map[stats.ID]bool),
-		overrides: make(map[int]float64),
-		cache:     s.cache,
-		met:       s.met,
-	}
-}
-
-// IgnoreStatisticsSubset replaces the session's ignore buffer: subsequent
-// optimizations behave as if the listed statistics did not exist. The dbID
-// parameter mirrors the server call signature; it must match the managed
-// database's name ("" matches any). A mismatch returns an error and leaves
-// the buffer untouched — silently ignoring it would make Shrinking Set
-// results look like every statistic is essential.
-func (s *Session) IgnoreStatisticsSubset(dbID string, ids []stats.ID) error {
-	if dbID != "" && dbID != s.mgr.Database().Name {
-		return fmt.Errorf("optimizer: IgnoreStatisticsSubset for database %q, but session manages %q", dbID, s.mgr.Database().Name)
-	}
-	s.ignored = make(map[stats.ID]bool, len(ids))
-	for _, id := range ids {
-		s.ignored[id] = true
-	}
-	return nil
-}
-
-// ClearIgnored empties the ignore buffer.
-func (s *Session) ClearIgnored() {
-	s.ignored = make(map[stats.ID]bool)
-}
-
-// SetSelectivityOverrides replaces the per-predicate selectivity parameters.
-// An override applies ONLY where the optimizer would otherwise use a default
-// magic number; predicates covered by visible statistics are unaffected
-// (§7.2: "accept the selectivity of such predicates as a parameter rather
-// than using the default magic number").
-func (s *Session) SetSelectivityOverrides(ov map[int]float64) {
-	s.overrides = make(map[int]float64, len(ov))
-	for k, v := range ov {
-		s.overrides[k] = v
-	}
-}
-
-// ClearOverrides removes all selectivity overrides.
-func (s *Session) ClearOverrides() {
-	s.overrides = make(map[int]float64)
-}
-
-// MarkDegraded records one reason the current statement is planned in
-// degraded mode (a statistic the analysis wanted could not be built). While
-// any reason is recorded, Optimize tags plans with the reasons and bypasses
-// the plan cache so the degraded plan is never reused once statistics
-// recover. MNSA calls this on a failed build; ClearDegraded resets it at the
-// next statement boundary.
-func (s *Session) MarkDegraded(reason string) {
-	if s.degraded == nil {
-		s.degraded = make(map[string]bool)
-	}
-	s.degraded[reason] = true
-}
-
-// ClearDegraded resets the degraded-mode reasons for a new statement.
-func (s *Session) ClearDegraded() { s.degraded = nil }
-
-// DegradedReasons returns the recorded reasons, sorted; nil when healthy.
-func (s *Session) DegradedReasons() []string {
-	if len(s.degraded) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(s.degraded))
-	for r := range s.degraded {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}

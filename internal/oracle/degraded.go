@@ -59,13 +59,12 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 	// reference.
 	fired := flakyFailpoint(h.Mgr, 1<<30)
 	for _, sel := range queries {
-		h.Sess.ClearDegraded()
-		if _, err := core.RunMNSA(ctx, h.Sess, sel, cfg); err != nil {
+		res, err := core.RunMNSA(ctx, h.Sess, sel, cfg)
+		if err != nil {
 			h.Mgr.SetFailpoint(nil)
 			return rep, fmt.Errorf("oracle: MNSA under faults (%s): %w", sel.SQL(), err)
 		}
-		degraded := len(h.Sess.DegradedReasons()) > 0
-		if degraded {
+		if res.Degraded() {
 			rep.DegradedPlans++
 		}
 		f, err := h.checkQuery(sel)
@@ -92,16 +91,16 @@ func (h *Harness) RunDegradedRecovery(count int) (*DegradedReport, error) {
 	// explicit reset.
 	h.Mgr.SetFailpoint(nil)
 	for _, sel := range queries {
-		h.Sess.ClearDegraded()
-		if _, err := core.RunMNSA(ctx, h.Sess, sel, cfg); err != nil {
+		res, err := core.RunMNSA(ctx, h.Sess, sel, cfg)
+		if err != nil {
 			return rep, fmt.Errorf("oracle: MNSA after recovery (%s): %w", sel.SQL(), err)
 		}
-		if reasons := h.Sess.DegradedReasons(); len(reasons) > 0 {
+		if res.Degraded() {
 			rep.Findings = append(rep.Findings, Finding{
 				Oracle: "degraded-recovery",
 				Seed:   h.Opts.Seed,
 				SQL:    sel.SQL(),
-				Detail: fmt.Sprintf("plan still degraded after builds recovered: %v", reasons),
+				Detail: fmt.Sprintf("plan still degraded after builds recovered: %d build failures", len(res.BuildFailures)),
 			})
 			continue
 		}

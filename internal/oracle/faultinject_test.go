@@ -344,7 +344,8 @@ func TestStaleEpochProviderCannotPoisonSharedCache(t *testing.T) {
 		t.Fatal("refresh did not advance the epoch")
 	}
 
-	faulty := h.Sess.Clone()
+	faulty := optimizer.NewSession(h.Mgr)
+	faulty.SetPlanCache(cache)
 	faulty.SetStatsProvider(fp)
 	if _, err := faulty.Optimize(e.q); err != nil {
 		t.Fatal(err)
@@ -391,7 +392,8 @@ func TestTornSnapshotPlanNotCached(t *testing.T) {
 	cache := h.cache
 
 	fp := NewFaultyProvider(h.Mgr)
-	sess := h.Sess.Clone()
+	sess := optimizer.NewSession(h.Mgr)
+	sess.SetPlanCache(cache)
 	sess.SetStatsProvider(fp)
 
 	fp.TearAfter(1, func() {
@@ -476,9 +478,8 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := h.Sess.Clone()
 			for i := 0; i < iters; i++ {
-				if _, err := sess.Optimize(queries[(w+i)%len(queries)]); err != nil {
+				if _, err := h.Sess.Optimize(queries[(w+i)%len(queries)]); err != nil {
 					errs <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
 				}
@@ -513,7 +514,7 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 					return
 				}
 			case 2:
-				if _, err := h.Exec.RunStatement(h.Sess.Clone(), &query.Insert{Table: "orders", Values: proto}); err != nil {
+				if _, err := h.Exec.RunStatement(h.Sess, &query.Insert{Table: "orders", Values: proto}); err != nil {
 					errs <- err
 					return
 				}

@@ -95,7 +95,11 @@ func (h *Harness) RunMonotonicity(count int) (*MetaReport, error) {
 	rep := &MetaReport{}
 	for _, q := range queries {
 		rep.Queries++
-		missing := sess.MissingStatVars(q)
+		p, err := sess.Optimize(q)
+		if err != nil {
+			return rep, fmt.Errorf("oracle: optimize %s: %w", q.SQL(), err)
+		}
+		missing := p.MissingVars
 		if len(missing) == 0 {
 			continue
 		}
@@ -115,10 +119,8 @@ func (h *Harness) RunMonotonicity(count int) (*MetaReport, error) {
 					ov[k] = val
 				}
 				ov[v] = sel
-				sess.SetSelectivityOverrides(ov)
-				p, err := sess.Optimize(q)
+				p, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: ov})
 				if err != nil {
-					sess.ClearOverrides()
 					return rep, fmt.Errorf("oracle: optimize %s with var %d=%g: %w", q.SQL(), v, sel, err)
 				}
 				rep.Assertions++
@@ -134,7 +136,6 @@ func (h *Harness) RunMonotonicity(count int) (*MetaReport, error) {
 				prev, prevSel = p.Cost(), sel
 			}
 		}
-		sess.ClearOverrides()
 	}
 	return rep, nil
 }
@@ -168,7 +169,11 @@ func (h *Harness) RunExtremeBracket(count, samples int) (*MetaReport, error) {
 		// Fresh manager per query: statistics built for the ground-truth
 		// step must not leak into the next query's missing-variable set.
 		mgr, sess := h.freshSession()
-		missing := sess.MissingStatVars(q)
+		p, err := sess.Optimize(q)
+		if err != nil {
+			return rep, fmt.Errorf("oracle: optimize %s: %w", q.SQL(), err)
+		}
+		missing := p.MissingVars
 		if len(missing) == 0 {
 			continue
 		}
@@ -179,8 +184,7 @@ func (h *Harness) RunExtremeBracket(count, samples int) (*MetaReport, error) {
 			for _, v := range missing {
 				ov[v] = sel
 			}
-			sess.SetSelectivityOverrides(ov)
-			return sess.Optimize(q)
+			return sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: ov})
 		}
 		pLow, err := pin(eps)
 		if err != nil {
@@ -211,8 +215,7 @@ func (h *Harness) RunExtremeBracket(count, samples int) (*MetaReport, error) {
 			for _, v := range missing {
 				ov[v] = eps + (1-2*eps)*rng.Float64()
 			}
-			sess.SetSelectivityOverrides(ov)
-			p, err := sess.Optimize(q)
+			p, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: ov})
 			if err != nil {
 				return rep, fmt.Errorf("oracle: interior optimize %s: %w", q.SQL(), err)
 			}
@@ -237,7 +240,6 @@ func (h *Harness) RunExtremeBracket(count, samples int) (*MetaReport, error) {
 				return rep, fmt.Errorf("oracle: building candidate %s for %s: %w", c.ID(), q.SQL(), err)
 			}
 		}
-		sess.ClearOverrides()
 		pFull, err := sess.Optimize(q)
 		if err != nil {
 			return rep, fmt.Errorf("oracle: full-stats optimize %s: %w", q.SQL(), err)
@@ -298,14 +300,10 @@ func (h *Harness) RunShrinkPreservation(count int) (*MetaReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: shrinking set: %w", err)
 	}
-	if err := sess.IgnoreStatisticsSubset("", res.Removed); err != nil {
-		return nil, err
-	}
-	defer sess.ClearIgnored()
 	for i, q := range queries {
 		rep.Queries++
 		rep.Checked++
-		p, err := sess.Optimize(q)
+		p, err := sess.OptimizeWhatIf(q, optimizer.WhatIf{Hide: res.Removed})
 		if err != nil {
 			return rep, fmt.Errorf("oracle: shrunk-set optimize %s: %w", q.SQL(), err)
 		}

@@ -49,7 +49,6 @@ func (s *System) TuneQuery(ctx context.Context, sql string, opts TuneOptions) (*
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
-	s.sess.ClearDegraded()
 	res, err := core.RunMNSA(ctx, s.sess, q, tuneConfig(opts))
 	if err != nil {
 		return nil, err
@@ -85,7 +84,6 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr.ResetAccounting()
-	s.sess.ClearDegraded()
 	cfg := tuneConfig(opts)
 	rep := &TuneReport{}
 	sp := s.sess.Obs().StartSpan("tune.workload", func() map[string]any {
@@ -179,12 +177,14 @@ func (s *System) ProcessStatementCtx(ctx context.Context, sql string) (*QueryRes
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.auto.ProcessStatement(ctx, stmt)
+	res, mnsa, err := s.auto.ProcessStatement(ctx, stmt)
 	if err != nil {
 		return nil, err
 	}
 	out := renderResult(res)
-	out.Degraded = s.sess.DegradedReasons()
+	if mnsa != nil && mnsa.Degraded() {
+		out.Degraded = []string{"stats-build"}
+	}
 	return out, nil
 }
 
