@@ -13,8 +13,9 @@ import (
 	"strings"
 )
 
-// Type is the logical type of a column.
-type Type int
+// Type is the logical type of a column. It is a uint8 so that a Datum is
+// 40 bytes (see Datum).
+type Type uint8
 
 const (
 	// Int is a 64-bit signed integer column.
@@ -46,14 +47,19 @@ func (t Type) String() string {
 // Datum is a single typed value. Exactly one of the value fields is
 // meaningful, selected by T. Dates reuse the I field (days since epoch).
 //
-// Datum is a small value type passed by value throughout the system.
+// Datum is a small value type passed by value throughout the system. It is
+// 40 bytes on a 64-bit platform: T and Null share the first word, then come
+// I, F and the two-word string header S. Type is a uint8 for that sharing;
+// an int-sized T would leave Null a word of its own, 48 bytes in all. Rows
+// are slices of Datums, so this size sets how much a scan reads and a stored
+// row holds.
 type Datum struct {
 	T Type
-	I int64
-	F float64
-	S string
 	// Null marks the SQL NULL value; T is still set to the column type.
 	Null bool
+	I    int64
+	F    float64
+	S    string
 }
 
 // NewInt returns an Int datum.

@@ -7,7 +7,15 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestDatumSize holds Datum to the 40-byte layout its comment gives.
+func TestDatumSize(t *testing.T) {
+	if n := unsafe.Sizeof(Datum{}); unsafe.Sizeof(uintptr(0)) == 8 && n != 40 {
+		t.Errorf("a Datum is %d bytes, want 40", n)
+	}
+}
 
 func TestDatumCompareInts(t *testing.T) {
 	cases := []struct {

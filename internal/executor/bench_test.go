@@ -112,7 +112,9 @@ func BenchmarkIndexSeekSelect(b *testing.B) {
 // BenchmarkOperator runs each physical operator as the root of a hand-built
 // plan on the scale-1 database, so that a change to one operator's time or
 // allocations is attributable to it. Every plan's children are base-table
-// scans, whose cost is in each figure; FilteredScan is that cost alone.
+// scans, whose cost is in each figure; FilteredScan is that cost alone. Each
+// reports the work units its plan charges (units/op) and the time per unit
+// (ns/unit), so that how far units track time shows per operator.
 func BenchmarkOperator(b *testing.B) {
 	e := newEnv(b, 0, 1)
 	qty := query.Filter{Col: col2("lineitem", "l_quantity"), Op: query.Gt, Val: catalog.NewFloat(25)}
@@ -142,11 +144,16 @@ func BenchmarkOperator(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			plan := &optimizer.Plan{Root: bc.root}
 			b.ReportAllocs()
+			var units float64
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ex.Run(plan); err != nil {
+				res, err := e.ex.Run(plan)
+				if err != nil {
 					b.Fatal(err)
 				}
+				units = res.Cost
 			}
+			b.ReportMetric(units, "units/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/unit")
 		})
 	}
 }

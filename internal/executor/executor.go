@@ -24,7 +24,9 @@ type Result struct {
 	// column's key is "table.column" (lower case), an aggregate's is
 	// Aggregate.Key() (for example "count(*)").
 	Cols map[string]int
-	// Rows is the output row set (nil for DML).
+	// Rows is the output row set (nil for DML). It is read-only: a row may
+	// be a stored row of a table (see storage.TableData.Lend), and writing
+	// it would change what every other reader of that row sees.
 	Rows [][]catalog.Datum
 	// Cost is the total work units charged.
 	Cost float64
@@ -49,7 +51,8 @@ func (ex *Executor) Run(p *optimizer.Plan) (*Result, error) {
 	return &Result{Cols: rs.cols, Rows: rs.rows, Cost: cost}, nil
 }
 
-// resultSet is an intermediate materialized relation.
+// resultSet is an intermediate materialized relation. Operators may reorder
+// its rows but never write one: a base table's rows are the stored rows.
 type resultSet struct {
 	cols map[string]int
 	rows [][]catalog.Datum
@@ -152,7 +155,8 @@ func (f *fetcher) pass(r storage.Row) bool {
 }
 
 // execTable reads a base table: a scan charges every row, an index seek
-// the seek and each row in the range its seek filters bound.
+// the seek and each row in the range its seek filters bound. It keeps the
+// table's own rows, lent so that no later UPDATE writes them.
 func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 	td, err := ex.db.Table(n.Table)
 	if err != nil {
@@ -168,9 +172,10 @@ func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	keep := func(_ int, r storage.Row) bool {
+	keep := func(id int, r storage.Row) bool {
 		if f.pass(r) {
-			rs.rows = append(rs.rows, slices.Clone(r))
+			td.Lend(id)
+			rs.rows = append(rs.rows, r)
 		}
 		return f.err == nil
 	}

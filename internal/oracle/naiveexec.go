@@ -21,6 +21,7 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,9 +93,11 @@ func naiveJoin(db *storage.Database, q *query.Select, maxRows int) (*NaiveResult
 			tcols[strings.ToLower(c.Name)] = i
 		}
 
-		// Scan and filter this table's rows up front.
+		// Scan and filter this table's rows up front. The rows are copied:
+		// a stored row is valid only while Scan's visitor runs, and the
+		// reference does not lend rows as the executor does.
 		filters := q.FiltersOn(tn)
-		var trows []storage.Row
+		var trows [][]catalog.Datum
 		var scanErr error
 		td.Scan(func(_ int, r storage.Row) bool {
 			for _, f := range filters {
@@ -112,7 +115,7 @@ func naiveJoin(db *storage.Database, q *query.Select, maxRows int) (*NaiveResult
 					return true
 				}
 			}
-			trows = append(trows, r)
+			trows = append(trows, slices.Clone(r))
 			return true
 		})
 		if scanErr != nil {
@@ -138,10 +141,7 @@ func naiveJoin(db *storage.Database, q *query.Select, maxRows int) (*NaiveResult
 		if out.Rows == nil && offset == 0 {
 			// First table: seed the accumulator (self-joins are impossible,
 			// so preds is empty here).
-			out.Rows = make([][]catalog.Datum, len(trows))
-			for i, r := range trows {
-				out.Rows[i] = append([]catalog.Datum(nil), r...)
-			}
+			out.Rows = trows
 			if len(out.Rows) > maxRows {
 				return nil, errBudget
 			}

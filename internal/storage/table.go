@@ -6,6 +6,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,10 @@ type Row []catalog.Datum
 //
 // Deletion is implemented with a tombstone bitmap so row IDs stay stable for
 // the indexes.
+//
+// A stored row is written in place until a reader keeps it past the read
+// lock (see Lend). From then on it is immutable: Update writes a copy, and
+// the reader's row keeps the values it was read with.
 type TableData struct {
 	mu sync.RWMutex
 
@@ -27,6 +32,10 @@ type TableData struct {
 	rows   []Row
 	dead   []bool
 	live   int
+	// lent has bit id%64 of word id/64 set while row id is lent. Readers set
+	// bits atomically under the read lock; Update clears them under the
+	// write lock. Insert and BulkLoad keep it sized to rows.
+	lent []uint64
 
 	indexes map[string]*index // by the catalog's column name
 
@@ -57,16 +66,21 @@ func newTableData(schema *catalog.Table) *TableData {
 	return &TableData{Schema: schema, indexes: make(map[string]*index)}
 }
 
-// Insert appends a row. The row must match the schema arity.
+// Insert appends a copy of r, so the caller may reuse r. The row must match
+// the schema arity.
 func (t *TableData) Insert(r Row) error {
 	if len(r) != len(t.Schema.Columns) {
 		return fmt.Errorf("storage: insert into %s: got %d values, want %d", t.Schema.Name, len(r), len(t.Schema.Columns))
 	}
+	r = slices.Clone(r)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := len(t.rows)
 	t.rows = append(t.rows, r)
 	t.dead = append(t.dead, false)
+	if id%64 == 0 {
+		t.lent = append(t.lent, 0)
+	}
 	t.live++
 	t.modCounter++
 	t.version++
@@ -90,6 +104,7 @@ func (t *TableData) BulkLoad(rows []Row) error {
 	defer t.mu.Unlock()
 	t.rows = rows
 	t.dead = make([]bool, len(rows))
+	t.lent = make([]uint64, (len(rows)+63)/64)
 	t.live = len(rows)
 	t.version++
 	for col := range t.indexes {
@@ -172,8 +187,10 @@ func (t *TableData) Delete(find func(View) ([]int, error)) (int, error) {
 
 // Update overwrites column col (by ordinal) of the live rows that find picks
 // with v and returns how many there were. find runs under the write lock, as
-// for Delete. Indexed columns trigger an index fix-up in the order of the
-// picked IDs, which decides the index order among equal keys.
+// for Delete. A lent row is copied before it is written and is no longer
+// lent after; any other row is written in place. Indexed columns trigger an
+// index fix-up in the order of the picked IDs, which decides the index order
+// among equal keys.
 func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Datum) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -191,12 +208,31 @@ func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Da
 			ix.remove(t.rows[id][col], id)
 			ix.insert(v, id)
 		}
+		// The write lock excludes every reader, so no bit changes here.
+		if w, bit := id/64, uint64(1)<<(id%64); t.lent[w]&bit != 0 {
+			t.rows[id] = slices.Clone(t.rows[id])
+			t.lent[w] &^= bit
+		}
 		t.rows[id][col] = v
 		n++
 	}
 	t.modCounter += int64(n)
 	t.version += int64(n)
 	return n, nil
+}
+
+// Lend marks row id as kept by a reader past the read lock, so that the row
+// the reader holds never changes: an Update copies a lent row before writing
+// it. The row is read-only to every holder from then on. Lend takes no lock;
+// call it only for a row that a Scan or Seek visitor of t was handed, while
+// the visitor runs.
+func (t *TableData) Lend(id int) {
+	w, bit := &t.lent[id/64], uint64(1)<<(id%64)
+	for old := atomic.LoadUint64(w); old&bit == 0; old = atomic.LoadUint64(w) {
+		if atomic.CompareAndSwapUint64(w, old, old|bit) {
+			return
+		}
+	}
 }
 
 // View reads a table under a lock its holder already has. TableData's read
