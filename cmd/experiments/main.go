@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -81,6 +83,10 @@ func main() {
 		return
 	}
 
+	// The record's first line: what produced it, on how many CPUs, and when.
+	fmt.Printf("command: %s; %d CPUs; %s\n", strings.Join(append([]string{filepath.Base(os.Args[0])}, os.Args[1:]...), " "),
+		runtime.NumCPU(), time.Now().Format("2006-01-02"))
+
 	dbList := strings.Split(*dbs, ",")
 	// On failure or interrupt the remaining experiments are skipped, but the
 	// -metrics dump and -trace file are still written before exiting non-zero.
@@ -106,11 +112,22 @@ func main() {
 	run("fig4", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, false) })
 	run("fig4sc", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, true) })
 	run("table1", func() error { return runTable1(dbList, orDefault(*wl, "U25-C-100"), *scale, *seed) })
-	run("ablation-t", func() error { return runAblationT(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("ablation-eps", func() error { return runAblationEps(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("ablation-next", func() error { return runAblationNext(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("ablation-cov", func() error { return runAblationCov(orDefault(*wl, "U0-C-60"), *scale, *seed) })
-	run("ablation-hist", func() error { return runAblationHist(orDefault(*wl, "U0-C-60"), *scale, *seed) })
+	for _, a := range bench.Ablations {
+		run(a.Name, func() error {
+			wl := orDefault(*wl, "U0-C-60")
+			header(fmt.Sprintf(a.Title, ablationDB, wl))
+			rows, err := a.Run(ablationDB, wl, *scale, *seed)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-26s %7s %14s %9s %14s %10s\n", "config", "stats#", "create units", "optcalls", "exec cost", "exec+%")
+			for _, r := range rows {
+				fmt.Printf("%-26s %7d %14.0f %9d %14.0f %9.1f%%\n",
+					r.Label, r.StatsCreated, r.CreationUnits, r.OptimizerCalls, r.ExecCost, r.ExecIncreasePct)
+			}
+			return nil
+		})
+	}
 
 	if *metrics {
 		fmt.Printf("\nmetrics:\n")
@@ -136,6 +153,9 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// ablationDB is the database every ablation runs on.
+const ablationDB = "TPCD_2"
 
 func orDefault(v, def string) string {
 	if v == "" {
@@ -189,91 +209,33 @@ func runFig4(dbs []string, wl string, scale float64, seed int64, singleCol bool)
 		expect = "(paper: >30% reduction in all cases)"
 	}
 	header(fmt.Sprintf("%s — workload %s, scale %.2f %s", title, wl, scale, expect))
-	fmt.Printf("%-10s %6s %6s %14s %14s %8s %12s %10s\n",
-		"db", "all#", "mnsa#", "all units", "mnsa units", "optcalls", "reduction%", "exec+%")
+	fmt.Printf("%-10s %6s %6s %14s %14s %8s %12s %12s %10s\n",
+		"db", "all#", "mnsa#", "all units", "mnsa units", "optcalls", "reduction%", "wall-red%", "exec+%")
 	for _, db := range dbs {
 		row, err := bench.Figure4(db, wl, scale, seed, fn)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %6d %6d %14.0f %14.0f %8d %11.1f%% %9.1f%%\n",
+		fmt.Printf("%-10s %6d %6d %14.0f %14.0f %8d %11.1f%% %11.1f%% %9.1f%%\n",
 			row.DB, row.AllCount, row.MNSACount, row.AllUnits, row.MNSAUnits,
-			row.OptimizerCalls, row.CreationReductionPct, row.ExecIncreasePct)
+			row.OptimizerCalls, row.CreationReductionPct, row.WallReductionPct, row.ExecIncreasePct)
 	}
 	return nil
 }
 
 func runTable1(dbs []string, wl string, scale float64, seed int64) error {
 	header(fmt.Sprintf("Table 1 — MNSA/D vs MNSA update cost — workload %s, scale %.2f (paper: 30-34%% reduction, ≤6%% exec increase on re-run)", wl, scale))
-	fmt.Printf("%-10s %6s %6s %6s %12s %12s %10s %10s\n",
-		"db", "mnsa#", "drop#", "kept#", "upd-red%", "replay-red%", "exec+%", "optcalls")
+	fmt.Printf("%-10s %6s %6s %6s %12s %12s %10s\n",
+		"db", "mnsa#", "drop#", "kept#", "upd-red%", "replay-red%", "exec+%")
 	for _, db := range dbs {
 		row, err := bench.Table1(db, wl, scale, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %6d %6d %6d %11.1f%% %11.1f%% %9.1f%% %10s\n",
+		fmt.Printf("%-10s %6d %6d %6d %11.1f%% %11.1f%% %9.1f%%\n",
 			row.DB, row.MNSACount, row.DropListed, row.MNSADCount-row.DropListed,
-			row.UpdateReductionPct, row.ReplayReductionPct, row.ExecIncreasePct, "-")
+			row.UpdateReductionPct, row.ReplayReductionPct, row.ExecIncreasePct)
 	}
-	return nil
-}
-
-func printAblation(rows []*bench.AblationRow) {
-	fmt.Printf("%-26s %7s %14s %9s %14s %10s\n", "config", "stats#", "create units", "optcalls", "exec cost", "exec+%")
-	for _, r := range rows {
-		fmt.Printf("%-26s %7d %14.0f %9d %14.0f %9.1f%%\n",
-			r.Label, r.StatsCreated, r.CreationUnits, r.OptimizerCalls, r.ExecCost, r.ExecIncreasePct)
-	}
-}
-
-func runAblationT(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — t threshold sweep — TPCD_2, workload %s (larger t ⇒ fewer statistics, laxer equivalence)", wl))
-	rows, err := bench.AblationThreshold("TPCD_2", wl, scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
-	return nil
-}
-
-func runAblationEps(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — epsilon sweep — TPCD_2, workload %s (larger ε narrows the tested selectivity range)", wl))
-	rows, err := bench.AblationEpsilon("TPCD_2", wl, scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
-	return nil
-}
-
-func runAblationNext(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — FindNextStatToBuild heuristic vs random pick — TPCD_2, workload %s", wl))
-	rows, err := bench.AblationNextStat("TPCD_2", wl, scale, seed)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
-	return nil
-}
-
-func runAblationCov(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — §6 cost-coverage knob — TPCD_2, workload %s (tune only queries covering X%% of estimated cost)", wl))
-	rows, err := bench.AblationCostWeighted("TPCD_2", wl, scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
-	return nil
-}
-
-func runAblationHist(wl string, scale float64, seed int64) error {
-	header(fmt.Sprintf("Ablation — histogram structure (MaxDiff vs equi-depth) — TPCD_2, workload %s", wl))
-	rows, err := bench.AblationHistogramKind("TPCD_2", wl, scale, seed)
-	if err != nil {
-		return err
-	}
-	printAblation(rows)
 	return nil
 }
 

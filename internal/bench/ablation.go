@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"time"
 
 	"autostats/internal/core"
 	"autostats/internal/histogram"
@@ -28,185 +27,129 @@ type AblationRow struct {
 	ExecCost float64
 	// ExecIncreasePct is relative to the all-candidates baseline.
 	ExecIncreasePct float64
-	Elapsed         time.Duration
 }
 
-// runMNSAPoint runs MNSA with cfg on a fresh environment and returns a row.
-func runMNSAPoint(dbName, wlName string, scale float64, seed int64, label string, baselineExec float64, cfg core.Config) (*AblationRow, error) {
-	env, err := newEnv(dbName, scale)
-	if err != nil {
-		return nil, err
-	}
-	w, err := env.buildWorkload(wlName, seed)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.sess, w.Queries(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	exec, err := env.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationRow{
-		Label:           label,
-		StatsCreated:    len(wr.Created),
-		CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
-		OptimizerCalls:  wr.OptimizerCalls,
-		ExecCost:        exec,
-		ExecIncreasePct: PctIncrease(baselineExec, exec),
-		Elapsed:         elapsed,
-	}, nil
+// Ablations are DESIGN.md's MNSA design-choice sweeps (✦). Name is the
+// cmd/experiments -exp value; Title is the table heading, a format for the
+// database and workload names; Run returns one row per configuration point.
+var Ablations = []struct {
+	Name, Title string
+	Run         func(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error)
+}{
+	{"ablation-t", "Ablation — t threshold sweep — %s, workload %s (larger t ⇒ fewer statistics, laxer equivalence)", ablationThreshold},
+	{"ablation-eps", "Ablation — epsilon sweep — %s, workload %s (larger ε narrows the tested selectivity range)", ablationEpsilon},
+	{"ablation-next", "Ablation — FindNextStatToBuild heuristic vs random pick — %s, workload %s", ablationNextStat},
+	{"ablation-cov", "Ablation — §6 cost-coverage knob — %s, workload %s (tune only queries covering X%% of estimated cost)", ablationCostWeighted},
+	{"ablation-hist", "Ablation — histogram structure (MaxDiff vs equi-depth) — %s, workload %s", ablationHistogramKind},
 }
 
-// baselineExec measures workload execution cost with every candidate built.
-func baselineExec(dbName, wlName string, scale float64, seed int64) (float64, error) {
-	env, err := newEnv(dbName, scale)
-	if err != nil {
-		return 0, err
-	}
-	w, err := env.buildWorkload(wlName, seed)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, err := env.createAll(core.WorkloadCandidates(w.Queries(), core.CandidateStats)); err != nil {
-		return 0, err
-	}
-	return env.executeQueries(w)
-}
+// The sweeps' configuration points.
+var (
+	// thresholds are DESIGN.md's t ∈ {5, 10, 20, 40}, in percent.
+	thresholds = []float64{5, 10, 20, 40}
+	epsilons   = []float64{0.0005, 0.005, 0.05, 0.2}
+	coverages  = []float64{1.0, 0.9, 0.7, 0.5}
+)
 
-// AblationThreshold sweeps the t-optimizer-cost equivalence threshold
-// (DESIGN.md: t ∈ {5, 10, 20, 40}). Larger t means a laxer equivalence test,
-// fewer statistics, and potentially worse plans — the cost/accuracy dial of
-// §3.2.
-func AblationThreshold(dbName, wlName string, scale float64, seed int64, thresholds []float64) ([]*AblationRow, error) {
-	if len(thresholds) == 0 {
-		thresholds = []float64{5, 10, 20, 40}
-	}
-	base, err := baselineExec(dbName, wlName, scale, seed)
+// ablate runs the all-candidates baseline on c, then one arm per point, and
+// returns one row per point with its execution cost relative to the
+// baseline's.
+func ablate[P any](c cell, points []P, arm func(P) (label string, a *armResult, err error)) ([]*AblationRow, error) {
+	base, err := c.runArm(createAll(core.CandidateStats))
 	if err != nil {
 		return nil, err
 	}
-	var rows []*AblationRow
-	for _, t := range thresholds {
+	rows := make([]*AblationRow, 0, len(points))
+	for _, p := range points {
+		label, a, err := arm(p)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, &AblationRow{
+			Label:           label,
+			StatsCreated:    a.created,
+			CreationUnits:   a.units,
+			OptimizerCalls:  a.optCalls,
+			ExecCost:        a.exec,
+			ExecIncreasePct: PctIncrease(base.exec, a.exec),
+		})
+	}
+	return rows, nil
+}
+
+// ablationThreshold sweeps the t-optimizer-cost equivalence threshold.
+// Larger t means a laxer equivalence test, fewer statistics, and potentially
+// worse plans — the cost/accuracy dial of §3.2.
+func ablationThreshold(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
+	c := newCell(dbName, wlName, scale, seed)
+	return ablate(c, thresholds, func(t float64) (string, *armResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.T = t
-		row, err := runMNSAPoint(dbName, wlName, scale, seed, labelFloat("t=", t, "%%"), base, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		a, err := c.runArm(mnsa(cfg))
+		return labelFloat("t=", t, "%"), a, err
+	})
 }
 
-// AblationEpsilon sweeps ε, the extreme-selectivity pin of §4.1. Larger ε
+// ablationEpsilon sweeps ε, the extreme-selectivity pin of §4.1. Larger ε
 // narrows the tested selectivity range, weakening the guarantee for very
 // selective predicates.
-func AblationEpsilon(dbName, wlName string, scale float64, seed int64, epsilons []float64) ([]*AblationRow, error) {
-	if len(epsilons) == 0 {
-		epsilons = []float64{0.0005, 0.005, 0.05, 0.2}
-	}
-	base, err := baselineExec(dbName, wlName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []*AblationRow
-	for _, eps := range epsilons {
+func ablationEpsilon(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
+	c := newCell(dbName, wlName, scale, seed)
+	return ablate(c, epsilons, func(eps float64) (string, *armResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.Epsilon = eps
-		row, err := runMNSAPoint(dbName, wlName, scale, seed, labelFloat("eps=", eps, ""), base, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		a, err := c.runArm(mnsa(cfg))
+		return labelFloat("eps=", eps, ""), a, err
+	})
 }
 
-// AblationNextStat compares the §4.2 most-expensive-operator heuristic
+// ablationNextStat compares the §4.2 most-expensive-operator heuristic
 // against a seeded random choice of the next statistic to build. The
 // heuristic should converge in fewer created statistics and optimizer calls.
-func AblationNextStat(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
-	base, err := baselineExec(dbName, wlName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	heuristic, err := runMNSAPoint(dbName, wlName, scale, seed, "most-expensive-operator", base, core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-
-	// Random arm: run MNSA-with-random-pick via the core RandomNextStat hook.
-	cfg := core.DefaultConfig()
-	rng := rand.New(rand.NewSource(seed))
-	cfg.NextStatFn = func(p *optimizer.Plan, cands []core.Candidate, mgr *stats.Manager, consumed map[stats.ID]bool, missing []int) []core.Candidate {
-		var avail []core.Candidate
-		for _, c := range cands {
-			if !consumed[c.ID()] && !mgr.Has(c.ID()) {
-				avail = append(avail, c)
+func ablationNextStat(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
+	c := newCell(dbName, wlName, scale, seed)
+	return ablate(c, []string{"most-expensive-operator", "random-pick"}, func(label string) (string, *armResult, error) {
+		cfg := core.DefaultConfig()
+		if label == "random-pick" {
+			rng := rand.New(rand.NewSource(seed))
+			cfg.NextStatFn = func(p *optimizer.Plan, cands []core.Candidate, mgr *stats.Manager, consumed map[stats.ID]bool, missing []int) []core.Candidate {
+				var avail []core.Candidate
+				for _, cand := range cands {
+					if !consumed[cand.ID()] && !mgr.Has(cand.ID()) {
+						avail = append(avail, cand)
+					}
+				}
+				if len(avail) == 0 {
+					return nil
+				}
+				return []core.Candidate{avail[rng.Intn(len(avail))]}
 			}
 		}
-		if len(avail) == 0 {
-			return nil
-		}
-		return []core.Candidate{avail[rng.Intn(len(avail))]}
-	}
-	random, err := runMNSAPoint(dbName, wlName, scale, seed, "random-pick", base, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return []*AblationRow{heuristic, random}, nil
+		a, err := c.runArm(mnsa(cfg))
+		return label, a, err
+	})
 }
 
 func labelFloat(prefix string, v float64, suffix string) string {
 	return prefix + strconv.FormatFloat(v, 'g', -1, 64) + suffix
 }
 
-// AblationCostWeighted sweeps the §6 cost-coverage knob: MNSA restricted to
+// ablationCostWeighted sweeps the §6 cost-coverage knob: MNSA restricted to
 // the most expensive queries covering X% of estimated workload cost.
-func AblationCostWeighted(dbName, wlName string, scale float64, seed int64, coverages []float64) ([]*AblationRow, error) {
-	if len(coverages) == 0 {
-		coverages = []float64{1.0, 0.9, 0.7, 0.5}
-	}
-	base, err := baselineExec(dbName, wlName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []*AblationRow
-	for _, cov := range coverages {
-		env, err := newEnv(dbName, scale)
-		if err != nil {
-			return nil, err
-		}
-		w, err := env.buildWorkload(wlName, seed)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		wr, tuned, err := runMNSACostWeighted(env.sess, w.Queries(), core.DefaultConfig(), cov)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		exec, err := env.executeQueries(w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, &AblationRow{
-			Label:           labelFloat("coverage=", cov, "") + labelFloat(" (", float64(tuned), " queries)"),
-			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
-			OptimizerCalls:  wr.OptimizerCalls,
-			ExecCost:        exec,
-			ExecIncreasePct: PctIncrease(base, exec),
-			Elapsed:         elapsed,
+func ablationCostWeighted(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
+	c := newCell(dbName, wlName, scale, seed)
+	return ablate(c, coverages, func(cov float64) (string, *armResult, error) {
+		var tuned int
+		a, err := c.runArm(func(e *env, queries []*query.Select) (int, int, error) {
+			wr, n, err := runMNSACostWeighted(e.sess, queries, core.DefaultConfig(), cov)
+			if err != nil {
+				return 0, 0, err
+			}
+			tuned = n
+			return len(wr.Created), wr.OptimizerCalls, nil
 		})
-	}
-	return rows, nil
+		return labelFloat("coverage=", cov, "") + labelFloat(" (", float64(tuned), " queries)"), a, err
+	})
 }
 
 // runMNSACostWeighted implements the §6 off-line optimization: "in MNSA we
@@ -256,48 +199,16 @@ func runMNSACostWeighted(sess *optimizer.Session, queries []*query.Select, cfg c
 	return wr, len(selected), nil
 }
 
-// AblationHistogramKind compares MaxDiff against equi-depth histograms under
+// ablationHistogramKind compares MaxDiff against equi-depth histograms under
 // the same MNSA configuration — the §1 claim that the selection algorithms
 // are oblivious to the statistics structure, with the quality difference the
 // histogram choice itself makes.
-func AblationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
-	base, err := baselineExec(dbName, wlName, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []*AblationRow
-	for _, kind := range []histogram.Kind{histogram.MaxDiff, histogram.EquiDepth} {
-		env, err := newEnv(dbName, scale)
-		if err != nil {
-			return nil, err
-		}
-		// Swap the manager's histogram kind by rebuilding the environment
-		// plumbing with the alternative kind.
-		env.mgr = stats.NewManager(env.db, kind, 0)
-		env.sess = optimizer.NewSession(env.mgr)
-		w, err := env.buildWorkload(wlName, seed)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		wr, err := core.RunMNSAWorkloadCtx(context.Background(), env.sess, w.Queries(), core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		exec, err := env.executeQueries(w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, &AblationRow{
-			Label:           kind.String(),
-			StatsCreated:    len(wr.Created),
-			CreationUnits:   env.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits,
-			OptimizerCalls:  wr.OptimizerCalls,
-			ExecCost:        exec,
-			ExecIncreasePct: PctIncrease(base, exec),
-			Elapsed:         elapsed,
-		})
-	}
-	return rows, nil
+func ablationHistogramKind(dbName, wlName string, scale float64, seed int64) ([]*AblationRow, error) {
+	c := newCell(dbName, wlName, scale, seed)
+	return ablate(c, []histogram.Kind{histogram.MaxDiff, histogram.EquiDepth}, func(kind histogram.Kind) (string, *armResult, error) {
+		k := c
+		k.kind = kind
+		a, err := k.runArm(mnsa(core.DefaultConfig()))
+		return kind.String(), a, err
+	})
 }

@@ -3,32 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"autostats/internal/core"
+	"autostats/internal/histogram"
 	"autostats/internal/query"
 	"autostats/internal/stats"
 	"autostats/internal/workload"
 )
-
-// optimizerCallUnits charges one full optimization at the equivalent of
-// scanning a few hundred rows when folding MNSA's overhead into "statistics
-// creation cost" (§8.2 includes the overhead; §4.3: "the time to create a
-// statistic typically far exceeds the time to optimize a query").
-const optimizerCallUnits = 200.0
-
-// createAll builds every candidate in order and returns (cost units, wall
-// time) charged by the statistics manager.
-func (e *env) createAll(cands []core.Candidate) (float64, time.Duration, error) {
-	e.mgr.ResetAccounting()
-	for _, c := range cands {
-		if _, err := e.mgr.Create(c.Table, c.Columns); err != nil {
-			return 0, 0, err
-		}
-	}
-	acct := e.mgr.Snapshot()
-	return acct.TotalBuildCost, acct.TotalBuildTime, nil
-}
 
 // ---------------------------------------------------------------------------
 // §1 motivating experiment
@@ -60,7 +41,7 @@ type IntroResult struct {
 
 // Intro runs the §1 experiment on the named database.
 func Intro(dbName string, scale float64) (*IntroResult, error) {
-	env, err := newEnv(dbName, scale)
+	env, err := newEnv(dbName, scale, histogram.MaxDiff)
 	if err != nil {
 		return nil, err
 	}
@@ -73,30 +54,34 @@ func Intro(dbName string, scale float64) (*IntroResult, error) {
 	}
 	queries := w.Queries()
 
-	before := make([]*planExec, len(queries))
+	type planned struct {
+		sig  string
+		exec float64
+	}
+	before := make([]planned, len(queries))
 	for i, q := range queries {
-		pe, err := env.planAndRun(q)
+		plan, exec, err := env.planAndRun(q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: intro Q%d before: %w", i+1, err)
 		}
-		before[i] = pe
+		before[i] = planned{plan.Signature(), exec}
 	}
 	// "We then created a set of relevant statistics for the workload":
 	// all §7.1 candidates for the 17 queries.
-	if _, _, err := env.createAll(core.WorkloadCandidates(queries, core.CandidateStats)); err != nil {
+	if _, _, err := createAll(core.CandidateStats)(env, queries); err != nil {
 		return nil, err
 	}
 	res := &IntroResult{DB: dbName}
 	for i, q := range queries {
-		after, err := env.planAndRun(q)
+		plan, exec, err := env.planAndRun(q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: intro Q%d after: %w", i+1, err)
 		}
 		row := IntroRow{
 			Query:       i + 1,
-			PlanChanged: after.sig != before[i].sig,
-			ExecBefore:  before[i].execCost,
-			ExecAfter:   after.execCost,
+			PlanChanged: plan.Signature() != before[i].sig,
+			ExecBefore:  before[i].exec,
+			ExecAfter:   exec,
 		}
 		if row.PlanChanged {
 			res.Changed++
@@ -111,24 +96,6 @@ func Intro(dbName string, scale float64) (*IntroResult, error) {
 	return res, nil
 }
 
-type planExec struct {
-	sig      string
-	estCost  float64
-	execCost float64
-}
-
-func (e *env) planAndRun(q *query.Select) (*planExec, error) {
-	plan, err := e.sess.Optimize(q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.ex.Run(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &planExec{sig: plan.Signature(), estCost: plan.Cost(), execCost: res.Cost}, nil
-}
-
 // ---------------------------------------------------------------------------
 // Figure 3 — Candidate Statistics algorithm vs Exhaustive
 // ---------------------------------------------------------------------------
@@ -139,12 +106,11 @@ type Fig3Row struct {
 	DB, Workload string
 	// Statistic counts proposed by each algorithm (workload union).
 	ExhaustiveCount, CandidateCount int
-	// Creation cost in work units and wall time.
+	// Creation cost in work units.
 	ExhaustiveUnits, CandidateUnits float64
-	ExhaustiveTime, CandidateTime   time.Duration
 	// CreationReductionPct is the paper's Figure 3 metric (50–80 % in the
-	// paper), computed over work units; WallReductionPct is the wall-clock
-	// counterpart.
+	// paper), computed over work units; WallReductionPct is the single-shot,
+	// unpaired wall-clock counterpart.
 	CreationReductionPct float64
 	WallReductionPct     float64
 	// ExecIncreasePct is the workload execution cost increase due to the
@@ -154,52 +120,25 @@ type Fig3Row struct {
 
 // Figure3 runs one cell of Figure 3.
 func Figure3(dbName, wlName string, scale float64, seed int64) (*Fig3Row, error) {
-	envEx, err := newEnv(dbName, scale)
+	c := newCell(dbName, wlName, scale, seed)
+	ex, err := c.runArm(createAll(core.ExhaustiveStats))
 	if err != nil {
 		return nil, err
 	}
-	w, err := envEx.buildWorkload(wlName, seed)
+	cand, err := c.runArm(createAll(core.CandidateStats))
 	if err != nil {
 		return nil, err
 	}
-	queries := w.Queries()
-
-	exCands := core.WorkloadCandidates(queries, core.ExhaustiveStats)
-	exUnits, exTime, err := envEx.createAll(exCands)
-	if err != nil {
-		return nil, err
-	}
-	exExec, err := envEx.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-
-	envCand, err := newEnv(dbName, scale)
-	if err != nil {
-		return nil, err
-	}
-	cands := core.WorkloadCandidates(queries, core.CandidateStats)
-	candUnits, candTime, err := envCand.createAll(cands)
-	if err != nil {
-		return nil, err
-	}
-	candExec, err := envCand.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-
 	return &Fig3Row{
 		DB:                   dbName,
 		Workload:             wlName,
-		ExhaustiveCount:      len(exCands),
-		CandidateCount:       len(cands),
-		ExhaustiveUnits:      exUnits,
-		CandidateUnits:       candUnits,
-		ExhaustiveTime:       exTime,
-		CandidateTime:        candTime,
-		CreationReductionPct: pctReduction(exUnits, candUnits),
-		WallReductionPct:     pctReduction(float64(exTime), float64(candTime)),
-		ExecIncreasePct:      PctIncrease(exExec, candExec),
+		ExhaustiveCount:      ex.created,
+		CandidateCount:       cand.created,
+		ExhaustiveUnits:      ex.units,
+		CandidateUnits:       cand.units,
+		CreationReductionPct: pctReduction(ex.units, cand.units),
+		WallReductionPct:     pctReduction(float64(ex.wall), float64(cand.wall)),
+		ExecIncreasePct:      PctIncrease(ex.exec, cand.exec),
 	}, nil
 }
 
@@ -216,9 +155,9 @@ type Fig4Row struct {
 	// Creation cost in units; MNSAUnits includes the optimizer-call
 	// overhead (§8.2 includes MNSA overhead in creation time).
 	AllUnits, MNSAUnits float64
-	AllTime, MNSATime   time.Duration
 	OptimizerCalls      int
-	// CreationReductionPct is the Figure 4 metric (30–45 % in the paper).
+	// CreationReductionPct is the Figure 4 metric (30–45 % in the paper);
+	// WallReductionPct is its single-shot, unpaired wall-clock counterpart.
 	CreationReductionPct float64
 	WallReductionPct     float64
 	// ExecIncreasePct is the workload execution-cost increase (≤ 2 % in the
@@ -230,62 +169,28 @@ type Fig4Row struct {
 // (core.CandidateStats for the headline figure, core.SingleColumnCandidates
 // for the §8.2 single-column variant).
 func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(*query.Select) []core.Candidate) (*Fig4Row, error) {
-	if candidateFn == nil {
-		candidateFn = core.CandidateStats
-	}
-	// Arm A: all candidate statistics.
-	envAll, err := newEnv(dbName, scale)
-	if err != nil {
-		return nil, err
-	}
-	w, err := envAll.buildWorkload(wlName, seed)
-	if err != nil {
-		return nil, err
-	}
-	queries := w.Queries()
-	allCands := core.WorkloadCandidates(queries, candidateFn)
-	allUnits, allTime, err := envAll.createAll(allCands)
-	if err != nil {
-		return nil, err
-	}
-	allExec, err := envAll.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-
-	// Arm B: MNSA over the same candidate space.
-	envM, err := newEnv(dbName, scale)
+	c := newCell(dbName, wlName, scale, seed)
+	all, err := c.runArm(createAll(candidateFn))
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.CandidateFn = candidateFn
-	envM.mgr.ResetAccounting()
-	start := time.Now()
-	wr, err := core.RunMNSAWorkloadCtx(context.Background(), envM.sess, queries, cfg)
+	m, err := c.runArm(mnsa(cfg))
 	if err != nil {
 		return nil, err
 	}
-	mnsaTime := time.Since(start)
-	mnsaUnits := envM.mgr.Snapshot().TotalBuildCost + float64(wr.OptimizerCalls)*optimizerCallUnits
-	mnsaExec, err := envM.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-
 	return &Fig4Row{
 		DB:                   dbName,
 		Workload:             wlName,
-		AllCount:             len(allCands),
-		MNSACount:            len(wr.Created),
-		AllUnits:             allUnits,
-		MNSAUnits:            mnsaUnits,
-		AllTime:              allTime,
-		MNSATime:             mnsaTime,
-		OptimizerCalls:       wr.OptimizerCalls,
-		CreationReductionPct: pctReduction(allUnits, mnsaUnits),
-		WallReductionPct:     pctReduction(float64(allTime), float64(mnsaTime)),
-		ExecIncreasePct:      PctIncrease(allExec, mnsaExec),
+		AllCount:             all.created,
+		MNSACount:            m.created,
+		AllUnits:             all.units,
+		MNSAUnits:            m.units,
+		OptimizerCalls:       m.optCalls,
+		CreationReductionPct: pctReduction(all.units, m.units),
+		WallReductionPct:     pctReduction(float64(all.wall), float64(m.wall)),
+		ExecIncreasePct:      PctIncrease(all.exec, m.exec),
 	}, nil
 }
 
@@ -316,105 +221,81 @@ type Table1Row struct {
 // Table1 runs one row of Table 1 on the named database with the U25-C-100
 // workload (paper configuration), or any workload name passed in.
 func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error) {
-	// Arm A: plain MNSA.
-	envA, err := newEnv(dbName, scale)
+	c := newCell(dbName, wlName, scale, seed)
+	a, err := c.maintainedArm(false)
 	if err != nil {
 		return nil, err
 	}
-	w, err := envA.buildWorkload(wlName, seed)
+	d, err := c.maintainedArm(true)
 	if err != nil {
 		return nil, err
 	}
-	queries := w.Queries()
+	// §8.2 re-run check: rebuild only the statistics each arm keeps, in a
+	// fresh copy of the data (the replay's DML changed the arm's own), and
+	// re-run the workload queries.
+	rerunA, err := c.runArm(build(a.kept))
+	if err != nil {
+		return nil, err
+	}
+	rerunD, err := c.runArm(build(d.kept))
+	if err != nil {
+		return nil, err
+	}
+	return &Table1Row{
+		DB:                 dbName,
+		MNSACount:          a.created,
+		MNSADCount:         d.created,
+		DropListed:         d.dropListed,
+		MNSAUpdateUnits:    a.update,
+		MNSADUpdateUnits:   d.update,
+		UpdateReductionPct: pctReduction(a.update, d.update),
+		ReplayMNSAUnits:    a.replay,
+		ReplayMNSADUnits:   d.replay,
+		ReplayReductionPct: pctReduction(a.replay, d.replay),
+		ExecIncreasePct:    PctIncrease(rerunA.exec, rerunD.exec),
+	}, nil
+}
+
+// maintained is one arm of Table 1: MNSA, or MNSA/D, on a fresh copy of the
+// cell's database, followed by a replay of the whole workload.
+type maintained struct {
+	created, dropListed int
+	// update is the cost of one refresh cycle over the maintained set;
+	// replay is the refresh cost charged while replaying the workload.
+	update, replay float64
+	// kept lists the created statistics that are not drop-listed, in
+	// creation order.
+	kept []core.Candidate
+}
+
+// maintainedArm runs MNSA (MNSA/D when drop is set) over the cell's
+// workload, then replays the workload's queries and DML under the
+// maintenance policy.
+func (c cell) maintainedArm(drop bool) (*maintained, error) {
+	e, w, err := c.open()
+	if err != nil {
+		return nil, err
+	}
 	cfg := core.DefaultConfig()
-	wrA, err := core.RunMNSAWorkloadCtx(context.Background(), envA.sess, queries, cfg)
+	cfg.Drop = drop
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), e.sess, w.Queries(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	updateA := envA.mgr.MaintenanceCostUnits()
-
-	// Arm B: MNSA/D.
-	envB, err := newEnv(dbName, scale)
-	if err != nil {
-		return nil, err
-	}
-	cfgD := cfg
-	cfgD.Drop = true
-	wrB, err := core.RunMNSAWorkloadCtx(context.Background(), envB.sess, queries, cfgD)
-	if err != nil {
-		return nil, err
-	}
-	updateB := envB.mgr.MaintenanceCostUnits()
-
-	// Replay the full workload (queries + DML) under the maintenance policy
-	// and accumulate actual refresh cost.
-	replayA, err := replayWithMaintenance(envA, w)
-	if err != nil {
-		return nil, err
-	}
-	replayB, err := replayWithMaintenance(envB, w)
-	if err != nil {
-		return nil, err
-	}
-
-	// §8.2 re-run check: physically drop the drop-listed statistics, then
-	// re-run the workload queries and compare against arm A. Fresh
-	// environments keep the data identical after the replay's DML.
-	envA2, err := newEnv(dbName, scale)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range wrA.Created {
-		st := envA.mgr.Get(id)
-		if st == nil {
-			continue
-		}
-		if _, err := envA2.mgr.Create(st.Table, st.Columns); err != nil {
-			return nil, err
-		}
-	}
-	execA, err := envA2.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-	envB2, err := newEnv(dbName, scale)
-	if err != nil {
+	m := &maintained{created: len(wr.Created), dropListed: len(wr.DropListed), update: e.mgr.MaintenanceCostUnits()}
+	if m.replay, err = replayWithMaintenance(e, w); err != nil {
 		return nil, err
 	}
 	dropped := map[stats.ID]bool{}
-	for _, id := range wrB.DropListed {
+	for _, id := range wr.DropListed {
 		dropped[id] = true
 	}
-	for _, id := range wrB.Created {
-		if dropped[id] {
-			continue
-		}
-		st := envB.mgr.Get(id)
-		if st == nil {
-			continue
-		}
-		if _, err := envB2.mgr.Create(st.Table, st.Columns); err != nil {
-			return nil, err
+	for _, id := range wr.Created {
+		if st := e.mgr.Get(id); st != nil && !dropped[id] {
+			m.kept = append(m.kept, core.Candidate{Table: st.Table, Columns: st.Columns})
 		}
 	}
-	execB, err := envB2.executeQueries(w)
-	if err != nil {
-		return nil, err
-	}
-
-	return &Table1Row{
-		DB:                 dbName,
-		MNSACount:          len(wrA.Created),
-		MNSADCount:         len(wrB.Created),
-		DropListed:         len(wrB.DropListed),
-		MNSAUpdateUnits:    updateA,
-		MNSADUpdateUnits:   updateB,
-		UpdateReductionPct: pctReduction(updateA, updateB),
-		ReplayMNSAUnits:    replayA,
-		ReplayMNSADUnits:   replayB,
-		ReplayReductionPct: pctReduction(replayA, replayB),
-		ExecIncreasePct:    PctIncrease(execA, execB),
-	}, nil
+	return m, nil
 }
 
 // replayWithMaintenance executes the whole workload, running the SQL

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"autostats/internal/core"
@@ -95,44 +98,110 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// The ablation cell both ablation tests read. sweeps runs every ablation on
+// it once, and the tests share the rows.
+const ablationCellDB, ablationCellWorkload, ablationCellScale, ablationCellSeed = "TPCD_2", "U0-C-30", 0.5, 1
+
+var sweeps = sync.OnceValues(func() (map[string][]*AblationRow, error) {
+	out := map[string][]*AblationRow{}
+	for _, a := range Ablations {
+		rows, err := a.Run(ablationCellDB, ablationCellWorkload, ablationCellScale, ablationCellSeed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+		out[a.Name] = rows
+	}
+	return out, nil
+})
+
 func TestAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const wl = "U0-C-30"
-
-	rows, err := AblationThreshold("TPCD_2", wl, 0.5, 1, []float64{10, 40})
+	all, err := sweeps()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].StatsCreated < rows[1].StatsCreated {
-		t.Errorf("threshold sweep: smaller t must never build fewer statistics: %+v", rows)
+
+	rows := all["ablation-t"]
+	if len(rows) != len(thresholds) {
+		t.Fatalf("threshold sweep rows: %d", len(rows))
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].StatsCreated < rows[i].StatsCreated {
+			t.Errorf("threshold sweep: smaller t must never build fewer statistics: %+v", rows)
+		}
 	}
 
-	rows, err = AblationNextStat("TPCD_2", wl, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = all["ablation-next"]
 	if rows[0].CreationUnits > rows[1].CreationUnits {
 		t.Errorf("heuristic (%v units) should beat random (%v units)", rows[0].CreationUnits, rows[1].CreationUnits)
 	}
 
-	rows, err = AblationCostWeighted("TPCD_2", wl, 0.5, 1, []float64{1.0, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[1].CreationUnits >= rows[0].CreationUnits {
+	rows = all["ablation-cov"]
+	if full, half := rows[0], rows[len(rows)-1]; half.CreationUnits >= full.CreationUnits {
 		t.Errorf("coverage 0.5 should cost less to tune than full: %+v", rows)
 	}
 
-	rows, err = AblationHistogramKind("TPCD_2", wl, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = all["ablation-hist"]
 	if len(rows) != 2 {
 		t.Fatalf("histogram-kind ablation rows: %d", len(rows))
 	}
 	t.Logf("maxdiff exec=%v equidepth exec=%v", rows[0].ExecCost, rows[1].ExecCost)
+}
+
+// TestDefaultConfigIsOneCell: four sweeps each have a row at MNSA's default
+// configuration (t = 20 %, ε = 0.0005, the most-expensive-operator
+// heuristic, MaxDiff histograms), and Figure 4's MNSA arm runs it too. They
+// are one cell reached five ways, so they agree exactly on statistics
+// created, optimizer calls, creation units and execution cost (Figure 4's as
+// its increase over the same all-candidates baseline). coverage=1 is not one
+// of them: it ranks the queries first. Every label prints as it reads.
+func TestDefaultConfigIsOneCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	all, err := sweeps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := map[string]string{
+		"ablation-t":    "t=20%",
+		"ablation-eps":  "eps=0.0005",
+		"ablation-next": "most-expensive-operator",
+		"ablation-hist": "maxdiff",
+	}
+	var same []*AblationRow
+	for _, a := range Ablations {
+		for _, r := range all[a.Name] {
+			if strings.Contains(r.Label, "%%") {
+				t.Errorf("%s: label %q carries a Printf escape", a.Name, r.Label)
+			}
+			if r.Label == defaults[a.Name] {
+				same = append(same, r)
+			}
+		}
+	}
+	if len(same) != len(defaults) {
+		t.Fatalf("found %d default-configuration rows, want %d", len(same), len(defaults))
+	}
+	ref := *same[0]
+	for _, r := range same[1:] {
+		got := *r
+		got.Label = ref.Label
+		if got != ref {
+			t.Errorf("%s disagrees with %s: %+v vs %+v", r.Label, ref.Label, *r, ref)
+		}
+	}
+	fig, err := Figure4(ablationCellDB, ablationCellWorkload, ablationCellScale, ablationCellSeed, core.CandidateStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.MNSACount != ref.StatsCreated || fig.OptimizerCalls != ref.OptimizerCalls ||
+		fig.MNSAUnits != ref.CreationUnits || fig.ExecIncreasePct != ref.ExecIncreasePct {
+		t.Errorf("Figure 4's MNSA arm disagrees with %s: %+v vs %+v", ref.Label, *fig, ref)
+	}
+	t.Logf("default cell: %+v", ref)
 }
 
 // TestCostWeightedTuning: the §6 coverage knob must tune fewer queries and
@@ -140,11 +209,7 @@ func TestAblationShapes(t *testing.T) {
 // every query, and a coverage outside (0,1] is an error.
 func TestCostWeightedTuning(t *testing.T) {
 	run := func(coverage float64) (*core.WorkloadResult, int, int, error) {
-		env, err := newEnv("TPCD_2", 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := env.buildWorkload("U0-C-30", 21)
+		env, w, err := newCell("TPCD_2", "U0-C-30", 0.5, 21).open()
 		if err != nil {
 			t.Fatal(err)
 		}

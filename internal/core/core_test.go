@@ -424,3 +424,26 @@ func execQueries(t testing.TB, db *storage.Database, sess *optimizer.Session, qu
 	}
 	return total
 }
+
+// BenchmarkMNSAQuery is the MNSA loop's layer benchmark: one single-query
+// run over a two-table join, on a fresh statistics manager and session per
+// iteration over the same data, so every iteration builds the same
+// statistics. optimizer-calls/op and stats-created/op are fixed by the data;
+// a change in either is a change in the loop's decisions, not its speed.
+func BenchmarkMNSAQuery(b *testing.B) {
+	db := testDB(b, 2)
+	q := mustParse(b, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45 AND o_totalprice > 400000")
+	b.ReportAllocs()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sess := newSession(b, db)
+		b.StartTimer()
+		var err error
+		if res, err = RunMNSA(context.Background(), sess, q, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.OptimizerCalls), "optimizer-calls/op")
+	b.ReportMetric(float64(len(res.Created)), "stats-created/op")
+}
