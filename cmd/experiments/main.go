@@ -8,7 +8,8 @@
 //	experiments -exp fig4 -workload U0-C-100 -scale 0.5 -seed 1
 //
 // Experiments: intro, fig3, fig4, fig4sc, table1, ablation-t, ablation-eps,
-// ablation-next, ablation-cov, ablation-hist, all.
+// ablation-next, ablation-cov, ablation-hist, all, and none (run nothing).
+// Any other -exp value exits with status 2 and the list of valid names.
 //
 // -swarm-addr drives a client swarm against an already-running autostatsd
 // instead of running experiments. Timings and regressions are measured by
@@ -24,6 +25,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -36,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|all")
+		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|all|none")
 		swarmN    = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -swarm-addr")
 		swarmTen  = flag.Int("swarm-tenants", 8, "tenants for -swarm-addr")
 		swarmAddr = flag.String("swarm-addr", "", "run the client swarm against an already-running autostatsd at this address and exit")
@@ -51,6 +53,39 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the experiments after this long (0 = no deadline)")
 	)
 	flag.Parse()
+
+	dbList := strings.Split(*dbs, ",")
+	experiments := []experiment{
+		{"intro", func() error { return runIntro(*introDB, *introScl) }},
+		{"fig3", func() error { return runFig3(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed) }},
+		{"fig4", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, false) }},
+		{"fig4sc", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, true) }},
+		{"table1", func() error { return runTable1(dbList, orDefault(*wl, "U25-C-100"), *scale, *seed) }},
+	}
+	for _, a := range bench.Ablations {
+		experiments = append(experiments, experiment{a.Name, func() error {
+			wl := orDefault(*wl, "U0-C-60")
+			header(fmt.Sprintf(a.Title, ablationDB, wl))
+			rows, err := a.Run(ablationDB, wl, *scale, *seed)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-26s %7s %14s %9s %14s %10s\n", "config", "stats#", "create units", "optcalls", "exec cost", "exec+%")
+			for _, r := range rows {
+				fmt.Printf("%-26s %7d %14.0f %9d %14.0f %9.1f%%\n",
+					r.Label, r.StatsCreated, r.CreationUnits, r.OptimizerCalls, r.ExecCost, r.ExecIncreasePct)
+			}
+			return nil
+		}})
+	}
+	valid := []string{"all", "none"} // none runs nothing, as with -swarm-addr
+	for _, e := range experiments {
+		valid = append(valid, e.name)
+	}
+	if !slices.Contains(valid, *exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q; valid: %s\n", *exp, strings.Join(valid, ", "))
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -87,46 +122,21 @@ func main() {
 	fmt.Printf("command: %s; %d CPUs; %s\n", strings.Join(append([]string{filepath.Base(os.Args[0])}, os.Args[1:]...), " "),
 		runtime.NumCPU(), time.Now().Format("2006-01-02"))
 
-	dbList := strings.Split(*dbs, ",")
 	// On failure or interrupt the remaining experiments are skipped, but the
 	// -metrics dump and -trace file are still written before exiting non-zero.
 	var runErr error
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if runErr != nil {
-			return
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
 		if err := ctx.Err(); err != nil {
 			runErr = err
-			return
+			break
 		}
-		if err := fn(); err != nil {
-			runErr = fmt.Errorf("experiment %s failed: %w", name, err)
+		if err := e.run(); err != nil {
+			runErr = fmt.Errorf("experiment %s failed: %w", e.name, err)
+			break
 		}
-	}
-
-	run("intro", func() error { return runIntro(*introDB, *introScl) })
-	run("fig3", func() error { return runFig3(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed) })
-	run("fig4", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, false) })
-	run("fig4sc", func() error { return runFig4(dbList, orDefault(*wl, "U0-C-100"), *scale, *seed, true) })
-	run("table1", func() error { return runTable1(dbList, orDefault(*wl, "U25-C-100"), *scale, *seed) })
-	for _, a := range bench.Ablations {
-		run(a.Name, func() error {
-			wl := orDefault(*wl, "U0-C-60")
-			header(fmt.Sprintf(a.Title, ablationDB, wl))
-			rows, err := a.Run(ablationDB, wl, *scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-26s %7s %14s %9s %14s %10s\n", "config", "stats#", "create units", "optcalls", "exec cost", "exec+%")
-			for _, r := range rows {
-				fmt.Printf("%-26s %7d %14.0f %9d %14.0f %9.1f%%\n",
-					r.Label, r.StatsCreated, r.CreationUnits, r.OptimizerCalls, r.ExecCost, r.ExecIncreasePct)
-			}
-			return nil
-		})
 	}
 
 	if *metrics {
@@ -152,6 +162,12 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// experiment is one -exp value and what it runs.
+type experiment struct {
+	name string
+	run  func() error
 }
 
 // ablationDB is the database every ablation runs on.

@@ -13,12 +13,17 @@
 //
 //	oracle -duration 10m
 //
+// The statistic build's bitwise identity with the single-pass histogram
+// reference is not one of these oracles: TestBuildIdentity in internal/stats
+// checks it over the same TPC-D data shapes on every test run.
+//
 // -chaos runs the network chaos sweep in place of the correctness oracles,
 // in either mode. Any failing seed makes the process exit 1; in long mode
 // the failing seeds are also written to -failure-file (default
-// oracle-failures.txt) for artifact upload. SIGINT/SIGTERM stop the soak at
-// the next seed boundary with exit status 1; seeds that already failed are
-// still written to -failure-file before exit.
+// oracle-failures.txt) for artifact upload. If that file cannot be written,
+// the error goes to stderr and the exit status is still 1. SIGINT/SIGTERM
+// stop the soak at the next seed boundary with exit status 1; seeds that
+// already failed are still written to -failure-file before exit.
 package main
 
 import (
@@ -41,7 +46,7 @@ func main() {
 		samples  = flag.Int("samples", 3, "interior samples per query in the bracket oracle")
 		scale    = flag.Float64("scale", 0.05, "database scale factor")
 		zipf     = flag.Float64("zipf", 2, "data skew parameter z")
-		simple   = flag.Bool("simple", false, "restrict the workload to single-table queries")
+		simple   = flag.Bool("simple", false, "restrict the workload to queries over at most 2 tables")
 		duration = flag.Duration("duration", 0, "long mode: loop over seeds until this much time has passed")
 		failFile = flag.String("failure-file", "oracle-failures.txt", "long mode: write failing seeds here")
 		chaosRun = flag.Bool("chaos", false, "run the network chaos sweep instead of the correctness oracles")
@@ -92,13 +97,11 @@ func soak(ctx context.Context, chaos bool, seed int64, duration time.Duration, f
 	ran := s - seed
 	if len(failed) > 0 {
 		if duration > 0 {
-			if f, err := os.Create(failFile); err == nil {
-				for _, fs := range failed {
-					fmt.Fprintf(f, "%d\n", fs)
-				}
-				f.Close()
+			if err := writeSeeds(failFile, failed); err != nil {
+				fmt.Fprintf(os.Stderr, "oracle: writing failing seeds: %v\n", err)
+			} else {
+				repro += "; seeds in " + failFile
 			}
-			repro += "; seeds in " + failFile
 		}
 		fmt.Printf("oracle: %s%d/%d seeds FAILED: %v (repro: %s)\n", label, len(failed), ran, failed, repro)
 		return 1
@@ -109,6 +112,21 @@ func soak(ctx context.Context, chaos bool, seed int64, duration time.Duration, f
 	}
 	fmt.Printf("oracle: %s%d seeds clean\n", label, ran)
 	return 0
+}
+
+// writeSeeds writes one seed per line to path.
+func writeSeeds(path string, seeds []int64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	for _, s := range seeds {
+		if _, err := fmt.Fprintf(f, "%d\n", s); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // runChaosSeed runs one chaos sweep and prints its findings and summary.
@@ -180,17 +198,10 @@ func runSeed(seed int64, queries, meta, samples int, scale, zipf float64, simple
 	}
 	report(deg.Findings)
 
-	strm, err := h.RunStreamingSweep()
-	if err != nil {
-		return findings, fmt.Errorf("streaming: %w", err)
-	}
-	report(strm.Findings)
-
-	fmt.Printf("seed %-6d %4d queries (%d dml, %d skipped, %d mnsa, %d maint) | mono %d asserts | bracket %d asserts | shrink %d plans | degraded %d/%d (%d inj) | stream %d builds %d merges | %d findings | %.1fs\n",
+	fmt.Printf("seed %-6d %4d queries (%d dml, %d skipped, %d mnsa, %d maint) | mono %d asserts | bracket %d asserts | shrink %d plans | degraded %d/%d (%d inj) | %d findings | %.1fs\n",
 		seed, diff.Queries, diff.DML, diff.Skipped, diff.MNSARuns, diff.MaintenanceRuns,
 		mono.Assertions, brk.Assertions, shr.Checked,
 		deg.DegradedPlans, deg.Queries, deg.Injections,
-		strm.Builds, strm.MergeOrders,
 		findings, time.Since(start).Seconds())
 	return findings, nil
 }

@@ -2,12 +2,12 @@
 // network-robustness testing of the stats server and client.
 //
 // The proxy sits between a client and a real listener and perturbs the byte
-// streams flowing through it: added latency, bandwidth throttling, torn
-// frames (a random prefix of a chunk followed by a reset), hard mid-stream
-// resets, byte corruption, and slow-loris trickle (tiny chunks at low
-// bandwidth). Every random decision comes from a seeded generator — one
-// stream per connection per direction, derived from (seed, connection index,
-// direction) — so a failing run replays exactly from its seed.
+// streams flowing through it: added latency, torn frames (a random prefix of
+// a chunk followed by a reset), hard mid-stream resets, byte corruption, and
+// small chunks that split frames across many writes. Every random decision
+// comes from a seeded generator — one stream per connection per direction,
+// derived from (seed, connection index, direction) — so a failing run
+// replays exactly from its seed.
 //
 // The chaos sweep in internal/oracle drives a real server through this proxy
 // and asserts the PR 8 invariants: every client-visible failure is a typed
@@ -36,10 +36,6 @@ type Config struct {
 	// random extra in [0, Jitter).
 	Latency time.Duration
 	Jitter  time.Duration
-	// BandwidthBPS throttles each direction to roughly this many bytes per
-	// second (0 = unlimited). Combined with a small ChunkSize this emulates
-	// a slow-loris peer that dribbles bytes one at a time.
-	BandwidthBPS int
 	// ChunkSize caps bytes forwarded per read (default 4096). Values smaller
 	// than a frame tear writes across many TCP segments, exercising partial
 	// and torn frame handling in the peer's reader.
@@ -223,7 +219,7 @@ func (p *Proxy) pump(dst, src net.Conn, rng *rand.Rand, bytes *atomic.Int64) {
 				data[rng.Intn(len(data))] ^= 0xff
 				p.corrupted.Add(1)
 			}
-			if !p.delay(len(data), rng) {
+			if !p.delay(rng) {
 				return // proxy closing
 			}
 			if _, werr := dst.Write(data); werr != nil {
@@ -255,15 +251,12 @@ func (p *Proxy) pump(dst, src net.Conn, rng *rand.Rand, bytes *atomic.Int64) {
 	}
 }
 
-// delay applies latency, jitter, and the bandwidth budget for a chunk of n
-// bytes; it reports false when the proxy shut down mid-sleep.
-func (p *Proxy) delay(n int, rng *rand.Rand) bool {
+// delay applies latency and jitter before a chunk; it reports false when the
+// proxy shut down mid-sleep.
+func (p *Proxy) delay(rng *rand.Rand) bool {
 	d := p.cfg.Latency
 	if p.cfg.Jitter > 0 {
 		d += time.Duration(rng.Int63n(int64(p.cfg.Jitter)))
-	}
-	if p.cfg.BandwidthBPS > 0 {
-		d += time.Duration(float64(n) / float64(p.cfg.BandwidthBPS) * float64(time.Second))
 	}
 	if d <= 0 {
 		return true

@@ -163,10 +163,14 @@ func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 		return nil, 0, err
 	}
 	rs := tableResultSet(td)
-	rows := float64(td.RowCount())
+	live := td.RowCount()
+	rows := float64(live)
 	cost, perRow := rows*optimizer.CostRowScan, 0.0
 	if n.Op == optimizer.OpIndexSeek {
 		cost, perRow = optimizer.SeekCost(rows), optimizer.CostRowFetch
+	} else if len(n.Filters) == 0 {
+		// An unfiltered scan keeps every live row: size the output once.
+		rs.rows = make([][]catalog.Datum, 0, live)
 	}
 	f, err := newFetcher(rs, n.Filters, cost, perRow)
 	if err != nil {

@@ -52,14 +52,15 @@ func TestInsertStoresItsOwnRow(t *testing.T) {
 	}
 }
 
-// TestScanAllocsConstant bounds a filtered scan's allocations by the rows it
-// keeps: keeping 1 000 rows may cost at most 8 more allocations than keeping
-// 100 (the output slice's growth), so no per-row copy comes back.
+// TestScanAllocsConstant bounds a scan's allocations by the rows it keeps:
+// keeping 1 000 rows may cost at most 8 more allocations than keeping 100
+// (the output slice's growth), so no per-row copy comes back. An unfiltered
+// scan sizes its output from the table's live row count, so keeping all
+// 1 500 rows costs no more than keeping 100.
 func TestScanAllocsConstant(t *testing.T) {
 	e := newEnv(t, 0, 1)
-	allocs := func(keep int) float64 {
-		f := query.Filter{Col: col2("orders", "o_orderkey"), Op: query.Lt, Val: catalog.NewInt(int64(keep))}
-		plan := &optimizer.Plan{Root: scanNode("orders", f)}
+	allocs := func(keep int, filters ...query.Filter) float64 {
+		plan := &optimizer.Plan{Root: scanNode("orders", filters...)}
 		res, err := e.ex.Run(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -69,9 +70,15 @@ func TestScanAllocsConstant(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, func() { _, _ = e.ex.Run(plan) })
 	}
-	small, large := allocs(100), allocs(1000)
+	below := func(n int) query.Filter {
+		return query.Filter{Col: col2("orders", "o_orderkey"), Op: query.Lt, Val: catalog.NewInt(int64(n))}
+	}
+	small, large, all := allocs(100, below(100)), allocs(1000, below(1000)), allocs(1500)
 	if large > small+8 {
 		t.Errorf("filtered scan allocs: %v keeping 100 rows, %v keeping 1000; want at most 8 more", small, large)
+	}
+	if all > small {
+		t.Errorf("unfiltered scan allocs: %v keeping all 1500 rows, %v keeping 100 filtered; want no more", all, small)
 	}
 }
 

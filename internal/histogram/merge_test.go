@@ -3,6 +3,7 @@ package histogram
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"autostats/internal/catalog"
@@ -73,33 +74,64 @@ func TestMergePartialsMatchesBuildMulti(t *testing.T) {
 }
 
 // TestMergePartialsOrderIndependent: permuting the partition order must not
-// change the merged statistic.
+// change the merged statistic. Two inputs: even chunks, each built in one
+// shot, and randomly sized blocks fed to one PartialBuilder that cuts a
+// partial after a random third of them, as a block scan does. Every shuffled
+// merge must equal the single-pass BuildMulti reference.
 func TestMergePartialsOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cols := []string{"a", "b"}
 	tuples := randTuples(rng, 300, 2)
-	chunks := SplitTuples(tuples, 4)
-	parts := make([]*Partial, len(chunks))
-	for i, c := range chunks {
+	want, err := BuildMulti(MaxDiff, cols, tuples, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var even []*Partial
+	for _, c := range SplitTuples(tuples, 4) {
 		p, err := BuildPartial(cols, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts[i] = p
+		even = append(even, p)
 	}
-	want, err := MergePartials(MaxDiff, cols, parts, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 5; trial++ {
-		perm := append([]*Partial(nil), parts...)
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		got, err := MergePartials(MaxDiff, cols, perm, 16)
+	randomCuts := func() []*Partial {
+		b, err := NewPartialBuilder(cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: partition order changed the merged statistic", trial)
+		var parts []*Partial
+		for pos := 0; pos < len(tuples); {
+			n := min(1+rng.Intn(97), len(tuples)-pos)
+			if err := b.AddBlock(tuples[pos : pos+n]); err != nil {
+				t.Fatal(err)
+			}
+			pos += n
+			if rng.Intn(3) == 0 {
+				parts = append(parts, b.Finish())
+			}
+		}
+		if b.Rows() > 0 || len(parts) == 0 {
+			parts = append(parts, b.Finish())
+		}
+		return parts
+	}
+	for _, in := range []struct {
+		name  string
+		parts func() []*Partial
+	}{
+		{"even chunks", func() []*Partial { return slices.Clone(even) }},
+		{"random cuts", randomCuts},
+	} {
+		for trial := 0; trial < 5; trial++ {
+			parts := in.parts()
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+			got, err := MergePartials(MaxDiff, cols, parts, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s trial %d: merging %d partials in shuffled order differs from BuildMulti", in.name, trial, len(parts))
+			}
 		}
 	}
 }

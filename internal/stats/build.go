@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -9,11 +10,11 @@ import (
 )
 
 // Statistic construction. There is one build — build, below: a
-// snapshot-guarded block scan, mergeable partials cut every PartitionRows rows
-// and one exact merge — bitwise-identical to the single-pass
-// histogram.BuildMulti reference the tests and oracles compare it against, at
-// any block size or partition cut. Creation and refresh both call it on
-// current data. It runs entirely in memory.
+// snapshot-guarded block scan, mergeable partials cut every
+// defaultPartitionRows rows and one exact merge — bitwise-identical to the
+// single-pass histogram.BuildMulti reference TestBuildIdentity compares it
+// against, at any block size or partition cut. Creation and refresh both call
+// it on current data. It runs entirely in memory.
 
 // defaultPartitionRows is the partition cut. It is a measured constant, not
 // a tuning knob, because it cannot change a result: on the tune_offline
@@ -21,39 +22,25 @@ import (
 // 1.23e6 KB allocated per tuning round against ≈ 910 ms and 0.81e6 KB with
 // 8192-row cuts (one table-sized sort buffer, grown by doubling, loses to a
 // reused partition-sized one plus merges of short sorted frequency lists).
-// The oracle sweep varies the cut only to prove cut-independence.
+// The package's tests vary the cut only to prove cut-independence.
 const defaultPartitionRows = 8192
 
-// StreamConfig holds the parameters of the block pipeline. Neither can
-// change a result; they exist for the tests and oracles that prove exactly
-// that.
-type StreamConfig struct {
-	// BlockSize is the rows per scan block; <= 0 means
-	// storage.DefaultBlockSize.
-	BlockSize int
-	// PartitionRows caps the rows accumulated into one partial before it is
-	// cut; <= 0 means the default cut of 8192 rows.
-	PartitionRows int
-}
-
-// SetStreamingBuild configures the block pipeline for subsequent builds.
-func (m *Manager) SetStreamingBuild(cfg StreamConfig) error {
-	if cfg.BlockSize < 0 || cfg.PartitionRows < 0 {
-		return fmt.Errorf("stats: negative streaming parameter %+v", cfg)
-	}
-	if cfg.PartitionRows == 0 {
-		cfg.PartitionRows = defaultPartitionRows
-	}
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	m.stream = cfg
-	return nil
+// blockPipeline holds the block pipeline's two parameters. Neither can
+// change a result. The zero value is production's: the storage default
+// block size and defaultPartitionRows. Only this package's tests set other
+// values, before the manager is shared, so build reads them without cfgMu.
+type blockPipeline struct {
+	// blockSize is the rows per scan block; 0 means the storage default.
+	blockSize int
+	// partitionRows caps the rows accumulated into one partial before it
+	// is cut; 0 means defaultPartitionRows.
+	partitionRows int
 }
 
 // build constructs a fresh Statistic from current data — the only code that
 // turns table rows into a statistic. The table is scanned block by block
 // under the iterator's snapshot guard, each block is added to a
-// histogram.PartialBuilder, a partition is cut every PartitionRows rows, and
+// histogram.PartialBuilder, a partition is cut every partitionRows rows, and
 // the retained partials are merged once at the end. It bumps the logical
 // clock but charges no accounting; EnsureCtx and refresh charge the build-
 // and update-side counters respectively. Cancellation and the failpoint are
@@ -81,15 +68,16 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 		return nil, err
 	}
 	m.cfgMu.RLock()
-	cfg, fp := m.stream, m.failpoint
+	fp := m.failpoint
 	m.cfgMu.RUnlock()
+	partitionRows := int64(cmp.Or(m.pipeline.partitionRows, defaultPartitionRows))
 
 	start := time.Now()
 	builder, err := histogram.NewPartialBuilder(cols)
 	if err != nil {
 		return nil, err
 	}
-	it, err := td.OpenBlockIter(cols, cfg.BlockSize)
+	it, err := td.OpenBlockIter(cols, m.pipeline.blockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +114,7 @@ func (m *Manager) build(ctx context.Context, table string, cols []string, met ma
 			return nil, err
 		}
 		peakBytes = max(peakBytes, partsBytes+builder.MemBytes())
-		if builder.Rows() >= int64(cfg.PartitionRows) {
+		if builder.Rows() >= partitionRows {
 			cut()
 		}
 	}

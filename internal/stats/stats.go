@@ -159,15 +159,15 @@ type Manager struct {
 	// clock is the logical clock.
 	clock atomic.Int64
 
+	// pipeline is the block pipeline of every build; see blockPipeline.
+	pipeline blockPipeline
+
 	// cfgMu guards the reconfigurable collaborators below. It is a leaf
 	// lock.
 	cfgMu sync.RWMutex
 	// failpoint, when non-nil, can veto mutating operations (see
 	// SetFailpoint).
 	failpoint Failpoint
-	// stream holds the block-pipeline parameters of full builds (see
-	// SetStreamingBuild).
-	stream StreamConfig
 	// met caches the manager's observability handles; see managerMetrics.
 	met managerMetrics
 
@@ -237,7 +237,6 @@ func NewManager(db *storage.Database, kind histogram.Kind, maxBuckets int) *Mana
 		db:         db,
 		kind:       kind,
 		maxBuckets: maxBuckets,
-		stream:     StreamConfig{PartitionRows: defaultPartitionRows},
 		met:        newManagerMetrics(obs.Default),
 	}
 	m.cur.Store(&version{})

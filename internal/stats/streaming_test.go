@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"autostats/internal/catalog"
+	"autostats/internal/datagen"
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/storage"
@@ -74,40 +76,165 @@ func referenceStat(t *testing.T, db *storage.Database, kind histogram.Kind, buck
 	return mc, histogram.BuildCostUnits(int64(len(tuples)), len(cols))
 }
 
-// TestBuildIdentity is the build path's invariant as one table: at every
-// block size and partition cut, for single-column, multi-column and
-// NULL-bearing statistics, Manager.Create produces exactly the BuildMulti
-// reference with the same creation cost, and a refresh after an insert
-// produces exactly the reference over the new contents, charging the same
-// cost to the update-side accounting only.
-func TestBuildIdentity(t *testing.T) {
-	db := streamDB(t, 500)
-	td := mustTable(t, db, "s")
-	targets := []struct {
-		name    string
-		cols    []string
-		kind    histogram.Kind
-		buckets int
-	}{
-		{"single", []string{"c"}, histogram.EquiDepth, 8},
-		{"multi", []string{"b", "c"}, histogram.MaxDiff, 0},
-		{"nulls", []string{"a", "b", "c"}, histogram.MaxDiff, 0},
+// identityTarget is one input of TestBuildIdentity: a statistic over a table,
+// the histogram shape it is built with, and the rows the refresh step
+// inserts (row(n) is the n-th).
+type identityTarget struct {
+	name    string
+	db      *storage.Database
+	table   string
+	cols    []string
+	kind    histogram.Kind
+	buckets int
+	// nulls marks a target whose leading column must carry NULLs, so the
+	// input cannot quietly lose its NULL shape.
+	nulls bool
+	row   func(n int) storage.Row
+}
+
+// identityTargets lists the sweep's inputs. The streamDB table crosses
+// String, duplicate and NULL-bearing Int columns over a table with dead
+// rows. The TPC-D databases (datagen at scale 0.05 — lineitem 300 rows,
+// orders 75, customer 7 — at two seeds and skews z = 0, 2, 4 and MIX) add a
+// Date column with heavy duplication, a Float × Int multi-column statistic
+// and a NULL-bearing Float: every fifth row of c_acctbal and l_quantity is
+// set to NULL, since TPC-D data has none.
+func identityTargets(t *testing.T) []identityTarget {
+	t.Helper()
+	s := streamDB(t, 500)
+	sRow := func(n int) storage.Row {
+		return storage.Row{
+			catalog.NewInt(int64(90 + n%17)),
+			catalog.NewString(fmt.Sprintf("g%d", n%9)),
+			catalog.NewInt(int64(n % 5)),
+		}
 	}
+	targets := []identityTarget{
+		{"single", s, "s", []string{"c"}, histogram.EquiDepth, 8, false, sRow},
+		{"multi", s, "s", []string{"b", "c"}, histogram.MaxDiff, 0, false, sRow},
+		{"nulls", s, "s", []string{"a", "b", "c"}, histogram.MaxDiff, 0, true, sRow},
+	}
+	skews := []struct {
+		name string
+		z    float64
+		mix  bool
+	}{{"z=0", 0, false}, {"z=2", 2, false}, {"z=4", 4, false}, {"MIX", 0, true}}
+	for _, seed := range []int64{11, 29} {
+		for _, sk := range skews {
+			db, err := datagen.Generate(datagen.Config{Scale: 0.05, Z: sk.z, Mix: sk.mix, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nullEveryFifth(t, db, "customer", "c_acctbal")
+			nullEveryFifth(t, db, "lineitem", "l_quantity")
+			for _, st := range []struct {
+				table string
+				cols  []string
+				nulls bool
+			}{
+				{"orders", []string{"o_orderdate"}, false},
+				{"lineitem", []string{"l_quantity", "l_partkey"}, true},
+				{"customer", []string{"c_acctbal"}, true},
+			} {
+				targets = append(targets, identityTarget{
+					name:  fmt.Sprintf("TPC-D seed=%d %s %s%v", seed, sk.name, st.table, st.cols),
+					db:    db,
+					table: st.table,
+					cols:  st.cols,
+					kind:  histogram.MaxDiff,
+					nulls: st.nulls,
+					row:   copyLiveRow(mustTable(t, db, st.table)),
+				})
+			}
+		}
+	}
+	return targets
+}
+
+// nullEveryFifth sets col to NULL in every fifth live row of table.
+func nullEveryFifth(t *testing.T, db *storage.Database, table, col string) {
+	t.Helper()
+	td := mustTable(t, db, table)
+	pos := td.Schema.ColumnIndex(col)
+	var ids []int
+	live := 0
+	td.Scan(func(id int, _ storage.Row) bool {
+		if live%5 == 0 {
+			ids = append(ids, id)
+		}
+		live++
+		return true
+	})
+	if _, err := td.Update(func(storage.View) ([]int, error) { return ids, nil }, pos, catalog.NewNull(td.Schema.Columns[pos].Type)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyLiveRow returns a row source whose n-th row is td's (n mod live
+// rows)-th live row; Insert copies it, and the duplicate shifts the
+// frequencies a refresh must see.
+func copyLiveRow(td *storage.TableData) func(n int) storage.Row {
+	return func(n int) storage.Row {
+		var rows []storage.Row
+		td.Scan(func(_ int, r storage.Row) bool {
+			rows = append(rows, r)
+			return true
+		})
+		return rows[n%len(rows)]
+	}
+}
+
+// wantPartials is the number of partials a build over rows live rows cuts at
+// the given block size and partition cut: the cut is checked after each
+// block, so a partition holds the fewest whole blocks reaching the cut.
+func wantPartials(rows, blockSize, partitionRows int) int {
+	per := (partitionRows + blockSize - 1) / blockSize * blockSize
+	return max(1, (rows+per-1)/per)
+}
+
+// TestBuildIdentity is the build path's invariant as one table, and the only
+// check of it: at every block size and partition cut, for every input of
+// identityTargets, Manager.Create produces exactly the BuildMulti reference
+// with the same creation cost after merging exactly the partials the cut
+// implies, and a refresh after an insert produces exactly the reference over
+// the new contents, charging the same cost to the update-side accounting
+// only.
+func TestBuildIdentity(t *testing.T) {
 	inserted := 0
-	for _, tgt := range targets {
+	for _, tgt := range identityTargets(t) {
+		td := mustTable(t, tgt.db, tgt.table)
 		for _, bs := range []int{1, 7, 64, 4096} {
 			for _, partRows := range []int{1, 64, 0} { // 0 = the default cut
 				name := fmt.Sprintf("%s block=%d cut=%d", tgt.name, bs, partRows)
-				m := NewManager(db, tgt.kind, tgt.buckets)
-				m.SetObsRegistry(obs.New())
-				if err := m.SetStreamingBuild(StreamConfig{BlockSize: bs, PartitionRows: partRows}); err != nil {
-					t.Fatal(err)
+				m := NewManager(tgt.db, tgt.kind, tgt.buckets)
+				reg := obs.New()
+				m.SetObsRegistry(reg)
+				m.pipeline = blockPipeline{blockSize: bs, partitionRows: partRows}
+				// checkPartials compares the partials the last build merged
+				// with the count the cut implies; the counter only counts
+				// builds that merged more than one.
+				merged := int64(0)
+				checkPartials := func(step string) {
+					want := int64(wantPartials(td.RowCount(), bs, cmp.Or(partRows, defaultPartitionRows)))
+					if want == 1 {
+						want = 0
+					}
+					total := reg.Snapshot().Counters["stats.build.partials_merged"]
+					if got := total - merged; got != want {
+						t.Errorf("%s: %s merged %d partials, want %d", name, step, got, want)
+					}
+					merged = total
 				}
-				want, wantCost := referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
-				got, err := m.Create("s", tgt.cols)
+
+				want, wantCost := referenceStat(t, tgt.db, tgt.kind, tgt.buckets, tgt.table, tgt.cols)
+				if tgt.nulls && want.Leading.NullRows == 0 {
+					t.Fatalf("%s: input has no NULLs in %s", name, tgt.cols[0])
+				}
+				got, err := m.Create(tgt.table, tgt.cols)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				checkPartials("create")
 				if !reflect.DeepEqual(got.Data, want) {
 					t.Errorf("%s: statistic differs from the BuildMulti reference", name)
 				}
@@ -116,18 +243,15 @@ func TestBuildIdentity(t *testing.T) {
 				}
 
 				inserted++
-				if err := td.Insert(storage.Row{
-					catalog.NewInt(int64(90 + inserted%17)),
-					catalog.NewString(fmt.Sprintf("g%d", inserted%9)),
-					catalog.NewInt(int64(inserted % 5)),
-				}); err != nil {
+				if err := td.Insert(tgt.row(inserted)); err != nil {
 					t.Fatal(err)
 				}
-				want, wantCost = referenceStat(t, db, tgt.kind, tgt.buckets, "s", tgt.cols)
+				want, wantCost = referenceStat(t, tgt.db, tgt.kind, tgt.buckets, tgt.table, tgt.cols)
 				before := m.Snapshot()
 				if err := m.Refresh(context.Background(), got.ID); err != nil {
 					t.Fatalf("%s: refresh: %v", name, err)
 				}
+				checkPartials("refresh")
 				after := m.Snapshot()
 				if !reflect.DeepEqual(m.Get(got.ID).Data, want) {
 					t.Errorf("%s: refreshed statistic differs from the BuildMulti reference over the new contents", name)
@@ -140,9 +264,9 @@ func TestBuildIdentity(t *testing.T) {
 				}
 			}
 		}
-	}
-	if n := td.OpenSnapshots(); n != 0 {
-		t.Errorf("OpenSnapshots=%d after the sweep", n)
+		if n := td.OpenSnapshots(); n != 0 {
+			t.Errorf("%s: OpenSnapshots=%d after the sweep", tgt.name, n)
+		}
 	}
 }
 
@@ -158,9 +282,7 @@ func TestBuildMetrics(t *testing.T) {
 		// 100 rows in blocks of 10, cut every 25 rows: the cut is checked
 		// after each block, so partitions close at 30, 60, 90 and the 10-row
 		// tail.
-		if err := m.SetStreamingBuild(StreamConfig{BlockSize: 10, PartitionRows: 25}); err != nil {
-			t.Fatal(err)
-		}
+		m.pipeline = blockPipeline{blockSize: 10, partitionRows: 25}
 		if _, err := m.Create("t", []string{"a"}); err != nil {
 			t.Fatal(err)
 		}
@@ -214,9 +336,7 @@ func TestStreamingCancelMidStream(t *testing.T) {
 			db := streamDB(t, 400)
 			m := NewManager(db, histogram.MaxDiff, 0)
 			m.SetObsRegistry(obs.New())
-			if err := m.SetStreamingBuild(StreamConfig{BlockSize: 8, PartitionRows: 40}); err != nil {
-				t.Fatal(err)
-			}
+			m.pipeline = blockPipeline{blockSize: 8, partitionRows: 40}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			blocks := 0
@@ -283,9 +403,7 @@ func TestStreamingConcurrentBuildsAndDML(t *testing.T) {
 	db := streamDB(t, 300)
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
-	if err := m.SetStreamingBuild(StreamConfig{BlockSize: 16, PartitionRows: 64}); err != nil {
-		t.Fatal(err)
-	}
+	m.pipeline = blockPipeline{blockSize: 16, partitionRows: 64}
 	id := MakeID("s", []string{"a"})
 	if _, err := m.Create("s", []string{"a"}); err != nil {
 		t.Fatal(err)
