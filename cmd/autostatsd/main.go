@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -51,8 +50,6 @@ var (
 	tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant request quota in req/s; tenants over it are rejected with the rate_limited code (0 disables)")
 	tenantBurst = flag.Int("tenant-burst", 0, "per-tenant quota burst (0 = one second of -tenant-rps)")
 	maxInflight = flag.Int("max-inflight-per-conn", 0, "max requests one connection may have in flight; excess fast-fails overloaded (0 = server default 256, <0 disables)")
-	waitReady   = flag.Bool("wait-ready", false, "do not serve: poll http://<-metrics-addr>/readyz of an already-running daemon until it reports ready, then exit (0 ready, 1 not ready in time) — for scripts that start the daemon in the background")
-	waitTO      = flag.Duration("wait-timeout", 30*time.Second, "give up on -wait-ready after this long")
 	verbose     = flag.Bool("verbose", false, "log per-lifecycle-event detail")
 )
 
@@ -66,10 +63,6 @@ func main() {
 
 func run() error {
 	logger := log.New(os.Stderr, "autostatsd: ", log.LstdFlags)
-
-	if *waitReady {
-		return waitForReady(*metricsAddr, *waitTO)
-	}
 
 	newTenant := func(name string) (*autostats.System, error) {
 		start := time.Now()
@@ -141,32 +134,4 @@ func run() error {
 	logger.Printf("clean shutdown: admitted=%d completed=%d rejected_overload=%d rejected_draining=%d",
 		rep.Admitted, rep.Completed, rep.RejectedOverload, rep.RejectedDraining)
 	return nil
-}
-
-// waitForReady polls the running daemon's /readyz until it answers 200 or
-// the timeout passes. It replaces ad-hoc "sleep and hope" startup gating in
-// scripts: start autostatsd in the background with -metrics-addr, then run
-// `autostatsd -wait-ready -metrics-addr <same>` before pointing load at it.
-func waitForReady(metricsAddr string, timeout time.Duration) error {
-	if metricsAddr == "" {
-		return fmt.Errorf("-wait-ready needs -metrics-addr to know where /readyz lives")
-	}
-	url := fmt.Sprintf("http://%s/readyz", metricsAddr)
-	deadline := time.Now().Add(timeout)
-	client := &http.Client{Timeout: 2 * time.Second}
-	var lastErr error = fmt.Errorf("never polled")
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			lastErr = fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-		} else {
-			lastErr = err
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("not ready after %v: %w", timeout, lastErr)
 }

@@ -8,12 +8,9 @@
 //	experiments -exp fig4 -workload U0-C-100 -scale 0.5 -seed 1
 //
 // Experiments: intro, fig3, fig4, fig4sc, table1, ablation-t, ablation-eps,
-// ablation-next, ablation-cov, ablation-hist, all, and none (run nothing).
-// Any other -exp value exits with status 2 and the list of valid names.
-//
-// -swarm-addr drives a client swarm against an already-running autostatsd
-// instead of running experiments. Timings and regressions are measured by
-// perfbench/, not here.
+// ablation-next, ablation-cov, ablation-hist, and all. Any other -exp value
+// exits with status 2 and the list of valid names. Timings and regressions
+// are measured by perfbench/, not here.
 package main
 
 import (
@@ -38,19 +35,16 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|all|none")
-		swarmN    = flag.Int("swarm-sessions", 1000, "concurrent client sessions for -swarm-addr")
-		swarmTen  = flag.Int("swarm-tenants", 8, "tenants for -swarm-addr")
-		swarmAddr = flag.String("swarm-addr", "", "run the client swarm against an already-running autostatsd at this address and exit")
-		scale     = flag.Float64("scale", 0.5, "database scale factor (1.0 ≈ 8.7k rows)")
-		seed      = flag.Int64("seed", 1, "workload generator seed")
-		wl        = flag.String("workload", "", "workload name (default depends on experiment, e.g. U25-C-100 for table1)")
-		dbs       = flag.String("dbs", strings.Join(datagen.DatabaseNames(), ","), "comma-separated database list")
-		introDB   = flag.String("intro-db", "TPCD_2", "database for the intro experiment")
-		introScl  = flag.Float64("intro-scale", 1.0, "scale for the intro experiment")
-		metrics   = flag.Bool("metrics", false, "dump the observability counters after the experiments")
-		traceTo   = flag.String("trace", "", "write a JSONL span trace of the experiments to this file")
-		timeout   = flag.Duration("timeout", 0, "abort the experiments after this long (0 = no deadline)")
+		exp      = flag.String("exp", "all", "experiment: intro|fig3|fig4|fig4sc|table1|ablation-t|ablation-eps|ablation-next|ablation-cov|ablation-hist|all")
+		scale    = flag.Float64("scale", 0.5, "database scale factor (1.0 ≈ 8.7k rows)")
+		seed     = flag.Int64("seed", 1, "workload generator seed")
+		wl       = flag.String("workload", "", "workload name (default depends on experiment, e.g. U25-C-100 for table1)")
+		dbs      = flag.String("dbs", strings.Join(datagen.DatabaseNames(), ","), "comma-separated database list")
+		introDB  = flag.String("intro-db", "TPCD_2", "database for the intro experiment")
+		introScl = flag.Float64("intro-scale", 1.0, "scale for the intro experiment")
+		metrics  = flag.Bool("metrics", false, "dump the observability counters after the experiments")
+		traceTo  = flag.String("trace", "", "write a JSONL span trace of the experiments to this file")
+		timeout  = flag.Duration("timeout", 0, "abort the experiments after this long (0 = no deadline)")
 	)
 	flag.Parse()
 
@@ -78,7 +72,7 @@ func main() {
 			return nil
 		}})
 	}
-	valid := []string{"all", "none"} // none runs nothing, as with -swarm-addr
+	valid := []string{"all"}
 	for _, e := range experiments {
 		valid = append(valid, e.name)
 	}
@@ -106,16 +100,6 @@ func main() {
 		traceFile = f
 		tracer = obs.NewJSONLTracer(f)
 		obs.Default.AddTracer(tracer)
-	}
-
-	// External-swarm mode: drive an already-running autostatsd and exit —
-	// the CI server-smoke job uses this against a daemon it SIGTERMs.
-	if *swarmAddr != "" {
-		if err := runExternalSwarm(ctx, *swarmAddr, *swarmN, *swarmTen); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: swarm: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// The record's first line: what produced it, on how many CPUs, and when.
@@ -251,29 +235,6 @@ func runTable1(dbs []string, wl string, scale float64, seed int64) error {
 		fmt.Printf("%-10s %6d %6d %6d %11.1f%% %11.1f%% %9.1f%%\n",
 			row.DB, row.MNSACount, row.DropListed, row.MNSADCount-row.DropListed,
 			row.UpdateReductionPct, row.ReplayReductionPct, row.ExecIncreasePct)
-	}
-	return nil
-}
-
-// runExternalSwarm points the client swarm at a daemon started elsewhere.
-func runExternalSwarm(ctx context.Context, addr string, sessions, tenants int) error {
-	res, err := bench.Swarm(ctx, addr, bench.SwarmConfig{
-		Sessions:           sessions,
-		Tenants:            tenants,
-		RequestsPerSession: 4,
-		TuneEvery:          100,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("swarm vs %s: %d sessions x %d tenants, %d requests in %v (%.0f req/s), p50 %v p99 %v, %d failures\n",
-		addr, res.Sessions, res.Tenants, res.Requests, res.Wall.Round(time.Millisecond),
-		res.Throughput, res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond), res.Failures)
-	if res.Failures > 0 {
-		return fmt.Errorf("%d failures (first: %s)", res.Failures, res.FirstError)
-	}
-	if res.Throughput <= 0 {
-		return fmt.Errorf("throughput gate: %f req/s", res.Throughput)
 	}
 	return nil
 }

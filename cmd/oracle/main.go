@@ -18,7 +18,14 @@
 // checks it over the same TPC-D data shapes on every test run.
 //
 // -chaos runs the network chaos sweep in place of the correctness oracles,
-// in either mode. Any failing seed makes the process exit 1; in long mode
+// in either mode: client sessions against an in-process server behind a
+// fault-injecting proxy. -addr host:port implies the sweep and points the
+// same sessions at a daemon already listening there, with no proxy; every
+// request must then succeed:
+//
+//	oracle -addr 127.0.0.1:7744 -sessions 120 -requests 4
+//
+// Any failing seed makes the process exit 1; in long mode
 // the failing seeds are also written to -failure-file (default
 // oracle-failures.txt) for artifact upload. If that file cannot be written,
 // the error goes to stderr and the exit status is still 1. SIGINT/SIGTERM
@@ -50,6 +57,7 @@ func main() {
 		duration = flag.Duration("duration", 0, "long mode: loop over seeds until this much time has passed")
 		failFile = flag.String("failure-file", "oracle-failures.txt", "long mode: write failing seeds here")
 		chaosRun = flag.Bool("chaos", false, "run the network chaos sweep instead of the correctness oracles")
+		addr     = flag.String("addr", "", "run the sweep against the daemon at this host:port, with no proxy; every request must succeed (implies -chaos)")
 		sessions = flag.Int("sessions", 16, "chaos mode: concurrent client sessions")
 		requests = flag.Int("requests", 20, "chaos mode: requests per session")
 	)
@@ -59,10 +67,17 @@ func main() {
 	run := func(s int64) (int, error) {
 		return runSeed(s, *queries, *meta, *samples, *scale, *zipf, *simple)
 	}
-	if *chaosRun {
-		run = func(s int64) (int, error) { return runChaosSeed(s, *sessions, *requests) }
+	mode := ""
+	switch {
+	case *addr != "":
+		mode = "-addr " + *addr
+	case *chaosRun:
+		mode = "-chaos"
 	}
-	code := soak(ctx, *chaosRun, *seed, *duration, *failFile, run)
+	if mode != "" {
+		run = func(s int64) (int, error) { return runChaosSeed(s, *sessions, *requests, *addr) }
+	}
+	code := soak(ctx, mode, *seed, *duration, *failFile, run)
 	stop()
 	os.Exit(code)
 }
@@ -72,11 +87,13 @@ func main() {
 // at the next seed boundary. In long mode the failing seeds are written to
 // failFile. It returns the exit status: 1 when a seed failed or the run was
 // interrupted. run returns the seed's finding count; an error means the
-// harness itself broke, and fails the seed too.
-func soak(ctx context.Context, chaos bool, seed int64, duration time.Duration, failFile string, run func(seed int64) (int, error)) int {
+// harness itself broke, and fails the seed too. mode is the flag that
+// selected the chaos sweep ("-chaos" or "-addr host:port"), empty for the
+// correctness oracles; the repro line repeats it.
+func soak(ctx context.Context, mode string, seed int64, duration time.Duration, failFile string, run func(seed int64) (int, error)) int {
 	label, repro := "", "oracle -seed <n>"
-	if chaos {
-		label, repro = "chaos ", "oracle -chaos -seed <n>"
+	if mode != "" {
+		label, repro = "chaos ", "oracle "+mode+" -seed <n>"
 	}
 	deadline := time.Now().Add(duration)
 	var failed []int64
@@ -130,12 +147,13 @@ func writeSeeds(path string, seeds []int64) error {
 }
 
 // runChaosSeed runs one chaos sweep and prints its findings and summary.
-func runChaosSeed(seed int64, sessions, requests int) (int, error) {
+func runChaosSeed(seed int64, sessions, requests int, addr string) (int, error) {
 	start := time.Now()
 	rep, err := oracle.RunChaosSweep(oracle.ChaosOptions{
 		Seed:               seed,
 		Sessions:           sessions,
 		RequestsPerSession: requests,
+		Addr:               addr,
 	})
 	if err != nil {
 		return 0, err
@@ -143,11 +161,15 @@ func runChaosSeed(seed int64, sessions, requests int) (int, error) {
 	for _, f := range rep.Findings {
 		fmt.Printf("FAIL %s\n", f)
 	}
-	fmt.Printf("chaos seed %-6d %4d requests (%d ok, %d typed, %d transport, %d hangs) | proxy: %d resets %d torn %d corrupt | drain: adm %d cmp %d drop %d | %d findings | %.1fs\n",
+	where := fmt.Sprintf("direct to %s", addr)
+	if addr == "" {
+		where = fmt.Sprintf("proxy: %d resets %d torn %d corrupt | drain: adm %d cmp %d drop %d",
+			rep.Proxy.Resets, rep.Proxy.Torn, rep.Proxy.Corrupted,
+			rep.Drain.Admitted, rep.Drain.Completed, rep.Drain.Dropped)
+	}
+	fmt.Printf("chaos seed %-6d %4d requests (%d ok, %d typed, %d transport, %d hangs) | %s | %d findings | %.1fs\n",
 		seed, rep.Requests, rep.OK, rep.TypedErrs, rep.Transport, rep.Hangs,
-		rep.Proxy.Resets, rep.Proxy.Torn, rep.Proxy.Corrupted,
-		rep.Drain.Admitted, rep.Drain.Completed, rep.Drain.Dropped,
-		len(rep.Findings), time.Since(start).Seconds())
+		where, len(rep.Findings), time.Since(start).Seconds())
 	return len(rep.Findings), nil
 }
 

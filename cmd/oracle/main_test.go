@@ -18,7 +18,7 @@ func TestSoakFailureFile(t *testing.T) {
 	dir := t.TempDir()
 
 	good := filepath.Join(dir, "seeds.txt")
-	if code := soak(context.Background(), false, 7, time.Nanosecond, good, fail); code != 1 {
+	if code := soak(context.Background(), "", 7, time.Nanosecond, good, fail); code != 1 {
 		t.Fatalf("soak exited %d, want 1", code)
 	}
 	if b, err := os.ReadFile(good); err != nil || string(b) != "7\n" {
@@ -31,7 +31,7 @@ func TestSoakFailureFile(t *testing.T) {
 	}
 	stderr := os.Stderr
 	os.Stderr = w
-	code := soak(context.Background(), false, 7, time.Nanosecond, filepath.Join(dir, "missing", "seeds.txt"), fail)
+	code := soak(context.Background(), "", 7, time.Nanosecond, filepath.Join(dir, "missing", "seeds.txt"), fail)
 	os.Stderr = stderr
 	w.Close()
 	out, _ := io.ReadAll(r)

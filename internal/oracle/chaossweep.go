@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,27 +20,18 @@ import (
 // ChaosOptions parameterizes one chaos sweep. The zero value is a small,
 // CI-sized sweep; Seed alone replays a run.
 type ChaosOptions struct {
-	// Seed drives the fault proxy and the per-session request mix.
+	// Seed drives the fault proxy.
 	Seed int64
 	// Sessions is the number of concurrent client sessions (default 16).
 	Sessions int
 	// RequestsPerSession bounds each session's request count (default 20).
 	RequestsPerSession int
-	// Tenants spreads sessions across this many tenant names (default 4).
-	Tenants int
-	// Latency/Jitter/CorruptProb/TearProb/ResetProb configure the proxy
-	// (defaults: 2ms latency, 1ms jitter, 1% each fault).
-	Latency     time.Duration
-	Jitter      time.Duration
-	CorruptProb float64
-	TearProb    float64
-	ResetProb   float64
-	// HangBudget is how long a single call may take before the sweep calls
-	// it a hang rather than a slow failure (default 30s — far above every
-	// configured timeout, so only a genuinely stuck path trips it).
-	HangBudget time.Duration
-	// Logf receives progress lines (nil = silent).
-	Logf func(format string, args ...any)
+	// Addr points the same session loop at a daemon already listening there,
+	// with no proxy and no in-process server. Every request must then
+	// succeed: any failure is a finding. The drain, tenant-cache, goroutine
+	// and FD checks need the server in this process, so they run only
+	// without Addr; an external daemon's drain is gated by its exit status.
+	Addr string
 }
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
@@ -51,28 +41,27 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	if o.RequestsPerSession == 0 {
 		o.RequestsPerSession = 20
 	}
-	if o.Tenants == 0 {
-		o.Tenants = 4
-	}
-	if o.Latency == 0 {
-		o.Latency = 2 * time.Millisecond
-	}
-	if o.Jitter == 0 {
-		o.Jitter = time.Millisecond
-	}
-	if o.CorruptProb == 0 {
-		o.CorruptProb = 0.01
-	}
-	if o.TearProb == 0 {
-		o.TearProb = 0.01
-	}
-	if o.ResetProb == 0 {
-		o.ResetProb = 0.01
-	}
-	if o.HangBudget == 0 {
-		o.HangBudget = 30 * time.Second
-	}
 	return o
+}
+
+// The sweep's fixed shape. chaosHangBudget is how long a single call may
+// take before the sweep calls it a hang rather than a slow failure: far above
+// every configured timeout, so only a genuinely stuck path trips it.
+const (
+	chaosTenants    = 4 // sessions spread round-robin over this many tenants
+	chaosLatency    = 2 * time.Millisecond
+	chaosJitter     = time.Millisecond
+	chaosFaultProb  = 0.01 // each of corrupt, tear and reset, per chunk
+	chaosHangBudget = 30 * time.Second
+)
+
+// chaosTemplates are the statements every session cycles through; each
+// tenant's plan cache can hold at most this many entries.
+var chaosTemplates = []string{
+	"SELECT * FROM orders WHERE o_orderkey > 10",
+	"SELECT * FROM lineitem WHERE l_quantity > 45",
+	"SELECT * FROM customer WHERE c_custkey > 5",
+	"SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 40",
 }
 
 // ChaosReport summarizes one chaos sweep.
@@ -82,7 +71,7 @@ type ChaosReport struct {
 	OK        int64
 	TypedErrs int64 // failures carrying a protocol error code
 	Transport int64 // prompt transport failures (resets, torn frames, ...)
-	Hangs     int64 // calls that exceeded HangBudget — always findings
+	Hangs     int64 // calls that exceeded chaosHangBudget — always findings
 	Proxy     chaos.Stats
 	Drain     server.DrainReport
 	// GoroutinesLeaked is the count above baseline that never settled after
@@ -91,11 +80,12 @@ type ChaosReport struct {
 	Findings         []Finding
 }
 
-// RunChaosSweep drives a real stats server through the fault-injecting proxy
-// with a swarm of client sessions and asserts the robustness invariants:
+// RunChaosSweep drives a real stats server with a swarm of client sessions
+// and asserts the robustness invariants. Without opts.Addr the server runs in
+// this process behind the fault-injecting proxy, and:
 //
 //   - every client-visible failure is a typed protocol error or a prompt
-//     transport error — never a hang past HangBudget;
+//     transport error — never a hang past chaosHangBudget;
 //   - shutdown drains cleanly: Dropped = Admitted − Completed = 0;
 //   - the server leaks no goroutines (and, on Linux, no file descriptors)
 //     once connections are gone;
@@ -106,13 +96,25 @@ type ChaosReport struct {
 // Faults are injected at the byte level between client and server, so torn
 // frames, corrupt length prefixes, and mid-request resets all occur
 // naturally; the invariants must hold regardless.
+//
+// With opts.Addr the sessions dial that daemon directly and every request
+// must succeed; a failure, a hang or a sweep with no OK request is a finding.
 func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 	opts = opts.withDefaults()
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rep := &ChaosReport{Sessions: opts.Sessions}
+	var findMu sync.Mutex
+	addFinding := func(f Finding) {
+		f.Seed = opts.Seed
+		findMu.Lock()
+		rep.Findings = append(rep.Findings, f)
+		findMu.Unlock()
+	}
+
+	if opts.Addr != "" {
+		runChaosSessions(opts.Addr, opts, rep, addFinding)
+		return rep, nil
+	}
+
 	baselineGoroutines := runtime.NumGoroutine()
 	baselineFDs := countFDs()
 
@@ -120,7 +122,7 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 		Addr:               "127.0.0.1:0",
 		Workers:            4,
 		QueueDepth:         64,
-		MaxTenants:         opts.Tenants + 2,
+		MaxTenants:         chaosTenants + 2,
 		ReadTimeout:        3 * time.Second,
 		WriteTimeout:       2 * time.Second,
 		RequestTimeout:     5 * time.Second,
@@ -140,11 +142,11 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 
 	proxy, err := chaos.New(srv.Addr().String(), chaos.Config{
 		Seed:        opts.Seed,
-		Latency:     opts.Latency,
-		Jitter:      opts.Jitter,
-		CorruptProb: opts.CorruptProb,
-		TearProb:    opts.TearProb,
-		ResetProb:   opts.ResetProb,
+		Latency:     chaosLatency,
+		Jitter:      chaosJitter,
+		CorruptProb: chaosFaultProb,
+		TearProb:    chaosFaultProb,
+		ResetProb:   chaosFaultProb,
 	})
 	if err != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -153,83 +155,17 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 		return nil, fmt.Errorf("chaos: proxy: %w", err)
 	}
 
-	templates := []string{
-		"SELECT * FROM orders WHERE o_orderkey > 10",
-		"SELECT * FROM lineitem WHERE l_quantity > 45",
-		"SELECT * FROM customer WHERE c_custkey > 5",
-		"SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 40",
-	}
-
-	logf("chaos: %d sessions x %d requests through proxy %s (seed %d)",
-		opts.Sessions, opts.RequestsPerSession, proxy.Addr(), opts.Seed)
-
-	var (
-		requests, okCalls, typed, transport, hangs atomic.Int64
-		findMu                                     sync.Mutex
-	)
-	addFinding := func(f Finding) {
-		findMu.Lock()
-		rep.Findings = append(rep.Findings, f)
-		findMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Sessions; i++ {
-		wg.Add(1)
-		go func(session int) {
-			defer wg.Done()
-			tenant := fmt.Sprintf("chaos%d", session%opts.Tenants)
-			c, err := client.Dial(proxy.Addr().String(), client.Options{
-				Tenant:         tenant,
-				DialTimeout:    2 * time.Second,
-				HelloTimeout:   2 * time.Second,
-				RequestTimeout: 10 * time.Second,
-			})
-			if err != nil {
-				return // dial lost to chaos; nothing to assert about an unopened session
-			}
-			defer c.Close()
-			for j := 0; j < opts.RequestsPerSession; j++ {
-				sql := templates[(session+j)%len(templates)]
-				requests.Add(1)
-				start := time.Now()
-				ctx, cancel := context.WithTimeout(context.Background(), opts.HangBudget)
-				_, err := c.Exec(ctx, sql)
-				cancel()
-				elapsed := time.Since(start)
-				switch classifyChaosErr(err) {
-				case chaosOK:
-					okCalls.Add(1)
-				case chaosTyped:
-					typed.Add(1)
-				case chaosTransport:
-					transport.Add(1)
-				}
-				if elapsed >= opts.HangBudget {
-					hangs.Add(1)
-					addFinding(Finding{
-						Oracle: "chaos-hang",
-						Seed:   opts.Seed,
-						SQL:    sql,
-						Detail: fmt.Sprintf("session %d request %d took %v (budget %v); err=%v",
-							session, j, elapsed, opts.HangBudget, err),
-					})
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
+	runChaosSessions(proxy.Addr().String(), opts, rep, addFinding)
 
 	// Tenant plan-cache isolation: each tenant only ever saw the template
 	// statements, so its cache can hold at most that many entries. More
 	// means statements leaked across tenants into its cache.
 	for tenant, st := range srv.TenantPlanCacheStats() {
-		if st.Size > len(templates) {
+		if st.Size > len(chaosTemplates) {
 			addFinding(Finding{
 				Oracle: "chaos-cache-isolation",
-				Seed:   opts.Seed,
 				Detail: fmt.Sprintf("tenant %q plan cache holds %d entries; it only issued %d distinct statements",
-					tenant, st.Size, len(templates)),
+					tenant, st.Size, len(chaosTemplates)),
 			})
 		}
 	}
@@ -243,7 +179,6 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 	if rep.Drain.Dropped != 0 || rep.Drain.Admitted-rep.Drain.Completed != rep.Drain.Dropped {
 		addFinding(Finding{
 			Oracle: "chaos-drain",
-			Seed:   opts.Seed,
 			Detail: fmt.Sprintf("drain arithmetic broken under chaos: admitted=%d completed=%d dropped=%d forced=%v",
 				rep.Drain.Admitted, rep.Drain.Completed, rep.Drain.Dropped, rep.Drain.Forced),
 		})
@@ -266,7 +201,6 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 		n := runtime.Stack(buf, true)
 		addFinding(Finding{
 			Oracle: "chaos-goroutine-leak",
-			Seed:   opts.Seed,
 			Detail: fmt.Sprintf("%d goroutines above baseline %d after shutdown\n%s",
 				leaked, baselineGoroutines, truncate(string(buf[:n]), 4000)),
 		})
@@ -275,30 +209,98 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosReport, error) {
 		if after := countFDs(); after > baselineFDs+slack {
 			addFinding(Finding{
 				Oracle: "chaos-fd-leak",
-				Seed:   opts.Seed,
 				Detail: fmt.Sprintf("%d file descriptors above baseline %d after shutdown", after-baselineFDs, baselineFDs),
 			})
 		}
 	}
+	return rep, nil
+}
 
+// runChaosSessions runs opts.Sessions concurrent client sessions against
+// addr, each issuing opts.RequestsPerSession templated Execs, and fills in
+// rep's request counts. A call past chaosHangBudget is a finding, and so is
+// a sweep with no OK request; with opts.Addr set (strict mode) so is any
+// failed dial or call: one finding counts them and quotes the first.
+func runChaosSessions(addr string, opts ChaosOptions, rep *ChaosReport, addFinding func(Finding)) {
+	strict := opts.Addr != ""
+	var requests, okCalls, typed, transport, hangs, failed atomic.Int64
+	var firstFailure atomic.Pointer[string]
+	fail := func(format string, args ...any) {
+		failed.Add(1)
+		msg := fmt.Sprintf(format, args...)
+		firstFailure.CompareAndSwap(nil, &msg)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < opts.Sessions; i++ {
+		wg.Add(1)
+		go func(session int) {
+			defer wg.Done()
+			c, err := client.Dial(addr, client.Options{
+				Tenant:         fmt.Sprintf("chaos%d", session%chaosTenants),
+				DialTimeout:    2 * time.Second,
+				HelloTimeout:   2 * time.Second,
+				RequestTimeout: 10 * time.Second,
+			})
+			if err != nil {
+				// Through the proxy a dial lost to chaos leaves nothing to
+				// assert about an unopened session; direct, it is a failure.
+				if strict {
+					fail("session %d dial: %v", session, err)
+				}
+				return
+			}
+			defer c.Close()
+			for j := 0; j < opts.RequestsPerSession; j++ {
+				sql := chaosTemplates[(session+j)%len(chaosTemplates)]
+				requests.Add(1)
+				start := time.Now()
+				ctx, cancel := context.WithTimeout(context.Background(), chaosHangBudget)
+				_, err := c.Exec(ctx, sql)
+				cancel()
+				elapsed := time.Since(start)
+				switch classifyChaosErr(err) {
+				case chaosOK:
+					okCalls.Add(1)
+				case chaosTyped:
+					typed.Add(1)
+				case chaosTransport:
+					transport.Add(1)
+				}
+				if elapsed >= chaosHangBudget {
+					hangs.Add(1)
+					addFinding(Finding{
+						Oracle: "chaos-hang",
+						SQL:    sql,
+						Detail: fmt.Sprintf("session %d request %d took %v (budget %v); err=%v",
+							session, j, elapsed, chaosHangBudget, err),
+					})
+				} else if err != nil && strict {
+					fail("session %d request %d (%s): %v", session, j, sql, err)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		addFinding(Finding{
+			Oracle: "chaos-strict",
+			Detail: fmt.Sprintf("%d dials or requests against %s failed; first: %s", n, addr, *firstFailure.Load()),
+		})
+	}
 	rep.Requests = requests.Load()
 	rep.OK = okCalls.Load()
 	rep.TypedErrs = typed.Load()
 	rep.Transport = transport.Load()
 	rep.Hangs = hangs.Load()
 	// The fault rates are meant to be survivable: a sweep in which nothing
-	// succeeded exercised the failure paths only and proves none of the above
-	// about a working exchange.
+	// succeeded exercised the failure paths only and proves none of the
+	// invariants about a working exchange.
 	if rep.OK == 0 {
 		addFinding(Finding{
 			Oracle: "chaos-no-survivor",
-			Seed:   opts.Seed,
 			Detail: fmt.Sprintf("none of %d requests succeeded (%d typed, %d transport)", rep.Requests, rep.TypedErrs, rep.Transport),
 		})
 	}
-	logf("chaos: %d requests: %d ok, %d typed, %d transport, %d hangs; proxy %+v; findings %d",
-		rep.Requests, rep.OK, rep.TypedErrs, rep.Transport, rep.Hangs, rep.Proxy, len(rep.Findings))
-	return rep, nil
 }
 
 type chaosErrClass int
@@ -309,10 +311,13 @@ const (
 	chaosTransport
 )
 
-// classifyChaosErr buckets a call outcome. Typed protocol errors carry a
-// server-assigned code; everything else that failed promptly is transport
-// loss (the chaos proxy's resets and tears land here, as does client-side
-// deadline enforcement — the call FAILED FAST, which is the contract).
+// classifyChaosErr buckets a call outcome. Typed errors are the server's
+// answers: a response that carried an error code, which Response.Err maps
+// onto one of the protocol's code sentinels. Everything else that failed
+// promptly is transport loss — the chaos proxy's resets and tears, a frame
+// the client could not read (ErrFrameTooLarge, ErrMalformed wrapped in
+// client.ErrConnLost or in a failed redial's hello), and client-side
+// deadline enforcement: the call FAILED FAST, which is the contract.
 func classifyChaosErr(err error) chaosErrClass {
 	switch {
 	case err == nil:
@@ -320,10 +325,9 @@ func classifyChaosErr(err error) chaosErrClass {
 	case errors.Is(err, protocol.ErrOverloaded),
 		errors.Is(err, protocol.ErrDraining),
 		errors.Is(err, protocol.ErrRateLimited),
-		errors.Is(err, protocol.ErrTimeout):
+		errors.Is(err, protocol.ErrTimeout),
+		errors.Is(err, protocol.ErrFailed):
 		return chaosTyped
-	case strings.Contains(err.Error(), "protocol: "):
-		return chaosTyped // non-sentinel code (bad_request, sql_error, ...)
 	default:
 		return chaosTransport
 	}

@@ -93,6 +93,11 @@ var (
 	// it was executing. The operation was canceled through its context; side
 	// effects of completed phases (e.g. statistics already built) remain.
 	ErrTimeout = errors.New("protocol: request timed out on server")
+	// ErrFailed is what every other error code maps onto (bad_request,
+	// sql_error, tenant_limit, ...): the server answered with a code. With
+	// the four sentinels above it tells a server's answer from a transport
+	// failure by errors.Is.
+	ErrFailed = errors.New("protocol: request failed")
 )
 
 // Request is one client→server message.
@@ -359,8 +364,8 @@ func ErrResponse(id uint64, code, msg string) *Response {
 }
 
 // Err converts a non-OK response into a Go error (nil for success). The
-// backpressure and drain codes map onto their sentinel errors so callers can
-// errors.Is them.
+// backpressure, drain, quota and timeout codes map onto their own sentinel
+// errors and every other code onto ErrFailed, so callers can errors.Is them.
 func (r *Response) Err() error {
 	switch r.Code {
 	case "": // success
@@ -374,6 +379,6 @@ func (r *Response) Err() error {
 	case CodeTimeout:
 		return fmt.Errorf("%w (request %d)", ErrTimeout, r.ID)
 	default:
-		return fmt.Errorf("protocol: %s: %s", r.Code, r.Error)
+		return fmt.Errorf("%w: %s: %s", ErrFailed, r.Code, r.Error)
 	}
 }

@@ -77,7 +77,7 @@ func TestResponseRoundTripAndErr(t *testing.T) {
 	if err := ErrResponse(9, CodeDraining, "bye").Err(); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining code should map to ErrDraining, got %v", err)
 	}
-	if err := ErrResponse(9, CodeSQL, "boom").Err(); err == nil || !strings.Contains(err.Error(), "boom") {
+	if err := ErrResponse(9, CodeSQL, "boom").Err(); !errors.Is(err, ErrFailed) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("sql error lost: %v", err)
 	}
 }

@@ -54,7 +54,7 @@ func wantJSON(r *http.Request) bool {
 //	GET /healthz  — 200 while the process is alive (liveness)
 //	GET /readyz   — 200 once ready() is true, 503 otherwise (readiness:
 //	                listening and not draining); orchestrators and the
-//	                -wait-ready flag of cmd/autostatsd poll this
+//	                CI server-smoke job's readiness loop poll this
 //	GET /         — the metrics registry (text, or ?format=json)
 func opsHandler(reg *obs.Registry, ready func() bool) http.Handler {
 	mux := http.NewServeMux()
