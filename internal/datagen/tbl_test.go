@@ -44,7 +44,7 @@ func TestWriteLoadTblRoundTrip(t *testing.T) {
 		}
 		// Indexes must be rebuilt on load: a full-range seek visits every row.
 		orders, seen := mustTable(t, back, "orders"), 0
-		if !orders.Seek("o_orderkey", nil, nil, true, true, func(int, storage.Row) bool { seen++; return true }) || seen != orders.RowCount() {
+		if !orders.Seek("o_orderkey", nil, nil, true, true, nil, func(int, storage.Row) bool { seen++; return true }) || seen != orders.RowCount() {
 			t.Fatalf("schema indexes not rebuilt after LoadTbl: a seek saw %d of %d rows", seen, orders.RowCount())
 		}
 	}

@@ -53,7 +53,7 @@ type keyRange struct {
 // cheapestSeek applies the optimizer's access-path rule (bestAccessPath) to
 // a DML statement's filters, with exact counts where SELECT has estimates:
 // each indexed filter column's range, from its non-Ne filters, is counted
-// by two binary searches, and the smallest is worth seeking when
+// in logarithmic time (View.Count), and the smallest is worth seeking when
 // SeekCost(n) + CostRowFetch·count < n·CostRowScan for n live rows.
 func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
 	var cols []string
@@ -81,12 +81,11 @@ func cheapestSeek(v storage.View, filters []query.Filter) (keyRange, bool) {
 	return best, bestCount >= 0 && optimizer.SeekCost(n)+optimizer.CostRowFetch*float64(bestCount) < n*optimizer.CostRowScan
 }
 
-// matchingIDs returns, ascending, the IDs of the live rows of v that satisfy
-// every filter. It seeks the range cheapestSeek picks, or else scans, and
-// re-checks every filter on each row either path fetches. Sorting a seek's
-// IDs makes the write that follows touch rows in the scan's order, so an
-// UPDATE of an indexed column re-inserts its index entries in the same order
-// whichever path found them. Only the path depends on the indexes: the
+// matchingIDs returns the IDs of the live rows of v that satisfy every
+// filter. It seeks the range cheapestSeek picks, or else scans, and
+// re-checks every filter on each row either path fetches. The order of the
+// IDs does not matter: an index orders equal keys by row ID, whatever order
+// an UPDATE writes them in. Only the path depends on the indexes: the
 // statement's charge is a full scan either way (see runDelete).
 func matchingIDs(v storage.View, filters []query.Filter, rs *resultSet) ([]int, error) {
 	f, err := newFetcher(rs, filters, 0, 0)
@@ -102,7 +101,6 @@ func matchingIDs(v storage.View, filters []query.Filter, rs *resultSet) ([]int, 
 	}
 	if r, ok := cheapestSeek(v, filters); ok {
 		v.Seek(r.col, r.lo, r.hi, r.loInc, r.hiInc, keep)
-		slices.Sort(ids)
 	} else {
 		v.Scan(keep)
 	}

@@ -100,8 +100,8 @@ func stateOf(td *storage.TableData) tableState {
 
 // seekOutputs returns the output of a full-range index-seek SELECT on each
 // of the table's indexes. Rows come out in index order, and equal keys in
-// the order their entries were inserted, so the outputs also pin the order
-// in which an UPDATE re-inserted index entries.
+// row-ID order, so the outputs also pin where an UPDATE moved each row in
+// the index.
 func seekOutputs(t *testing.T, db *storage.Database, table string) []*Result {
 	t.Helper()
 	var out []*Result

@@ -117,23 +117,36 @@ func tableResultSet(td *storage.TableData) *resultSet {
 // accepts and stops once err is set.
 type fetcher struct {
 	filters []query.Filter
-	pos     []int // pos[i] is the row position of filters[i]'s column
-	perRow  float64
-	cost    float64
-	err     error
+	// pos[i] is the row position of filters[i]'s column. When every filter
+	// reads one column, as every index seek without a residual filter does,
+	// pos is nil and col is that column's position.
+	pos    []int
+	col    int
+	perRow float64
+	cost   float64
+	err    error
 }
 
 // newFetcher binds filters to rs's columns and starts the charge at cost.
 func newFetcher(rs *resultSet, filters []query.Filter, cost, perRow float64) (fetcher, error) {
-	pos := make([]int, len(filters))
-	for i, f := range filters {
-		p, err := rs.bind(f.Col)
+	f := fetcher{filters: filters, perRow: perRow, cost: cost}
+	if len(filters) == 0 {
+		return f, nil
+	}
+	if !slices.ContainsFunc(filters, func(flt query.Filter) bool { return flt.Col != filters[0].Col }) {
+		var err error
+		f.col, err = rs.bind(filters[0].Col)
+		return f, err
+	}
+	f.pos = make([]int, len(filters))
+	for i, flt := range filters {
+		p, err := rs.bind(flt.Col)
 		if err != nil {
 			return fetcher{}, err
 		}
-		pos[i] = p
+		f.pos[i] = p
 	}
-	return fetcher{filters: filters, pos: pos, perRow: perRow, cost: cost}, nil
+	return f, nil
 }
 
 // pass charges perRow for a fetched row and reports whether every filter
@@ -142,7 +155,11 @@ func newFetcher(rs *resultSet, filters []query.Filter, cost, perRow float64) (fe
 func (f *fetcher) pass(r storage.Row) bool {
 	f.cost += f.perRow
 	for i, flt := range f.filters {
-		ok, err := flt.Op.Eval(r[f.pos[i]], flt.Val)
+		p := f.col
+		if f.pos != nil {
+			p = f.pos[i]
+		}
+		ok, err := flt.Op.Eval(r[p], flt.Val)
 		if err != nil {
 			f.err = fmt.Errorf("executor: evaluating %s: %w", flt, err)
 			return false
@@ -166,8 +183,14 @@ func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 	live := td.RowCount()
 	rows := float64(live)
 	cost, perRow := rows*optimizer.CostRowScan, 0.0
+	var reserve func(int)
 	if n.Op == optimizer.OpIndexSeek {
 		cost, perRow = optimizer.SeekCost(rows), optimizer.CostRowFetch
+		if len(n.Filters) == len(n.SeekFilters) {
+			// No residual filter: the seek keeps at most its range's
+			// count of rows, so size the output from it once.
+			reserve = func(c int) { rs.rows = make([][]catalog.Datum, 0, c) }
+		}
 	} else if len(n.Filters) == 0 {
 		// An unfiltered scan keeps every live row: size the output once.
 		rs.rows = make([][]catalog.Datum, 0, live)
@@ -185,7 +208,7 @@ func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 	}
 	if n.Op == optimizer.OpTableScan {
 		td.Scan(keep)
-	} else if lo, hi, loInc, hiInc := seekBounds(n.SeekFilters); !td.Seek(n.IndexCol, lo, hi, loInc, hiInc, keep) {
+	} else if lo, hi, loInc, hiInc := seekBounds(n.SeekFilters); !td.Seek(n.IndexCol, lo, hi, loInc, hiInc, reserve, keep) {
 		return nil, 0, fmt.Errorf("executor: no index on %s.%s", n.Table, n.IndexCol)
 	}
 	if f.err != nil {
@@ -197,32 +220,34 @@ func (ex *Executor) execTable(n *optimizer.Node) (*resultSet, float64, error) {
 // seekBounds derives the index range from the seek filters.
 func seekBounds(filters []query.Filter) (lo, hi *catalog.Datum, loInc, hiInc bool) {
 	loInc, hiInc = true, true
-	for _, f := range filters {
-		v := f.Val
-		switch f.Op {
+	for i := range filters {
+		// v points into filters, which the caller keeps, so a bound costs no
+		// allocation.
+		v := &filters[i].Val
+		switch filters[i].Op {
 		case query.Eq:
 			// Reset inclusivity along with the bounds: an earlier exclusive
 			// bound (e.g. "> 1 AND = 2") must not turn the point range
 			// [2, 2] into the empty range (2, 2]. Contradictory residual
 			// filters are re-checked per fetched row, so an over-wide point
 			// range is safe; an empty one silently loses rows.
-			lo, hi = &v, &v
+			lo, hi = v, v
 			loInc, hiInc = true, true
 		case query.Lt:
 			if hi == nil || v.Compare(*hi) <= 0 {
-				hi, hiInc = &v, false
+				hi, hiInc = v, false
 			}
 		case query.Le:
 			if hi == nil || v.Compare(*hi) < 0 {
-				hi, hiInc = &v, true
+				hi, hiInc = v, true
 			}
 		case query.Gt:
 			if lo == nil || v.Compare(*lo) >= 0 {
-				lo, loInc = &v, false
+				lo, loInc = v, false
 			}
 		case query.Ge:
 			if lo == nil || v.Compare(*lo) > 0 {
-				lo, loInc = &v, true
+				lo, loInc = v, true
 			}
 		}
 	}
@@ -504,7 +529,7 @@ func (ex *Executor) execIndexNLJoin(n *optimizer.Node) (*resultSet, float64, err
 		if key.Null {
 			continue
 		}
-		if !td.Seek(n.IndexCol, &key, &key, true, true, probe) {
+		if !td.Seek(n.IndexCol, &key, &key, true, true, nil, probe) {
 			return nil, 0, fmt.Errorf("executor: no index on %s.%s", inner.Table, n.IndexCol)
 		}
 		if f.err != nil {

@@ -28,7 +28,7 @@ func TestInsertStoresItsOwnRow(t *testing.T) {
 	seek := func(k int64) []int {
 		var ids []int
 		v := catalog.NewInt(k)
-		td.Seek("r_regionkey", &v, &v, true, true, func(id int, r storage.Row) bool {
+		td.Seek("r_regionkey", &v, &v, true, true, nil, func(id int, r storage.Row) bool {
 			if r[key].I != k {
 				t.Errorf("the index finds row %d under key %d, but it reads %d", id, k, r[key].I)
 			}
@@ -56,11 +56,13 @@ func TestInsertStoresItsOwnRow(t *testing.T) {
 // keeping 1 000 rows may cost at most 8 more allocations than keeping 100
 // (the output slice's growth), so no per-row copy comes back. An unfiltered
 // scan sizes its output from the table's live row count, so keeping all
-// 1 500 rows costs no more than keeping 100.
+// 1 500 rows costs no more than keeping 100; an index seek with no residual
+// filter sizes it from its range's count, so keeping 1 000 rows costs no
+// more than the unfiltered scan.
 func TestScanAllocsConstant(t *testing.T) {
 	e := newEnv(t, 0, 1)
-	allocs := func(keep int, filters ...query.Filter) float64 {
-		plan := &optimizer.Plan{Root: scanNode("orders", filters...)}
+	allocs := func(keep int, root *optimizer.Node) float64 {
+		plan := &optimizer.Plan{Root: root}
 		res, err := e.ex.Run(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -73,12 +75,18 @@ func TestScanAllocsConstant(t *testing.T) {
 	below := func(n int) query.Filter {
 		return query.Filter{Col: col2("orders", "o_orderkey"), Op: query.Lt, Val: catalog.NewInt(int64(n))}
 	}
-	small, large, all := allocs(100, below(100)), allocs(1000, below(1000)), allocs(1500)
+	seek := &optimizer.Node{Op: optimizer.OpIndexSeek, Table: "orders", IndexCol: "o_orderkey",
+		Filters: []query.Filter{below(1000)}, SeekFilters: []query.Filter{below(1000)}}
+	small, large := allocs(100, scanNode("orders", below(100))), allocs(1000, scanNode("orders", below(1000)))
+	all, seeked := allocs(1500, scanNode("orders")), allocs(1000, seek)
 	if large > small+8 {
 		t.Errorf("filtered scan allocs: %v keeping 100 rows, %v keeping 1000; want at most 8 more", small, large)
 	}
 	if all > small {
 		t.Errorf("unfiltered scan allocs: %v keeping all 1500 rows, %v keeping 100 filtered; want no more", all, small)
+	}
+	if seeked > all {
+		t.Errorf("index seek allocs: %v keeping 1000 rows, %v for the unfiltered scan; want no more", seeked, all)
 	}
 }
 

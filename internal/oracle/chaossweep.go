@@ -18,7 +18,14 @@ import (
 )
 
 // ChaosOptions parameterizes one chaos sweep. The zero value is a small,
-// CI-sized sweep; Seed alone replays a run.
+// CI-sized sweep. A seed does not replay a run. Seed fixes the random
+// streams the fault proxy draws from, one per connection and direction, and
+// the statements are fixed by session and request number. What scheduling
+// decides is not fixed: which session holds which connection, which chunks
+// a read forwards (faults are drawn per chunk), and how many requests the
+// sweep server sheds as overloaded at queue depth 64. So the typed and
+// transport counts of one seed differ from run to run, and a seed that
+// failed once may pass when rerun.
 type ChaosOptions struct {
 	// Seed drives the fault proxy.
 	Seed int64

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -524,37 +525,57 @@ func TestBuildAllocsBounded(t *testing.T) {
 }
 
 // BenchmarkStreamingManagerBuild is the end-to-end build (a refresh at the
-// default block size and partition cut) the statsbuild CI job watches with -benchmem:
-// per-build allocations must track the block/partition bounds, not the table
-// size.
+// default block size and partition cut) the CI layers job watches with
+// -benchmem: per-build allocations must track the block/partition bounds,
+// not the table size. The table is shaped like lineitem, 16 columns of all
+// four types, so that a scan reading one value out of every wide row, rather
+// than out of a column vector, shows in ns/row.
 func BenchmarkStreamingManagerBuild(b *testing.B) {
+	const rows = 100_000
+	cols := []catalog.Column{
+		{Name: "l_orderkey", Type: catalog.Int}, {Name: "l_partkey", Type: catalog.Int},
+		{Name: "l_suppkey", Type: catalog.Int}, {Name: "l_linenumber", Type: catalog.Int},
+		{Name: "l_quantity", Type: catalog.Float}, {Name: "l_extendedprice", Type: catalog.Float},
+		{Name: "l_discount", Type: catalog.Float}, {Name: "l_tax", Type: catalog.Float},
+		{Name: "l_returnflag", Type: catalog.String}, {Name: "l_linestatus", Type: catalog.String},
+		{Name: "l_shipdate", Type: catalog.Date}, {Name: "l_commitdate", Type: catalog.Date},
+		{Name: "l_receiptdate", Type: catalog.Date}, {Name: "l_shipinstruct", Type: catalog.String},
+		{Name: "l_shipmode", Type: catalog.String}, {Name: "l_comment", Type: catalog.String},
+	}
 	schema := catalog.NewSchema()
-	if err := schema.AddTable(catalog.NewTable("s",
-		catalog.Column{Name: "a", Type: catalog.Int},
-		catalog.Column{Name: "b", Type: catalog.String},
-	)); err != nil {
+	if err := schema.AddTable(catalog.NewTable("lineitem", cols...)); err != nil {
 		b.Fatal(err)
 	}
 	db, err := storage.NewDatabase("db", schema)
 	if err != nil {
 		b.Fatal(err)
 	}
-	td, err := db.Table("s")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 20_000; i++ {
-		if err := td.Insert(storage.Row{
-			catalog.NewInt(int64(i % 100)),
-			catalog.NewString(fmt.Sprintf("g%d", i%13)),
-		}); err != nil {
-			b.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	data := make([]storage.Row, rows)
+	for i := range data {
+		r := make(storage.Row, len(cols))
+		for c, col := range cols {
+			switch col.Type {
+			case catalog.Int:
+				r[c] = catalog.NewInt(rng.Int63n(int64(rows)))
+			case catalog.Float:
+				r[c] = catalog.NewFloat(float64(1 + rng.Intn(50)))
+			case catalog.Date:
+				r[c] = catalog.NewDate(8000 + rng.Int63n(2500))
+			default:
+				r[c] = catalog.NewString(fmt.Sprintf("%s-%d", col.Name, rng.Intn(7)))
+			}
 		}
+		data[i] = r
+	}
+	if err := mustTable(b, db, "lineitem").BulkLoad(data); err != nil {
+		b.Fatal(err)
 	}
 	m := NewManager(db, histogram.MaxDiff, 0)
 	m.SetObsRegistry(obs.New())
-	id := MakeID("s", []string{"a", "b"})
-	if _, err := m.Create("s", []string{"a", "b"}); err != nil {
+	on := []string{"l_quantity", "l_shipmode"}
+	id := MakeID("lineitem", on)
+	if _, err := m.Create("lineitem", on); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -564,4 +585,5 @@ func BenchmarkStreamingManagerBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

@@ -8,8 +8,9 @@ import (
 
 // Streaming scan seam for bounded-memory statistics construction. A
 // BlockIter yields the live rows of a table projected onto a column set in
-// fixed-size blocks, under a snapshot guard: the table's read lock is held
-// from Open to Close, so every block belongs to one consistent table
+// fixed-size blocks, filled column by column from the table's vectors, so
+// it reads no row. It runs under a snapshot guard: the table's read lock is
+// held from Open to Close, so every block belongs to one consistent table
 // version — the same guarantee MultiColumnValues gives a one-shot gather,
 // without materializing the full projection. Writers queue behind the guard
 // for the duration of the scan; the statistics build path keeps that window
@@ -31,7 +32,9 @@ type BlockIter struct {
 	pos  int
 	rows int
 
-	// buf and flat back the reused block: buf[i] is flat[i*w:(i+1)*w].
+	// ids holds the live row IDs of the current block. buf and flat back
+	// the reused block: buf[i] is flat[i*w:(i+1)*w].
+	ids    []int32
 	buf    [][]catalog.Datum
 	flat   []catalog.Datum
 	closed bool
@@ -62,6 +65,7 @@ func (t *TableData) OpenBlockIter(cols []string, blockSize int) (*BlockIter, err
 		t:    t,
 		ords: ords,
 		rows: len(t.rows),
+		ids:  make([]int32, 0, blockSize),
 		buf:  make([][]catalog.Datum, 0, blockSize),
 		flat: make([]catalog.Datum, blockSize*w),
 	}
@@ -75,25 +79,22 @@ func (it *BlockIter) Next() ([][]catalog.Datum, bool) {
 	if it.closed || it.pos >= it.rows {
 		return nil, false
 	}
-	w := len(it.ords)
-	it.buf = it.buf[:0]
-	used := 0
-	for it.pos < it.rows && len(it.buf) < cap(it.buf) {
-		id := it.pos
-		it.pos++
-		if it.t.dead[id] {
-			continue
+	it.ids = it.ids[:0]
+	for ; it.pos < it.rows && len(it.ids) < cap(it.ids); it.pos++ {
+		if !it.t.dead[it.pos] {
+			it.ids = append(it.ids, int32(it.pos))
 		}
-		r := it.t.rows[id]
-		tuple := it.flat[used : used+w : used+w]
-		for i, o := range it.ords {
-			tuple[i] = r[o]
-		}
-		used += w
-		it.buf = append(it.buf, tuple)
 	}
-	if len(it.buf) == 0 {
+	if len(it.ids) == 0 {
 		return nil, false
+	}
+	w := len(it.ords)
+	for i, o := range it.ords {
+		it.t.cols[o].gather(it.flat[i:], w, it.ids)
+	}
+	it.buf = it.buf[:0]
+	for k := range it.ids {
+		it.buf = append(it.buf, it.flat[k*w:(k+1)*w:(k+1)*w])
 	}
 	return it.buf, true
 }

@@ -38,7 +38,7 @@ func updateIDs(td *TableData, col int, v catalog.Datum, ids ...int) int {
 func seekIDs(t *testing.T, td *TableData, col string, lo, hi *catalog.Datum, loInc, hiInc bool) []int {
 	t.Helper()
 	var ids []int
-	if !td.Seek(col, lo, hi, loInc, hiInc, func(id int, _ Row) bool {
+	if !td.Seek(col, lo, hi, loInc, hiInc, nil, func(id int, _ Row) bool {
 		ids = append(ids, id)
 		return true
 	}) {
@@ -90,7 +90,7 @@ func TestInsertScanGet(t *testing.T) {
 	if ids := seekIDs(t, td, "id", &none, &none, true, true); len(ids) != 0 {
 		t.Errorf("seek of id 99 found %v", ids)
 	}
-	if td.Seek("salary", nil, nil, true, true, func(int, Row) bool { return true }) {
+	if td.Seek("salary", nil, nil, true, true, nil, func(int, Row) bool { return true }) {
 		t.Error("seek on an unindexed column reported an index")
 	}
 }

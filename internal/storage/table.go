@@ -1,13 +1,14 @@
 // Package storage implements the in-memory row store the executor runs
-// against: tables of datum rows, sorted secondary indexes, and the
+// against: tables of datum rows with a typed vector per column beside them
+// (which statistic builds scan), sorted secondary indexes, and the
 // row-modification counters that drive the statistics update policy (§6 of
 // the paper mirrors SQL Server 7.0's per-table modification counter).
 package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,10 +18,13 @@ import (
 // Row is one tuple; column order matches the table schema.
 type Row []catalog.Datum
 
-// TableData holds the rows of one table plus its secondary indexes.
+// TableData holds the rows of one table, one typed vector per column beside
+// them, and its secondary indexes. Every write updates rows and vectors
+// under the write lock, so both always hold the same values; only canonical
+// datums (see canonical) are stored, which is what makes that possible.
 //
 // Deletion is implemented with a tombstone bitmap so row IDs stay stable for
-// the indexes.
+// the indexes; rows and vectors share it. Row IDs fit in an int32.
 //
 // A stored row is written in place until a reader keeps it past the read
 // lock (see Lend). From then on it is immutable: Update writes a copy, and
@@ -30,8 +34,11 @@ type TableData struct {
 
 	Schema *catalog.Table
 	rows   []Row
-	dead   []bool
-	live   int
+	// cols holds one vector per schema column, in schema order. It is made
+	// once, so an index may keep a pointer to its column's vector.
+	cols []vector
+	dead []bool
+	live int
 	// lent has bit id%64 of word id/64 set while row id is lent. Readers set
 	// bits atomically under the read lock; Update clears them under the
 	// write lock. Insert and BulkLoad keep it sized to rows.
@@ -61,22 +68,60 @@ func (t *TableData) OpenSnapshots() int64 {
 	return t.openSnapshots.Load()
 }
 
+// maxRows is the most rows a table holds: row IDs are stored as int32.
+// Tests lower it.
+var maxRows = math.MaxInt32
+
 // newTableData creates an empty table.
 func newTableData(schema *catalog.Table) *TableData {
-	return &TableData{Schema: schema, indexes: make(map[string]*index)}
+	t := &TableData{Schema: schema, cols: make([]vector, len(schema.Columns)), indexes: make(map[string]*index)}
+	for i, c := range schema.Columns {
+		t.cols[i] = newVector(c.Type, 0)
+	}
+	return t
+}
+
+// checkRow returns an error unless r has the schema's arity and holds a
+// canonical datum of each column's type.
+func (t *TableData) checkRow(op string, r Row) error {
+	if len(r) != len(t.Schema.Columns) {
+		return fmt.Errorf("storage: %s %s: got %d values, want %d", op, t.Schema.Name, len(r), len(t.Schema.Columns))
+	}
+	for i, d := range r {
+		if err := t.checkDatum(op, i, d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkDatum returns an error unless d is a canonical datum of column col's
+// type: one that type's constructor builds.
+func (t *TableData) checkDatum(op string, col int, d catalog.Datum) error {
+	c := t.Schema.Columns[col]
+	if !canonical(d, c.Type) {
+		return fmt.Errorf("storage: %s %s: column %s is %s; %+v is not a datum of that type", op, t.Schema.Name, c.Name, c.Type, d)
+	}
+	return nil
 }
 
 // Insert appends a copy of r, so the caller may reuse r. The row must match
-// the schema arity.
+// the schema arity and hold a canonical datum of each column's type.
 func (t *TableData) Insert(r Row) error {
-	if len(r) != len(t.Schema.Columns) {
-		return fmt.Errorf("storage: insert into %s: got %d values, want %d", t.Schema.Name, len(r), len(t.Schema.Columns))
+	if err := t.checkRow("insert into", r); err != nil {
+		return err
 	}
 	r = slices.Clone(r)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := len(t.rows)
+	if id >= maxRows {
+		return fmt.Errorf("storage: insert into %s: the table holds %d rows, the most it can", t.Schema.Name, id)
+	}
 	t.rows = append(t.rows, r)
+	for i, d := range r {
+		t.cols[i].push(d)
+	}
 	t.dead = append(t.dead, false)
 	if id%64 == 0 {
 		t.lent = append(t.lent, 0)
@@ -84,25 +129,36 @@ func (t *TableData) Insert(r Row) error {
 	t.live++
 	t.modCounter++
 	t.version++
-	for col, ix := range t.indexes {
-		ci := t.Schema.ColumnIndex(col)
-		ix.insert(r[ci], id)
+	for _, ix := range t.indexes {
+		ix.insert(id)
 	}
 	return nil
 }
 
 // BulkLoad replaces the table contents with rows, rebuilding all indexes.
-// It does not bump the modification counter: loading is the baseline against
-// which modifications are counted.
+// The table keeps rows, which the caller must not write afterwards. Each row
+// must be one Insert would take. It does not bump the modification counter:
+// loading is the baseline against which modifications are counted.
 func (t *TableData) BulkLoad(rows []Row) error {
+	if len(rows) > maxRows {
+		return fmt.Errorf("storage: bulk load into %s: %d rows, more than the %d a table holds", t.Schema.Name, len(rows), maxRows)
+	}
+	cols := make([]vector, len(t.Schema.Columns))
+	for i, c := range t.Schema.Columns {
+		cols[i] = newVector(c.Type, len(rows))
+	}
 	for _, r := range rows {
-		if len(r) != len(t.Schema.Columns) {
-			return fmt.Errorf("storage: bulk load into %s: got %d values, want %d", t.Schema.Name, len(r), len(t.Schema.Columns))
+		if err := t.checkRow("bulk load into", r); err != nil {
+			return err
+		}
+		for i, d := range r {
+			cols[i].push(d)
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = rows
+	copy(t.cols, cols)
 	t.dead = make([]bool, len(rows))
 	t.lent = make([]uint64, (len(rows)+63)/64)
 	t.live = len(rows)
@@ -151,11 +207,12 @@ func (t *TableData) Scan(fn func(id int, r Row) bool) {
 }
 
 // Seek invokes fn for every live row in an index range under the read lock;
-// see View.Seek.
-func (t *TableData) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func(id int, r Row) bool) bool {
+// see View.Seek. A non-nil reserve is called first, under the same lock,
+// with the range's Count: at least the number of rows fn will be handed.
+func (t *TableData) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, reserve func(n int), fn func(id int, r Row) bool) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return View{t}.Seek(col, lo, hi, loInc, hiInc, fn)
+	return View{t}.seek(col, lo, hi, loInc, hiInc, reserve, fn)
 }
 
 // Delete tombstones the live rows that find picks and returns how many there
@@ -186,12 +243,15 @@ func (t *TableData) Delete(find func(View) ([]int, error)) (int, error) {
 }
 
 // Update overwrites column col (by ordinal) of the live rows that find picks
-// with v and returns how many there were. find runs under the write lock, as
-// for Delete. A lent row is copied before it is written and is no longer
-// lent after; any other row is written in place. Indexed columns trigger an
-// index fix-up in the order of the picked IDs, which decides the index order
-// among equal keys.
+// with v, which must be a canonical datum of the column's type, and returns
+// how many there were. find runs under the write lock, as for Delete. A lent
+// row is copied before it is written and is no longer lent after; any other
+// row is written in place. An indexed column's index moves each written row
+// to its new value's place.
 func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Datum) (int, error) {
+	if err := t.checkDatum("update", col, v); err != nil {
+		return 0, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ids, err := find(View{t})
@@ -205,8 +265,11 @@ func (t *TableData) Update(find func(View) ([]int, error), col int, v catalog.Da
 			continue
 		}
 		if ix != nil {
-			ix.remove(t.rows[id][col], id)
-			ix.insert(v, id)
+			ix.remove(id)
+		}
+		t.cols[col].set(id, v)
+		if ix != nil {
+			ix.insert(id)
 		}
 		// The write lock excludes every reader, so no bit changes here.
 		if w, bit := id/64, uint64(1)<<(id%64); t.lent[w]&bit != 0 {
@@ -260,8 +323,8 @@ func (v View) Scan(fn func(id int, r Row) bool) {
 }
 
 // Count returns how many index entries a Seek with the same range would
-// visit, tombstoned rows still in the index included, by two binary
-// searches. ok is false when col has no index.
+// visit, tombstoned rows still in the index included, in logarithmic time
+// (see index.span). ok is false when col has no index.
 func (v View) Count(col string, lo, hi *catalog.Datum, loInc, hiInc bool) (n int, ok bool) {
 	ix := v.t.indexes[col]
 	if ix == nil {
@@ -276,16 +339,24 @@ func (v View) Count(col string, lo, hi *catalog.Datum, loInc, hiInc bool) (n int
 // control bound inclusivity. Returning false from fn stops the seek. Seek
 // returns false when col has no index.
 func (v View) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func(id int, r Row) bool) bool {
+	return v.seek(col, lo, hi, loInc, hiInc, nil, fn)
+}
+
+func (v View) seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, reserve func(n int), fn func(id int, r Row) bool) bool {
 	ix := v.t.indexes[col]
 	if ix == nil {
 		return false
 	}
 	start, end := ix.span(lo, hi, loInc, hiInc)
-	for _, e := range ix.entries[start:max(start, end)] {
-		if v.t.dead[e.rowID] {
+	ids := ix.ids[start:max(start, end)]
+	if reserve != nil {
+		reserve(len(ids))
+	}
+	for _, id := range ids {
+		if v.t.dead[id] {
 			continue
 		}
-		if !fn(e.rowID, v.t.rows[e.rowID]) {
+		if !fn(int(id), v.t.rows[id]) {
 			break
 		}
 	}
@@ -293,7 +364,8 @@ func (v View) Seek(col string, lo, hi *catalog.Datum, loInc, hiInc bool, fn func
 }
 
 // ColumnValues returns the live values of the named column, in row order.
-// It is the feed for histogram construction.
+// It reads the rows, not the vectors, so a statistic built from the vectors
+// can be checked against it.
 func (t *TableData) ColumnValues(col string) ([]catalog.Datum, error) {
 	ci := t.Schema.ColumnIndex(col)
 	if ci < 0 {
@@ -351,15 +423,5 @@ func (t *TableData) createIndex(col string) error {
 }
 
 func (t *TableData) rebuildIndexLocked(colKey string) {
-	ci := t.Schema.ColumnIndex(colKey)
-	ix := &index{}
-	for id, r := range t.rows {
-		if !t.dead[id] {
-			ix.entries = append(ix.entries, indexEntry{key: r[ci], rowID: id})
-		}
-	}
-	sort.SliceStable(ix.entries, func(a, b int) bool {
-		return ix.entries[a].key.Compare(ix.entries[b].key) < 0
-	})
-	t.indexes[colKey] = ix
+	t.indexes[colKey] = newIndex(&t.cols[t.Schema.ColumnIndex(colKey)], t.dead)
 }
