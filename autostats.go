@@ -13,7 +13,8 @@
 //     statistics can matter without building them, by re-optimizing with
 //     missing-statistics selectivities pinned to ε and 1−ε.
 //   - MNSA/D (§5.1): interleave creation with non-essential detection.
-//   - Shrinking Set (§5.2): reduce to a guaranteed essential set.
+//   - Shrinking Set (§5.2): remove statistics one at a time while every
+//     query's plan stays the same (not minimal in general).
 //   - Policies (§6): on-the-fly auto-tuning, offline tuning, drop-lists,
 //     and SQL Server 7.0-style update/drop maintenance.
 //

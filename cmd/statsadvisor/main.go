@@ -26,8 +26,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"autostats/internal/core"
@@ -191,7 +193,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("offline tune: MNSA created %d, shrinking set kept %d (essential), drop-listed %d\n",
+		fmt.Printf("offline tune: MNSA created %d, shrinking set kept %d (every plan preserved), drop-listed %d\n",
 			len(rep.MNSA.Created), len(rep.Shrink.Kept), len(rep.DropListed))
 		reportDegraded(rep.BuildFailures())
 	default:
@@ -232,20 +234,37 @@ func run(ctx context.Context) error {
 	fmt.Printf("workload execution cost under recommendation: %.0f units\n", total)
 
 	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			return err
-		}
-		err = mgr.Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := saveStats(*saveTo, mgr.Save); err != nil {
 			return err
 		}
 		fmt.Printf("saved %d statistics to %s\n", len(mgr.All()), *saveTo)
 	}
 	return nil
+}
+
+// saveStats writes a snapshot to path through a temporary file in the same
+// directory and renames it over path only once write and close succeeded,
+// so a failed or interrupted save leaves the previous snapshot in place.
+func saveStats(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	// CreateTemp makes the file private; a snapshot is as readable as
+	// os.Create would have made it under the usual umask.
+	if err = f.Chmod(0o644); err == nil {
+		err = write(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // reportDegraded summarizes degraded-mode tuning: which builds failed and

@@ -172,7 +172,7 @@ func TestMNSAPrunesAndPreservesQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq := TOptimizerCost{T: cfg.T}
+		eq := tOptimizerCost{T: cfg.T}
 		if !eq.Equivalent(planMNSA, planAll) {
 			t.Errorf("z=%v: MNSA plan cost %.1f vs all-candidates cost %.1f exceeds t=%v%%",
 				z, planMNSA.Cost(), planAll.Cost(), cfg.T)
@@ -270,41 +270,6 @@ func TestMNSADDropListsNonEssential(t *testing.T) {
 	}
 	if got := len(mgr.Maintained()) + len(mgr.DropList()); got != len(mgr.All()) {
 		t.Errorf("maintained+droplist=%d != all=%d", got, len(mgr.All()))
-	}
-}
-
-// TestShrinkingSetProducesEssentialSet runs MNSA then Shrinking Set and
-// verifies the Definition 1 properties of the survivor set directly against
-// the full candidate set.
-func TestShrinkingSetProducesEssentialSet(t *testing.T) {
-	db := testDB(t, 2)
-	sess := newSession(t, db)
-	mgr := sess.Manager()
-	q := mustParse(t, db, `SELECT * FROM lineitem, orders
-		WHERE l_orderkey = o_orderkey AND l_shipdate < DATE 8300 AND o_totalprice > 500000`)
-
-	// Build ALL candidates so Definition 1 can be checked exactly.
-	cands := CandidateStats(q)
-	var cIDs []stats.ID
-	for _, c := range cands {
-		if _, err := mgr.Create(c.Table, c.Columns); err != nil {
-			t.Fatal(err)
-		}
-		cIDs = append(cIDs, c.ID())
-	}
-
-	eq := ExecutionTree{}
-	sr, err := ShrinkingSetCtx(context.Background(), sess, []*querySelect{q}, nil, eq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("kept %v, removed %d", sr.Kept, len(sr.Removed))
-	ok, reason, err := isEssentialSet(sess, q, sr.Kept, cIDs, eq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("shrinking-set result is not an essential set: %s", reason)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestDebugMNSATrace(t *testing.T) {
 		pl, _ := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: low})
 		ph, _ := sess.OptimizeWhatIf(q, optimizer.WhatIf{Overrides: high})
 		t.Logf("  plow=%.1f phigh=%.1f", pl.Cost(), ph.Cost())
-		if (TOptimizerCost{T: cfg.T}).Equivalent(pl, ph) {
+		if (tOptimizerCost{T: cfg.T}).Equivalent(pl, ph) {
 			t.Logf("  equivalent -> stop")
 			break
 		}

@@ -47,16 +47,16 @@ func (optimizerCost) Equivalent(a, b *optimizer.Plan) bool {
 // Name implements Equivalence.
 func (optimizerCost) Name() string { return "optimizer-cost" }
 
-// TOptimizerCost is the paper's pragmatic working definition: costs within
+// tOptimizerCost is the paper's pragmatic working definition: costs within
 // t percent of each other (footnote 2:
 // |cost(S) − cost(S')| / min(cost) < t/100). T is in percent; the paper's
 // experiments use T = 20.
-type TOptimizerCost struct {
+type tOptimizerCost struct {
 	T float64
 }
 
 // Equivalent implements the footnote-2 test.
-func (e TOptimizerCost) Equivalent(a, b *optimizer.Plan) bool {
+func (e tOptimizerCost) Equivalent(a, b *optimizer.Plan) bool {
 	lo, hi := a.Cost(), b.Cost()
 	if hi < lo {
 		lo, hi = hi, lo
@@ -68,4 +68,4 @@ func (e TOptimizerCost) Equivalent(a, b *optimizer.Plan) bool {
 }
 
 // Name implements Equivalence.
-func (e TOptimizerCost) Name() string { return fmt.Sprintf("%.0f%%-optimizer-cost", e.T) }
+func (e tOptimizerCost) Name() string { return fmt.Sprintf("%.0f%%-optimizer-cost", e.T) }

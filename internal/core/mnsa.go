@@ -79,6 +79,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults fills each unset field of c from DefaultConfig.
+func (c Config) withDefaults() Config {
+	def := DefaultConfig()
+	if c.T <= 0 {
+		c.T = def.T
+	}
+	if c.Epsilon <= 0 {
+		c.Epsilon = def.Epsilon
+	}
+	if c.CandidateFn == nil {
+		c.CandidateFn = def.CandidateFn
+	}
+	return c
+}
+
 // Termination describes why an MNSA run stopped.
 type Termination string
 
@@ -140,15 +155,7 @@ type BuildFailure struct {
 // atomic). A build that fails with ctx still live does not fail the analysis:
 // it is recorded in Result.BuildFailures and the run continues degraded.
 func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
-	if cfg.T <= 0 {
-		cfg.T = 20
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.0005
-	}
-	if cfg.CandidateFn == nil {
-		cfg.CandidateFn = CandidateStats
-	}
+	cfg = cfg.withDefaults()
 	mgr := sess.Manager()
 	reg := sess.Obs()
 	met := newMNSAMetrics(reg)
@@ -272,7 +279,7 @@ func RunMNSA(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg 
 		// Step 7: t-optimizer-cost equivalence of the extremes implies the
 		// existing set includes an essential set (by cost monotonicity).
 		met.tequivChecks.Inc()
-		if (TOptimizerCost{T: cfg.T}).Equivalent(pLow, pHigh) {
+		if (tOptimizerCost{T: cfg.T}).Equivalent(pLow, pHigh) {
 			res.TerminatedBy = TermEquivalent
 			return finish(p)
 		}

@@ -33,22 +33,22 @@ func TestEquivalenceNotions(t *testing.T) {
 	if (optimizerCost{}).Equivalent(a, d) {
 		t.Error("115 vs 100 is not exact-cost equivalent")
 	}
-	if !(TOptimizerCost{T: 20}).Equivalent(a, d) {
+	if !(tOptimizerCost{T: 20}).Equivalent(a, d) {
 		t.Error("15% apart is within t=20%")
 	}
-	if (TOptimizerCost{T: 10}).Equivalent(a, d) {
+	if (tOptimizerCost{T: 10}).Equivalent(a, d) {
 		t.Error("15% apart is outside t=10%")
 	}
 	// Footnote 2 divides by the SMALLER cost.
 	e := mk(119, "t")
-	if !(TOptimizerCost{T: 20}).Equivalent(a, e) {
+	if !(tOptimizerCost{T: 20}).Equivalent(a, e) {
 		t.Error("19/100 < 20% must be equivalent")
 	}
 	f := mk(121, "t")
-	if (TOptimizerCost{T: 20}).Equivalent(a, f) {
+	if (tOptimizerCost{T: 20}).Equivalent(a, f) {
 		t.Error("21/100 > 20% must not be equivalent")
 	}
-	for _, eq := range []Equivalence{ExecutionTree{}, optimizerCost{}, TOptimizerCost{T: 20}} {
+	for _, eq := range []Equivalence{ExecutionTree{}, optimizerCost{}, tOptimizerCost{T: 20}} {
 		if eq.Name() == "" {
 			t.Error("equivalence must have a name")
 		}

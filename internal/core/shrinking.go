@@ -11,7 +11,8 @@ import (
 
 // ShrinkResult reports a Shrinking Set run.
 type ShrinkResult struct {
-	// Kept is the resulting essential set, in ID order.
+	// Kept is the set that survived, in ID order. It preserves every
+	// query's plan but need not be minimal.
 	Kept []stats.ID
 	// Removed lists the statistics found non-essential, in removal order.
 	Removed []stats.ID
@@ -22,14 +23,17 @@ type ShrinkResult struct {
 // ShrinkingSetCtx implements Figure 2: starting from the current statistics set
 // S (assumed to be a superset of an essential set, e.g. built by MNSA), test
 // each statistic in turn and discard it if hiding it — via the
-// Ignore_Statistics_Subset extension — leaves the plan of every potentially
-// relevant workload query equivalent to Plan(Q, S). The result is guaranteed
-// to be an essential set for the workload under the given equivalence
-// (execution-tree in the paper's Figure 2).
+// Ignore_Statistics_Subset extension — together with those already
+// discarded leaves the plan of every potentially relevant workload query
+// equivalent to Plan(Q, S) under the given equivalence (execution-tree in the
+// paper's Figure 2). What holds is that every query's plan is preserved;
+// each removal is verified on its own, in ascending ID order, and a
+// statistic kept early is not re-tested after later removals. So the result
+// is not minimal in general: on this optimizer some kept sets still have a
+// proper subset that preserves every plan (TestShrinkingSet pins how often).
 //
-// initial nil means "all statistics currently in the manager". The specific
-// essential set produced depends on the order statistics are tested (§5.2);
-// statistics are tested in ascending ID order for determinism.
+// initial nil means "all statistics currently in the manager". The set
+// produced depends on the order statistics are tested (§5.2).
 //
 // ctx is checked between baseline optimizations and between per-statistic
 // probe rounds. The algorithm only hides statistics (never mutates the

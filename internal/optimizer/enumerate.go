@@ -107,8 +107,8 @@ func (e *estimator) indexProbe(g joinGroup, inner int, table string, rawRows flo
 			continue
 		}
 		perProbeFetch := rawRows * e.joinSel(p)
-		if perProbeFetch < MinSelectivity {
-			perProbeFetch = MinSelectivity
+		if perProbeFetch < minSelectivity {
+			perProbeFetch = minSelectivity
 		}
 		return inlPath{probe: SeekCost(rawRows) + CostRowFetch*perProbeFetch, index: ix.Name, col: col}, true
 	}
@@ -173,8 +173,8 @@ func (e *estimator) bestJoinTree(tables []string, base []baseInfo, groups []join
 				rows *= groupSel[gi]
 			}
 		}
-		if rows < MinSelectivity {
-			rows = MinSelectivity
+		if rows < minSelectivity {
+			rows = minSelectivity
 		}
 		cur.rows, cur.sortCost = rows, SortCost(rows)
 		outCost := CostRowOut * rows

@@ -101,8 +101,8 @@ func (s *Session) referenceOptimize(q *query.Select, w WhatIf) (*Plan, error) {
 				c *= pairSel[k]
 			}
 		}
-		if c < MinSelectivity {
-			c = MinSelectivity
+		if c < minSelectivity {
+			c = minSelectivity
 		}
 		cardMemo[mask] = c
 		return c
@@ -268,8 +268,8 @@ func (e *estimator) referenceJoinCandidates(left, right *Node, preds []query.Joi
 				continue
 			}
 			perProbeFetch := base[ti].rawRows * e.joinSel(p)
-			if perProbeFetch < MinSelectivity {
-				perProbeFetch = MinSelectivity
+			if perProbeFetch < minSelectivity {
+				perProbeFetch = minSelectivity
 			}
 			cost := left.Cost + outer*(SeekCost(base[ti].rawRows)+CostRowFetch*perProbeFetch) + outCost
 			mk(OpIndexNLJoin, cost, ix.Name, p.Right.Column)

@@ -192,8 +192,8 @@ func havingSelectivity(q *query.Select) float64 {
 // a histogram showing 0.1 % does).
 func (e *estimator) bestAccessPath(table string, rawRows, sel float64, filters []query.Filter) *Node {
 	outRows := rawRows * sel
-	if outRows < MinSelectivity {
-		outRows = MinSelectivity
+	if outRows < minSelectivity {
+		outRows = minSelectivity
 	}
 	bestNode := &Node{
 		Op:      OpTableScan,

@@ -1,10 +1,10 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"autostats/internal/catalog"
 	"autostats/internal/datagen"
@@ -12,6 +12,7 @@ import (
 	"autostats/internal/query"
 	"autostats/internal/stats"
 	"autostats/internal/storage"
+	"autostats/internal/workload"
 )
 
 func testSession(t testing.TB, z float64) (*Session, *storage.Database) {
@@ -177,59 +178,70 @@ func TestMissingStatVars(t *testing.T) {
 	}
 }
 
-// TestCostMonotonicity is the property MNSA's correctness rests on (§4.1):
-// the optimizer-estimated cost is monotone in every selectivity variable.
-// We pin all missing variables to random vectors u ≤ v and require
-// Cost(P(u)) ≤ Cost(P(v)); since the optimizer returns the min-cost plan
-// and every individual plan's cost is monotone, the minimum is monotone.
+// TestCostMonotonicity is the one check of the property MNSA's correctness
+// rests on (§4.1), CheckMonotonicity: the optimizer-estimated cost is
+// monotone in every selectivity variable, on a 15-point grid per variable
+// and on random vectors u ≤ v. Its inputs: two hand queries, and the
+// correctness harness's corpus (the NULL-bearing TPC-D database at scale
+// 0.05 and z = 2, seeds 1–8) with 30 generated queries at seed 1 and 5 at
+// seeds 2–8. Every session is statistics-free, so every variable is free.
 func TestCostMonotonicity(t *testing.T) {
-	sess, _ := testSession(t, 1)
-	queries := []*query.Select{
-		mkSelect([]string{"lineitem", "orders"},
-			[]query.Filter{
-				{Col: col("lineitem", "l_quantity"), Op: query.Lt, Val: catalog.NewFloat(10)},
-				{Col: col("orders", "o_totalprice"), Op: query.Gt, Val: catalog.NewFloat(1000)},
-			},
-			[]query.JoinPred{{Left: col("lineitem", "l_orderkey"), Right: col("orders", "o_orderkey")}},
-			nil),
-		mkSelect([]string{"lineitem", "orders", "customer"},
-			[]query.Filter{
-				{Col: col("customer", "c_acctbal"), Op: query.Gt, Val: catalog.NewFloat(0)},
-			},
-			[]query.JoinPred{
-				{Left: col("lineitem", "l_orderkey"), Right: col("orders", "o_orderkey")},
-				{Left: col("orders", "o_custkey"), Right: col("customer", "c_custkey")},
-			},
-			[]query.ColumnRef{col("customer", "c_mktsegment")}),
+	check := func(t *testing.T, sess *Session, queries []*query.Select, rng *rand.Rand) {
+		t.Helper()
+		checks := 0
+		for _, q := range queries {
+			n, violations, err := CheckMonotonicity(sess, q, rng)
+			if err != nil {
+				t.Fatalf("%s: %v", q.SQL(), err)
+			}
+			checks += n
+			for _, v := range violations {
+				t.Errorf("%s: %s", q.SQL(), v)
+			}
+		}
+		if checks == 0 {
+			t.Error("no cost comparison made")
+		}
 	}
-	rng := rand.New(rand.NewSource(17))
-	for qi, q := range queries {
-		nv := len(q.Filters) + len(q.Joins)
-		if q.GroupVarID >= 0 {
-			nv++
-		}
-		f := func() bool {
-			u := make(map[int]float64, nv)
-			v := make(map[int]float64, nv)
-			for i := 0; i < nv; i++ {
-				a := rng.Float64()
-				b := a + rng.Float64()*(1-a)
-				u[i], v[i] = a, b
-			}
-			pu, err := sess.OptimizeWhatIf(q, WhatIf{Overrides: u})
+
+	t.Run("hand", func(t *testing.T) {
+		sess, _ := testSession(t, 1)
+		check(t, sess, []*query.Select{
+			mkSelect([]string{"lineitem", "orders"},
+				[]query.Filter{
+					{Col: col("lineitem", "l_quantity"), Op: query.Lt, Val: catalog.NewFloat(10)},
+					{Col: col("orders", "o_totalprice"), Op: query.Gt, Val: catalog.NewFloat(1000)},
+				},
+				[]query.JoinPred{{Left: col("lineitem", "l_orderkey"), Right: col("orders", "o_orderkey")}},
+				nil),
+			mkSelect([]string{"lineitem", "orders", "customer"},
+				[]query.Filter{
+					{Col: col("customer", "c_acctbal"), Op: query.Gt, Val: catalog.NewFloat(0)},
+				},
+				[]query.JoinPred{
+					{Left: col("lineitem", "l_orderkey"), Right: col("orders", "o_orderkey")},
+					{Left: col("orders", "o_custkey"), Right: col("customer", "c_custkey")},
+				},
+				[]query.ColumnRef{col("customer", "c_mktsegment")}),
+		}, rand.New(rand.NewSource(17)))
+	})
+
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("corpus seed=%d", seed), func(t *testing.T) {
+			db, err := datagen.GenerateWithNulls(datagen.Config{Scale: 0.05, Z: 2, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pv, err := sess.OptimizeWhatIf(q, WhatIf{Overrides: v})
+			count := 5
+			if seed == 1 {
+				count = 30
+			}
+			queries, err := workload.PropertyQueries(db, count, workload.Complex, seed+1000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Allow a hair of float slack.
-			return pu.Cost() <= pv.Cost()*(1+1e-9)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("query %d violates cost monotonicity: %v", qi, err)
-		}
+			check(t, NewSession(stats.NewManager(db, histogram.MaxDiff, 0)), queries, rand.New(rand.NewSource(seed+2000)))
+		})
 	}
 }
 

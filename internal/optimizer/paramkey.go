@@ -37,7 +37,7 @@ func (s *Session) filterBucket(f query.Filter) int8 {
 }
 
 // quantizeSel maps a clamped selectivity to its power-of-two regime:
-// 0 for (0.5, 1], -1 for (0.25, 0.5], … down to -20 at the MinSelectivity
+// 0 for (0.5, 1], -1 for (0.25, 0.5], … down to -20 at the minSelectivity
 // floor. One bucket per doubling matches the granularity at which the cost
 // model's decisions (e.g. the scan-vs-seek flip around 1/CostRowFetch) can
 // plausibly move.

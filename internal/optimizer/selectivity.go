@@ -9,9 +9,9 @@ import (
 	"autostats/internal/stats"
 )
 
-// MinSelectivity floors estimated selectivities so cardinalities never
+// minSelectivity floors estimated selectivities so cardinalities never
 // collapse to exactly zero (which would make every plan cost-equivalent).
-const MinSelectivity = 1e-6
+const minSelectivity = 1e-6
 
 // estimator carries per-query estimation state: the call's what-if
 // configuration, which statistics were consulted and which selectivity
@@ -110,8 +110,8 @@ func (e *estimator) filterSel(f query.Filter) float64 {
 }
 
 func clampSel(s float64) float64 {
-	if s < MinSelectivity {
-		return MinSelectivity
+	if s < minSelectivity {
+		return minSelectivity
 	}
 	if s > 1 {
 		return 1

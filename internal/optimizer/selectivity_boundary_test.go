@@ -82,7 +82,7 @@ func TestSelectivityEmptyTable(t *testing.T) {
 }
 
 // TestSelectivitySingleValueColumn: the estimate for the lone value must be
-// the full table; misses must floor near zero (MinSelectivity), never go
+// the full table; misses must floor near zero (minSelectivity), never go
 // negative.
 func TestSelectivitySingleValueColumn(t *testing.T) {
 	var rows []storage.Row
@@ -93,11 +93,11 @@ func TestSelectivitySingleValueColumn(t *testing.T) {
 	if got := filterRows(t, sess, query.Eq, 7); got != 100 {
 		t.Errorf("Eq on the lone value estimated %v rows, want 100", got)
 	}
-	if got := filterRows(t, sess, query.Eq, 8); got > 100*MinSelectivity+1e-9 {
-		t.Errorf("Eq miss estimated %v rows, want the MinSelectivity floor", got)
+	if got := filterRows(t, sess, query.Eq, 8); got > 100*minSelectivity+1e-9 {
+		t.Errorf("Eq miss estimated %v rows, want the minSelectivity floor", got)
 	}
 	// Ne of the lone value matches nothing; Ne of a miss matches all.
-	if got := filterRows(t, sess, query.Ne, 7); got > 100*MinSelectivity+1e-9 {
+	if got := filterRows(t, sess, query.Ne, 7); got > 100*minSelectivity+1e-9 {
 		t.Errorf("Ne of the lone value estimated %v rows, want floor", got)
 	}
 	if got := filterRows(t, sess, query.Ne, 12345); got != 100 {
@@ -114,7 +114,7 @@ func TestSelectivityAllNullColumn(t *testing.T) {
 		rows = append(rows, storage.Row{catalog.NewInt(int64(i)), catalog.NewNull(catalog.Int)})
 	}
 	sess, _ := boundarySession(t, rows)
-	floor := 200*MinSelectivity + 1e-9
+	floor := 200*minSelectivity + 1e-9
 	for _, op := range []query.CmpOp{query.Eq, query.Ne, query.Lt, query.Le, query.Gt, query.Ge} {
 		if got := filterRows(t, sess, op, 0); got > floor {
 			t.Errorf("op %v over all-NULL column estimated %v rows, want <= %v", op, got, floor)
@@ -137,7 +137,7 @@ func TestSelectivityOutOfRange(t *testing.T) {
 	}
 	sess, _ := boundarySession(t, rows)
 	const far = int64(1) << 40
-	floor := 100*MinSelectivity + 1e-9
+	floor := 100*minSelectivity + 1e-9
 	nonNull := 75.0
 
 	if got := filterRows(t, sess, query.Lt, -far); got > floor {

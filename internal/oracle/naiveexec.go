@@ -1,18 +1,24 @@
 // Package oracle is a seeded, deterministic randomized-testing subsystem
-// for the auto-stats pipeline. It provides four oracles:
+// for the checks that cross the whole stack. The paper's own guarantees —
+// cost monotonicity, the ε bracket and Shrinking Set — are checked in the
+// packages that own them (optimizer.CheckMonotonicity, core.CheckBracket,
+// core.CheckShrinkingSet). This package provides:
 //
 //   - a differential result oracle: every generated query is executed twice,
 //     once through the optimized plan and once through a trivially correct
 //     reference evaluator (this file), and the result multisets are diffed;
-//   - metamorphic plan oracles: cost-monotonicity in the pinned selectivity
-//     variables (§4 of the paper), extreme-plan bracketing and t-equivalence
-//     ground truth, and Shrinking Set plan preservation (§5.2);
+//   - degraded recovery: with every statistic build failing, queries still
+//     plan and match the reference, and recover once builds succeed;
 //   - statistics fault injection: a stats.Provider wrapper and Manager
 //     failpoints that simulate refresh failures, stale epochs and torn
 //     snapshots, proving the plan cache never serves a poisoned plan;
-//   - a CLI (cmd/oracle) running all of the above from a seed, in a short
-//     deterministic mode for tier-1 tests and a duration-bounded mode for
-//     nightly CI.
+//   - the network chaos sweep: client sessions against a server behind a
+//     fault-injecting proxy, or against a running daemon;
+//   - the paper's three guarantee checks run on the harness's database as
+//     a differential sweep's DML left it (properties.go): each one calls
+//     its owning package's check on fresh statistics-free sessions.
+//
+// cmd/oracle runs all of the above from a seed, in a short deterministic mode and a duration-bounded soak.
 //
 // Everything is driven by a single int64 seed; a reported failure prints
 // the seed and statement index needed to replay it.

@@ -2,16 +2,12 @@ package oracle
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
-	"autostats/internal/catalog"
 	"autostats/internal/datagen"
 	"autostats/internal/executor"
 	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
-	"autostats/internal/query"
 	"autostats/internal/stats"
 	"autostats/internal/storage"
 	"autostats/internal/workload"
@@ -34,11 +30,6 @@ type Options struct {
 }
 
 const (
-	// nullPct is the percentage of rows per nullable column whose value is
-	// replaced with NULL. TPC-D data contains no NULLs, so the harness
-	// injects them into numeric columns that carry no index and no FK role,
-	// exercising NULL filter/join/aggregate semantics.
-	nullPct = 5
 	// maxNaiveRows bounds any intermediate relation of the reference
 	// evaluator; queries exceeding it are skipped.
 	maxNaiveRows = 400000
@@ -93,7 +84,6 @@ type Harness struct {
 	Reg *obs.Registry
 
 	cache *optimizer.PlanCache // attached to Sess
-	rng   *rand.Rand
 }
 
 // New builds a harness: generates skewed TPC-D data at the configured
@@ -101,19 +91,11 @@ type Harness struct {
 // plan cache attached and no statistics built yet.
 func New(opts Options) (*Harness, error) {
 	opts = opts.withDefaults()
-	db, err := datagen.Generate(datagen.Config{Scale: opts.Scale, Z: opts.Zipf, Seed: opts.Seed})
+	db, err := datagen.GenerateWithNulls(datagen.Config{Scale: opts.Scale, Z: opts.Zipf, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{
-		Opts: opts,
-		DB:   db,
-		Reg:  obs.New(),
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-	}
-	if err := h.injectNulls(); err != nil {
-		return nil, err
-	}
+	h := &Harness{Opts: opts, DB: db, Reg: obs.New()}
 	h.Mgr = stats.NewManager(db, histogram.MaxDiff, 0)
 	h.Mgr.SetObsRegistry(h.Reg)
 	h.Sess = optimizer.NewSession(h.Mgr)
@@ -121,83 +103,4 @@ func New(opts Options) (*Harness, error) {
 	h.Sess.SetPlanCache(h.cache)
 	h.Exec = executor.New(db)
 	return h, nil
-}
-
-// nullableColumns lists the numeric columns safe to NULL out: not indexed
-// and on neither side of a foreign key, so join keys and seek columns keep
-// their integrity and only filter/aggregate paths see NULLs.
-func (h *Harness) nullableColumns() map[string][]string {
-	schema := h.DB.Schema
-	protected := make(map[query.ColumnRef]bool)
-	for _, ix := range schema.Indexes {
-		protected[query.ColumnRef{Table: ix.Table, Column: ix.Column}] = true
-	}
-	for _, fk := range schema.ForeignKeys {
-		protected[query.ColumnRef{Table: fk.Table, Column: fk.Column}] = true
-		protected[query.ColumnRef{Table: fk.RefTable, Column: fk.RefColumn}] = true
-	}
-	out := make(map[string][]string)
-	for _, name := range schema.TableNames() {
-		t, err := schema.Table(name)
-		if err != nil {
-			continue
-		}
-		for _, c := range t.Columns {
-			if c.Type != catalog.Int && c.Type != catalog.Float {
-				continue
-			}
-			if protected[query.ColumnRef{Table: t.Name, Column: c.Name}] {
-				continue
-			}
-			out[t.Name] = append(out[t.Name], c.Name)
-		}
-	}
-	return out
-}
-
-// injectNulls replaces nullPct percent of the rows of every nullable
-// column with NULL, then resets the modification counters so maintenance
-// behavior stays driven by the workload's DML alone.
-func (h *Harness) injectNulls() error {
-	nullable := h.nullableColumns()
-	tables := make([]string, 0, len(nullable))
-	for t := range nullable {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	for _, tn := range tables {
-		td, err := h.DB.Table(tn)
-		if err != nil {
-			return err
-		}
-		var ids []int
-		td.Scan(func(id int, _ storage.Row) bool {
-			ids = append(ids, id)
-			return true
-		})
-		for _, cn := range nullable[tn] {
-			pos := -1
-			var typ catalog.Type
-			for i, c := range td.Schema.Columns {
-				if c.Name == cn {
-					pos, typ = i, c.Type
-					break
-				}
-			}
-			if pos < 0 {
-				continue
-			}
-			var hit []int
-			for _, id := range ids {
-				if h.rng.Intn(100) < nullPct {
-					hit = append(hit, id)
-				}
-			}
-			if _, err := td.Update(func(storage.View) ([]int, error) { return hit, nil }, pos, catalog.NewNull(typ)); err != nil {
-				return err
-			}
-		}
-		td.ResetModCounter(td.ModCounter())
-	}
-	return nil
 }

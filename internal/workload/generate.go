@@ -73,6 +73,18 @@ type Config struct {
 	HavingPct int
 }
 
+// PropertyQueries generates count SELECTs over db in the grammar the
+// checks of the paper's guarantees draw their generated inputs from: no
+// DML, GROUP BY on 40 % and ORDER BY on 20 % of the queries, and <> on 10 %
+// of the numeric filters.
+func PropertyQueries(db *storage.Database, count int, c Complexity, seed int64) ([]*query.Select, error) {
+	w, err := Generate(db, Config{Count: count, Complexity: c, GroupByPct: 40, OrderByPct: 20, NePct: 10, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return w.Queries(), nil
+}
+
 // name renders the paper's workload naming scheme, e.g. "U25-S-1000".
 func (c Config) name() string {
 	return fmt.Sprintf("U%d-%s-%d", c.UpdatePct, c.Complexity.letter(), c.Count)
