@@ -126,3 +126,27 @@ func TestJoinSelectivitySymmetric(t *testing.T) {
 		t.Errorf("join selectivity should be (near) symmetric: %v vs %v", ab, ba)
 	}
 }
+
+var sinkSel float64
+
+// BenchmarkJoinSelectivity is the layer benchmark of one join estimate
+// without the optimizer's memo: lineitem.l_orderkey (120 000 rows, Zipf 1
+// over 30 000 keys) against orders.o_orderkey (30 000 unique keys), both
+// MaxDiff at the production bucket count.
+func BenchmarkJoinSelectivity(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	keys := make([]catalog.Datum, 30_000)
+	for i := range keys {
+		keys[i] = catalog.NewInt(int64(i + 1))
+	}
+	lineitem := build(MaxDiff, zipfInts(rng, 120_000, len(keys), 1), 0)
+	orders := build(MaxDiff, keys, 0)
+	if len(lineitem.Buckets) != defaultBuckets || len(orders.Buckets) != defaultBuckets {
+		b.Fatalf("buckets %d and %d, want %d each", len(lineitem.Buckets), len(orders.Buckets), defaultBuckets)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSel = JoinSelectivity(lineitem, orders)
+	}
+}

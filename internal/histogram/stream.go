@@ -1,10 +1,7 @@
 package histogram
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 
 	"autostats/internal/catalog"
 )
@@ -41,12 +38,13 @@ type PartialBuilder struct {
 	rows  int64
 	nulls int64
 	// One run per leading-value type buffers the partition's non-NULL
-	// leading payloads for the Finish sort — the O(partition) memory the
-	// streaming design bounds. Payloads, not Datums: a native sort of 8-byte
-	// numbers or string headers is several times cheaper than sorting
-	// 48-byte Datums through Datum.Compare, and the numeric runs hold no
-	// pointers for the collector to scan. A real column fills exactly one
-	// run; the backing arrays are kept across Finish calls.
+	// leading payloads until Finish collapses them — the O(partition)
+	// memory the streaming design bounds. Payloads, not Datums: counting or
+	// sorting 8-byte numbers or string headers natively is several times
+	// cheaper than sorting 48-byte Datums through Datum.Compare, and the
+	// numeric runs hold no pointers for the collector to scan. A real column
+	// fills exactly one run; the backing arrays are kept across Finish
+	// calls.
 	ints   []int64
 	dates  []int64
 	floats []float64
@@ -59,6 +57,9 @@ type PartialBuilder struct {
 	// bytes is the running count of the bytes the builder retains (typed
 	// runs + prefix keys).
 	bytes int64
+	// routes counts the runs each collapse route has taken since the
+	// builder was made, so that a test can tell which route a shape reached.
+	routes [nRoutes]int
 }
 
 // NewPartialBuilder starts an empty partition summary over len(columns)
@@ -154,33 +155,38 @@ func (b *PartialBuilder) MemBytes() int64 { return b.bytes }
 // builder for the next partition. Finishing an empty builder yields a valid
 // zero-row Partial.
 //
-// Each non-empty run is sorted natively and collapsed to a (value,
-// frequency) list, and the per-type lists are combined by mergeFreqLists —
-// the merge MergePartials already applies across partitions. Within one
-// type Datum.Compare is the native order, and across types the merge's
-// Compare + tieBreak rule is by definition what one cmpValue sort over the
-// mixed values yields (Int 5 and Float 5.0 collapse with the Int
-// representing them; numbers, then strings, then dates), so heterogeneous
-// input needs no second path and a one-type column pays for no merge.
+// Each non-empty run is collapsed to a (value, frequency) list by its type's
+// collapse function, which counts the run into an array or a map when it has
+// few distinct values and sorts it in full otherwise (collapse.go), and the
+// per-type lists are combined by mergeFreqLists — the merge MergePartials
+// already applies across partitions. Within one type Datum.Compare is the
+// native order, and across types the merge's Compare + tieBreak rule is by
+// definition what one cmpValue sort over the mixed values yields (Int 5 and
+// Float 5.0 collapse with the Int representing them; numbers, then strings,
+// then dates), so heterogeneous input needs no second path and a one-type
+// column pays for no merge.
 func (b *PartialBuilder) Finish() *Partial {
 	p := &Partial{cols: b.cols, rows: b.rows, nulls: b.nulls, prefixes: b.prefixes}
 	lists := make([][]valueFreq, 0, 4)
+	collapsed := func(l []valueFreq, r route) {
+		lists = append(lists, l)
+		b.routes[r]++
+	}
+	c := getCounts()
+	c.largest = max(c.largest, len(b.ints), len(b.floats), len(b.strs), len(b.dates))
 	if len(b.ints) > 0 {
-		slices.Sort(b.ints)
-		lists = append(lists, collapseRun(b.ints, catalog.NewInt))
+		collapsed(c.collapseIntRun(b.ints, catalog.NewInt))
 	}
 	if len(b.floats) > 0 {
-		slices.Sort(b.floats)
-		lists = append(lists, collapseFloats(b.floats))
+		collapsed(c.collapseFloatRun(b.floats))
 	}
 	if len(b.strs) > 0 {
-		slices.Sort(b.strs)
-		lists = append(lists, collapseRun(b.strs, catalog.NewString))
+		collapsed(c.collapseStringRun(b.strs))
 	}
 	if len(b.dates) > 0 {
-		slices.Sort(b.dates)
-		lists = append(lists, collapseRun(b.dates, catalog.NewDate))
+		collapsed(c.collapseIntRun(b.dates, catalog.NewDate))
 	}
+	putCounts(c)
 	p.freqs = mergeFreqLists(lists)
 	// The collapsed lists are copies, so the runs are free for the next
 	// partition. Regrowing them by append doubling after every cut would
@@ -193,53 +199,6 @@ func (b *PartialBuilder) Finish() *Partial {
 	b.rows, b.nulls, b.bytes = 0, 0, 0
 	b.prefixes = newPrefixSets(b.cols)
 	return p
-}
-
-// collapseRun turns a sorted run of one type's payloads into its frequency
-// list, allocated once at its exact length.
-func collapseRun[T comparable](run []T, datum func(T) catalog.Datum) []valueFreq {
-	distinct := 1
-	for i := 1; i < len(run); i++ {
-		if run[i] != run[i-1] {
-			distinct++
-		}
-	}
-	out := make([]valueFreq, 0, distinct)
-	for i := 0; i < len(run); {
-		j := i + 1
-		for j < len(run) && run[j] == run[i] {
-			j++
-		}
-		out = append(out, valueFreq{v: datum(run[i]), f: int64(j - i)})
-		i = j
-	}
-	return out
-}
-
-// collapseFloats is collapseRun for the float run, where equal values need
-// not be identical: a group is what Datum.Compare calls equal (-0 and +0;
-// every NaN), and its representative is the member with the smallest bit
-// pattern — the one tieBreak puts first.
-func collapseFloats(run []float64) []valueFreq {
-	distinct := 1
-	for i := 1; i < len(run); i++ {
-		if cmp.Compare(run[i], run[i-1]) != 0 {
-			distinct++
-		}
-	}
-	out := make([]valueFreq, 0, distinct)
-	for i := 0; i < len(run); {
-		rep := run[i]
-		j := i + 1
-		for ; j < len(run) && cmp.Compare(run[j], run[i]) == 0; j++ {
-			if math.Float64bits(run[j]) < math.Float64bits(rep) {
-				rep = run[j]
-			}
-		}
-		out = append(out, valueFreq{v: catalog.NewFloat(rep), f: int64(j - i)})
-		i = j
-	}
-	return out
 }
 
 // MemBytes estimates the partial's retained memory: the collapsed frequency

@@ -266,13 +266,19 @@ func rankDatum(typ catalog.Type, rank int) catalog.Datum {
 }
 
 // rankColumn draws n values of one type: 8 distinct values, a Zipf(2) draw
-// over 1000, or n distinct values in random order.
+// over 1000, 470 distinct values spread over ranks 0 … 470 000 (the distinct
+// count of l_extendedprice, over a domain no array could cover), or n
+// distinct values in random order.
 func rankColumn(rng *rand.Rand, typ catalog.Type, shape string, n int) []catalog.Datum {
 	out := make([]catalog.Datum, n)
 	switch shape {
 	case "distinct8":
 		for i := range out {
 			out[i] = rankDatum(typ, rng.Intn(8))
+		}
+	case "wide470":
+		for i := range out {
+			out[i] = rankDatum(typ, rng.Intn(470)*1000)
 		}
 	case "zipf2":
 		for i, r := range zipfInts(rng, n, 1000, 2) {
@@ -291,7 +297,7 @@ var (
 		name string
 		typ  catalog.Type
 	}{{"int", catalog.Int}, {"date", catalog.Date}, {"float", catalog.Float}, {"string", catalog.String}}
-	runShapes = []string{"distinct8", "zipf2", "alldistinct"}
+	runShapes = []string{"distinct8", "zipf2", "wide470", "alldistinct"}
 )
 
 // TestTypedRunsMatchReference: the builder's typed runs and per-type merge
@@ -360,6 +366,54 @@ func TestTypedRunsMatchReference(t *testing.T) {
 		rankColumn(rng, catalog.String, "zipf2", 100))
 	cases["empty"] = nil
 
+	// Route boundaries (collapse.go): each of these runs is one type, and
+	// wantRoute names the route it must take.
+	const n = 600
+	limit := distinctLimit(n)
+	wantRoute := map[string]route{}
+	spanned := func(span int64) []catalog.Datum {
+		out := make([]catalog.Datum, n)
+		for i := range out {
+			out[i] = catalog.NewInt(span * int64(rng.Intn(8)) / 7)
+		}
+		out[0], out[1] = catalog.NewInt(0), catalog.NewInt(span)
+		return out
+	}
+	cases["route/int span 2n-1"], wantRoute["route/int span 2n-1"] = spanned(2*n-1), routeArray
+	cases["route/int span 2n"], wantRoute["route/int span 2n"] = spanned(2*n), routeMap
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
+	overflow := make([]catalog.Datum, n)
+	for i := range overflow {
+		overflow[i] = catalog.NewInt(extremes[i%len(extremes)])
+	}
+	cases["route/int MinInt64..MaxInt64"], wantRoute["route/int MinInt64..MaxInt64"] = overflow, routeMap
+	withDistinct := func(typ catalog.Type, d int) []catalog.Datum {
+		out := make([]catalog.Datum, n)
+		for i := range out {
+			k := i
+			if i >= d {
+				k = rng.Intn(d)
+			}
+			out[i] = rankDatum(typ, k*1000)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	for _, rt := range runTypes {
+		cases["route/"+rt.name+" distinct=limit"] = withDistinct(rt.typ, limit)
+		wantRoute["route/"+rt.name+" distinct=limit"] = routeMap
+		cases["route/"+rt.name+" distinct=limit+1"] = withDistinct(rt.typ, limit+1)
+		wantRoute["route/"+rt.name+" distinct=limit+1"] = routeSort
+	}
+	nanBits := math.Float64bits(math.NaN())
+	payloads := []float64{0, negZero(), math.NaN(), otherNaN, math.Float64frombits(nanBits | 2),
+		math.Float64frombits(nanBits | 1<<63), 1.5}
+	counted := make([]catalog.Datum, n)
+	for i := range counted {
+		counted[i] = catalog.NewFloat(payloads[rng.Intn(len(payloads))])
+	}
+	cases["route/float zeros and NaN payloads"], wantRoute["route/float zeros and NaN payloads"] = counted, routeMap
+
 	check := func(t *testing.T, what string, p *Partial, values []catalog.Datum) {
 		t.Helper()
 		ref, refNulls := collectFreqs(values)
@@ -370,12 +424,24 @@ func TestTypedRunsMatchReference(t *testing.T) {
 			t.Errorf("%s: frequency list differs from collectFreqs\n got %v\nwant %v", what, got, want)
 		}
 	}
+	// checkRoute reports unless exactly one run took want since before.
+	checkRoute := func(t *testing.T, what string, b *PartialBuilder, before [nRoutes]int, want route) {
+		t.Helper()
+		after := b.routes
+		for r := range after {
+			wantRuns := 0
+			if route(r) == want {
+				wantRuns = 1
+			}
+			if after[r]-before[r] != wantRuns {
+				t.Errorf("%s: runs by route went %v -> %v, want one more on route %d", what, before, after, want)
+				return
+			}
+		}
+	}
 	for name, values := range cases {
 		t.Run(name, func(t *testing.T) {
-			tuples := make([][]catalog.Datum, len(values))
-			for i := range values {
-				tuples[i] = values[i : i+1 : i+1]
-			}
+			tuples := oneColumn(values)
 			for _, bs := range []int{1, 7, 4096} {
 				b, err := NewPartialBuilder([]string{"a"})
 				if err != nil {
@@ -383,6 +449,9 @@ func TestTypedRunsMatchReference(t *testing.T) {
 				}
 				feedBlocks(t, b, tuples, bs)
 				check(t, fmt.Sprintf("block=%d", bs), b.Finish(), values)
+				if want, ok := wantRoute[name]; ok {
+					checkRoute(t, fmt.Sprintf("block=%d", bs), b, [nRoutes]int{}, want)
+				}
 				// Buffer reuse: a different partition through the same
 				// builder must carry nothing over — no value, no NULL count.
 				second := values[len(values)/3:]
@@ -392,6 +461,35 @@ func TestTypedRunsMatchReference(t *testing.T) {
 			}
 		})
 	}
+	// One builder through every route in turn, each route right after a
+	// fallback to the full sort: no count, key or array slot may carry over.
+	t.Run("routes in sequence", func(t *testing.T) {
+		b, err := NewPartialBuilder([]string{"a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{
+			"route/float distinct=limit+1", "route/float zeros and NaN payloads",
+			"route/int distinct=limit+1", "route/int distinct=limit",
+			"route/date distinct=limit+1", "route/int span 2n-1",
+			"route/string distinct=limit+1", "route/string distinct=limit",
+			"route/int span 2n", "route/int MinInt64..MaxInt64",
+		} {
+			before := b.routes
+			feedBlocks(t, b, oneColumn(cases[name]), 64)
+			check(t, name, b.Finish(), cases[name])
+			checkRoute(t, name, b, before, wantRoute[name])
+		}
+	})
+}
+
+// oneColumn makes each value a one-column tuple.
+func oneColumn(values []catalog.Datum) [][]catalog.Datum {
+	tuples := make([][]catalog.Datum, len(values))
+	for i := range values {
+		tuples[i] = values[i : i+1 : i+1]
+	}
+	return tuples
 }
 
 // fmtEncodePrefix is the prefix-key format as it was first written, kept as
@@ -453,15 +551,15 @@ var sinkPartial *Partial
 // BenchmarkPartialBuilderFinish is the layer benchmark of one partition
 // cut: 8192 rows (the production cut) of one type through AddBlock and
 // Finish on a builder that, as in a real build, has already cut before.
+// The shapes reach every collapse route: distinct8 and zipf2 the array route
+// for ints and dates and the map route otherwise, wide470 the map route for
+// every type, alldistinct the array route for ints and dates and the full
+// sort otherwise.
 func BenchmarkPartialBuilderFinish(b *testing.B) {
 	for _, rt := range runTypes {
 		for _, shape := range runShapes {
 			b.Run(rt.name+"/"+shape, func(b *testing.B) {
-				values := rankColumn(rand.New(rand.NewSource(3)), rt.typ, shape, 8192)
-				tuples := make([][]catalog.Datum, len(values))
-				for i := range values {
-					tuples[i] = values[i : i+1 : i+1]
-				}
+				tuples := oneColumn(rankColumn(rand.New(rand.NewSource(3)), rt.typ, shape, 8192))
 				pb, err := NewPartialBuilder([]string{"a"})
 				if err != nil {
 					b.Fatal(err)
@@ -475,6 +573,9 @@ func BenchmarkPartialBuilderFinish(b *testing.B) {
 						}
 					}
 					sinkPartial = pb.Finish()
+				}
+				if shape == "wide470" && pb.routes != [nRoutes]int{routeMap: b.N} {
+					b.Fatalf("runs by route %v, want all %d on the map route", pb.routes, b.N)
 				}
 			})
 		}

@@ -208,7 +208,9 @@ func (e *estimator) distinctOf(c query.ColumnRef) (float64, bool) {
 // sides' leading histograms via the bucket-overlap dot product (accurate
 // under skew); with either side uncovered the variable is missing and the
 // override or join magic number applies. Results are memoized per variable:
-// join enumeration consults the same predicate many times.
+// join enumeration consults the same predicate many times. The dot product
+// itself is memoized on the session per pair of published histograms, since
+// MNSA and Shrinking Set optimize the same joins over and over.
 func (e *estimator) joinSel(j query.JoinPred) float64 {
 	if sel, ok := e.joinSelCache[j.VarID]; ok {
 		return sel
@@ -224,7 +226,7 @@ func (e *estimator) joinSelUncached(j query.JoinPred) float64 {
 	if ls != nil && rs != nil {
 		e.used[ls.ID] = true
 		e.used[rs.ID] = true
-		return clampSel(histogram.JoinSelectivity(ls.Data.Leading, rs.Data.Leading))
+		return e.sess.joins.selectivity(ls, rs)
 	}
 	e.missing[j.VarID] = true
 	if ov, ok := e.overrides[j.VarID]; ok {

@@ -1,17 +1,20 @@
 package optimizer
 
 import (
+	"sync"
+
+	"autostats/internal/histogram"
 	"autostats/internal/obs"
 	"autostats/internal/stats"
 )
 
-// Session is one optimization session against a database. It holds only
-// what is fixed once it is set up — the statistics manager, the provider the
-// estimator reads through, the plan cache and the metric handles — so any
-// number of goroutines may Optimize and OptimizeWhatIf on one Session at
-// once. SetPlanCache and SetStatsProvider are configuration: call them
-// before the Session is shared. The attached PlanCache is itself
-// concurrency-safe.
+// Session is one optimization session against a database. Besides the
+// join selectivity memo, which guards itself, it holds only what is fixed
+// once it is set up — the statistics manager, the provider the estimator
+// reads through, the plan cache and the metric handles — so any number of
+// goroutines may Optimize and OptimizeWhatIf on one Session at once.
+// SetPlanCache and SetStatsProvider are configuration: call them before the
+// Session is shared. The attached PlanCache is itself concurrency-safe.
 //
 // The two server extensions of §7.2 are the WhatIf argument of
 // OptimizeWhatIf, not state of the session.
@@ -23,6 +26,47 @@ type Session struct {
 	prov  stats.Provider
 	cache *PlanCache
 	met   sessionMetrics
+	// joins is a pointer so that the estimator, which reaches it through
+	// the session, stays on the stack: the mutex makes its receiver escape.
+	joins *joinMemo
+}
+
+// joinMemo holds the join selectivity of each pair of statistics the
+// session's estimates have joined, keyed by the pair's IDs. A published
+// histogram is never modified, so an entry is valid while both statistics
+// still publish the histograms it was computed from; a refresh, or a drop
+// followed by a re-create, publishes new ones, and the entry is recomputed
+// and overwritten. The memo therefore holds one entry per pair of join
+// columns, and at most one superseded histogram pair each. Two goroutines
+// that miss together both compute and store the same value; one holding an
+// older pair may overwrite a newer entry, which costs the next call a
+// recomputation, never a wrong answer.
+type joinMemo struct {
+	mu sync.RWMutex
+	m  map[[2]stats.ID]joinEntry
+}
+
+type joinEntry struct {
+	left, right *histogram.Histogram
+	sel         float64
+}
+
+// selectivity returns the clamped histogram.JoinSelectivity of the two
+// statistics' leading histograms, computing it only on a miss.
+func (j *joinMemo) selectivity(ls, rs *stats.Statistic) float64 {
+	key := [2]stats.ID{ls.ID, rs.ID}
+	lh, rh := ls.Data.Leading, rs.Data.Leading
+	j.mu.RLock()
+	e, ok := j.m[key]
+	j.mu.RUnlock()
+	if ok && e.left == lh && e.right == rh {
+		return e.sel
+	}
+	e = joinEntry{left: lh, right: rh, sel: clampSel(histogram.JoinSelectivity(lh, rh))}
+	j.mu.Lock()
+	j.m[key] = e
+	j.mu.Unlock()
+	return e.sel
 }
 
 // WhatIf is a statistics configuration to plan under in place of the
@@ -73,9 +117,10 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 // NewSession creates a session over the given statistics manager.
 func NewSession(mgr *stats.Manager) *Session {
 	return &Session{
-		mgr:  mgr,
-		prov: mgr,
-		met:  newSessionMetrics(mgr.ObsRegistry()),
+		mgr:   mgr,
+		prov:  mgr,
+		met:   newSessionMetrics(mgr.ObsRegistry()),
+		joins: &joinMemo{m: make(map[[2]stats.ID]joinEntry)},
 	}
 }
 

@@ -18,10 +18,11 @@ import (
 
 // defaultPartitionRows is the partition cut. It is a measured constant, not
 // a tuning knob, because it cannot change a result: on the tune_offline
-// benchmark workload a single never-cut partition measured ≈ 1080 ms and
-// 1.23e6 KB allocated per tuning round against ≈ 910 ms and 0.81e6 KB with
-// 8192-row cuts (one table-sized sort buffer, grown by doubling, loses to a
-// reused partition-sized one plus merges of short sorted frequency lists).
+// benchmark workload (3 alternating pairs, 2 vCPUs) a single never-cut
+// partition measured 131–143 ms and 138 000 KB allocated per tuning round
+// against 82–101 ms and 35 600 KB with 8192-row cuts (a table-sized run
+// buffer, grown by doubling in every build, loses to a reused
+// partition-sized one plus merges of short sorted frequency lists).
 // The package's tests vary the cut only to prove cut-independence.
 const defaultPartitionRows = 8192
 

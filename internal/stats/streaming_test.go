@@ -90,16 +90,22 @@ type identityTarget struct {
 	// nulls marks a target whose leading column must carry NULLs, so the
 	// input cannot quietly lose its NULL shape.
 	nulls bool
-	row   func(n int) storage.Row
+	// maxDistinct, when set, bounds the leading column's distinct values,
+	// so a low-cardinality input cannot quietly lose its shape.
+	maxDistinct int64
+	row         func(n int) storage.Row
 }
 
 // identityTargets lists the sweep's inputs. The streamDB table crosses
 // String, duplicate and NULL-bearing Int columns over a table with dead
 // rows. The TPC-D databases (datagen at scale 0.05 — lineitem 300 rows,
 // orders 75, customer 7 — at two seeds and skews z = 0, 2, 4 and MIX) add a
-// Date column with heavy duplication, a Float × Int multi-column statistic
-// and a NULL-bearing Float: every fifth row of c_acctbal and l_quantity is
-// set to NULL, since TPC-D data has none.
+// Date column with heavy duplication, a Float × Int multi-column statistic,
+// a NULL-bearing Float (every fifth row of c_acctbal and l_quantity is set
+// to NULL, since TPC-D data has none), a String column of at most 8
+// distinct values (l_shipmode, 5 partials at a 64-row cut) and an indexed
+// key column (l_orderkey), so that every collapse route of the builder is
+// on the path.
 func identityTargets(t *testing.T) []identityTarget {
 	t.Helper()
 	s := streamDB(t, 500)
@@ -111,9 +117,9 @@ func identityTargets(t *testing.T) []identityTarget {
 		}
 	}
 	targets := []identityTarget{
-		{"single", s, "s", []string{"c"}, histogram.EquiDepth, 8, false, sRow},
-		{"multi", s, "s", []string{"b", "c"}, histogram.MaxDiff, 0, false, sRow},
-		{"nulls", s, "s", []string{"a", "b", "c"}, histogram.MaxDiff, 0, true, sRow},
+		{"single", s, "s", []string{"c"}, histogram.EquiDepth, 8, false, 0, sRow},
+		{"multi", s, "s", []string{"b", "c"}, histogram.MaxDiff, 0, false, 0, sRow},
+		{"nulls", s, "s", []string{"a", "b", "c"}, histogram.MaxDiff, 0, true, 0, sRow},
 	}
 	skews := []struct {
 		name string
@@ -129,22 +135,26 @@ func identityTargets(t *testing.T) []identityTarget {
 			nullEveryFifth(t, db, "customer", "c_acctbal")
 			nullEveryFifth(t, db, "lineitem", "l_quantity")
 			for _, st := range []struct {
-				table string
-				cols  []string
-				nulls bool
+				table       string
+				cols        []string
+				nulls       bool
+				maxDistinct int64
 			}{
-				{"orders", []string{"o_orderdate"}, false},
-				{"lineitem", []string{"l_quantity", "l_partkey"}, true},
-				{"customer", []string{"c_acctbal"}, true},
+				{"orders", []string{"o_orderdate"}, false, 0},
+				{"lineitem", []string{"l_quantity", "l_partkey"}, true, 0},
+				{"customer", []string{"c_acctbal"}, true, 0},
+				{"lineitem", []string{"l_shipmode"}, false, 8},
+				{"lineitem", []string{"l_orderkey"}, false, 0},
 			} {
 				targets = append(targets, identityTarget{
-					name:  fmt.Sprintf("TPC-D seed=%d %s %s%v", seed, sk.name, st.table, st.cols),
-					db:    db,
-					table: st.table,
-					cols:  st.cols,
-					kind:  histogram.MaxDiff,
-					nulls: st.nulls,
-					row:   copyLiveRow(mustTable(t, db, st.table)),
+					name:        fmt.Sprintf("TPC-D seed=%d %s %s%v", seed, sk.name, st.table, st.cols),
+					db:          db,
+					table:       st.table,
+					cols:        st.cols,
+					kind:        histogram.MaxDiff,
+					nulls:       st.nulls,
+					maxDistinct: st.maxDistinct,
+					row:         copyLiveRow(mustTable(t, db, st.table)),
 				})
 			}
 		}
@@ -230,6 +240,9 @@ func TestBuildIdentity(t *testing.T) {
 				want, wantCost := referenceStat(t, tgt.db, tgt.kind, tgt.buckets, tgt.table, tgt.cols)
 				if tgt.nulls && want.Leading.NullRows == 0 {
 					t.Fatalf("%s: input has no NULLs in %s", name, tgt.cols[0])
+				}
+				if tgt.maxDistinct > 0 && want.Leading.Distinct > tgt.maxDistinct {
+					t.Fatalf("%s: %s has %d distinct values, want at most %d", name, tgt.cols[0], want.Leading.Distinct, tgt.maxDistinct)
 				}
 				got, err := m.Create(tgt.table, tgt.cols)
 				if err != nil {
